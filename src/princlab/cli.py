@@ -1,14 +1,15 @@
 """Command-line front end: ring grammar, subcommand dispatch, JSON reports.
 
 Exit codes: 0 = success, 1 = negative mathematical verdict (non-principal,
-non-unique, not a pair, no witness found), 2 = input error or a failed
-`--recheck` pass.  Reports go to stdout; errors and recheck failures go to
-stderr.
+non-unique, not a pair, no witness found), 2 = input error, 3 = a failed
+`--recheck` pass (an internal certificate failure).  Reports go to stdout;
+errors and recheck failures go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -294,6 +295,9 @@ def _comax_factor_one(ring, text):
 
 
 def cmd_comax_factor(args):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
     ring = _comax_ring(args)
     if len(args.values) == 1:
         return "factored", ring, _comax_factor_one(ring, args.values[0]), 0
@@ -640,7 +644,7 @@ def main(argv=None) -> int:
             print(dump(report))
             for f in failures:
                 print(f"princlab: recheck FAILED: {f}", file=sys.stderr)
-            return 2
+            return 3
         report["recheck"] = "passed"
     print(dump(report))
     return code

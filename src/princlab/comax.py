@@ -8,6 +8,12 @@ exponent) whose block products are principal, with every block admitting no
 further both-principal split.  Enumerating partitions therefore enumerates
 every complete comaximal factorization, which is what makes the uniqueness
 analysis exhaustive.
+
+Partitions and splits ask for the same blocks many times over, so the
+generator of each block is memoized by its subset of the support (one
+`_BlockMemo` per element, never shared between elements).  An element whose
+support has k primes therefore costs at most 2^k - 1 principality tests,
+however many partitions and splits are examined.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import xgcd
+from .core import factorint, xgcd
 from .quadring import (
     QuadElem,
     QuadError,
@@ -25,7 +31,7 @@ from .quadring import (
     divides,
     factor_principal,
     ideal_is_principal,
-    principal_ideal,
+    norm_solutions,
 )
 from .rings import IntegerRing, ZZ
 
@@ -101,9 +107,7 @@ class ComaxFactorization:
 
 
 def _int_support(n: int):
-    from sympy import factorint
-
-    return [(p, e) for p, e in sorted(factorint(abs(n)).items())]
+    return list(factorint(abs(n)).items())
 
 
 def _quad_support(b: QuadElem):
@@ -125,20 +129,44 @@ def _support_of(b, ring):
     raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
 
 
-def _block_generator(support, idxs, ring):
-    """Generator of the product of the chosen prime powers, or None."""
-    if isinstance(ring, IntegerRing):
-        prod = 1
+class _BlockMemo:
+    """Generators of the blocks (subsets of support indices) of one support,
+    each computed once and keyed by the subset's bitmask.  A quadratic
+    block's ideal is its mask's ideal without the lowest bit, times that
+    bit's prime power, so every ideal is one multiplication."""
+
+    def __init__(self, support, ring):
+        self.support = support
+        self.ring = ring
+        self._generators = {}
+        self._ideals = {}
+
+    def generator(self, idxs):
+        """Generator of the product of the chosen prime powers, or None."""
+        mask = 0
         for i in idxs:
-            p, e = support[i]
-            prod *= p**e
-        return prod
-    ideal = principal_ideal(QuadElem(1, 0, ring.d))
-    for i in idxs:
-        P, e = support[i]
-        ideal = ideal.mul(P.pow(e))
-    verdict = ideal_is_principal(ideal)
-    return verdict.generator if verdict.principal else None
+            mask |= 1 << i
+        if mask not in self._generators:
+            if isinstance(self.ring, IntegerRing):
+                gen = 1
+                for i in idxs:
+                    p, e = self.support[i]
+                    gen *= p**e
+            else:
+                verdict = ideal_is_principal(self._ideal(mask))
+                gen = verdict.generator if verdict.principal else None
+            self._generators[mask] = gen
+        return self._generators[mask]
+
+    def _ideal(self, mask):
+        if mask not in self._ideals:
+            low = mask & -mask
+            if mask == low:
+                P, e = self.support[low.bit_length() - 1]
+                self._ideals[mask] = P.pow(e)
+            else:
+                self._ideals[mask] = self._ideal(mask ^ low).mul(self._ideal(low))
+        return self._ideals[mask]
 
 
 def _two_partitions(k: int):
@@ -149,20 +177,16 @@ def _two_partitions(k: int):
         yield left, right
 
 
-def _irreducibility(element, support, idxs, ring) -> IrreducibilityTranscript:
+def _irreducibility(element, memo: _BlockMemo, idxs) -> IrreducibilityTranscript:
     idxs = tuple(idxs)
+    support = memo.support
     transcript = IrreducibilityTranscript(
         element, [(support[i][0], support[i][1]) for i in idxs]
     )
     for lpos, rpos in _two_partitions(len(idxs)):
         left = tuple(idxs[i] for i in lpos)
         right = tuple(idxs[i] for i in rpos)
-        rec = SplitRecord(
-            left,
-            right,
-            _block_generator(support, left, ring),
-            _block_generator(support, right, ring),
-        )
+        rec = SplitRecord(left, right, memo.generator(left), memo.generator(right))
         transcript.splits.append(rec)
         if rec.comaximal_split:
             transcript.pseudo_irreducible = False
@@ -173,7 +197,7 @@ def _irreducibility(element, support, idxs, ring) -> IrreducibilityTranscript:
 
 def is_pseudo_irreducible(b, ring) -> IrreducibilityTranscript:
     support = _support_of(b, ring)
-    return _irreducibility(b, support, range(len(support)), ring)
+    return _irreducibility(b, _BlockMemo(support, ring), range(len(support)))
 
 
 def _bezout_for(f, g, ring):
@@ -194,7 +218,8 @@ def _factor_sort_key(f, ring):
     return (f.norm(), f.x, f.y)
 
 
-def _build_factorization(b, support, blocks, generators, ring) -> ComaxFactorization:
+def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactorization:
+    ring = memo.ring
     order = sorted(range(len(blocks)), key=lambda i: _factor_sort_key(generators[i], ring))
     blocks = [tuple(blocks[i]) for i in order]
     factors = [generators[i] for i in order]
@@ -212,8 +237,8 @@ def _build_factorization(b, support, blocks, generators, ring) -> ComaxFactoriza
         for j in range(i + 1, len(factors)):
             lam, mu = _bezout_for(factors[i], factors[j], ring)
             pairwise.append((i, j, lam, mu))
-    transcripts = [_irreducibility(factors[i], support, blocks[i], ring) for i in range(len(blocks))]
-    fact = ComaxFactorization(ring, b, factors, unit, pairwise, transcripts, blocks, support)
+    transcripts = [_irreducibility(factors[i], memo, blocks[i]) for i in range(len(blocks))]
+    fact = ComaxFactorization(ring, b, factors, unit, pairwise, transcripts, blocks, memo.support)
     if not fact.verify():
         raise QuadError("factorization certificates failed to verify")
     return fact
@@ -240,12 +265,13 @@ def enumerate_complete_factorizations(b, ring, support_cap: int | None = None) -
         raise SupportBoundExceeded(
             f"support size {len(support)} exceeds the cap {cap}"
         )
+    memo = _BlockMemo(support, ring)
     out = []
     for partition in _set_partitions(range(len(support))):
         generators = []
         ok = True
         for block in partition:
-            g = _block_generator(support, tuple(block), ring)
+            g = memo.generator(block)
             if g is None:
                 ok = False
                 break
@@ -253,11 +279,11 @@ def enumerate_complete_factorizations(b, ring, support_cap: int | None = None) -
         if not ok:
             continue
         if any(
-            not _irreducibility(generators[i], support, partition[i], ring).pseudo_irreducible
+            not _irreducibility(generators[i], memo, partition[i]).pseudo_irreducible
             for i in range(len(partition))
         ):
             continue
-        out.append(_build_factorization(b, support, partition, generators, ring))
+        out.append(_build_factorization(b, memo, partition, generators))
     out.sort(key=lambda f: (len(f.factors), [_factor_sort_key(x, ring) for x in f.factors]))
     return out
 
@@ -270,29 +296,7 @@ def comax_factor_int(n: int) -> ComaxFactorization:
     support = _int_support(n)
     blocks = [(i,) for i in range(len(support))]
     generators = [p**e for p, e in support]
-    return _build_factorization(n, support, blocks, generators, ZZ)
-
-
-def _quad_elements_of_norm(n: int, d: int):
-    """Canonical associate representatives with norm n, in (x, y) lex order."""
-    from math import isqrt
-
-    out = []
-    ad = -d
-    y = 1
-    while ad * y * y <= n:
-        rem = n - ad * y * y
-        x = isqrt(rem)
-        if x * x == rem:
-            out.append((x, y))
-            if x:
-                out.append((-x, y))
-        y += 1
-    x = isqrt(n)
-    if x * x == n:
-        out.append((x, 0))
-    out.sort()
-    return [QuadElem(x, y, d) for x, y in out]
+    return _build_factorization(n, _BlockMemo(support, ZZ), blocks, generators)
 
 
 def find_nonunique_witness(ring, norm_bound: int, support_cap: int | None = None):
@@ -307,7 +311,10 @@ def find_nonunique_witness(ring, norm_bound: int, support_cap: int | None = None
     if not isinstance(ring, QuadOrder):
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
     for n in range(2, norm_bound + 1):
-        for b in _quad_elements_of_norm(n, ring.d):
+        # one associate of each element of norm n (y > 0, or y == 0 < x), in lex order
+        reps = sorted((x, y) for x, y in norm_solutions(n, ring.d) if y > 0 or (y == 0 and x > 0))
+        for x, y in reps:
+            b = QuadElem(x, y, ring.d)
             if b.is_unit():
                 continue
             facts = enumerate_complete_factorizations(b, ring, support_cap)

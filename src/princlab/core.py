@@ -1,6 +1,6 @@
-"""Exact arithmetic substrate: extended integer gcd, dense univariate
-polynomials over a field, rational functions, and small integer lattice
-solves.
+"""Exact arithmetic substrate: extended integer gcd, integer factorization
+and square roots modulo a prime, dense univariate polynomials over a field,
+rational functions, and small integer lattice solves.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
 `fractions.Fraction`, or any object implementing field arithmetic through
@@ -11,6 +11,7 @@ mixed int scalars are tolerated because exact coefficient types coerce them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -24,6 +25,127 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, s0, t0 = -a, -s0, -t0
     return a, s0, t0
+
+
+# Integer factorization (Cohen, GTM 138, sections 8.2 and 8.5): trial
+# division, deterministic Miller-Rabin, Pollard-Brent rho.  Miller-Rabin with
+# the first 13 prime bases is proven exact below _MR_BOUND (Sorenson and
+# Webster, 2015).  Cofactors at or above that bound, and those that outlast
+# _RHO_STEPS rho iterations, go to sympy, which is imported only then.
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_RHO_STEPS = 1 << 18
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for 1 < n < _MR_BOUND with no factor below 1000."""
+    q, s = n - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, q, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int | None:
+    """A proper factor of the odd composite n, or None once _RHO_STEPS
+    iterations of x -> x^2 + c (c = 1, 2, ...) have found none."""
+    root = isqrt(n)
+    if root * root == n:
+        return root
+    steps, batch = 0, 128
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            steps += 2 * r
+            r <<= 1
+            if g == 1 and steps > _RHO_STEPS:
+                return None
+        if g == n:
+            # the batch overshot: step back one iteration at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of the integer n >= 1, primes ascending
+    ({} for n == 1)."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 1_000_000 or (m < _MR_BOUND and _is_prime(m)):
+            # trial division leaves no composite below 1000^2
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = _pollard_brent(m) if m < _MR_BOUND else None
+        if f is None:
+            from sympy import factorint as sympy_factorint
+
+            for p, e in sympy_factorint(m).items():
+                out[p] = out.get(p, 0) + e
+            continue
+        pending += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def sqrt_mod_prime(a: int, p: int) -> int:
+    """The root r <= p // 2 of r*r == a (mod p), p prime (Tonelli-Shanks,
+    Cohen GTM 138, algorithm 1.5.1); raises ValueError for a non-residue."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square modulo {p}")
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 class Poly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .core import hnf2_with_transform, solve_int_combination
+from .core import factorint, hnf2_with_transform, solve_int_combination, sqrt_mod_prime
 
 
 class QuadError(ValueError):
@@ -25,8 +25,6 @@ class QuadError(ValueError):
 def validate_d(d: int) -> int:
     if d >= 0:
         raise QuadError(f"unsupported d={d}: only imaginary orders (d < 0)")
-    from sympy import factorint
-
     if any(e > 1 for e in factorint(-d).values()):
         raise QuadError(f"d={d} is not squarefree")
     return d
@@ -489,9 +487,7 @@ def _prime_above(d: int, p: int):
         return "ramified", ideal_from_pair(pelt, sqrtd)
     if pow(d % p, (p - 1) // 2, p) == p - 1:
         return ("inert", principal_ideal(pelt))
-    from sympy.ntheory import sqrt_mod
-
-    u = int(sqrt_mod(d, p))
+    u = sqrt_mod_prime(d, p)
     P = ideal_from_pair(pelt, QuadElem(u, 1, d))
     Pbar = ideal_from_pair(pelt, QuadElem(p - u, 1, d))
     return "split", P, Pbar
@@ -513,11 +509,9 @@ def factor_principal(b: QuadElem) -> list[tuple[QuadIdeal, int]]:
         raise QuadError("cannot factor zero")
     if b.is_unit():
         raise QuadError("cannot factor a unit")
-    from sympy import factorint
-
     target = principal_ideal(b)
     out = []
-    for p, e in sorted(factorint(b.norm()).items()):
+    for p, e in factorint(b.norm()).items():
         split = _prime_above(d, p)
         if split[0] == "ramified":
             out.append((split[1], e))

@@ -9,6 +9,7 @@ own, not that the producer agrees with itself.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -698,13 +699,30 @@ def _verify_comax_factor(report):
     return fails
 
 
+def _verify_factorization_list(facts, element, ring, fails):
+    """Each factorization must factor `element`, and no two may pick the
+    same blocks of primes."""
+    seen = set()
+    for n, fact in enumerate(facts):
+        if not v_eq(dec(fact["element"]), element):
+            fails.append(f"[{n}] factorization is of another element")
+        support = fact["support"]
+        blocks = frozenset(
+            frozenset(json.dumps(support[i], sort_keys=True) for i in block) for block in fact["blocks"]
+        )
+        if blocks in seen:
+            fails.append(f"[{n}] factorization repeats the blocks of an earlier one")
+        seen.add(blocks)
+        _verify_factorization(fact, ring, fails, label=f"[{n}] ")
+
+
 def _verify_comax_unique(report):
     fails = []
-    facts = report["result"]["factorizations"]
-    if len(facts) != report["result"]["count"]:
+    result = report["result"]
+    facts = result["factorizations"]
+    if len(facts) != result["count"]:
         fails.append("count differs from the factorization list")
-    for n, fact in enumerate(facts):
-        _verify_factorization(fact, report["ring"], fails, label=f"[{n}] ")
+    _verify_factorization_list(facts, dec(result["element"]), report["ring"], fails)
     return fails
 
 
@@ -716,8 +734,7 @@ def _verify_comax_hunt(report):
     facts = result["factorizations"]
     if len(facts) < 2:
         fails.append("witness carries fewer than two factorizations")
-    for n, fact in enumerate(facts):
-        _verify_factorization(fact, report["ring"], fails, label=f"[{n}] ")
+    _verify_factorization_list(facts, dec(result["witness"]), report["ring"], fails)
     return fails
 
 

@@ -1,0 +1,114 @@
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import princlab
+from princlab import cli
+from princlab.recheck import verify_report
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def report_of(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "d,b,count",
+    [(-5, "21", 3), (-5, "41055", 15), (-6, "10010", 3), (-10, "14", 1), (-10, "210", 1), (-14, "15", 2)],
+)
+def test_comax_unique_rechecks(capsys, d, b, count):
+    code, out, _ = run_cli(capsys, "--recheck", "comax", "unique", "--ring", f"Z[sqrt({d})]", b)
+    report = json.loads(out)
+    assert report["recheck"] == "passed"
+    assert report["result"]["count"] == count
+    assert code == (0 if count == 1 else 1)
+
+
+def test_recheck_failure_exits_3(capsys, monkeypatch):
+    real = cli.factor_principal
+    monkeypatch.setattr(cli, "factor_principal", lambda b: real(b)[:-1])
+    argv = ["ideal", "factor", "--ring", "Z[sqrt(-5)]", "6"]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, "--recheck", *argv)
+    assert code == 3
+    assert "recheck FAILED" in err and "recheck" not in json.loads(out)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_out_of_range_is_rejected_before_any_pool(capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, "--jobs", str(jobs), "comax", "factor", "360", "1001")
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+def _tampered_fails(report, mutate):
+    bad = copy.deepcopy(report)
+    mutate(bad["result"])
+    return verify_report(bad)
+
+
+def test_recheck_ties_comax_unique_to_its_element(capsys):
+    report = report_of(capsys, "comax", "unique", "--ring", "Z[sqrt(-5)]", "21")
+    assert verify_report(report) == []
+
+    def other_element(result):
+        result["element"]["x"] = "22"
+
+    def copied_twice(result):
+        result["factorizations"][1] = copy.deepcopy(result["factorizations"][0])
+
+    assert any("another element" in f for f in _tampered_fails(report, other_element))
+    assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
+
+
+def test_recheck_ties_comax_hunt_to_its_witness(capsys):
+    report = report_of(capsys, "comax", "hunt", "--ring", "Z[sqrt(-5)]", "--bound", "300")
+    assert report["verdict"] == "witness_found" and verify_report(report) == []
+
+    def other_witness(result):
+        result["witness"]["x"] = str(int(result["witness"]["x"]) + 1)
+
+    def copied_twice(result):
+        result["factorizations"] = [result["factorizations"][0]] * 2
+
+    assert any("another element" in f for f in _tampered_fails(report, other_witness))
+    assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ideal", "frompair", "2", "1+sqrt(-5)"], ["comax", "unique", "--ring", "Z[sqrt(-6)]", "10010"]],
+)
+def test_quadratic_commands_do_not_import_sympy(argv):
+    src = str(Path(princlab.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "from princlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stderr.write('sympy loaded: %s' % ('sympy' in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", probe, "--recheck", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode in (0, 1), res.stderr
+    assert json.loads(res.stdout)["recheck"] == "passed"
+    assert res.stderr.endswith("sympy loaded: False")

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from princlab import comax
 from princlab.comax import (
     ComaxInputError,
     SupportBoundExceeded,
@@ -133,6 +134,17 @@ def test_enumerate_quad_9_and_related():
     # 2 is pseudo-irreducible: single factorization {2}
     facts = enumerate_complete_factorizations(E(2, 0), O5)
     assert len(facts) == 1 and facts[0].factors == [E(2, 0)]
+
+
+@pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
+def test_one_principality_test_per_prime_subset(monkeypatch, d, b):
+    tested = []
+    real = comax.ideal_is_principal
+    monkeypatch.setattr(comax, "ideal_is_principal", lambda i: tested.append(i.key()) or real(i))
+    facts = enumerate_complete_factorizations(b, QuadOrder(d))
+    k = len(facts[0].support)
+    assert k >= 5
+    assert len(tested) == len(set(tested)) <= 2**k - 1
 
 
 def test_support_cap():

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from princlab import core
 from princlab.core import (
     Poly,
     RatFunc,
+    factorint,
     poly_divrem,
     poly_extended_gcd,
     poly_gcd,
     solve_int_combination,
+    sqrt_mod_prime,
     xgcd,
 )
 
@@ -32,6 +36,39 @@ def test_xgcd_basics():
         g, s, t = xgcd(a, b)
         assert s * a + t * b == g
         assert g >= 0
+
+
+def test_factorint_matches_sympy(monkeypatch):
+    fallbacks = []
+    sympy_factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda m: fallbacks.append(m) or sympy_factorint(m))
+    p12, q12 = sympy.nextprime(10**12), sympy.nextprime(2 * 10**12)
+    p14, q14 = sympy.nextprime(10**13), sympy.nextprime(10**14)
+    # a cofactor rho gives up on, and one at or above the Miller-Rabin bound
+    assert factorint(p12 * q12) == {p12: 1, q12: 1}
+    assert factorint(6 * p14 * q14) == {2: 1, 3: 1, p14: 1, q14: 1}
+    assert fallbacks == [p12 * q12, p14 * q14]
+    special = [1, 2, 997, 1009**2, 997 * 1009, 561, 3215031751, 2**61 - 1, (2**31 - 1) ** 2 * 3**5,
+               sympy.nextprime(10**9) * sympy.nextprime(3 * 10**9), core._MR_BOUND - 1, core._MR_BOUND]
+    rng = random.Random(1901)
+    randoms = [rng.randrange(2, 10 ** rng.randrange(2, 31)) for _ in range(60)]
+    for n in special + randoms:
+        assert factorint(n) == sympy_factorint(n), n
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+def test_sqrt_mod_prime_matches_sympy():
+    for d in (-1, -2, -3, -5, -6, -7, -10, -13, -14):
+        for p in sympy.primerange(3, 3000):
+            if d % p == 0:
+                continue
+            if pow(d % p, (p - 1) // 2, p) == 1:
+                r = sqrt_mod_prime(d, p)
+                assert r == int(sympy.sqrt_mod(d, p)) and r <= p // 2 and (r * r - d) % p == 0, (d, p)
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod_prime(d, p)
 
 
 def test_divrem_spec_cases():
