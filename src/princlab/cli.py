@@ -1,9 +1,14 @@
 """Command-line front end: ring grammar, subcommand dispatch, JSON reports.
 
 Exit codes: 0 = success, 1 = negative mathematical verdict (non-principal,
-non-unique, not a pair, no witness found), 2 = input error, 3 = a failed
-`--recheck` pass (an internal certificate failure).  Reports go to stdout;
-errors and recheck failures go to stderr.
+non-unique, not a pair, no witness found), 2 = input error (any
+`ValueError`), 3 = an internal certificate failure: a producer's self-check
+(`core.CertificateError`) or a failed `--recheck` pass.  Reports go to
+stdout; errors and recheck failures go to stderr.
+
+Handlers parse, call and return: each certificate serializes itself
+(`report.enc` falls through to its `to_json`), and one ring-kind guard
+(`_ring`, driven by `RING_KINDS`) checks `--ring` for every command.
 """
 
 from __future__ import annotations
@@ -14,44 +19,19 @@ import re
 import sys
 from fractions import Fraction
 
-from .comax import (
-    ComaxInputError,
-    SupportBoundExceeded,
-    comax_factor_int,
-    enumerate_complete_factorizations,
-    find_nonunique_witness,
-)
-from .exprparse import ParseError, parse_element, parse_ypoly
+from .comax import ComaxInputError, comax_factor_int, enumerate_complete_factorizations, find_nonunique_witness
+from .core import CertificateError
+from .exprparse import parse_element, parse_ypoly
 from .idem import bezout_in_inverse, complement_identity, idem_matrix, is_idempotent_pair, pair_from_invertible
-from .limitring import LimitError, LimitRing, lr_chain, lr_lift
-from .monoidring import MonoidDesc, MonoidError, MonoidRing, juett_split, mr_comax_chain, mr_split
-from .polyext import SubringDesc, SubringError, nonprinc_pair_from_alpha, seminormal_witness
-from .pullback import PullbackError, PullbackRing, pb_nonufd_chain, pb_reduce_idem_pair
-from .quadring import (
-    QuadError,
-    QuadOrder,
-    factor_principal,
-    ideal_from_pair,
-    ideal_is_invertible,
-    ideal_is_principal,
-    ideal_mul,
-)
+from .limitring import LimitRing, lr_chain, lr_lift
+from .monoidring import MonoidDesc, MonoidRing, juett_split, mr_comax_chain, mr_split
+from .polyext import SubringDesc, nonprinc_pair_from_alpha, seminormal_witness
+from .pullback import PullbackRing, pb_nonufd_chain, pb_reduce_idem_pair
+from .quadring import QuadOrder, factor_principal, ideal_from_pair, ideal_is_invertible, ideal_is_principal
 from .recheck import verify_report
 from .report import dump, enc, make_report
 from .rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers
 from .sphere import B2, tangent_projector
-
-INPUT_ERRORS = (
-    ParseError,
-    QuadError,
-    MonoidError,
-    PullbackError,
-    LimitError,
-    SubringError,
-    ComaxInputError,
-    SupportBoundExceeded,
-    ValueError,
-)
 
 
 class CliError(ValueError):
@@ -102,123 +82,75 @@ def parse_ring_spec(text: str, monoid: str | None = None, group: bool = False):
     return _parse_base(text)
 
 
-def _pair_payload(pair):
-    return {
-        "a": enc(pair.a),
-        "b": enc(pair.b),
-        "orientation": pair.orientation,
-        "witness": enc(pair.witness),
-    }
+# The ring kinds each command group accepts, with the error for any other.
+RING_KINDS = {
+    "ideal": (QuadOrder, "this command needs --ring 'Z[sqrt(d)]'"),
+    "comax": ((QuadOrder, IntegerRing), "comax commands run over Z or Z[sqrt(d)]"),
+    "pullback": (PullbackRing, "this command needs --ring 'pullback:BASE'"),
+    "mring": (MonoidRing, "this command needs --ring 'BASE[X;S]'"),
+    "limitring": (LimitRing, "this command needs --ring 'limitring:BASE'"),
+}
 
 
-def _complement_payload(cert):
-    return {
-        "generator": enc(cert.generator),
-        "products": [enc(p) for p in cert.products],
-        "quotients": [enc(q) for q in cert.quotients],
-        "ideal_check": cert.ideal_check,
-    }
-
-
-def _factorization_payload(fact):
-    return {
-        "element": enc(fact.element),
-        "factors": [enc(f) for f in fact.factors],
-        "unit": enc(fact.unit),
-        "pairwise": [
-            {"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)}
-            for i, j, lam, mu in fact.pairwise
-        ],
-        "support": [
-            {"prime": enc(p), "exponent": e} for p, e in fact.support
-        ],
-        "blocks": [list(b) for b in fact.blocks],
-        "transcripts": [
-            {
-                "element": enc(t.element),
-                "pseudo_irreducible": t.pseudo_irreducible,
-                "splits": [
-                    {
-                        "left": list(s.left),
-                        "right": list(s.right),
-                        "left_generator": None if s.left_generator is None else enc(s.left_generator),
-                        "right_generator": None if s.right_generator is None else enc(s.right_generator),
-                    }
-                    for s in t.splits
-                ],
-            }
-            for t in fact.transcripts
-        ],
-    }
+def _ring(args):
+    """The command's --ring, rejected (exit 2) unless its group accepts it."""
+    ring = parse_ring_spec(args.ring, getattr(args, "monoid", None), getattr(args, "group_mode", False))
+    kinds, need = RING_KINDS.get(args.group, (object, None))
+    if not isinstance(ring, kinds):
+        raise CliError(need)
+    return ring
 
 
 # ------------------------------------------------------------ subcommands
 
 
+def _ring_and_pair(args):
+    ring = _ring(args)
+    return ring, parse_element(args.a, ring), parse_element(args.b, ring)
+
+
 def cmd_idem_check(args):
-    ring = parse_ring_spec(args.ring, args.monoid, args.group_mode)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+    ring, a, b = _ring_and_pair(args)
     pair = is_idempotent_pair(a, b, ring)
-    result = {"a": enc(a), "b": enc(b), "pair": None, "complement": None}
     if pair is None:
-        return "not_idempotent_pair", ring, result, 1
-    result["pair"] = _pair_payload(pair)
-    result["complement"] = _complement_payload(complement_identity(pair))
+        return "not_idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": None, "complement": None}, 1
+    result = {"a": enc(a), "b": enc(b), "pair": enc(pair), "complement": enc(complement_identity(pair))}
     return "idempotent_pair", ring, result, 0
 
 
 def cmd_idem_matrix(args):
-    ring = parse_ring_spec(args.ring, args.monoid, args.group_mode)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+    ring, a, b = _ring_and_pair(args)
     pair = is_idempotent_pair(a, b, ring)
-    result = {"a": enc(a), "b": enc(b), "pair": None}
     if pair is None:
-        return "not_idempotent_pair", ring, result, 1
+        return "not_idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": None}, 1
     m = idem_matrix(pair)
-    result["pair"] = _pair_payload(pair)
-    result["matrix"] = [[enc(e) for e in row] for row in m]
-    return "idempotent_pair", ring, result, 0
+    return "idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": enc(pair), "matrix": enc(m)}, 0
 
 
 def cmd_idem_from_ideal(args):
-    ring = parse_ring_spec(args.ring, args.monoid, args.group_mode)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+    ring, a, b = _ring_and_pair(args)
     cert = bezout_in_inverse(a, b, ring)
-    result = {"a": enc(a), "b": enc(b)}
     if cert is None:
-        return "not_invertible", ring, result, 1
+        return "not_invertible", ring, {"a": enc(a), "b": enc(b)}, 1
     pair = pair_from_invertible(a, b, cert, ring)
-    result["bezout"] = {"lam": enc(cert.lam), "mu": enc(cert.mu)}
-    result["pair"] = _pair_payload(pair)
-    result["complement"] = _complement_payload(complement_identity(pair))
+    result = {"a": enc(a), "b": enc(b), "bezout": enc(cert), "pair": enc(pair)}
+    result["complement"] = enc(complement_identity(pair))
     return "pair_derived", ring, result, 0
 
 
-def _quad_ring(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, QuadOrder):
-        raise CliError("this command needs --ring 'Z[sqrt(d)]'")
-    return ring
-
-
 def cmd_ideal_frompair(args):
-    ring = _quad_ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+    ring, a, b = _ring_and_pair(args)
     ideal = ideal_from_pair(a, b)
     result = {"a": enc(a), "b": enc(b), "ideal": enc(ideal), "norm": str(ideal.norm())}
     return "normal_form", ring, result, 0
 
 
 def cmd_ideal_mul(args):
-    ring = _quad_ring(args)
+    ring = _ring(args)
     gens = [parse_element(t, ring) for t in (args.a, args.b, args.c, args.e)]
     i = ideal_from_pair(gens[0], gens[1])
     j = ideal_from_pair(gens[2], gens[3])
-    p = ideal_mul(i, j)
+    p = i.mul(j)
     result = {
         "i": enc(i),
         "j": enc(j),
@@ -229,43 +161,21 @@ def cmd_ideal_mul(args):
 
 
 def cmd_ideal_invertible(args):
-    ring = _quad_ring(args)
-    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
+    ring, a, b = _ring_and_pair(args)
+    ideal = ideal_from_pair(a, b)
     cert = ideal_is_invertible(ideal)
-    result = {
-        "ideal": enc(ideal),
-        "invertible": cert.invertible,
-        "cofactor": None if cert.cofactor is None else enc(cert.cofactor),
-        "product_generator": None if cert.product_generator is None else enc(cert.product_generator),
-        "reason": cert.reason,
-    }
+    result = {"ideal": enc(ideal), **enc(cert)}
     return ("invertible", ring, result, 0) if cert.invertible else ("not_invertible", ring, result, 1)
 
 
 def cmd_ideal_principal(args):
-    ring = _quad_ring(args)
-    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
-    v = ideal_is_principal(ideal)
-    result = {
-        "ideal": enc(ideal),
-        "status": v.status,
-        "generator": None if v.generator is None else enc(v.generator),
-        "basis_quotients": None
-        if v.basis_quotients is None
-        else [enc(q) for q in v.basis_quotients],
-        "generator_coordinates": None
-        if v.generator_coordinates is None
-        else [str(c) for c in v.generator_coordinates],
-        "search": [
-            {"x": str(s["x"]), "y": str(s["y"]), "generates": s["generates"]}
-            for s in v.search
-        ],
-    }
-    return v.status, ring, result, 0 if v.principal else 1
+    ring, a, b = _ring_and_pair(args)
+    v = ideal_is_principal(ideal_from_pair(a, b))
+    return v.status, ring, enc(v), 0 if v.principal else 1
 
 
 def cmd_ideal_factor(args):
-    ring = _quad_ring(args)
+    ring = _ring(args)
     b = parse_element(args.b, ring)
     fp = factor_principal(b)
     result = {
@@ -273,13 +183,6 @@ def cmd_ideal_factor(args):
         "factors": [{"prime": enc(p), "exponent": e} for p, e in fp],
     }
     return "factored", ring, result, 0
-
-
-def _comax_ring(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, (QuadOrder, IntegerRing)):
-        raise CliError("comax commands run over Z or Z[sqrt(d)]")
-    return ring
 
 
 def _comax_factor_one(ring, text):
@@ -291,14 +194,14 @@ def _comax_factor_one(ring, text):
         if not facts:
             raise ComaxInputError(f"{text}: no complete comaximal factorization found")
         fact = facts[0]
-    return {"element": enc(b), "factorization": _factorization_payload(fact)}
+    return {"element": enc(b), "factorization": enc(fact)}
 
 
 def cmd_comax_factor(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
-    ring = _comax_ring(args)
+    ring = _ring(args)
     if len(args.values) == 1:
         return "factored", ring, _comax_factor_one(ring, args.values[0]), 0
     if args.jobs > 1:
@@ -317,39 +220,24 @@ def _batch_factor_worker(job):
 
 
 def cmd_comax_unique(args):
-    ring = _comax_ring(args)
+    ring = _ring(args)
     b = parse_element(args.b, ring)
     facts = enumerate_complete_factorizations(b, ring)
-    result = {
-        "element": enc(b),
-        "count": len(facts),
-        "factorizations": [_factorization_payload(f) for f in facts],
-    }
-    if len(facts) == 1:
-        return "unique", ring, result, 0
-    return "non_unique", ring, result, 1
+    result = {"element": enc(b), "count": len(facts), "factorizations": enc(facts)}
+    return ("unique", ring, result, 0) if len(facts) == 1 else ("non_unique", ring, result, 1)
 
 
 def cmd_comax_hunt(args):
-    ring = _comax_ring(args)
+    ring = _ring(args)
     hit = find_nonunique_witness(ring, args.bound)
     if hit is None:
         return "no_witness", ring, {"bound": args.bound, "witness": None, "factorizations": []}, 1
     b, facts = hit
-    result = {
-        "bound": args.bound,
-        "witness": enc(b),
-        "factorizations": [_factorization_payload(f) for f in facts],
-    }
-    return "witness_found", ring, result, 0
+    return "witness_found", ring, {"bound": args.bound, "witness": enc(b), "factorizations": enc(facts)}, 0
 
 
 def cmd_pullback_reduce(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, PullbackRing):
-        raise CliError("this command needs --ring 'pullback:BASE'")
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+    ring, a, b = _ring_and_pair(args)
     if args.witness is not None:
         r = parse_element(args.witness, ring)
         orientation = args.orientation
@@ -359,118 +247,40 @@ def cmd_pullback_reduce(args):
             raise CliError("(a, b) is not an idempotent pair and no witness was given")
         r, orientation = pair.witness, pair.orientation
     red = pb_reduce_idem_pair(a, b, r, orientation)
-    result = {
-        "a": enc(a),
-        "b": enc(b),
-        "witness": enc(r),
-        "orientation": orientation,
-        "status": red.status,
-        "case": red.case,
-        "generator": None if red.generator is None else enc(red.generator),
-        "qa": None if red.qa is None else enc(red.qa),
-        "qb": None if red.qb is None else enc(red.qb),
-        "ca": None if red.ca is None else enc(red.ca),
-        "cb": None if red.cb is None else enc(red.cb),
-        "base_pair": None
-        if red.base_pair is None
-        else [enc(red.base_pair[0]), enc(red.base_pair[1])],
-    }
-    if red.status == "principal":
-        return "principal", ring, result, 0
-    return "base_non_principal", ring, result, 1
+    return red.status, ring, enc(red), 0 if red.status == "principal" else 1
 
 
 def cmd_pullback_nonufd(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, PullbackRing):
-        raise CliError("this command needs --ring 'pullback:BASE'")
+    ring = _ring(args)
     z = parse_element(args.z, ring)
     d = parse_element(args.d, ring)
     chain = pb_nonufd_chain(z, d, args.n)
-    result = {
-        "z": enc(z),
-        "d": enc(d),
-        "n": args.n,
-        "chain": [enc(e) for e in chain],
-    }
-    return "chain", ring, result, 0
-
-
-def _monoid_ring(args):
-    ring = parse_ring_spec(args.ring, args.monoid, args.group_mode)
-    if not isinstance(ring, MonoidRing):
-        raise CliError("this command needs --ring 'BASE[X;S]'")
-    return ring
+    return "chain", ring, {"z": enc(z), "d": enc(d), "n": args.n, "chain": enc(chain)}, 0
 
 
 def cmd_mring_split(args):
-    ring = _monoid_ring(args)
-    sp = mr_split(Fraction(args.s), args.n, ring)
-    result = {
-        "s": str(Fraction(args.s)),
-        "n": args.n,
-        "f1": enc(sp.f1),
-        "f2": enc(sp.f2),
-        "lam": enc(sp.lam),
-        "mu": enc(sp.mu),
-        "remainder": str(sp.remainder),
-    }
-    return "split", ring, result, 0
+    ring = _ring(args)
+    return "split", ring, enc(mr_split(Fraction(args.s), args.n, ring)), 0
 
 
 def cmd_mring_chain(args):
-    ring = _monoid_ring(args)
-    ch = mr_comax_chain(Fraction(args.s), args.m, ring, args.n)
-    result = {
-        "s": str(Fraction(args.s)),
-        "m": args.m,
-        "factors": [enc(f) for f in ch.factors],
-        "pairwise": [
-            {"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)}
-            for i, j, lam, mu in ch.pairwise
-        ],
-    }
-    return "chain", ring, result, 0
+    ring = _ring(args)
+    return "chain", ring, enc(mr_comax_chain(Fraction(args.s), args.m, ring, args.n)), 0
 
 
 def cmd_mring_juett(args):
-    ring = _monoid_ring(args)
+    ring = _ring(args)
     js = juett_split(Fraction(args.t), Fraction(args.b), args.p, Fraction(args.beta), ring)
-    result = {
-        "t": str(js.t),
-        "b": str(js.b),
-        "p": js.p,
-        "beta": str(js.beta),
-        "unit": enc(js.unit),
-        "z": enc(js.z),
-        "f1": enc(js.f1),
-        "f2": enc(js.f2),
-        "lam": enc(js.lam),
-        "mu": enc(js.mu),
-    }
-    return "split", ring, result, 0
+    return "split", ring, enc(js), 0
 
 
 def cmd_limitring_chain(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, LimitRing):
-        raise CliError("this command needs --ring 'limitring:BASE'")
-    ch = lr_chain(args.m, ring)
-    result = {
-        "m": args.m,
-        "factors": [enc(f) for f in ch.factors],
-        "pairwise": [
-            {"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)}
-            for i, j, lam, mu in ch.pairwise
-        ],
-    }
-    return "chain", ring, result, 0
+    ring = _ring(args)
+    return "chain", ring, enc(lr_chain(args.m, ring)), 0
 
 
 def cmd_limitring_eval(args):
-    ring = parse_ring_spec(args.ring)
-    if not isinstance(ring, LimitRing):
-        raise CliError("this command needs --ring 'limitring:BASE'")
+    ring = _ring(args)
     e = parse_element(args.expr, ring)
     if args.level is not None:
         e = lr_lift(e, args.level)
@@ -495,27 +305,12 @@ def cmd_polyext_witness(args):
 
 
 def cmd_polyext_counterexample(args):
-    desc = _subring(args)
-    alpha = parse_ypoly(args.alpha)
-    ce = nonprinc_pair_from_alpha(alpha, desc)
-    result = {
-        "alpha": enc(ce.alpha),
-        "excluded": sorted(desc.excluded),
-        "u": enc(ce.u),
-        "v": enc(ce.v),
-        "witness": enc(ce.witness),
-        "transcript": ce.transcript,
-    }
-    return "non_principal_pair", None, result, 0
+    ce = nonprinc_pair_from_alpha(parse_ypoly(args.alpha), _subring(args))
+    return "non_principal_pair", None, enc(ce), 0
 
 
 def cmd_sphere_projector(args):
-    rep = tangent_projector()
-    result = {
-        "matrix": [[enc(e) for e in row] for row in rep.matrix],
-        "checks": [[name, ok] for name, ok in rep.checks],
-    }
-    return "projector", B2, result, 0
+    return "projector", B2, enc(tangent_projector()), 0
 
 
 def cmd_sphere_reduce(args):
@@ -634,9 +429,12 @@ def main(argv=None) -> int:
     command = f"{args.group} {args.cmd}"
     try:
         verdict, ring, result, code = args.handler(args)
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         print(f"princlab: error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"princlab: internal error: certificate failed its self-check: {exc}", file=sys.stderr)
+        return 3
     report = make_report(command, ring, verdict, result)
     if args.recheck:
         failures = verify_report(report)

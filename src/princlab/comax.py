@@ -14,6 +14,10 @@ generator of each block is memoized by its subset of the support (one
 `_BlockMemo` per element, never shared between elements).  An element whose
 support has k primes therefore costs at most 2^k - 1 principality tests,
 however many partitions and splits are examined.
+
+Everything that depends on the ring family (the prime support, block
+generators, Bezout certificates, factor order, the witness scan) is a hook
+of the ring handle; see `rings`.
 """
 
 from __future__ import annotations
@@ -22,18 +26,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import factorint, xgcd
-from .quadring import (
-    QuadElem,
-    QuadError,
-    QuadOrder,
-    bezout_pair,
-    divides,
-    factor_principal,
-    ideal_is_principal,
-    norm_solutions,
-)
-from .rings import IntegerRing, ZZ
+from .core import CertificateError, pairwise_json
+from .rings import ZZ
 
 DEFAULT_SUPPORT_CAP = 8
 
@@ -67,6 +61,14 @@ class SplitRecord:
     def comaximal_split(self) -> bool:
         return self.left_generator is not None and self.right_generator is not None
 
+    def to_json(self, enc):
+        return {
+            "left": list(self.left),
+            "right": list(self.right),
+            "left_generator": enc(self.left_generator),
+            "right_generator": enc(self.right_generator),
+        }
+
 
 @dataclass
 class IrreducibilityTranscript:
@@ -75,6 +77,13 @@ class IrreducibilityTranscript:
     splits: list[SplitRecord] = field(default_factory=list)
     pseudo_irreducible: bool = True
     witness_split: SplitRecord | None = None
+
+    def to_json(self, enc):
+        return {
+            "element": enc(self.element),
+            "pseudo_irreducible": self.pseudo_irreducible,
+            "splits": enc(self.splits),
+        }
 
 
 @dataclass
@@ -102,38 +111,31 @@ class ComaxFactorization:
                 return False
         return all(t.pseudo_irreducible for t in self.transcripts)
 
-    def factor_strs(self):
-        return [str(f) for f in self.factors]
-
-
-def _int_support(n: int):
-    return list(factorint(abs(n)).items())
-
-
-def _quad_support(b: QuadElem):
-    fp = factor_principal(b)
-    return sorted(fp, key=lambda pe: (pe[0].norm(), pe[0].key()))
+    def to_json(self, enc):
+        return {
+            "element": enc(self.element),
+            "factors": enc(self.factors),
+            "unit": enc(self.unit),
+            "pairwise": pairwise_json(self.pairwise, enc),
+            "support": [{"prime": enc(p), "exponent": e} for p, e in self.support],
+            "blocks": [list(b) for b in self.blocks],
+            "transcripts": enc(self.transcripts),
+        }
 
 
 def _support_of(b, ring):
-    if isinstance(ring, IntegerRing):
-        if b == 0 or b in (1, -1):
-            raise ComaxInputError("need a nonzero nonunit of Z")
-        return _int_support(b)
-    if isinstance(ring, QuadOrder):
-        if not b:
-            raise ComaxInputError("need a nonzero element")
-        if b.is_unit():
-            raise ComaxInputError("need a nonunit")
-        return _quad_support(b)
-    raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
+    if not hasattr(ring, "prime_support"):
+        raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
+    if not b or ring.is_unit(b):
+        raise ComaxInputError(f"need a nonzero nonunit of {ring}")
+    return ring.prime_support(b)
 
 
 class _BlockMemo:
     """Generators of the blocks (subsets of support indices) of one support,
-    each computed once and keyed by the subset's bitmask.  A quadratic
-    block's ideal is its mask's ideal without the lowest bit, times that
-    bit's prime power, so every ideal is one multiplication."""
+    each computed once and keyed by the subset's bitmask.  A block's ideal
+    is its mask's ideal without the lowest bit, times that bit's prime
+    power, so every ideal is one multiplication."""
 
     def __init__(self, support, ring):
         self.support = support
@@ -147,15 +149,7 @@ class _BlockMemo:
         for i in idxs:
             mask |= 1 << i
         if mask not in self._generators:
-            if isinstance(self.ring, IntegerRing):
-                gen = 1
-                for i in idxs:
-                    p, e = self.support[i]
-                    gen *= p**e
-            else:
-                verdict = ideal_is_principal(self._ideal(mask))
-                gen = verdict.generator if verdict.principal else None
-            self._generators[mask] = gen
+            self._generators[mask] = self.ring.principal_generator(self._ideal(mask))
         return self._generators[mask]
 
     def _ideal(self, mask):
@@ -163,9 +157,9 @@ class _BlockMemo:
             low = mask & -mask
             if mask == low:
                 P, e = self.support[low.bit_length() - 1]
-                self._ideals[mask] = P.pow(e)
+                self._ideals[mask] = P**e
             else:
-                self._ideals[mask] = self._ideal(mask ^ low).mul(self._ideal(low))
+                self._ideals[mask] = self._ideal(mask ^ low) * self._ideal(low)
         return self._ideals[mask]
 
 
@@ -200,47 +194,28 @@ def is_pseudo_irreducible(b, ring) -> IrreducibilityTranscript:
     return _irreducibility(b, _BlockMemo(support, ring), range(len(support)))
 
 
-def _bezout_for(f, g, ring):
-    if isinstance(ring, IntegerRing):
-        gg, s, t = xgcd(f, g)
-        if gg != 1:
-            raise QuadError("factors are not comaximal")
-        return s, t
-    cert = bezout_pair(f, g)
-    if cert is None:
-        raise QuadError("factors are not comaximal")
-    return cert
-
-
-def _factor_sort_key(f, ring):
-    if isinstance(ring, IntegerRing):
-        return (abs(f), -f)
-    return (f.norm(), f.x, f.y)
-
-
 def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactorization:
     ring = memo.ring
-    order = sorted(range(len(blocks)), key=lambda i: _factor_sort_key(generators[i], ring))
+    order = sorted(range(len(blocks)), key=lambda i: ring.sort_key(generators[i]))
     blocks = [tuple(blocks[i]) for i in order]
     factors = [generators[i] for i in order]
     prod = ring.one
     for f in factors:
         prod = prod * f
-    if isinstance(ring, IntegerRing):
-        unit = b // prod
-    else:
-        unit = divides(prod, b)
-    if unit is None or not ring.is_unit(unit) or prod * unit != b:
-        raise QuadError("factorization does not re-multiply to the input")
+    unit = ring.divides(prod, b)
+    if unit is None or not ring.is_unit(unit):
+        raise CertificateError("factorization does not re-multiply to the input")
     pairwise = []
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            lam, mu = _bezout_for(factors[i], factors[j], ring)
-            pairwise.append((i, j, lam, mu))
+            cert = ring.unit_bezout(factors[i], factors[j])
+            if cert is None:
+                raise CertificateError("factors are not comaximal")
+            pairwise.append((i, j, *cert))
     transcripts = [_irreducibility(factors[i], memo, blocks[i]) for i in range(len(blocks))]
     fact = ComaxFactorization(ring, b, factors, unit, pairwise, transcripts, blocks, memo.support)
     if not fact.verify():
-        raise QuadError("factorization certificates failed to verify")
+        raise CertificateError("factorization certificates failed to verify")
     return fact
 
 
@@ -284,39 +259,27 @@ def enumerate_complete_factorizations(b, ring, support_cap: int | None = None) -
         ):
             continue
         out.append(_build_factorization(b, memo, partition, generators))
-    out.sort(key=lambda f: (len(f.factors), [_factor_sort_key(x, ring) for x in f.factors]))
+    out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return out
 
 
 def comax_factor_int(n: int) -> ComaxFactorization:
     """The complete comaximal factorization of an integer |n| >= 2: its
     prime-power parts, with extended-Euclid comaximality certificates."""
-    if n == 0 or n in (1, -1):
-        raise ComaxInputError("need a nonzero nonunit of Z")
-    support = _int_support(n)
+    support = _support_of(n, ZZ)
     blocks = [(i,) for i in range(len(support))]
     generators = [p**e for p, e in support]
     return _build_factorization(n, _BlockMemo(support, ZZ), blocks, generators)
 
 
 def find_nonunique_witness(ring, norm_bound: int, support_cap: int | None = None):
-    """Smallest-norm element (scan order: norm, then lex (x, y)) with at
-    least two complete comaximal factorizations, or None within the bound."""
-    if isinstance(ring, IntegerRing):
-        for n in range(2, norm_bound + 1):
-            facts = enumerate_complete_factorizations(n, ring, support_cap)
-            if len(facts) > 1:
-                return n, facts
-        return None
-    if not isinstance(ring, QuadOrder):
+    """Smallest-norm element (scan order: norm, then the ring's order on one
+    associate per element) with at least two complete comaximal
+    factorizations, or None within the bound."""
+    if not hasattr(ring, "associates_of_norm"):
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
     for n in range(2, norm_bound + 1):
-        # one associate of each element of norm n (y > 0, or y == 0 < x), in lex order
-        reps = sorted((x, y) for x, y in norm_solutions(n, ring.d) if y > 0 or (y == 0 and x > 0))
-        for x, y in reps:
-            b = QuadElem(x, y, ring.d)
-            if b.is_unit():
-                continue
+        for b in ring.associates_of_norm(n):
             facts = enumerate_complete_factorizations(b, ring, support_cap)
             if len(facts) > 1:
                 return b, facts

@@ -1,6 +1,8 @@
 """Exact arithmetic substrate: extended integer gcd, integer factorization
 and square roots modulo a prime, dense univariate polynomials over a field,
-rational functions, and small integer lattice solves.
+rational functions, and small integer lattice solves.  It also holds the two
+pieces of certificate plumbing every engine shares: `CertificateError` and
+the encoding of pairwise Bezout certificates.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
 `fractions.Fraction`, or any object implementing field arithmetic through
@@ -12,6 +14,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+class CertificateError(Exception):
+    """A producer's own certificate failed its self-check: a bug, never bad
+    input.  Deliberately not a ValueError, so the CLI exits 3, not 2."""
+
+
+def pairwise_json(pairwise, enc):
+    """[(i, j, lam, mu)] with lam*f_i + mu*f_j == 1, as report data."""
+    return [{"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)} for i, j, lam, mu in pairwise]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

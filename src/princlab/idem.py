@@ -5,17 +5,18 @@ multiple of a; the quotient is kept as a witness so every acceptance is a
 re-checkable identity.  From a pair one gets a 2x2 idempotent matrix, the
 complement identity (a, b)(1-a, b) = bR, and, going the other way, any
 two-generated invertible ideal yields a pair through its Bezout data.
+
+The inverse-ideal Bezout solver and the ideal-level complement check are
+the ring handle's hooks (`inverse_bezout`, `complement_check`); rings
+without them get no Bezout data and no ideal-level check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
-from .core import RatFunc, poly_extended_gcd, solve_int_combination, xgcd
-from .quadring import QuadElem, QuadOrder, QuadRat, ideal_from_pair, ideal_mul, principal_ideal
-from .rings import ZZ, IntegerRing, RationalPolyRing
+from .core import CertificateError
 
 
 @dataclass
@@ -58,19 +59,6 @@ def is_idempotent_pair(a, b, ring) -> IdemPair | None:
     return None
 
 
-def check_with_witness(a, b, r, membership_oracle: Callable[[Any], bool]) -> bool:
-    """Verify a(1-a) == b*r with fraction-field arithmetic, plus the supplied
-    membership test for the witness.
-
-    This is the only entry point for rings (such as the minimal Dress ring)
-    where divisibility is not decided here: the caller vouches for
-    membership, the identity is checked exactly.
-    """
-    if not membership_oracle(r):
-        return False
-    return a * (1 - a) == b * r
-
-
 class InvalidWitnessError(ValueError):
     pass
 
@@ -84,7 +72,7 @@ def idem_matrix(pair: IdemPair):
     m = [[f, s], [r, one - f]]
     sq = _mat_mul(m, m)
     if sq != m:
-        raise InvalidWitnessError("matrix square differs from the matrix")
+        raise CertificateError("matrix square differs from the matrix")
     return m
 
 
@@ -104,44 +92,16 @@ class BezoutCert:
     mu: Any
     overring: str = "inverse_ideal"
 
-
-class CertificateError(ValueError):
-    pass
+    def to_json(self, enc):
+        return {"lam": enc(self.lam), "mu": enc(self.mu)}
 
 
 def bezout_in_inverse(a, b, ring) -> BezoutCert | None:
     """lam, mu in I^{-1} (I = (a, b)) with lam*a + mu*b == 1, when I is invertible."""
-    if isinstance(ring, IntegerRing):
-        if a == 0 and b == 0:
-            return None
-        g, s, t = xgcd(a, b)
-        return BezoutCert(Fraction(s, g), Fraction(t, g))
-    if isinstance(ring, RationalPolyRing):
-        d, s, t = poly_extended_gcd(a, b)
-        if d.is_zero():
-            return None
-        return BezoutCert(RatFunc(s, d), RatFunc(t, d))
-    if isinstance(ring, QuadOrder):
-        ideal = ideal_from_pair(a, b)
-        n = ideal.norm()
-        conj = ideal.conjugate()
-        inv_basis = conj.basis  # scaled by 1/n these span I^{-1}
-        rows = []
-        for g in (a, b):
-            for u in inv_basis:
-                gu = g * u
-                rows.append((gu.x, gu.y))
-        sol = solve_int_combination(rows, (n, 0))
-        if sol is None:
-            return None
-        lam = QuadRat(Fraction(sol[0] * inv_basis[0].x + sol[1] * inv_basis[1].x, n),
-                      Fraction(sol[0] * inv_basis[0].y + sol[1] * inv_basis[1].y, n),
-                      ring.d)
-        mu = QuadRat(Fraction(sol[2] * inv_basis[0].x + sol[3] * inv_basis[1].x, n),
-                     Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
-                     ring.d)
-        return BezoutCert(lam, mu)
-    raise CertificateError(f"no inverse-ideal Bezout solver for {ring}")
+    if not hasattr(ring, "inverse_bezout"):
+        raise ValueError(f"no inverse-ideal Bezout solver for {ring}")
+    cert = ring.inverse_bezout(a, b)
+    return None if cert is None else BezoutCert(*cert)
 
 
 def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
@@ -183,6 +143,14 @@ class ComplementCert:
     quotients: list
     ideal_check: bool | None = None
 
+    def to_json(self, enc):
+        return {
+            "generator": enc(self.generator),
+            "products": enc(self.products),
+            "quotients": enc(self.quotients),
+            "ideal_check": self.ideal_check,
+        }
+
     def verify(self) -> bool:
         f, s, r = self.pair.normalized()
         one = self.pair.ring.one
@@ -209,20 +177,7 @@ def complement_identity(pair: IdemPair) -> ComplementCert:
     if products[1] + products[2] != s:
         raise CertificateError("combination for the generator failed")
 
-    ideal_check = None
-    if isinstance(ring, IntegerRing):
-        from math import gcd
-
-        if s == 0:
-            ideal_check = f * (one - f) == 0
-        else:
-            ideal_check = gcd(f, s) * gcd(1 - f, s) == abs(s)
-    elif isinstance(ring, QuadOrder):
-        if not s:
-            ideal_check = not f * (one - f)
-        else:
-            left = ideal_mul(ideal_from_pair(f, s), ideal_from_pair(one - f, s))
-            ideal_check = left == principal_ideal(s)
+    ideal_check = ring.complement_check(f, s) if hasattr(ring, "complement_check") else None
     if ideal_check is False:
         raise CertificateError("ideal-level complement identity failed")
     return ComplementCert(pair, s, products, quotients, ideal_check)

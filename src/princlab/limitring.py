@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Poly, poly_divrem
+from .core import CertificateError, Poly, pairwise_json, poly_divrem
 from .rings import IntegerRing, RationalField
 
 
@@ -189,6 +189,9 @@ class LimitChain:
                 return False
         return True
 
+    def to_json(self, enc):
+        return {"m": self.m, "factors": enc(self.factors), "pairwise": pairwise_json(self.pairwise, enc)}
+
 
 def lr_chain(m: int, ring: LimitRing) -> LimitChain:
     """The m-factor comaximal factorization of x_1 with all certificates.
@@ -223,5 +226,5 @@ def lr_chain(m: int, ring: LimitRing) -> LimitChain:
             pairwise.append((idx_i, idx_j, one, -w))
     chain = LimitChain(m, factors, pairwise)
     if not chain.verify():
-        raise LimitError("chain certificates failed to verify")
+        raise CertificateError("chain certificates failed to verify")
     return chain

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Poly, poly_divrem
+from .core import CertificateError, Poly, pairwise_json, poly_divrem
 from .rings import IntegerRing, LocalizedIntegers, RationalField
 
 
@@ -305,6 +305,17 @@ class SplitResult:
         cert_ok = self.lam * self.f1 + self.mu * self.f2 == ring.one
         return prod_ok and cert_ok
 
+    def to_json(self, enc):
+        return {
+            "s": str(self.s),
+            "n": self.n,
+            "f1": enc(self.f1),
+            "f2": enc(self.f2),
+            "lam": enc(self.lam),
+            "mu": enc(self.mu),
+            "remainder": str(self.remainder),
+        }
+
 
 def _require_unit(ring: MonoidRing, n: int) -> Fraction:
     inv = Fraction(1, n)
@@ -334,12 +345,12 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
     pz = Poly([Fraction(1)] * n)
     q, rem = poly_divrem(pz, Poly([Fraction(1), Fraction(-1)]))
     if rem != Poly((Fraction(n),)):
-        raise MonoidError("division remainder is not n (bug)")
+        raise CertificateError("division remainder is not n (bug)")
     lam = -_from_poly(q.scale(inv_n), t, Fraction(0), ring)
     mu = ring.coerce(inv_n)
     res = SplitResult(s, n, f1, f2, lam, mu, Fraction(n))
     if not res.verify():
-        raise MonoidError("split certificates failed to verify")
+        raise CertificateError("split certificates failed to verify")
     return res
 
 
@@ -361,6 +372,14 @@ class ChainResult:
             if lam * self.factors[i] + mu * self.factors[j] != ring.one:
                 return False
         return True
+
+    def to_json(self, enc):
+        return {
+            "s": str(self.s),
+            "m": len(self.factors),
+            "factors": enc(self.factors),
+            "pairwise": pairwise_json(self.pairwise, enc),
+        }
 
 
 def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainResult:
@@ -393,13 +412,13 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
                 pj = _to_poly(factors[j], t, Fraction(0))
                 d, si, tj = poly_extended_gcd(pi, pj)
                 if d != Poly((Fraction(1),)):
-                    raise MonoidError("chain factors are not comaximal (bug)")
+                    raise CertificateError("chain factors are not comaximal (bug)")
                 lam = _from_poly(si, t, Fraction(0), ring)
                 mu = _from_poly(tj, t, Fraction(0), ring)
                 pairwise.append((i, j, lam, mu))
     chain = ChainResult(s, factors, pairwise, splits)
     if not chain.verify():
-        raise MonoidError("chain certificates failed to verify")
+        raise CertificateError("chain certificates failed to verify")
     return chain
 
 
@@ -425,6 +444,20 @@ class JuettSplit:
             return False
         return self.lam * self.f1 + self.mu * self.f2 == ring.one
 
+    def to_json(self, enc):
+        return {
+            "t": str(self.t),
+            "b": str(self.b),
+            "p": self.p,
+            "beta": str(self.beta),
+            "unit": enc(self.unit),
+            "z": enc(self.z),
+            "f1": enc(self.f1),
+            "f2": enc(self.f2),
+            "lam": enc(self.lam),
+            "mu": enc(self.mu),
+        }
+
 
 def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     """Comaximal split of X^t - b in a group ring K[X; Gamma], given an
@@ -436,8 +469,6 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     beta = Fraction(beta)
     if p < 2:
         raise MonoidError("need a prime p >= 2")
-    if ring.base.characteristic == p:
-        raise MonoidError("p equal to the base characteristic is excluded")
     if beta**p != b or b == 0:
         raise MonoidError(f"beta^{p} != b: no usable p-th root supplied")
     tp = t / p
@@ -452,7 +483,7 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     pz = Poly([Fraction(1)] * p)
     q, rem = poly_divrem(pz, Poly([Fraction(-1), Fraction(1)]))
     if rem != Poly((Fraction(p),)):
-        raise MonoidError("division remainder is not p (bug)")
+        raise CertificateError("division remainder is not p (bug)")
     inv_p = Fraction(1, p)
     # f2 = f1 * q(Z) + p  =>  (-q(Z)/p) f1 + (1/p) f2 = 1
     qz = ring.zero
@@ -465,5 +496,5 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     mu = ring.coerce(inv_p)
     res = JuettSplit(t, b, p, beta, unit, z, f1, f2, lam, mu)
     if not res.verify():
-        raise MonoidError("splitter certificates failed to verify")
+        raise CertificateError("splitter certificates failed to verify")
     return res

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
-from .core import Poly, RatFunc, poly_divrem
+from .core import CertificateError, Poly, RatFunc, poly_divrem
 from .idem import IdemPair
-from .quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal
-from .rings import IntegerRing
 
 
 class SubringError(ValueError):
@@ -161,6 +158,16 @@ class AlphaCounterexample:
     def verified(self) -> bool:
         return all(step["verified"] for step in self.transcript)
 
+    def to_json(self, enc):
+        return {
+            "alpha": enc(self.alpha),
+            "excluded": sorted(self.desc.excluded),
+            "u": enc(self.u),
+            "v": enc(self.v),
+            "witness": enc(self.witness),
+            "transcript": self.transcript,
+        }
+
 
 def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
     """Build and certify the non-principal idempotent pair attached to a
@@ -185,7 +192,7 @@ def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
     def step(name, statement, ok):
         transcript.append({"step": name, "statement": statement, "verified": bool(ok)})
         if not ok:
-            raise SubringError(f"transcript step failed: {name}")
+            raise CertificateError(f"transcript step failed: {name}")
 
     step(
         "seminormal-witness",
@@ -222,42 +229,5 @@ def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
 
     pair = IdemPair(ring, u, v, "ab", r)
     if not pair.verify():
-        raise SubringError("pair identity failed (bug)")
+        raise CertificateError("pair identity failed (bug)")
     return AlphaCounterexample(a, desc, u, v, r, pair, transcript)
-
-
-@dataclass
-class ContractResult:
-    """Constant-term contraction of a pair of polynomials over Z or a
-    quadratic order, with the contracted ideal's principality data.
-
-    Extendedness of the ideal (f1, f2) from the base is the caller's
-    assertion; only the contraction and the base verdict are computed."""
-
-    c1: Any
-    c2: Any
-    base: Any
-    generator: Any = None
-    verdict: Any = None
-
-    @property
-    def principal(self) -> bool:
-        return self.generator is not None
-
-
-def contract_to_constants(f1: Poly, f2: Poly, base) -> ContractResult:
-    c1 = f1.constant_term()
-    c2 = f2.constant_term()
-    if isinstance(base, IntegerRing):
-        from math import gcd
-
-        g = gcd(int(c1), int(c2))
-        return ContractResult(int(c1), int(c2), base, generator=g)
-    if isinstance(base, QuadOrder):
-        e1, e2 = base.coerce(c1), base.coerce(c2)
-        if not e1 and not e2:
-            return ContractResult(e1, e2, base, generator=base.zero)
-        verdict = ideal_is_principal(ideal_from_pair(e1, e2))
-        gen = verdict.generator if verdict.principal else None
-        return ContractResult(e1, e2, base, generator=gen, verdict=verdict)
-    raise SubringError(f"no principality decision for base {base}")

@@ -6,17 +6,17 @@ Elements are exact rational functions in Y with no pole at 0 whose value at
 0 lies in D; the idempotent-pair reduction follows the three-way case split
 on whether a and b vanish at 0, producing a principal generator with
 two-way membership certificates, or a D-level residual when the base ideal
-is not principal.
+is not principal.  The D-level generator and its Bezout combination come
+from the base handle's `principal_bezout` hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
-from .core import Poly, RatFunc, solve_int_combination, xgcd
-from .quadring import QuadElem, QuadOrder, divides as quad_divides, ideal_from_pair, ideal_is_principal
+from .core import CertificateError, Poly, RatFunc
+from .quadring import QuadOrder
 from .rings import IntegerRing, ZZ
 
 
@@ -225,30 +225,21 @@ class PullbackReduction:
             and self.ca * self.a + self.cb * self.b == g
         )
 
-
-def _base_principal_data(ring: PullbackRing, av, bv):
-    """(gen, lam, mu, verdict): generator of the D-ideal (a', b') together
-    with lam*a' + mu*b' == gen; gen is None when D flags it non-principal."""
-    base = ring.base
-    if isinstance(base, IntegerRing):
-        g, s, t = xgcd(av, bv)
-        return g, s, t, None
-    d = base.d
-    verdict = ideal_is_principal(ideal_from_pair(av, bv))
-    if not verdict.principal:
-        return None, None, None, verdict
-    g = verdict.generator
-    rows = []
-    for v in (av, bv):
-        for m in (QuadElem(1, 0, d), QuadElem(0, 1, d)):
-            vm = v * m
-            rows.append((vm.x, vm.y))
-    sol = solve_int_combination(rows, (g.x, g.y))
-    if sol is None:
-        raise PullbackError("generator not reachable from the pair (bug)")
-    lam = QuadElem(sol[0], sol[1], d)
-    mu = QuadElem(sol[2], sol[3], d)
-    return g, lam, mu, verdict
+    def to_json(self, enc):
+        return {
+            "a": enc(self.a),
+            "b": enc(self.b),
+            "witness": enc(self.witness),
+            "orientation": self.orientation,
+            "status": self.status,
+            "case": self.case,
+            "generator": enc(self.generator),
+            "qa": enc(self.qa),
+            "qb": enc(self.qb),
+            "ca": enc(self.ca),
+            "cb": enc(self.cb),
+            "base_pair": enc(self.base_pair),
+        }
 
 
 def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
@@ -276,7 +267,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
             generator=g, qa=qa, qb=qb, ca=ca, cb=cb,
         )
         if not red.verify():
-            raise PullbackError("reduction certificate failed to verify")
+            raise CertificateError("reduction certificate failed to verify")
         return red
 
     zero = ring.zero
@@ -290,12 +281,12 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
             return result("second_zero", f, one, zero, one, zero)
         q = ring.divides(f, s)
         if q is None or not q.in_maximal_ideal():
-            raise PullbackError("s/f should lie in M (bug)")
+            raise CertificateError("s/f should lie in M (bug)")
         return result("second_in_maximal_ideal", f, one, q, one, zero)
 
     # both values nonzero: reduce to D
     av, bv = f.value0, s.value0
-    g0, lam, mu, base_verdict = _base_principal_data(ring, av, bv)
+    g0, lam, mu, base_verdict = ring.base.principal_bezout(av, bv)
     if g0 is None:
         return PullbackReduction(
             "base_non_principal", "base_reduction", orientation, a, b, r,
@@ -306,7 +297,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
     qf = ring.divides(gen, f)
     qs = ring.divides(gen, s)
     if qf is None or qs is None:
-        raise PullbackError("base generator fails to divide in R (bug)")
+        raise CertificateError("base generator fails to divide in R (bug)")
     cf = ring.coerce(lam) * _unit_quotient(ring, av, f)
     cs = ring.coerce(mu) * _unit_quotient(ring, bv, s)
     red = PullbackReduction(
@@ -318,7 +309,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
     else:
         red.qa, red.qb, red.ca, red.cb = qs, qf, cs, cf
     if not red.verify():
-        raise PullbackError("reduction certificate failed to verify")
+        raise CertificateError("reduction certificate failed to verify")
     return red
 
 
@@ -326,7 +317,7 @@ def _unit_quotient(ring: PullbackRing, value, elem: PullbackElem) -> PullbackEle
     """value/elem for elem with value0 == value != 0: a unit of R."""
     q = ring.divides(elem, ring.coerce(value))
     if q is None or not pb_is_unit(q):
-        raise PullbackError("value/element is not a unit (bug)")
+        raise CertificateError("value/element is not a unit (bug)")
     return q
 
 
@@ -344,7 +335,7 @@ def pb_nonufd_chain(z: PullbackElem, d, n: int) -> list[PullbackElem]:
     for _ in range(n):
         q = ring.divides(dv, cur)
         if q is None:
-            raise PullbackError("division by d left R (bug)")
+            raise CertificateError("division by d left R (bug)")
         out.append(q)
         cur = q
     return out

@@ -4,7 +4,9 @@ and prime factorization of principal ideals in the maximal-order case.
 
 Ideals are stored as Z-lattices over the basis {1, sqrt(d)} in Hermite
 normal form [(n, 0), (c, m)] with 0 <= c < n; the ideal norm is the index
-n*m.  All decisions return re-checkable certificates.
+n*m.  All decisions return re-checkable certificates, and each certificate
+type serializes itself (`to_json(enc)`).  The ring handle `QuadOrder`
+carries the ideal-theoretic hooks the engines call (see `rings`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .core import factorint, hnf2_with_transform, solve_int_combination, sqrt_mod_prime
+from .core import CertificateError, factorint, hnf2_with_transform, solve_int_combination, sqrt_mod_prime
 
 
 class QuadError(ValueError):
@@ -297,6 +299,8 @@ class QuadIdeal:
                 vecs.append((p.x, p.y))
         return _from_vectors(self.d, vecs)
 
+    __mul__ = mul
+
     def conjugate(self) -> "QuadIdeal":
         return _from_vectors(self.d, [(self.n, 0), (self.c, -self.m)])
 
@@ -306,11 +310,8 @@ class QuadIdeal:
             result = result.mul(self)
         return result
 
-    def to_json(self):
-        return {
-            "d": str(self.d),
-            "basis": [[str(self.n), "0"], [str(self.c), str(self.m)]],
-        }
+    # so an ideal of Z[sqrt(d)] composes like an ideal of Z (an int)
+    __pow__ = pow
 
     def __repr__(self):
         return f"QuadIdeal(d={self.d}, basis=[({self.n},0),({self.c},{self.m})])"
@@ -324,7 +325,7 @@ def _from_vectors(d: int, vecs) -> QuadIdeal:
     # sanity: the span must be closed under multiplication by sqrt(d)
     for v in ideal.basis:
         if not ideal.contains(v * QuadElem(0, 1, d)):
-            raise QuadError("lattice is not an ideal (not sqrt(d)-stable)")
+            raise CertificateError("lattice is not an ideal (not sqrt(d)-stable)")
     return ideal
 
 
@@ -351,10 +352,6 @@ def principal_ideal(g: QuadElem) -> QuadIdeal:
     return ideal_from_pair(g, QuadElem(0, 0, g.d))
 
 
-def ideal_mul(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
-    return i.mul(j)
-
-
 @dataclass
 class InvertibilityCert:
     invertible: bool
@@ -366,6 +363,14 @@ class InvertibilityCert:
 
     def __bool__(self):
         return self.invertible
+
+    def to_json(self, enc):
+        return {
+            "invertible": self.invertible,
+            "cofactor": enc(self.cofactor),
+            "product_generator": enc(self.product_generator),
+            "reason": self.reason,
+        }
 
 
 def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
@@ -387,7 +392,7 @@ def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
     cof = i.conjugate()
     g = QuadElem(i.norm(), 0, d)
     if i.mul(cof) != principal_ideal(g):
-        raise QuadError("invertibility certificate failed to verify")
+        raise CertificateError("invertibility certificate failed to verify")
     return InvertibilityCert(True, cofactor=cof, product_generator=g)
 
 
@@ -431,9 +436,24 @@ class PrincipalityVerdict:
     def principal(self) -> bool:
         return self.status == "principal"
 
+    def to_json(self, enc):
+        coords = self.generator_coordinates
+        return {
+            "ideal": enc(self.ideal),
+            "status": self.status,
+            "generator": enc(self.generator),
+            "basis_quotients": enc(self.basis_quotients),
+            "generator_coordinates": None if coords is None else [str(c) for c in coords],
+            "search": [{"x": str(s["x"]), "y": str(s["y"]), "generates": s["generates"]} for s in self.search],
+        }
+
 
 def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
-    """Exhaustive positive-definite norm search for a generator of I."""
+    """Exhaustive positive-definite norm search for a generator of I.
+
+    A candidate g with N(g) == N(I) generates I exactly when g lies in I:
+    then (g) is inside I with the same index.  The two basis quotients are
+    the certificate that I is inside (g)."""
     validate_d(i.d)
     inv = ideal_is_invertible(i)
     if not inv:
@@ -443,14 +463,12 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
     transcript = []
     for x, y in norm_solutions(N, i.d):
         g = QuadElem(x, y, i.d)
-        if not g:
-            continue
-        if principal_ideal(g) == i:
+        coords = i.coordinates(g)
+        if coords is not None:
             q1 = divides(g, i.basis[0])
             q2 = divides(g, i.basis[1])
-            coords = i.coordinates(g)
-            if q1 is None or q2 is None or coords is None:
-                raise QuadError("principality certificate failed to verify")
+            if q1 is None or q2 is None:
+                raise CertificateError("principality certificate failed to verify")
             transcript.append({"x": x, "y": y, "generates": True})
             return PrincipalityVerdict(
                 "principal",
@@ -517,7 +535,7 @@ def factor_principal(b: QuadElem) -> list[tuple[QuadIdeal, int]]:
             out.append((split[1], e))
         elif split[0] == "inert":
             if e % 2:
-                raise QuadError(f"inert prime {p} with odd norm valuation")
+                raise CertificateError(f"inert prime {p} with odd norm valuation")
             out.append((split[1], e // 2))
         else:
             _, P, Pbar = split
@@ -536,28 +554,25 @@ def factor_principal(b: QuadElem) -> list[tuple[QuadIdeal, int]]:
     for P, e in out:
         prod = prod.mul(P.pow(e))
     if prod != target:
-        raise QuadError("prime factorization failed to re-multiply to (b)")
+        raise CertificateError("prime factorization failed to re-multiply to (b)")
     return out
 
 
-def bezout_pair(c: QuadElem, e: QuadElem) -> tuple[QuadElem, QuadElem] | None:
-    """lam, mu in the order with lam*c + mu*e == 1, when (c, e) is the unit ideal."""
-    d = c.d
-    sqrtd = QuadElem(0, 1, d)
+def combination(a: QuadElem, b: QuadElem, target: QuadElem) -> tuple[QuadElem, QuadElem] | None:
+    """lam, mu in the order with lam*a + mu*b == target, when target lies in (a, b)."""
+    d = a.d
     rows = []
-    elems = []
-    for g in (c, e):
-        for mult in (QuadElem(1, 0, d), sqrtd):
+    for g in (a, b):
+        for mult in (QuadElem(1, 0, d), QuadElem(0, 1, d)):
             ge = g * mult
             rows.append((ge.x, ge.y))
-            elems.append(mult)
-    sol = solve_int_combination(rows, (1, 0))
+    sol = solve_int_combination(rows, (target.x, target.y))
     if sol is None:
         return None
-    lam = QuadElem(sol[0], 0, d) + QuadElem(0, sol[1], d)
-    mu = QuadElem(sol[2], 0, d) + QuadElem(0, sol[3], d)
-    if lam * c + mu * e != QuadElem(1, 0, d):
-        raise QuadError("Bezout certificate failed to verify")
+    lam = QuadElem(sol[0], sol[1], d)
+    mu = QuadElem(sol[2], sol[3], d)
+    if lam * a + mu * b != target:
+        raise CertificateError("Bezout certificate failed to verify")
     return lam, mu
 
 
@@ -610,6 +625,54 @@ class QuadOrder:
         if isinstance(q, Fraction):
             return QuadElem(int(q), 0, self.d) if q.denominator == 1 else None
         return None
+
+    # ideal-theoretic hooks for the engines (see `rings`)
+    def inverse_bezout(self, a, b):
+        ideal = ideal_from_pair(a, b)
+        n = ideal.norm()
+        u, v = ideal.conjugate().basis  # scaled by 1/n these span I^{-1}
+        rows = []
+        for g in (a, b):
+            for w in (u, v):
+                gw = g * w
+                rows.append((gw.x, gw.y))
+        sol = solve_int_combination(rows, (n, 0))
+        if sol is None:
+            return None
+        lam = QuadRat(Fraction(sol[0] * u.x + sol[1] * v.x, n), Fraction(sol[0] * u.y + sol[1] * v.y, n), self.d)
+        mu = QuadRat(Fraction(sol[2] * u.x + sol[3] * v.x, n), Fraction(sol[2] * u.y + sol[3] * v.y, n), self.d)
+        return lam, mu
+
+    def complement_check(self, f, s):
+        if not s:
+            return not f * (self.one - f)
+        return ideal_from_pair(f, s).mul(ideal_from_pair(self.one - f, s)) == principal_ideal(s)
+
+    def prime_support(self, b):
+        return sorted(factor_principal(b), key=lambda pe: (pe[0].norm(), pe[0].key()))
+
+    def principal_generator(self, ideal):
+        return ideal_is_principal(ideal).generator
+
+    def principal_bezout(self, a, b):
+        verdict = ideal_is_principal(ideal_from_pair(a, b))
+        if not verdict.principal:
+            return None, None, None, verdict
+        cert = combination(a, b, verdict.generator)
+        if cert is None:
+            raise CertificateError("generator not reachable from the pair (bug)")
+        return verdict.generator, *cert, verdict
+
+    def unit_bezout(self, a, b):
+        return combination(a, b, self.one)
+
+    def sort_key(self, x):
+        return (x.norm(), x.x, x.y)
+
+    def associates_of_norm(self, n):
+        # one associate of each element of norm n (y > 0, or y == 0 < x), in lex order
+        reps = sorted((x, y) for x, y in norm_solutions(n, self.d) if y > 0 or (y == 0 and x > 0))
+        return [QuadElem(x, y, self.d) for x, y in reps]
 
     def to_json(self):
         return {"family": "quad", "d": str(self.d)}

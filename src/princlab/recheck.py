@@ -1,10 +1,12 @@
 """Independent certificate verification for emitted reports.
 
-This module deliberately shares no code with the producing modules: it
-decodes the JSON report into its own tagged values and re-derives every
-claimed identity using only `fractions` and the core integer-lattice
-helper.  A passing recheck therefore means the certificates stand on their
-own, not that the producer agrees with itself.
+This module shares one routine with the producing modules: the integer
+lattice reduction `core.hnf2_with_transform`, which it uses to put ideal
+lattices in Hermite normal form.  Everything else is its own: it decodes the
+JSON report into its own tagged values and re-derives every claimed identity
+with `fractions` and that routine.  A passing recheck therefore means the
+certificates stand on their own, not that the producer agrees with itself,
+up to that one shared routine.
 """
 
 from __future__ import annotations

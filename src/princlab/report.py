@@ -4,7 +4,10 @@ Every numeric leaf is serialized as a decimal string ("p/q" for rationals),
 so arbitrary-precision values survive transport; structural indices (matrix
 positions, levels, exponents of prime powers) stay plain JSON integers.
 Encoding is type-driven and recursive, so nested coefficient domains (e.g.
-polynomials over Q[y]) come out uniformly.
+polynomials over Q[y]) come out uniformly.  Lists and tuples encode item by
+item.  Every certificate type serializes itself through `to_json(enc)`, in
+its own module, so this module needs no engine imports beyond the element
+types and each certificate has exactly one encoding.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ def enc(x):
             "d": str(x.d),
             "basis": [[str(x.n), "0"], [str(x.c), str(x.m)]],
         }
+    if isinstance(x, (list, tuple)):
+        return [enc(v) for v in x]
+    if hasattr(x, "to_json"):
+        return x.to_json(enc)
     raise TypeError(f"no encoder for {type(x).__name__}")
 
 

@@ -2,23 +2,38 @@
 a uniform surface (coerce / divides / is_unit, and fraction-field hooks where
 ideal certificates need them).
 
+A handle is also the one place where its family's ideal theory lives.  The
+engines (`idem`, `comax`, `pullback`) never switch on the ring's type; they
+call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
+
+- `inverse_bezout(a, b)`: lam, mu in (a, b)^-1 with lam*a + mu*b == 1
+  (Q[X] has this one too);
+- `complement_check(f, s)`: decide (f, s)(1-f, s) == (s) on ideals;
+- `prime_support(b)`, `principal_generator(I)`: the prime-power support of
+  (b) and the generator of an ideal built from it (an ideal of Z is its
+  nonnegative generator, so `**` and `*` are the ideal operations);
+- `principal_bezout(a, b)`, `unit_bezout(a, b)`: a generator of (a, b) with
+  its Bezout combination, and the combination giving 1;
+- `sort_key(x)`, `associates_of_norm(n)`: factor order and the witness
+  hunt's scan.
+
 Handles for the structured families live next to their machinery
 (`quadring.QuadOrder`, `pullback.PullbackRing`, ...); this module holds the
-two plain ones and the registry used by the CLI ring grammar.
+four plain ones: Z, Q[X], Q and Z[1/p, ...].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .core import Poly, RatFunc, poly_divrem
+from .core import Poly, RatFunc, factorint, poly_divrem, poly_extended_gcd, xgcd
 
 
 class IntegerRing:
     family = "int"
     zero = 0
     one = 1
-    characteristic = 0
 
     def contains_rat(self, q) -> bool:
         return Fraction(q).denominator == 1
@@ -48,6 +63,36 @@ class IntegerRing:
         if isinstance(q, int):
             return q
         return None
+
+    def inverse_bezout(self, a, b):
+        if a == 0 and b == 0:
+            return None
+        g, s, t = xgcd(a, b)
+        return Fraction(s, g), Fraction(t, g)
+
+    def complement_check(self, f, s):
+        if s == 0:
+            return f * (1 - f) == 0
+        return gcd(f, s) * gcd(1 - f, s) == abs(s)
+
+    def prime_support(self, b):
+        return list(factorint(abs(b)).items())
+
+    def principal_generator(self, ideal):
+        return ideal
+
+    def principal_bezout(self, a, b):
+        return (*xgcd(a, b), None)
+
+    def unit_bezout(self, a, b):
+        g, s, t = xgcd(a, b)
+        return (s, t) if g == 1 else None
+
+    def sort_key(self, x):
+        return (abs(x), -x)
+
+    def associates_of_norm(self, n):
+        return [n]
 
     def to_json(self):
         return {"family": "int"}
@@ -101,6 +146,12 @@ class RationalPolyRing:
             return q.num if q.is_poly() else None
         return None
 
+    def inverse_bezout(self, a, b):
+        d, s, t = poly_extended_gcd(a, b)
+        if d.is_zero():
+            return None
+        return RatFunc(s, d), RatFunc(t, d)
+
     def to_json(self):
         return {"family": "qpoly"}
 
@@ -120,7 +171,6 @@ class RationalField:
     family = "rat"
     zero = Fraction(0)
     one = Fraction(1)
-    characteristic = 0
 
     def coerce(self, v):
         return Fraction(v)
@@ -161,7 +211,6 @@ class LocalizedIntegers:
     """Z[1/p : p in primes] as a coefficient domain."""
 
     family = "zloc"
-    characteristic = 0
 
     def __init__(self, primes):
         ps = sorted(set(int(p) for p in primes))

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .core import CertificateError
+
 
 class SphereError(ValueError):
     pass
@@ -281,10 +283,6 @@ class SphereElem:
         return f"SphereElem({self.to_str()})"
 
 
-def b2_mul(u: SphereElem, v: SphereElem) -> SphereElem:
-    return u * v
-
-
 class SphereRing:
     """Ring handle for the rational 2-sphere coordinate ring."""
 
@@ -355,6 +353,9 @@ class ProjectorReport:
     def verified(self) -> bool:
         return all(ok for _, ok in self.checks)
 
+    def to_json(self, enc):
+        return {"matrix": enc(self.matrix), "checks": [[name, ok] for name, ok in self.checks]}
+
 
 def tangent_projector() -> ProjectorReport:
     """The idempotent 3x3 matrix presenting the tangent module as a direct
@@ -381,5 +382,5 @@ def tangent_projector() -> ProjectorReport:
 
     report = ProjectorReport(e, checks)
     if not report.verified():
-        raise SphereError("projector identities failed (bug)")
+        raise CertificateError("projector identities failed (bug)")
     return report

@@ -112,3 +112,18 @@ def test_quadratic_commands_do_not_import_sympy(argv):
     assert res.returncode in (0, 1), res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
     assert res.stderr.endswith("sympy loaded: False")
+
+
+def test_failed_self_check_exits_3_not_2(capsys, monkeypatch):
+    from princlab.comax import ComaxFactorization
+
+    monkeypatch.setattr(ComaxFactorization, "verify", lambda self: False)
+    code, out, err = run_cli(capsys, "comax", "factor", "84")
+    assert code == 3 and out == ""
+    assert "failed to verify" in err
+
+
+def test_wrong_user_witness_still_exits_2(capsys):
+    code, out, err = run_cli(capsys, "pullback", "reduce", "Y", "Y-Y^2", "5")
+    assert code == 2 and out == ""
+    assert "witness does not satisfy the defining relation" in err

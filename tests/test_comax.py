@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from princlab import comax
+from princlab import quadring
 from princlab.comax import (
     ComaxInputError,
     SupportBoundExceeded,
@@ -139,8 +139,8 @@ def test_enumerate_quad_9_and_related():
 @pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
 def test_one_principality_test_per_prime_subset(monkeypatch, d, b):
     tested = []
-    real = comax.ideal_is_principal
-    monkeypatch.setattr(comax, "ideal_is_principal", lambda i: tested.append(i.key()) or real(i))
+    real = quadring.ideal_is_principal
+    monkeypatch.setattr(quadring, "ideal_is_principal", lambda i: tested.append(i.key()) or real(i))
     facts = enumerate_complete_factorizations(b, QuadOrder(d))
     k = len(facts[0].support)
     assert k >= 5

@@ -9,7 +9,6 @@ from princlab.idem import (
     IdemPair,
     InvalidWitnessError,
     bezout_in_inverse,
-    check_with_witness,
     complement_identity,
     idem_matrix,
     is_idempotent_pair,
@@ -41,20 +40,6 @@ def test_quad_pair_detection():
     order = QuadOrder(-5)
     a, b = QuadElem(2, 0, -5), QuadElem(1, 1, -5)
     assert is_idempotent_pair(a, b, order) is None
-
-
-def test_check_with_witness_dress_example():
-    X = Poly((Fraction(0), Fraction(1)))
-    den = Poly((Fraction(1), Fraction(0), Fraction(1)))  # 1 + X^2
-    a = RatFunc(Poly((Fraction(1),)), den)
-    b = RatFunc(X, den)
-    oracle = lambda r: r in (a, b)
-    assert check_with_witness(a, b, b, oracle)
-    assert not check_with_witness(a, b, RatFunc(Poly((Fraction(1),))), lambda r: True)
-
-    one = RatFunc(Poly((Fraction(1),)))
-    zero = RatFunc(Poly())
-    assert check_with_witness(one, b, zero, lambda r: True)
 
 
 def test_idem_matrix():

@@ -10,12 +10,9 @@ from princlab.polyext import (
     PolyExtRing,
     SubringDesc,
     SubringError,
-    contract_to_constants,
     nonprinc_pair_from_alpha,
     seminormal_witness,
 )
-from princlab.quadring import QuadElem, QuadOrder
-from princlab.rings import ZZ
 
 F = Fraction
 
@@ -105,26 +102,3 @@ def test_polyext_divides():
     assert ring.divides(ce.v, ce.u) is None
     q = ring.divides(ce.v, ce.v * ce.u)
     assert q == ce.u
-
-
-def test_contract_to_constants_spec_cases():
-    res = contract_to_constants(Poly((4,)), Poly((6,)), ZZ)
-    assert (res.c1, res.c2, res.generator) == (4, 6, 2)
-
-    res = contract_to_constants(Poly((2, 2)), Poly((0, 2)), ZZ)
-    assert (res.c1, res.c2, res.generator) == (2, 0, 2)
-
-    res = contract_to_constants(Poly((1,)), Poly((77, 3)), ZZ)
-    assert res.generator == 1
-
-    order = QuadOrder(-5)
-    res = contract_to_constants(
-        Poly((QuadElem(2, 0, -5),)), Poly((QuadElem(1, 1, -5), QuadElem(5, 0, -5))), order
-    )
-    assert not res.principal
-    assert res.verdict.status == "non_principal"
-
-    res = contract_to_constants(
-        Poly((QuadElem(3, 0, -5),)), Poly((QuadElem(0, 0, -5),)), order
-    )
-    assert res.principal and res.generator == QuadElem(3, 0, -5)

@@ -10,13 +10,12 @@ from princlab.quadring import (
     QuadError,
     QuadIdeal,
     QuadOrder,
-    bezout_pair,
+    combination,
     divides,
     factor_principal,
     ideal_from_pair,
     ideal_is_invertible,
     ideal_is_principal,
-    ideal_mul,
     norm_solutions,
     principal_ideal,
     validate_d,
@@ -91,14 +90,14 @@ def test_ideal_from_pair_matches_span_oracle():
 def test_ideal_mul_spec_cases():
     i = ideal_from_pair(E(2, 0), E(1, 1))
     j = ideal_from_pair(E(2, 0), E(1, -1))
-    assert ideal_mul(i, j) == principal_ideal(E(2, 0))
+    assert i.mul(j) == principal_ideal(E(2, 0))
 
     one = principal_ideal(E(1, 0))
-    assert ideal_mul(i, one) == i
+    assert i.mul(one) == i
 
     q = ideal_from_pair(E(3, 0), E(1, 1))
     qb = ideal_from_pair(E(3, 0), E(1, -1))
-    assert ideal_mul(q, qb) == principal_ideal(E(3, 0))
+    assert q.mul(qb) == principal_ideal(E(3, 0))
 
 
 def test_ideal_mul_matches_product_span_oracle():
@@ -114,7 +113,7 @@ def test_ideal_mul_matches_product_span_oracle():
         gens_i = [g * m for g in (a, b) if g for m in (E(1, 0), sqrtd)]
         gens_j = [g * m for g in (c, e) if g for m in (E(1, 0), sqrtd)]
         prods = [u * v for u in gens_i for v in gens_j]
-        assert ideal_span(ideal_mul(i, j)) == span_canonical(
+        assert ideal_span(i.mul(j)) == span_canonical(
             [(p.x, p.y) for p in prods]
         )
 
@@ -128,7 +127,7 @@ def test_ideal_norm_multiplicative_for_invertible():
         if (not a and not b) or (not c and not e):
             continue
         i, j = ideal_from_pair(a, b), ideal_from_pair(c, e)
-        assert ideal_mul(i, j).norm() == i.norm() * j.norm()
+        assert i.mul(j).norm() == i.norm() * j.norm()
         count += 1
 
 
@@ -143,7 +142,7 @@ def test_elem_norm_multiplicative():
 def test_invertibility_spec_cases():
     cert = ideal_is_invertible(ideal_from_pair(E(2, 0), E(1, 1)))
     assert cert.invertible
-    prod = ideal_mul(ideal_from_pair(E(2, 0), E(1, 1)), cert.cofactor)
+    prod = ideal_from_pair(E(2, 0), E(1, 1)).mul(cert.cofactor)
     assert prod == principal_ideal(cert.product_generator)
 
     # conductor prime of the non-maximal order Z[sqrt(-3)]
@@ -201,6 +200,37 @@ def test_principality_against_enumeration_oracle():
             assert i.basis[1] == g * v.basis_quotients[1]
             alpha, beta = v.generator_coordinates
             assert alpha * i.basis[0] + beta * i.basis[1] == g
+
+
+def test_generator_found_after_rejected_candidates():
+    # N = 9 in Z[sqrt(-5)]: the four elements +-2+-sqrt(-5) come first in
+    # scan order and lie outside (3); the fifth candidate generates it
+    v = ideal_is_principal(ideal_from_pair(E(3, 0), E(0, 3)))
+    assert v.generator == E(3, 0)
+    assert v.search == [
+        {"x": 2, "y": 1, "generates": False},
+        {"x": 2, "y": -1, "generates": False},
+        {"x": -2, "y": 1, "generates": False},
+        {"x": -2, "y": -1, "generates": False},
+        {"x": 3, "y": 0, "generates": True},
+    ]
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -15])
+def test_membership_decides_each_candidate_like_ideal_equality(d):
+    # a norm-N candidate g generates I exactly when g lies in I; compare every
+    # transcript entry with the direct test (g) == I, non-maximal orders too
+    rng = random.Random(d)
+    for _ in range(40):
+        a, b = rand_elem(rng, d, 7), rand_elem(rng, d, 7)
+        if not a and not b:
+            continue
+        i = ideal_from_pair(a, b)
+        v = ideal_is_principal(i)
+        for step in v.search:
+            g = QuadElem(step["x"], step["y"], d)
+            assert step["generates"] == (principal_ideal(g) == i)
+        assert v.principal == any(step["generates"] for step in v.search)
 
 
 def test_generator_tie_break_is_deterministic():
@@ -278,15 +308,15 @@ def test_factor_principal_remultiplies_random():
             fp = factor_principal(b)
             prod = principal_ideal(QuadElem(1, 0, d))
             for P, e in fp:
-                prod = ideal_mul(prod, P.pow(e))
+                prod = prod.mul(P.pow(e))
             assert prod == principal_ideal(b)
             done += 1
 
 
 def test_bezout_pair_behaviour():
     # non-comaximal: (2, 1+sqrt(-5)) is a proper ideal, no certificate exists
-    assert bezout_pair(E(2, 0), E(1, 1)) is None
-    lam, mu = bezout_pair(E(2, 0), E(3, 0))
+    assert combination(E(2, 0), E(1, 1), E(1, 0)) is None
+    lam, mu = combination(E(2, 0), E(3, 0), E(1, 0))
     assert lam * E(2, 0) + mu * E(3, 0) == E(1, 0)
     # random comaximal pairs: whenever (a, b) is the unit ideal a certificate
     # must come back and verify
@@ -298,6 +328,6 @@ def test_bezout_pair_behaviour():
             continue
         if ideal_from_pair(a, b).norm() != 1:
             continue
-        lam, mu = bezout_pair(a, b)
+        lam, mu = combination(a, b, E(1, 0))
         assert lam * a + mu * b == E(1, 0)
         found += 1

@@ -6,7 +6,6 @@ from princlab.sphere import (
     Poly2,
     SphereElem,
     X0_SQUARED,
-    b2_mul,
     tangent_projector,
 )
 
@@ -15,7 +14,7 @@ F = Fraction
 
 def test_defining_relation():
     x0 = B2.x(0)
-    assert b2_mul(x0, x0) == SphereElem(X0_SQUARED)
+    assert x0 * x0 == SphereElem(X0_SQUARED)
 
     x1, x2 = B2.x(1), B2.x(2)
     assert x0 * x0 + x1 * x1 + x2 * x2 == B2.one
