@@ -19,7 +19,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .comax import ComaxInputError, comax_factor_int, enumerate_complete_factorizations, find_nonunique_witness
+from .comax import (
+    ComaxInputError,
+    comax_factor_int,
+    enumerate_complete_factorizations,
+    find_nonunique_witness,
+)
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
 from .idem import bezout_in_inverse, complement_identity, idem_matrix, is_idempotent_pair, pair_from_invertible
@@ -27,7 +32,13 @@ from .limitring import LimitRing, lr_chain, lr_lift
 from .monoidring import MonoidDesc, MonoidRing, juett_split, mr_comax_chain, mr_split
 from .polyext import SubringDesc, nonprinc_pair_from_alpha, seminormal_witness
 from .pullback import PullbackRing, pb_nonufd_chain, pb_reduce_idem_pair
-from .quadring import QuadOrder, factor_principal, ideal_from_pair, ideal_is_invertible, ideal_is_principal
+from .quadring import (
+    QuadOrder,
+    factor_principal,
+    ideal_from_pair,
+    ideal_is_invertible,
+    ideal_is_principal,
+)
 from .recheck import verify_report
 from .report import dump, enc, make_report
 from .rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers
@@ -104,42 +115,52 @@ def _ring(args):
 # ------------------------------------------------------------ subcommands
 
 
-def _ring_and_pair(args):
-    ring = _ring(args)
-    return ring, parse_element(args.a, ring), parse_element(args.b, ring)
-
-
 def cmd_idem_check(args):
-    ring, a, b = _ring_and_pair(args)
+    ring = _ring(args)
+    a = parse_element(args.a, ring)
+    b = parse_element(args.b, ring)
     pair = is_idempotent_pair(a, b, ring)
+    result = {"a": enc(a), "b": enc(b), "pair": None, "complement": None}
     if pair is None:
-        return "not_idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": None, "complement": None}, 1
-    result = {"a": enc(a), "b": enc(b), "pair": enc(pair), "complement": enc(complement_identity(pair))}
+        return "not_idempotent_pair", ring, result, 1
+    result["pair"] = enc(pair)
+    result["complement"] = enc(complement_identity(pair))
     return "idempotent_pair", ring, result, 0
 
 
 def cmd_idem_matrix(args):
-    ring, a, b = _ring_and_pair(args)
+    ring = _ring(args)
+    a = parse_element(args.a, ring)
+    b = parse_element(args.b, ring)
     pair = is_idempotent_pair(a, b, ring)
+    result = {"a": enc(a), "b": enc(b), "pair": None}
     if pair is None:
-        return "not_idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": None}, 1
+        return "not_idempotent_pair", ring, result, 1
     m = idem_matrix(pair)
-    return "idempotent_pair", ring, {"a": enc(a), "b": enc(b), "pair": enc(pair), "matrix": enc(m)}, 0
+    result["pair"] = enc(pair)
+    result["matrix"] = enc(m)
+    return "idempotent_pair", ring, result, 0
 
 
 def cmd_idem_from_ideal(args):
-    ring, a, b = _ring_and_pair(args)
+    ring = _ring(args)
+    a = parse_element(args.a, ring)
+    b = parse_element(args.b, ring)
     cert = bezout_in_inverse(a, b, ring)
+    result = {"a": enc(a), "b": enc(b)}
     if cert is None:
-        return "not_invertible", ring, {"a": enc(a), "b": enc(b)}, 1
+        return "not_invertible", ring, result, 1
     pair = pair_from_invertible(a, b, cert, ring)
-    result = {"a": enc(a), "b": enc(b), "bezout": enc(cert), "pair": enc(pair)}
+    result["bezout"] = enc(cert)
+    result["pair"] = enc(pair)
     result["complement"] = enc(complement_identity(pair))
     return "pair_derived", ring, result, 0
 
 
 def cmd_ideal_frompair(args):
-    ring, a, b = _ring_and_pair(args)
+    ring = _ring(args)
+    a = parse_element(args.a, ring)
+    b = parse_element(args.b, ring)
     ideal = ideal_from_pair(a, b)
     result = {"a": enc(a), "b": enc(b), "ideal": enc(ideal), "norm": str(ideal.norm())}
     return "normal_form", ring, result, 0
@@ -161,16 +182,17 @@ def cmd_ideal_mul(args):
 
 
 def cmd_ideal_invertible(args):
-    ring, a, b = _ring_and_pair(args)
-    ideal = ideal_from_pair(a, b)
+    ring = _ring(args)
+    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
     cert = ideal_is_invertible(ideal)
     result = {"ideal": enc(ideal), **enc(cert)}
     return ("invertible", ring, result, 0) if cert.invertible else ("not_invertible", ring, result, 1)
 
 
 def cmd_ideal_principal(args):
-    ring, a, b = _ring_and_pair(args)
-    v = ideal_is_principal(ideal_from_pair(a, b))
+    ring = _ring(args)
+    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
+    v = ideal_is_principal(ideal)
     return v.status, ring, enc(v), 0 if v.principal else 1
 
 
@@ -223,8 +245,14 @@ def cmd_comax_unique(args):
     ring = _ring(args)
     b = parse_element(args.b, ring)
     facts = enumerate_complete_factorizations(b, ring)
-    result = {"element": enc(b), "count": len(facts), "factorizations": enc(facts)}
-    return ("unique", ring, result, 0) if len(facts) == 1 else ("non_unique", ring, result, 1)
+    result = {
+        "element": enc(b),
+        "count": len(facts),
+        "factorizations": enc(facts),
+    }
+    if len(facts) == 1:
+        return "unique", ring, result, 0
+    return "non_unique", ring, result, 1
 
 
 def cmd_comax_hunt(args):
@@ -233,11 +261,18 @@ def cmd_comax_hunt(args):
     if hit is None:
         return "no_witness", ring, {"bound": args.bound, "witness": None, "factorizations": []}, 1
     b, facts = hit
-    return "witness_found", ring, {"bound": args.bound, "witness": enc(b), "factorizations": enc(facts)}, 0
+    result = {
+        "bound": args.bound,
+        "witness": enc(b),
+        "factorizations": enc(facts),
+    }
+    return "witness_found", ring, result, 0
 
 
 def cmd_pullback_reduce(args):
-    ring, a, b = _ring_and_pair(args)
+    ring = _ring(args)
+    a = parse_element(args.a, ring)
+    b = parse_element(args.b, ring)
     if args.witness is not None:
         r = parse_element(args.witness, ring)
         orientation = args.orientation
@@ -255,17 +290,25 @@ def cmd_pullback_nonufd(args):
     z = parse_element(args.z, ring)
     d = parse_element(args.d, ring)
     chain = pb_nonufd_chain(z, d, args.n)
-    return "chain", ring, {"z": enc(z), "d": enc(d), "n": args.n, "chain": enc(chain)}, 0
+    result = {
+        "z": enc(z),
+        "d": enc(d),
+        "n": args.n,
+        "chain": enc(chain),
+    }
+    return "chain", ring, result, 0
 
 
 def cmd_mring_split(args):
     ring = _ring(args)
-    return "split", ring, enc(mr_split(Fraction(args.s), args.n, ring)), 0
+    sp = mr_split(Fraction(args.s), args.n, ring)
+    return "split", ring, enc(sp), 0
 
 
 def cmd_mring_chain(args):
     ring = _ring(args)
-    return "chain", ring, enc(mr_comax_chain(Fraction(args.s), args.m, ring, args.n)), 0
+    ch = mr_comax_chain(Fraction(args.s), args.m, ring, args.n)
+    return "chain", ring, enc(ch), 0
 
 
 def cmd_mring_juett(args):
@@ -276,7 +319,8 @@ def cmd_mring_juett(args):
 
 def cmd_limitring_chain(args):
     ring = _ring(args)
-    return "chain", ring, enc(lr_chain(args.m, ring)), 0
+    ch = lr_chain(args.m, ring)
+    return "chain", ring, enc(ch), 0
 
 
 def cmd_limitring_eval(args):
@@ -305,12 +349,15 @@ def cmd_polyext_witness(args):
 
 
 def cmd_polyext_counterexample(args):
-    ce = nonprinc_pair_from_alpha(parse_ypoly(args.alpha), _subring(args))
+    desc = _subring(args)
+    alpha = parse_ypoly(args.alpha)
+    ce = nonprinc_pair_from_alpha(alpha, desc)
     return "non_principal_pair", None, enc(ce), 0
 
 
 def cmd_sphere_projector(args):
-    return "projector", B2, enc(tangent_projector()), 0
+    rep = tangent_projector()
+    return "projector", B2, enc(rep), 0
 
 
 def cmd_sphere_reduce(args):

@@ -299,8 +299,6 @@ class QuadIdeal:
                 vecs.append((p.x, p.y))
         return _from_vectors(self.d, vecs)
 
-    __mul__ = mul
-
     def conjugate(self) -> "QuadIdeal":
         return _from_vectors(self.d, [(self.n, 0), (self.c, -self.m)])
 
@@ -310,7 +308,9 @@ class QuadIdeal:
             result = result.mul(self)
         return result
 
-    # so an ideal of Z[sqrt(d)] composes like an ideal of Z (an int)
+    # `*` and `**` let comax build block ideals of Z[sqrt(d)] the way it
+    # builds those of Z, where an ideal is its generator (an int)
+    __mul__ = mul
     __pow__ = pow
 
     def __repr__(self):
@@ -630,17 +630,22 @@ class QuadOrder:
     def inverse_bezout(self, a, b):
         ideal = ideal_from_pair(a, b)
         n = ideal.norm()
-        u, v = ideal.conjugate().basis  # scaled by 1/n these span I^{-1}
+        conj = ideal.conjugate()
+        inv_basis = conj.basis  # scaled by 1/n these span I^{-1}
         rows = []
         for g in (a, b):
-            for w in (u, v):
-                gw = g * w
-                rows.append((gw.x, gw.y))
+            for u in inv_basis:
+                gu = g * u
+                rows.append((gu.x, gu.y))
         sol = solve_int_combination(rows, (n, 0))
         if sol is None:
             return None
-        lam = QuadRat(Fraction(sol[0] * u.x + sol[1] * v.x, n), Fraction(sol[0] * u.y + sol[1] * v.y, n), self.d)
-        mu = QuadRat(Fraction(sol[2] * u.x + sol[3] * v.x, n), Fraction(sol[2] * u.y + sol[3] * v.y, n), self.d)
+        lam = QuadRat(Fraction(sol[0] * inv_basis[0].x + sol[1] * inv_basis[1].x, n),
+                      Fraction(sol[0] * inv_basis[0].y + sol[1] * inv_basis[1].y, n),
+                      self.d)
+        mu = QuadRat(Fraction(sol[2] * inv_basis[0].x + sol[3] * inv_basis[1].x, n),
+                     Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
+                     self.d)
         return lam, mu
 
     def complement_check(self, f, s):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from princlab.core import Poly, RatFunc
+from princlab.core import Poly
 from princlab.idem import (
     CertificateError,
     IdemPair,
