@@ -4,6 +4,12 @@ rational functions, and small integer lattice solves.  It also holds the two
 pieces of certificate plumbing every engine shares: `CertificateError` and
 the encoding of pairwise Bezout certificates.
 
+Two small bases carry what every ring family shares.  `RingElem` derives
+binary ``-``, the reflected ``+``, ``-``, ``*`` and nonnegative ``**``
+(repeated squaring) from an element class's own ``+``, unary ``-``, ``*``
+and `_one()`.  `RingHandle` gives every ring handle its identity: same ring
+<=> same `to_json()`, the description `recheck` reads back.
+
 Everything here is immutable and exact.  Coefficients may be Python ints,
 `fractions.Fraction`, or any object implementing field arithmetic through
 the usual operators (``+ - * /``) together with ``==`` against ``0``/``1``;
@@ -12,6 +18,7 @@ mixed int scalars are tolerated because exact coefficient types coerce them.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -19,6 +26,50 @@ from math import gcd, isqrt
 class CertificateError(Exception):
     """A producer's own certificate failed its self-check: a bug, never bad
     input.  Deliberately not a ValueError, so the CLI exits 3, not 2."""
+
+
+class RingElem:
+    """Base of every element class of a commutative ring.  A subclass
+    defines ``+``, unary ``-``, ``*`` and `_one()`; the rest is derived here.
+    ``__add__``/``__mul__`` may return NotImplemented for foreign operands,
+    and the reflected forms pass that on."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class RingHandle:
+    """Base of every ring handle: two handles are the same ring exactly when
+    their `to_json()` descriptions are equal."""
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, RingHandle) and self.to_json() == other.to_json())
+
+    def __hash__(self):
+        return hash(json.dumps(self.to_json(), sort_keys=True))
 
 
 def pairwise_json(pairwise, enc):
@@ -160,7 +211,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-class Poly:
+class Poly(RingElem):
     """Dense univariate polynomial with ascending coefficients.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
@@ -228,16 +279,8 @@ class Poly:
             out[i] = out[i] + c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -249,19 +292,8 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return Poly((1,))
 
     def scale(self, c):
         return Poly(tuple(a * c for a in self.coeffs))
@@ -365,7 +397,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic() if not f.is_zero() else f
 
 
-class RatFunc:
+class RatFunc(RingElem):
     """Rational function num/den over a field, den monic, gcd(num, den) = 1."""
 
     __slots__ = ("num", "den")
@@ -420,22 +452,12 @@ class RatFunc:
         o = self._lift(other)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         o = self._lift(other)
         return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._lift(other)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CertificateError, Poly, pairwise_json, poly_divrem
+from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
 from .rings import IntegerRing, RationalField
 
 
@@ -24,7 +24,7 @@ class LimitError(ValueError):
 _PHI = Poly((Fraction(0), Fraction(1), Fraction(1)))  # x + x^2
 
 
-class LimitElem:
+class LimitElem(RingElem):
     """Polynomial over D in the level-n generator x_n."""
 
     __slots__ = ("level", "poly", "ring")
@@ -51,26 +51,15 @@ class LimitElem:
         a, b = self._lift_pair(other)
         return LimitElem(a.level, a.poly + b.poly, self.ring)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LimitElem(self.level, -self.poly, self.ring)
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, LimitElem) else self.ring.coerce(other)))
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         a, b = self._lift_pair(other)
         return LimitElem(a.level, a.poly * b.poly, self.ring)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
-        if n < 0:
-            raise LimitError("negative power")
+        # one level throughout, so the inner polynomial's power is the power
         return LimitElem(self.level, self.poly**n, self.ring)
 
     def __eq__(self, other):
@@ -104,7 +93,7 @@ def lr_lift(e: LimitElem, m: int) -> LimitElem:
     return LimitElem(m, p, e.ring)
 
 
-class LimitRing:
+class LimitRing(RingHandle):
     """Ring handle for union_n D[x_n]."""
 
     family = "limit"
@@ -160,12 +149,6 @@ class LimitRing:
 
     def __str__(self):
         return f"limit({self.base}[x_n])"
-
-    def __eq__(self, other):
-        return isinstance(other, LimitRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("limit", self.base))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CertificateError, Poly, pairwise_json, poly_divrem
+from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
 from .rings import IntegerRing, LocalizedIntegers, RationalField
 
 
@@ -62,7 +62,7 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
-class MonoidElem:
+class MonoidElem(RingElem):
     """Finite exponent -> coefficient map, exponents in S, no zero coefficients."""
 
     __slots__ = ("terms", "ring")
@@ -100,16 +100,8 @@ class MonoidElem:
                 out.pop(e, None)
         return MonoidElem(tuple(sorted(out.items())), self.ring, _checked=True)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MonoidElem(tuple((e, -c) for e, c in self.terms), self.ring, _checked=True)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -124,19 +116,8 @@ class MonoidElem:
                     del out[e]
         return MonoidElem(tuple(sorted(out.items())), self.ring, _checked=True)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise MonoidError("negative power; invert a unit explicitly")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return self.ring.one
 
     def __eq__(self, other):
         if isinstance(other, MonoidElem):
@@ -179,7 +160,7 @@ class MonoidElem:
         return f"MonoidElem({self.to_str()})"
 
 
-class MonoidRing:
+class MonoidRing(RingHandle):
     """Ring handle for D[X; S]."""
 
     family = "monoid"
@@ -243,16 +224,6 @@ class MonoidRing:
     def __str__(self):
         sym = "Gamma" if self.desc.group else "S"
         return f"{self.base}[X;{sym}:{self.desc.label()}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonoidRing)
-            and other.base == self.base
-            and other.desc == self.desc
-        )
-
-    def __hash__(self):
-        return hash(("monoid", self.base, self.desc))
 
 
 def _to_poly(e: MonoidElem, t: Fraction, shift: Fraction) -> Poly:

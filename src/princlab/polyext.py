@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CertificateError, Poly, RatFunc, poly_divrem
+from .core import CertificateError, Poly, RatFunc, RingHandle, poly_divrem
 from .idem import IdemPair
 
 
@@ -80,7 +80,7 @@ def seminormal_witness(alpha, desc: SubringDesc) -> bool:
     )
 
 
-class PolyExtRing:
+class PolyExtRing(RingHandle):
     """Ring handle for D[X], D a monomial subring of Q[y]."""
 
     family = "polyext"
@@ -130,12 +130,6 @@ class PolyExtRing:
 
     def __str__(self):
         return f"({self.desc.label()})[X]"
-
-    def __eq__(self, other):
-        return isinstance(other, PolyExtRing) and other.desc == self.desc
-
-    def __hash__(self):
-        return hash(("polyext", self.desc))
 
 
 @dataclass

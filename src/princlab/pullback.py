@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import CertificateError, Poly, RatFunc
+from .core import CertificateError, Poly, RatFunc, RingElem, RingHandle
 from .quadring import QuadOrder
 from .rings import IntegerRing, ZZ
 
@@ -24,7 +24,7 @@ class PullbackError(ValueError):
     pass
 
 
-class PullbackElem:
+class PullbackElem(RingElem):
     """Rational function in Y, no pole at 0, value at 0 in D."""
 
     __slots__ = ("rf", "ring", "value0")
@@ -54,25 +54,16 @@ class PullbackElem:
     def __add__(self, other):
         return PullbackElem(self.rf + self._lift(other).rf, self.ring)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return PullbackElem(-self.rf, self.ring)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         return PullbackElem(self.rf * self._lift(other).rf, self.ring)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
+        # RatFunc would invert a negative power, which leaves R unless a is a unit
         if n < 0:
-            raise PullbackError("negative power; use inverse() on a unit")
+            raise PullbackError("negative power; use pb_inverse() on a unit")
         return PullbackElem(self.rf**n, self.ring)
 
     def __eq__(self, other):
@@ -104,7 +95,7 @@ class PullbackElem:
         return f"PullbackElem({self.to_str()})"
 
 
-class PullbackRing:
+class PullbackRing(RingHandle):
     """Ring handle for D + M; base D is Z or an imaginary quadratic order."""
 
     family = "pullback"
@@ -146,7 +137,8 @@ class PullbackRing:
         if not b:
             return self.zero if not a else None
         q = a.rf / b.rf
-        return pb_member(q, self)
+        # a pole at Y=0 puts a/b outside V, so b does not divide a in R
+        return None if q.den.constant_term() == 0 else pb_member(q, self)
 
     def is_unit(self, x) -> bool:
         return isinstance(x, PullbackElem) and pb_is_unit(x)
@@ -156,12 +148,6 @@ class PullbackRing:
 
     def __str__(self):
         return f"{self.base}+M"
-
-    def __eq__(self, other):
-        return isinstance(other, PullbackRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("pullback", self.base))
 
 
 def pb_member(rf: RatFunc, ring: PullbackRing) -> PullbackElem | None:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .core import CertificateError, factorint, hnf2_with_transform, solve_int_combination, sqrt_mod_prime
+from .core import (CertificateError, RingElem, RingHandle, factorint, hnf2_with_transform,
+                   solve_int_combination, sqrt_mod_prime)
 
 
 class QuadError(ValueError):
@@ -37,7 +38,7 @@ def is_maximal(d: int) -> bool:
     return d % 4 in (2, 3)
 
 
-class QuadElem:
+class QuadElem(RingElem):
     """x + y*sqrt(d) with integer coordinates."""
 
     __slots__ = ("x", "y", "d")
@@ -62,19 +63,8 @@ class QuadElem:
             return NotImplemented
         return QuadElem(self.x + o.x, self.y + o.y, self.d)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadElem(-self.x, -self.y, self.d)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -86,19 +76,8 @@ class QuadElem:
             self.d,
         )
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise QuadError("negative power in an order")
-        result = QuadElem(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return QuadElem(1, 0, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
@@ -138,7 +117,7 @@ class QuadElem:
         return f"{self.x}{sign}{abs(self.y)}*sqrt({self.d})"
 
 
-class QuadRat:
+class QuadRat(RingElem):
     """Fraction-field variant: x + y*sqrt(d) with rational coordinates."""
 
     __slots__ = ("x", "y", "d")
@@ -165,17 +144,8 @@ class QuadRat:
             return NotImplemented
         return QuadRat(self.x + o.x, self.y + o.y, self.d)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadRat(-self.x, -self.y, self.d)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -187,7 +157,8 @@ class QuadRat:
             self.d,
         )
 
-    __rmul__ = __mul__
+    def _one(self):
+        return QuadRat(1, 0, self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -576,7 +547,7 @@ def combination(a: QuadElem, b: QuadElem, target: QuadElem) -> tuple[QuadElem, Q
     return lam, mu
 
 
-class QuadOrder:
+class QuadOrder(RingHandle):
     """Ring handle for Z[sqrt(d)], d < 0 squarefree."""
 
     family = "quad"
@@ -675,8 +646,12 @@ class QuadOrder:
         return (x.norm(), x.x, x.y)
 
     def associates_of_norm(self, n):
-        # one associate of each element of norm n (y > 0, or y == 0 < x), in lex order
-        reps = sorted((x, y) for x, y in norm_solutions(n, self.d) if y > 0 or (y == 0 and x > 0))
+        # one associate of each element of norm n, in lex order.  The units are
+        # +-1 (keep y > 0, or y == 0 < x), and also +-i when d == -1 (keep x > 0 <= y).
+        if self.d == -1:
+            reps = sorted((x, y) for x, y in norm_solutions(n, self.d) if x > 0 <= y)
+        else:
+            reps = sorted((x, y) for x, y in norm_solutions(n, self.d) if y > 0 or (y == 0 and x > 0))
         return [QuadElem(x, y, self.d) for x, y in reps]
 
     def to_json(self):
@@ -684,9 +659,3 @@ class QuadOrder:
 
     def __str__(self):
         return f"Z[sqrt({self.d})]"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadOrder) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("quad", self.d))

@@ -766,9 +766,10 @@ def _rf_value0(v):
 def _in_base(value, base) -> bool:
     if value is None:
         return False
-    if base["family"] == "int":
-        return value[0] == "rat" and value[1].denominator == 1
-    return value[0] == "quad" and value[1].denominator == 1 and value[2].denominator == 1
+    if value[0] == "rat":
+        # Z lies in every base; a quad base's zero decodes as the rational 0
+        return value[1].denominator == 1
+    return base["family"] == "quad" and value[1].denominator == 1 and value[2].denominator == 1
 
 
 def _verify_pullback_reduce(report):

@@ -2,6 +2,12 @@
 a uniform surface (coerce / divides / is_unit, and fraction-field hooks where
 ideal certificates need them).
 
+Every handle derives from `core.RingHandle`, so two handles are the same
+ring exactly when their `to_json()` descriptions are equal (the description
+reports carry and `recheck` reads).  Every element class derives from
+`core.RingElem`, which supplies binary ``-``, the reflected operators and
+``**`` from the class's own ``+``, unary ``-``, ``*`` and `_one()`.
+
 A handle is also the one place where its family's ideal theory lives.  The
 engines (`idem`, `comax`, `pullback`) never switch on the ring's type; they
 call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
@@ -27,10 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .core import Poly, RatFunc, factorint, poly_divrem, poly_extended_gcd, xgcd
+from .core import Poly, RatFunc, RingHandle, factorint, poly_divrem, poly_extended_gcd, xgcd
 
 
-class IntegerRing:
+class IntegerRing(RingHandle):
     family = "int"
     zero = 0
     one = 1
@@ -100,14 +106,8 @@ class IntegerRing:
     def __str__(self):
         return "Z"
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
 
-    def __hash__(self):
-        return hash("int")
-
-
-class RationalPolyRing:
+class RationalPolyRing(RingHandle):
     """Q[X]: dense polynomials with Fraction coefficients."""
 
     family = "qpoly"
@@ -158,14 +158,8 @@ class RationalPolyRing:
     def __str__(self):
         return "Q[X]"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalPolyRing)
 
-    def __hash__(self):
-        return hash("qpoly")
-
-
-class RationalField:
+class RationalField(RingHandle):
     """Q as a coefficient domain."""
 
     family = "rat"
@@ -192,12 +186,6 @@ class RationalField:
     def __str__(self):
         return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rat")
-
 
 def _strip_primes(n: int, primes) -> int:
     n = abs(n)
@@ -207,7 +195,7 @@ def _strip_primes(n: int, primes) -> int:
     return n
 
 
-class LocalizedIntegers:
+class LocalizedIntegers(RingHandle):
     """Z[1/p : p in primes] as a coefficient domain."""
 
     family = "zloc"
@@ -249,12 +237,6 @@ class LocalizedIntegers:
 
     def __str__(self):
         return "Z[" + ",".join(f"1/{p}" for p in self.primes) + "]"
-
-    def __eq__(self, other):
-        return isinstance(other, LocalizedIntegers) and other.primes == self.primes
-
-    def __hash__(self):
-        return hash(("zloc", self.primes))
 
 
 ZZ = IntegerRing()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CertificateError
+from .core import CertificateError, RingElem, RingHandle
 
 
 class SphereError(ValueError):
@@ -25,7 +25,7 @@ def _key(mono):
     return (mono[0] + mono[1], mono[0], mono[1])
 
 
-class Poly2:
+class Poly2(RingElem):
     """Bivariate polynomial over Q with exact Fraction coefficients."""
 
     __slots__ = ("terms",)
@@ -90,16 +90,8 @@ class Poly2:
                 del out[k]
         return Poly2(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly2({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -114,19 +106,8 @@ class Poly2:
                     del out[k]
         return Poly2(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise SphereError("negative power of a polynomial")
-        result = Poly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return Poly2.const(1)
 
     def leading(self):
         mono = max(self.terms, key=_key)
@@ -186,7 +167,7 @@ class Poly2:
 X0_SQUARED = Poly2({(0, 0): Fraction(1), (2, 0): Fraction(-1), (0, 2): Fraction(-1)})
 
 
-class SphereElem:
+class SphereElem(RingElem):
     """Canonical representative f + g*X0, f and g bivariate in X1, X2."""
 
     __slots__ = ("f", "g")
@@ -223,16 +204,8 @@ class SphereElem:
         o = self._lift(other)
         return SphereElem(self.f + o.f, self.g + o.g)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SphereElem(-self.f, -self.g)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -241,19 +214,8 @@ class SphereElem:
             self.f * o.g + self.g * o.f,
         )
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise SphereError("negative power in the coordinate ring")
-        result = SphereElem.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return SphereElem.const(1)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -283,7 +245,7 @@ class SphereElem:
         return f"SphereElem({self.to_str()})"
 
 
-class SphereRing:
+class SphereRing(RingHandle):
     """Ring handle for the rational 2-sphere coordinate ring."""
 
     family = "sphere"
@@ -332,12 +294,6 @@ class SphereRing:
 
     def __str__(self):
         return "B2"
-
-    def __eq__(self, other):
-        return isinstance(other, SphereRing)
-
-    def __hash__(self):
-        return hash("sphere")
 
 
 B2 = SphereRing()

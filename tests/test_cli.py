@@ -127,3 +127,20 @@ def test_wrong_user_witness_still_exits_2(capsys):
     code, out, err = run_cli(capsys, "pullback", "reduce", "Y", "Y-Y^2", "5")
     assert code == 2 and out == ""
     assert "witness does not satisfy the defining relation" in err
+
+
+def test_negative_power_in_an_order_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "ideal", "principal", "sqrt(-5)^-1", "3")
+    assert code == 2 and out == ""
+    assert "negative power is not invertible here" in err
+
+
+def test_recheck_accepts_integer_values_in_a_quadratic_base(capsys):
+    # ca == 0 decodes as the rational 0, which lies in Z[sqrt(-5)]
+    report = report_of(capsys, "pullback", "reduce", "--ring", "pullback:Z[sqrt(-5)]", "Y", "3")
+    assert report["result"]["ca"]["num"]["coeffs"] == [] and verify_report(report) == []
+
+    def half_at_zero(result):
+        result["ca"]["num"]["coeffs"] = [{"type": "rat", "value": "1/2"}]
+
+    assert "ca is not a member of the pullback (value at 0)" in _tampered_fails(report, half_at_zero)

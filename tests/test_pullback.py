@@ -172,3 +172,14 @@ def test_divides_and_idem_detection_in_pullback():
         p = is_idempotent_pair(x, ONE - x, RZ)
         assert p is not None
         assert p.verify()
+
+
+def test_divides_is_none_when_the_quotient_has_a_pole():
+    # 9/Y has a pole at Y=0, so Y does not divide 9 in R; the other way it does
+    assert RZ.divides(Y, RZ.coerce(9)) is None
+    assert RZ.divides(RZ.coerce(9), Y) == PullbackElem(rf((0, Fraction(1, 9))), RZ)
+    p = is_idempotent_pair(RZ.coerce(9), Y, RZ)
+    assert p is not None and p.orientation == "ba" and p.verify()
+    # user input with a pole is still rejected when it is parsed
+    with pytest.raises(PullbackError, match="pole at Y=0"):
+        pb_member(rf((1,), (0, 1)), RZ)

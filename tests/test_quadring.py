@@ -331,3 +331,15 @@ def test_bezout_pair_behaviour():
         lam, mu = combination(a, b, E(1, 0))
         assert lam * a + mu * b == E(1, 0)
         found += 1
+
+
+@pytest.mark.parametrize("d", [-1, -2, -5])
+def test_associates_of_norm_gives_one_generator_per_principal_ideal(d):
+    ring = QuadOrder(d)
+    for n in range(1, 51):
+        reps = ring.associates_of_norm(n)
+        assert all(r.norm() == n for r in reps)
+        ideals = [principal_ideal(r) for r in reps]
+        assert len(set(ideals)) == len(ideals), (n, reps)
+        # and every element of norm n is an associate of one of them
+        assert {principal_ideal(QuadElem(x, y, d)) for x, y in norm_solutions(n, d)} == set(ideals)
