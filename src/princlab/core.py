@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 class CertificateError(Exception):
@@ -51,14 +51,19 @@ class RingElem:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of a {type(self).__name__}")
-        result = self._one()
+        if n == 0:
+            return self._one()
+        # repeated squaring from the low bit: x**1 takes no product, x**(2**k)
+        # takes k, and the square after the top bit is never formed
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
 
 class RingHandle:
@@ -211,6 +216,126 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return min(r, p - r)
 
 
+# Integer-vector kernel for Poly over Z and Q.  A coefficient vector that is
+# all `int`, or all `Fraction`, is cleared to integer numerators over one
+# denominator.  Integer vectors multiply by Kronecker substitution (Harvey,
+# JSC 44, 2009; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
+# each vector is packed into one Python int, with a slot wide enough for
+# every coefficient of the result by a proven bound, the two ints are
+# multiplied once (CPython's Karatsuba), and the slots of the product are read
+# back with signed borrow.
+
+
+def _integral(coeffs):
+    """(numerators, den) of a nonempty all-int vector (den None) or all-Fraction
+    vector (den the lcm of the denominators); None for any other vector."""
+    kinds = set(map(type, coeffs))
+    if kinds == {int}:
+        return list(coeffs), None
+    if kinds != {Fraction}:
+        return None
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def _from_integral(nums, den) -> "Poly":
+    """The Poly nums/den: int coefficients when den is None, else Fractions."""
+    if den is None:
+        return Poly(nums)
+    if den == 1:
+        return Poly([Fraction(n) for n in nums])
+    return Poly([Fraction(n, den) for n in nums])
+
+
+def _joint_den(da, db, power=1):
+    # an int vector has den None; any Fraction operand makes the result Fractions
+    if da is None and db is None:
+        return None
+    return (da or 1) * (db or 1) ** power
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot so that every integer of absolute value <= bound fits a
+    signed slot: 8 * nbytes - 1 >= bound.bit_length()."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(v, nbytes: int) -> int:
+    """sum(v[i] * 2**(8*nbytes*i)) for integers with |v[i]| < 2**(8*nbytes - 1)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in v)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(packed: int, nbytes: int, n: int) -> list[int]:
+    """The n signed slots of packed = sum(c[i] * 2**(8*nbytes*i)), each
+    |c[i]| < 2**(8*nbytes - 1)."""
+    data = packed.to_bytes(nbytes * n, "little", signed=True)
+    half = 1 << (8 * nbytes - 1)
+    full = half << 1
+    out = []
+    borrow = 0
+    for i in range(0, nbytes * n, nbytes):
+        c = int.from_bytes(data[i : i + nbytes], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    return out
+
+
+def _eval_at(v, x: int) -> int:
+    """sum(v[i] * x**i) for an integer vector v and integer x, by pairing
+    neighbouring blocks, so the big products are balanced."""
+    vals = list(v)
+    while len(vals) > 1:
+        if len(vals) & 1:
+            vals.append(0)
+        vals = [lo + x * hi for lo, hi in zip(vals[::2], vals[1::2])]
+        if len(vals) > 1:
+            x *= x
+    return vals[0]
+
+
+def _int_mul(a, b) -> list[int]:
+    """Product of two nonempty integer vectors: every product coefficient is
+    at most max|a| * max|b| * min(len(a), len(b)) in absolute value."""
+    nbytes = _slot_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    pa = _pack(a, nbytes)
+    pb = pa if b is a else _pack(b, nbytes)
+    return _unpack(pa * pb, nbytes, len(a) + len(b) - 1)
+
+
+def _int_divrem(f, g):
+    """(q, r, s) with s*f == q*g + r, len(r) < len(g) and s > 0, for integer
+    vectors f and nonempty g.  A step whose quotient coefficient would not be
+    an integer first scales everything by |lc(g)| / gcd(c, lc(g)), so monic
+    divisors never scale."""
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    terms = [(i, c) for i, c in enumerate(g) if c]
+    q = [0] * max(len(f) - dg, 0)
+    s = 1
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = r[k + dg]
+        if not c:
+            continue
+        if c % lc:
+            t = abs(lc) // gcd(c, lc)
+            r = [x * t for x in r]
+            q = [x * t for x in q]
+            s *= t
+            c *= t
+        c //= lc
+        q[k] = c
+        for i, gc in terms:
+            r[k + i] -= c * gc
+    return q, r[:dg], s
+
+
+
 class Poly(RingElem):
     """Dense univariate polynomial with ascending coefficients.
 
@@ -286,6 +411,11 @@ class Poly(RingElem):
         o = self._lift(other)
         if not self.coeffs or not o.coeffs:
             return Poly()
+        a = _integral(self.coeffs)
+        b = a if o is self else _integral(o.coeffs)
+        if a is not None and b is not None:
+            return _from_integral(_int_mul(a[0], b[0]), _joint_den(a[1], b[1]))
+        # mixed int/Fraction vectors and other coefficient rings
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(o.coeffs):
@@ -315,10 +445,23 @@ class Poly(RingElem):
         return acc
 
     def compose(self, other: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly((c,))
-        return acc
+        p, f = self.degree, other.degree
+        pi = _integral(self.coeffs) if p > 0 and f > 0 else None
+        fi = _integral(other.coeffs) if pi is not None else None
+        if fi is None:
+            acc = Poly()
+            for c in reversed(self.coeffs):
+                acc = acc * other + Poly((c,))
+            return acc
+        (nums, dp), (phi, df) = pi, fi
+        if df not in (None, 1):
+            # self(phi/df) * df**p == sum(nums[i] * df**(p-i) * phi**i)
+            nums = [c * df ** (p - i) for i, c in enumerate(nums)]
+        # Kronecker: the result packed at 2**w is self evaluated at phi packed
+        # at 2**w.  Its coefficients are at most sum(|nums[i]| * |phi|_1**i).
+        nbytes = _slot_bytes(_eval_at(list(map(abs, nums)), sum(map(abs, phi))))
+        packed = _eval_at(nums, _pack(phi, nbytes))
+        return _from_integral(_unpack(packed, nbytes, p * f + 1), _joint_den(dp, df, p))
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly(tuple(fn(c) for c in self.coeffs))
@@ -361,6 +504,16 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Division with remainder over a field: f = q*g + r, deg r < deg g."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    # the integer path needs f all-Fraction: the loop below leaves an int
+    # coefficient of f that no step touches as an int in the remainder
+    fi = _integral(f.coeffs) if f.coeffs else None
+    gi = _integral(g.coeffs) if fi is not None and fi[1] is not None else None
+    if gi is not None:
+        (fn, df), (gn, dg) = fi, gi
+        qn, rn, s = _int_divrem(fn, gn)
+        # s*fn == qn*gn + rn with f = fn/df, g = gn/dg
+        den = s * df
+        return Poly([Fraction(c * (dg or 1), den) for c in qn]), Poly([Fraction(c, den) for c in rn])
     q = []
     rem = list(f.coeffs)
     dg = g.degree
@@ -375,20 +528,67 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(rem[:dg] if dg > 0 else ())
 
 
+def _q_norm(nums, den):
+    """A rational vector nums/den (den > 0) without trailing zeros and with
+    the common factor of den and every numerator divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [c // g for c in nums], den // g
+
+
+def _q_sub_mul(a, q, b):
+    """a - q*b for rational vectors given as (numerators, den)."""
+    if not q[0] or not b[0]:
+        return a
+    prod, pden = _int_mul(q[0], b[0]), q[1] * b[1]
+    den = lcm(a[1], pden)
+    sa, sp = den // a[1], den // pden
+    out = [c * sa for c in a[0]] + [0] * max(len(prod) - len(a[0]), 0)
+    for i, c in enumerate(prod):
+        out[i] -= c * sp
+    return _q_norm(out, den)
+
+
 def poly_extended_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (d, s, t) with s*f + t*g == d, d the monic gcd (0 if f=g=0)."""
-    r0, r1 = f, g
-    s0, s1 = Poly((1,)), Poly()
-    t0, t1 = Poly(), Poly((1,))
-    while not r1.is_zero():
-        q, r = poly_divrem(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    return r0 / lc, s0 / lc, t0 / lc
+    """Return (d, s, t) with s*f + t*g == d, d the monic gcd (0 if f=g=0).
+
+    Nonzero f and g over Z or Q run the same Euclidean steps on integer
+    vectors, each with one denominator; the result is the same."""
+    fi = _integral(f.coeffs) if f.coeffs and g.coeffs else None
+    gi = _integral(g.coeffs) if fi is not None else None
+    if gi is None:
+        r0, r1 = f, g
+        s0, s1 = Poly((1,)), Poly()
+        t0, t1 = Poly(), Poly((1,))
+        while not r1.is_zero():
+            q, r = poly_divrem(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0.is_zero():
+            return r0, s0, t0
+        lc = r0.leading()
+        return r0 / lc, s0 / lc, t0 / lc
+    r0, r1 = _q_norm(fi[0], fi[1] or 1), _q_norm(gi[0], gi[1] or 1)
+    s0, s1 = ([1], 1), ([], 1)
+    t0, t1 = ([], 1), ([1], 1)
+    while r1[0]:
+        qn, rn, sc = _int_divrem(r0[0], r1[0])
+        # sc*R0 == qn*R1 + rn, so r0 == (qn*d1 / (sc*d0)) * r1 + rn / (sc*d0)
+        q = _q_norm([c * r1[1] for c in qn], sc * r0[1])
+        r0, r1 = r1, _q_norm(rn, sc * r0[1])
+        s0, s1 = s1, _q_sub_mul(s0, q, s1)
+        t0, t1 = t1, _q_sub_mul(t0, q, t1)
+    (nums, den), lc = r0, r0[0][-1]
+    # divide d, s and t by the leading coefficient lc/den of the gcd
+    return (
+        Poly([Fraction(c, lc) for c in nums]),
+        Poly([Fraction(c * den, s0[1] * lc) for c in s0[0]]),
+        Poly([Fraction(c * den, t0[1] * lc) for c in t0[0]]),
+    )
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -29,13 +29,16 @@ class LimitElem(RingElem):
 
     __slots__ = ("level", "poly", "ring")
 
-    def __init__(self, level: int, poly: Poly, ring: "LimitRing"):
+    def __init__(self, level: int, poly: Poly, ring: "LimitRing", _checked=False):
+        # _checked: poly already has Fraction coefficients in D, as the sum,
+        # product or lift of elements does
         if level < 1:
             raise LimitError("levels start at 1")
-        poly = poly.map_coeffs(Fraction)
-        for c in poly.coeffs:
-            if not ring.base.contains_rat(c):
-                raise LimitError(f"coefficient {c} outside {ring.base}")
+        if not _checked:
+            poly = poly.map_coeffs(Fraction)
+            for c in poly.coeffs:
+                if not ring.base.contains_rat(c):
+                    raise LimitError(f"coefficient {c} outside {ring.base}")
         self.level = level
         self.poly = poly
         self.ring = ring
@@ -49,14 +52,14 @@ class LimitElem(RingElem):
 
     def __add__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, a.poly + b.poly, self.ring)
+        return LimitElem(a.level, a.poly + b.poly, self.ring, _checked=True)
 
     def __neg__(self):
-        return LimitElem(self.level, -self.poly, self.ring)
+        return LimitElem(self.level, -self.poly, self.ring, _checked=True)
 
     def __mul__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, a.poly * b.poly, self.ring)
+        return LimitElem(a.level, a.poly * b.poly, self.ring, _checked=True)
 
     def __pow__(self, n: int):
         # one level throughout, so the inner polynomial's power is the power
@@ -90,7 +93,7 @@ def lr_lift(e: LimitElem, m: int) -> LimitElem:
     p = e.poly
     for _ in range(m - e.level):
         p = p.compose(_PHI)
-    return LimitElem(m, p, e.ring)
+    return LimitElem(m, p, e.ring, _checked=True)
 
 
 class LimitRing(RingHandle):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .core import hnf2_with_transform
 
@@ -205,6 +205,9 @@ def v_mul(a, b):
         ca, cb = a[1], b[1]
         if not ca or not cb:
             return ("poly", ())
+        if all(c[0] == "rat" for c in ca + cb):
+            (na, da), (nb, db) = _ints([c[1] for c in ca]), _ints([c[1] for c in cb])
+            return ("poly", _pstrip(("rat", Fraction(c, da * db)) for c in _imul(na, nb)))
         out = [None] * (len(ca) + len(cb) - 1)
         for i, x in enumerate(ca):
             for j, y in enumerate(cb):
@@ -233,10 +236,8 @@ def v_mul(a, b):
         ca, cb = la[2], lb[2]
         if not ca or not cb:
             return ("lim", la[1], ())
-        out = [Fraction(0)] * (len(ca) + len(cb) - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                out[i + j] += x * y
+        (na, da), (nb, db) = _ints(ca), _ints(cb)
+        out = [Fraction(c, da * db) for c in _imul(na, nb)]
         while out and out[-1] == 0:
             out.pop()
         return ("lim", la[1], tuple(out))
@@ -335,23 +336,69 @@ def _lim_common(a, b):
 
 
 def _lim_lift(a, n):
-    coeffs = list(a[2])
-    for _ in range(n - a[1]):
-        acc = []
-        for c in reversed(coeffs):
-            # acc = acc*(x + x^2) + c
-            out = [Fraction(0)] * (len(acc) + 2) if acc else []
-            for i, x in enumerate(acc):
-                out[i + 1] += x
-                out[i + 2] += x
-            if not out:
-                out = [Fraction(0)]
-            out[0] += c
-            while out and out[-1] == 0:
-                out.pop()
-            acc = out
-        coeffs = acc
-    return ("lim", n, tuple(coeffs))
+    if n == a[1] or not a[2]:
+        return ("lim", n, a[2])
+    nums, den = _ints(a[2])
+    while nums and not nums[-1]:
+        nums.pop()
+    for _ in range(n - a[1] if len(nums) > 1 else 0):
+        # p(x + x^2) packed at 2^w is p evaluated at 2^w + 2^(2w); each of its
+        # coefficients is at most sum(|p_i| * 2^i) in absolute value
+        w = _ieval([abs(c) for c in nums], 2).bit_length() + 1
+        nums = _iunpack(_ieval(nums, (1 << w) + (1 << 2 * w)), w, 2 * len(nums) - 1)
+    return ("lim", n, tuple(Fraction(c, den) for c in nums))
+
+
+# --------------------------------------------- integer polynomial arithmetic
+# Polynomials over Q are multiplied and lifted on integer vectors: one common
+# denominator per operand, the vector packed into one integer with w bits per
+# slot, one big-integer product, and the slots read back.  These routines are
+# the checker's own, written apart from the producer's polynomial kernel.
+
+
+def _ints(cs):
+    """Integer numerators over one common denominator of the Fractions cs."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _ipack(v, w):
+    """sum(v[i] << (w*i)), pairing neighbours."""
+    v = list(v)
+    while len(v) > 1:
+        if len(v) & 1:
+            v.append(0)
+        v = [lo + (hi << w) for lo, hi in zip(v[::2], v[1::2])]
+        w *= 2
+    return v[0]
+
+
+def _ieval(v, x):
+    """sum(v[i] * x**i), pairing neighbours so the big products are balanced."""
+    v = list(v)
+    while len(v) > 1:
+        if len(v) & 1:
+            v.append(0)
+        v = [lo + x * hi for lo, hi in zip(v[::2], v[1::2])]
+        x *= x
+    return v[0]
+
+
+def _iunpack(p, w, n):
+    """The n signed w-bit slots of p, each of absolute value < 2^(w-1)."""
+    if n == 1:
+        return [p]
+    h = n // 2
+    lo = p & ((1 << (w * h)) - 1)
+    if lo >> (w * h - 1):
+        lo -= 1 << (w * h)
+    return _iunpack(lo, w, h) + _iunpack((p - lo) >> (w * h), w, n - h)
+
+
+def _imul(a, b):
+    """The product of two nonempty integer coefficient lists."""
+    w = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
+    return _iunpack(_ipack(a, w) * _ipack(b, w), w, len(a) + len(b) - 1)
 
 
 # ----------------------------------------------------- quadratic lattices
