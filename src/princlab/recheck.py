@@ -4,7 +4,9 @@ This module shares one routine with the producing modules: the integer
 lattice reduction `core.hnf2_with_transform`, which it uses to put ideal
 lattices in Hermite normal form.  Everything else is its own: it decodes the
 JSON report into its own tagged values and re-derives every claimed identity
-with `fractions` and that routine.  A passing recheck therefore means the
+with `fractions`, its own integer polynomial products (written apart from
+the producer's `Poly` kernel; a test checks that this module imports nothing
+else from the package) and that routine.  A passing recheck therefore means the
 certificates stand on their own, not that the producer agrees with itself,
 up to that one shared routine.
 """

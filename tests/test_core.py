@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from princlab import core
 from princlab.core import (
@@ -16,6 +18,7 @@ from princlab.core import (
     sqrt_mod_prime,
     xgcd,
 )
+from princlab.quadring import QuadRat
 
 
 def P(*coeffs):
@@ -199,3 +202,163 @@ def test_solve_int_combination_random():
             sum(c * r[1] for c, r in zip(sol, rows)),
         )
         assert got == target
+
+
+# ------------------------------------------- integer kernel vs schoolbook
+# The schoolbook loops Poly ran before the integer-vector kernel, kept here as
+# the reference.  The kernel must give the same value and the same type for
+# every coefficient: all-int vectors give ints, a Fraction operand gives
+# Fractions, and mixed, QuadRat and Poly-over-Poly vectors take the loops.
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _div(a, c):
+    return Fraction(a, c) if isinstance(a, int) and isinstance(c, int) else a / c
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _strip(out)
+
+
+def ref_sub(a, b):
+    return ref_add(a, tuple(-c for c in b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _strip(out)
+
+
+def ref_compose(p, f):
+    acc = ()
+    for c in reversed(p):
+        acc = ref_add(ref_mul(acc, f), _strip([c]))
+    return acc
+
+
+def ref_divrem(f, g):
+    q, rem, dg, lc = [], list(f), len(g) - 1, g[-1]
+    for k in range(len(rem) - 1 - dg, -1, -1):
+        c = _div(rem[k + dg], lc)
+        q.append(c)
+        if c != 0:
+            for i, gc in enumerate(g):
+                rem[k + i] = rem[k + i] - c * gc
+    q.reverse()
+    return _strip(q), _strip(rem[:dg] if dg > 0 else ())
+
+
+def ref_extended_gcd(f, g):
+    r0, r1, s0, s1, t0, t1 = f, g, (1,), (), (), (1,)
+    while r1:
+        q, r = ref_divrem(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_sub(s0, ref_mul(q, s1))
+        t0, t1 = t1, ref_sub(t0, ref_mul(q, t1))
+    if not r0:
+        return r0, s0, t0
+    lc = r0[-1]
+    return tuple(_strip(_div(c, lc) for c in v) for v in (r0, s0, t0))
+
+
+def typed(cs):
+    return [(type(c), c) for c in cs]
+
+
+def slot_edges():
+    # magnitudes at and next to a slot boundary 2**(w-1), w = 8, 16, ..., 128
+    out = []
+    for w in (8, 16, 24, 32, 64, 128):
+        out += [2 ** (w - 1), 2 ** (w - 1) - 1, 2**w - 1]
+    return out + [2**300]
+
+
+EDGES = slot_edges()
+ints = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.sampled_from(EDGES + [-e for e in EDGES]),
+    st.integers(-(2**300), 2**300),
+)
+fracs = st.builds(Fraction, ints, st.one_of(st.integers(1, 12), st.sampled_from([2**64, 3**40])))
+negs = st.one_of(st.integers(-9, -1), st.sampled_from([-e for e in EDGES]))
+RATIONAL_VECTORS = {
+    "int": st.lists(ints, max_size=7),
+    "fraction": st.lists(fracs, max_size=7),
+    "negative int": st.lists(negs, max_size=7),
+    "negative fraction": st.lists(negs.map(Fraction), max_size=7),
+    "mixed": st.lists(st.one_of(ints, fracs), max_size=7),
+}
+rational = st.one_of(*RATIONAL_VECTORS.values())
+quad = st.lists(st.builds(QuadRat, st.integers(-3, 3), st.integers(-3, 3), st.just(-5)), max_size=4)
+poly_over_poly = st.lists(st.lists(st.integers(-3, 3), max_size=3).map(Poly), max_size=4)
+
+
+@pytest.mark.parametrize("kind", list(RATIONAL_VECTORS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_product_and_compose_match_schoolbook(kind, data):
+    a = _strip(data.draw(RATIONAL_VECTORS[kind]))
+    b = _strip(data.draw(rational))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert typed((Poly(x) * Poly(y)).coeffs) == typed(ref_mul(x, y))
+        assert typed(Poly(x).compose(Poly(y)).coeffs) == typed(ref_compose(x, y))
+
+
+@pytest.mark.parametrize("vectors", [quad, poly_over_poly], ids=["QuadRat", "Poly"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generic_coefficients_match_schoolbook(vectors, data):
+    a = _strip(data.draw(vectors))
+    b = _strip(data.draw(st.one_of(vectors, st.lists(st.integers(-3, 3), max_size=3))))
+    for x, y in ((a, b), (b, a)):
+        assert typed((Poly(x) * Poly(y)).coeffs) == typed(ref_mul(x, y))
+        assert typed(Poly(x).compose(Poly(y)).coeffs) == typed(ref_compose(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=rational, g=rational)
+def test_kernel_division_and_gcd_match_schoolbook(f, g):
+    f, g = _strip(f), _strip(g)
+    if g:
+        q, r = poly_divrem(Poly(f), Poly(g))
+        rq, rr = ref_divrem(f, g)
+        assert (typed(q.coeffs), typed(r.coeffs)) == (typed(rq), typed(rr))
+    got = poly_extended_gcd(Poly(f), Poly(g))
+    assert [typed(v.coeffs) for v in got] == [typed(v) for v in ref_extended_gcd(f, g)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=quad, g=quad)
+def test_quadratic_gcd_matches_schoolbook(f, g):
+    f, g = _strip(f), _strip(g)
+    got = poly_extended_gcd(Poly(f), Poly(g))
+    assert [typed(v.coeffs) for v in got] == [typed(v) for v in ref_extended_gcd(f, g)]
+
+
+def test_slot_width_is_tight_at_its_edge():
+    # one product coefficient equals the bound 2**(w-1) - 1 exactly, and the
+    # slot chosen for it has w bits
+    for w in (8, 16, 64, 128):
+        edge = 2 ** (w - 1) - 1
+        assert core._slot_bytes(edge) * 8 == w
+        for sign in (1, -1):
+            a, b = [sign * edge, 0, -sign * edge], [1]
+            assert (Poly(a) * Poly(b)).coeffs == tuple(a)
+            assert core._unpack(core._pack(a, w // 8), w // 8, 3) == a

@@ -75,6 +75,17 @@ def test_derived_operators(kind):
     check()
 
 
+def test_power_forms_only_the_products_it_needs(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    x = Poly.x()
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        calls.clear()
+        assert x**n == Poly((0,) * n + (1,))
+        assert len(calls) == products, n
+
+
 HANDLES = [
     ZZ, IntegerRing(), QQ, RationalField(), QQ_POLY, RationalPolyRing(),
     LocalizedIntegers([2]), LocalizedIntegers([3]), LocalizedIntegers([2, 3]),
