@@ -347,7 +347,6 @@ def _int_divrem(f, g):
     return q, r[:dg], s
 
 
-
 class Poly(RingElem):
     """Dense univariate polynomial with ascending coefficients.
 
@@ -458,7 +457,9 @@ class Poly(RingElem):
 
     def compose(self, other: "Poly") -> "Poly":
         p, f = self.degree, other.degree
-        pi = _integral(self.coeffs) if p > 0 and f > 0 else None
+        if p <= 0:
+            return self
+        pi = _integral(self.coeffs) if f > 0 else None
         fi = _integral(other.coeffs) if pi is not None else None
         if fi is None:
             acc = Poly()

@@ -382,7 +382,8 @@ def _ieval(v, x):
         if len(v) & 1:
             v.append(0)
         v = [lo + x * hi for lo, hi in zip(v[::2], v[1::2])]
-        x *= x
+        if len(v) > 1:
+            x *= x
     return v[0]
 
 
