@@ -678,9 +678,6 @@ class RatFunc(RingElem):
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc(self.den, self.num) ** (-n)

@@ -1,10 +1,24 @@
-"""Expression grammar for CLI element input, one evaluation mode per ring
-family.
+"""Expression grammar for CLI element input, evaluated through the ring handle.
 
-Grammar: integers, `sqrt(d)`, `X^(p/q)` (monoid exponents), `Y` (pullback),
-`x_n` (limit levels), `X0 X1 X2` (sphere), `X` (polynomials), `y` (subring
-witnesses), operators + - * / ^ and parentheses.  Errors carry the 0-based
-position in the input string.
+Grammar: integers, `sqrt(d)`, symbols (`X`, `Y`, `x_n`, `X0 X1 X2`, `y`),
+operators + - * / ^ and parentheses.  An exponent is an integer or a
+parenthesized expression over Q; a `sqrt` argument is an expression over Q.
+Errors carry the 0-based position in the input string.
+
+One evaluator serves every ring.  It works in the handle's working domain
+(Q for Z, Q(sqrt(d)) for Z[sqrt(d)], Q(X) for Q[X], Q(Y) for the pullback,
+the same family over Q for D[X;S] and the limit ring, B2 for B2) through
+four handle hooks:
+
+- `field_coerce(n)`: the integer n as a working-domain value;
+- `symbol(name)`: the symbol's value, None for a name the ring does not
+  know, or, for a symbol whose powers are monomials (X in D[X;S]), a
+  function from the rational exponent to that monomial;
+- `field_sqrt(d)`: sqrt(d) as a working-domain value (Z[sqrt(d)], pullback);
+- `from_field(v)`: map the result back into the ring, raising a ValueError
+  that says why when it lies outside.
+
+Membership is checked once, by `from_field`, so its errors sit at position 0.
 """
 
 from __future__ import annotations
@@ -12,13 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import Poly, RatFunc
-from .limitring import LimitRing
-from .monoidring import MonoidError, MonoidRing
-from .pullback import PullbackError, PullbackRing, pb_member
-from .quadring import QuadOrder, QuadRat
-from .rings import IntegerRing, RationalField, RationalPolyRing
-from .sphere import SphereElem, SphereRing
+from .rings import QQ, RationalPolyRing
 
 
 class ParseError(ValueError):
@@ -55,11 +63,11 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, ev):
-        self.text = text
+    """Recursive descent; every production evaluates in the ring it is given."""
+
+    def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
-        self.ev = ev
 
     def peek(self):
         return self.toks[self.i]
@@ -69,61 +77,80 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept_op(self, op) -> bool:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == op:
+            self.i += 1
+            return True
+        return False
+
     def expect_op(self, op):
         kind, text, pos = self.peek()
         if kind != "op" or text != op:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self):
-        value = self.expr()
+    def parse(self, ring):
+        value = self.expr(ring)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return value
 
-    def expr(self):
-        value = self.term()
+    def rational(self) -> Fraction:
+        """A parenthesized exponent or a sqrt argument: an expression over Q."""
+        value = self.expr(QQ)
+        self.expect_op(")")
+        return value
+
+    def expr(self, ring):
+        value = self.term(ring)
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
+                rhs = self.term(ring)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
-    def term(self):
-        value = self.unary()
+    def term(self, ring):
+        value = self.unary(ring)
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                rhs = self.unary()
-                value = value * rhs if text == "*" else self.ev.div(value, rhs, pos)
+                rhs = self.unary(ring)
+                value = value * rhs if text == "*" else _divide(value, rhs, pos)
             else:
                 return value
 
-    def unary(self):
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return -self.unary()
-        if kind == "op" and text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+    def unary(self, ring):
+        if self.accept_op("-"):
+            return -self.unary(ring)
+        if self.accept_op("+"):
+            return self.unary(ring)
+        return self.power(ring)
 
-    def power(self):
-        value, tag = self.atom()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            exp = self.exponent()
-            return self.ev.pow(value, tag, exp, pos)
-        if tag is not None:
-            return self.ev.pow(value, tag, Fraction(1), self.peek()[2])
-        return value
+    def power(self, ring):
+        _, _, start = self.peek()
+        value = self.atom(ring)
+        _, _, pos = self.peek()
+        exp = self.exponent() if self.accept_op("^") else None
+        if callable(value):
+            # the exponent picks the monomial, so any rational is allowed
+            try:
+                return value(Fraction(1) if exp is None else exp)
+            except ValueError as exc:
+                raise ParseError(str(exc), start) from None
+        if exp is None:
+            return value
+        if exp.denominator != 1:
+            raise ParseError("fractional exponents only apply to X in monoid rings", pos)
+        try:
+            return value ** int(exp)
+        except (ValueError, ArithmeticError):
+            raise ParseError("negative power is not invertible here", pos) from None
 
     def exponent(self) -> Fraction:
         kind, text, pos = self.peek()
@@ -133,311 +160,69 @@ class _Parser:
         if kind == "num":
             self.advance()
             return Fraction(int(text))
-        if kind == "op" and text == "(":
-            self.advance()
-            val = self.numeric_expr()
-            self.expect_op(")")
-            return val
+        if self.accept_op("("):
+            return self.rational()
         raise ParseError("expected an exponent", pos)
 
-    def numeric_expr(self) -> Fraction:
-        value = self.numeric_term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.numeric_term()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
-
-    def numeric_term(self) -> Fraction:
-        value = self.numeric_atom()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.numeric_atom()
-                if text == "/":
-                    if rhs == 0:
-                        raise ParseError("division by zero", pos)
-                    value = value / rhs
-                else:
-                    value = value * rhs
-            else:
-                return value
-
-    def numeric_atom(self) -> Fraction:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return -self.numeric_atom()
+    def atom(self, ring):
+        kind, text, pos = self.advance()
         if kind == "num":
-            self.advance()
-            return Fraction(int(text))
+            return ring.field_coerce(int(text))
         if kind == "op" and text == "(":
-            self.advance()
-            v = self.numeric_expr()
+            value = self.expr(ring)
             self.expect_op(")")
-            return v
-        raise ParseError("expected a number", pos)
-
-    def atom(self):
-        kind, text, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            return self.ev.number(int(text)), None
-        if kind == "op" and text == "(":
-            self.advance()
-            v = self.expr()
-            self.expect_op(")")
-            return v, None
+            return value
+        if kind == "name" and text == "sqrt":
+            self.expect_op("(")
+            d = self.rational()
+            if d.denominator != 1:
+                raise ParseError("sqrt argument must be an integer", pos)
+            if not hasattr(ring, "field_sqrt"):
+                raise ParseError("sqrt() is not available in this ring", pos)
+            return _hook(ring.field_sqrt, int(d), pos)
         if kind == "name":
-            self.advance()
-            if text == "sqrt":
-                self.expect_op("(")
-                d = self.numeric_expr()
-                _, _, cpos = self.expect_op(")")
-                if d.denominator != 1:
-                    raise ParseError("sqrt argument must be an integer", pos)
-                return self.ev.sqrt(int(d), pos), None
-            return self.ev.name(text, pos)
+            symbol = getattr(ring, "symbol", None)
+            value = None if symbol is None else _hook(symbol, text, pos)
+            if value is None:
+                raise ParseError(f"unknown symbol {text!r}", pos)
+            return value
         raise ParseError(f"unexpected {text!r}", pos)
 
 
-class _BaseEval:
-    """Evaluation hooks; subclasses pick the working value domain."""
-
-    def number(self, n: int):
-        raise NotImplementedError
-
-    def sqrt(self, d: int, pos: int):
-        raise ParseError("sqrt() is not available in this ring", pos)
-
-    def name(self, name: str, pos: int):
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def div(self, a, b, pos: int):
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise ParseError("division by zero", pos) from None
-
-    def pow(self, value, tag, exp: Fraction, pos: int):
-        if exp.denominator != 1:
-            raise ParseError("fractional exponents only apply to X in monoid rings", pos)
-        n = int(exp)
-        if n < 0:
-            try:
-                return value ** n
-            except (ValueError, ZeroDivisionError, ArithmeticError):
-                raise ParseError("negative power is not invertible here", pos) from None
-        return value**n
-
-    def finalize(self, value):
-        raise NotImplementedError
+def _hook(fn, arg, pos):
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
-class _RationalEval(_BaseEval):
-    def number(self, n):
-        return Fraction(n)
-
-    def finalize(self, value):
-        return value
-
-
-class _IntEval(_RationalEval):
-    def finalize(self, value):
-        if value.denominator != 1:
-            raise ParseError(f"{value} lies outside Z", 0)
-        return int(value)
+def _divide(a, b, pos):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise ParseError("division by zero", pos) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
-class _QuadEval(_BaseEval):
-    def __init__(self, ring: QuadOrder):
-        self.ring = ring
-
-    def number(self, n):
-        return QuadRat(Fraction(n), Fraction(0), self.ring.d)
-
-    def sqrt(self, d, pos):
-        if d != self.ring.d:
-            raise ParseError(f"sqrt({d}) does not live in {self.ring}", pos)
-        return QuadRat(Fraction(0), Fraction(1), d)
-
-    def finalize(self, value):
-        elem = value.to_int_elem()
-        if elem is None:
-            raise ParseError(f"element has non-integer coordinates ({value.x}, {value.y})", 0)
-        return elem
-
-
-class _QPolyEval(_BaseEval):
-    var = "X"
-
-    def number(self, n):
-        return RatFunc(Poly((Fraction(n),)))
-
-    def name(self, name, pos):
-        if name == self.var:
-            return RatFunc(Poly((Fraction(0), Fraction(1)))), None
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def finalize(self, value):
-        if not value.is_poly():
-            raise ParseError("element is a proper rational function, not a polynomial", 0)
-        return value.num
-
-
-class _YPolyEval(_QPolyEval):
-    var = "y"
-
-
-class _PullbackEval(_BaseEval):
-    def __init__(self, ring: PullbackRing):
-        self.ring = ring
-
-    def number(self, n):
-        return RatFunc(Poly((self.ring.base.field_coerce(n),)))
-
-    def sqrt(self, d, pos):
-        base = self.ring.base
-        if not isinstance(base, QuadOrder) or base.d != d:
-            raise ParseError(f"sqrt({d}) does not live in the base {base}", pos)
-        return RatFunc(Poly((QuadRat(Fraction(0), Fraction(1), d),)))
-
-    def name(self, name, pos):
-        if name == "Y":
-            one = self.ring.base.field_coerce(1)
-            zero = self.ring.base.field_coerce(0)
-            return RatFunc(Poly((zero, one))), None
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def finalize(self, value):
-        try:
-            elem = pb_member(value, self.ring)
-        except PullbackError as exc:
-            raise ParseError(str(exc), 0) from None
-        if elem is None:
-            raise ParseError(f"value at Y=0 lies outside the base {self.ring.base}", 0)
-        return elem
-
-
-class _MonoidEval(_BaseEval):
-    def __init__(self, ring: MonoidRing):
-        self.ring = ring
-
-    def number(self, n):
-        return self.ring.coerce(n)
-
-    def name(self, name, pos):
-        if name == "X":
-            return None, ("X", pos)
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def pow(self, value, tag, exp, pos):
-        if tag is not None and tag[0] == "X":
-            try:
-                return self.ring.monomial(exp)
-            except MonoidError as exc:
-                raise ParseError(str(exc), tag[1]) from None
-        return super().pow(value, tag, exp, pos)
-
-    def div(self, a, b, pos):
-        if isinstance(b, Fraction) or len(getattr(b, "terms", ())) == 1 and b.terms[0][0] == 0:
-            c = b.terms[0][1] if not isinstance(b, Fraction) else b
-            if c == 0:
-                raise ParseError("division by zero", pos)
-            try:
-                return a * self.ring.coerce(Fraction(1) / c)
-            except MonoidError as exc:
-                raise ParseError(str(exc), pos) from None
-        raise ParseError("division is only available by nonzero constants", pos)
-
-    def finalize(self, value):
-        return value
-
-
-class _LimitEval(_BaseEval):
-    def __init__(self, ring: LimitRing):
-        self.ring = ring
-
-    def number(self, n):
-        return self.ring.coerce(Fraction(n)) if isinstance(self.ring.base, RationalField) else self.ring.coerce(n)
-
-    def name(self, name, pos):
-        m = re.fullmatch(r"x_(\d+)", name)
-        if m:
-            level = int(m.group(1))
-            if level < 1:
-                raise ParseError("levels start at 1", pos)
-            return self.ring.gen(level), None
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def div(self, a, b, pos):
-        if isinstance(b, Fraction) or (getattr(b, "poly", None) is not None and b.poly.degree == 0):
-            c = b if isinstance(b, Fraction) else b.poly.coeffs[0]
-            if c == 0:
-                raise ParseError("division by zero", pos)
-            try:
-                return a * self.ring.coerce(Fraction(1) / c)
-            except Exception as exc:
-                raise ParseError(str(exc), pos) from None
-        raise ParseError("division is only available by nonzero constants", pos)
-
-    def finalize(self, value):
-        return value if not isinstance(value, Fraction) else self.ring.coerce(value)
-
-
-class _SphereEval(_BaseEval):
-    def __init__(self, ring: SphereRing):
-        self.ring = ring
-
-    def number(self, n):
-        return SphereElem.const(n)
-
-    def name(self, name, pos):
-        if name in ("X0", "X1", "X2"):
-            return self.ring.x(int(name[1])), None
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def div(self, a, b, pos):
-        if isinstance(b, SphereElem) and self.ring.is_unit(b):
-            return a * SphereElem.const(Fraction(1) / b.f.terms[(0, 0)])
-        raise ParseError("division is only available by nonzero constants", pos)
-
-    def finalize(self, value):
-        return value if isinstance(value, SphereElem) else SphereElem.const(value)
-
-
-def evaluator_for(ring):
-    if isinstance(ring, IntegerRing):
-        return _IntEval()
-    if isinstance(ring, RationalField):
-        return _RationalEval()
-    if isinstance(ring, QuadOrder):
-        return _QuadEval(ring)
-    if isinstance(ring, RationalPolyRing):
-        return _QPolyEval()
-    if isinstance(ring, PullbackRing):
-        return _PullbackEval(ring)
-    if isinstance(ring, MonoidRing):
-        return _MonoidEval(ring)
-    if isinstance(ring, LimitRing):
-        return _LimitEval(ring)
-    if isinstance(ring, SphereRing):
-        return _SphereEval(ring)
-    raise ParseError(f"no expression grammar for {ring}", 0)
+def _evaluate(text: str, ring):
+    if not hasattr(ring, "field_coerce"):
+        raise ParseError(f"no expression grammar for {ring}", 0)
+    value = _Parser(text).parse(ring)
+    try:
+        return ring.from_field(value)
+    except ValueError as exc:
+        raise ParseError(str(exc), 0) from None
 
 
 def parse_element(text: str, ring):
     """Exact ring element from an expression, or a positioned ParseError."""
-    ev = evaluator_for(ring)
-    value = _Parser(text, ev).parse()
-    return ev.finalize(value)
+    return _evaluate(text, ring)
 
 
-def parse_ypoly(text: str) -> Poly:
+def parse_ypoly(text: str):
     """Polynomial in y over Q (subring-witness input)."""
-    ev = _YPolyEval()
-    return ev.finalize(_Parser(text, ev).parse())
+    return _evaluate(text, _Y_POLY)
+
+
+_Y_POLY = RationalPolyRing("y")

@@ -117,11 +117,10 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
     lam, mu = cert.lam, cert.mu
     if lam * fa + mu * fb != ring.field_coerce(ring.one):
         raise CertificateError("Bezout certificate does not evaluate to 1")
-    products = [lam * fa, lam * fb, mu * fa, mu * fb]
-    in_ring = [ring.from_field(p) for p in products]
-    if any(p is None for p in in_ring):
-        raise CertificateError("lam, mu do not lie in the inverse ideal")
-    pa, pb, wit, _ = in_ring
+    try:
+        pa, pb, wit, _ = [ring.from_field(p) for p in (lam * fa, lam * fb, mu * fa, mu * fb)]
+    except ValueError:
+        raise CertificateError("lam, mu do not lie in the inverse ideal") from None
     pair = IdemPair(ring, pa, pb, "ab", wit)
     if not pair.verify():
         raise CertificateError("derived pair fails the defining relation")

@@ -10,11 +10,12 @@ comes with explicit Bezout certificates that re-evaluate to 1 exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
-from .rings import IntegerRing, RationalField
+from .rings import QQ, IntegerRing, RationalField
 
 
 class LimitError(ValueError):
@@ -65,6 +66,12 @@ class LimitElem(RingElem):
         # one level throughout, so the inner polynomial's power is the power
         return LimitElem(self.level, self.poly**n, self.ring)
 
+    def __truediv__(self, other):
+        o = other if isinstance(other, LimitElem) else self.ring.coerce(other)
+        if o.poly.degree != 0:
+            raise LimitError("division is only available by nonzero constants")
+        return LimitElem(self.level, self.poly / o.poly.coeffs[0], self.ring)
+
     def __eq__(self, other):
         try:
             a, b = self._lift_pair(other)
@@ -105,6 +112,8 @@ class LimitRing(RingHandle):
         if not isinstance(base, (RationalField, IntegerRing)):
             raise LimitError(f"unsupported base {base!r}")
         self.base = base
+        # the expression grammar's working domain: the same ring over Q
+        self._over_q = self if isinstance(base, RationalField) else LimitRing(QQ)
 
     @property
     def zero(self):
@@ -139,6 +148,16 @@ class LimitRing(RingHandle):
             # exact over Frac(D) but coefficients leave D; lifting cannot fix
             # that (top-down induction on the even-degree coefficients)
             return None
+
+    def field_coerce(self, v):
+        return self._over_q.coerce(v)
+
+    def symbol(self, name):
+        m = re.fullmatch(r"x_(\d+)", name)
+        return self._over_q.gen(int(m.group(1))) if m else None
+
+    def from_field(self, v):
+        return LimitElem(v.level, v.poly, self)
 
     def is_unit(self, x) -> bool:
         return (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
-from .rings import IntegerRing, LocalizedIntegers, RationalField
+from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
 
 
 class MonoidError(ValueError):
@@ -119,6 +119,13 @@ class MonoidElem(RingElem):
     def _one(self):
         return self.ring.one
 
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if len(o.terms) != 1 or o.terms[0][0] != 0:
+            raise MonoidError("division is only available by nonzero constants")
+        c = o.terms[0][1]
+        return MonoidElem(tuple((e, v / c) for e, v in self.terms), self.ring)
+
     def __eq__(self, other):
         if isinstance(other, MonoidElem):
             return self.ring == other.ring and self.terms == other.terms
@@ -173,6 +180,8 @@ class MonoidRing(RingHandle):
             raise MonoidError("group mode needs the field base Q")
         self.base = base
         self.desc = desc
+        # the expression grammar's working domain: the same S over Q
+        self._over_q = self if isinstance(base, RationalField) else MonoidRing(QQ, desc)
 
     @property
     def zero(self):
@@ -209,6 +218,16 @@ class MonoidRing(RingHandle):
             return _from_poly(q, t, shift, self)
         except MonoidError:
             return None
+
+    def field_coerce(self, v):
+        return self._over_q.coerce(v)
+
+    def symbol(self, name):
+        # X^e is a monomial for every e in S, not a power of X
+        return self._over_q.monomial if name == "X" else None
+
+    def from_field(self, v):
+        return MonoidElem(v.terms, self)
 
     def is_unit(self, x) -> bool:
         if not isinstance(x, MonoidElem) or len(x.terms) != 1:

@@ -34,9 +34,10 @@ class PullbackElem(RingElem):
         if den0 == 0:
             raise PullbackError("pole at Y=0: not in the valuation ring")
         v0 = rf.eval(0)
-        inside = ring.base.from_field(v0)
-        if inside is None:
-            raise PullbackError(f"value at 0 ({v0}) lies outside the base ring")
+        try:
+            inside = ring.base.from_field(v0)
+        except ValueError:
+            raise PullbackError(f"value at 0 ({v0}) lies outside the base ring") from None
         self.rf = rf
         self.ring = ring
         self.value0 = inside
@@ -139,6 +140,24 @@ class PullbackRing(RingHandle):
         q = a.rf / b.rf
         # a pole at Y=0 puts a/b outside V, so b does not divide a in R
         return None if q.den.constant_term() == 0 else pb_member(q, self)
+
+    # the expression grammar works in Q(Y), Q = Frac(D)
+    def field_coerce(self, v):
+        return RatFunc(Poly((self._const_field(v),)))
+
+    def symbol(self, name):
+        return self.y().rf if name == "Y" else None
+
+    def field_sqrt(self, d):
+        if not isinstance(self.base, QuadOrder) or self.base.d != d:
+            raise PullbackError(f"sqrt({d}) does not live in the base {self.base}")
+        return self.field_coerce(self.base.field_sqrt(d))
+
+    def from_field(self, rf):
+        elem = pb_member(rf, self)
+        if elem is None:
+            raise PullbackError(f"value at Y=0 lies outside the base {self.base}")
+        return elem
 
     def is_unit(self, x) -> bool:
         return isinstance(x, PullbackElem) and pb_is_unit(x)

@@ -589,13 +589,16 @@ class QuadOrder(RingHandle):
         return QuadRat(Fraction(v), Fraction(0), self.d)
 
     def from_field(self, q):
-        if isinstance(q, QuadRat):
-            return q.to_int_elem()
-        if isinstance(q, int):
-            return QuadElem(q, 0, self.d)
-        if isinstance(q, Fraction):
-            return QuadElem(int(q), 0, self.d) if q.denominator == 1 else None
-        return None
+        q = self.field_coerce(q)
+        elem = q.to_int_elem()
+        if elem is None:
+            raise QuadError(f"element has non-integer coordinates ({q.x}, {q.y})")
+        return elem
+
+    def field_sqrt(self, d):
+        if d != self.d:
+            raise QuadError(f"sqrt({d}) does not live in {self}")
+        return QuadRat(Fraction(0), Fraction(1), d)
 
     # ideal-theoretic hooks for the engines (see `rings`)
     def inverse_bezout(self, a, b):

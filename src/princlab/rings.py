@@ -64,11 +64,9 @@ class IntegerRing(RingHandle):
         return Fraction(v)
 
     def from_field(self, q):
-        if isinstance(q, Fraction) and q.denominator == 1:
-            return int(q)
-        if isinstance(q, int):
-            return q
-        return None
+        if Fraction(q).denominator != 1:
+            raise ValueError(f"{q} lies outside Z")
+        return int(q)
 
     def inverse_bezout(self, a, b):
         if a == 0 and b == 0:
@@ -108,9 +106,13 @@ class IntegerRing(RingHandle):
 
 
 class RationalPolyRing(RingHandle):
-    """Q[X]: dense polynomials with Fraction coefficients."""
+    """Q[X]: dense polynomials with Fraction coefficients.  `var` names the
+    variable for the expression grammar only."""
 
     family = "qpoly"
+
+    def __init__(self, var: str = "X"):
+        self.var = var
 
     @property
     def zero(self):
@@ -142,9 +144,12 @@ class RationalPolyRing(RingHandle):
         return RatFunc(self.coerce(v))
 
     def from_field(self, q):
-        if isinstance(q, RatFunc):
-            return q.num if q.is_poly() else None
-        return None
+        if not q.is_poly():
+            raise ValueError("element is a proper rational function, not a polynomial")
+        return q.num
+
+    def symbol(self, name):
+        return RatFunc(Poly((Fraction(0), Fraction(1)))) if name == self.var else None
 
     def inverse_bezout(self, a, b):
         d, s, t = poly_extended_gcd(a, b)
@@ -156,7 +161,7 @@ class RationalPolyRing(RingHandle):
         return {"family": "qpoly"}
 
     def __str__(self):
-        return "Q[X]"
+        return f"Q[{self.var}]"
 
 
 class RationalField(RingHandle):
@@ -168,6 +173,8 @@ class RationalField(RingHandle):
 
     def coerce(self, v):
         return Fraction(v)
+
+    field_coerce = from_field = coerce
 
     def contains_rat(self, q: Fraction) -> bool:
         return True

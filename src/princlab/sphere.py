@@ -217,6 +217,12 @@ class SphereElem(RingElem):
     def _one(self):
         return SphereElem.const(1)
 
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if not B2.is_unit(o):
+            raise SphereError("division is only available by nonzero constants")
+        return self * SphereElem.const(1 / o.f.terms[(0, 0)])
+
     def __eq__(self, other):
         o = self._lift(other)
         return self.f == o.f and self.g == o.g
@@ -267,6 +273,12 @@ class SphereRing(RingHandle):
         if isinstance(v, SphereElem):
             return v
         return SphereElem.const(v)
+
+    # B2 is its own working domain for the expression grammar
+    field_coerce = from_field = coerce
+
+    def symbol(self, name):
+        return self.x(int(name[1])) if name in ("X0", "X1", "X2") else None
 
     def divides(self, b: SphereElem, a: SphereElem):
         if not b:

@@ -144,3 +144,18 @@ def test_recheck_accepts_integer_values_in_a_quadratic_base(capsys):
         result["ca"]["num"]["coeffs"] = [{"type": "rat", "value": "1/2"}]
 
     assert "ca is not a member of the pullback (value at 0)" in _tampered_fails(report, half_at_zero)
+
+
+@pytest.mark.parametrize(
+    "argv,undivided",
+    [
+        (["limitring", "eval", "--ring", "limitring:Z", "6/3"], "2"),
+        (["idem", "check", "--ring", "Z[X;S]", "2*X^(1/2)/2", "1-X^(1/2)"], "X^(1/2)"),
+    ],
+)
+def test_exact_division_by_a_constant_over_z(capsys, argv, undivided):
+    code, out, err = run_cli(capsys, "--recheck", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["recheck"] == "passed"
+    argv = [undivided if a == argv[4] else a for a in argv]
+    assert run_cli(capsys, "--recheck", *argv) == (code, out, err)

@@ -147,12 +147,12 @@ CASES = [
     ('Q[X;S]', 'X^2^2', "unexpected '^' (at position 3)"),
     ('Z[X;S]', 'X^(1/2)', monoid(('1/2', '1'))),
     ('Z[X;S]', '1-X^(1/2)', monoid(('0', '1'), ('1/2', '-1'))),
-    ('Z[X;S]', '2*X^(1/2)/2', 'coefficient 1/2 outside Z (at position 9)'),
-    ('Z[X;S]', '6/3', 'coefficient 1/3 outside Z (at position 1)'),
-    ('Z[X;S]', 'X/2', 'coefficient 1/2 outside Z (at position 1)'),
+    ('Z[X;S]', '2*X^(1/2)/2', monoid(('1/2', '1'))),
+    ('Z[X;S]', '6/3', monoid(('0', '2'))),
+    ('Z[X;S]', 'X/2', 'coefficient 1/2 outside Z (at position 0)'),
     ('Z[X;S]', '2^-1', 'negative power is not invertible here (at position 1)'),
     ('Z[1/2][X;S]', 'X/2', monoid(('1', '1/2'))),
-    ('Z[1/2][X;S]', 'X/3', 'coefficient 1/3 outside Z[1/2] (at position 1)'),
+    ('Z[1/2][X;S]', 'X/3', 'coefficient 1/3 outside Z[1/2] (at position 0)'),
     ('Q[X;S] group', 'X^-1', monoid(('-1', '1'))),
     ('Q[X;S] group', 'X^(-1/2)', monoid(('-1/2', '1'))),
     ('Q[X;S] group', 'X*X^-1', monoid(('0', '1'))),
@@ -169,11 +169,11 @@ CASES = [
     ('limitring:Q', 'x_1/0', 'division is only available by nonzero constants (at position 3)'),
     ('limitring:Q', '(x_1+x_2)/3', limit(2, '0', '2/3', '1/3')),
     ('limitring:Q', 'X', "unknown symbol 'X' (at position 0)"),
-    ('limitring:Z', '6/3', 'coefficient 1/3 outside Z (at position 1)'),
-    ('limitring:Z', '2*x_1/2', 'coefficient 1/2 outside Z (at position 5)'),
-    ('limitring:Z', 'x_1/2', 'coefficient 1/2 outside Z (at position 3)'),
+    ('limitring:Z', '6/3', limit(1, '2')),
+    ('limitring:Z', '2*x_1/2', limit(1, '0', '1')),
+    ('limitring:Z', 'x_1/2', 'coefficient 1/2 outside Z (at position 0)'),
     ('limitring:Z', '-x_2^2', limit(2, '0', '0', '-1')),
-    ('limitring:Z', 'x_1/(x_2-x_2+2)', 'coefficient 1/2 outside Z (at position 3)'),
+    ('limitring:Z', 'x_1/(x_2-x_2+2)', 'coefficient 1/2 outside Z (at position 0)'),
     ('B2', 'X0', sphere([], [[0, 0, '1']])),
     ('B2', 'X0^3', sphere([], [[0, 0, '1'], [0, 2, '-1'], [2, 0, '-1']])),
     ('B2', 'X0^2+X1^2+X2^2', sphere([[0, 0, '1']], [])),
@@ -192,6 +192,16 @@ CASES = [
     ('ypoly', 'y^-1', 'element is a proper rational function, not a polynomial (at position 0)'),
     ('ypoly', '1/y', 'element is a proper rational function, not a polynomial (at position 0)'),
     ('ypoly', 'X', "unknown symbol 'X' (at position 0)"),
+    # exponents and sqrt arguments are expressions over Q
+    ('Z', '2^(2^2)', integer('16')),
+    ('Z', '2^(+1)', integer('2')),
+    ('Q[X;S]', 'X^(2^2)', monoid(('4', '1'))),
+    ('Q[X;S]', 'X^(a)', "unknown symbol 'a' (at position 3)"),
+    ('Z[sqrt(-5)]', 'sqrt(X)', "unknown symbol 'X' (at position 5)"),
+    # exact division by a constant stays sparse
+    ('Z[X;S]', '2*(X^(1/2^20)+X^1000000)/2', monoid(('1/1048576', '1'), ('1000000', '1'))),
+    ('Z[X;S]', '(X^(1/2^20)+X^1000000)/2', 'coefficient 1/2 outside Z (at position 0)'),
+    ('Z[X;S]', '(X^(1/2^20)+X^1000000)/X', 'division is only available by nonzero constants (at position 22)'),
 ]
 
 
