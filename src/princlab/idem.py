@@ -86,11 +86,10 @@ def _mat_mul(p, q):
 
 @dataclass
 class BezoutCert:
-    """lam*a + mu*b == 1 with lam, mu in the stated overring."""
+    """lam*a + mu*b == 1 with lam, mu in the inverse ideal (a, b)^-1."""
 
     lam: Any
     mu: Any
-    overring: str = "inverse_ideal"
 
     def to_json(self, enc):
         return {"lam": enc(self.lam), "mu": enc(self.mu)}

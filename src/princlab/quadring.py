@@ -214,14 +214,13 @@ def divides(b: QuadElem, a: QuadElem):
 class QuadIdeal:
     """Nonzero ideal of Z[sqrt(d)] in lattice normal form."""
 
-    __slots__ = ("d", "n", "c", "m", "gens")
+    __slots__ = ("d", "n", "c", "m")
 
-    def __init__(self, d: int, n: int, c: int, m: int, gens=None):
+    def __init__(self, d: int, n: int, c: int, m: int):
         self.d = d
         self.n = n
         self.c = c
         self.m = m
-        self.gens = gens
 
     @property
     def basis(self) -> tuple[QuadElem, QuadElem]:
@@ -314,9 +313,7 @@ def ideal_from_pair(a: QuadElem, b: QuadElem) -> QuadIdeal:
             vecs.append((g.x, g.y))
             gs = g * sqrtd
             vecs.append((gs.x, gs.y))
-    ideal = _from_vectors(a.d, vecs)
-    ideal.gens = (a, b)
-    return ideal
+    return _from_vectors(a.d, vecs)
 
 
 def principal_ideal(g: QuadElem) -> QuadIdeal:
@@ -401,7 +398,6 @@ class PrincipalityVerdict:
     generator_coordinates: tuple[int, int] | None = None
     # search transcript: every norm-equation solution with its outcome
     search: list = field(default_factory=list)
-    invertibility: InvertibilityCert | None = None
 
     @property
     def principal(self) -> bool:
@@ -426,10 +422,9 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
     then (g) is inside I with the same index.  The two basis quotients are
     the certificate that I is inside (g)."""
     validate_d(i.d)
-    inv = ideal_is_invertible(i)
-    if not inv:
+    if not ideal_is_invertible(i):
         # principal ideals are invertible, so no search is needed
-        return PrincipalityVerdict("not_invertible", i, invertibility=inv)
+        return PrincipalityVerdict("not_invertible", i)
     N = i.norm()
     transcript = []
     for x, y in norm_solutions(N, i.d):
@@ -448,12 +443,9 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
                 basis_quotients=(q1, q2),
                 generator_coordinates=coords,
                 search=transcript,
-                invertibility=inv,
             )
         transcript.append({"x": x, "y": y, "generates": False})
-    return PrincipalityVerdict(
-        "non_principal", i, search=transcript, invertibility=inv
-    )
+    return PrincipalityVerdict("non_principal", i, search=transcript)
 
 
 class NonMaximalOrderError(QuadError):

@@ -57,9 +57,6 @@ def dec(e):
 
 # ------------------------------------------------------- generic value ops
 
-_RANK = {"rat": 0, "quad": 1, "poly": 2, "rf": 3}
-
-
 def _promote(v, tag, model):
     if v[0] == tag:
         return v
