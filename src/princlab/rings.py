@@ -1,6 +1,6 @@
 """Ring handles: small descriptor objects giving each supported ring family
-a uniform surface (coerce / divides / is_unit, and fraction-field hooks where
-ideal certificates need them).
+a uniform surface (coerce / divides / is_unit, and working-domain hooks for
+ideal certificates and the expression grammar).
 
 Every handle derives from `core.RingHandle`, so two handles are the same
 ring exactly when their `to_json()` descriptions are equal (the description
@@ -22,6 +22,19 @@ call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
   its Bezout combination, and the combination giving 1;
 - `sort_key(x)`, `associates_of_norm(n)`: factor order and the witness
   hunt's scan.
+
+Every handle but Z[1/p, ...] also has a working domain: Q for Z and Q,
+Q(sqrt(d)) for Z[sqrt(d)], Q(X) for Q[X], Q(Y) for the pullback, the same
+family over Q for D[X;S] and the limit ring, and B2 itself.  `exprparse`
+evaluates there and reaches the family only through these hooks:
+
+- `field_coerce(v)`: an integer (or, for Z, Z[sqrt(d)] and Q[X], a ring
+  element) as a working-domain value;
+- `from_field(q)`: the ring element equal to q, or a ValueError saying why
+  q lies outside the ring;
+- `symbol(name)`: the value of a named generator, None for any other name;
+  for X in D[X;S] it is the function from a rational exponent e to X^e;
+- `field_sqrt(d)`: sqrt(d), on Z[sqrt(d)] and the pullback only.
 
 Handles for the structured families live next to their machinery
 (`quadring.QuadOrder`, `pullback.PullbackRing`, ...); this module holds the

@@ -59,6 +59,14 @@ def test_jobs_out_of_range_is_rejected_before_any_pool(capsys, monkeypatch, jobs
     assert "--jobs" in err
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool of two workers needs two CPUs")
+def test_jobs_pool_prints_what_one_process_prints(capsys):
+    golden = (Path(__file__).parent / "golden" / "comax_factor_batch.out").read_text()
+    assert run_cli(capsys, "--recheck", "--jobs", "2", "comax", "factor", "360", "1001") == (0, golden, "")
+    argv = ["--recheck", "comax", "factor", "--ring", "Z[sqrt(-5)]", "6", "21"]
+    assert run_cli(capsys, "--jobs", "2", *argv) == run_cli(capsys, "--jobs", "1", *argv)
+
+
 def _tampered_fails(report, mutate):
     bad = copy.deepcopy(report)
     mutate(bad["result"])

@@ -1,9 +1,15 @@
 """The expression grammar, pinned: for every `--ring` family and for
 `parse_ypoly`, the `report.enc` form of what an expression parses to, or the
-exact error with its 0-based position."""
+exact error with its 0-based position.  The parser reaches every family
+through the ring handle only, so it imports no engine module."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import princlab
+from princlab import exprparse
 from princlab.cli import parse_ring_spec
 from princlab.exprparse import ParseError, parse_element, parse_ypoly
 from princlab.report import enc
@@ -216,3 +222,21 @@ def outcome(ring, text):
 @pytest.mark.parametrize("ring,text,expected", CASES, ids=[f"{r}|{t}" for r, t, _ in CASES])
 def test_parse(ring, text, expected):
     assert outcome(ring, text) == expected
+
+
+def test_exprparse_imports_only_core_and_rings():
+    # read the source, not the loaded module: an import inside a function
+    # counts as much as one at the top
+    found = set()
+    for node in ast.walk(ast.parse(Path(exprparse.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level > 0:
+                found.update([parts[0]] if node.module else [a.name for a in node.names])
+            elif parts[0] == princlab.__name__:
+                found.update(parts[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == princlab.__name__)
+        elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
+            found.add(node.id)
+    assert found <= {"core", "rings"}
