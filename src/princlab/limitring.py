@@ -67,7 +67,7 @@ class LimitElem(RingElem):
         return LimitElem(self.level, self.poly**n, self.ring)
 
     def __truediv__(self, other):
-        o = other if isinstance(other, LimitElem) else self.ring.coerce(other)
+        o = self.ring.coerce(other)
         if o.poly.degree != 0:
             raise LimitError("division is only available by nonzero constants")
         return LimitElem(self.level, self.poly / o.poly.coeffs[0], self.ring)
