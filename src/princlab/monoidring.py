@@ -6,6 +6,24 @@ the group-ring splitter that kills pseudo-irreducibility.
 S is described by its denominator primes: exponents are the nonnegative
 elements of Z[1/p : p in T] (all of Z[1/p : p in T] in group mode).  Purity
 is automatic: s/p stays in S for any p in T.
+
+Products, exact division and the chain's Euclid certificates run on the
+integer-vector kernel of `core.Poly`.  Two operands are mapped once per
+operation: one lcm L of their exponent denominators turns every exponent
+into an integer, g is the integer gcd of each operand's exponent
+differences, and each operand becomes X^(shift/L) * f(T) with T = X^(g/L),
+f in D[T] dense and shift its smallest exponent (negative in group mode).
+No Fraction arithmetic is done per term; only the result's exponents and
+coefficients are built as Fractions.  A product whose dense length would
+exceed `_DENSE_FILL` times its number of term pairs keeps the sparse
+dict loop, so `X^(1/2^20) + X^1000000` never becomes a dense vector.
+
+`_from_poly` maps a kernel result back and checks membership once per
+vector, not per term: every exponent t*i + shift (i >= 0) lies in S exactly
+when t and shift do, and every coefficient lies in D exactly when
+1/lcm(denominators) does.  When either test fails it falls back to the
+per-term check and its error messages.  Euclid's cofactors over Q need not
+lie in D, so the check cannot be dropped.
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
+from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem, poly_extended_gcd
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
 
 
@@ -62,6 +80,12 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
+# A product goes through the dense kernel while its dense length is at most
+# this many times its number of term pairs, the work of the sparse loop.
+_DENSE_FILL = 8
+_ZERO = Fraction(0)
+
+
 class MonoidElem(RingElem):
     """Finite exponent -> coefficient map, exponents in S, no zero coefficients."""
 
@@ -105,6 +129,22 @@ class MonoidElem(RingElem):
 
     def __mul__(self, other):
         o = self._lift(other)
+        a, b = self.terms, o.terms
+        if not a or not b:
+            return self.ring.zero
+        den, ea, eb = _integer_exponents(a, b)
+        step = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
+        if (ea[-1] - ea[0] + eb[-1] - eb[0]) // step + 1 > _DENSE_FILL * len(a) * len(b):
+            return self._sparse_mul(o)
+        prod = _to_poly(a, ea, step) * _to_poly(b, eb, step)
+        shift = ea[0] + eb[0]
+        return MonoidElem(
+            tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(prod.coeffs) if c),
+            self.ring,
+            _checked=True,
+        )
+
+    def _sparse_mul(self, o):
         out: dict[Fraction, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in o.terms:
@@ -206,16 +246,13 @@ class MonoidRing(RingHandle):
             return self.zero if not a else None
         if not a:
             return self.zero
-        t = mr_common_generator([a, b])
-        sa, sb = a.min_exponent(), b.min_exponent()
-        pa = _to_poly(a, t, sa)
-        pb = _to_poly(b, t, sb)
-        q, r = poly_divrem(pa, pb)
+        den, ea, eb = _integer_exponents(a.terms, b.terms)
+        step = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
+        q, r = poly_divrem(_to_poly(a.terms, ea, step), _to_poly(b.terms, eb, step))
         if not r.is_zero():
             return None
-        shift = sa - sb
         try:
-            return _from_poly(q, t, shift, self)
+            return _from_poly(q, step, ea[0] - eb[0], den, self)
         except MonoidError:
             return None
 
@@ -245,21 +282,36 @@ class MonoidRing(RingHandle):
         return f"{self.base}[X;{sym}:{self.desc.label()}]"
 
 
-def _to_poly(e: MonoidElem, t: Fraction, shift: Fraction) -> Poly:
-    coeffs: dict[int, Fraction] = {}
-    for exp, c in e.terms:
-        k = (exp - shift) / t
-        if k.denominator != 1 or k < 0:
-            raise MonoidError("exponent not reachable from the common generator")
-        coeffs[int(k)] = c
-    deg = max(coeffs)
-    return Poly([coeffs.get(i, Fraction(0)) for i in range(deg + 1)])
+def _integer_exponents(*term_tuples):
+    """(L, ints...): L the lcm of every exponent's denominator, and for each
+    term tuple its exponents times L, as ints in the same order."""
+    den = lcm(*(e.denominator for terms in term_tuples for e, _ in terms))
+    return (den, *([e.numerator * (den // e.denominator) for e, _ in terms] for terms in term_tuples))
 
 
-def _from_poly(p: Poly, t: Fraction, shift: Fraction, ring: MonoidRing) -> MonoidElem:
-    return MonoidElem(
-        tuple((t * i + shift, c) for i, c in enumerate(p.coeffs) if c != 0), ring
-    )
+def _to_poly(terms, ints, step: int) -> Poly:
+    """The dense f with sum(c X^e over terms) == X^(ints[0]/L) * f(X^(step/L)),
+    for ints the exponents times L, each congruent to ints[0] mod step."""
+    coeffs = [_ZERO] * ((ints[-1] - ints[0]) // step + 1)
+    for (_, c), k in zip(terms, ints):
+        coeffs[(k - ints[0]) // step] = c
+    return Poly(coeffs)
+
+
+def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> MonoidElem:
+    """X^(shift/den) * p(X^(step/den)) in the ring, step > 0.  Membership is
+    checked once for the vector; per term only when that check fails."""
+    cs = p.coeffs
+    if (
+        ring.desc.contains(Fraction(step, den))
+        and ring.desc.contains(Fraction(shift, den))
+        and all(type(c) is Fraction for c in cs)
+        and ring.base.contains_rat(Fraction(1, lcm(*(c.denominator for c in cs))))
+    ):
+        return MonoidElem(
+            tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c), ring, _checked=True
+        )
+    return MonoidElem(tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c != 0), ring)
 
 
 def mr_common_generator(elems) -> Fraction:
@@ -336,7 +388,7 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
     q, rem = poly_divrem(pz, Poly([Fraction(1), Fraction(-1)]))
     if rem != Poly((Fraction(n),)):
         raise CertificateError("division remainder is not n (bug)")
-    lam = -_from_poly(q.scale(inv_n), t, Fraction(0), ring)
+    lam = -_from_poly(q.scale(inv_n), t.numerator, 0, t.denominator, ring)
     mu = ring.coerce(inv_n)
     res = SplitResult(s, n, f1, f2, lam, mu, Fraction(n))
     if not res.verify():
@@ -392,20 +444,18 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
         raise MonoidError(f"exponent {cur} not in S")
     factors = [ring.one - ring.monomial(cur)] + list(reversed(cofactors))
     pairwise = []
-    if len(factors) > 1:
-        t = mr_common_generator(factors)
-        from .core import poly_extended_gcd
-
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                pi = _to_poly(factors[i], t, Fraction(0))
-                pj = _to_poly(factors[j], t, Fraction(0))
-                d, si, tj = poly_extended_gcd(pi, pj)
-                if d != Poly((Fraction(1),)):
-                    raise CertificateError("chain factors are not comaximal (bug)")
-                lam = _from_poly(si, t, Fraction(0), ring)
-                mu = _from_poly(tj, t, Fraction(0), ring)
-                pairwise.append((i, j, lam, mu))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            # every factor has constant term 1; Euclid runs in D[T] with T
+            # the pair's own generator, and its cofactors are the unique
+            # ones of minimal degree, so a coarser T gives the same lam, mu
+            fi, fj = factors[i].terms, factors[j].terms
+            den, ei, ej = _integer_exponents(fi, fj)
+            step = gcd(*ei, *ej)
+            d, si, tj = poly_extended_gcd(_to_poly(fi, ei, step), _to_poly(fj, ej, step))
+            if d != Poly((Fraction(1),)):
+                raise CertificateError("chain factors are not comaximal (bug)")
+            pairwise.append((i, j, _from_poly(si, step, 0, den, ring), _from_poly(tj, step, 0, den, ring)))
     chain = ChainResult(s, factors, pairwise, splits)
     if not chain.verify():
         raise CertificateError("chain certificates failed to verify")

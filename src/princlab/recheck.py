@@ -9,13 +9,22 @@ the producer's `Poly` kernel; a test checks that this module imports nothing
 else from the package) and that routine.  A passing recheck therefore means the
 certificates stand on their own, not that the producer agrees with itself,
 up to that one shared routine.
+
+Monoid-ring ("mon") products run on the same integer products: one lcm L of
+the exponent denominators makes every exponent an integer, g is the gcd of
+each operand's exponent differences, and each operand becomes a dense vector
+in X^(g/L) after its smallest exponent.  A product whose dense length would
+exceed `_MON_FILL` times its number of term pairs keeps the term-by-term
+loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
+through the lcm of its exponent and of its coefficient denominators; the
+per-term loop runs only to name the terms that fail.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .core import hnf2_with_transform
 
@@ -23,6 +32,11 @@ from .core import hnf2_with_transform
 
 
 def _f(s) -> Fraction:
+    # the report's own "p" and "p/q" forms from two ints; anything else, and
+    # every malformed leaf, goes through Fraction's own parser
+    num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
+    if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     return Fraction(s)
 
 
@@ -218,6 +232,10 @@ def v_mul(a, b):
     if t == "rf":
         return ("rf", v_mul(a[1], b[1]), v_mul(a[2], b[2]))
     if t == "mon":
+        if a[1] and b[1] and all(c[0] == "rat" for _, c in a[1] + b[1]):
+            dense = _mon_imul(a[1], b[1])
+            if dense is not None:
+                return dense
         out = {}
         for e1, c1 in a[1]:
             for e2, c2 in b[1]:
@@ -399,6 +417,44 @@ def _imul(a, b):
     """The product of two nonempty integer coefficient lists."""
     w = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
     return _iunpack(_ipack(a, w) * _ipack(b, w), w, len(a) + len(b) - 1)
+
+
+# A monoid-ring product is multiplied on integer vectors while its dense
+# length is at most this many times its number of term pairs.
+_MON_FILL = 8
+
+
+def _mon_imul(ta, tb):
+    """The product of two nonempty all-rational "mon" term lists, or None
+    when it is too sparse for a dense vector.  Exponents become integers over
+    one lcm L of their denominators; each operand is X^(min/L) * f(X^(g/L)),
+    g the gcd of all exponent differences.  Terms may come in any order and
+    repeat, as the loop in `v_mul` allows."""
+    den = lcm(*(e.denominator for e, _ in ta), *(e.denominator for e, _ in tb))
+    ea = [e.numerator * (den // e.denominator) for e, _ in ta]
+    eb = [e.numerator * (den // e.denominator) for e, _ in tb]
+    lo_a, lo_b = min(ea), min(eb)
+    g = 0
+    for e in ea:
+        g = gcd(g, e - lo_a)
+    for e in eb:
+        g = gcd(g, e - lo_b)
+    g = g or 1
+    na, nb = (max(ea) - lo_a) // g + 1, (max(eb) - lo_b) // g + 1
+    if na + nb - 1 > _MON_FILL * len(ta) * len(tb):
+        return None
+    (ca, da), (cb, db) = _ints([c[1] for _, c in ta]), _ints([c[1] for _, c in tb])
+    va, vb = [0] * na, [0] * nb
+    for e, c in zip(ea, ca):
+        va[(e - lo_a) // g] += c
+    for e, c in zip(eb, cb):
+        vb[(e - lo_b) // g] += c
+    if not any(va) or not any(vb):
+        return ("mon", ())
+    lo, dd = lo_a + lo_b, da * db
+    return ("mon", tuple(
+        (Fraction(lo + g * i, den), ("rat", Fraction(c, dd))) for i, c in enumerate(_imul(va, vb)) if c
+    ))
 
 
 # ----------------------------------------------------- quadratic lattices
@@ -871,11 +927,32 @@ def _verify_pullback_nonufd(report):
     return fails
 
 
+def _strip(n, primes):
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def _mon_in_ring(v, ring, fails, label):
     desc = ring["monoid"]
     primes = [int(p) for p in desc["primes"]]
     group = desc["group"]
     base = ring["base"]
+    # once for the whole vector: every exponent and coefficient passes
+    # exactly when the lcm of their denominators does; the term loop below
+    # runs only to name what fails
+    if not v[1]:
+        return
+    exp_den = lcm(*(e.denominator for e, _ in v[1]))
+    coeff_den = lcm(*(c[1].denominator for _, c in v[1]))
+    if (
+        (group or all(e >= 0 for e, _ in v[1]))
+        and _strip(exp_den, primes) == 1
+        and (base["family"] != "int" or coeff_den == 1)
+        and (base["family"] != "zloc" or _strip(coeff_den, [int(p) for p in base["primes"]]) == 1)
+    ):
+        return
     for e, c in v[1]:
         if not group and e < 0:
             fails.append(f"{label}: negative exponent outside group mode")

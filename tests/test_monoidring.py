@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,101 @@ def test_divides_random_round_trip():
             continue
         q = RQ2.divides(b, a * b)
         assert q == a
+
+
+# ------------------------------------------- the integer kernel behind `*`
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from princlab.core import Poly
+from princlab.monoidring import _from_poly
+
+G23 = MonoidDesc(primes=(2, 3), group=True)
+# (ring, exponent denominators, coefficient denominators)
+KERNEL_RINGS = {
+    "Q monoid": (RQ2, [1, 2, 4, 2**20], [1, 3, 7, 2**64 + 1]),
+    "Q mult:{2,3}": (MonoidRing(QQ, S23), [1, 2, 3, 6, 9], [1, 5]),
+    "Q group": (RG2, [1, 2, 8], [1, 2, 9]),
+    "Q group mult:{2,3}": (MonoidRing(QQ, G23), [1, 3, 4, 27], [1, 4, 11]),
+    "Z": (RZ2, [1, 2, 4, 2**20], [1]),
+    "Z[1/2]": (RL2, [1, 2, 16], [1, 2, 2**70]),
+}
+numerators = st.one_of(
+    st.integers(-6, 6), st.sampled_from([2**63, -(2**64) + 1, 2**127, -(2**300)])
+)
+
+
+@st.composite
+def kernel_operands(draw):
+    name = draw(st.sampled_from(sorted(KERNEL_RINGS)))
+    ring, exp_dens, coeff_dens = KERNEL_RINGS[name]
+    low = -40 if ring.desc.group else 0
+    # a sparse exponent far out pushes a product past the density guard
+    exps = st.one_of(
+        st.builds(F, st.integers(low, 40), st.sampled_from(exp_dens)),
+        st.sampled_from([F(1000), F(10**6), F(1, 2**20)]),
+    )
+    coeffs = st.builds(F, numerators, st.sampled_from(coeff_dens))
+
+    def elem():
+        return MonoidElem(draw(st.lists(st.tuples(exps, coeffs), max_size=6)), ring)
+
+    return elem(), elem()
+
+
+def schoolbook(a, b):
+    out = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            out[e1 + e2] = out.get(e1 + e2, F(0)) + c1 * c2
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+def test_product_matches_the_schoolbook_loop(operands):
+    a, b = operands
+    prod = a * b
+    assert prod.terms == schoolbook(a, b)
+    assert [e for e, _ in prod.terms] == sorted(e for e, _ in prod.terms)
+    assert all(type(e) is F and type(c) is F and c for e, c in prod.terms)
+    assert prod.ring is a.ring
+
+
+def count_poly_products(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    return calls
+
+
+def test_density_guard_keeps_sparse_products_sparse(monkeypatch):
+    calls = count_poly_products(monkeypatch)
+    sparse = RZ2.monomial(F(1, 2**20)) + RZ2.monomial(10**6)
+    dense = RZ2.one + RZ2.monomial(1)
+    prod = sparse * dense
+    # the dense length would be about 10**12: the sparse loop runs instead
+    assert prod.terms == schoolbook(sparse, dense)
+    assert calls == []
+    assert (dense * dense).terms == ((F(0), F(1)), (F(1), F(2)), (F(2), F(1)))
+    assert calls == [1]
+
+
+def test_density_guard_product_is_fast():
+    sparse = RZ2.monomial(F(1, 2**20)) + RZ2.monomial(10**6)
+    start = time.perf_counter()
+    sparse * (RZ2.one + RZ2.monomial(1))
+    assert time.perf_counter() - start < 1
+
+
+def test_from_poly_still_checks_membership():
+    with pytest.raises(MonoidError, match="coefficient 1/3 outside Z\\[1/2\\]"):
+        _from_poly(Poly([F(1), F(1, 3)]), 1, 0, 2, RL2)
+    with pytest.raises(MonoidError, match="exponent 1/3 not in S"):
+        _from_poly(Poly([F(1), F(1)]), 1, 0, 3, RQ2)
+    with pytest.raises(MonoidError, match="exponent -1/2 not in S"):
+        _from_poly(Poly([F(1), F(1)]), 1, -1, 2, RQ2)
+    # a shift outside S is fine when no term lands there
+    assert _from_poly(Poly([F(0), F(2)]), 2, -1, 2, RZ2) == RZ2.monomial(F(1, 2), 2)
+    assert _from_poly(Poly([F(1, 2), F(3, 4)]), 1, 0, 4, RL2).terms == ((F(0), F(1, 2)), (F(1, 4), F(3, 4)))

@@ -81,3 +81,56 @@ def test_lim_and_poly_arithmetic_match_fraction_loops(a, b, la, lb):
     pa, pb = ("poly", tuple(("rat", c) for c in a)), ("poly", tuple(("rat", c) for c in b))
     want = ("poly", tuple(("rat", c) for c in fraction_mul(a, b)))
     assert recheck.v_mul(pa, pb) == want
+
+
+def fraction_mon_mul(a, b):
+    out = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return tuple(sorted((e, ("rat", c)) for e, c in out.items() if c))
+
+
+# exponents with one far-out choice, so products fall on both sides of the
+# dense-length guard; terms may repeat and come in any order
+exponents = st.one_of(
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 9, 2**20])),
+    st.sampled_from([Fraction(10**6), Fraction(-1, 2**20)]),
+)
+mon_terms = st.lists(st.tuples(exponents, rationals), max_size=6).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=mon_terms, b=mon_terms)
+def test_mon_product_matches_a_fraction_loop(a, b):
+    va = ("mon", tuple((e, ("rat", c)) for e, c in a))
+    vb = ("mon", tuple((e, ("rat", c)) for e, c in b))
+    prod = recheck.v_mul(va, vb)
+    assert prod == ("mon", fraction_mon_mul(a, b))
+    assert all(type(e) is Fraction and type(c[1]) is Fraction for e, c in prod[1])
+
+
+def test_sparse_mon_product_stays_sparse():
+    sparse = ("mon", ((Fraction(1, 2**20), ("rat", Fraction(1))), (Fraction(10**6), ("rat", Fraction(1)))))
+    dense = ("mon", ((Fraction(0), ("rat", Fraction(1))), (Fraction(1), ("rat", Fraction(1)))))
+    assert recheck._mon_imul(sparse[1], dense[1]) is None
+    assert recheck.v_mul(sparse, dense) == ("mon", fraction_mon_mul(
+        [(e, c[1]) for e, c in sparse[1]], [(e, c[1]) for e, c in dense[1]]))
+    assert recheck._mon_imul(dense[1], dense[1]) == recheck.v_mul(dense, dense)
+
+
+def parse_outcome(fn, s):
+    try:
+        return fn(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    rationals.map(str),
+    st.text("0123456789-+/._ e٣", max_size=8),
+    st.sampled_from(["3/-4", "--3", "-", "/4", "3/", "1/0", " 3", "+3", "1e3", "1_0"]),
+))
+def test_rational_leaves_decode_as_fraction_parses_them(s):
+    assert parse_outcome(recheck._f, s) == parse_outcome(Fraction, s)
