@@ -10,10 +10,11 @@ every complete comaximal factorization, which is what makes the uniqueness
 analysis exhaustive.
 
 Partitions and splits ask for the same blocks many times over, so the
-generator of each block is memoized by its subset of the support (one
+generator of each block, and the irreducibility transcript of that
+generator, are memoized by the block's subset of the support (one
 `_BlockMemo` per element, never shared between elements).  An element whose
-support has k primes therefore costs at most 2^k - 1 principality tests,
-however many partitions and splits are examined.
+support has k primes therefore costs at most 2^k - 1 principality tests and
+2^k - 1 transcripts, however many partitions and splits are examined.
 
 Everything that depends on the ring family (the prime support, block
 generators, Bezout certificates, factor order, the witness scan) is a hook
@@ -131,26 +132,41 @@ def _support_of(b, ring):
     return ring.prime_support(b)
 
 
+def _mask(idxs) -> int:
+    mask = 0
+    for i in idxs:
+        mask |= 1 << i
+    return mask
+
+
 class _BlockMemo:
-    """Generators of the blocks (subsets of support indices) of one support,
-    each computed once and keyed by the subset's bitmask.  A block's ideal
-    is its mask's ideal without the lowest bit, times that bit's prime
-    power, so every ideal is one multiplication."""
+    """Generators and irreducibility transcripts of the blocks (subsets of
+    support indices) of one support, each computed once and keyed by the
+    subset's bitmask.  A block's ideal is its mask's ideal without the
+    lowest bit, times that bit's prime power, so every ideal is one
+    multiplication."""
 
     def __init__(self, support, ring):
         self.support = support
         self.ring = ring
         self._generators = {}
         self._ideals = {}
+        self._transcripts = {}
 
     def generator(self, idxs):
         """Generator of the product of the chosen prime powers, or None."""
-        mask = 0
-        for i in idxs:
-            mask |= 1 << i
+        mask = _mask(idxs)
         if mask not in self._generators:
             self._generators[mask] = self.ring.principal_generator(self._ideal(mask))
         return self._generators[mask]
+
+    def transcript(self, idxs) -> "IrreducibilityTranscript":
+        """The transcript of a principal block's generator; idxs ascending,
+        as every partition and factorization lists them."""
+        mask = _mask(idxs)
+        if mask not in self._transcripts:
+            self._transcripts[mask] = _irreducibility(self.generator(idxs), self, idxs)
+        return self._transcripts[mask]
 
     def _ideal(self, mask):
         if mask not in self._ideals:
@@ -212,7 +228,7 @@ def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactor
             if cert is None:
                 raise CertificateError("factors are not comaximal")
             pairwise.append((i, j, *cert))
-    transcripts = [_irreducibility(factors[i], memo, blocks[i]) for i in range(len(blocks))]
+    transcripts = [memo.transcript(block) for block in blocks]
     fact = ComaxFactorization(ring, b, factors, unit, pairwise, transcripts, blocks, memo.support)
     if not fact.verify():
         raise CertificateError("factorization certificates failed to verify")
@@ -253,10 +269,7 @@ def enumerate_complete_factorizations(b, ring, support_cap: int | None = None) -
             generators.append(g)
         if not ok:
             continue
-        if any(
-            not _irreducibility(generators[i], memo, partition[i]).pseudo_irreducible
-            for i in range(len(partition))
-        ):
+        if any(not memo.transcript(block).pseudo_irreducible for block in partition):
             continue
         out.append(_build_factorization(b, memo, partition, generators))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))

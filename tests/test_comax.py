@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from princlab import quadring
+from princlab import comax, quadring
 from princlab.comax import (
     ComaxInputError,
     SupportBoundExceeded,
@@ -145,6 +145,24 @@ def test_one_principality_test_per_prime_subset(monkeypatch, d, b):
     k = len(facts[0].support)
     assert k >= 5
     assert len(tested) == len(set(tested)) <= 2**k - 1
+
+
+@pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
+def test_one_irreducibility_transcript_per_block(monkeypatch, d, b):
+    examined = []
+    real = comax._irreducibility
+    monkeypatch.setattr(
+        comax, "_irreducibility",
+        lambda element, memo, idxs: examined.append((id(memo), tuple(idxs))) or real(element, memo, idxs),
+    )
+    facts = enumerate_complete_factorizations(b, QuadOrder(d))
+    k = len(facts[0].support)
+    assert len(examined) == len(set(examined)) <= 2**k - 1
+    for fact in facts:
+        # each transcript is that of its factor, over the factor's block
+        for factor, block, tr in zip(fact.factors, fact.blocks, fact.transcripts):
+            assert tr.element == factor
+            assert tr.support == [fact.support[i] for i in block]
 
 
 def test_support_cap():
