@@ -5,9 +5,10 @@ pieces of certificate plumbing every engine shares: `CertificateError` and
 the encoding of pairwise Bezout certificates.
 
 Two small bases carry what every ring family shares.  `RingElem` derives
-binary ``-``, the reflected ``+``, ``-``, ``*`` and nonnegative ``**``
-(repeated squaring) from an element class's own ``+``, unary ``-``, ``*``
-and `_one()`.  `RingHandle` gives every ring handle its identity: same ring
+binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated
+squaring) from an element class's own ``+``, unary ``-``, ``*`` and
+`_one()`; a negative power is a power of `_invert()`, which raises unless
+the class defines it.  `RingHandle` gives every ring handle its identity: same ring
 <=> same `to_json()`, the description `recheck` reads back.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
@@ -42,7 +43,8 @@ class CertificateError(Exception):
 
 class RingElem:
     """Base of every element class of a commutative ring.  A subclass
-    defines ``+``, unary ``-``, ``*`` and `_one()`; the rest is derived here.
+    defines ``+``, unary ``-``, ``*``, `_one()` and, if it has inverses,
+    `_invert()`; the rest is derived here.
     ``__add__``/``__mul__`` may return NotImplemented for foreign operands,
     and the reflected forms pass that on."""
 
@@ -62,7 +64,7 @@ class RingElem:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError(f"negative power of a {type(self).__name__}")
+            return self._invert() ** -n
         if n == 0:
             return self._one()
         # repeated squaring from the low bit: x**1 takes no product, x**(2**k)
@@ -76,6 +78,11 @@ class RingElem:
             if not n:
                 return result
             base = base * base
+
+    def _invert(self):
+        """The inverse that negative powers take; a ValueError where there
+        is none."""
+        raise ValueError(f"negative power of a {type(self).__name__}")
 
 
 class RingHandle:

@@ -63,8 +63,15 @@ class LimitElem(RingElem):
         return LimitElem(a.level, a.poly * b.poly, self.ring, _checked=True)
 
     def __pow__(self, n: int):
+        if n < 0:
+            return self._invert() ** -n
         # one level throughout, so the inner polynomial's power is the power
         return LimitElem(self.level, self.poly**n, self.ring)
+
+    def _invert(self):
+        # `/` divides by nonzero constants only, so exactly those invert,
+        # and 1/c must lie in the base
+        return LimitElem(self.level, Poly((Fraction(1),)), self.ring) / self
 
     def __truediv__(self, other):
         o = self.ring.coerce(other)

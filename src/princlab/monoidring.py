@@ -159,6 +159,11 @@ class MonoidElem(RingElem):
     def _one(self):
         return self.ring.one
 
+    def _invert(self):
+        # `/` divides by nonzero constants only, so exactly those invert,
+        # and 1/c must lie in the base
+        return self.ring.one / self
+
     def __truediv__(self, other):
         o = self._lift(other)
         if len(o.terms) != 1 or o.terms[0][0] != 0:

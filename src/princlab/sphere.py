@@ -217,6 +217,10 @@ class SphereElem(RingElem):
     def _one(self):
         return SphereElem.const(1)
 
+    def _invert(self):
+        # `/` divides by nonzero constants only, so exactly those invert
+        return self._one() / self
+
     def __truediv__(self, other):
         o = self._lift(other)
         if not B2.is_unit(o):

@@ -167,3 +167,14 @@ def test_exact_division_by_a_constant_over_z(capsys, argv, undivided):
     assert json.loads(out)["recheck"] == "passed"
     argv = [undivided if a == argv[4] else a for a in argv]
     assert run_cli(capsys, "--recheck", *argv) == (code, out, err)
+
+
+def test_negative_power_of_a_constant_inverts_it(capsys):
+    code, out, err = run_cli(capsys, "--recheck", "limitring", "eval", "--ring", "limitring:Z", "(1/2)^-2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["element"] == {"type": "limit", "level": 1, "coeffs": [{"type": "rat", "value": "4"}]}
+    code, out, err = run_cli(capsys, "--recheck", "idem", "check", "--ring", "Q[X;S]", "2^-1*X", "1-X")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["result"]["a"]["terms"] == [["1", {"type": "rat", "value": "1/2"}]]
+    assert report["recheck"] == "passed"

@@ -156,7 +156,7 @@ CASES = [
     ('Z[X;S]', '2*X^(1/2)/2', monoid(('1/2', '1'))),
     ('Z[X;S]', '6/3', monoid(('0', '2'))),
     ('Z[X;S]', 'X/2', 'coefficient 1/2 outside Z (at position 0)'),
-    ('Z[X;S]', '2^-1', 'negative power is not invertible here (at position 1)'),
+    ('Z[X;S]', '2^-1', 'coefficient 1/2 outside Z (at position 0)'),
     ('Z[1/2][X;S]', 'X/2', monoid(('1', '1/2'))),
     ('Z[1/2][X;S]', 'X/3', 'coefficient 1/3 outside Z[1/2] (at position 0)'),
     ('Q[X;S] group', 'X^-1', monoid(('-1', '1'))),
@@ -208,6 +208,18 @@ CASES = [
     ('Z[X;S]', '2*(X^(1/2^20)+X^1000000)/2', monoid(('1/1048576', '1'), ('1000000', '1'))),
     ('Z[X;S]', '(X^(1/2^20)+X^1000000)/2', 'coefficient 1/2 outside Z (at position 0)'),
     ('Z[X;S]', '(X^(1/2^20)+X^1000000)/X', 'division is only available by nonzero constants (at position 22)'),
+    # a nonzero constant of the Q-domain has negative powers; membership is checked last
+    ('Z[X;S]', '(1/2)^-2', monoid(('0', '4'))),
+    ('Z[X;S]', '(-1)^-3*X', monoid(('1', '-1'))),
+    ('Q[X;S]', '2^-1*X', monoid(('1', '1/2'))),
+    ('Q[X;S]', '0^-1', 'negative power is not invertible here (at position 1)'),
+    ('Q[X;S] group', '(X^(1/2))^-1', 'negative power is not invertible here (at position 9)'),
+    ('limitring:Z', '(1/2)^-2', limit(1, '4')),
+    ('limitring:Z', '(x_2-x_2+2)^-1', 'coefficient 1/2 outside Z (at position 0)'),
+    ('limitring:Q', '(x_2-x_2+2)^-1', limit(2, '1/2')),
+    ('limitring:Q', '(x_1-x_1)^-1', 'negative power is not invertible here (at position 9)'),
+    ('B2', '2^-2*X0', sphere([], [[0, 0, '1/4']])),
+    ('B2', '0^-1', 'negative power is not invertible here (at position 1)'),
 ]
 
 

@@ -1,6 +1,6 @@
 """The operators `core.RingElem` derives (binary -, the reflected forms and
-nonnegative **) and the ring-handle identity `core.RingHandle` gives, checked
-on every element class and handle."""
+**) and the ring-handle identity `core.RingHandle` gives, checked on every
+element class and handle."""
 
 from fractions import Fraction
 
@@ -50,6 +50,13 @@ ELEMENTS = {
     "SphereElem": (st.builds(SphereElem, poly2s, poly2s), B2.one),
 }
 
+# classes over Q whose nonzero constants, and only those, have negative powers
+IS_NONZERO_CONSTANT = {
+    "MonoidElem": lambda a: len(a.terms) == 1 and a.terms[0][0] == 0,
+    "LimitElem": lambda a: a.poly.degree == 0,
+    "SphereElem": B2.is_unit,
+}
+
 
 @pytest.mark.parametrize("kind", ELEMENTS)
 def test_derived_operators(kind):
@@ -68,11 +75,33 @@ def test_derived_operators(kind):
         if kind == "RatFunc":
             if a:
                 assert a ** -2 * a * a == one
+        elif kind in IS_NONZERO_CONSTANT and IS_NONZERO_CONSTANT[kind](a):
+            assert a ** -2 * a * a == one
         else:
             with pytest.raises(ValueError):
                 a ** -1
 
     check()
+
+
+@pytest.mark.parametrize("one", [MR.one, LR.one, LimitRing(QQ).coerce(1) + LR.one - LR.one, B2.one])
+def test_negative_power_of_a_nonzero_constant_inverts_it(one):
+    half = one * Fraction(1, 2)
+    assert half ** -2 == one * 4
+    assert (-half) ** -3 == one * -8
+    with pytest.raises(ValueError):
+        (one - one) ** -1
+
+
+def test_negative_power_stays_in_the_base():
+    zr, zl = MonoidRing(ZZ, MonoidDesc((2,))), LimitRing(ZZ)
+    for r in (zr, zl):
+        assert (-r.one) ** -3 == -r.one
+        with pytest.raises(ValueError, match="outside Z"):
+            (r.one * 2) ** -1
+    # the level is kept
+    c = LimitElem(3, Poly((Fraction(-1),)), LR)
+    assert (c ** -1).level == 3
 
 
 def test_power_forms_only_the_products_it_needs(monkeypatch):
