@@ -16,7 +16,8 @@ f in D[T] dense and shift its smallest exponent (negative in group mode).
 No Fraction arithmetic is done per term; only the result's exponents and
 coefficients are built as Fractions.  A product whose dense length would
 exceed `_DENSE_FILL` times its number of term pairs keeps the sparse
-dict loop, so `X^(1/2^20) + X^1000000` never becomes a dense vector.
+dict loop, so `X^(1/2^20) + X^1000000` never becomes a dense vector; so
+does a product of at most `_LOOP_PAIRS` term pairs.
 
 `_from_poly` maps a kernel result back and checks membership once per
 vector, not per term: every exponent t*i + shift (i >= 0) lies in S exactly
@@ -82,7 +83,10 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 # A product goes through the dense kernel while its dense length is at most
 # this many times its number of term pairs, the work of the sparse loop.
+# Products of at most _LOOP_PAIRS term pairs keep the loop: the kernel's
+# fixed cost is higher there.
 _DENSE_FILL = 8
+_LOOP_PAIRS = 4
 _ZERO = Fraction(0)
 
 
@@ -130,8 +134,8 @@ class MonoidElem(RingElem):
     def __mul__(self, other):
         o = self._lift(other)
         a, b = self.terms, o.terms
-        if not a or not b:
-            return self.ring.zero
+        if len(a) * len(b) <= _LOOP_PAIRS:
+            return self._sparse_mul(o)
         den, ea, eb = _integer_exponents(a, b)
         step = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
         if (ea[-1] - ea[0] + eb[-1] - eb[0]) // step + 1 > _DENSE_FILL * len(a) * len(b):

@@ -25,7 +25,7 @@ from .sphere import SphereElem
 
 
 def _frac(x) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
