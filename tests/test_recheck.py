@@ -134,3 +134,42 @@ def parse_outcome(fn, s):
 ))
 def test_rational_leaves_decode_as_fraction_parses_them(s):
     assert parse_outcome(recheck._f, s) == parse_outcome(Fraction, s)
+
+
+def per_term_membership(v, ring, label):
+    # every term on its own, as the checker did before its whole-vector test
+    fails = []
+    primes = [int(p) for p in ring["monoid"]["primes"]]
+    base = ring["base"]
+    for e, c in v[1]:
+        if not ring["monoid"]["group"] and e < 0:
+            fails.append(f"{label}: negative exponent outside group mode")
+        if recheck._strip(e.denominator, primes) != 1:
+            fails.append(f"{label}: exponent {e} outside the denominator lattice")
+        if base["family"] == "int" and c[1].denominator != 1:
+            fails.append(f"{label}: coefficient {c[1]} outside Z")
+        if base["family"] == "zloc" and recheck._strip(c[1].denominator, [int(p) for p in base["primes"]]) != 1:
+            fails.append(f"{label}: coefficient {c[1]} outside the localized base")
+    return fails
+
+
+mon_rings = st.builds(
+    lambda base, primes, group: {"family": "monoid", "base": base, "monoid": {"primes": primes, "group": group}},
+    st.sampled_from([{"family": "int"}, {"family": "rat"}, {"family": "zloc", "primes": ["2"]},
+                     {"family": "zloc", "primes": ["3", "5"]}]),
+    st.sampled_from([["2"], ["3"], ["2", "3"]]),
+    st.booleans(),
+)
+member_terms = st.lists(st.tuples(
+    st.builds(Fraction, st.integers(-4, 9), st.sampled_from([1, 2, 3, 4, 5, 6])),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5])),
+), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring=mon_rings, terms=member_terms)
+def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
+    v = ("mon", tuple((e, ("rat", c)) for e, c in terms))
+    fails = []
+    recheck._mon_in_ring(v, ring, fails, "lam")
+    assert fails == per_term_membership(v, ring, "lam")
