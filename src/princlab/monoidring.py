@@ -136,8 +136,7 @@ class MonoidElem(RingElem):
         a, b = self.terms, o.terms
         if len(a) * len(b) <= _LOOP_PAIRS:
             return self._sparse_mul(o)
-        den, ea, eb = _integer_exponents(a, b)
-        step = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
+        den, ea, eb, step = _grid(a, b)
         if (ea[-1] - ea[0] + eb[-1] - eb[0]) // step + 1 > _DENSE_FILL * len(a) * len(b):
             return self._sparse_mul(o)
         prod = _to_poly(a, ea, step) * _to_poly(b, eb, step)
@@ -191,9 +190,6 @@ class MonoidElem(RingElem):
 
     def exponents(self):
         return [e for e, _ in self.terms]
-
-    def min_exponent(self) -> Fraction:
-        return self.terms[0][0]
 
     def to_str(self) -> str:
         if not self.terms:
@@ -255,8 +251,7 @@ class MonoidRing(RingHandle):
             return self.zero if not a else None
         if not a:
             return self.zero
-        den, ea, eb = _integer_exponents(a.terms, b.terms)
-        step = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
+        den, ea, eb, step = _grid(a.terms, b.terms)
         q, r = poly_divrem(_to_poly(a.terms, ea, step), _to_poly(b.terms, eb, step))
         if not r.is_zero():
             return None
@@ -291,11 +286,14 @@ class MonoidRing(RingHandle):
         return f"{self.base}[X;{sym}:{self.desc.label()}]"
 
 
-def _integer_exponents(*term_tuples):
-    """(L, ints...): L the lcm of every exponent's denominator, and for each
-    term tuple its exponents times L, as ints in the same order."""
-    den = lcm(*(e.denominator for terms in term_tuples for e, _ in terms))
-    return (den, *([e.numerator * (den // e.denominator) for e, _ in terms] for terms in term_tuples))
+def _grid(ta, tb):
+    """(L, ea, eb, g) for two nonempty term tuples: L the lcm of every
+    exponent's denominator, ea and eb the exponents times L as ints, and g
+    the gcd of every difference within ea and within eb (1 if there is none)."""
+    den = lcm(*(e.denominator for e, _ in ta), *(e.denominator for e, _ in tb))
+    ea = [e.numerator * (den // e.denominator) for e, _ in ta]
+    eb = [e.numerator * (den // e.denominator) for e, _ in tb]
+    return den, ea, eb, gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
 
 
 def _to_poly(terms, ints, step: int) -> Poly:
@@ -311,16 +309,14 @@ def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> Mo
     """X^(shift/den) * p(X^(step/den)) in the ring, step > 0.  Membership is
     checked once for the vector; per term only when that check fails."""
     cs = p.coeffs
-    if (
+    whole_vector_in_ring = (
         ring.desc.contains(Fraction(step, den))
         and ring.desc.contains(Fraction(shift, den))
         and all(type(c) is Fraction for c in cs)
         and ring.base.contains_rat(Fraction(1, lcm(*(c.denominator for c in cs))))
-    ):
-        return MonoidElem(
-            tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c), ring, _checked=True
-        )
-    return MonoidElem(tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c != 0), ring)
+    )
+    terms = tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c)
+    return MonoidElem(terms, ring, _checked=whole_vector_in_ring)
 
 
 def mr_common_generator(elems) -> Fraction:
@@ -459,8 +455,7 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
             # the pair's own generator, and its cofactors are the unique
             # ones of minimal degree, so a coarser T gives the same lam, mu
             fi, fj = factors[i].terms, factors[j].terms
-            den, ei, ej = _integer_exponents(fi, fj)
-            step = gcd(*ei, *ej)
+            den, ei, ej, step = _grid(fi, fj)
             d, si, tj = poly_extended_gcd(_to_poly(fi, ei, step), _to_poly(fj, ej, step))
             if d != Poly((Fraction(1),)):
                 raise CertificateError("chain factors are not comaximal (bug)")
