@@ -77,10 +77,6 @@ class MonoidDesc:
         }
 
 
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
-
-
 # A product goes through the dense kernel while its dense length is at most
 # this many times its number of term pairs, the work of the sparse loop.
 # Products of at most _LOOP_PAIRS term pairs keep the loop: the kernel's
@@ -187,9 +183,6 @@ class MonoidElem(RingElem):
 
     def __bool__(self):
         return bool(self.terms)
-
-    def exponents(self):
-        return [e for e, _ in self.terms]
 
     def to_str(self) -> str:
         if not self.terms:
@@ -317,19 +310,6 @@ def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> Mo
     )
     terms = tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c)
     return MonoidElem(terms, ring, _checked=whole_vector_in_ring)
-
-
-def mr_common_generator(elems) -> Fraction:
-    """Largest t with every exponent in t*Z; constants-only input gives 1."""
-    elems = [e for e in elems if isinstance(e, MonoidElem)]
-    if not elems:
-        raise MonoidError("need at least one element")
-    t = Fraction(0)
-    for e in elems:
-        for exp in e.exponents():
-            if exp:
-                t = frac_gcd(t, abs(exp)) if t else abs(exp)
-    return t if t else Fraction(1)
 
 
 @dataclass

@@ -9,10 +9,8 @@ from princlab.monoidring import (
     MonoidElem,
     MonoidError,
     MonoidRing,
-    frac_gcd,
     juett_split,
     mr_comax_chain,
-    mr_common_generator,
     mr_split,
 )
 from princlab.rings import QQ, ZZ, LocalizedIntegers
@@ -45,21 +43,6 @@ def test_elem_construction_validates():
         RQ2.monomial(F(1, 3))
     with pytest.raises(MonoidError):
         RZ2.monomial(F(1, 2), F(1, 2))  # coefficient outside Z
-
-
-def test_frac_gcd_and_common_generator():
-    assert frac_gcd(F(1, 2), F(1, 4)) == F(1, 4)
-    assert frac_gcd(F(3), F(2)) == 1
-
-    one = RQ2.one
-    e1 = one - RQ2.monomial(F(1, 2))
-    e2 = one + RQ2.monomial(F(1, 4))
-    assert mr_common_generator([e1, e2]) == F(1, 4)
-
-    assert mr_common_generator([RQ2.monomial(3)]) == 3
-    assert mr_common_generator([RQ2.coerce(5)]) == 1
-    with pytest.raises(MonoidError):
-        mr_common_generator([])
 
 
 def test_mr_split_spec_cases():
@@ -112,9 +95,9 @@ def test_mr_comax_chain_spec_cases():
 
 def test_mr_comax_chain_certificates_renormalize():
     ch = mr_comax_chain(1, 5, RQ2)
-    t = mr_common_generator(ch.factors)
-    assert t == F(1, 16)
     one = RQ2.one
+    # the finest factor sets the grid X^(1/16) that the certificates live on
+    assert ch.factors[0] == one - RQ2.monomial(F(1, 16))
     for i, j, lam, mu in ch.pairwise:
         assert lam * ch.factors[i] + mu * ch.factors[j] == one
 
