@@ -19,13 +19,15 @@ support has k primes therefore costs at most 2^k - 1 principality tests and
 Everything that depends on the ring family (the prime support, block
 generators, Bezout certificates, factor order, the witness scan) is a hook
 of the ring handle; see `rings`.
+
+The certificates (`SplitRecord`, `IrreducibilityTranscript`,
+`ComaxFactorization`) are plain classes with an explicit `__init__`, built
+per block and per partition; see `core` for why not dataclasses.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any
 
 from .core import CertificateError, pairwise_json
 from .rings import ZZ
@@ -51,12 +53,12 @@ def support_cap_from_env(default: int = DEFAULT_SUPPORT_CAP) -> int:
         raise ComaxInputError(f"PRINC_LAB_SUPPORT_CAP={raw!r} is not an integer") from exc
 
 
-@dataclass
 class SplitRecord:
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    left_generator: Any
-    right_generator: Any
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], left_generator, right_generator):
+        self.left = left
+        self.right = right
+        self.left_generator = left_generator
+        self.right_generator = right_generator
 
     @property
     def comaximal_split(self) -> bool:
@@ -71,13 +73,13 @@ class SplitRecord:
         }
 
 
-@dataclass
 class IrreducibilityTranscript:
-    element: Any
-    support: list  # [(prime description, exponent)]
-    splits: list[SplitRecord] = field(default_factory=list)
-    pseudo_irreducible: bool = True
-    witness_split: SplitRecord | None = None
+    def __init__(self, element, support: list):
+        self.element = element
+        self.support = support  # [(prime description, exponent)]
+        self.splits: list[SplitRecord] = []
+        self.pseudo_irreducible = True
+        self.witness_split: SplitRecord | None = None
 
     def to_json(self, enc):
         return {
@@ -87,16 +89,17 @@ class IrreducibilityTranscript:
         }
 
 
-@dataclass
 class ComaxFactorization:
-    ring: Any
-    element: Any
-    factors: list
-    unit: Any
-    pairwise: list  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
-    transcripts: list[IrreducibilityTranscript]
-    blocks: list  # index blocks into the support, parallel to factors
-    support: list
+    def __init__(self, ring, element, factors: list, unit, pairwise: list,
+                 transcripts: list[IrreducibilityTranscript], blocks: list, support: list):
+        self.ring = ring
+        self.element = element
+        self.factors = factors
+        self.unit = unit
+        self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
+        self.transcripts = transcripts
+        self.blocks = blocks  # index blocks into the support, parallel to factors
+        self.support = support
 
     def verify(self) -> bool:
         ring = self.ring

@@ -27,6 +27,12 @@ change.  Vectors that mix int and Fraction, and every other coefficient ring
 (`QuadRat`, polynomials), keep those loops.  Euclid's cofactors of coprime f
 and g are the unique ones of minimal degree, so no choice of arithmetic can
 change what `poly_extended_gcd` returns.
+
+Every CLI call is a fresh process, so import time is part of each call.  No
+module of the package imports `dataclasses`: its import pulls in `inspect`,
+`ast` and `dis`, and each decorated class `exec`s generated code at start-up.
+Certificates are plain classes with an explicit `__init__`, and compare by
+identity.  The small primes for trial division come from a sieve.
 """
 
 from __future__ import annotations
@@ -114,12 +120,22 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
+def _primes_below(n: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
 # Integer factorization (Cohen, GTM 138, sections 8.2 and 8.5): trial
 # division, deterministic Miller-Rabin, Pollard-Brent rho.  Miller-Rabin with
 # the first 13 prime bases is proven exact below _MR_BOUND (Sorenson and
 # Webster, 2015).  Cofactors at or above that bound, and those that outlast
 # _RHO_STEPS rho iterations, go to sympy, which is imported only then.
-_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+_SMALL_PRIMES = _primes_below(1000)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _RHO_STEPS = 1 << 18

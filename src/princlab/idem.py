@@ -9,23 +9,23 @@ two-generated invertible ideal yields a pair through its Bezout data.
 The inverse-ideal Bezout solver and the ideal-level complement check are
 the ring handle's hooks (`inverse_bezout`, `complement_check`); rings
 without them get no Bezout data and no ideal-level check.
+
+`IdemPair`, `BezoutCert` and `ComplementCert` are plain classes with an
+explicit `__init__`; see `core` for why not dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from .core import CertificateError
 
 
-@dataclass
 class IdemPair:
-    ring: Any
-    a: Any
-    b: Any
-    orientation: str  # "ab": a(1-a) in bR, witness r = a(1-a)/b; "ba" symmetric
-    witness: Any
+    def __init__(self, ring, a, b, orientation: str, witness):
+        self.ring = ring
+        self.a = a
+        self.b = b
+        self.orientation = orientation  # "ab": a(1-a) in bR, witness r = a(1-a)/b; "ba" symmetric
+        self.witness = witness
 
     def normalized(self):
         """(f, s, r) with f(1-f) == s*r."""
@@ -84,12 +84,12 @@ def _mat_mul(p, q):
     ]
 
 
-@dataclass
 class BezoutCert:
     """lam*a + mu*b == 1 with lam, mu in the inverse ideal (a, b)^-1."""
 
-    lam: Any
-    mu: Any
+    def __init__(self, lam, mu):
+        self.lam = lam
+        self.mu = mu
 
     def to_json(self, enc):
         return {"lam": enc(self.lam), "mu": enc(self.mu)}
@@ -126,7 +126,6 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
     return pair
 
 
-@dataclass
 class ComplementCert:
     """Exact verification of (f, s)(1-f, s) == (s) for a normalized pair.
 
@@ -135,11 +134,12 @@ class ComplementCert:
     rings with ideal arithmetic an independent lattice-level check is run.
     """
 
-    pair: IdemPair
-    generator: Any
-    products: list
-    quotients: list
-    ideal_check: bool | None = None
+    def __init__(self, pair: IdemPair, generator, products: list, quotients: list, ideal_check: bool | None):
+        self.pair = pair
+        self.generator = generator
+        self.products = products
+        self.quotients = quotients
+        self.ideal_check = ideal_check
 
     def to_json(self, enc):
         return {

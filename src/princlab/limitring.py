@@ -5,13 +5,14 @@ An element is a polynomial at some level n; lifting substitutes
 x -> x + x^2 once per level.  Each level is a genuine polynomial ring and
 lifting is injective, so equality and divisibility are decided by moving
 both operands to a common level.  The comaximal chain of x_1 into m factors
-comes with explicit Bezout certificates that re-evaluate to 1 exactly.
+comes with explicit Bezout certificates that re-evaluate to 1 exactly; its
+certificate `LimitChain` is a plain class (see `core` for why not a
+dataclass).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
@@ -180,13 +181,13 @@ class LimitRing(RingHandle):
         return f"limit({self.base}[x_n])"
 
 
-@dataclass
 class LimitChain:
     """x_1 == x_m * prod_{i=2..m} (1 + x_i) with pairwise Bezout certificates."""
 
-    m: int
-    factors: list  # [x_m, 1+x_2, ..., 1+x_m]
-    pairwise: list  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
+    def __init__(self, m: int, factors: list, pairwise: list):
+        self.m = m
+        self.factors = factors  # [x_m, 1+x_2, ..., 1+x_m]
+        self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
 
     def verify(self) -> bool:
         ring = self.factors[0].ring

@@ -25,11 +25,19 @@ when t and shift do, and every coefficient lies in D exactly when
 1/lcm(denominators) does.  When either test fails it falls back to the
 per-term check and its error messages.  Euclid's cofactors over Q need not
 lie in D, so the check cannot be dropped.
+
+Exact division has no sparse path: an operand whose dense length on the
+common grid exceeds `_DIVIDES_LEN` is refused with a MonoidError (bad
+input, exit 2), never answered "does not divide".
+
+`MonoidDesc` and the certificates (`SplitResult`, `ChainResult`,
+`JuettSplit`) are plain classes with an explicit `__init__`; see `core` for
+why not dataclasses.  `MonoidDesc` has no `__eq__`: rings compare by
+`to_json()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,18 +49,15 @@ class MonoidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class MonoidDesc:
     """Denominator-lattice description of S."""
 
-    primes: tuple[int, ...]
-    group: bool = False
-
-    def __post_init__(self):
-        ps = tuple(sorted(set(self.primes)))
+    def __init__(self, primes, group: bool = False):
+        ps = tuple(sorted(set(primes)))
         if not ps or any(p < 2 for p in ps):
             raise MonoidError("purity needs at least one denominator prime >= 2")
-        object.__setattr__(self, "primes", ps)
+        self.primes = ps
+        self.group = group
 
     def contains(self, s: Fraction) -> bool:
         s = Fraction(s)
@@ -83,6 +88,10 @@ class MonoidDesc:
 # fixed cost is higher there.
 _DENSE_FILL = 8
 _LOOP_PAIRS = 4
+# The longest dense operand exact division builds: at 2^16 entries one
+# division takes about 0.25 s and 32 MB (CPython 3.11, one core of a
+# 2-vCPU machine).
+_DIVIDES_LEN = 1 << 16
 _ZERO = Fraction(0)
 
 
@@ -245,6 +254,12 @@ class MonoidRing(RingHandle):
         if not a:
             return self.zero
         den, ea, eb, step = _grid(a.terms, b.terms)
+        n = max(ea[-1] - ea[0], eb[-1] - eb[0]) // step + 1
+        if n > _DIVIDES_LEN:
+            raise MonoidError(
+                f"exact division needs {n} dense terms on the exponent grid {Fraction(step, den)}; "
+                f"the limit is {_DIVIDES_LEN}"
+            )
         q, r = poly_divrem(_to_poly(a.terms, ea, step), _to_poly(b.terms, eb, step))
         if not r.is_zero():
             return None
@@ -312,19 +327,20 @@ def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> Mo
     return MonoidElem(terms, ring, _checked=whole_vector_in_ring)
 
 
-@dataclass
 class SplitResult:
     """1 - X^s == f1 * f2 with f1 = 1 - X^t, f2 = 1 + sum_i X^(t*i), plus the
     comaximality certificate lam*f1 + mu*f2 == 1 built from the division
     remainder n (a unit of D)."""
 
-    s: Fraction
-    n: int
-    f1: MonoidElem
-    f2: MonoidElem
-    lam: MonoidElem
-    mu: MonoidElem
-    remainder: Fraction
+    def __init__(self, s: Fraction, n: int, f1: MonoidElem, f2: MonoidElem,
+                 lam: MonoidElem, mu: MonoidElem, remainder: Fraction):
+        self.s = s
+        self.n = n
+        self.f1 = f1
+        self.f2 = f2
+        self.lam = lam
+        self.mu = mu
+        self.remainder = remainder
 
     def verify(self) -> bool:
         ring = self.f1.ring
@@ -381,12 +397,12 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
     return res
 
 
-@dataclass
 class ChainResult:
-    s: Fraction
-    factors: list
-    pairwise: list  # (i, j, lam, mu)
-    splits: list
+    def __init__(self, s: Fraction, factors: list, pairwise: list, splits: list):
+        self.s = s
+        self.factors = factors
+        self.pairwise = pairwise  # (i, j, lam, mu)
+        self.splits = splits
 
     def verify(self) -> bool:
         ring = self.factors[0].ring
@@ -446,20 +462,21 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
     return chain
 
 
-@dataclass
 class JuettSplit:
     """X^t - b == unit * (Z - 1) * (1 + Z + ... + Z^(p-1)) with Z = X^(t/p)/beta."""
 
-    t: Fraction
-    b: Fraction
-    p: int
-    beta: Fraction
-    unit: MonoidElem
-    z: MonoidElem
-    f1: MonoidElem  # Z - 1
-    f2: MonoidElem  # 1 + Z + ... + Z^(p-1)
-    lam: MonoidElem
-    mu: MonoidElem
+    def __init__(self, t: Fraction, b: Fraction, p: int, beta: Fraction, unit: MonoidElem, z: MonoidElem,
+                 f1: MonoidElem, f2: MonoidElem, lam: MonoidElem, mu: MonoidElem):
+        self.t = t
+        self.b = b
+        self.p = p
+        self.beta = beta
+        self.unit = unit
+        self.z = z
+        self.f1 = f1  # Z - 1
+        self.f2 = f2  # 1 + Z + ... + Z^(p-1)
+        self.lam = lam
+        self.mu = mu
 
     def verify(self) -> bool:
         ring = self.unit.ring

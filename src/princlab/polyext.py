@@ -6,11 +6,14 @@ D is described by a finite set of excluded monomial degrees (so
 D = Q[y^2, y^3] is "exclude degree 1"), which keeps membership decidable
 and ring-closure a finite check.  Polynomials in X over D are outer
 `core.Poly` objects whose coefficients are inner polynomials in y.
+
+`SubringDesc` and `AlphaCounterexample` are plain classes with an explicit
+`__init__`; see `core` for why not dataclasses.  `SubringDesc` has no
+`__eq__`: rings compare by `to_json()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CertificateError, Poly, RatFunc, RingHandle, poly_divrem
@@ -27,14 +30,11 @@ def _inner(c) -> Poly:
     return Poly((Fraction(c),))
 
 
-@dataclass(frozen=True)
 class SubringDesc:
     """Subring of Q[y] spanned by the monomials outside `excluded`."""
 
-    excluded: frozenset[int]
-
     def __init__(self, excluded):
-        object.__setattr__(self, "excluded", frozenset(int(e) for e in excluded))
+        self.excluded = frozenset(int(e) for e in excluded)
         if 0 in self.excluded:
             raise SubringError("degree 0 cannot be excluded (1 must be in D)")
         if any(e < 0 for e in self.excluded):
@@ -132,7 +132,6 @@ class PolyExtRing(RingHandle):
         return f"({self.desc.label()})[X]"
 
 
-@dataclass
 class AlphaCounterexample:
     """The pair u = 1 - alpha^4 X^4, v = alpha^2 + alpha^3 X in D[X], with the
     verified idempotent identity and the non-principality transcript.
@@ -141,13 +140,15 @@ class AlphaCounterexample:
     it relies on is re-checked exactly; the final step records the schema
     (any generator would force alpha into D, against the witness)."""
 
-    alpha: Poly
-    desc: SubringDesc
-    u: Poly
-    v: Poly
-    witness: Poly
-    pair: IdemPair
-    transcript: list = field(default_factory=list)
+    def __init__(self, alpha: Poly, desc: SubringDesc, u: Poly, v: Poly, witness: Poly, pair: IdemPair,
+                 transcript: list):
+        self.alpha = alpha
+        self.desc = desc
+        self.u = u
+        self.v = v
+        self.witness = witness
+        self.pair = pair
+        self.transcript = transcript
 
     def verified(self) -> bool:
         return all(step["verified"] for step in self.transcript)

@@ -7,13 +7,12 @@ Elements are exact rational functions in Y with no pole at 0 whose value at
 on whether a and b vanish at 0, producing a principal generator with
 two-way membership certificates, or a D-level residual when the base ideal
 is not principal.  The D-level generator and its Bezout combination come
-from the base handle's `principal_bezout` hook.
+from the base handle's `principal_bezout` hook.  The certificate
+`PullbackReduction` is a plain class; see `core` for why not a dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
 
 from .core import CertificateError, Poly, RatFunc, RingElem, RingHandle
 from .quadring import QuadOrder
@@ -196,7 +195,6 @@ def pb_inverse(x: PullbackElem) -> PullbackElem:
     return PullbackElem(RatFunc(x.rf.den, x.rf.num), x.ring)
 
 
-@dataclass
 class PullbackReduction:
     """Outcome of reducing an idempotent pair (a, b) to a principal generator.
 
@@ -206,19 +204,23 @@ class PullbackReduction:
     there is no generator (this exercises the PRINC hypothesis on D).
     """
 
-    status: str
-    case: str
-    orientation: str
-    a: PullbackElem
-    b: PullbackElem
-    witness: PullbackElem
-    generator: PullbackElem | None = None
-    qa: PullbackElem | None = None
-    qb: PullbackElem | None = None
-    ca: PullbackElem | None = None
-    cb: PullbackElem | None = None
-    base_pair: tuple | None = None
-    base_verdict: Any = None
+    def __init__(self, status: str, case: str, orientation: str, a: PullbackElem, b: PullbackElem,
+                 witness: PullbackElem, generator: PullbackElem | None = None, qa: PullbackElem | None = None,
+                 qb: PullbackElem | None = None, ca: PullbackElem | None = None, cb: PullbackElem | None = None,
+                 base_pair: tuple | None = None, base_verdict=None):
+        self.status = status
+        self.case = case
+        self.orientation = orientation
+        self.a = a
+        self.b = b
+        self.witness = witness
+        self.generator = generator
+        self.qa = qa
+        self.qb = qb
+        self.ca = ca
+        self.cb = cb
+        self.base_pair = base_pair
+        self.base_verdict = base_verdict
 
     def verify(self) -> bool:
         if self.status != "principal":

@@ -7,11 +7,12 @@ normal form [(n, 0), (c, m)] with 0 <= c < n; the ideal norm is the index
 n*m.  All decisions return re-checkable certificates, and each certificate
 type serializes itself (`to_json(enc)`).  The ring handle `QuadOrder`
 carries the ideal-theoretic hooks the engines call (see `rings`).
+`InvertibilityCert` and `PrincipalityVerdict` are plain classes with an
+explicit `__init__`; see `core` for why not dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -320,14 +321,15 @@ def principal_ideal(g: QuadElem) -> QuadIdeal:
     return ideal_from_pair(g, QuadElem(0, 0, g.d))
 
 
-@dataclass
 class InvertibilityCert:
-    invertible: bool
-    # when invertible: I * cofactor == (product_generator), a principal ideal
-    cofactor: QuadIdeal | None = None
-    product_generator: QuadElem | None = None
-    # when not: the extra multiplier (1+sqrt(d))/2 that stabilizes the lattice
-    reason: str = ""
+    def __init__(self, invertible: bool, cofactor: QuadIdeal | None = None,
+                 product_generator: QuadElem | None = None, reason: str = ""):
+        self.invertible = invertible
+        # when invertible: I * cofactor == (product_generator), a principal ideal
+        self.cofactor = cofactor
+        self.product_generator = product_generator
+        # when not: the extra multiplier (1+sqrt(d))/2 that stabilizes the lattice
+        self.reason = reason
 
     def __bool__(self):
         return self.invertible
@@ -388,16 +390,18 @@ def _generator_rank(xy):
     return (x * x, y * y, 0 if x > 0 or (x == 0 and y > 0) else 1, -x, -y)
 
 
-@dataclass
 class PrincipalityVerdict:
-    status: str  # "principal" | "non_principal" | "not_invertible"
-    ideal: QuadIdeal
-    generator: QuadElem | None = None
-    # two-way membership certificate for a principal verdict
-    basis_quotients: tuple[QuadElem, QuadElem] | None = None
-    generator_coordinates: tuple[int, int] | None = None
-    # search transcript: every norm-equation solution with its outcome
-    search: list = field(default_factory=list)
+    def __init__(self, status: str, ideal: QuadIdeal, search: list, generator: QuadElem | None = None,
+                 basis_quotients: tuple[QuadElem, QuadElem] | None = None,
+                 generator_coordinates: tuple[int, int] | None = None):
+        self.status = status  # "principal" | "non_principal" | "not_invertible"
+        self.ideal = ideal
+        # search transcript: every norm-equation solution with its outcome
+        self.search = search
+        self.generator = generator
+        # two-way membership certificate for a principal verdict
+        self.basis_quotients = basis_quotients
+        self.generator_coordinates = generator_coordinates
 
     @property
     def principal(self) -> bool:
@@ -424,7 +428,7 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
     validate_d(i.d)
     if not ideal_is_invertible(i):
         # principal ideals are invertible, so no search is needed
-        return PrincipalityVerdict("not_invertible", i)
+        return PrincipalityVerdict("not_invertible", i, [])
     N = i.norm()
     transcript = []
     for x, y in norm_solutions(N, i.d):
@@ -439,13 +443,13 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
             return PrincipalityVerdict(
                 "principal",
                 i,
+                transcript,
                 generator=g,
                 basis_quotients=(q1, q2),
                 generator_coordinates=coords,
-                search=transcript,
             )
         transcript.append({"x": x, "y": y, "generates": False})
-    return PrincipalityVerdict("non_principal", i, search=transcript)
+    return PrincipalityVerdict("non_principal", i, transcript)
 
 
 class NonMaximalOrderError(QuadError):

@@ -17,7 +17,9 @@ in X^(g/L) after its smallest exponent.  A product whose dense length would
 exceed `_MON_FILL` times its number of term pairs keeps the term-by-term
 loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
 through the lcm of its exponent and of its coefficient denominators; the
-per-term loop runs only to name the terms that fail.
+per-term loop runs only to name the terms that fail.  A D[X;S] report whose
+monoid or localized-base primes include one below 2 fails before any of
+these loops, which would never end (1) or divide by zero (0).
 """
 
 from __future__ import annotations
@@ -927,6 +929,15 @@ def _verify_pullback_nonufd(report):
     return fails
 
 
+def _ring_prime_fails(ring):
+    # stripping a prime below 2 never ends (1) or divides by zero (0), so
+    # such a ring fails before any membership loop runs
+    primes = [("ring.monoid.primes", p) for p in ring["monoid"]["primes"]]
+    if ring["base"]["family"] == "zloc":
+        primes += [("ring.base.primes", p) for p in ring["base"]["primes"]]
+    return [f"{where}: {p} is below 2" for where, p in primes if int(p) < 2]
+
+
 def _strip(n, primes):
     for p in primes:
         while n % p == 0:
@@ -974,7 +985,9 @@ def _mon_in_ring(v, ring, fails, label):
 
 
 def _verify_mring_split(report):
-    fails = []
+    fails = _ring_prime_fails(report["ring"])
+    if fails:
+        return fails
     result = report["result"]
     f1, f2 = dec(result["f1"]), dec(result["f2"])
     lam, mu = dec(result["lam"]), dec(result["mu"])
@@ -991,7 +1004,9 @@ def _verify_mring_split(report):
 
 
 def _verify_mring_chain(report):
-    fails = []
+    fails = _ring_prime_fails(report["ring"])
+    if fails:
+        return fails
     result = report["result"]
     factors = [dec(f) for f in result["factors"]]
     s = Fraction(result["s"])
@@ -1012,7 +1027,9 @@ def _verify_mring_chain(report):
 
 
 def _verify_mring_juett(report):
-    fails = []
+    fails = _ring_prime_fails(report["ring"])
+    if fails:
+        return fails
     result = report["result"]
     unit, f1, f2 = dec(result["unit"]), dec(result["f1"]), dec(result["f2"])
     lam, mu = dec(result["lam"]), dec(result["mu"])

@@ -8,12 +8,18 @@ polynomials over Q[y]) come out uniformly.  Lists and tuples encode item by
 item.  Every certificate type serializes itself through `to_json(enc)`, in
 its own module, so this module needs no engine imports beyond the element
 types and each certificate has exactly one encoding.
+
+`dump` writes the text of `json.dumps(report, indent=2)` byte for byte.
+`json` never uses its C encoder when `indent` is set, so `dump` walks the
+containers itself and leaves each string to the C routine `json.dumps` uses
+for it, `json.encoder.encode_basestring_ascii`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import REPORT_SCHEMA, __version__
 from .core import Poly, RatFunc
@@ -83,4 +89,52 @@ def make_report(command: str, ring, verdict: str, result: dict) -> dict:
 
 
 def dump(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """`json.dumps(report, indent=2)`: the same text, with the same TypeError
+    for a value or key JSON cannot hold."""
+    out = []
+    _write(report, out.append, "\n")
+    return "".join(out)
+
+
+def _write(x, put, nl):
+    # nl is a newline plus the indentation of the line x starts on
+    if type(x) is str:
+        put(encode_basestring_ascii(x))
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            head = sep + encode_basestring_ascii(k if type(k) is str else _key(k)) + ": "
+            if type(v) is str:
+                put(head + encode_basestring_ascii(v))
+            else:
+                put(head)
+                _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        # a leaf's text does not depend on the indentation, so json gives
+        # it (and raises its own TypeError for anything it cannot encode)
+        put(json.dumps(x))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

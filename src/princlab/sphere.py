@@ -5,12 +5,12 @@ The defining relation is monic of degree 2 in X0, so every element has a
 unique representative f + g*X0 with f, g in Q[X1,X2]; reduction never needs
 Groebner machinery.  Divisibility goes through the conjugation norm
 N(f + g*X0) = f^2 - g^2*(1-X1^2-X2^2), which is multiplicative and zero
-only at zero.
+only at zero.  `ProjectorReport` is a plain class; see `core` for why not a
+dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CertificateError, RingElem, RingHandle
@@ -315,12 +315,12 @@ class SphereRing(RingHandle):
 B2 = SphereRing()
 
 
-@dataclass
 class ProjectorReport:
     """E = I3 - x^T x with every defining identity checked exactly."""
 
-    matrix: list
-    checks: list = field(default_factory=list)
+    def __init__(self, matrix: list, checks: list):
+        self.matrix = matrix
+        self.checks = checks  # [(name, ok)]
 
     def verified(self) -> bool:
         return all(ok for _, ok in self.checks)

@@ -101,12 +101,20 @@ def test_recheck_ties_comax_hunt_to_its_witness(capsys):
     assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
 
 
+def run_probe(probe, *argv, **kwargs):
+    """Run the Python source `probe` in a fresh interpreter that imports
+    this checkout's princlab, with argv as its sys.argv[1:]."""
+    src = str(Path(princlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["ideal", "frompair", "2", "1+sqrt(-5)"], ["comax", "unique", "--ring", "Z[sqrt(-6)]", "10010"]],
 )
 def test_quadratic_commands_do_not_import_sympy(argv):
-    src = str(Path(princlab.__file__).resolve().parents[1])
     probe = (
         "import sys\n"
         "from princlab import cli\n"
@@ -114,9 +122,7 @@ def test_quadratic_commands_do_not_import_sympy(argv):
         "sys.stderr.write('sympy loaded: %s' % ('sympy' in sys.modules))\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", probe, "--recheck", *argv],
-                         capture_output=True, text=True, env=env, timeout=60)
+    res = run_probe(probe, "--recheck", *argv)
     assert res.returncode in (0, 1), res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
     assert res.stderr.endswith("sympy loaded: False")
@@ -178,3 +184,74 @@ def test_negative_power_of_a_constant_inverts_it(capsys):
     report = json.loads(out)
     assert report["result"]["a"]["terms"] == [["1", {"type": "rat", "value": "1/2"}]]
     assert report["recheck"] == "passed"
+
+
+def test_commands_import_no_code_generation_modules():
+    # dataclasses pulls in inspect, ast and dis, and every @dataclass execs
+    # generated code at start-up; the certificates are plain classes
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from princlab import cli\n"
+        "for argv in (['comax', 'unique', '60'], ['mring', 'chain', '--m', '3', '--ring', 'Z[1/2][X;S]'],\n"
+        "             ['limitring', 'chain', '--m', '3', '--ring', 'limitring:Z'], ['sphere', 'projector'],\n"
+        "             ['polyext', 'counterexample', '--alpha', '2*y']):\n"
+        "    assert cli.main(['--recheck', *argv]) == 0, argv\n"
+        "new = set(sys.modules) - before\n"
+        "sys.stderr.write(repr(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'})))\n"
+    )
+    res = run_probe(probe)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "[]"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+
+def test_division_past_the_dense_limit_is_an_input_error():
+    # X^100 - X^200 on the grid of 1 + X^(1/2^20) would be 100*2^20 + 1 entries
+    probe = (
+        "import sys, time\n"
+        "from princlab import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stderr.write('elapsed %f' % (time.perf_counter() - start))\n"
+        "sys.exit(code)\n"
+    )
+    res = run_probe(probe, "--recheck", "idem", "check", "--ring", "Z[X;S]", "1+X^(1/2^20)", "X^100",
+                    preexec_fn=_limit_address_space)
+    assert res.returncode == 2 and res.stdout == ""
+    message, _, elapsed = res.stderr.rpartition("elapsed ")
+    assert message == "princlab: error: exact division needs 104857601 dense terms on the exponent grid 1/1048576; the limit is 65536\n"
+    assert float(elapsed) < 1
+
+
+@pytest.mark.parametrize(
+    "monoid,base,failure",
+    [
+        (["1"], ["2"], "ring.monoid.primes: 1 is below 2"),
+        (["2", "0"], ["2"], "ring.monoid.primes: 0 is below 2"),
+        (["2"], ["3", "1"], "ring.base.primes: 1 is below 2"),
+    ],
+)
+def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure):
+    # stripping the prime 1 never ends and the prime 0 divides by zero, so
+    # the check runs in a fresh interpreter with a time limit
+    report = report_of(capsys, "mring", "chain", "--m", "4", "--ring", "Z[1/2][X;S]", "--s", "1/2")
+    report["ring"]["monoid"]["primes"] = monoid
+    report["ring"]["base"]["primes"] = base
+    probe = (
+        "import json, sys, time\n"
+        "from princlab.recheck import verify_report\n"
+        "report = json.load(sys.stdin)\n"
+        "start = time.perf_counter()\n"
+        "fails = verify_report(report)\n"
+        "print(json.dumps([fails, time.perf_counter() - start]))\n"
+    )
+    res = run_probe(probe, input=json.dumps(report))
+    fails, elapsed = json.loads(res.stdout)
+    assert fails == [failure]
+    assert elapsed < 1

@@ -41,6 +41,11 @@ def test_xgcd_basics():
         assert g >= 0
 
 
+def test_small_primes_are_the_trial_division_list():
+    assert core._SMALL_PRIMES == [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    assert core._MR_BASES == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
 def test_factorint_matches_sympy(monkeypatch):
     fallbacks = []
     sympy_factorint = sympy.factorint

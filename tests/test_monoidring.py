@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from princlab import monoidring
 from princlab.core import Poly
 from princlab.monoidring import (
     MonoidDesc,
@@ -178,6 +179,16 @@ def test_divides():
     two, three = RZ2.coerce(2), RZ2.coerce(3)
     assert RZ2.divides(two, three) is None
     assert RZ2.divides(two, RZ2.coerce(6)) == three
+
+
+def test_divides_refuses_operands_past_its_dense_limit():
+    # on the grid 1/2^16 of 1 + X^(1/2^16) the dividend 1 - X^e is dense
+    # with e*2^16 + 1 entries: at the limit it is divided, past it refused
+    cap = monoidring._DIVIDES_LEN
+    b = RQ2.one + RQ2.monomial(F(1, cap))
+    assert RQ2.divides(b, RQ2.one - RQ2.monomial(F(cap - 1, cap))) is None  # odd power of -1 is not a root
+    with pytest.raises(MonoidError, match=f"exact division needs {cap + 1} dense terms"):
+        RQ2.divides(b, RQ2.one - RQ2.monomial(1))
 
 
 def test_divides_random_round_trip():
