@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 
-from .core import CertificateError, pairwise_json
+from .core import CertificateError, is_comaximal_product, pairwise_json
 from .rings import ZZ
 
 DEFAULT_SUPPORT_CAP = 8
@@ -103,17 +103,11 @@ class ComaxFactorization:
 
     def verify(self) -> bool:
         ring = self.ring
-        prod = ring.one
-        for f in self.factors:
-            prod = prod * f
-        if prod * self.unit != self.element:
-            return False
-        if not ring.is_unit(self.unit):
-            return False
-        for i, j, lam, mu in self.pairwise:
-            if lam * self.factors[i] + mu * self.factors[j] != ring.one:
-                return False
-        return all(t.pseudo_irreducible for t in self.transcripts)
+        return (
+            is_comaximal_product(ring.one, self.element, self.factors, self.pairwise, self.unit)
+            and ring.is_unit(self.unit)
+            and all(t.pseudo_irreducible for t in self.transcripts)
+        )
 
     def to_json(self, enc):
         return {

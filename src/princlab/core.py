@@ -1,8 +1,11 @@
 """Exact arithmetic substrate: extended integer gcd, integer factorization
 and square roots modulo a prime, dense univariate polynomials over a field,
-rational functions, and small integer lattice solves.  It also holds the two
-pieces of certificate plumbing every engine shares: `CertificateError` and
-the encoding of pairwise Bezout certificates.
+rational functions, and small integer lattice solves.  It also holds the
+certificate plumbing every engine shares: `CertificateError`, the encoding of
+pairwise Bezout certificates, `is_comaximal_product` (the one check of a
+comaximal factorization u * f_1 * ... * f_m == b with lam*f_i + mu*f_j == 1,
+which the D[X;S], limit-ring and Z / Z[sqrt(d)] certificates all call) and
+`mat_mul`, the one matrix product (idempotent matrices, the B2 projector).
 
 Two small bases carry what every ring family shares.  `RingElem` derives
 binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated
@@ -105,6 +108,27 @@ class RingHandle:
 def pairwise_json(pairwise, enc):
     """[(i, j, lam, mu)] with lam*f_i + mu*f_j == 1, as report data."""
     return [{"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)} for i, j, lam, mu in pairwise]
+
+
+def is_comaximal_product(one, target, factors, pairwise, unit=None) -> bool:
+    """unit * f_1 * ... * f_m == target (unit defaults to one), and
+    lam*f_i + mu*f_j == one for every (i, j, lam, mu) in pairwise.  The
+    product runs left to right from the unit."""
+    prod = one if unit is None else unit
+    for f in factors:
+        prod = prod * f
+    if prod != target:
+        return False
+    return all(lam * factors[i] + mu * factors[j] == one for i, j, lam, mu in pairwise)
+
+
+def mat_mul(p, q):
+    """The matrix product p*q of nested lists (p is r x n, q is n x c)."""
+    n = len(q)
+    return [
+        [sum((p[i][k] * q[k][j] for k in range(1, n)), p[i][0] * q[0][j]) for j in range(len(q[0]))]
+        for i in range(len(p))
+    ]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

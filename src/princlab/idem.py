@@ -16,7 +16,7 @@ explicit `__init__`; see `core` for why not dataclasses.
 
 from __future__ import annotations
 
-from .core import CertificateError
+from .core import CertificateError, mat_mul
 
 
 class IdemPair:
@@ -70,18 +70,10 @@ def idem_matrix(pair: IdemPair):
     f, s, r = pair.normalized()
     one = pair.ring.one
     m = [[f, s], [r, one - f]]
-    sq = _mat_mul(m, m)
+    sq = mat_mul(m, m)
     if sq != m:
         raise CertificateError("matrix square differs from the matrix")
     return m
-
-
-def _mat_mul(p, q):
-    n = len(p)
-    return [
-        [sum((p[i][k] * q[k][j] for k in range(1, n)), p[i][0] * q[0][j]) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 class BezoutCert:
@@ -131,7 +123,8 @@ class ComplementCert:
 
     products are the four generators of the left-hand side, quotients divide
     each by s, and s itself is recovered as products[1] + products[2]; for
-    rings with ideal arithmetic an independent lattice-level check is run.
+    rings with ideal arithmetic an independent lattice-level check is run,
+    and `verify()` fails when that check failed.
     """
 
     def __init__(self, pair: IdemPair, generator, products: list, quotients: list, ideal_check: bool | None):
@@ -153,7 +146,7 @@ class ComplementCert:
         f, s, r = self.pair.normalized()
         one = self.pair.ring.one
         want = [f * (one - f), f * s, s * (one - f), s * s]
-        if [p for p in self.products] != want:
+        if self.products != want or self.ideal_check is False:
             return False
         if any(s * q != p for p, q in zip(self.products, self.quotients)):
             return False
@@ -169,13 +162,8 @@ def complement_identity(pair: IdemPair) -> ComplementCert:
     one = ring.one
     products = [f * (one - f), f * s, s * (one - f), s * s]
     quotients = [r, f, one - f, s]
-    for p, q in zip(products, quotients):
-        if s * q != p:
-            raise CertificateError("complement identity quotient failed")
-    if products[1] + products[2] != s:
-        raise CertificateError("combination for the generator failed")
-
     ideal_check = ring.complement_check(f, s) if hasattr(ring, "complement_check") else None
-    if ideal_check is False:
-        raise CertificateError("ideal-level complement identity failed")
-    return ComplementCert(pair, s, products, quotients, ideal_check)
+    cert = ComplementCert(pair, s, products, quotients, ideal_check)
+    if not cert.verify():
+        raise CertificateError("complement certificates failed to verify")
+    return cert

@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem
+from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, pairwise_json,
+                   poly_divrem)
 from .rings import QQ, IntegerRing, RationalField
 
 
@@ -191,16 +192,7 @@ class LimitChain:
 
     def verify(self) -> bool:
         ring = self.factors[0].ring
-        prod = ring.one
-        for f in self.factors:
-            prod = prod * f
-        if prod != lr_lift(ring.gen(1), self.m):
-            return False
-        one = ring.one
-        for i, j, lam, mu in self.pairwise:
-            if lam * self.factors[i] + mu * self.factors[j] != one:
-                return False
-        return True
+        return is_comaximal_product(ring.one, lr_lift(ring.gen(1), self.m), self.factors, self.pairwise)
 
     def to_json(self, enc):
         return {"m": self.m, "factors": enc(self.factors), "pairwise": pairwise_json(self.pairwise, enc)}

@@ -41,7 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CertificateError, Poly, RingElem, RingHandle, pairwise_json, poly_divrem, poly_extended_gcd
+from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, pairwise_json,
+                   poly_divrem, poly_extended_gcd)
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
 
 
@@ -344,9 +345,9 @@ class SplitResult:
 
     def verify(self) -> bool:
         ring = self.f1.ring
-        prod_ok = self.f1 * self.f2 == ring.one - ring.monomial(self.s)
-        cert_ok = self.lam * self.f1 + self.mu * self.f2 == ring.one
-        return prod_ok and cert_ok
+        return is_comaximal_product(
+            ring.one, ring.one - ring.monomial(self.s), [self.f1, self.f2], [(0, 1, self.lam, self.mu)]
+        )
 
     def to_json(self, enc):
         return {
@@ -398,23 +399,14 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
 
 
 class ChainResult:
-    def __init__(self, s: Fraction, factors: list, pairwise: list, splits: list):
+    def __init__(self, s: Fraction, factors: list, pairwise: list):
         self.s = s
         self.factors = factors
         self.pairwise = pairwise  # (i, j, lam, mu)
-        self.splits = splits
 
     def verify(self) -> bool:
         ring = self.factors[0].ring
-        prod = ring.one
-        for f in self.factors:
-            prod = prod * f
-        if prod != ring.one - ring.monomial(self.s):
-            return False
-        for i, j, lam, mu in self.pairwise:
-            if lam * self.factors[i] + mu * self.factors[j] != ring.one:
-                return False
-        return True
+        return is_comaximal_product(ring.one, ring.one - ring.monomial(self.s), self.factors, self.pairwise)
 
     def to_json(self, enc):
         return {
@@ -433,13 +425,10 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
         raise MonoidError("need m >= 1")
     if n is None:
         n = ring.desc.primes[0]
-    splits = []
     cofactors = []
     cur = s
     for _ in range(m - 1):
-        sp = mr_split(cur, n, ring)
-        splits.append(sp)
-        cofactors.append(sp.f2)
+        cofactors.append(mr_split(cur, n, ring).f2)
         cur = cur / n
     if not ring.desc.contains(cur):
         raise MonoidError(f"exponent {cur} not in S")
@@ -456,7 +445,7 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
             if d != Poly((Fraction(1),)):
                 raise CertificateError("chain factors are not comaximal (bug)")
             pairwise.append((i, j, _from_poly(si, step, 0, den, ring), _from_poly(tj, step, 0, den, ring)))
-    chain = ChainResult(s, factors, pairwise, splits)
+    chain = ChainResult(s, factors, pairwise)
     if not chain.verify():
         raise CertificateError("chain certificates failed to verify")
     return chain
@@ -481,9 +470,7 @@ class JuettSplit:
     def verify(self) -> bool:
         ring = self.unit.ring
         target = ring.monomial(self.t) - ring.coerce(self.b)
-        if self.unit * self.f1 * self.f2 != target:
-            return False
-        return self.lam * self.f1 + self.mu * self.f2 == ring.one
+        return is_comaximal_product(ring.one, target, [self.f1, self.f2], [(0, 1, self.lam, self.mu)], self.unit)
 
     def to_json(self, enc):
         return {

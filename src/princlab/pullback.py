@@ -200,14 +200,15 @@ class PullbackReduction:
 
     When status == "principal": generator g with a == g*qa, b == g*qb and
     g == ca*a + cb*b, all in R.  When status == "base_non_principal" the
-    base pair (a', b') of values is returned with its quadring verdict, and
-    there is no generator (this exercises the PRINC hypothesis on D).
+    base pair (a', b') of values, whose ideal of D is not principal, is
+    returned and there is no generator (this exercises the PRINC hypothesis
+    on D).
     """
 
     def __init__(self, status: str, case: str, orientation: str, a: PullbackElem, b: PullbackElem,
                  witness: PullbackElem, generator: PullbackElem | None = None, qa: PullbackElem | None = None,
                  qb: PullbackElem | None = None, ca: PullbackElem | None = None, cb: PullbackElem | None = None,
-                 base_pair: tuple | None = None, base_verdict=None):
+                 base_pair: tuple | None = None):
         self.status = status
         self.case = case
         self.orientation = orientation
@@ -220,7 +221,6 @@ class PullbackReduction:
         self.ca = ca
         self.cb = cb
         self.base_pair = base_pair
-        self.base_verdict = base_verdict
 
     def verify(self) -> bool:
         if self.status != "principal":
@@ -263,7 +263,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
     if f * (one - f) != s * r:
         raise PullbackError("witness does not satisfy the defining relation")
 
-    def result(case, g, qf, qs, cf, cs):
+    def result(case, g, qf, qs, cf, cs, base_pair=None):
         # arguments are relative to (f, s); swap back for (a, b)
         if orientation == "ab":
             qa, qb, ca, cb = qf, qs, cf, cs
@@ -271,7 +271,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
             qa, qb, ca, cb = qs, qf, cs, cf
         red = PullbackReduction(
             "principal", case, orientation, a, b, r,
-            generator=g, qa=qa, qb=qb, ca=ca, cb=cb,
+            generator=g, qa=qa, qb=qb, ca=ca, cb=cb, base_pair=base_pair,
         )
         if not red.verify():
             raise CertificateError("reduction certificate failed to verify")
@@ -293,12 +293,12 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
 
     # both values nonzero: reduce to D
     av, bv = f.value0, s.value0
-    g0, lam, mu, base_verdict = ring.base.principal_bezout(av, bv)
-    if g0 is None:
+    bezout = ring.base.principal_bezout(av, bv)
+    if bezout is None:
         return PullbackReduction(
-            "base_non_principal", "base_reduction", orientation, a, b, r,
-            base_pair=(av, bv), base_verdict=base_verdict,
+            "base_non_principal", "base_reduction", orientation, a, b, r, base_pair=(av, bv),
         )
+    g0, lam, mu = bezout
     gen = ring.coerce(g0)
     # f = (f/f') * f' with f/f' a unit; assemble everything through R division
     qf = ring.divides(gen, f)
@@ -307,17 +307,7 @@ def pb_reduce_idem_pair(a: PullbackElem, b: PullbackElem, r: PullbackElem,
         raise CertificateError("base generator fails to divide in R (bug)")
     cf = ring.coerce(lam) * _unit_quotient(ring, av, f)
     cs = ring.coerce(mu) * _unit_quotient(ring, bv, s)
-    red = PullbackReduction(
-        "principal", "base_reduction", orientation, a, b, r,
-        generator=gen, base_pair=(av, bv), base_verdict=base_verdict,
-    )
-    if orientation == "ab":
-        red.qa, red.qb, red.ca, red.cb = qf, qs, cf, cs
-    else:
-        red.qa, red.qb, red.ca, red.cb = qs, qf, cs, cf
-    if not red.verify():
-        raise CertificateError("reduction certificate failed to verify")
-    return red
+    return result("base_reduction", gen, qf, qs, cf, cs, base_pair=(av, bv))
 
 
 def _unit_quotient(ring: PullbackRing, value, elem: PullbackElem) -> PullbackElem:

@@ -632,11 +632,11 @@ class QuadOrder(RingHandle):
     def principal_bezout(self, a, b):
         verdict = ideal_is_principal(ideal_from_pair(a, b))
         if not verdict.principal:
-            return None, None, None, verdict
+            return None
         cert = combination(a, b, verdict.generator)
         if cert is None:
             raise CertificateError("generator not reachable from the pair (bug)")
-        return verdict.generator, *cert, verdict
+        return verdict.generator, *cert
 
     def unit_bezout(self, a, b):
         return combination(a, b, self.one)

@@ -20,6 +20,15 @@ through the lcm of its exponent and of its coefficient denominators; the
 per-term loop runs only to name the terms that fail.  A D[X;S] report whose
 monoid or localized-base primes include one below 2 fails before any of
 these loops, which would never end (1) or divide by zero (0).
+
+Each identity has one checking routine here.  `_comaximal_fails` checks
+every comaximal factorization (u * f_1 * ... * f_m == b and each pair's
+lam*f_i + mu*f_j == 1) for `comax`, `mring split|chain|juett` and `limitring
+chain`; `_omega_fails` checks omega-stability, `_block_span` multiplies
+prime powers, `_mat_mul` is the matrix product and `_strip` removes the
+primes of a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)]
+element and fails one that is not integral, where `int()` would truncate a
+Fraction to another element.
 """
 
 from __future__ import annotations
@@ -508,8 +517,22 @@ def _norm_solutions(N, d):
     return out
 
 
-def _quad_int(v):
-    return v[0] == "quad" and v[1].denominator == 1 and v[2].denominator == 1
+def _quad_xy(v, name, fails):
+    """The integer coordinates (x, y) of a decoded Z[sqrt(d)] element; None,
+    after a failure naming it, when it is not one with integer coordinates
+    (`int()` would truncate a Fraction to some other element)."""
+    if v[0] == "quad" and v[1].denominator == 1 and v[2].denominator == 1:
+        return int(v[1]), int(v[2])
+    fails.append(f"{name} does not have integer coordinates")
+    return None
+
+
+def _omega_fails(q, d, fails):
+    # 2*omega*(x + y*sqrt d) == (x + d*y) + (x + y)*sqrt d, omega = (1 + sqrt d)/2
+    for (x, y) in _qid_vectors(q):
+        wx, wy = x + d * y, x + y
+        if wx % 2 or wy % 2 or not _contains(q, wx // 2, wy // 2):
+            fails.append("claimed omega-stability fails on a basis vector")
 
 
 def _nonprincipal_by_enumeration(span, d, fails):
@@ -524,6 +547,47 @@ def _nonprincipal_by_enumeration(span, d, fails):
 
 
 # ------------------------------------------------------------- verifiers
+
+
+def _comaximal_fails(cert, target, claim, fails, label="", unit=None):
+    """The one check of a comaximal factorization certificate: unit * f_1 *
+    ... * f_m == target (unit defaults to 1) over cert["factors"], and
+    lam*f_i + mu*f_j == 1 for each entry of cert["pairwise"].  A failing
+    product appends `claim`, a failing pair names its (i, j).  Returns the
+    decoded factors."""
+    factors = [dec(f) for f in cert["factors"]]
+    one = v_one_like(target)
+    prod = one if unit is None else unit
+    for f in factors:
+        prod = v_mul(prod, f)
+    if not v_eq(prod, target):
+        fails.append(f"{label}{claim}")
+    for c in cert["pairwise"]:
+        i, j = c["i"], c["j"]
+        if not v_eq(v_add(v_mul(dec(c["lam"]), factors[i]), v_mul(dec(c["mu"]), factors[j])), one):
+            fails.append(f"{label}Bezout certificate for pair {i},{j} fails")
+    return factors
+
+
+def _split_pair(result):
+    # a two-factor split (f1, f2 with lam*f1 + mu*f2 == 1) as a certificate
+    return {"factors": [result["f1"], result["f2"]],
+            "pairwise": [{"i": 0, "j": 1, "lam": result["lam"], "mu": result["mu"]}]}
+
+
+def _x_minus(t, b):
+    """X^t - b as a "mon" value."""
+    return v_sub(("mon", ((Fraction(t), ("rat", Fraction(1))),)), ("mon", ((Fraction(0), ("rat", Fraction(b))),)))
+
+
+def _mat_mul(p, q):
+    """The matrix product p*q of nested lists of decoded values."""
+    def entry(row, j):
+        acc = v_mul(row[0], q[0][j])
+        for k in range(1, len(q)):
+            acc = v_add(acc, v_mul(row[k], q[k][j]))
+        return acc
+    return [[entry(row, j) for j in range(len(q[0]))] for row in p]
 
 
 def _pair_identity(result, fails):
@@ -589,10 +653,10 @@ def _verify_idem_matrix(report):
         for j in range(2):
             if not v_eq(m[i][j], want[i][j]):
                 fails.append(f"matrix entry ({i},{j}) differs from the pair data")
+    sq = _mat_mul(m, m)
     for i in range(2):
         for j in range(2):
-            acc = v_add(v_mul(m[i][0], m[0][j]), v_mul(m[i][1], m[1][j]))
-            if not v_eq(acc, m[i][j]):
+            if not v_eq(sq[i][j], m[i][j]):
                 fails.append(f"M*M != M at ({i},{j})")
     return fails
 
@@ -629,13 +693,12 @@ def _verify_ideal_frompair(report):
     q = dec(result["ideal"])
     d = q[1]
     vecs = []
-    for e in (a, b):
-        if not _quad_int(e):
-            fails.append("generator has non-integer coordinates")
+    for name, e in (("a", a), ("b", b)):
+        xy = _quad_xy(e, name, fails)
+        if xy is None:
             return fails
-        x, y = int(e[1]), int(e[2])
-        if x or y:
-            vecs += _elem_vectors(x, y, d)
+        if any(xy):
+            vecs += _elem_vectors(*xy, d)
     if _span(vecs) != (q[2], q[3], q[4]):
         fails.append("normal form differs from an independent lattice recomputation")
     if int(result["norm"]) != q[2] * q[4]:
@@ -663,20 +726,15 @@ def _verify_ideal_invertible(report):
         cof = dec(result["cofactor"])
         gen = dec(result["product_generator"])
         got = _ideal_product_span(_qid_vectors(q), _qid_vectors(cof), d)
-        if not _quad_int(gen):
-            fails.append("product generator is not integral")
+        xy = _quad_xy(gen, "product generator", fails)
+        if xy is None:
             return fails
-        want = _span(_elem_vectors(int(gen[1]), int(gen[2]), d))
-        if got != want:
+        if got != _span(_elem_vectors(*xy, d)):
             fails.append("I*cofactor is not the claimed principal ideal")
+    elif d % 4 != 1:
+        fails.append("non-invertibility claimed in a maximal order")
     else:
-        if d % 4 != 1:
-            fails.append("non-invertibility claimed in a maximal order")
-            return fails
-        for (x, y) in _qid_vectors(q):
-            wx, wy = x + d * y, x + y  # 2*omega*(x + y*sqrt d)
-            if wx % 2 or wy % 2 or not _contains(q, wx // 2, wy // 2):
-                fails.append("claimed omega-stability fails on a basis vector")
+        _omega_fails(q, d, fails)
     return fails
 
 
@@ -688,8 +746,10 @@ def _verify_ideal_principal(report):
     span = (q[2], q[3], q[4])
     status = result["status"]
     if status == "principal":
-        g = dec(result["generator"])
-        x, y = int(g[1]), int(g[2])
+        xy = _quad_xy(dec(result["generator"]), "generator", fails)
+        if xy is None:
+            return fails
+        x, y = xy
         if _span(_elem_vectors(x, y, d)) != span:
             fails.append("claimed generator does not span the ideal")
         if x * x - d * y * y != q[2] * q[4]:
@@ -697,10 +757,7 @@ def _verify_ideal_principal(report):
     elif status == "non_principal":
         _nonprincipal_by_enumeration(span, d, fails)
     elif status == "not_invertible":
-        for (x, y) in [(q[2], 0), (q[3], q[4])]:
-            wx, wy = x + d * y, x + y
-            if wx % 2 or wy % 2 or not _contains(q, wx // 2, wy // 2):
-                fails.append("claimed omega-stability fails on a basis vector")
+        _omega_fails(q, d, fails)
     return fails
 
 
@@ -708,20 +765,18 @@ def _verify_ideal_factor(report):
     fails = []
     result = report["result"]
     b = dec(result["element"])
-    d = int(b[3])
-    x, y = int(b[1]), int(b[2])
-    acc = _span(_elem_vectors(1, 0, d))
-    for item in result["factors"]:
-        p = dec(item["prime"])
-        pv = _qid_vectors(p)
-        for _ in range(int(item["exponent"])):
-            acc = _ideal_product_span([(acc[0], 0), (acc[1], acc[2])], pv, d)
-    if acc != _span(_elem_vectors(x, y, d)):
+    xy = _quad_xy(b, "element", fails)
+    if xy is None:
+        return fails
+    d = b[3]
+    factors = result["factors"]
+    if _block_span(factors, range(len(factors)), d) != _span(_elem_vectors(*xy, d)):
         fails.append("prime powers do not re-multiply to (b)")
     return fails
 
 
 def _block_span(support, idxs, d):
+    """The lattice of the product of the prime powers support[i], i in idxs."""
     acc = _span(_elem_vectors(1, 0, d))
     for i in idxs:
         p = dec(support[i]["prime"])
@@ -733,29 +788,16 @@ def _block_span(support, idxs, d):
 
 def _verify_factorization(fact, ring, fails, label=""):
     family = ring["family"]
-    factors = [dec(f) for f in fact["factors"]]
+    d = None if family == "int" else int(ring["d"])
     unit = dec(fact["unit"])
-    elem = dec(fact["element"])
-    prod = v_one_like(elem)
-    for f in factors:
-        prod = v_mul(prod, f)
-    if not v_eq(v_mul(prod, unit), elem):
-        fails.append(f"{label}product of factors times unit differs from the element")
+    _comaximal_fails(fact, dec(fact["element"]), "product of factors times unit differs from the element",
+                     fails, label, unit)
     if family == "int":
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
-    else:
-        d = int(ring["d"])
-        if unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
-            fails.append(f"{label}unit does not have norm 1")
-    one = v_one_like(elem)
-    for cert in fact["pairwise"]:
-        i, j = cert["i"], cert["j"]
-        lam, mu = dec(cert["lam"]), dec(cert["mu"])
-        if not v_eq(v_add(v_mul(lam, factors[i]), v_mul(mu, factors[j])), one):
-            fails.append(f"{label}Bezout certificate for factors {i},{j} fails")
+    elif unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
+        fails.append(f"{label}unit does not have norm 1")
     support = fact["support"]
-    d = None if family == "int" else int(ring["d"])
     for tidx, tr in enumerate(fact["transcripts"]):
         block = fact["blocks"][tidx]
         k = len(block)
@@ -778,8 +820,8 @@ def _verify_factorization(fact, ring, fails, label=""):
                     if gen is None:
                         _nonprincipal_by_enumeration(span, d, fails)
                     else:
-                        g = dec(gen)
-                        if _span(_elem_vectors(int(g[1]), int(g[2]), d)) != span:
+                        xy = _quad_xy(dec(gen), f"{label}block generator", fails)
+                        if xy is not None and _span(_elem_vectors(*xy, d)) != span:
                             fails.append(f"{label}block generator does not span its block")
         if tr["pseudo_irreducible"]:
             # every 2-partition must have been examined and refuted
@@ -890,9 +932,12 @@ def _verify_pullback_reduce(report):
         av, bv = dec(result["base_pair"][0]), dec(result["base_pair"][1])
         d = av[3]
         vecs = []
-        for e in (av, bv):
-            if not v_is_zero(e):
-                vecs += _elem_vectors(int(e[1]), int(e[2]), d)
+        for k, e in enumerate((av, bv)):
+            xy = _quad_xy(e, f"base_pair[{k}]", fails)
+            if xy is None:
+                return fails
+            if any(xy):
+                vecs += _elem_vectors(*xy, d)
         _nonprincipal_by_enumeration(_span(vecs), d, fails)
         return fails
     g = dec(result["generator"])
@@ -957,31 +1002,23 @@ def _mon_in_ring(v, ring, fails, label):
         return
     exp_den = lcm(*(e.denominator for e, _ in v[1]))
     coeff_den = lcm(*(c[1].denominator for _, c in v[1]))
+    base_primes = [int(p) for p in base["primes"]] if base["family"] == "zloc" else []
     if (
         (group or all(e >= 0 for e, _ in v[1]))
         and _strip(exp_den, primes) == 1
         and (base["family"] != "int" or coeff_den == 1)
-        and (base["family"] != "zloc" or _strip(coeff_den, [int(p) for p in base["primes"]]) == 1)
+        and (base["family"] != "zloc" or _strip(coeff_den, base_primes) == 1)
     ):
         return
     for e, c in v[1]:
         if not group and e < 0:
             fails.append(f"{label}: negative exponent outside group mode")
-        den = e.denominator
-        for p in primes:
-            while den % p == 0:
-                den //= p
-        if den != 1:
+        if _strip(e.denominator, primes) != 1:
             fails.append(f"{label}: exponent {e} outside the denominator lattice")
         if base["family"] == "int" and c[1].denominator != 1:
             fails.append(f"{label}: coefficient {c[1]} outside Z")
-        if base["family"] == "zloc":
-            d = c[1].denominator
-            for p in (int(p) for p in base["primes"]):
-                while d % p == 0:
-                    d //= p
-            if d != 1:
-                fails.append(f"{label}: coefficient {c[1]} outside the localized base")
+        if base["family"] == "zloc" and _strip(c[1].denominator, base_primes) != 1:
+            fails.append(f"{label}: coefficient {c[1]} outside the localized base")
 
 
 def _verify_mring_split(report):
@@ -989,15 +1026,7 @@ def _verify_mring_split(report):
     if fails:
         return fails
     result = report["result"]
-    f1, f2 = dec(result["f1"]), dec(result["f2"])
-    lam, mu = dec(result["lam"]), dec(result["mu"])
-    s = Fraction(result["s"])
-    one = v_one_like(f1)
-    xs = ("mon", ((s, ("rat", Fraction(1))),))
-    if not v_eq(v_mul(f1, f2), v_sub(one, xs)):
-        fails.append("f1*f2 != 1 - X^s")
-    if not v_eq(v_add(v_mul(lam, f1), v_mul(mu, f2)), one):
-        fails.append("Bezout certificate fails")
+    _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)), "f1*f2 != 1 - X^s", fails)
     for name in ("f1", "f2", "lam", "mu"):
         _mon_in_ring(dec(result[name]), report["ring"], fails, name)
     return fails
@@ -1008,21 +1037,10 @@ def _verify_mring_chain(report):
     if fails:
         return fails
     result = report["result"]
-    factors = [dec(f) for f in result["factors"]]
-    s = Fraction(result["s"])
-    one = v_one_like(factors[0])
-    prod = one
-    for f in factors:
-        prod = v_mul(prod, f)
-    xs = ("mon", ((s, ("rat", Fraction(1))),))
-    if not v_eq(prod, v_sub(one, xs)):
-        fails.append("product does not telescope to 1 - X^s")
+    _comaximal_fails(result, v_neg(_x_minus(result["s"], 1)), "product does not telescope to 1 - X^s", fails)
     for cert in result["pairwise"]:
-        lam, mu = dec(cert["lam"]), dec(cert["mu"])
-        if not v_eq(v_add(v_mul(lam, factors[cert["i"]]), v_mul(mu, factors[cert["j"]])), one):
-            fails.append(f"certificate for pair {cert['i']},{cert['j']} fails")
-        _mon_in_ring(lam, report["ring"], fails, "lam")
-        _mon_in_ring(mu, report["ring"], fails, "mu")
+        _mon_in_ring(dec(cert["lam"]), report["ring"], fails, "lam")
+        _mon_in_ring(dec(cert["mu"]), report["ring"], fails, "mu")
     return fails
 
 
@@ -1031,39 +1049,20 @@ def _verify_mring_juett(report):
     if fails:
         return fails
     result = report["result"]
-    unit, f1, f2 = dec(result["unit"]), dec(result["f1"]), dec(result["f2"])
-    lam, mu = dec(result["lam"]), dec(result["mu"])
-    t, b = Fraction(result["t"]), Fraction(result["b"])
-    one = v_one_like(f1)
-    xt = ("mon", ((t, ("rat", Fraction(1))),))
-    target = v_sub(xt, ("mon", ((Fraction(0), ("rat", b)),)))
-    if not v_eq(v_mul(v_mul(unit, f1), f2), target):
-        fails.append("unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b")
-    if not v_eq(v_add(v_mul(lam, f1), v_mul(mu, f2)), one):
-        fails.append("Bezout certificate fails")
+    _comaximal_fails(_split_pair(result), _x_minus(result["t"], result["b"]),
+                     "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=dec(result["unit"]))
     return fails
 
 
 def _verify_limit_chain(report):
     fails = []
     result = report["result"]
-    m = result["m"]
-    factors = [dec(f) for f in result["factors"]]
-    one = v_one_like(factors[0])
-    prod = one
-    for f in factors:
-        prod = v_mul(prod, f)
     x1 = ("lim", 1, (Fraction(0), Fraction(1)))
-    if not v_eq(prod, x1):
-        fails.append("product of chain factors differs from the lift of x_1")
-    base = report["ring"]["base"]["family"]
-    for f in factors:
-        if base == "int" and any(c.denominator != 1 for c in f[2]):
-            fails.append("factor coefficients leave Z")
-    for cert in result["pairwise"]:
-        lam, mu = dec(cert["lam"]), dec(cert["mu"])
-        if not v_eq(v_add(v_mul(lam, factors[cert["i"]]), v_mul(mu, factors[cert["j"]])), one):
-            fails.append(f"certificate for pair {cert['i']},{cert['j']} fails")
+    factors = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
+    if report["ring"]["base"]["family"] == "int":
+        for f in factors:
+            if any(c.denominator != 1 for c in f[2]):
+                fails.append("factor coefficients leave Z")
     return fails
 
 
@@ -1135,31 +1134,24 @@ def _verify_sphere_projector(report):
           ("sph", {(1, 0): Fraction(1)}, {}),
           ("sph", {(0, 1): Fraction(1)}, {})]
     one = v_one_like(xs[0])
+    col = [[x] for x in xs]
     for i in range(3):
         for j in range(3):
             want = v_sub(one if i == j else v_zero_like(xs[0]), v_mul(xs[i], xs[j]))
             if not v_eq(m[i][j], want):
                 fails.append(f"matrix entry ({i},{j}) differs from I - x^T x")
+    sq = _mat_mul(m, m)
     for i in range(3):
         for j in range(3):
-            acc = v_zero_like(xs[0])
-            for k in range(3):
-                acc = v_add(acc, v_mul(m[i][k], m[k][j]))
-            if not v_eq(acc, m[i][j]):
+            if not v_eq(sq[i][j], m[i][j]):
                 fails.append(f"E*E != E at ({i},{j})")
-    for i in range(3):
-        acc = v_zero_like(xs[0])
-        for k in range(3):
-            acc = v_add(acc, v_mul(m[i][k], xs[k]))
-        if not v_is_zero(acc):
+    for i, (v,) in enumerate(_mat_mul(m, col)):
+        if not v_is_zero(v):
             fails.append(f"(E x^T)[{i}] != 0")
     trace = v_add(v_add(m[0][0], m[1][1]), m[2][2])
-    if not v_eq(trace, v_mul(v_one_like(xs[0]), ("rat", Fraction(2)))):
+    if not v_eq(trace, v_mul(one, ("rat", Fraction(2)))):
         fails.append("trace(E) != 2")
-    sect = v_zero_like(xs[0])
-    for k in range(3):
-        sect = v_add(sect, v_mul(xs[k], xs[k]))
-    if not v_eq(sect, one):
+    if not v_eq(_mat_mul([xs], col)[0][0], one):
         fails.append("x x^T != 1")
     return fails
 

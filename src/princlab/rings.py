@@ -18,8 +18,9 @@ call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
 - `prime_support(b)`, `principal_generator(I)`: the prime-power support of
   (b) and the generator of an ideal built from it (an ideal of Z is its
   nonnegative generator, so `**` and `*` are the ideal operations);
-- `principal_bezout(a, b)`, `unit_bezout(a, b)`: a generator of (a, b) with
-  its Bezout combination, and the combination giving 1;
+- `principal_bezout(a, b)`: (g, lam, mu) with lam*a + mu*b == g and
+  (g) == (a, b), or None when (a, b) is not principal;
+- `unit_bezout(a, b)`: (lam, mu) with lam*a + mu*b == 1, or None;
 - `sort_key(x)`, `associates_of_norm(n)`: factor order and the witness
   hunt's scan.
 
@@ -99,7 +100,7 @@ class IntegerRing(RingHandle):
         return ideal
 
     def principal_bezout(self, a, b):
-        return (*xgcd(a, b), None)
+        return xgcd(a, b)
 
     def unit_bezout(self, a, b):
         g, s, t = xgcd(a, b)

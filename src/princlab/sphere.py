@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CertificateError, RingElem, RingHandle
+from .core import CertificateError, RingElem, RingHandle, mat_mul
 
 
 class SphereError(ValueError):
@@ -337,20 +337,14 @@ def tangent_projector() -> ProjectorReport:
     one = B2.one
     e = [[(one if i == j else B2.zero) - xs[i] * xs[j] for j in range(3)] for i in range(3)]
 
-    checks = []
-    esq = [
-        [sum((e[i][k] * e[k][j] for k in range(1, 3)), e[i][0] * e[0][j]) for j in range(3)]
-        for i in range(3)
+    row, col = [xs], [[x] for x in xs]
+    checks = [
+        ("E*E == E", mat_mul(e, e) == e),
+        ("E*x^T == 0", all(not v for (v,) in mat_mul(e, col))),
+        ("x*E == 0", all(not v for v in mat_mul(row, e)[0])),
+        ("trace(E) == 2", e[0][0] + e[1][1] + e[2][2] == SphereElem.const(2)),
+        ("x*x^T == 1", mat_mul(row, col) == [[one]]),
     ]
-    checks.append(("E*E == E", esq == e))
-    ex = [sum((e[i][k] * xs[k] for k in range(1, 3)), e[i][0] * xs[0]) for i in range(3)]
-    checks.append(("E*x^T == 0", all(not v for v in ex)))
-    xe = [sum((xs[k] * e[k][j] for k in range(1, 3)), xs[0] * e[0][j]) for j in range(3)]
-    checks.append(("x*E == 0", all(not v for v in xe)))
-    trace = e[0][0] + e[1][1] + e[2][2]
-    checks.append(("trace(E) == 2", trace == SphereElem.const(2)))
-    xxt = sum((xs[k] * xs[k] for k in range(1, 3)), xs[0] * xs[0])
-    checks.append(("x*x^T == 1", xxt == one))
 
     report = ProjectorReport(e, checks)
     if not report.verified():

@@ -9,7 +9,12 @@ import pytest
 
 import princlab
 from princlab import cli
+from princlab.comax import comax_factor_int, enumerate_complete_factorizations
+from princlab.limitring import lr_chain
+from princlab.monoidring import juett_split, mr_comax_chain, mr_split
+from princlab.quadring import QuadElem
 from princlab.recheck import verify_report
+from princlab.report import enc
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +104,78 @@ def test_recheck_ties_comax_hunt_to_its_witness(capsys):
 
     assert any("another element" in f for f in _tampered_fails(report, other_witness))
     assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
+
+
+def _bumped(cert, path):
+    """A copy of cert whose value at path (an attribute, then list or tuple
+    indices) is one more."""
+    def bump(value, idx):
+        if not idx:
+            return value + 1
+        seq = list(value)
+        seq[idx[0]] = bump(value[idx[0]], idx[1:])
+        return type(value)(seq)
+
+    bad = copy.copy(cert)
+    setattr(bad, path[0], bump(getattr(cert, path[0]), path[1:]))
+    return bad
+
+
+MR_Q, MR_ZHALF = "Q[X;S]", "Z[1/2][X;S]"
+FACTOR, LAM, MU, UNIT = ("factors", 1), ("pairwise", 0, 2), ("pairwise", 0, 3), ("unit",)
+SPLIT = (("f1",), ("f2",), ("lam",), ("mu",))
+
+
+@pytest.mark.parametrize(
+    "argv,produce,part,paths",
+    [
+        (["mring", "split", "--ring", MR_Q, "--monoid", "p-div:2", "--n", "2", "--s", "1"],
+         lambda: mr_split(1, 2, cli.parse_ring_spec(MR_Q, "p-div:2")), lambda r: r, SPLIT),
+        *[(["mring", "chain", "--ring", ring, "--m", "3", "--s", "1"],
+           lambda ring=ring: mr_comax_chain(1, 3, cli.parse_ring_spec(ring)), lambda r: r, (FACTOR, LAM, MU))
+          for ring in (MR_Q, MR_ZHALF)],
+        (["mring", "juett", "--ring", MR_Q, "--monoid", "p-div:3", "--group", "--b", "8", "--p", "3", "--beta", "2"],
+         lambda: juett_split(1, 8, 3, 2, cli.parse_ring_spec(MR_Q, "p-div:3", True)), lambda r: r,
+         SPLIT + (UNIT,)),
+        *[(["limitring", "chain", "--ring", ring, "--m", "3"],
+           lambda ring=ring: lr_chain(3, cli.parse_ring_spec(ring)), lambda r: r, (("factors", 0), LAM, MU))
+          for ring in ("limitring:Q", "limitring:Z")],
+        (["comax", "unique", "--ring", "Z[sqrt(-5)]", "21"],
+         lambda: enumerate_complete_factorizations(QuadElem(21, 0, -5), cli.parse_ring_spec("Z[sqrt(-5)]"))[0],
+         lambda r: r["factorizations"][0], (FACTOR, LAM, MU, UNIT)),
+        (["comax", "factor", "360"], lambda: comax_factor_int(360), lambda r: r["factorization"],
+         (FACTOR, LAM, MU, UNIT)),
+    ],
+    ids=["mr_split", "mr_comax_chain-Q", "mr_comax_chain-Z[1/2]", "juett_split", "lr_chain-Q", "lr_chain-Z",
+         "comax_unique", "comax_factor_int"],
+)
+def test_every_comaximal_certificate_fails_when_one_value_changes(capsys, argv, produce, part, paths):
+    report = report_of(capsys, *argv)
+    cert = produce()
+    assert cert.verify() and verify_report(report) == []
+    assert enc(cert) == part(report["result"])  # the report carries this certificate
+    for path in paths:
+        bad = _bumped(cert, path)
+        assert not bad.verify(), path
+        assert _tampered_fails(report, lambda result: part(result).update(enc(bad))), path
+
+
+@pytest.mark.parametrize(
+    "argv,mutate,name",
+    [
+        (["ideal", "principal", "--ring", "Z[sqrt(-5)]", "3", "sqrt(-5)^2"],
+         lambda r: r["generator"].update(x="3/2"), "generator"),
+        (["ideal", "factor", "--ring", "Z[sqrt(-5)]", "6"], lambda r: r["element"].update(x="13/2"), "element"),
+        # the golden case pullback_base_non_principal
+        (["pullback", "reduce", "--ring", "pullback:Z[sqrt(-5)]", "3", "1+sqrt(-5)+Y"],
+         lambda r: r["base_pair"][0].update(x="7/2"), "base_pair[0]"),
+    ],
+)
+def test_recheck_fails_a_non_integral_coordinate(capsys, argv, mutate, name):
+    # int() would truncate 3/2 to 1: a claim about another element
+    report = report_of(capsys, *argv)
+    assert verify_report(report) == []
+    assert f"{name} does not have integer coordinates" in _tampered_fails(report, mutate)
 
 
 def run_probe(probe, *argv, **kwargs):
