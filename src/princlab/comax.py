@@ -43,10 +43,10 @@ class ComaxInputError(ValueError):
     pass
 
 
-def support_cap_from_env(default: int = DEFAULT_SUPPORT_CAP) -> int:
+def support_cap_from_env() -> int:
     raw = os.environ.get("PRINC_LAB_SUPPORT_CAP")
     if raw is None:
-        return default
+        return DEFAULT_SUPPORT_CAP
     try:
         return int(raw)
     except ValueError as exc:
@@ -79,7 +79,6 @@ class IrreducibilityTranscript:
         self.support = support  # [(prime description, exponent)]
         self.splits: list[SplitRecord] = []
         self.pseudo_irreducible = True
-        self.witness_split: SplitRecord | None = None
 
     def to_json(self, enc):
         return {
@@ -197,7 +196,6 @@ def _irreducibility(element, memo: _BlockMemo, idxs) -> IrreducibilityTranscript
         transcript.splits.append(rec)
         if rec.comaximal_split:
             transcript.pseudo_irreducible = False
-            transcript.witness_split = rec
             break
     return transcript
 
@@ -244,10 +242,11 @@ def _set_partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
-def enumerate_complete_factorizations(b, ring, support_cap: int | None = None) -> list[ComaxFactorization]:
+def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
     """Every complete comaximal factorization of b, one per valid partition
-    of the prime support; length 1 means the factorization is unique."""
-    cap = support_cap if support_cap is not None else support_cap_from_env()
+    of the prime support; length 1 means the factorization is unique.  At
+    most `support_cap_from_env()` primes."""
+    cap = support_cap_from_env()
     support = _support_of(b, ring)
     if len(support) > cap:
         raise SupportBoundExceeded(
@@ -282,7 +281,7 @@ def comax_factor_int(n: int) -> ComaxFactorization:
     return _build_factorization(n, _BlockMemo(support, ZZ), blocks, generators)
 
 
-def find_nonunique_witness(ring, norm_bound: int, support_cap: int | None = None):
+def find_nonunique_witness(ring, norm_bound: int):
     """Smallest-norm element (scan order: norm, then the ring's order on one
     associate per element) with at least two complete comaximal
     factorizations, or None within the bound."""
@@ -290,7 +289,7 @@ def find_nonunique_witness(ring, norm_bound: int, support_cap: int | None = None
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
     for n in range(2, norm_bound + 1):
         for b in ring.associates_of_norm(n):
-            facts = enumerate_complete_factorizations(b, ring, support_cap)
+            facts = enumerate_complete_factorizations(b, ring)
             if len(facts) > 1:
                 return b, facts
     return None

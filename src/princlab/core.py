@@ -11,8 +11,10 @@ Two small bases carry what every ring family shares.  `RingElem` derives
 binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated
 squaring) from an element class's own ``+``, unary ``-``, ``*`` and
 `_one()`; a negative power is a power of `_invert()`, which raises unless
-the class defines it.  `RingHandle` gives every ring handle its identity: same ring
-<=> same `to_json()`, the description `recheck` reads back.
+the class defines it.  An element class owns its report form,
+`to_json(enc)`, and `RingElem.__repr__` prints that form.  `RingHandle`
+gives every ring handle its identity: same ring <=> same `to_json()`, the
+description `recheck` reads back.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
 `fractions.Fraction`, or any object implementing field arithmetic through
@@ -27,7 +29,7 @@ denominator: products use Kronecker substitution (one big-int product),
 the coefficient types the schoolbook loops give (ints from two all-int
 operands, Fractions once a Fraction takes part), so report bytes do not
 change.  Vectors that mix int and Fraction, and every other coefficient ring
-(`QuadRat`, polynomials), keep those loops.  Euclid's cofactors of coprime f
+(Q(sqrt(d)), polynomials), keep those loops.  Euclid's cofactors of coprime f
 and g are the unique ones of minimal degree, so no choice of arithmetic can
 change what `poly_extended_gcd` returns.
 
@@ -93,6 +95,11 @@ class RingElem:
         is none."""
         raise ValueError(f"negative power of a {type(self).__name__}")
 
+    def __repr__(self):
+        from .report import enc  # at call time: `report` imports this module
+
+        return f"{type(self).__name__}({json.dumps(enc(self))})"
+
 
 class RingHandle:
     """Base of every ring handle: two handles are the same ring exactly when
@@ -103,6 +110,12 @@ class RingHandle:
 
     def __hash__(self):
         return hash(json.dumps(self.to_json(), sort_keys=True))
+
+
+def _frac(x) -> str:
+    """A rational as report text: "p", or "p/q" in lowest terms."""
+    f = x if type(x) is Fraction else Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def pairwise_json(pairwise, enc):
@@ -549,8 +562,8 @@ class Poly(RingElem):
                 parts.append(f"{c}*{var}" if i == 1 else f"{c}*{var}^{i}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def __repr__(self):
-        return f"Poly({self.to_str()})"
+    def to_json(self, enc):
+        return {"type": "poly", "coeffs": [enc(c) for c in self.coeffs]}
 
 
 def _coeff_div(a, c):
@@ -733,13 +746,8 @@ class RatFunc(RingElem):
     def eval(self, x):
         return _coeff_div(self.num.eval(x), self.den.eval(x))
 
-    def to_str(self, var: str = "X") -> str:
-        if self.den.degree == 0 and self.den.coeffs[0] == 1:
-            return self.num.to_str(var)
-        return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
-
-    def __repr__(self):
-        return f"RatFunc({self.to_str()})"
+    def to_json(self, enc):
+        return {"type": "ratfunc", "num": enc(self.num), "den": enc(self.den)}
 
 
 def hnf2_with_transform(rows):

@@ -95,11 +95,8 @@ class LimitElem(RingElem):
     def __bool__(self):
         return not self.poly.is_zero()
 
-    def to_str(self) -> str:
-        return self.poly.to_str(f"x_{self.level}")
-
-    def __repr__(self):
-        return f"LimitElem(level={self.level}, {self.to_str()})"
+    def to_json(self, enc):
+        return {"type": "limit", "level": self.level, "coeffs": [enc(c) for c in self.poly.coeffs]}
 
 
 def lr_lift(e: LimitElem, m: int) -> LimitElem:

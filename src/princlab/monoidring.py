@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, pairwise_json,
+from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, pairwise_json,
                    poly_divrem, poly_extended_gcd)
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
 
@@ -194,25 +194,8 @@ class MonoidElem(RingElem):
     def __bool__(self):
         return bool(self.terms)
 
-    def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-                continue
-            mono = "X" if e == 1 else f"X^({e})"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"MonoidElem({self.to_str()})"
+    def to_json(self, enc):
+        return {"type": "monoid", "terms": [[_frac(e), enc(c)] for e, c in self.terms]}
 
 
 class MonoidRing(RingHandle):
@@ -497,6 +480,8 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     beta = Fraction(beta)
     if p < 2:
         raise MonoidError("need a prime p >= 2")
+    if t == 0:
+        raise MonoidError("need t != 0: X^0 - b is a constant")
     if beta**p != b or b == 0:
         raise MonoidError(f"beta^{p} != b: no usable p-th root supplied")
     tp = t / p

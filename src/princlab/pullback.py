@@ -80,19 +80,10 @@ class PullbackElem(RingElem):
     def __bool__(self):
         return not self.rf.is_zero()
 
-    def to_str(self) -> str:
-        num, den = self.display_num_den()
-        if den == Poly((1,)):
-            return num.to_str("Y")
-        return f"({num.to_str('Y')})/({den.to_str('Y')})"
-
-    def display_num_den(self):
-        # normalization convention: denominator with constant term 1
+    def to_json(self, enc):
+        # reported with the denominator's constant term scaled to 1
         den0 = self.rf.den.constant_term()
-        return self.rf.num / den0, self.rf.den / den0
-
-    def __repr__(self):
-        return f"PullbackElem({self.to_str()})"
+        return {"type": "pullback", "num": enc(self.rf.num / den0), "den": enc(self.rf.den / den0)}
 
 
 class PullbackRing(RingHandle):

@@ -2,6 +2,10 @@
 two-generated ideal arithmetic, invertibility and principality decisions,
 and prime factorization of principal ideals in the maximal-order case.
 
+One class, `QuadElem`, holds x + y*sqrt(d) in the order (int coordinates)
+and in Q(sqrt(d)) (Fraction coordinates); `QuadOrder.coerce`, `is_unit` and
+`divides` accept only the int form.
+
 Ideals are stored as Z-lattices over the basis {1, sqrt(d)} in Hermite
 normal form [(n, 0), (c, m)] with 0 <= c < n; the ideal norm is the index
 n*m.  All decisions return re-checkable certificates, and each certificate
@@ -17,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .core import (CertificateError, RingElem, RingHandle, factorint, hnf2_with_transform,
+from .core import (CertificateError, RingElem, RingHandle, _frac, factorint, hnf2_with_transform,
                    solve_int_combination, sqrt_mod_prime)
 
 
@@ -40,11 +44,14 @@ def is_maximal(d: int) -> bool:
 
 
 class QuadElem(RingElem):
-    """x + y*sqrt(d) with integer coordinates."""
+    """x + y*sqrt(d): int coordinates in Z[sqrt(d)], Fractions in Q(sqrt(d)).
+    A Fraction scalar lifts to Fractions in both slots, so arithmetic with a
+    field value, and `/`, give Fraction coordinates.  Reports tag the int
+    form "quad" and the other "quadrat"."""
 
     __slots__ = ("x", "y", "d")
 
-    def __init__(self, x: int, y: int, d: int):
+    def __init__(self, x, y, d: int):
         self.x = x
         self.y = y
         self.d = d
@@ -56,6 +63,8 @@ class QuadElem(RingElem):
             return other
         if isinstance(other, int):
             return QuadElem(other, 0, self.d)
+        if isinstance(other, Fraction):
+            return QuadElem(other, Fraction(0), self.d)
         return NotImplemented
 
     def __add__(self, other):
@@ -80,10 +89,24 @@ class QuadElem(RingElem):
     def _one(self):
         return QuadElem(1, 0, self.d)
 
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        n = Fraction(o.norm())
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        num = self * o.conj()
+        return QuadElem(num.x / n, num.y / n, self.d)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is NotImplemented else o / self
+
     def __eq__(self, other):
         if isinstance(other, QuadElem):
             return (self.x, self.y, self.d) == (other.x, other.y, other.d)
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self.y == 0 and self.x == other
         return NotImplemented
 
@@ -92,113 +115,24 @@ class QuadElem(RingElem):
 
     def __bool__(self):
         return bool(self.x or self.y)
+
+    def in_order(self) -> bool:
+        """Whether this is an element of Z[sqrt(d)]: both coordinates ints."""
+        return type(self.x) is int and type(self.y) is int
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.x, -self.y, self.d)
 
-    def norm(self) -> int:
+    def norm(self):
         return self.x * self.x - self.d * self.y * self.y
 
     def is_unit(self) -> bool:
-        return self.norm() == 1
+        return self.in_order() and self.norm() == 1
 
-    def to_rat(self) -> "QuadRat":
-        return QuadRat(Fraction(self.x), Fraction(self.y), self.d)
-
-    def __repr__(self):
-        return f"QuadElem({self})"
-
-    def __str__(self):
-        if self.y == 0:
-            return str(self.x)
-        ypart = f"{self.y}*sqrt({self.d})"
-        if self.x == 0:
-            return ypart
-        sign = "+" if self.y > 0 else "-"
-        return f"{self.x}{sign}{abs(self.y)}*sqrt({self.d})"
-
-
-class QuadRat(RingElem):
-    """Fraction-field variant: x + y*sqrt(d) with rational coordinates."""
-
-    __slots__ = ("x", "y", "d")
-
-    def __init__(self, x, y, d: int):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.d = d
-
-    def _lift(self, other) -> "QuadRat":
-        if isinstance(other, QuadRat):
-            if other.d != self.d:
-                raise QuadError("mixed quadratic orders")
-            return other
-        if isinstance(other, QuadElem):
-            return other.to_rat()
-        if isinstance(other, (int, Fraction)):
-            return QuadRat(other, 0, self.d)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadRat(self.x + o.x, self.y + o.y, self.d)
-
-    def __neg__(self):
-        return QuadRat(-self.x, -self.y, self.d)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadRat(
-            self.x * o.x + self.d * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-            self.d,
-        )
-
-    def _one(self):
-        return QuadRat(1, 0, self.d)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        num = self * o.conj()
-        return QuadRat(num.x / n, num.y / n, self.d)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (QuadRat, QuadElem)):
-            o = self._lift(other)
-            return (self.x, self.y) == (o.x, o.y)
-        if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
-
-    def __bool__(self):
-        return bool(self.x or self.y)
-
-    def conj(self) -> "QuadRat":
-        return QuadRat(self.x, -self.y, self.d)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.d * self.y * self.y
-
-    def to_int_elem(self) -> QuadElem | None:
-        if self.x.denominator == 1 and self.y.denominator == 1:
-            return QuadElem(int(self.x), int(self.y), self.d)
-        return None
-
-    def __repr__(self):
-        return f"QuadRat({self.x}+{self.y}*sqrt({self.d}))"
+    def to_json(self, enc):
+        if self.in_order():
+            return {"type": "quad", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
+        return {"type": "quadrat", "x": _frac(self.x), "y": _frac(self.y), "d": str(self.d)}
 
 
 def divides(b: QuadElem, a: QuadElem):
@@ -283,6 +217,9 @@ class QuadIdeal:
     # builds those of Z, where an ideal is its generator (an int)
     __mul__ = mul
     __pow__ = pow
+
+    def to_json(self, enc):
+        return {"type": "quadideal", "d": str(self.d), "basis": [[str(self.n), "0"], [str(self.c), str(self.m)]]}
 
     def __repr__(self):
         return f"QuadIdeal(d={self.d}, basis=[({self.n},0),({self.c},{self.m})])"
@@ -560,7 +497,9 @@ class QuadOrder(RingHandle):
         return QuadElem(1, 0, self.d)
 
     def coerce(self, v):
-        if isinstance(v, QuadElem):
+        """v as an element of Z[sqrt(d)]; a QuadError for any value with a
+        Fraction coordinate, which lives in Q(sqrt(d)) only."""
+        if isinstance(v, QuadElem) and v.in_order():
             if v.d != self.d:
                 raise QuadError("mixed quadratic orders")
             return v
@@ -569,6 +508,7 @@ class QuadOrder(RingHandle):
         raise QuadError(f"cannot coerce {v!r} into {self}")
 
     def divides(self, b, a):
+        b, a = self.coerce(b), self.coerce(a)
         if not b:
             return self.zero if not a else None
         return divides(b, a)
@@ -576,25 +516,21 @@ class QuadOrder(RingHandle):
     def is_unit(self, x) -> bool:
         return isinstance(x, QuadElem) and x.is_unit()
 
-    # fraction-field support for Lemma-style certificates
+    # the working domain Q(sqrt(d)): both coordinates Fractions
     def field_coerce(self, v):
-        if isinstance(v, QuadRat):
-            return v
-        if isinstance(v, QuadElem):
-            return v.to_rat()
-        return QuadRat(Fraction(v), Fraction(0), self.d)
+        x, y = (v.x, v.y) if isinstance(v, QuadElem) else (v, 0)
+        return QuadElem(Fraction(x), Fraction(y), self.d)
 
     def from_field(self, q):
         q = self.field_coerce(q)
-        elem = q.to_int_elem()
-        if elem is None:
+        if q.x.denominator != 1 or q.y.denominator != 1:
             raise QuadError(f"element has non-integer coordinates ({q.x}, {q.y})")
-        return elem
+        return QuadElem(int(q.x), int(q.y), self.d)
 
     def field_sqrt(self, d):
         if d != self.d:
             raise QuadError(f"sqrt({d}) does not live in {self}")
-        return QuadRat(Fraction(0), Fraction(1), d)
+        return QuadElem(Fraction(0), Fraction(1), d)
 
     # ideal-theoretic hooks for the engines (see `rings`)
     def inverse_bezout(self, a, b):
@@ -610,12 +546,12 @@ class QuadOrder(RingHandle):
         sol = solve_int_combination(rows, (n, 0))
         if sol is None:
             return None
-        lam = QuadRat(Fraction(sol[0] * inv_basis[0].x + sol[1] * inv_basis[1].x, n),
-                      Fraction(sol[0] * inv_basis[0].y + sol[1] * inv_basis[1].y, n),
+        lam = QuadElem(Fraction(sol[0] * inv_basis[0].x + sol[1] * inv_basis[1].x, n),
+                       Fraction(sol[0] * inv_basis[0].y + sol[1] * inv_basis[1].y, n),
+                       self.d)
+        mu = QuadElem(Fraction(sol[2] * inv_basis[0].x + sol[3] * inv_basis[1].x, n),
+                      Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
                       self.d)
-        mu = QuadRat(Fraction(sol[2] * inv_basis[0].x + sol[3] * inv_basis[1].x, n),
-                     Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
-                     self.d)
         return lam, mu
 
     def complement_check(self, f, s):

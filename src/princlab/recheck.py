@@ -928,8 +928,14 @@ def _verify_pullback_reduce(report):
     one = v_one_like(f)
     if not v_eq(v_mul(f, v_sub(one, f)), v_mul(s, r)):
         fails.append("witness identity fails")
+    pair, values = result["base_pair"], [_rf_value0(f), _rf_value0(s)]
+    if result["case"] != "base_reduction":
+        if pair is not None:
+            fails.append("base_pair is set outside a base reduction")
+    elif pair is None or len(pair) != 2 or None in values or not all(map(v_eq, map(dec, pair), values)):
+        fails.append("base_pair is not the values at Y=0 of the oriented pair")
     if result["status"] == "base_non_principal":
-        av, bv = dec(result["base_pair"][0]), dec(result["base_pair"][1])
+        av, bv = dec(pair[0]), dec(pair[1])
         d = av[3]
         vecs = []
         for k, e in enumerate((av, bv)):
@@ -1049,8 +1055,28 @@ def _verify_mring_juett(report):
     if fails:
         return fails
     result = report["result"]
-    _comaximal_fails(_split_pair(result), _x_minus(result["t"], result["b"]),
+    t, b, p, beta = _f(result["t"]), _f(result["b"]), result["p"], _f(result["beta"])
+    z, f2 = dec(result["z"]), dec(result["f2"])
+    # t != 0, so f2's p terms X^(i*t/p) / beta^i are distinct: a p other
+    # than its term count fails before any power or sum is formed
+    if t == 0 or type(p) is not int or p < 2 or p != len(f2[1]):
+        return fails + ["t is 0, or p is not the number of terms of f2"]
+    w, c, geometric = 1 / beta, Fraction(1), []
+    for i in range(p):
+        geometric.append((t / p * i, ("rat", c)))  # z^i = X^(i*t/p) / beta^i
+        c *= w
+    want_z = ("mon", geometric[1:2])
+    for claim, value, want in (("unit != b", dec(result["unit"]), ("mon", ((Fraction(0), ("rat", b)),))),
+                               ("z != X^(t/p)/beta", z, want_z),
+                               ("f1 != z - 1", dec(result["f1"]), v_sub(want_z, v_one_like(z))),
+                               ("f2 != 1 + z + ... + z^(p-1)", f2, ("mon", tuple(sorted(geometric)))),
+                               ("beta^p != b", ("rat", beta ** p), ("rat", b))):
+        if not v_eq(value, want):
+            fails.append(claim)
+    _comaximal_fails(_split_pair(result), _x_minus(t, b),
                      "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=dec(result["unit"]))
+    for name in ("unit", "f1", "f2", "lam", "mu"):
+        _mon_in_ring(dec(result[name]), report["ring"], fails, name)
     return fails
 
 

@@ -6,7 +6,8 @@ Every handle derives from `core.RingHandle`, so two handles are the same
 ring exactly when their `to_json()` descriptions are equal (the description
 reports carry and `recheck` reads).  Every element class derives from
 `core.RingElem`, which supplies binary ``-``, the reflected operators and
-``**`` from the class's own ``+``, unary ``-``, ``*`` and `_one()`.
+``**`` from the class's own ``+``, unary ``-``, ``*`` and `_one()`, and
+serializes itself through `to_json(enc)`.
 
 A handle is also the one place where its family's ideal theory lives.  The
 engines (`idem`, `comax`, `pullback`) never switch on the ring's type; they
@@ -25,7 +26,8 @@ call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
   hunt's scan.
 
 Every handle but Z[1/p, ...] also has a working domain: Q for Z and Q,
-Q(sqrt(d)) for Z[sqrt(d)], Q(X) for Q[X], Q(Y) for the pullback, the same
+Q(sqrt(d)) for Z[sqrt(d)] (the same `QuadElem` class, with Fraction
+coordinates), Q(X) for Q[X], Q(Y) for the pullback, the same
 family over Q for D[X;S] and the limit ring, and B2 itself.  `exprparse`
 evaluates there and reaches the family only through these hooks:
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CertificateError, RingElem, RingHandle, mat_mul
+from .core import CertificateError, RingElem, RingHandle, _frac, mat_mul
 
 
 class SphereError(ValueError):
@@ -140,27 +140,12 @@ class Poly2(RingElem):
         q, r = self.divrem(g)
         return q if r.is_zero() else None
 
-    def to_str(self, v1="X1", v2="X2") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in self.terms.items():
-            mono = "*".join(
-                ([f"{v1}^{i}" if i > 1 else v1] if i else [])
-                + ([f"{v2}^{j}" if j > 1 else v2] if j else [])
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def terms_json(self):
+        """[[i, j, c]] for the terms c * X1^i * X2^j, as report data."""
+        return [[i, j, _frac(c)] for (i, j), c in self.terms.items()]
 
-    def __repr__(self):
-        return f"Poly2({self.to_str()})"
+    def __repr__(self):  # no report form of its own: a part of a SphereElem
+        return f"Poly2({self.terms_json()})"
 
 
 # 1 - X1^2 - X2^2, what X0^2 reduces to
@@ -243,16 +228,8 @@ class SphereElem(RingElem):
     def norm(self) -> Poly2:
         return self.f * self.f - self.g * self.g * X0_SQUARED
 
-    def to_str(self) -> str:
-        if not self.g:
-            return self.f.to_str()
-        gpart = f"({self.g.to_str()})*X0"
-        if not self.f:
-            return gpart
-        return f"{self.f.to_str()} + {gpart}"
-
-    def __repr__(self):
-        return f"SphereElem({self.to_str()})"
+    def to_json(self, enc):
+        return {"type": "sphere", "f": self.f.terms_json(), "g": self.g.terms_json()}
 
 
 class SphereRing(RingHandle):

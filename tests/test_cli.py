@@ -282,6 +282,17 @@ def test_commands_import_no_code_generation_modules():
     assert res.stderr == "[]"
 
 
+def test_report_imports_no_engine_module():
+    probe = (
+        "import sys\n"
+        "import princlab.report\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('princlab'))))\n"
+    )
+    res = run_probe(probe)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "['princlab', 'princlab.core', 'princlab.report']"
+
+
 def _limit_address_space():
     import resource
 

@@ -90,7 +90,7 @@ def test_pseudo_irreducible_spec_cases():
 
     t = is_pseudo_irreducible(6, ZZ)
     assert not t.pseudo_irreducible
-    assert t.witness_split is not None
+    assert t.splits[-1].comaximal_split
 
 
 def test_enumerate_int_unique():
@@ -165,11 +165,12 @@ def test_one_irreducibility_transcript_per_block(monkeypatch, d, b):
             assert tr.support == [fact.support[i] for i in block]
 
 
-def test_support_cap():
+def test_support_cap(monkeypatch):
     n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
     with pytest.raises(SupportBoundExceeded):
         enumerate_complete_factorizations(n, ZZ)
-    facts = enumerate_complete_factorizations(n, ZZ, support_cap=9)
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "9")
+    facts = enumerate_complete_factorizations(n, ZZ)
     assert len(facts) == 1
 
 

@@ -18,7 +18,7 @@ from princlab.core import (
     sqrt_mod_prime,
     xgcd,
 )
-from princlab.quadring import QuadRat
+from princlab.quadring import QuadElem
 
 
 def P(*coeffs):
@@ -213,7 +213,7 @@ def test_solve_int_combination_random():
 # The schoolbook loops Poly ran before the integer-vector kernel, kept here as
 # the reference.  The kernel must give the same value and the same type for
 # every coefficient: all-int vectors give ints, a Fraction operand gives
-# Fractions, and mixed, QuadRat and Poly-over-Poly vectors take the loops.
+# Fractions, and mixed, Q(sqrt(d)) and Poly-over-Poly vectors take the loops.
 
 
 def _strip(cs):
@@ -311,7 +311,9 @@ RATIONAL_VECTORS = {
     "mixed": st.lists(st.one_of(ints, fracs), max_size=7),
 }
 rational = st.one_of(*RATIONAL_VECTORS.values())
-quad = st.lists(st.builds(QuadRat, st.integers(-3, 3), st.integers(-3, 3), st.just(-5)), max_size=4)
+# Q(sqrt(-5)): QuadElem with Fraction coordinates
+quad = st.lists(st.builds(lambda x, y: QuadElem(Fraction(x), Fraction(y), -5), st.integers(-3, 3), st.integers(-3, 3)),
+                max_size=4)
 poly_over_poly = st.lists(st.lists(st.integers(-3, 3), max_size=3).map(Poly), max_size=4)
 
 

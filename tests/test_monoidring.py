@@ -131,6 +131,8 @@ def test_juett_split_spec_cases():
         juett_split(1, 4, 2, 3, RG2)  # 3^2 != 4
     with pytest.raises(MonoidError):
         juett_split(1, 1, 2, 1, RQ2)  # not a group ring
+    with pytest.raises(MonoidError, match="need t != 0"):
+        juett_split(0, 4, 2, 2, RG2)  # X^0 - 4 is a constant
 
 
 def test_group_monomials_are_units():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import Matrix
@@ -20,6 +21,7 @@ from princlab.quadring import (
     principal_ideal,
     validate_d,
 )
+from princlab.report import enc
 
 
 def E(x, y, d=-5):
@@ -246,6 +248,35 @@ def test_divides_spec_cases():
     assert divides(E(1, 1), E(2, 0)) is None
     with pytest.raises(ZeroDivisionError):
         divides(E(0, 0), E(1, 0))
+
+
+def test_report_tag_follows_the_coordinate_types():
+    assert enc(E(3, -1)) == {"type": "quad", "x": "3", "y": "-1", "d": "-5"}
+    assert enc(E(Fraction(3), Fraction(-1))) == {"type": "quadrat", "x": "3", "y": "-1", "d": "-5"}
+    # field arithmetic gives Fraction coordinates in both slots
+    assert enc(E(3, 0) / 2) == {"type": "quadrat", "x": "3/2", "y": "0", "d": "-5"}
+    assert enc(E(3, 1) * Fraction(1)) == {"type": "quadrat", "x": "3", "y": "1", "d": "-5"}
+    assert enc(E(3, 1) + Fraction(1)) == {"type": "quadrat", "x": "4", "y": "1", "d": "-5"}
+
+
+def test_the_order_never_takes_a_field_value_for_an_element():
+    ring = QuadOrder(-1)
+    u = QuadElem(Fraction(3, 5), Fraction(4, 5), -1)  # norm 1, not in Z[i]
+    assert u.norm() == 1
+    assert not ring.is_unit(u) and not u.is_unit()
+    assert ring.is_unit(QuadElem(0, 1, -1)) and not ring.is_unit(QuadElem(Fraction(0), Fraction(1), -1))
+    with pytest.raises(QuadError):
+        ring.coerce(u)
+    with pytest.raises(QuadError):
+        ring.coerce(QuadElem(Fraction(1), Fraction(0), -1))
+    with pytest.raises(QuadError):
+        ring.divides(u, QuadElem(5, 0, -1))  # u * (3 - 4i) == 5 in Q(i)
+    with pytest.raises(QuadError):
+        ring.divides(QuadElem(1, 0, -1), u)
+    with pytest.raises(QuadError, match="non-integer coordinates"):
+        ring.from_field(u)
+    assert ring.from_field(QuadElem(Fraction(3), Fraction(4), -1)) == QuadElem(3, 4, -1)
+    assert ring.divides(QuadElem(1, 1, -1), 2) == QuadElem(1, -1, -1)
 
 
 def test_divides_random_round_trip():

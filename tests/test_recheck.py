@@ -2,9 +2,12 @@
 polynomial arithmetic against plain Fraction loops."""
 
 import ast
+import copy
+import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,3 +176,63 @@ def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
     fails = []
     recheck._mon_in_ring(v, ring, fails, "lam")
     assert fails == per_term_membership(v, ring, "lam")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_fails(name, mutate):
+    """recheck's failures on the golden report `name` after mutate(report)."""
+    report = json.loads((GOLDEN / f"{name}.out").read_text())
+    assert recheck.verify_report(report) == []
+    report = copy.deepcopy(report)
+    mutate(report)
+    return recheck.verify_report(report)
+
+
+def plus_one(leaf: str) -> str:
+    return str(Fraction(leaf) + 1)
+
+
+@pytest.mark.parametrize("name", ["pullback_base_non_principal", "pullback_reduce_quad"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("key", ["x", "y", "d"])
+def test_base_pair_is_tied_to_the_values_at_zero(name, k, key):
+    def bump(report):
+        entry = report["result"]["base_pair"][k]
+        entry[key] = plus_one(entry[key])
+
+    assert golden_fails(name, bump)
+
+
+def test_base_pair_is_null_outside_a_base_reduction():
+    def add_pair(report):
+        report["result"]["base_pair"] = [{"type": "int", "value": "0"}, {"type": "int", "value": "1"}]
+
+    assert golden_fails("pullback_reduce", add_pair) == ["base_pair is set outside a base reduction"]
+
+
+def _bump_juett(*path):
+    def bump(report):
+        *head, last = path
+        node = report["result"]
+        for part in head:
+            node = node[part]
+        node[last] = node[last] + 1 if type(node[last]) is int else plus_one(node[last])
+
+    return bump
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda report: report["ring"]["monoid"].update(primes=["3", "3"]),
+        _bump_juett("p"),
+        _bump_juett("beta"),
+        _bump_juett("z", "terms", 0, 0),
+        _bump_juett("z", "terms", 0, 1, "value"),
+    ],
+    ids=["primes-3-3", "p", "beta", "z-exponent", "z-coefficient"],
+)
+def test_juett_split_is_tied_to_its_ring_and_parameters(mutate):
+    assert golden_fails("mring_juett_group_p3", mutate)

@@ -13,7 +13,7 @@ from princlab.limitring import LimitElem, LimitRing
 from princlab.monoidring import MonoidDesc, MonoidElem, MonoidRing
 from princlab.polyext import PolyExtRing, SubringDesc
 from princlab.pullback import PullbackRing
-from princlab.quadring import QuadElem, QuadOrder, QuadRat
+from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair
 from princlab.rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers, RationalField, RationalPolyRing
 from princlab.sphere import B2, Poly2, SphereElem, SphereRing
 
@@ -33,7 +33,8 @@ ELEMENTS = {
     "Poly": (polys, Poly((1,))),
     "RatFunc": (st.builds(RatFunc, polys, nonzero_polys), RatFunc.const(1)),
     "QuadElem": (st.builds(QuadElem, small, small, st.just(D)), QuadElem(1, 0, D)),
-    "QuadRat": (st.builds(QuadRat, rats, rats, st.just(D)), QuadRat(1, 0, D)),
+    # Q(sqrt(d)): QuadElem with Fraction coordinates
+    "QuadRat": (st.builds(QuadElem, rats, rats, st.just(D)), QuadElem(Fraction(1), Fraction(0), D)),
     "MonoidElem": (
         st.lists(st.tuples(st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 4])), rats), max_size=3)
         .map(lambda terms: MonoidElem(terms, MR)),
@@ -82,6 +83,19 @@ def test_derived_operators(kind):
                 a ** -1
 
     check()
+
+
+def _subclasses(cls):
+    return {c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))}
+
+
+def test_repr_of_every_element_class():
+    ideal = ideal_from_pair(QuadElem(2, 0, D), QuadElem(1, 1, D))
+    values = [one for _, one in ELEMENTS.values()] + [ideal]
+    assert {type(v) for v in values} >= _subclasses(RingElem)
+    for v in values:
+        assert repr(v).startswith(type(v).__name__ + "(")
+    assert repr(QuadElem(Fraction(1, 2), Fraction(0), D)) == 'QuadElem({"type": "quadrat", "x": "1/2", "y": "0", "d": "-5"})'
 
 
 @pytest.mark.parametrize("one", [MR.one, LR.one, LimitRing(QQ).coerce(1) + LR.one - LR.one, B2.one])
