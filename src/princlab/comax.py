@@ -9,14 +9,25 @@ further both-principal split.  Enumerating partitions therefore enumerates
 every complete comaximal factorization, which is what makes the uniqueness
 analysis exhaustive.
 
-Partitions and splits ask for the same blocks many times over, so the
-generator of each block, and the irreducibility transcript of that
-generator, are memoized by the block's subset of the support (one
-`_BlockMemo` per element, never shared between elements).  An element whose
-support has k primes therefore costs at most 2^k - 1 principality tests and
-2^k - 1 transcripts, however many partitions and splits are examined.
+The walk does not go through every set partition.  Each support prime
+power carries its class in the class group (`ideal_class`), and a block is
+principal exactly when its classes compose to the identity: a zero-sum
+block.  A principal block is pseudo-irreducible exactly when no proper
+nonempty sub-block is zero-sum, since the complement of a zero-sum
+sub-block of a zero-sum block is zero-sum too.  So the complete comaximal
+factorizations are the partitions of the support into minimal zero-sum
+blocks (Geroldinger and Halter-Koch, Non-Unique Factorizations, 2006), and
+the walk builds only those.
 
-Everything that depends on the ring family (the prime support, block
+One `_BlockMemo` per element (never shared between elements) keys every
+block by its bitmask.  It composes each block's class once, from the block
+without its lowest prime and that prime, and memoizes compositions by pair
+of classes.  A block of non-identity class has generator None with no
+ideal product or principality test; a zero-sum block costs at most one ideal
+product per prime and one principality test, and each block's
+irreducibility transcript is built once.
+
+Everything that depends on the ring family (the prime support, classes, block
 generators, Bezout certificates, factor order, the witness scan) is a hook
 of the ring handle; see `rings`.
 
@@ -135,25 +146,80 @@ def _mask(idxs) -> int:
     return mask
 
 
+def _indices(mask) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 class _BlockMemo:
-    """Generators and irreducibility transcripts of the blocks (subsets of
-    support indices) of one support, each computed once and keyed by the
-    subset's bitmask.  A block's ideal is its mask's ideal without the
-    lowest bit, times that bit's prime power, so every ideal is one
+    """Classes, generators and irreducibility transcripts of the blocks
+    (subsets of support indices) of one support, each computed once and
+    keyed by the subset's bitmask.  A block's class (and its ideal) is that
+    of its mask without the lowest bit, composed with (times) that bit's
+    prime power, so every class is one composition and every ideal one
     multiplication."""
 
     def __init__(self, support, ring):
         self.support = support
         self.ring = ring
+        self._classes = {}
+        self._compositions = {}
         self._generators = {}
         self._ideals = {}
         self._transcripts = {}
+        self._holds_zero_sum = {}
+
+    def _compose(self, x, y):
+        key = (x, y)
+        if key not in self._compositions:
+            self._compositions[key] = self.ring.class_compose(x, y)
+        return self._compositions[key]
+
+    def _class(self, mask):
+        if mask not in self._classes:
+            low = mask & -mask
+            if mask == low:
+                P, e = self.support[low.bit_length() - 1]
+                cls = prime = self.ring.ideal_class(P)
+                for _ in range(e - 1):
+                    cls = self._compose(cls, prime)
+            else:
+                cls = self._compose(self._class(mask ^ low), self._class(low))
+            self._classes[mask] = cls
+        return self._classes[mask]
+
+    def zero_sum(self, mask) -> bool:
+        return self._class(mask) == self.ring.class_identity
+
+    def _holds(self, mask) -> bool:
+        # whether some nonempty sub-block of mask, mask itself included, is zero-sum
+        if mask not in self._holds_zero_sum:
+            self._holds_zero_sum[mask] = self.zero_sum(mask) or any(
+                self._holds(mask ^ bit) for bit in _bits(mask) if mask != bit
+            )
+        return self._holds_zero_sum[mask]
+
+    def minimal_zero_sum(self, mask) -> bool:
+        """Whether the block is zero-sum and no proper nonempty sub-block is:
+        exactly when the block is principal and pseudo-irreducible."""
+        return self.zero_sum(mask) and not any(self._holds(mask ^ bit) for bit in _bits(mask) if mask != bit)
 
     def generator(self, idxs):
         """Generator of the product of the chosen prime powers, or None."""
         mask = _mask(idxs)
         if mask not in self._generators:
-            self._generators[mask] = self.ring.principal_generator(self._ideal(mask))
+            g = None
+            if self.zero_sum(mask):
+                g = self.ring.principal_generator(self._ideal(mask))
+                if g is None:
+                    raise CertificateError("a block of identity class has no generator")
+            self._generators[mask] = g
         return self._generators[mask]
 
     def transcript(self, idxs) -> "IrreducibilityTranscript":
@@ -230,22 +296,30 @@ def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactor
     return fact
 
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
+def _minimal_zero_sum_partitions(memo: _BlockMemo, rest: int):
+    """Each partition of the support indices in the bitmask `rest` into
+    minimal zero-sum blocks, as a list of block bitmasks.  The block of the
+    lowest index is chosen first, among the subsets of `rest` holding it."""
+    if not rest:
         yield []
         return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+    low = rest & -rest
+    others = rest ^ low
+    sub = others
+    while True:
+        block = sub | low
+        if memo.minimal_zero_sum(block):
+            for tail in _minimal_zero_sum_partitions(memo, rest ^ block):
+                yield [block, *tail]
+        if not sub:
+            return
+        sub = (sub - 1) & others
 
 
 def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
-    """Every complete comaximal factorization of b, one per valid partition
-    of the prime support; length 1 means the factorization is unique.  At
-    most `support_cap_from_env()` primes."""
+    """Every complete comaximal factorization of b, one per partition of
+    the prime support into minimal zero-sum blocks; length 1 means the
+    factorization is unique.  At most `support_cap_from_env()` primes."""
     cap = support_cap_from_env()
     support = _support_of(b, ring)
     if len(support) > cap:
@@ -254,20 +328,9 @@ def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
         )
     memo = _BlockMemo(support, ring)
     out = []
-    for partition in _set_partitions(range(len(support))):
-        generators = []
-        ok = True
-        for block in partition:
-            g = memo.generator(block)
-            if g is None:
-                ok = False
-                break
-            generators.append(g)
-        if not ok:
-            continue
-        if any(not memo.transcript(block).pseudo_irreducible for block in partition):
-            continue
-        out.append(_build_factorization(b, memo, partition, generators))
+    for partition in _minimal_zero_sum_partitions(memo, (1 << len(support)) - 1):
+        blocks = [_indices(mask) for mask in partition]
+        out.append(_build_factorization(b, memo, blocks, [memo.generator(block) for block in blocks]))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return out
 

@@ -197,6 +197,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime: exact below _MR_BOUND, a ValueError from there."""
+    if n < 1_000_000:
+        return n > 1 and all(n % p for p in _SMALL_PRIMES if p * p <= n)
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large to prove prime")
+    return all(n % p for p in _SMALL_PRIMES) and _is_prime(n)
+
+
 def _pollard_brent(n: int) -> int | None:
     """A proper factor of the odd composite n, or None once _RHO_STEPS
     iterations of x -> x^2 + c (c = 1, 2, ...) have found none."""

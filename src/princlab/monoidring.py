@@ -41,8 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, pairwise_json,
-                   poly_divrem, poly_extended_gcd)
+from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, is_prime,
+                   pairwise_json, poly_divrem, poly_extended_gcd)
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
 
 
@@ -57,6 +57,9 @@ class MonoidDesc:
         ps = tuple(sorted(set(primes)))
         if not ps or any(p < 2 for p in ps):
             raise MonoidError("purity needs at least one denominator prime >= 2")
+        for p in ps:
+            if not is_prime(p):
+                raise MonoidError(f"denominator {p} of S is not a prime")
         self.primes = ps
         self.group = group
 
@@ -492,21 +495,13 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     f1 = z - one
     f2 = MonoidElem(tuple((tp * i, (Fraction(1) / beta) ** i) for i in range(p)), ring)
     unit = ring.coerce(b)
-    # certificate via the division remainder p, as in the monoid split
-    pz = Poly([Fraction(1)] * p)
-    q, rem = poly_divrem(pz, Poly([Fraction(-1), Fraction(1)]))
-    if rem != Poly((Fraction(p),)):
-        raise CertificateError("division remainder is not p (bug)")
-    inv_p = Fraction(1, p)
-    # f2 = f1 * q(Z) + p  =>  (-q(Z)/p) f1 + (1/p) f2 = 1
-    qz = ring.zero
-    zpow = one
-    for c in q.coeffs:
-        if c:
-            qz = qz + ring.coerce(c) * zpow
-        zpow = zpow * z
-    lam = ring.coerce(-inv_p) * qz
-    mu = ring.coerce(inv_p)
+    # 1 + T + ... + T^(p-1) == (T - 1) * q(T) + p with q_i == p - 1 - i, so
+    # (-q(Z)/p) f1 + (1/p) f2 == 1; -1/p and 1/beta lie in D, hence so does
+    # every coefficient of lam
+    ring.coerce(Fraction(-1, p))  # raises when -1/p lies outside D
+    mu = ring.coerce(Fraction(1, p))
+    lam = MonoidElem(tuple(sorted((tp * i, Fraction(i + 1 - p, p) / beta**i) for i in range(p - 1))), ring,
+                     _checked=True)
     res = JuettSplit(t, b, p, beta, unit, z, f1, f2, lam, mu)
     if not res.verify():
         raise CertificateError("splitter certificates failed to verify")

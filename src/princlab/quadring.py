@@ -8,9 +8,16 @@ and in Q(sqrt(d)) (Fraction coordinates); `QuadOrder.coerce`, `is_unit` and
 
 Ideals are stored as Z-lattices over the basis {1, sqrt(d)} in Hermite
 normal form [(n, 0), (c, m)] with 0 <= c < n; the ideal norm is the index
-n*m.  All decisions return re-checkable certificates, and each certificate
-type serializes itself (`to_json(enc)`).  The ring handle `QuadOrder`
-carries the ideal-theoretic hooks the engines call (see `rings`).
+n*m.  The ideal m*[n', c' + sqrt(d)] (n = m*n', c = m*c') maps to the binary
+quadratic form (n', 2c', (c'^2 - d)/n') of discriminant 4d, and ideal classes
+are decided on forms (Cohen, GTM 138, sections 5.2-5.4): `reduce_form`
+finds the one reduced form of a class with its SL2(Z) transform, and
+`compose_forms` is the group law.  Principality is a reduction, not a
+search over the elements of the ideal's norm: its cost grows with the
+number of digits of the norm.  All decisions return re-checkable
+certificates, and each certificate type serializes itself (`to_json(enc)`).
+The ring handle `QuadOrder` carries the ideal-theoretic hooks the engines
+call (see `rings`), the class-group ones among them.
 `InvertibilityCert` and `PrincipalityVerdict` are plain classes with an
 explicit `__init__`; see `core` for why not dataclasses.
 """
@@ -22,7 +29,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .core import (CertificateError, RingElem, RingHandle, _frac, factorint, hnf2_with_transform,
-                   solve_int_combination, sqrt_mod_prime)
+                   solve_int_combination, sqrt_mod_prime, xgcd)
 
 
 class QuadError(ValueError):
@@ -304,7 +311,9 @@ def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
 
 
 def norm_solutions(N: int, d: int) -> list[tuple[int, int]]:
-    """All (x, y) with x*x - d*y*y == N (d < 0), in generator scan order."""
+    """All (x, y) with x*x - d*y*y == N (d < 0), in generator rank order.
+    The witness hunt's element scan (`QuadOrder.associates_of_norm`) is its
+    only caller; principality goes through `reduce_form`."""
     out = []
     ad = -d
     y = 0
@@ -327,18 +336,83 @@ def _generator_rank(xy):
     return (x * x, y * y, 0 if x > 0 or (x == 0 and y > 0) else 1, -x, -y)
 
 
+def _first_associate(x: int, y: int, d: int) -> QuadElem:
+    """The associate of x + y*sqrt(d) that `_generator_rank` ranks first.
+    The units are +-1, and also +-sqrt(-1) when d == -1."""
+    units = [(x, y), (-x, -y)]
+    if d == -1:
+        units += [(-y, x), (y, -x)]
+    return QuadElem(*min(units, key=_generator_rank), d)
+
+
+def ideal_form(i: QuadIdeal) -> tuple[int, int, int]:
+    """The form (n', 2c', (c'^2 - d)/n') of I = m*[n', c' + sqrt(d)], of
+    discriminant 4d: its value at (x, y) is N(x*n' + y*(c' + sqrt(d)))/n'.
+    An ideal's m divides n and c, and n' divides c'^2 - d, because I is
+    closed under multiplication by sqrt(d)."""
+    n, c = i.n // i.m, i.c // i.m
+    return n, 2 * c, (c * c - i.d) // n
+
+
+def reduce_form(a: int, b: int, c: int):
+    """Gauss reduction of the positive definite form (a, b, c) (Cohen, GTM
+    138, section 5.3): returns the reduced form (|b| <= a <= c, and b >= 0
+    when |b| == a or a == c), the SL2(Z) transform (p, q, r, s) with
+    f(p*x + q*y, r*x + s*y) the reduced form, and one (p, r, a) per swap: the
+    transform's first column and the leading coefficient it brings to the
+    front.  Each class of forms has exactly one reduced form."""
+    p, q, r, s = 1, 0, 0, 1
+    swaps = []
+    while True:
+        t = (a - b) // (2 * a)  # b + 2at in (-a, a]
+        if t:
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            q, s = q + t * p, s + t * r
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), (p, q, r, s), swaps
+        a, b, c = c, -b, a
+        p, q, r, s = q, -p, s, -r
+        swaps.append((p, r, a))
+
+
+def compose_forms(f1, f2) -> tuple[int, int, int]:
+    """The reduced Gauss composition of two primitive positive definite
+    forms of one discriminant (Cohen, GTM 138, algorithm 5.4.7)."""
+    (a1, b1, c1), (a2, b2, c2) = sorted((f1, f2))
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, v = xgcd(s, d)
+        y2 = -v
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return reduce_form(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)[0]
+
+
 class PrincipalityVerdict:
     def __init__(self, status: str, ideal: QuadIdeal, search: list, generator: QuadElem | None = None,
                  basis_quotients: tuple[QuadElem, QuadElem] | None = None,
-                 generator_coordinates: tuple[int, int] | None = None):
+                 generator_coordinates: tuple[int, int] | None = None, form=None, transform=None, reduced=None):
         self.status = status  # "principal" | "non_principal" | "not_invertible"
         self.ideal = ideal
-        # search transcript: every norm-equation solution with its outcome
+        # the reduction's steps: the element of I each swap brings to the
+        # front, and last, for a principal verdict, the generator
         self.search = search
         self.generator = generator
         # two-way membership certificate for a principal verdict
         self.basis_quotients = basis_quotients
         self.generator_coordinates = generator_coordinates
+        # reduction certificate: transform (p, q, r, s) of determinant 1
+        # takes the ideal's form to the reduced form
+        self.form = form
+        self.transform = transform
+        self.reduced = reduced
 
     @property
     def principal(self) -> bool:
@@ -346,47 +420,52 @@ class PrincipalityVerdict:
 
     def to_json(self, enc):
         coords = self.generator_coordinates
+        cert = None
+        if self.form is not None:
+            p, q, r, s = self.transform
+            cert = {
+                "form": [str(v) for v in self.form],
+                "transform": [[str(p), str(q)], [str(r), str(s)]],
+                "reduced": [str(v) for v in self.reduced],
+            }
         return {
             "ideal": enc(self.ideal),
             "status": self.status,
             "generator": enc(self.generator),
             "basis_quotients": enc(self.basis_quotients),
             "generator_coordinates": None if coords is None else [str(c) for c in coords],
-            "search": [{"x": str(s["x"]), "y": str(s["y"]), "generates": s["generates"]} for s in self.search],
+            "search": cert,
         }
 
 
 def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
-    """Exhaustive positive-definite norm search for a generator of I.
-
-    A candidate g with N(g) == N(I) generates I exactly when g lies in I:
-    then (g) is inside I with the same index.  The two basis quotients are
-    the certificate that I is inside (g)."""
-    validate_d(i.d)
-    if not ideal_is_invertible(i):
-        # principal ideals are invertible, so no search is needed
+    """Decide whether I = m*[n', c' + sqrt(d)] is principal by reducing its
+    form (`ideal_form`).  I is principal exactly when the form reduces to
+    (1, 0, -d): a generator g == m*(x*n' + y*(c' + sqrt(d))) has norm N(I),
+    so f(x, y) == 1, and a form representing 1 is equivalent to (1, 0, -d).
+    The generator is the transform's first column, as the associate that
+    `_generator_rank` ranks first; the two basis quotients certify that I
+    lies inside (g).  A non-principal verdict carries the transform and the
+    reduced form.  Only a non-maximal order needs the invertibility test."""
+    d = validate_d(i.d)
+    if not is_maximal(d) and not ideal_is_invertible(i):
+        # principal ideals are invertible, so no reduction is needed
         return PrincipalityVerdict("not_invertible", i, [])
-    N = i.norm()
-    transcript = []
-    for x, y in norm_solutions(N, i.d):
-        g = QuadElem(x, y, i.d)
-        coords = i.coordinates(g)
-        if coords is not None:
-            q1 = divides(g, i.basis[0])
-            q2 = divides(g, i.basis[1])
-            if q1 is None or q2 is None:
-                raise CertificateError("principality certificate failed to verify")
-            transcript.append({"x": x, "y": y, "generates": True})
-            return PrincipalityVerdict(
-                "principal",
-                i,
-                transcript,
-                generator=g,
-                basis_quotients=(q1, q2),
-                generator_coordinates=coords,
-            )
-        transcript.append({"x": x, "y": y, "generates": False})
-    return PrincipalityVerdict("non_principal", i, transcript)
+    form = ideal_form(i)
+    reduced, transform, swaps = reduce_form(*form)
+    search = [{"x": p * i.n + r * i.c, "y": r * i.m, "generates": False} for p, r, a in swaps if a != 1]
+    if reduced != (1, 0, -d):
+        return PrincipalityVerdict("non_principal", i, search, form=form, transform=transform, reduced=reduced)
+    p, _, r, _ = transform
+    g = _first_associate(p * i.n + r * i.c, r * i.m, d)
+    coords = i.coordinates(g)
+    q1 = divides(g, i.basis[0])
+    q2 = divides(g, i.basis[1])
+    if coords is None or q1 is None or q2 is None:
+        raise CertificateError("principality certificate failed to verify")
+    search.append({"x": g.x, "y": g.y, "generates": True})
+    return PrincipalityVerdict("principal", i, search, generator=g, basis_quotients=(q1, q2),
+                               generator_coordinates=coords, form=form, transform=transform, reduced=reduced)
 
 
 class NonMaximalOrderError(QuadError):
@@ -487,6 +566,8 @@ class QuadOrder(RingHandle):
 
     def __init__(self, d: int):
         self.d = validate_d(d)
+        # the class of the principal ideals, as a reduced form
+        self.class_identity = (1, 0, -d)
 
     @property
     def zero(self):
@@ -564,6 +645,12 @@ class QuadOrder(RingHandle):
 
     def principal_generator(self, ideal):
         return ideal_is_principal(ideal).generator
+
+    def ideal_class(self, ideal):
+        return reduce_form(*ideal_form(ideal))[0]
+
+    def class_compose(self, f, g):
+        return compose_forms(f, g)
 
     def principal_bezout(self, a, b):
         verdict = ideal_is_principal(ideal_from_pair(a, b))

@@ -18,8 +18,9 @@ exceed `_MON_FILL` times its number of term pairs keeps the term-by-term
 loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
 through the lcm of its exponent and of its coefficient denominators; the
 per-term loop runs only to name the terms that fail.  A D[X;S] report whose
-monoid or localized-base primes include one below 2 fails before any of
-these loops, which would never end (1) or divide by zero (0).
+monoid or localized-base primes include one that is not a prime fails
+before any of these loops, which would never end on 1 or divide by zero on
+0; `_not_prime` is its own deterministic Miller-Rabin test.
 
 Each identity has one checking routine here.  `_comaximal_fails` checks
 every comaximal factorization (u * f_1 * ... * f_m == b and each pair's
@@ -28,14 +29,18 @@ chain`; `_omega_fails` checks omega-stability, `_block_span` multiplies
 prime powers, `_mat_mul` is the matrix product and `_strip` removes the
 primes of a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)]
 element and fails one that is not integral, where `int()` would truncate a
-Fraction to another element.
+Fraction to another element, and `_d_fails` ties every Z[sqrt(d)] value to
+the d its report's ring names.  Every non-principal claim (`ideal
+principal`, the generator-less sides of comax splits, `pullback reduce`
+bases) is checked by `_nonprincipal_fails`: the ideal's binary quadratic
+form must not reduce to (1, 0, -d), with its own reduction `_reduced`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .core import hnf2_with_transform
 
@@ -75,7 +80,9 @@ def dec(e):
             {(int(i), int(j)): _f(c) for i, j, c in e["g"]},
         )
     if t == "quadideal":
-        (n, _), (c, m) = e["basis"]
+        (n, zero), (c, m) = e["basis"]
+        if int(zero) != 0:
+            raise ValueError("a quadideal basis is not in Hermite normal form [(n, 0), (c, m)]")
         return ("qid", int(e["d"]), int(n), int(c), int(m))
     raise ValueError(f"cannot decode {t!r}")
 
@@ -502,21 +509,6 @@ def _contains(q, x, y):
     return (x - k * c) % n == 0
 
 
-def _norm_solutions(N, d):
-    out = []
-    ad = -d
-    y = 0
-    while ad * y * y <= N:
-        rem = N - ad * y * y
-        x = isqrt(rem)
-        if x * x == rem:
-            for sx in {x, -x}:
-                for sy in {y, -y}:
-                    out.append((sx, sy))
-        y += 1
-    return out
-
-
 def _quad_xy(v, name, fails):
     """The integer coordinates (x, y) of a decoded Z[sqrt(d)] element; None,
     after a failure naming it, when it is not one with integer coordinates
@@ -535,15 +527,82 @@ def _omega_fails(q, d, fails):
             fails.append("claimed omega-stability fails on a basis vector")
 
 
-def _nonprincipal_by_enumeration(span, d, fails):
+def _quad_ds(v):
+    """The d of every Z[sqrt(d)] element and ideal inside a decoded value."""
+    tag = v[0]
+    if tag == "quad":
+        return {v[3]}
+    if tag == "qid":
+        return {v[1]}
+    if tag == "rf":
+        return _quad_ds(v[1]) | _quad_ds(v[2])
+    if tag == "poly":
+        return set().union(*map(_quad_ds, v[1]))
+    return set()
+
+
+def _d_fails(where, d, values, fails):
+    """Each named decoded value must live over the d the ring claims."""
+    for name, v in values:
+        for other in sorted(_quad_ds(v) - {d}):
+            fails.append(f"{where} is {d}, but {name} has d = {other}")
+
+
+# ------------------------------------------ binary quadratic forms (d < 0)
+
+
+def _form(span, d, fails, name):
+    """The form (n', 2c', (c'^2 - d)/n') of the ideal lattice span == (n, c,
+    m) == m*[n', c' + sqrt(d)]: its value at (x, y) is N(x*n' + y*(c' +
+    sqrt(d)))/n'.  None, after a failure naming it, when the lattice is not
+    an ideal or d is not negative (the form would not be positive definite
+    and the reduction below would not end)."""
     n, c, m = span
-    N = n * m
-    for x, y in _norm_solutions(N, d):
-        if x == 0 and y == 0:
-            continue
-        if _span(_elem_vectors(x, y, d)) == span:
-            fails.append(f"claimed non-principal, but {x}+{y}*sqrt({d}) generates")
-            return
+    if d >= 0 or n <= 0 or m <= 0 or n % m or c % m or ((c // m) ** 2 - d) % (n // m):
+        fails.append(f"{name} is not an ideal lattice of an imaginary quadratic order")
+        return None
+    n, c = n // m, c // m
+    return (n, 2 * c, (c * c - d) // n)
+
+
+def _reduced(a, b, c):
+    """The one reduced form (|b| <= a <= c, and b >= 0 when |b| == a or a ==
+    c) properly equivalent to the positive definite form (a, b, c)."""
+    while True:
+        t = (a - b) // (2 * a)
+        b, c = b + 2 * a * t, (a * t + b) * t + c
+        if a < c or (a == c and b >= 0):
+            return (a, b, c)
+        a, b, c = c, -b, a
+
+
+def _nonprincipal_fails(span, d, fails, name):
+    """A non-principal claim for an ideal lattice: an ideal is principal
+    exactly when its form reduces to (1, 0, -d), since a generator is an
+    element of the ideal's norm and each class has one reduced form."""
+    form = _form(span, d, fails, name)
+    if form is not None and _reduced(*form) == (1, 0, -d):
+        fails.append(f"{name}: claimed non-principal, but its form reduces to (1, 0, {-d})")
+    return form
+
+
+def _reduction_fails(cert, form, fails):
+    """The reduction certificate of `ideal principal`: the ideal's form, a
+    transform [[p, q], [r, s]] of determinant 1 with f(p*x + q*y, r*x + s*y)
+    the claimed form, and the claimed form the reduced form of f."""
+    (p, q), (r, s) = [[int(v) for v in row] for row in cert["transform"]]
+    claimed = tuple(int(v) for v in cert["reduced"])
+    if tuple(int(v) for v in cert["form"]) != form:
+        fails.append("search.form is not the form of the ideal")
+    if p * s - q * r != 1:
+        fails.append("search.transform does not have determinant 1")
+    a, b, c = form
+    image = (a * p * p + b * p * r + c * r * r, 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+             a * q * q + b * q * s + c * s * s)
+    if image != claimed:
+        fails.append("search.transform does not take the form to search.reduced")
+    if claimed != _reduced(*form):
+        fails.append("search.reduced is not the reduced form of the ideal")
 
 
 # ------------------------------------------------------------- verifiers
@@ -686,12 +745,29 @@ def _verify_idem_from_ideal(report):
     return fails
 
 
-def _verify_ideal_frompair(report):
+def _ring_d(report, *keys):
+    """The d of an `ideal` report's ring, after checking that the values
+    under `keys` in its result (elements, ideals, lists of them, or the
+    prime ideals of a factor list) all live over it."""
+    d = int(report["ring"]["d"])
+    result = report["result"]
+    values = []
+    for key in keys:
+        v = result[key]
+        if isinstance(v, list):
+            values += [(f"{key}[{k}]", dec(e["prime"] if "prime" in e else e)) for k, e in enumerate(v)]
+        elif v is not None:
+            values.append((key, dec(v)))
     fails = []
+    _d_fails("ring.d", d, values, fails)
+    return d, fails
+
+
+def _verify_ideal_frompair(report):
+    d, fails = _ring_d(report, "a", "b", "ideal")
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     q = dec(result["ideal"])
-    d = q[1]
     vecs = []
     for name, e in (("a", a), ("b", b)):
         xy = _quad_xy(e, name, fails)
@@ -707,10 +783,9 @@ def _verify_ideal_frompair(report):
 
 
 def _verify_ideal_mul(report):
-    fails = []
+    d, fails = _ring_d(report, "i", "j", "product")
     result = report["result"]
     i, j, p = dec(result["i"]), dec(result["j"]), dec(result["product"])
-    d = i[1]
     got = _ideal_product_span(_qid_vectors(i), _qid_vectors(j), d)
     if got != (p[2], p[3], p[4]):
         fails.append("product lattice differs from an independent recomputation")
@@ -718,10 +793,9 @@ def _verify_ideal_mul(report):
 
 
 def _verify_ideal_invertible(report):
-    fails = []
+    d, fails = _ring_d(report, "ideal", "cofactor", "product_generator")
     result = report["result"]
     q = dec(result["ideal"])
-    d = q[1]
     if result["invertible"]:
         cof = dec(result["cofactor"])
         gen = dec(result["product_generator"])
@@ -739,12 +813,20 @@ def _verify_ideal_invertible(report):
 
 
 def _verify_ideal_principal(report):
-    fails = []
+    d, fails = _ring_d(report, "ideal", "generator", "basis_quotients")
     result = report["result"]
     q = dec(result["ideal"])
-    d = q[1]
     span = (q[2], q[3], q[4])
     status = result["status"]
+    if status == "not_invertible":
+        if result["search"] is not None:
+            fails.append("a non-invertible ideal carries a reduction certificate")
+        _omega_fails(q, d, fails)
+        return fails
+    form = _form(span, d, fails, "ideal")
+    if form is None:
+        return fails
+    _reduction_fails(result["search"], form, fails)
     if status == "principal":
         xy = _quad_xy(dec(result["generator"]), "generator", fails)
         if xy is None:
@@ -755,20 +837,18 @@ def _verify_ideal_principal(report):
         if x * x - d * y * y != q[2] * q[4]:
             fails.append("generator norm differs from the ideal norm")
     elif status == "non_principal":
-        _nonprincipal_by_enumeration(span, d, fails)
-    elif status == "not_invertible":
-        _omega_fails(q, d, fails)
+        _nonprincipal_fails(span, d, fails, "ideal")
+    else:
+        fails.append(f"unknown status {status!r}")
     return fails
 
 
 def _verify_ideal_factor(report):
-    fails = []
+    d, fails = _ring_d(report, "element", "factors")
     result = report["result"]
-    b = dec(result["element"])
-    xy = _quad_xy(b, "element", fails)
+    xy = _quad_xy(dec(result["element"]), "element", fails)
     if xy is None:
         return fails
-    d = b[3]
     factors = result["factors"]
     if _block_span(factors, range(len(factors)), d) != _span(_elem_vectors(*xy, d)):
         fails.append("prime powers do not re-multiply to (b)")
@@ -818,7 +898,7 @@ def _verify_factorization(fact, ring, fails, label=""):
                 else:
                     span = _block_span(support, idxs, d)
                     if gen is None:
-                        _nonprincipal_by_enumeration(span, d, fails)
+                        _nonprincipal_fails(span, d, fails, f"{label}block {list(idxs)}")
                     else:
                         xy = _quad_xy(dec(gen), f"{label}block generator", fails)
                         if xy is not None and _span(_elem_vectors(*xy, d)) != span:
@@ -934,9 +1014,17 @@ def _verify_pullback_reduce(report):
             fails.append("base_pair is set outside a base reduction")
     elif pair is None or len(pair) != 2 or None in values or not all(map(v_eq, map(dec, pair), values)):
         fails.append("base_pair is not the values at Y=0 of the oriented pair")
+    if base["family"] == "quad":
+        d = int(base["d"])
+        named = [(k, dec(result[k])) for k in ("a", "b", "witness", "generator", "qa", "qb", "ca", "cb")
+                 if result.get(k) is not None]
+        named += [(f"base_pair[{k}]", dec(e)) for k, e in enumerate(pair or ())]
+        _d_fails("ring.base.d", d, named, fails)
     if result["status"] == "base_non_principal":
+        if base["family"] != "quad":
+            fails.append(f"base_non_principal claimed over the principal ideal domain {base['family']}")
+            return fails
         av, bv = dec(pair[0]), dec(pair[1])
-        d = av[3]
         vecs = []
         for k, e in enumerate((av, bv)):
             xy = _quad_xy(e, f"base_pair[{k}]", fails)
@@ -944,7 +1032,7 @@ def _verify_pullback_reduce(report):
                 return fails
             if any(xy):
                 vecs += _elem_vectors(*xy, d)
-        _nonprincipal_by_enumeration(_span(vecs), d, fails)
+        _nonprincipal_fails(_span(vecs), d, fails, "the ideal of base_pair")
         return fails
     g = dec(result["generator"])
     qa, qb = dec(result["qa"]), dec(result["qb"])
@@ -980,13 +1068,47 @@ def _verify_pullback_nonufd(report):
     return fails
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+def _not_prime(p):
+    """Why the integer p is not a proven prime, or None when it is one."""
+    if p < 2:
+        return "is below 2"
+    for a in _MR_BASES:
+        if p % a == 0:
+            return None if p == a else f"is composite (divisible by {a})"
+    if p >= _MR_EXACT:
+        return "is too large to prove prime"
+    q, k = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        k += 1
+    for a in _MR_BASES:
+        x = pow(a, q, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return f"is composite (Miller-Rabin witness {a})"
+    return None
+
+
 def _ring_prime_fails(ring):
-    # stripping a prime below 2 never ends (1) or divides by zero (0), so
-    # such a ring fails before any membership loop runs
+    # D[X;S] is described by primes.  Stripping a prime below 2 never ends
+    # (1) or divides by zero (0), so such a ring fails before any membership
+    # loop runs; a composite describes another monoid than it claims
     primes = [("ring.monoid.primes", p) for p in ring["monoid"]["primes"]]
     if ring["base"]["family"] == "zloc":
         primes += [("ring.base.primes", p) for p in ring["base"]["primes"]]
-    return [f"{where}: {p} is below 2" for where, p in primes if int(p) < 2]
+    return [f"{where}: {p} {why}" for where, p in primes if (why := _not_prime(int(p)))]
 
 
 def _strip(n, primes):

@@ -19,6 +19,13 @@ call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
 - `prime_support(b)`, `principal_generator(I)`: the prime-power support of
   (b) and the generator of an ideal built from it (an ideal of Z is its
   nonnegative generator, so `**` and `*` are the ideal operations);
+- `ideal_class(I)`, `class_compose(x, y)`, `class_identity`: the class of
+  an ideal in the class group, the group law on classes and the class of
+  the principal ideals.  `comax` labels each prime power of a support by its
+  class, so a block whose classes do not compose to the identity is known
+  to be non-principal with no ideal product.  Z[sqrt(d)] labels a class by
+  its reduced binary quadratic form and composes forms; Z has the trivial
+  group {0};
 - `principal_bezout(a, b)`: (g, lam, mu) with lam*a + mu*b == g and
   (g) == (a, b), or None when (a, b) is not principal;
 - `unit_bezout(a, b)`: (lam, mu) with lam*a + mu*b == 1, or None;
@@ -49,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .core import Poly, RatFunc, RingHandle, factorint, poly_divrem, poly_extended_gcd, xgcd
+from .core import Poly, RatFunc, RingHandle, factorint, is_prime, poly_divrem, poly_extended_gcd, xgcd
 
 
 class IntegerRing(RingHandle):
@@ -100,6 +107,15 @@ class IntegerRing(RingHandle):
 
     def principal_generator(self, ideal):
         return ideal
+
+    # Z is a principal ideal domain: its class group is trivial
+    class_identity = 0
+
+    def ideal_class(self, ideal):
+        return 0
+
+    def class_compose(self, x, y):
+        return 0
 
     def principal_bezout(self, a, b):
         return xgcd(a, b)
@@ -227,6 +243,9 @@ class LocalizedIntegers(RingHandle):
         ps = sorted(set(int(p) for p in primes))
         if not ps or any(p < 2 for p in ps):
             raise ValueError("need at least one prime >= 2")
+        for p in ps:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not a prime")
         self.primes = tuple(ps)
         self.zero = Fraction(0)
         self.one = Fraction(1)

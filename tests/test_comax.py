@@ -1,7 +1,10 @@
+import json
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from princlab import comax, quadring
 from princlab.comax import (
@@ -12,7 +15,8 @@ from princlab.comax import (
     find_nonunique_witness,
     is_pseudo_irreducible,
 )
-from princlab.quadring import QuadElem, QuadOrder
+from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
+from princlab.report import enc
 from princlab.rings import ZZ
 
 O5 = QuadOrder(-5)
@@ -148,6 +152,16 @@ def test_one_principality_test_per_prime_subset(monkeypatch, d, b):
 
 
 @pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
+def test_principality_is_tested_only_on_blocks_of_identity_class(monkeypatch, d, b):
+    ring = QuadOrder(d)
+    tested = []
+    real = quadring.ideal_is_principal
+    monkeypatch.setattr(quadring, "ideal_is_principal", lambda i: tested.append(i) or real(i))
+    enumerate_complete_factorizations(b, ring)
+    assert tested and all(ring.ideal_class(i) == ring.class_identity for i in tested)
+
+
+@pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
 def test_one_irreducibility_transcript_per_block(monkeypatch, d, b):
     examined = []
     real = comax._irreducibility
@@ -216,3 +230,126 @@ def test_random_quad_factorizations_verify():
                 prod = prod * f
             assert prod * fact.unit == b
         done += 1
+
+
+# ---------------------------------------------------------------- oracle
+# The walk before class labels: every set partition of the support (Bell(k)
+# of them), each block's generator by a scan over the elements of its norm.
+
+
+def scan_rank(xy):
+    x, y = xy
+    return (x * x, y * y, 0 if x > 0 or (x == 0 and y > 0) else 1, -x, -y)
+
+
+def scan_generator(ideal):
+    """The first element of norm N(I), in rank order, lying in I (then it
+    generates I), or None."""
+    n, d = ideal.norm(), ideal.d
+    found = set()
+    y = 0
+    while -d * y * y <= n:
+        rem = n + d * y * y
+        x = isqrt(rem)
+        if x * x == rem:
+            found |= {(sx, sy) for sx in (x, -x) for sy in (y, -y)}
+        y += 1
+    for x, y in sorted(found, key=scan_rank):
+        if ideal.contains(QuadElem(x, y, d)):
+            return QuadElem(x, y, d)
+    return None
+
+
+class ScanMemo:
+    """The block memo's interface with scan generators and no classes."""
+
+    def __init__(self, support, ring):
+        self.support = support
+        self.ring = ring
+        self.generators = {}
+        self.transcripts = {}
+
+    def generator(self, idxs):
+        idxs = tuple(idxs)
+        if idxs not in self.generators:
+            ideal = principal_ideal(self.ring.one)
+            for i in idxs:
+                P, e = self.support[i]
+                ideal = ideal * P**e
+            self.generators[idxs] = scan_generator(ideal)
+        return self.generators[idxs]
+
+    def transcript(self, idxs):
+        idxs = tuple(idxs)
+        if idxs not in self.transcripts:
+            self.transcripts[idxs] = comax._irreducibility(self.generator(idxs), self, idxs)
+        return self.transcripts[idxs]
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def bell_walk_factorizations(b, ring):
+    memo = ScanMemo(ring.prime_support(b), ring)
+    out = []
+    for partition in set_partitions(list(range(len(memo.support)))):
+        generators = [memo.generator(block) for block in partition]
+        if None in generators or not all(memo.transcript(block).pseudo_irreducible for block in partition):
+            continue
+        out.append(comax._build_factorization(b, memo, partition, generators))
+    out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
+    return out
+
+
+# Z[sqrt(-5)] and Z[sqrt(-6)] have class group C2, Z[sqrt(-14)] C4,
+# Z[sqrt(-21)] C2 x C2 and Z[sqrt(-26)] C6
+CLASS_GROUP_RINGS = (-5, -6, -14, -21, -26)
+
+
+def seeded_elements(d, count, max_support=6, max_norm=10**8):
+    """Products of one to four small elements, with at most max_support
+    primes and norm at most max_norm, from a fixed seed."""
+    rng = random.Random(1000 - d)
+    ring = QuadOrder(d)
+    out = []
+    while len(out) < count:
+        b = ring.one
+        for _ in range(rng.randint(1, 4)):
+            b = b * QuadElem(rng.randint(-7, 7), rng.randint(-2, 2), d)
+        if not b or b.is_unit() or b.norm() > max_norm:
+            continue
+        if len(ring.prime_support(b)) <= max_support:
+            out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("d", CLASS_GROUP_RINGS)
+def test_minimal_zero_sum_walk_matches_the_bell_walk_byte_for_byte(d):
+    ring = QuadOrder(d)
+    supports = []
+    for b in seeded_elements(d, 20):
+        new = json.dumps(enc(enumerate_complete_factorizations(b, ring)))
+        old = json.dumps(enc(bell_walk_factorizations(b, ring)))
+        assert new == old, b
+        supports.append(len(ring.prime_support(b)))
+    assert max(supports) >= 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(CLASS_GROUP_RINGS), n=st.integers(1, 100), x=st.integers(-10**4, 10**4),
+       y=st.integers(-10**4, 10**4))
+def test_reduction_agrees_with_a_norm_scan(d, n, x, y):
+    # (n, x + y*sqrt(d)) has norm dividing n^2 <= 10^4
+    ideal = ideal_from_pair(QuadElem(n, 0, d), QuadElem(x, y, d))
+    v = ideal_is_principal(ideal)
+    g = scan_generator(ideal)
+    assert v.principal == (g is not None)
+    assert v.generator == g

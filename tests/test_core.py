@@ -11,6 +11,7 @@ from princlab.core import (
     Poly,
     RatFunc,
     factorint,
+    is_prime,
     poly_divrem,
     poly_extended_gcd,
     poly_gcd,
@@ -64,6 +65,13 @@ def test_factorint_matches_sympy(monkeypatch):
         assert factorint(n) == sympy_factorint(n), n
     with pytest.raises(ValueError):
         factorint(0)
+
+
+def test_is_prime_matches_sympy():
+    for n in list(range(-3, 3000)) + [10**6 - 17, 10**6 + 3, 3215031751, 2**61 - 1, 561 * 1000003]:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError, match="too large to prove prime"):
+        is_prime(2**89 - 1)
 
 
 def test_sqrt_mod_prime_matches_sympy():

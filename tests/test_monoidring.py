@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from princlab import monoidring
-from princlab.core import Poly
+from princlab.core import Poly, poly_divrem
 from princlab.monoidring import (
     MonoidDesc,
     MonoidElem,
@@ -133,6 +133,37 @@ def test_juett_split_spec_cases():
         juett_split(1, 1, 2, 1, RQ2)  # not a group ring
     with pytest.raises(MonoidError, match="need t != 0"):
         juett_split(0, 4, 2, 2, RG2)  # X^0 - 4 is a constant
+
+
+@pytest.mark.parametrize("t,b,p,beta", [(1, 1, 2, 1), (1, 32, 5, 2), (-7, F(1, 128), 7, F(1, 2)), (3, 1, 31, 1)])
+def test_juett_lam_is_the_division_quotient(t, b, p, beta):
+    # lam == -q(Z)/p for the quotient q of 1 + T + ... + T^(p-1) by T - 1,
+    # built term by term as the splitter did before its closed form
+    ring = MonoidRing(QQ, MonoidDesc(primes=(p,), group=True))
+    js = juett_split(t, b, p, beta, ring)
+    q, rem = poly_divrem(Poly([F(1)] * p), Poly([F(-1), F(1)]))
+    assert rem == Poly((F(p),))
+    qz, zpow = ring.zero, ring.one
+    for c in q.coeffs:
+        qz = qz + ring.coerce(c) * zpow
+        zpow = zpow * js.z
+    assert js.lam == ring.coerce(F(-1, p)) * qz
+    assert js.mu == ring.coerce(F(1, p))
+
+
+def test_juett_split_is_linear_in_p():
+    ring = MonoidRing(QQ, MonoidDesc(primes=(4001,), group=True))
+    start = time.perf_counter()
+    js = juett_split(1, 1, 4001, 1, ring)
+    assert time.perf_counter() - start < 5
+    assert len(js.lam.terms) == 4000 and len(js.f2.terms) == 4001
+
+
+def test_a_composite_denominator_is_refused():
+    with pytest.raises(MonoidError, match="denominator 4 of S is not a prime"):
+        MonoidDesc(primes=(2, 4))
+    with pytest.raises(ValueError, match="6 is not a prime"):
+        LocalizedIntegers((6,))
 
 
 def test_group_monomials_are_units():

@@ -19,6 +19,7 @@ from princlab.quadring import (
     ideal_is_principal,
     norm_solutions,
     principal_ideal,
+    reduce_form,
     validate_d,
 )
 from princlab.report import enc
@@ -204,18 +205,86 @@ def test_principality_against_enumeration_oracle():
             assert alpha * i.basis[0] + beta * i.basis[1] == g
 
 
-def test_generator_found_after_rejected_candidates():
-    # N = 9 in Z[sqrt(-5)]: the four elements +-2+-sqrt(-5) come first in
-    # scan order and lie outside (3); the fifth candidate generates it
+def test_reduction_certificate_of_the_ideal_3():
+    # (3) == 3*[1, sqrt(-5)]: its form (1, 0, 5) is already the reduced
+    # principal form, so the identity transform certifies it and the
+    # transform's first column, times 3, is the generator
     v = ideal_is_principal(ideal_from_pair(E(3, 0), E(0, 3)))
     assert v.generator == E(3, 0)
-    assert v.search == [
-        {"x": 2, "y": 1, "generates": False},
-        {"x": 2, "y": -1, "generates": False},
-        {"x": -2, "y": 1, "generates": False},
-        {"x": -2, "y": -1, "generates": False},
-        {"x": 3, "y": 0, "generates": True},
-    ]
+    assert v.search == [{"x": 3, "y": 0, "generates": True}]
+    assert enc(v)["search"] == {
+        "form": ["1", "0", "5"],
+        "transform": [["1", "0"], ["0", "1"]],
+        "reduced": ["1", "0", "5"],
+    }
+
+
+def apply_transform(form, transform):
+    a, b, c = form
+    p, q, r, s = transform
+    return (a * p * p + b * p * r + c * r * r, 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+            a * q * q + b * q * s + c * s * s)
+
+
+def reduced_forms(disc):
+    """Every reduced positive definite form of discriminant disc < 0, by the
+    bounds |b| <= a <= c and 3a^2 <= |disc|."""
+    out = set()
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            if (b * b - disc) % (4 * a) == 0:
+                c = (b * b - disc) // (4 * a)
+                if c > a or (c == a and b >= 0):
+                    out.add((a, b, c))
+        a += 1
+    return out
+
+
+@pytest.mark.parametrize("d", [-1, -2, -5, -6, -14, -21, -26])
+def test_reduce_form_certifies_the_reduced_form(d):
+    rng = random.Random(d)
+    reduced = reduced_forms(4 * d)
+    for _ in range(200):
+        # a random form of discriminant 4d: (a, 2k, (k^2 - d)/a) with a | k^2 - d
+        k = rng.randrange(-10**6, 10**6)
+        divisors = [a for a in range(1, 200) if (k * k - d) % a == 0]
+        a = rng.choice(divisors)
+        form = (a, 2 * k, (k * k - d) // a)
+        red, (p, q, r, s), _ = reduce_form(*form)
+        assert p * s - q * r == 1
+        assert apply_transform(form, (p, q, r, s)) == red
+        assert red in reduced
+
+
+@pytest.mark.parametrize("d,h", [(-1, 1), (-2, 1), (-5, 2), (-6, 2), (-14, 4), (-21, 4), (-26, 6)])
+def test_prime_classes_fill_the_class_group_and_compose_like_ideals(d, h):
+    # every reduced form is the class of some prime of small norm (all
+    # reduced forms of a maximal order's discriminant are primitive here),
+    # and the composition of classes is the class of the product
+    ring = QuadOrder(d)
+    primes = [P for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+              for P in (f[0] for f in factor_principal(QuadElem(p, 0, d)))]
+    classes = {ring.ideal_class(P) for P in primes}
+    assert len(reduced_forms(4 * d)) == h
+    assert classes == reduced_forms(4 * d)
+    for P in primes[:8]:
+        for Q in primes[:8]:
+            assert ring.ideal_class(P * Q) == ring.class_compose(ring.ideal_class(P), ring.ideal_class(Q))
+    assert all(ring.class_compose(c, ring.class_identity) == c for c in classes)
+
+
+def test_principality_far_past_a_norm_scan():
+    # norms near 10^40: the reduction takes a few dozen steps, where a scan
+    # over x^2 + 26y^2 == N would take about 10^19
+    d = -26
+    g = QuadElem(10**20 + 7, 3 * 10**19 + 11, d)
+    v = ideal_is_principal(principal_ideal(g))
+    assert v.principal and principal_ideal(v.generator) == principal_ideal(g)
+    assert v.generator.norm() == g.norm() >= 10**40
+    P = ideal_from_pair(QuadElem(3, 0, d), QuadElem(1, 1, d))  # a class of order 3
+    v = ideal_is_principal(P.mul(principal_ideal(g)))
+    assert v.status == "non_principal" and v.reduced == QuadOrder(d).ideal_class(P)
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -15])

@@ -236,3 +236,75 @@ def _bump_juett(*path):
 )
 def test_juett_split_is_tied_to_its_ring_and_parameters(mutate):
     assert golden_fails("mring_juett_group_p3", mutate)
+
+
+def _bump_at(*path):
+    def bump(report):
+        *head, last = path
+        node = report
+        for part in head:
+            node = node[part]
+        node[last] = plus_one(node[last])
+
+    return bump
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ideal_frompair", "ideal_mul", "ideal_invertible", "ideal_not_invertible", "ideal_principal",
+     "ideal_non_principal", "ideal_principal_not_invertible", "ideal_factor"],
+)
+def test_ring_d_of_an_ideal_report_is_tied_to_its_values(name):
+    fails = golden_fails(name, _bump_at("ring", "d"))
+    assert any(f.startswith("ring.d is ") for f in fails)
+
+
+@pytest.mark.parametrize("name", ["pullback_reduce_quad", "pullback_base_non_principal"])
+def test_ring_base_d_of_pullback_reduce_is_tied_to_its_values(name):
+    fails = golden_fails(name, _bump_at("ring", "base", "d"))
+    assert any(f.startswith("ring.base.d is ") for f in fails)
+
+
+def test_a_composite_monoid_prime_fails():
+    fails = golden_fails("mring_juett_group_p3", lambda report: report["ring"]["monoid"].update(primes=["2", "4"]))
+    assert "ring.monoid.primes: 4 is composite (divisible by 2)" in fails
+
+
+def test_not_prime_is_exact():
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for p in range(2, 142):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 20000, p))
+    assert [n for n in range(20000) if recheck._not_prime(n) is None] == [n for n in range(20000) if sieve[n]]
+    # strong pseudoprimes to the bases 2..7 and 2..23, a Carmichael number,
+    # two Mersenne primes, and one past the proven range
+    assert recheck._not_prime(3215031751).startswith("is composite")
+    assert recheck._not_prime(3825123056546413051).startswith("is composite")
+    assert recheck._not_prime(561 * 1000003).startswith("is composite")
+    assert recheck._not_prime(2**61 - 1) is None and recheck._not_prime(2**31 - 1) is None
+    assert recheck._not_prime(2**89 - 1) == "is too large to prove prime"
+
+
+@pytest.mark.parametrize("name", ["ideal_principal_quad26", "ideal_non_principal_quad26"])
+@pytest.mark.parametrize(
+    "path",
+    [("search", "form", 0), ("search", "form", 1), ("search", "form", 2),
+     ("search", "transform", 0, 0), ("search", "transform", 0, 1),
+     ("search", "transform", 1, 0), ("search", "transform", 1, 1),
+     ("search", "reduced", 0), ("search", "reduced", 1), ("search", "reduced", 2),
+     ("ideal", "basis", 1, 0), ("ideal", "basis", 1, 1)],
+)
+def test_every_leaf_of_the_reduction_certificate_is_checked(name, path):
+    assert golden_fails(name, _bump_at("result", *path))
+
+
+@pytest.mark.parametrize("d,x,y", [(-5, 2, 1), (-26, 1, 1), (-26, 20, 5), (-1, 3, 4)])
+def test_a_principal_ideal_fails_a_non_principal_claim(d, x, y):
+    fails = []
+    recheck._nonprincipal_fails(recheck._span(recheck._elem_vectors(x, y, d)), d, fails, "I")
+    assert fails == [f"I: claimed non-principal, but its form reduces to (1, 0, {-d})"]
+    fails = []
+    recheck._nonprincipal_fails(recheck._span(recheck._elem_vectors(3, 0, -26) + recheck._elem_vectors(1, 1, -26)),
+                                -26, fails, "I")
+    assert fails == []
