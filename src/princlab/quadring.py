@@ -311,9 +311,9 @@ def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
 
 
 def norm_solutions(N: int, d: int) -> list[tuple[int, int]]:
-    """All (x, y) with x*x - d*y*y == N (d < 0), in generator rank order.
-    The witness hunt's element scan (`QuadOrder.associates_of_norm`) is its
-    only caller; principality goes through `reduce_form`."""
+    """All (x, y) with x*x - d*y*y == N (d < 0).  The witness hunt's element
+    scan (`QuadOrder.associates_of_norm`) is its only caller; principality
+    goes through `reduce_form`."""
     out = []
     ad = -d
     y = 0
@@ -327,7 +327,6 @@ def norm_solutions(N: int, d: int) -> list[tuple[int, int]]:
                 for sy in ys:
                     out.append((sx, sy))
         y += 1
-    out.sort(key=_generator_rank)
     return out
 
 
@@ -339,10 +338,10 @@ def _generator_rank(xy):
 def _first_associate(x: int, y: int, d: int) -> QuadElem:
     """The associate of x + y*sqrt(d) that `_generator_rank` ranks first.
     The units are +-1, and also +-sqrt(-1) when d == -1."""
-    units = [(x, y), (-x, -y)]
+    associates = [(x, y), (-x, -y)]
     if d == -1:
-        units += [(-y, x), (y, -x)]
-    return QuadElem(*min(units, key=_generator_rank), d)
+        associates += [(-y, x), (y, -x)]
+    return QuadElem(*min(associates, key=_generator_rank), d)
 
 
 def ideal_form(i: QuadIdeal) -> tuple[int, int, int]:
