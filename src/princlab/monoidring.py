@@ -496,9 +496,8 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     f2 = MonoidElem(tuple((tp * i, (Fraction(1) / beta) ** i) for i in range(p)), ring)
     unit = ring.coerce(b)
     # 1 + T + ... + T^(p-1) == (T - 1) * q(T) + p with q_i == p - 1 - i, so
-    # (-q(Z)/p) f1 + (1/p) f2 == 1; -1/p and 1/beta lie in D, hence so does
-    # every coefficient of lam
-    ring.coerce(Fraction(-1, p))  # raises when -1/p lies outside D
+    # (-q(Z)/p) f1 + (1/p) f2 == 1.  A group ring's base is Q and its
+    # exponents tp*i lie in S, so lam's terms need no membership check
     mu = ring.coerce(Fraction(1, p))
     lam = MonoidElem(tuple(sorted((tp * i, Fraction(i + 1 - p, p) / beta**i) for i in range(p - 1))), ring,
                      _checked=True)
