@@ -6,9 +6,12 @@ non-unique, not a pair, no witness found), 2 = input error (any
 (`core.CertificateError`) or a failed `--recheck` pass.  Reports go to
 stdout; errors and recheck failures go to stderr.
 
-Handlers parse, call and return: each certificate serializes itself
-(`report.enc` falls through to its `to_json`), and one ring-kind guard
-(`_ring`, driven by `RING_KINDS`) checks `--ring` for every command.
+One row of `COMMANDS` per subcommand gives its group, name, handler, ring
+and operands; `GROUPS` gives the ring kinds each group accepts.  From
+these `main` builds the parser, checks `--ring` and converts the operands,
+then calls `handler(ring, **operands)`, which returns the verdict, the
+result and the exit code.  Each certificate serializes itself (`report.enc`
+falls through to its `to_json`).
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .comax import (
-    ComaxInputError,
-    comax_factor_int,
-    enumerate_complete_factorizations,
-    find_nonunique_witness,
-)
+from .comax import comax_factor_int, enumerate_complete_factorizations, find_nonunique_witness
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
 from .idem import bezout_in_inverse, complement_identity, idem_matrix, is_idempotent_pair, pair_from_invertible
@@ -32,13 +30,7 @@ from .limitring import LimitRing, lr_chain, lr_lift
 from .monoidring import MonoidDesc, MonoidRing, juett_split, mr_comax_chain, mr_split
 from .polyext import SubringDesc, nonprinc_pair_from_alpha, seminormal_witness
 from .pullback import PullbackRing, pb_nonufd_chain, pb_reduce_idem_pair
-from .quadring import (
-    QuadOrder,
-    factor_principal,
-    ideal_from_pair,
-    ideal_is_invertible,
-    ideal_is_principal,
-)
+from .quadring import QuadOrder, factor_principal, ideal_from_pair, ideal_is_invertible, ideal_is_principal
 from .recheck import verify_report
 from .report import dump, enc, make_report
 from .rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers
@@ -93,282 +85,277 @@ def parse_ring_spec(text: str, monoid: str | None = None, group: bool = False):
     return _parse_base(text)
 
 
-# The ring kinds each command group accepts, with the error for any other.
-RING_KINDS = {
-    "ideal": (QuadOrder, "this command needs --ring 'Z[sqrt(d)]'"),
-    "comax": ((QuadOrder, IntegerRing), "comax commands run over Z or Z[sqrt(d)]"),
-    "pullback": (PullbackRing, "this command needs --ring 'pullback:BASE'"),
-    "mring": (MonoidRing, "this command needs --ring 'BASE[X;S]'"),
-    "limitring": (LimitRing, "this command needs --ring 'limitring:BASE'"),
-}
-
-
-def _ring(args):
-    """The command's --ring, rejected (exit 2) unless its group accepts it."""
-    ring = parse_ring_spec(args.ring, getattr(args, "monoid", None), getattr(args, "group_mode", False))
-    kinds, need = RING_KINDS.get(args.group, (object, None))
-    if not isinstance(ring, kinds):
-        raise CliError(need)
-    return ring
-
-
 # ------------------------------------------------------------ subcommands
+# Each handler takes the ring and its converted operands and returns
+# (verdict, result, exit code).
 
 
-def cmd_idem_check(args):
-    ring = _ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+def cmd_idem_check(ring, a, b):
     pair = is_idempotent_pair(a, b, ring)
     result = {"a": enc(a), "b": enc(b), "pair": None, "complement": None}
     if pair is None:
-        return "not_idempotent_pair", ring, result, 1
-    result["pair"] = enc(pair)
-    result["complement"] = enc(complement_identity(pair))
-    return "idempotent_pair", ring, result, 0
+        return "not_idempotent_pair", result, 1
+    result.update(pair=enc(pair), complement=enc(complement_identity(pair)))
+    return "idempotent_pair", result, 0
 
 
-def cmd_idem_matrix(args):
-    ring = _ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+def cmd_idem_matrix(ring, a, b):
     pair = is_idempotent_pair(a, b, ring)
     result = {"a": enc(a), "b": enc(b), "pair": None}
     if pair is None:
-        return "not_idempotent_pair", ring, result, 1
+        return "not_idempotent_pair", result, 1
     m = idem_matrix(pair)
-    result["pair"] = enc(pair)
-    result["matrix"] = enc(m)
-    return "idempotent_pair", ring, result, 0
+    result.update(pair=enc(pair), matrix=enc(m))
+    return "idempotent_pair", result, 0
 
 
-def cmd_idem_from_ideal(args):
-    ring = _ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+def cmd_idem_from_ideal(ring, a, b):
     cert = bezout_in_inverse(a, b, ring)
     result = {"a": enc(a), "b": enc(b)}
     if cert is None:
-        return "not_invertible", ring, result, 1
+        return "not_invertible", result, 1
     pair = pair_from_invertible(a, b, cert, ring)
-    result["bezout"] = enc(cert)
-    result["pair"] = enc(pair)
-    result["complement"] = enc(complement_identity(pair))
-    return "pair_derived", ring, result, 0
+    result.update(bezout=enc(cert), pair=enc(pair), complement=enc(complement_identity(pair)))
+    return "pair_derived", result, 0
 
 
-def cmd_ideal_frompair(args):
-    ring = _ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
+def cmd_ideal_frompair(ring, a, b):
     ideal = ideal_from_pair(a, b)
     result = {"a": enc(a), "b": enc(b), "ideal": enc(ideal), "norm": str(ideal.norm())}
-    return "normal_form", ring, result, 0
+    return "normal_form", result, 0
 
 
-def cmd_ideal_mul(args):
-    ring = _ring(args)
-    gens = [parse_element(t, ring) for t in (args.a, args.b, args.c, args.e)]
-    i = ideal_from_pair(gens[0], gens[1])
-    j = ideal_from_pair(gens[2], gens[3])
+def cmd_ideal_mul(ring, a, b, c, e):
+    i, j = ideal_from_pair(a, b), ideal_from_pair(c, e)
     p = i.mul(j)
-    result = {
-        "i": enc(i),
-        "j": enc(j),
-        "product": enc(p),
-        "norms": {"i": str(i.norm()), "j": str(j.norm()), "product": str(p.norm())},
-    }
-    return "product", ring, result, 0
+    norms = {"i": str(i.norm()), "j": str(j.norm()), "product": str(p.norm())}
+    return "product", {"i": enc(i), "j": enc(j), "product": enc(p), "norms": norms}, 0
 
 
-def cmd_ideal_invertible(args):
-    ring = _ring(args)
-    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
+def cmd_ideal_invertible(ring, a, b):
+    ideal = ideal_from_pair(a, b)
     cert = ideal_is_invertible(ideal)
     result = {"ideal": enc(ideal), **enc(cert)}
-    return ("invertible", ring, result, 0) if cert.invertible else ("not_invertible", ring, result, 1)
+    return ("invertible", result, 0) if cert.invertible else ("not_invertible", result, 1)
 
 
-def cmd_ideal_principal(args):
-    ring = _ring(args)
-    ideal = ideal_from_pair(parse_element(args.a, ring), parse_element(args.b, ring))
-    v = ideal_is_principal(ideal)
-    return v.status, ring, enc(v), 0 if v.principal else 1
+def cmd_ideal_principal(ring, a, b):
+    v = ideal_is_principal(ideal_from_pair(a, b))
+    return v.status, enc(v), 0 if v.principal else 1
 
 
-def cmd_ideal_factor(args):
-    ring = _ring(args)
-    b = parse_element(args.b, ring)
+def cmd_ideal_factor(ring, b):
     fp = factor_principal(b)
-    result = {
-        "element": enc(b),
-        "factors": [{"prime": enc(p), "exponent": e} for p, e in fp],
-    }
-    return "factored", ring, result, 0
+    return "factored", {"element": enc(b), "factors": [{"prime": enc(p), "exponent": e} for p, e in fp]}, 0
 
 
-def _comax_factor_one(ring, text):
-    b = parse_element(text, ring)
-    if ring == ZZ:
-        fact = comax_factor_int(b)
-    else:
-        facts = enumerate_complete_factorizations(b, ring)
-        if not facts:
-            raise ComaxInputError(f"{text}: no complete comaximal factorization found")
-        fact = facts[0]
+def _comax_factor_one(ring, b):
+    # the first of a complete list: the whole support is zero-sum, so it
+    # always splits into minimal zero-sum blocks
+    fact = comax_factor_int(b) if ring == ZZ else enumerate_complete_factorizations(b, ring)[0]
     return {"element": enc(b), "factorization": enc(fact)}
 
 
-def cmd_comax_factor(args):
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
-    ring = _ring(args)
-    if len(args.values) == 1:
-        return "factored", ring, _comax_factor_one(ring, args.values[0]), 0
-    if args.jobs > 1:
+def cmd_comax_factor(ring, values, jobs):
+    if len(values) == 1:
+        return "factored", _comax_factor_one(ring, values[0]), 0
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_factor_worker, [(args.ring, t) for t in args.values]))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_comax_factor_one, [ring] * len(values), values))
     else:
-        results = [_comax_factor_one(ring, t) for t in args.values]
-    return "factored", ring, {"batch": results}, 0
+        results = [_comax_factor_one(ring, b) for b in values]
+    return "factored", {"batch": results}, 0
 
 
-def _batch_factor_worker(job):
-    ring_text, value_text = job
-    return _comax_factor_one(parse_ring_spec(ring_text), value_text)
-
-
-def cmd_comax_unique(args):
-    ring = _ring(args)
-    b = parse_element(args.b, ring)
+def cmd_comax_unique(ring, b):
     facts = enumerate_complete_factorizations(b, ring)
-    result = {
-        "element": enc(b),
-        "count": len(facts),
-        "factorizations": enc(facts),
-    }
-    if len(facts) == 1:
-        return "unique", ring, result, 0
-    return "non_unique", ring, result, 1
+    result = {"element": enc(b), "count": len(facts), "factorizations": enc(facts)}
+    return ("unique", result, 0) if len(facts) == 1 else ("non_unique", result, 1)
 
 
-def cmd_comax_hunt(args):
-    ring = _ring(args)
-    hit = find_nonunique_witness(ring, args.bound)
+def cmd_comax_hunt(ring, bound):
+    hit = find_nonunique_witness(ring, bound)
     if hit is None:
-        return "no_witness", ring, {"bound": args.bound, "witness": None, "factorizations": []}, 1
+        return "no_witness", {"bound": bound, "witness": None, "factorizations": []}, 1
     b, facts = hit
-    result = {
-        "bound": args.bound,
-        "witness": enc(b),
-        "factorizations": enc(facts),
-    }
-    return "witness_found", ring, result, 0
+    return "witness_found", {"bound": bound, "witness": enc(b), "factorizations": enc(facts)}, 0
 
 
-def cmd_pullback_reduce(args):
-    ring = _ring(args)
-    a = parse_element(args.a, ring)
-    b = parse_element(args.b, ring)
-    if args.witness is not None:
-        r = parse_element(args.witness, ring)
-        orientation = args.orientation
-    else:
+def cmd_pullback_reduce(ring, a, b, witness, orientation):
+    if witness is None:
         pair = is_idempotent_pair(a, b, ring)
         if pair is None:
             raise CliError("(a, b) is not an idempotent pair and no witness was given")
-        r, orientation = pair.witness, pair.orientation
-    red = pb_reduce_idem_pair(a, b, r, orientation)
-    return red.status, ring, enc(red), 0 if red.status == "principal" else 1
+        witness, orientation = pair.witness, pair.orientation
+    red = pb_reduce_idem_pair(a, b, witness, orientation)
+    return red.status, enc(red), 0 if red.status == "principal" else 1
 
 
-def cmd_pullback_nonufd(args):
-    ring = _ring(args)
-    z = parse_element(args.z, ring)
-    d = parse_element(args.d, ring)
-    chain = pb_nonufd_chain(z, d, args.n)
-    result = {
-        "z": enc(z),
-        "d": enc(d),
-        "n": args.n,
-        "chain": enc(chain),
-    }
-    return "chain", ring, result, 0
+def cmd_pullback_nonufd(ring, z, d, n):
+    chain = pb_nonufd_chain(z, d, n)
+    return "chain", {"z": enc(z), "d": enc(d), "n": n, "chain": enc(chain)}, 0
 
 
-def cmd_mring_split(args):
-    ring = _ring(args)
-    sp = mr_split(Fraction(args.s), args.n, ring)
-    return "split", ring, enc(sp), 0
+def cmd_mring_split(ring, s, n):
+    return "split", enc(mr_split(s, n, ring)), 0
 
 
-def cmd_mring_chain(args):
-    ring = _ring(args)
-    ch = mr_comax_chain(Fraction(args.s), args.m, ring, args.n)
-    return "chain", ring, enc(ch), 0
+def cmd_mring_chain(ring, s, m, n):
+    return "chain", enc(mr_comax_chain(s, m, ring, n)), 0
 
 
-def cmd_mring_juett(args):
-    ring = _ring(args)
-    js = juett_split(Fraction(args.t), Fraction(args.b), args.p, Fraction(args.beta), ring)
-    return "split", ring, enc(js), 0
+def cmd_mring_juett(ring, t, b, p, beta):
+    return "split", enc(juett_split(t, b, p, beta, ring)), 0
 
 
-def cmd_limitring_chain(args):
-    ring = _ring(args)
-    ch = lr_chain(args.m, ring)
-    return "chain", ring, enc(ch), 0
+def cmd_limitring_chain(ring, m):
+    return "chain", enc(lr_chain(m, ring)), 0
 
 
-def cmd_limitring_eval(args):
-    ring = _ring(args)
-    e = parse_element(args.expr, ring)
-    if args.level is not None:
-        e = lr_lift(e, args.level)
-    return "value", ring, {"element": enc(e), "level": e.level}, 0
+def cmd_limitring_eval(ring, expr, level):
+    if level is not None:
+        expr = lr_lift(expr, level)
+    return "value", {"element": enc(expr), "level": expr.level}, 0
 
 
-def _subring(args):
-    excluded = {int(t) for t in args.exclude.split(",")} if args.exclude else {1}
-    return SubringDesc(excluded)
+def cmd_polyext_witness(ring, alpha, exclude):
+    ok = seminormal_witness(alpha, exclude)
+    result = {"alpha": enc(alpha), "excluded": sorted(exclude.excluded), "witness": ok}
+    return ("witness", result, 0) if ok else ("not_a_witness", result, 1)
 
 
-def cmd_polyext_witness(args):
-    desc = _subring(args)
-    alpha = parse_ypoly(args.alpha)
-    ok = seminormal_witness(alpha, desc)
-    result = {
-        "alpha": enc(alpha),
-        "excluded": sorted(desc.excluded),
-        "witness": ok,
-    }
-    return ("witness", None, result, 0) if ok else ("not_a_witness", None, result, 1)
+def cmd_polyext_counterexample(ring, alpha, exclude):
+    return "non_principal_pair", enc(nonprinc_pair_from_alpha(alpha, exclude)), 0
 
 
-def cmd_polyext_counterexample(args):
-    desc = _subring(args)
-    alpha = parse_ypoly(args.alpha)
-    ce = nonprinc_pair_from_alpha(alpha, desc)
-    return "non_principal_pair", None, enc(ce), 0
+def cmd_sphere_projector(ring):
+    return "projector", enc(tangent_projector()), 0
 
 
-def cmd_sphere_projector(args):
-    rep = tangent_projector()
-    return "projector", B2, enc(rep), 0
+def cmd_sphere_reduce(ring, expr):
+    return "reduced", {"element": enc(expr)}, 0
 
 
-def cmd_sphere_reduce(args):
-    e = parse_element(args.expr, B2)
-    return "reduced", B2, {"element": enc(e)}, 0
+# ---------------------------------------------------------- command table
+# Operand converters run inside main's error handling, so bad input exits 2.
+# They reach the parsers through the module globals, which a tracer may
+# rebind after import.
+
+
+def _elem(text, ring):
+    return text if text is None else parse_element(text, ring)
+
+
+def _elems(texts, ring):
+    return [_elem(t, ring) for t in texts]
+
+
+def _frac(text, ring):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"{text}: division by zero") from None
+
+
+def _ypoly(text, ring):
+    return parse_ypoly(text)
+
+
+def _excluded(text, ring):
+    """The monomial subring without the listed degrees (default: degree 1)."""
+    return SubringDesc({int(t) for t in text.split(",")} if text else {1})
+
+
+def _arg(flag, convert=None, **kwargs):
+    """An operand: its argparse flag and keywords, and the converter from
+    the parsed text to the handler's value (None keeps argparse's value)."""
+    return flag, convert, kwargs
+
+
+_AB = (_arg("a", _elem), _arg("b", _elem))
+# the top-level --jobs, which the subcommand parser does not take
+_JOBS = ("jobs", None, None)
+
+# group: (ring kinds it accepts, the error for any other ring, whether
+# --monoid/--group apply)
+GROUPS = {
+    "idem": (object, None, True),
+    "ideal": (QuadOrder, "this command needs --ring 'Z[sqrt(d)]'", False),
+    "comax": ((QuadOrder, IntegerRing), "comax commands run over Z or Z[sqrt(d)]", False),
+    "pullback": (PullbackRing, "this command needs --ring 'pullback:BASE'", False),
+    "mring": (MonoidRing, "this command needs --ring 'BASE[X;S]'", True),
+    "limitring": (LimitRing, "this command needs --ring 'limitring:BASE'", False),
+    "polyext": (object, None, False),
+    "sphere": (object, None, False),
+}
+
+# (group, name, handler, ring, operands).  The ring is the --ring default,
+# or a fixed ring when it is not a string.  Handlers are named, not held,
+# and looked up when called, so a tracer that rebinds `cmd_*` sees the call.
+COMMANDS = (
+    ("idem", "check", "cmd_idem_check", "Z", _AB),
+    ("idem", "matrix", "cmd_idem_matrix", "Z", _AB),
+    ("idem", "from-ideal", "cmd_idem_from_ideal", "Z", _AB),
+    ("ideal", "frompair", "cmd_ideal_frompair", "Z[sqrt(-5)]", _AB),
+    ("ideal", "mul", "cmd_ideal_mul", "Z[sqrt(-5)]", tuple(_arg(n, _elem) for n in "abce")),
+    ("ideal", "invertible", "cmd_ideal_invertible", "Z[sqrt(-5)]", _AB),
+    ("ideal", "principal", "cmd_ideal_principal", "Z[sqrt(-5)]", _AB),
+    ("ideal", "factor", "cmd_ideal_factor", "Z[sqrt(-5)]", (_arg("b", _elem),)),
+    ("comax", "factor", "cmd_comax_factor", "Z", (_arg("values", _elems, nargs="+"), _JOBS)),
+    ("comax", "unique", "cmd_comax_unique", "Z", (_arg("b", _elem),)),
+    ("comax", "hunt", "cmd_comax_hunt", "Z[sqrt(-5)]", (_arg("--bound", type=int, required=True),)),
+    ("pullback", "reduce", "cmd_pullback_reduce", "pullback:Z", (
+        *_AB, _arg("witness", _elem, nargs="?", default=None),
+        _arg("--orientation", choices=("ab", "ba"), default="ab"),
+    )),
+    ("pullback", "nonufd", "cmd_pullback_nonufd", "pullback:Z", (
+        _arg("z", _elem), _arg("d", _elem), _arg("n", type=int),
+    )),
+    ("mring", "split", "cmd_mring_split", "Q[X;S]", (
+        _arg("--s", _frac, default="1"), _arg("--n", type=int, required=True),
+    )),
+    ("mring", "chain", "cmd_mring_chain", "Q[X;S]", (
+        _arg("--s", _frac, default="1"), _arg("--m", type=int, required=True), _arg("--n", type=int, default=None),
+    )),
+    ("mring", "juett", "cmd_mring_juett", "Q[X;S]", (
+        _arg("--t", _frac, default="1"), _arg("--b", _frac, required=True),
+        _arg("--p", type=int, required=True), _arg("--beta", _frac, required=True),
+    )),
+    ("limitring", "chain", "cmd_limitring_chain", "limitring:Q", (_arg("--m", type=int, required=True),)),
+    ("limitring", "eval", "cmd_limitring_eval", "limitring:Q", (
+        _arg("expr", _elem), _arg("--level", type=int, default=None),
+    )),
+    ("polyext", "witness", "cmd_polyext_witness", None, (
+        _arg("--alpha", _ypoly, required=True),
+        _arg("--exclude", _excluded, default=None, help="comma-separated excluded degrees (default 1)"),
+    )),
+    ("polyext", "counterexample", "cmd_polyext_counterexample", None, (
+        _arg("--alpha", _ypoly, required=True), _arg("--exclude", _excluded, default=None),
+    )),
+    ("sphere", "projector", "cmd_sphere_projector", B2, ()),
+    ("sphere", "reduce", "cmd_sphere_reduce", B2, (_arg("expr", _elem),)),
+)
 
 
 # -------------------------------------------------------------- dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _reachable(argv):
+    """The rows argparse can enter for argv: those of the first group argv
+    names, narrowed to the command the next token names, if it names one;
+    every row when argv names no group."""
+    at = next((i for i, word in enumerate(argv) if word in GROUPS), None)
+    if at is None:
+        return COMMANDS
+    rows = [row for row in COMMANDS if row[0] == argv[at]]
+    return [row for row in rows if row[1] in argv[at + 1 : at + 2]] or rows
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command, or, given argv, of the commands argv can
+    reach; the other groups stay bare.  Usage and help read the same."""
     top = argparse.ArgumentParser(
         prog="princlab",
         description="Exact idempotent-pair, ideal, and comaximal-factorization lab "
@@ -377,105 +364,56 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--recheck", action="store_true", help="re-verify every certificate with the independent checker")
     top.add_argument("--jobs", type=int, default=1, help="parallel workers for batch inputs")
     groups = top.add_subparsers(dest="group", required=True)
-
-    def add(group, name, fn, ring_default=None, monoid_opts=False):
-        p = group.add_parser(name)
-        p.set_defaults(handler=fn)
-        if ring_default is not None:
-            p.add_argument("--ring", default=ring_default)
-            if monoid_opts:
+    rows = _reachable(argv)
+    entered = {row[0] for row in rows}
+    parsers = {g: groups.add_parser(g, add_help=g in entered) for g in GROUPS}
+    subs = {g: parsers[g].add_subparsers(dest="cmd", required=True) for g in entered}
+    for row in rows:
+        group, name, _, ring, operands = row
+        p = subs[group].add_parser(name)
+        p.set_defaults(row=row)
+        if isinstance(ring, str):
+            p.add_argument("--ring", default=ring)
+            if GROUPS[group][2]:
                 p.add_argument("--monoid", default=None, help="p-div:P or mult:{P1,P2}")
                 p.add_argument("--group", dest="group_mode", action="store_true", help="Laurent exponents (group algebra)")
-        return p
-
-    idem = groups.add_parser("idem").add_subparsers(dest="cmd", required=True)
-    p = add(idem, "check", cmd_idem_check, "Z", monoid_opts=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add(idem, "matrix", cmd_idem_matrix, "Z", monoid_opts=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add(idem, "from-ideal", cmd_idem_from_ideal, "Z", monoid_opts=True)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    ideal = groups.add_parser("ideal").add_subparsers(dest="cmd", required=True)
-    p = add(ideal, "frompair", cmd_ideal_frompair, "Z[sqrt(-5)]")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add(ideal, "mul", cmd_ideal_mul, "Z[sqrt(-5)]")
-    for name in "abce":
-        p.add_argument(name)
-    p = add(ideal, "invertible", cmd_ideal_invertible, "Z[sqrt(-5)]")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add(ideal, "principal", cmd_ideal_principal, "Z[sqrt(-5)]")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add(ideal, "factor", cmd_ideal_factor, "Z[sqrt(-5)]")
-    p.add_argument("b")
-
-    comax = groups.add_parser("comax").add_subparsers(dest="cmd", required=True)
-    p = add(comax, "factor", cmd_comax_factor, "Z")
-    p.add_argument("values", nargs="+")
-    p = add(comax, "unique", cmd_comax_unique, "Z")
-    p.add_argument("b")
-    p = add(comax, "hunt", cmd_comax_hunt, "Z[sqrt(-5)]")
-    p.add_argument("--bound", type=int, required=True)
-
-    pullback = groups.add_parser("pullback").add_subparsers(dest="cmd", required=True)
-    p = add(pullback, "reduce", cmd_pullback_reduce, "pullback:Z")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("witness", nargs="?", default=None)
-    p.add_argument("--orientation", choices=("ab", "ba"), default="ab")
-    p = add(pullback, "nonufd", cmd_pullback_nonufd, "pullback:Z")
-    p.add_argument("z")
-    p.add_argument("d")
-    p.add_argument("n", type=int)
-
-    mring = groups.add_parser("mring").add_subparsers(dest="cmd", required=True)
-    p = add(mring, "split", cmd_mring_split, "Q[X;S]", monoid_opts=True)
-    p.add_argument("--s", default="1")
-    p.add_argument("--n", type=int, required=True)
-    p = add(mring, "chain", cmd_mring_chain, "Q[X;S]", monoid_opts=True)
-    p.add_argument("--s", default="1")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p = add(mring, "juett", cmd_mring_juett, "Q[X;S]", monoid_opts=True)
-    p.add_argument("--t", default="1")
-    p.add_argument("--b", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--beta", required=True)
-
-    limitring = groups.add_parser("limitring").add_subparsers(dest="cmd", required=True)
-    p = add(limitring, "chain", cmd_limitring_chain, "limitring:Q")
-    p.add_argument("--m", type=int, required=True)
-    p = add(limitring, "eval", cmd_limitring_eval, "limitring:Q")
-    p.add_argument("expr")
-    p.add_argument("--level", type=int, default=None)
-
-    polyext = groups.add_parser("polyext").add_subparsers(dest="cmd", required=True)
-    p = add(polyext, "witness", cmd_polyext_witness)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--exclude", default=None, help="comma-separated excluded degrees (default 1)")
-    p = add(polyext, "counterexample", cmd_polyext_counterexample)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--exclude", default=None)
-
-    sphere = groups.add_parser("sphere").add_subparsers(dest="cmd", required=True)
-    add(sphere, "projector", cmd_sphere_projector)
-    p = add(sphere, "reduce", cmd_sphere_reduce)
-    p.add_argument("expr")
-
+        for flag, _, kwargs in operands:
+            if kwargs is not None:
+                p.add_argument(flag, **kwargs)
     return top
 
 
+def _command_ring(args, ring):
+    """The row's fixed ring, or its --ring, rejected (exit 2) unless the
+    group accepts it."""
+    if not isinstance(ring, str):
+        return ring
+    monoid, group_mode = getattr(args, "monoid", None), getattr(args, "group_mode", False)
+    ring = parse_ring_spec(args.ring, monoid, group_mode)
+    kinds, need, _ = GROUPS[args.group]
+    if not isinstance(ring, kinds):
+        raise CliError(need)
+    if (monoid is not None or group_mode) and not isinstance(ring, MonoidRing):
+        raise CliError("--monoid and --group need --ring 'BASE[X;S]'")
+    return ring
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
+    _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:
-        verdict, ring, result, code = args.handler(args)
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
+        ring = _command_ring(args, ring)
+        values = {}
+        for flag, convert, _ in operands:
+            dest = flag.lstrip("-")
+            value = getattr(args, dest)
+            values[dest] = value if convert is None else convert(value, ring)
+        verdict, result, code = globals()[handler](ring, **values)
     except ValueError as exc:
         print(f"princlab: error: {exc}", file=sys.stderr)
         return 2

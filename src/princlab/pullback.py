@@ -312,6 +312,8 @@ def _unit_quotient(ring: PullbackRing, value, elem: PullbackElem) -> PullbackEle
 def pb_nonufd_chain(z: PullbackElem, d, n: int) -> list[PullbackElem]:
     """The witnesses z/d^k (k = 1..n) that R is not a UFD: z in M stays in R
     under division by any power of a nonzero nonunit d of D."""
+    if n < 1:
+        raise PullbackError("need n >= 1")
     ring = z.ring
     if not z.in_maximal_ideal() or not z:
         raise PullbackError("need a nonzero element of the maximal ideal M")

@@ -1057,6 +1057,8 @@ def _verify_pullback_nonufd(report):
     z = dec(result["z"])
     dconst = dec(result["d"])
     chain = [dec(e) for e in result["chain"]]
+    if not len(chain) == result["n"] >= 1:
+        fails.append(f"chain length {len(chain)} is not n = {result['n']} >= 1")
     acc = v_one_like(z)
     for k, e in enumerate(chain, start=1):
         acc = v_mul(acc, dconst)

@@ -59,9 +59,58 @@ def test_jobs_out_of_range_is_rejected_before_any_pool(capsys, monkeypatch, jobs
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    code, out, err = run_cli(capsys, "--jobs", str(jobs), "comax", "factor", "360", "1001")
-    assert code == 2 and out == ""
-    assert "--jobs" in err
+    for argv in (["comax", "factor", "360", "1001"], ["idem", "check", "-2", "-3"]):
+        code, out, err = run_cli(capsys, "--jobs", str(jobs), *argv)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
+
+@pytest.mark.parametrize("options", [["--monoid", "p-div:3"], ["--group"], ["--monoid", "p-div:3", "--group"]])
+def test_monoid_options_off_a_monoid_ring_are_rejected(capsys, options):
+    assert run_cli(capsys, "idem", "check", *options, "2", "5") == (
+        2, "", "princlab: error: --monoid and --group need --ring 'BASE[X;S]'\n")
+    code, out, err = run_cli(capsys, "idem", "check", "--ring", "Q[X;S]", *options, "2", "5")
+    assert code in (0, 1) and err == ""
+
+
+def test_command_table_recheck_and_golden_cases_name_the_same_commands():
+    from princlab.recheck import _VERIFIERS
+
+    table = {f"{group} {name}" for group, name, *_ in cli.COMMANDS}
+    golden = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+    assert table == set(_VERIFIERS) == {" ".join(case["argv"][:2]) for case in golden}
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["--help"], ["-h"], ["frob"], ["--recheck", "frob", "idem"], ["idem"], ["idem", "--help"],
+        ["idem", "chek", "1", "2"], ["idem", "check", "1"], ["idem", "check", "-h"], ["idem", "-h", "check"],
+        ["idem", "--recheck", "check", "1", "2"], ["ideal", "idem", "check"], ["idem", "check", "ideal"],
+        ["comax", "hunt", "--bound", "x"], ["comax", "hunt"],
+        ["pullback", "reduce", "--orientation", "zz", "Y", "1-Y"], ["pullback", "nonufd", "Y", "2", "n"],
+        ["--jobs", "x", "idem", "check", "-2", "-3"], ["--jobs", "idem", "check", "-2", "-3"],
+        ["mring", "chain", "--help"], ["mring", "juett", "--b", "1"], ["polyext", "witness", "-h"],
+        ["sphere", "projector", "extra"], ["idem", "check", "--rng", "Z", "1", "2"],
+        *[[group, "-h"] for group in cli.GROUPS],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_usage_and_help_match_the_full_parser(capsys, argv):
+    # main builds only the commands argv can reach; every usage, help and
+    # argparse error must read as the full tree's does
+    full = _outcome(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] in (0, 2)
+    assert _outcome(capsys, cli.main, argv) == full
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool of two workers needs two CPUs")

@@ -162,6 +162,9 @@ def test_nonufd_chain_spec_cases():
         pb_nonufd_chain(Y, 1, 3)  # unit of D
     with pytest.raises(PullbackError):
         pb_nonufd_chain(Y, 0, 3)
+    for n in (0, -1):
+        with pytest.raises(PullbackError, match="need n >= 1"):
+            pb_nonufd_chain(Y, 2, n)
 
 
 def test_divides_and_idem_detection_in_pullback():
