@@ -265,19 +265,17 @@ def test_ring_base_d_of_pullback_reduce_is_tied_to_its_values(name):
     assert any(f.startswith("ring.base.d is ") for f in fails)
 
 
-def test_a_pullback_nonufd_chain_shorter_than_n_fails():
+@pytest.mark.parametrize(
+    "mutate,failure",
+    [
+        (lambda result: result["chain"].pop(), "chain length 2 is not n = 3 >= 1"),
+        (lambda result: result.update(n=0, chain=[]), "chain length 0 is not n = 0 >= 1"),
+    ],
+    ids=["last-dropped", "empty"],
+)
+def test_a_pullback_nonufd_chain_of_other_than_n_elements_fails(mutate, failure):
     # each element left is still z/d^k: only the length tells
-    def truncate(report):
-        report["result"]["chain"].pop()
-
-    assert golden_fails("pullback_nonufd", truncate) == ["chain length 2 is not n = 3 >= 1"]
-
-
-def test_an_empty_pullback_nonufd_chain_fails():
-    def empty(report):
-        report["result"].update(n=0, chain=[])
-
-    assert golden_fails("pullback_nonufd", empty) == ["chain length 0 is not n = 0 >= 1"]
+    assert golden_fails("pullback_nonufd", lambda report: mutate(report["result"])) == [failure]
 
 
 def test_a_composite_monoid_prime_fails():
