@@ -153,7 +153,7 @@ def _comax_factor_one(ring, b):
     # the first of a complete list: the whole support is zero-sum, so it
     # always splits into minimal zero-sum blocks
     fact = comax_factor_int(b) if ring == ZZ else enumerate_complete_factorizations(b, ring)[0]
-    return {"element": enc(b), "factorization": enc(fact)}
+    return {"factorization": enc(fact)}
 
 
 def cmd_comax_factor(ring, values, jobs):

@@ -24,16 +24,17 @@ block by its bitmask.  It composes each block's class once, from the block
 without its lowest prime and that prime, and memoizes compositions by pair
 of classes.  A block of non-identity class has generator None with no
 ideal product or principality test; a zero-sum block costs at most one ideal
-product per prime and one principality test, and each block's
-irreducibility transcript is built once.
+product per prime and one principality test.
 
 Everything that depends on the ring family (the prime support, classes, block
 generators, Bezout certificates, factor order, the witness scan) is a hook
 of the ring handle; see `rings`.
 
-The certificates (`SplitRecord`, `IrreducibilityTranscript`,
-`ComaxFactorization`) are plain classes with an explicit `__init__`, built
-per block and per partition; see `core` for why not dataclasses.
+A `ComaxFactorization` certifies the product (u * f_1 * ... * f_m == b),
+each pair's comaximality (a Bezout pair) and the unit; it lists the support
+and each factor's block, from which `recheck` re-derives every block's
+lattice and examines every split of it itself.  It is a plain class with an
+explicit `__init__`; see `core` for why not dataclasses.
 """
 
 from __future__ import annotations
@@ -64,50 +65,13 @@ def support_cap_from_env() -> int:
         raise ComaxInputError(f"PRINC_LAB_SUPPORT_CAP={raw!r} is not an integer") from exc
 
 
-class SplitRecord:
-    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], left_generator, right_generator):
-        self.left = left
-        self.right = right
-        self.left_generator = left_generator
-        self.right_generator = right_generator
-
-    @property
-    def comaximal_split(self) -> bool:
-        return self.left_generator is not None and self.right_generator is not None
-
-    def to_json(self, enc):
-        return {
-            "left": list(self.left),
-            "right": list(self.right),
-            "left_generator": enc(self.left_generator),
-            "right_generator": enc(self.right_generator),
-        }
-
-
-class IrreducibilityTranscript:
-    def __init__(self, element, support: list):
-        self.element = element
-        self.support = support  # [(prime description, exponent)]
-        self.splits: list[SplitRecord] = []
-        self.pseudo_irreducible = True
-
-    def to_json(self, enc):
-        return {
-            "element": enc(self.element),
-            "pseudo_irreducible": self.pseudo_irreducible,
-            "splits": enc(self.splits),
-        }
-
-
 class ComaxFactorization:
-    def __init__(self, ring, element, factors: list, unit, pairwise: list,
-                 transcripts: list[IrreducibilityTranscript], blocks: list, support: list):
+    def __init__(self, ring, element, factors: list, unit, pairwise: list, blocks: list, support: list):
         self.ring = ring
         self.element = element
         self.factors = factors
         self.unit = unit
         self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
-        self.transcripts = transcripts
         self.blocks = blocks  # index blocks into the support, parallel to factors
         self.support = support
 
@@ -116,7 +80,6 @@ class ComaxFactorization:
         return (
             is_comaximal_product(ring.one, self.element, self.factors, self.pairwise, self.unit)
             and ring.is_unit(self.unit)
-            and all(t.pseudo_irreducible for t in self.transcripts)
         )
 
     def to_json(self, enc):
@@ -127,7 +90,6 @@ class ComaxFactorization:
             "pairwise": pairwise_json(self.pairwise, enc),
             "support": [{"prime": enc(p), "exponent": e} for p, e in self.support],
             "blocks": [list(b) for b in self.blocks],
-            "transcripts": enc(self.transcripts),
         }
 
 
@@ -137,13 +99,6 @@ def _support_of(b, ring):
     if not b or ring.is_unit(b):
         raise ComaxInputError(f"need a nonzero nonunit of {ring}")
     return ring.prime_support(b)
-
-
-def _mask(idxs) -> int:
-    mask = 0
-    for i in idxs:
-        mask |= 1 << i
-    return mask
 
 
 def _indices(mask) -> tuple[int, ...]:
@@ -158,12 +113,11 @@ def _bits(mask):
 
 
 class _BlockMemo:
-    """Classes, generators and irreducibility transcripts of the blocks
-    (subsets of support indices) of one support, each computed once and
-    keyed by the subset's bitmask.  A block's class (and its ideal) is that
-    of its mask without the lowest bit, composed with (times) that bit's
-    prime power, so every class is one composition and every ideal one
-    multiplication."""
+    """Classes and generators of the blocks (subsets of support indices) of
+    one support, each computed once and keyed by the subset's bitmask.  A
+    block's class (and its ideal) is that of its mask without the lowest
+    bit, composed with (times) that bit's prime power, so every class is one
+    composition and every ideal one multiplication."""
 
     def __init__(self, support, ring):
         self.support = support
@@ -172,7 +126,6 @@ class _BlockMemo:
         self._compositions = {}
         self._generators = {}
         self._ideals = {}
-        self._transcripts = {}
         self._holds_zero_sum = {}
 
     def _compose(self, x, y):
@@ -210,9 +163,8 @@ class _BlockMemo:
         exactly when the block is principal and pseudo-irreducible."""
         return self.zero_sum(mask) and not any(self._holds(mask ^ bit) for bit in _bits(mask) if mask != bit)
 
-    def generator(self, idxs):
-        """Generator of the product of the chosen prime powers, or None."""
-        mask = _mask(idxs)
+    def generator(self, mask):
+        """Generator of the product of the masked prime powers, or None."""
         if mask not in self._generators:
             g = None
             if self.zero_sum(mask):
@@ -221,14 +173,6 @@ class _BlockMemo:
                     raise CertificateError("a block of identity class has no generator")
             self._generators[mask] = g
         return self._generators[mask]
-
-    def transcript(self, idxs) -> "IrreducibilityTranscript":
-        """The transcript of a principal block's generator; idxs ascending,
-        as every partition and factorization lists them."""
-        mask = _mask(idxs)
-        if mask not in self._transcripts:
-            self._transcripts[mask] = _irreducibility(self.generator(idxs), self, idxs)
-        return self._transcripts[mask]
 
     def _ideal(self, mask):
         if mask not in self._ideals:
@@ -241,38 +185,7 @@ class _BlockMemo:
         return self._ideals[mask]
 
 
-def _two_partitions(k: int):
-    # each unordered split of range(k) into two nonempty parts, once
-    for mask in range(1, 1 << (k - 1)):
-        left = tuple(i for i in range(k) if mask >> i & 1)
-        right = tuple(i for i in range(k) if not mask >> i & 1)
-        yield left, right
-
-
-def _irreducibility(element, memo: _BlockMemo, idxs) -> IrreducibilityTranscript:
-    idxs = tuple(idxs)
-    support = memo.support
-    transcript = IrreducibilityTranscript(
-        element, [(support[i][0], support[i][1]) for i in idxs]
-    )
-    for lpos, rpos in _two_partitions(len(idxs)):
-        left = tuple(idxs[i] for i in lpos)
-        right = tuple(idxs[i] for i in rpos)
-        rec = SplitRecord(left, right, memo.generator(left), memo.generator(right))
-        transcript.splits.append(rec)
-        if rec.comaximal_split:
-            transcript.pseudo_irreducible = False
-            break
-    return transcript
-
-
-def is_pseudo_irreducible(b, ring) -> IrreducibilityTranscript:
-    support = _support_of(b, ring)
-    return _irreducibility(b, _BlockMemo(support, ring), range(len(support)))
-
-
-def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactorization:
-    ring = memo.ring
+def _build_factorization(b, ring, support, blocks, generators) -> ComaxFactorization:
     order = sorted(range(len(blocks)), key=lambda i: ring.sort_key(generators[i]))
     blocks = [tuple(blocks[i]) for i in order]
     factors = [generators[i] for i in order]
@@ -289,8 +202,7 @@ def _build_factorization(b, memo: _BlockMemo, blocks, generators) -> ComaxFactor
             if cert is None:
                 raise CertificateError("factors are not comaximal")
             pairwise.append((i, j, *cert))
-    transcripts = [memo.transcript(block) for block in blocks]
-    fact = ComaxFactorization(ring, b, factors, unit, pairwise, transcripts, blocks, memo.support)
+    fact = ComaxFactorization(ring, b, factors, unit, pairwise, blocks, support)
     if not fact.verify():
         raise CertificateError("factorization certificates failed to verify")
     return fact
@@ -330,7 +242,7 @@ def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
     out = []
     for partition in _minimal_zero_sum_partitions(memo, (1 << len(support)) - 1):
         blocks = [_indices(mask) for mask in partition]
-        out.append(_build_factorization(b, memo, blocks, [memo.generator(block) for block in blocks]))
+        out.append(_build_factorization(b, ring, support, blocks, [memo.generator(mask) for mask in partition]))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return out
 
@@ -341,15 +253,18 @@ def comax_factor_int(n: int) -> ComaxFactorization:
     support = _support_of(n, ZZ)
     blocks = [(i,) for i in range(len(support))]
     generators = [p**e for p, e in support]
-    return _build_factorization(n, _BlockMemo(support, ZZ), blocks, generators)
+    return _build_factorization(n, ZZ, support, blocks, generators)
 
 
 def find_nonunique_witness(ring, norm_bound: int):
     """Smallest-norm element (scan order: norm, then the ring's order on one
     associate per element) with at least two complete comaximal
-    factorizations, or None within the bound."""
+    factorizations, or None within the bound.  A bound below 2 scans no
+    norm, so it is refused rather than answered with None."""
     if not hasattr(ring, "associates_of_norm"):
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
+    if norm_bound < 2:
+        raise ComaxInputError("need --bound >= 2")
     for n in range(2, norm_bound + 1):
         for b in ring.associates_of_norm(n):
             facts = enumerate_complete_factorizations(b, ring)

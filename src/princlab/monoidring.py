@@ -482,7 +482,7 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     b = Fraction(b)
     beta = Fraction(beta)
     if p < 2:
-        raise MonoidError("need a prime p >= 2")
+        raise MonoidError("need p >= 2")
     if t == 0:
         raise MonoidError("need t != 0: X^0 - b is a constant")
     if beta**p != b or b == 0:

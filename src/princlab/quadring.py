@@ -179,16 +179,6 @@ class QuadIdeal:
         k = e.y // self.m
         return (e.x - k * self.c) % self.n == 0
 
-    def coordinates(self, e: QuadElem) -> tuple[int, int] | None:
-        """(alpha, beta) with e == alpha*basis[0] + beta*basis[1], if any."""
-        if e.y % self.m:
-            return None
-        beta = e.y // self.m
-        rx = e.x - beta * self.c
-        if rx % self.n:
-            return None
-        return rx // self.n, beta
-
     def contains_ideal(self, other: "QuadIdeal") -> bool:
         return all(self.contains(v) for v in other.basis)
 
@@ -396,17 +386,13 @@ def compose_forms(f1, f2) -> tuple[int, int, int]:
 
 class PrincipalityVerdict:
     def __init__(self, status: str, ideal: QuadIdeal, search: list, generator: QuadElem | None = None,
-                 basis_quotients: tuple[QuadElem, QuadElem] | None = None,
-                 generator_coordinates: tuple[int, int] | None = None, form=None, transform=None, reduced=None):
+                 form=None, transform=None, reduced=None):
         self.status = status  # "principal" | "non_principal" | "not_invertible"
         self.ideal = ideal
         # the reduction's steps: the element of I each swap brings to the
         # front, and last, for a principal verdict, the generator
         self.search = search
         self.generator = generator
-        # two-way membership certificate for a principal verdict
-        self.basis_quotients = basis_quotients
-        self.generator_coordinates = generator_coordinates
         # reduction certificate: transform (p, q, r, s) of determinant 1
         # takes the ideal's form to the reduced form
         self.form = form
@@ -418,7 +404,6 @@ class PrincipalityVerdict:
         return self.status == "principal"
 
     def to_json(self, enc):
-        coords = self.generator_coordinates
         cert = None
         if self.form is not None:
             p, q, r, s = self.transform
@@ -431,8 +416,6 @@ class PrincipalityVerdict:
             "ideal": enc(self.ideal),
             "status": self.status,
             "generator": enc(self.generator),
-            "basis_quotients": enc(self.basis_quotients),
-            "generator_coordinates": None if coords is None else [str(c) for c in coords],
             "search": cert,
         }
 
@@ -443,8 +426,8 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
     (1, 0, -d): a generator g == m*(x*n' + y*(c' + sqrt(d))) has norm N(I),
     so f(x, y) == 1, and a form representing 1 is equivalent to (1, 0, -d).
     The generator is the transform's first column, as the associate that
-    `_generator_rank` ranks first; the two basis quotients certify that I
-    lies inside (g).  A non-principal verdict carries the transform and the
+    `_generator_rank` ranks first; it lies in I and has norm N(I), so it
+    generates I.  A non-principal verdict carries the transform and the
     reduced form.  Only a non-maximal order needs the invertibility test."""
     d = validate_d(i.d)
     if not is_maximal(d) and not ideal_is_invertible(i):
@@ -457,14 +440,8 @@ def ideal_is_principal(i: QuadIdeal) -> PrincipalityVerdict:
         return PrincipalityVerdict("non_principal", i, search, form=form, transform=transform, reduced=reduced)
     p, _, r, _ = transform
     g = _first_associate(p * i.n + r * i.c, r * i.m, d)
-    coords = i.coordinates(g)
-    q1 = divides(g, i.basis[0])
-    q2 = divides(g, i.basis[1])
-    if coords is None or q1 is None or q2 is None:
-        raise CertificateError("principality certificate failed to verify")
     search.append({"x": g.x, "y": g.y, "generates": True})
-    return PrincipalityVerdict("principal", i, search, generator=g, basis_quotients=(q1, q2),
-                               generator_coordinates=coords, form=form, transform=transform, reduced=reduced)
+    return PrincipalityVerdict("principal", i, search, generator=g, form=form, transform=transform, reduced=reduced)
 
 
 class NonMaximalOrderError(QuadError):

@@ -25,20 +25,23 @@ before any of these loops, which would never end on 1 or divide by zero on
 Each identity has one checking routine here.  `_comaximal_fails` checks
 every comaximal factorization (u * f_1 * ... * f_m == b and each pair's
 lam*f_i + mu*f_j == 1) for `comax`, `mring split|chain|juett` and `limitring
-chain`; `_omega_fails` checks omega-stability, `_block_span` multiplies
-prime powers, `_mat_mul` is the matrix product and `_strip` removes the
-primes of a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)]
-element and fails one that is not integral, where `int()` would truncate a
-Fraction to another element, and `_d_fails` ties every Z[sqrt(d)] value to
-the d its report's ring names.  Every non-principal claim (`ideal
-principal`, the generator-less sides of comax splits, `pullback reduce`
-bases) is checked by `_nonprincipal_fails`: the ideal's binary quadratic
-form must not reduce to (1, 0, -d), with its own reduction `_reduced`.
+chain`; `_omega_fails` checks omega-stability, `_Blocks` multiplies prime
+powers, `_mat_mul` is the matrix product and `_strip` removes the primes of
+a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)] element and
+fails one that is not integral, where `int()` would truncate a Fraction to
+another element, and `_d_fails` ties every Z[sqrt(d)] value to the d its
+report's ring names.  Every non-principal claim (`ideal principal`,
+`pullback reduce` bases) is checked by `_nonprincipal_fails`: the ideal's
+binary quadratic form must not reduce to (1, 0, -d), with its own reduction
+`_reduced`.
+
+Recheck ties each comax factor to its block and enumerates every split of
+the block itself (`_Blocks`).  The factorizations of one report must share
+one support, so each distinct block is checked once per report.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -813,7 +816,7 @@ def _verify_ideal_invertible(report):
 
 
 def _verify_ideal_principal(report):
-    d, fails = _ring_d(report, "ideal", "generator", "basis_quotients")
+    d, fails = _ring_d(report, "ideal", "generator")
     result = report["result"]
     q = dec(result["ideal"])
     span = (q[2], q[3], q[4])
@@ -844,79 +847,111 @@ def _verify_ideal_principal(report):
 
 
 def _verify_ideal_factor(report):
-    d, fails = _ring_d(report, "element", "factors")
+    d, fails = _ring_d(report, "element")
     result = report["result"]
     xy = _quad_xy(dec(result["element"]), "element", fails)
     if xy is None:
         return fails
     factors = result["factors"]
-    if _block_span(factors, range(len(factors)), d) != _span(_elem_vectors(*xy, d)):
+    product = _Blocks(factors, report["ring"], fails, "factors").span(tuple(range(len(factors))))
+    if product != _span(_elem_vectors(*xy, d)):
         fails.append("prime powers do not re-multiply to (b)")
     return fails
 
 
-def _block_span(support, idxs, d):
-    """The lattice of the product of the prime powers support[i], i in idxs."""
-    acc = _span(_elem_vectors(1, 0, d))
-    for i in idxs:
-        p = dec(support[i]["prime"])
-        pv = _qid_vectors(p)
-        for _ in range(int(support[i]["exponent"])):
-            acc = _ideal_product_span([(acc[0], 0), (acc[1], acc[2])], pv, d)
-    return acc
+class _Blocks:
+    """The prime powers of one support (a comax report's factorizations
+    share one) and its blocks, ascending index tuples, each checked once.  A
+    block's product is that of the block without its last index times that
+    prime power: over Z an integer, over Z[sqrt(d)] a lattice, one ideal
+    product per sub-block.  A block is pseudo-irreducible when every split
+    of it into two nonempty parts has a side whose form does not reduce to
+    (1, 0, -d); over Z every side is principal, so every block of two or
+    more primes splits."""
+
+    def __init__(self, support, ring, fails, key="support"):
+        self.support = support
+        self.fails = fails
+        self.d = None if ring["family"] == "int" else int(ring["d"])
+        self._spans = {}
+        self._principal = {}
+        self._checked = set()
+        if self.d is not None:
+            _d_fails("ring.d", self.d, [(f"{key}[{i}]", dec(e["prime"])) for i, e in enumerate(support)], fails)
+
+    def span(self, idxs):
+        if idxs not in self._spans:
+            d = self.d
+            if not idxs:
+                acc = Fraction(1) if d is None else _span(_elem_vectors(1, 0, d))
+            else:
+                acc, entry = self.span(idxs[:-1]), self.support[idxs[-1]]
+                p = dec(entry["prime"])
+                for _ in range(int(entry["exponent"])):
+                    acc = acc * p[1] if d is None else _ideal_product_span(
+                        [(acc[0], 0), (acc[1], acc[2])], _qid_vectors(p), d)
+            self._spans[idxs] = acc
+        return self._spans[idxs]
+
+    def _is_principal(self, idxs):
+        if self.d is None:
+            return True
+        if idxs not in self._principal:
+            form = _form(self.span(idxs), self.d, self.fails, f"block {list(idxs)}")
+            self._principal[idxs] = form is not None and _reduced(*form) == (1, 0, -self.d)
+        return self._principal[idxs]
+
+    def check(self, block):
+        if block in self._checked:
+            return
+        self._checked.add(block)
+        k = len(block)
+        for mask in range(1, 1 << (k - 1)):
+            left = tuple(block[i] for i in range(k) if mask >> i & 1)
+            right = tuple(block[i] for i in range(k) if not mask >> i & 1)
+            if self._is_principal(left) and self._is_principal(right):
+                self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {list(right)}")
+                return
 
 
-def _verify_factorization(fact, ring, fails, label=""):
-    family = ring["family"]
-    d = None if family == "int" else int(ring["d"])
+def _verify_factorization(fact, blocks, fails, label=""):
+    """Product, pairs and unit of one factorization over `blocks`' support:
+    each factor generates its block's ideal, the blocks partition the
+    support, and each block is pseudo-irreducible."""
+    d = blocks.d
+    m = len(fact["factors"])
+    if [(c["i"], c["j"]) for c in fact["pairwise"]] != [(i, j) for i in range(m) for j in range(i + 1, m)]:
+        fails.append(f"{label}pairwise certificates do not cover each pair of factors once")
+        return
     unit = dec(fact["unit"])
-    _comaximal_fails(fact, dec(fact["element"]), "product of factors times unit differs from the element",
-                     fails, label, unit)
-    if family == "int":
+    element = dec(fact["element"])
+    factors = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
+                               fails, label, unit)
+    if d is None:
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
-    elif unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
-        fails.append(f"{label}unit does not have norm 1")
-    support = fact["support"]
-    for tidx, tr in enumerate(fact["transcripts"]):
-        block = fact["blocks"][tidx]
-        k = len(block)
-        seen = set()
-        for sp in tr["splits"]:
-            seen.add((tuple(sorted(sp["left"])), tuple(sorted(sp["right"]))))
-            for side in ("left", "right"):
-                gen = sp[f"{side}_generator"]
-                idxs = sp[side]
-                if family == "int":
-                    want = 1
-                    for i in idxs:
-                        want *= int(support[i]["prime"]["value"]) ** int(support[i]["exponent"])
-                    if gen is None:
-                        fails.append(f"{label}integer block flagged non-principal")
-                    elif abs(int(gen["value"])) != want:
-                        fails.append(f"{label}integer block generator mismatch")
-                else:
-                    span = _block_span(support, idxs, d)
-                    if gen is None:
-                        _nonprincipal_fails(span, d, fails, f"{label}block {list(idxs)}")
-                    else:
-                        xy = _quad_xy(dec(gen), f"{label}block generator", fails)
-                        if xy is not None and _span(_elem_vectors(*xy, d)) != span:
-                            fails.append(f"{label}block generator does not span its block")
-        if tr["pseudo_irreducible"]:
-            # every 2-partition must have been examined and refuted
-            want_splits = set()
-            for mask in range(1, 1 << (k - 1)):
-                left = tuple(sorted(block[i] for i in range(k) if mask >> i & 1))
-                right = tuple(sorted(block[i] for i in range(k) if not mask >> i & 1))
-                want_splits.add((left, right) if left <= right else (right, left))
-            norm_seen = {(l, r) if l <= r else (r, l) for l, r in seen}
-            if norm_seen != want_splits:
-                fails.append(f"{label}pseudo-irreducibility did not examine every split")
-            for sp in tr["splits"]:
-                if sp["left_generator"] is not None and sp["right_generator"] is not None:
-                    fails.append(f"{label}pseudo-irreducible factor has a comaximal split")
-    return fails
+    else:
+        named = [("element", element), ("unit", unit), *((f"factors[{k}]", f) for k, f in enumerate(factors)),
+                 *((f"pairwise {c['i']},{c['j']}", dec(c[key])) for c in fact["pairwise"] for key in ("lam", "mu"))]
+        _d_fails(f"{label}ring.d", d, named, fails)
+        if unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
+            fails.append(f"{label}unit does not have norm 1")
+    if fact["support"] != blocks.support:
+        fails.append(f"{label}support differs from the first factorization's")
+        return
+    idxs = [tuple(sorted(b)) for b in fact["blocks"]]
+    if len(idxs) != m or not all(idxs) or sorted(i for b in idxs for i in b) != list(range(len(blocks.support))):
+        fails.append(f"{label}blocks do not partition the support, one per factor")
+        return
+    for k, (f, block) in enumerate(zip(factors, idxs)):
+        if d is None:
+            ok = abs(f[1]) == blocks.span(block)
+        else:
+            xy = _quad_xy(f, f"{label}factors[{k}]", fails)
+            ok = xy is None or _span(_elem_vectors(*xy, d)) == blocks.span(block)
+        if not ok:
+            fails.append(f"{label}factors[{k}] does not generate the ideal of its block {list(block)}")
+        blocks.check(block)
 
 
 def _verify_comax_factor(report):
@@ -924,25 +959,29 @@ def _verify_comax_factor(report):
     result = report["result"]
     entries = result["batch"] if "batch" in result else [result]
     for n, entry in enumerate(entries):
-        _verify_factorization(entry["factorization"], report["ring"], fails, label=f"[{n}] ")
+        fact = entry["factorization"]
+        _verify_factorization(fact, _Blocks(fact["support"], report["ring"], fails), fails, label=f"[{n}] ")
     return fails
 
 
-def _verify_factorization_list(facts, element, ring, fails):
-    """Each factorization must factor `element`, and no two may pick the
-    same blocks of primes."""
+def _verify_factorization_list(facts, name, element, ring, fails):
+    """Each factorization must factor `element` over one shared support, and
+    no two may pick the same blocks."""
+    if ring["family"] != "int":
+        _d_fails("ring.d", int(ring["d"]), [(name, element)], fails)
+    if not facts:
+        fails.append("no factorization is listed")
+        return
+    blocks = _Blocks(facts[0]["support"], ring, fails)
     seen = set()
     for n, fact in enumerate(facts):
         if not v_eq(dec(fact["element"]), element):
             fails.append(f"[{n}] factorization is of another element")
-        support = fact["support"]
-        blocks = frozenset(
-            frozenset(json.dumps(support[i], sort_keys=True) for i in block) for block in fact["blocks"]
-        )
-        if blocks in seen:
+        picked = frozenset(tuple(sorted(b)) for b in fact["blocks"])
+        if picked in seen:
             fails.append(f"[{n}] factorization repeats the blocks of an earlier one")
-        seen.add(blocks)
-        _verify_factorization(fact, ring, fails, label=f"[{n}] ")
+        seen.add(picked)
+        _verify_factorization(fact, blocks, fails, label=f"[{n}] ")
 
 
 def _verify_comax_unique(report):
@@ -951,19 +990,26 @@ def _verify_comax_unique(report):
     facts = result["factorizations"]
     if len(facts) != result["count"]:
         fails.append("count differs from the factorization list")
-    _verify_factorization_list(facts, dec(result["element"]), report["ring"], fails)
+    _verify_factorization_list(facts, "element", dec(result["element"]), report["ring"], fails)
     return fails
 
 
 def _verify_comax_hunt(report):
     fails = []
     result = report["result"]
+    bound = result["bound"]
+    if bound < 2:
+        fails.append(f"bound {bound} is below 2, so no norm was scanned")
     if result["witness"] is None:
         return fails
+    witness = dec(result["witness"])
+    norm = abs(witness[1]) if witness[0] == "rat" else witness[1] ** 2 - int(report["ring"]["d"]) * witness[2] ** 2
+    if norm > bound:
+        fails.append(f"witness norm {norm} exceeds the bound {bound}")
     facts = result["factorizations"]
     if len(facts) < 2:
         fails.append("witness carries fewer than two factorizations")
-    _verify_factorization_list(facts, dec(result["witness"]), report["ring"], fails)
+    _verify_factorization_list(facts, "witness", witness, report["ring"], fails)
     return fails
 
 

@@ -155,6 +155,14 @@ def test_recheck_ties_comax_hunt_to_its_witness(capsys):
     assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
 
 
+def test_juett_splits_for_a_composite_p(capsys):
+    # (-q(Z)/p)*(Z - 1) + (1/p)*(1 + Z + ... + Z^(p-1)) == 1 holds over Q for every p >= 2
+    report = report_of(capsys, "--recheck", "mring", "juett", "--group", "--b", "1", "--p", "4", "--beta", "1")
+    assert (report["verdict"], report["result"]["p"], report["recheck"]) == ("split", 4, "passed")
+    assert run_cli(capsys, "mring", "juett", "--group", "--b", "1", "--p", "1", "--beta", "1") == (
+        2, "", "princlab: error: need p >= 2\n")
+
+
 def _bumped(cert, path):
     """A copy of cert whose value at path (an attribute, then list or tuple
     indices) is one more."""

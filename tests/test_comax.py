@@ -13,7 +13,6 @@ from princlab.comax import (
     comax_factor_int,
     enumerate_complete_factorizations,
     find_nonunique_witness,
-    is_pseudo_irreducible,
 )
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
 from princlab.report import enc
@@ -57,8 +56,7 @@ def test_comax_factor_int_spec_cases():
     assert f.verify()
 
     f = comax_factor_int(8)
-    assert f.factors == [8]
-    assert f.transcripts[0].pseudo_irreducible
+    assert f.factors == [8] and f.blocks == [(0,)]
 
     for bad in (1, -1, 0):
         with pytest.raises(ComaxInputError):
@@ -77,24 +75,23 @@ def test_comax_factor_int_against_oracle():
 
 
 def test_pseudo_irreducible_int_against_oracle():
+    # b is pseudo-irreducible exactly when its complete factorization has one factor
     for n in range(2, 400):
-        t = is_pseudo_irreducible(n, ZZ)
-        assert t.pseudo_irreducible == oracle_is_pseudo_irreducible_int(n), n
+        (fact,) = enumerate_complete_factorizations(n, ZZ)
+        assert (len(fact.factors) == 1) == oracle_is_pseudo_irreducible_int(n), n
 
 
 def test_pseudo_irreducible_spec_cases():
-    t = is_pseudo_irreducible(E(2, 0), O5)
-    assert t.pseudo_irreducible and len(t.support) == 1
+    (fact,) = enumerate_complete_factorizations(E(2, 0), O5)
+    assert fact.factors == [E(2, 0)] and len(fact.support) == 1
 
-    t = is_pseudo_irreducible(E(3, 0), O5)
-    assert t.pseudo_irreducible
-    # both simple splits were examined and had a non-principal side
-    assert len(t.splits) == 1
-    assert not t.splits[0].comaximal_split
+    # (3) == P*Q with P, Q non-principal: the one split has no principal
+    # side, so 3 is its own complete factorization over two primes
+    (fact,) = enumerate_complete_factorizations(E(3, 0), O5)
+    assert fact.factors == [E(3, 0)] and fact.blocks == [(0, 1)]
 
-    t = is_pseudo_irreducible(6, ZZ)
-    assert not t.pseudo_irreducible
-    assert t.splits[-1].comaximal_split
+    (fact,) = enumerate_complete_factorizations(6, ZZ)
+    assert fact.factors == [2, 3]
 
 
 def test_enumerate_int_unique():
@@ -162,21 +159,17 @@ def test_principality_is_tested_only_on_blocks_of_identity_class(monkeypatch, d,
 
 
 @pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
-def test_one_irreducibility_transcript_per_block(monkeypatch, d, b):
-    examined = []
-    real = comax._irreducibility
-    monkeypatch.setattr(
-        comax, "_irreducibility",
-        lambda element, memo, idxs: examined.append((id(memo), tuple(idxs))) or real(element, memo, idxs),
-    )
+def test_each_factor_generates_its_block(d, b):
     facts = enumerate_complete_factorizations(b, QuadOrder(d))
-    k = len(facts[0].support)
-    assert len(examined) == len(set(examined)) <= 2**k - 1
+    assert len(facts[0].support) >= 5
     for fact in facts:
-        # each transcript is that of its factor, over the factor's block
-        for factor, block, tr in zip(fact.factors, fact.blocks, fact.transcripts):
-            assert tr.element == factor
-            assert tr.support == [fact.support[i] for i in block]
+        assert sorted(i for block in fact.blocks for i in block) == list(range(len(fact.support)))
+        for factor, block in zip(fact.factors, fact.blocks):
+            ideal = principal_ideal(QuadElem(1, 0, d))
+            for i in block:
+                P, e = fact.support[i]
+                ideal = ideal * P**e
+            assert principal_ideal(factor) == ideal
 
 
 def test_support_cap(monkeypatch):
@@ -210,6 +203,10 @@ def test_find_nonunique_witness_quad():
     assert frozenset({(1, 1), (1, 2)}) in families  # (1+w)(1+2w) = -9+3w
 
     assert find_nonunique_witness(O5, 5) is None
+    # a bound below 2 scans no norm, so it has no answer
+    for bound in (1, 0, -1):
+        with pytest.raises(ComaxInputError, match="need --bound >= 2"):
+            find_nonunique_witness(O5, bound)
 
 
 def test_find_nonunique_witness_int_degenerate():
@@ -261,13 +258,12 @@ def scan_generator(ideal):
 
 
 class ScanMemo:
-    """The block memo's interface with scan generators and no classes."""
+    """Scan generators of the blocks of one support, with no classes."""
 
     def __init__(self, support, ring):
         self.support = support
         self.ring = ring
         self.generators = {}
-        self.transcripts = {}
 
     def generator(self, idxs):
         idxs = tuple(idxs)
@@ -279,11 +275,15 @@ class ScanMemo:
             self.generators[idxs] = scan_generator(ideal)
         return self.generators[idxs]
 
-    def transcript(self, idxs):
-        idxs = tuple(idxs)
-        if idxs not in self.transcripts:
-            self.transcripts[idxs] = comax._irreducibility(self.generator(idxs), self, idxs)
-        return self.transcripts[idxs]
+    def pseudo_irreducible(self, idxs):
+        """No split of the block into two nonempty parts has two scan generators."""
+        k = len(idxs)
+        for mask in range(1, 1 << (k - 1)):
+            left = [idxs[i] for i in range(k) if mask >> i & 1]
+            right = [idxs[i] for i in range(k) if not mask >> i & 1]
+            if self.generator(left) is not None and self.generator(right) is not None:
+                return False
+        return True
 
 
 def set_partitions(items):
@@ -302,9 +302,9 @@ def bell_walk_factorizations(b, ring):
     out = []
     for partition in set_partitions(list(range(len(memo.support)))):
         generators = [memo.generator(block) for block in partition]
-        if None in generators or not all(memo.transcript(block).pseudo_irreducible for block in partition):
+        if None in generators or not all(memo.pseudo_irreducible(block) for block in partition):
             continue
-        out.append(comax._build_factorization(b, memo, partition, generators))
+        out.append(comax._build_factorization(b, ring, memo.support, partition, generators))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return out
 

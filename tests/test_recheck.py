@@ -321,3 +321,58 @@ def test_a_principal_ideal_fails_a_non_principal_claim(d, x, y):
     recheck._nonprincipal_fails(recheck._span(recheck._elem_vectors(3, 0, -26) + recheck._elem_vectors(1, 1, -26)),
                                 -26, fails, "I")
     assert fails == []
+
+
+def test_a_reducible_factor_fails_even_when_its_report_says_so():
+    # factorization 0 of 21 in Z[sqrt(-5)] is 3 * 7 over blocks [0, 1] and
+    # [2, 3]; as one factor 21 its block splits into two principal blocks.
+    # A `transcripts` key that admits as much is not read, so it excuses nothing
+    def merge(report):
+        fact = report["result"]["factorizations"][0]
+        fact.update(factors=[fact["element"]], pairwise=[], blocks=[[0, 1, 2, 3]],
+                    transcripts=[{"element": fact["element"], "pseudo_irreducible": False, "splits": []}])
+
+    fails = golden_fails("comax_non_unique", merge)
+    assert "block [0, 1, 2, 3] splits into principal blocks [0, 1] and [2, 3]" in fails
+
+
+def test_a_factor_is_tied_to_its_block():
+    # swapping the factors of factorization 1 (and so its Bezout pair) keeps
+    # the product and the pair, but each factor now sits on the other's block
+    def swap(report):
+        fact = report["result"]["factorizations"][1]
+        fact["factors"].reverse()
+        pair = fact["pairwise"][0]
+        pair["lam"], pair["mu"] = pair["mu"], pair["lam"]
+
+    fails = golden_fails("comax_non_unique", swap)
+    assert "[1] factors[0] does not generate the ideal of its block [0, 2]" in fails
+    assert "[1] factors[1] does not generate the ideal of its block [1, 3]" in fails
+
+
+@pytest.mark.parametrize(
+    "mutate,failure",
+    [(lambda result: result["factorizations"][0].update(pairwise=[]),
+      "[0] pairwise certificates do not cover each pair of factors once"),
+     (lambda result: result.update(count=0, factorizations=[]), "no factorization is listed")],
+    ids=["pair-dropped", "no-factorization"],
+)
+def test_a_comax_report_without_a_certificate_fails(mutate, failure):
+    assert failure in golden_fails("comax_non_unique", lambda report: mutate(report["result"]))
+
+
+def test_every_comax_report_lists_one_support():
+    def drop_last_prime(report):
+        fact = report["result"]["factorizations"][2]
+        fact["support"] = fact["support"][:-1]
+
+    assert "[2] support differs from the first factorization's" in golden_fails("comax_non_unique", drop_last_prime)
+
+
+@pytest.mark.parametrize(
+    "name,bound,failure",
+    [("comax_hunt", 125, "witness norm 126 exceeds the bound 125"),
+     ("comax_hunt_no_witness", 1, "bound 1 is below 2, so no norm was scanned")],
+)
+def test_comax_hunt_is_tied_to_its_bound(name, bound, failure):
+    assert failure in golden_fails(name, lambda report: report["result"].update(bound=bound))
