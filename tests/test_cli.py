@@ -235,13 +235,14 @@ def test_recheck_fails_a_non_integral_coordinate(capsys, argv, mutate, name):
     assert f"{name} does not have integer coordinates" in _tampered_fails(report, mutate)
 
 
-def run_probe(probe, *argv, **kwargs):
+def run_probe(probe, *argv, environ=os.environ, **kwargs):
     """Run the Python source `probe` in a fresh interpreter that imports
-    this checkout's princlab, with argv as its sys.argv[1:]."""
+    this checkout's princlab, with argv as its sys.argv[1:]; stdout and
+    stderr are captured as text unless kwargs say otherwise."""
     src = str(Path(princlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", probe, *argv],
-                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
+    env = dict(environ, PYTHONPATH=src)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, timeout=60, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -400,3 +401,87 @@ def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base
     fails, elapsed = json.loads(res.stdout)
     assert fails == [failure]
     assert elapsed < 1
+
+
+# ------------------------------------------------------- the shell exit
+# cli.run (the console script and `python -m princlab.cli`) against
+# sys.exit(cli.main(...)), the interpreter's normal exit: a call must end
+# alike either way
+
+RUN = "from princlab import cli\n{patch}cli.run()\n"
+MAIN = "import sys\nfrom princlab import cli\n{patch}sys.exit(cli.main(sys.argv[1:]))\n"
+FORCED_FAILURE = "cli.verify_report = lambda report: ['forced']\n"
+RAISING_HANDLER = "def boom(ring, a, b):\n    raise RuntimeError('boom')\ncli.cmd_idem_check = boom\n"
+
+
+def _stdout_env(unbuffered):
+    """The environment with stdout block-buffered on a pipe, or unbuffered."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(environ, PYTHONUNBUFFERED="1") if unbuffered else environ
+
+
+def _both_exits(argv, patch="", **kwargs):
+    return tuple(run_probe(probe.format(patch=patch), *argv, **kwargs) for probe in (RUN, MAIN))
+
+
+@pytest.mark.parametrize(
+    "argv,patch,code",
+    [
+        (["idem", "check", "-2", "-3"], "", 0),
+        (["--recheck", "comax", "unique", "--ring", "Z[sqrt(-5)]", "21"], "", 1),
+        (["pullback", "nonufd", "Y", "2", "0"], "", 2),
+        (["--recheck", "idem", "check", "-2", "-3"], FORCED_FAILURE, 3),
+        (["idem", "check", "1"], "", 2),
+        (["--help"], "", 0),
+        (["--recheck", "--jobs", "2", "comax", "factor", "360", "1001"], "", 0 if (os.cpu_count() or 1) >= 2 else 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3", "usage-error", "help", "jobs-2"],
+)
+def test_a_shell_call_ends_as_main_returns(argv, patch, code):
+    # block-buffered stdout: a hard exit before the flush would lose the report
+    ran, returned = _both_exits(argv, patch, text=False, environ=_stdout_env(False))
+    assert ran.returncode == code
+    assert (ran.returncode, ran.stdout, ran.stderr) == (returned.returncode, returned.stdout, returned.stderr)
+    if patch == FORCED_FAILURE:
+        assert json.loads(ran.stdout)["verdict"] == "idempotent_pair"
+        assert ran.stderr == b"princlab: recheck FAILED: forced\n"
+
+
+def test_an_uncaught_exception_keeps_its_traceback():
+    ran, returned = _both_exits(["idem", "check", "-2", "-3"], RAISING_HANDLER)
+    for res in (ran, returned):
+        assert res.returncode == 1 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert lines[0] == "Traceback (most recent call last):" and lines[-1] == "RuntimeError: boom"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["idem", "check", "-2", "-3"], ["--recheck", "mring", "chain", "--m", "10", "--ring", "Q[X;S]", "--s", "1/2"]],
+    ids=["small", "large"],
+)
+def test_a_closed_pipe_fails_as_it_did(argv, unbuffered):
+    # block-buffered, a report that fits the buffer fails at run's flush,
+    # which falls back to the normal exit; unbuffered or larger, it fails
+    # inside main
+    outcomes = []
+    for probe in (RUN, MAIN):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = run_probe(probe.format(patch=""), *argv, stdout=write, environ=_stdout_env(unbuffered))
+        finally:
+            os.close(write)
+        outcomes.append((res.returncode, res.stderr.splitlines()[:1]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] != 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_large_report_arrives_whole_through_a_pipe(unbuffered):
+    argv = ["--recheck", "mring", "chain", "--m", "10", "--ring", "Q[X;S]", "--s", "1/2"]
+    ran, returned = _both_exits(argv, text=False, environ=_stdout_env(unbuffered))
+    assert (ran.returncode, ran.stderr) == (0, b"")
+    assert len(ran.stdout) > 200_000 and ran.stdout == returned.stdout
+    assert json.loads(ran.stdout)["recheck"] == "passed"
