@@ -35,9 +35,10 @@ report's ring names.  Every non-principal claim (`ideal principal`,
 binary quadratic form must not reduce to (1, 0, -d), with its own reduction
 `_reduced`.
 
-Recheck ties each comax factor to its block and enumerates every split of
-the block itself (`_Blocks`).  The factorizations of one report must share
-one support, so each distinct block is checked once per report.
+Recheck ties each comax factor to its block and decides itself whether
+the block splits into two principal blocks (`_Blocks`), by walking the
+ideal classes its sub-blocks reach.  The factorizations of one report must
+share one support, so each distinct block is checked once per report.
 """
 
 from __future__ import annotations
@@ -616,19 +617,21 @@ def _comaximal_fails(cert, target, claim, fails, label="", unit=None):
     ... * f_m == target (unit defaults to 1) over cert["factors"], and
     lam*f_i + mu*f_j == 1 for each entry of cert["pairwise"].  A failing
     product appends `claim`, a failing pair names its (i, j).  Returns the
-    decoded factors."""
+    decoded factors and the decoded (lam, mu) of each entry, so that no
+    caller decodes them again."""
     factors = [dec(f) for f in cert["factors"]]
+    pairs = [(dec(c["lam"]), dec(c["mu"])) for c in cert["pairwise"]]
     one = v_one_like(target)
     prod = one if unit is None else unit
     for f in factors:
         prod = v_mul(prod, f)
     if not v_eq(prod, target):
         fails.append(f"{label}{claim}")
-    for c in cert["pairwise"]:
+    for c, (lam, mu) in zip(cert["pairwise"], pairs):
         i, j = c["i"], c["j"]
-        if not v_eq(v_add(v_mul(dec(c["lam"]), factors[i]), v_mul(dec(c["mu"]), factors[j])), one):
+        if not v_eq(v_add(v_mul(lam, factors[i]), v_mul(mu, factors[j])), one):
             fails.append(f"{label}Bezout certificate for pair {i},{j} fails")
-    return factors
+    return factors, pairs
 
 
 def _split_pair(result):
@@ -864,17 +867,24 @@ class _Blocks:
     share one) and its blocks, ascending index tuples, each checked once.  A
     block's product is that of the block without its last index times that
     prime power: over Z an integer, over Z[sqrt(d)] a lattice, one ideal
-    product per sub-block.  A block is pseudo-irreducible when every split
-    of it into two nonempty parts has a side whose form does not reduce to
-    (1, 0, -d); over Z every side is principal, so every block of two or
-    more primes splits."""
+    product per sub-block.
+
+    A block is pseudo-irreducible when no split of it into two nonempty
+    parts has two principal sides.  Over Z every side is principal, so
+    every block of two or more primes splits.  Over Z[sqrt(d)] the ideal
+    classes form a group, so a split with two principal sides exists
+    exactly when the block is principal and some nonempty part of it
+    without its last index is.  `check` finds one by walking the classes
+    that sub-blocks of block[:-1] reach, keeping one sub-block per class
+    (its reduced form): at most (k - 1) * h ideal products for k primes and
+    h classes, where every split would be 2^(k-1) - 1."""
 
     def __init__(self, support, ring, fails, key="support"):
         self.support = support
         self.fails = fails
         self.d = None if ring["family"] == "int" else int(ring["d"])
         self._spans = {}
-        self._principal = {}
+        self._classes = {}
         self._checked = set()
         if self.d is not None:
             _d_fails("ring.d", self.d, [(f"{key}[{i}]", dec(e["prime"])) for i, e in enumerate(support)], fails)
@@ -893,25 +903,41 @@ class _Blocks:
             self._spans[idxs] = acc
         return self._spans[idxs]
 
-    def _is_principal(self, idxs):
-        if self.d is None:
-            return True
-        if idxs not in self._principal:
+    def _class(self, idxs):
+        """The reduced form of a sub-block's ideal (one per class); None,
+        after a failure naming it, when its lattice is not an ideal."""
+        if idxs not in self._classes:
             form = _form(self.span(idxs), self.d, self.fails, f"block {list(idxs)}")
-            self._principal[idxs] = form is not None and _reduced(*form) == (1, 0, -self.d)
-        return self._principal[idxs]
+            self._classes[idxs] = form and _reduced(*form)
+        return self._classes[idxs]
 
     def check(self, block):
         if block in self._checked:
             return
         self._checked.add(block)
-        k = len(block)
-        for mask in range(1, 1 << (k - 1)):
-            left = tuple(block[i] for i in range(k) if mask >> i & 1)
-            right = tuple(block[i] for i in range(k) if not mask >> i & 1)
-            if self._is_principal(left) and self._is_principal(right):
-                self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {list(right)}")
-                return
+        if len(block) < 2:
+            return
+        if self.d is None:
+            self._split_fails(block, block[:1])
+            return
+        principal = (1, 0, -self.d)
+        if self._class(block) != principal:
+            return  # a split of a non-principal block has a non-principal side
+        reached = {}
+        for i in block[:-1]:
+            for part in [(), *reached.values()]:
+                side = part + (i,)
+                cls = self._class(side)
+                if cls is None:
+                    return
+                if cls == principal:
+                    self._split_fails(block, side)
+                    return
+                reached.setdefault(cls, side)
+
+    def _split_fails(self, block, left):
+        right = [i for i in block if i not in left]
+        self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {right}")
 
 
 def _verify_factorization(fact, blocks, fails, label=""):
@@ -925,14 +951,14 @@ def _verify_factorization(fact, blocks, fails, label=""):
         return
     unit = dec(fact["unit"])
     element = dec(fact["element"])
-    factors = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
-                               fails, label, unit)
+    factors, pairs = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
+                                      fails, label, unit)
     if d is None:
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
     else:
         named = [("element", element), ("unit", unit), *((f"factors[{k}]", f) for k, f in enumerate(factors)),
-                 *((f"pairwise {c['i']},{c['j']}", dec(c[key])) for c in fact["pairwise"] for key in ("lam", "mu"))]
+                 *((f"pairwise {c['i']},{c['j']}", v) for c, pair in zip(fact["pairwise"], pairs) for v in pair)]
         _d_fails(f"{label}ring.d", d, named, fails)
         if unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
             fails.append(f"{label}unit does not have norm 1")
@@ -1202,9 +1228,10 @@ def _verify_mring_split(report):
     if fails:
         return fails
     result = report["result"]
-    _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)), "f1*f2 != 1 - X^s", fails)
-    for name in ("f1", "f2", "lam", "mu"):
-        _mon_in_ring(dec(result[name]), report["ring"], fails, name)
+    (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)),
+                                             "f1*f2 != 1 - X^s", fails)
+    for name, v in (("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)):
+        _mon_in_ring(v, report["ring"], fails, name)
     return fails
 
 
@@ -1213,10 +1240,13 @@ def _verify_mring_chain(report):
     if fails:
         return fails
     result = report["result"]
-    _comaximal_fails(result, v_neg(_x_minus(result["s"], 1)), "product does not telescope to 1 - X^s", fails)
-    for cert in result["pairwise"]:
-        _mon_in_ring(dec(cert["lam"]), report["ring"], fails, "lam")
-        _mon_in_ring(dec(cert["mu"]), report["ring"], fails, "mu")
+    factors, pairs = _comaximal_fails(result, v_neg(_x_minus(result["s"], 1)),
+                                      "product does not telescope to 1 - X^s", fails)
+    for k, f in enumerate(factors):
+        _mon_in_ring(f, report["ring"], fails, f"factors[{k}]")
+    for lam, mu in pairs:
+        _mon_in_ring(lam, report["ring"], fails, "lam")
+        _mon_in_ring(mu, report["ring"], fails, "mu")
     return fails
 
 
@@ -1226,9 +1256,11 @@ def _verify_mring_juett(report):
         return fails
     result = report["result"]
     t, b, p, beta = _f(result["t"]), _f(result["b"]), result["p"], _f(result["beta"])
-    z, f2 = dec(result["z"]), dec(result["f2"])
+    z, unit = dec(result["z"]), dec(result["unit"])
+    (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), _x_minus(t, b),
+                                             "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=unit)
     # t != 0, so f2's p terms X^(i*t/p) / beta^i are distinct: a p other
-    # than its term count fails before any power or sum is formed
+    # than its term count fails before the p powers of z are formed
     if t == 0 or type(p) is not int or p < 2 or p != len(f2[1]):
         return fails + ["t is 0, or p is not the number of terms of f2"]
     w, c, geometric = 1 / beta, Fraction(1), []
@@ -1236,17 +1268,15 @@ def _verify_mring_juett(report):
         geometric.append((t / p * i, ("rat", c)))  # z^i = X^(i*t/p) / beta^i
         c *= w
     want_z = ("mon", geometric[1:2])
-    for claim, value, want in (("unit != b", dec(result["unit"]), ("mon", ((Fraction(0), ("rat", b)),))),
+    for claim, value, want in (("unit != b", unit, ("mon", ((Fraction(0), ("rat", b)),))),
                                ("z != X^(t/p)/beta", z, want_z),
-                               ("f1 != z - 1", dec(result["f1"]), v_sub(want_z, v_one_like(z))),
+                               ("f1 != z - 1", f1, v_sub(want_z, v_one_like(z))),
                                ("f2 != 1 + z + ... + z^(p-1)", f2, ("mon", tuple(sorted(geometric)))),
                                ("beta^p != b", ("rat", beta ** p), ("rat", b))):
         if not v_eq(value, want):
             fails.append(claim)
-    _comaximal_fails(_split_pair(result), _x_minus(t, b),
-                     "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=dec(result["unit"]))
-    for name in ("unit", "f1", "f2", "lam", "mu"):
-        _mon_in_ring(dec(result[name]), report["ring"], fails, name)
+    for name, v in (("unit", unit), ("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)):
+        _mon_in_ring(v, report["ring"], fails, name)
     return fails
 
 
@@ -1254,7 +1284,7 @@ def _verify_limit_chain(report):
     fails = []
     result = report["result"]
     x1 = ("lim", 1, (Fraction(0), Fraction(1)))
-    factors = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
+    factors, _ = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
     if report["ring"]["base"]["family"] == "int":
         for f in factors:
             if any(c.denominator != 1 for c in f[2]):

@@ -4,6 +4,7 @@ polynomial arithmetic against plain Fraction loops."""
 import ast
 import copy
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -334,6 +335,60 @@ def test_a_reducible_factor_fails_even_when_its_report_says_so():
 
     fails = golden_fails("comax_non_unique", merge)
     assert "block [0, 1, 2, 3] splits into principal blocks [0, 1] and [2, 3]" in fails
+
+
+@pytest.mark.parametrize("copies", [24, 25])
+def test_a_wide_comax_block_fails_without_walking_its_splits(copies):
+    # one factor over a block of k copies of (3, 1+sqrt(-5)), whose square is
+    # (2-sqrt(-5)): for even k the block is principal and [0, 1] is a
+    # principal part of it; for odd k it is not principal, no element
+    # generates it, and each of its 2^(k-1) - 1 splits has a non-principal side
+    x, y = 3 ** (copies % 2), 0
+    for _ in range(copies // 2):
+        x, y = 2 * x + 5 * y, 2 * y - x
+    g = {"type": "quad", "x": str(x), "y": str(y), "d": "-5"}
+    report = json.loads((GOLDEN / "comax_non_unique.out").read_text())
+    result = report["result"]
+    fact = result["factorizations"][0]
+    fact.update(element=g, factors=[g], pairwise=[], support=fact["support"][:1] * copies,
+                blocks=[list(range(copies))])
+    result.update(element=g, count=1, factorizations=[fact])
+    start = time.perf_counter()
+    fails = recheck.verify_report(report)
+    assert time.perf_counter() - start < 1
+    block = list(range(copies))
+    assert fails == [f"block {block} splits into principal blocks [0, 1] and {block[2:]}" if copies % 2 == 0
+                     else f"[0] factors[0] does not generate the ideal of its block {block}"]
+
+
+def test_the_class_walk_decides_every_block_as_its_splits_do():
+    # every sub-block of a Z[sqrt(-26)] support (class group of order 6)
+    # with three primes repeated: the walk fails a block exactly when one
+    # of its splits has two principal sides
+    report = json.loads((GOLDEN / "comax_non_unique_quad26.out").read_text())
+    support = report["result"]["factorizations"][0]["support"]
+    support = support + support[:3]
+    blocks = recheck._Blocks(support, report["ring"], [])
+    principal = (1, 0, 26)
+    for mask in range(1, 1 << len(support)):
+        block = tuple(i for i in range(len(support)) if mask >> i & 1)
+        splits = [(tuple(i for n, i in enumerate(block) if side >> n & 1),
+                   tuple(i for n, i in enumerate(block) if not side >> n & 1)) for side in range(1, 1 << (len(block) - 1))]
+        splits = [(a, b) for a, b in splits if blocks._class(a) == principal == blocks._class(b)]
+        blocks.fails.clear()
+        blocks.check(block)
+        assert bool(blocks.fails) == bool(splits), block
+        if blocks.fails:
+            a, b = (tuple(json.loads(side)) for side in blocks.fails[0].split("principal blocks ")[1].split(" and "))
+            assert blocks._class(a) == principal == blocks._class(b)
+
+
+def test_every_mring_chain_factor_is_a_member_of_the_ring():
+    # X^(1/3) is off the exponent lattice Z[1/2] of the monoid
+    def off_lattice(report):
+        report["result"]["factors"][0]["terms"][1][0] = "1/3"
+
+    assert "factors[0]: exponent 1/3 outside the denominator lattice" in golden_fails("mring_chain_m7_zhalf", off_lattice)
 
 
 def test_a_factor_is_tied_to_its_block():
