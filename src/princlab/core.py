@@ -23,8 +23,8 @@ mixed int scalars are tolerated because exact coefficient types coerce them.
 
 `Poly` over Z and Q runs on an integer-vector kernel.  A coefficient vector
 that is all `int` or all `Fraction` is cleared to integer numerators over one
-denominator: products use Kronecker substitution (one big-int product),
-`compose` evaluates at the packed argument, and `poly_divrem` /
+denominator: long products use Kronecker substitution (one big-int
+product) and short ones an integer schoolbook loop, `compose` evaluates at the packed argument, and `poly_divrem` /
 `poly_extended_gcd` run their usual steps on integer vectors.  The result has
 the coefficient types the schoolbook loops give (ints from two all-int
 operands, Fractions once a Fraction takes part), so report bytes do not
@@ -307,6 +307,13 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 # back with signed borrow.
 
 
+# A product of integer vectors of lengths n and k runs the schoolbook loop
+# while n*k <= _SCHOOL_FILL * (n + k): a 2 x 64 product takes about a fifth
+# of the packed one's time there, a 32 x 32 product about twice (CPython
+# 3.11, one core of a shared 2-vCPU machine).
+_SCHOOL_FILL = 8
+
+
 def _integral(coeffs):
     """(numerators, den) of a nonempty all-int vector (den None) or all-Fraction
     vector (den the lcm of the denominators); None for any other vector."""
@@ -380,8 +387,18 @@ def _eval_at(v, x: int) -> int:
 
 
 def _int_mul(a, b) -> list[int]:
-    """Product of two nonempty integer vectors: every product coefficient is
-    at most max|a| * max|b| * min(len(a), len(b)) in absolute value."""
+    """Product of two nonempty integer vectors: by the schoolbook loop while
+    len(a) * len(b) is at most _SCHOOL_FILL * (len(a) + len(b)), where
+    packing costs more than the loop, else by Kronecker substitution.  Every
+    product coefficient is at most max|a| * max|b| * min(len(a), len(b)) in
+    absolute value."""
+    if len(a) * len(b) <= _SCHOOL_FILL * (len(a) + len(b)):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
     nbytes = _slot_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
     pa = _pack(a, nbytes)
     pb = pa if b is a else _pack(b, nbytes)

@@ -1,13 +1,21 @@
 """The direct-limit ring R = union of D[x_n] where each generator satisfies
 x_i = x_{i+1}(1 + x_{i+1}).
 
-An element is a polynomial at some level n; lifting substitutes
-x -> x + x^2 once per level.  Each level is a genuine polynomial ring and
+An element is a polynomial at some level n.  Its coefficient vector is
+all `int` when every coefficient is an integer and all `Fraction` otherwise,
+so products and lifts of integral elements run on the integer `Poly` kernel
+without a Fraction per term; the report form writes both as "rat" leaves.
+Lifting from level n to m substitutes phi^(m-n) for x, phi = x + x^2, in one
+`compose` by the cached iterate.  Lifting keeps a non-integral vector
+non-integral (top-down induction on the even-degree coefficients), so a lift
+never needs normalizing.  Each level is a genuine polynomial ring and
 lifting is injective, so equality and divisibility are decided by moving
-both operands to a common level.  The comaximal chain of x_1 into m factors
-comes with explicit Bezout certificates that re-evaluate to 1 exactly; its
-certificate `LimitChain` is a plain class (see `core` for why not a
-dataclass).
+both operands to a common level.  While a chain is built or checked, each
+lift is memoized per element and level, and the memo is dropped afterwards.
+
+The comaximal chain of x_1 into m factors comes with explicit Bezout
+certificates that re-evaluate to 1 exactly; its certificate `LimitChain` is
+a plain class (see `core` for why not a dataclass).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, pairwise_json,
+from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, pairwise_json,
                    poly_divrem)
 from .rings import QQ, IntegerRing, RationalField
 
@@ -24,7 +32,53 @@ class LimitError(ValueError):
     pass
 
 
-_PHI = Poly((Fraction(0), Fraction(1), Fraction(1)))  # x + x^2
+# _ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
+_ITERATES = [Poly((0, 1)), Poly((0, 1, 1))]
+# {(id(e), m): (e, lift of e to level m)} while a chain is built or checked
+_LIFTS = None
+
+
+def _iterate(k: int) -> Poly:
+    while len(_ITERATES) <= k:
+        _ITERATES.append(_ITERATES[-1].compose(_ITERATES[1]))
+    return _ITERATES[k]
+
+
+def _normal(poly: Poly) -> Poly:
+    """poly with int coefficients when every one is an integer, else all
+    Fractions."""
+    cs = poly.coeffs
+    if all(type(c) is int for c in cs):
+        return poly
+    fs = [Fraction(c) for c in cs]
+    if all(f.denominator == 1 for f in fs):
+        return Poly([f.numerator for f in fs])
+    return Poly(fs)
+
+
+def _is_int(poly: Poly) -> bool:
+    # a normal vector is all int or all Fraction, so its first entry tells
+    return not poly.coeffs or type(poly.coeffs[0]) is int
+
+
+def _combine(pa: Poly, pb: Poly, op) -> Poly:
+    """op on two normal vectors: on the integer kernel when both are
+    integral, else on Fractions, normalized."""
+    if _is_int(pa) and _is_int(pb):
+        return op(pa, pb)
+    return _normal(op(pa.map_coeffs(Fraction), pb.map_coeffs(Fraction)))
+
+
+def _memoized(fn, *args):
+    """fn(*args) with a lift memo, the caller's if it has one."""
+    global _LIFTS
+    outer = _LIFTS
+    if outer is None:
+        _LIFTS = {}
+    try:
+        return fn(*args)
+    finally:
+        _LIFTS = outer
 
 
 class LimitElem(RingElem):
@@ -33,12 +87,12 @@ class LimitElem(RingElem):
     __slots__ = ("level", "poly", "ring")
 
     def __init__(self, level: int, poly: Poly, ring: "LimitRing", _checked=False):
-        # _checked: poly already has Fraction coefficients in D, as the sum,
-        # product or lift of elements does
+        # _checked: poly is already normal (see `_normal`) with coefficients
+        # in D, as the sum, product or lift of elements is
         if level < 1:
             raise LimitError("levels start at 1")
         if not _checked:
-            poly = poly.map_coeffs(Fraction)
+            poly = _normal(poly)
             for c in poly.coeffs:
                 if not ring.base.contains_rat(c):
                     raise LimitError(f"coefficient {c} outside {ring.base}")
@@ -55,14 +109,14 @@ class LimitElem(RingElem):
 
     def __add__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, a.poly + b.poly, self.ring, _checked=True)
+        return LimitElem(a.level, _combine(a.poly, b.poly, Poly.__add__), self.ring, _checked=True)
 
     def __neg__(self):
         return LimitElem(self.level, -self.poly, self.ring, _checked=True)
 
     def __mul__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, a.poly * b.poly, self.ring, _checked=True)
+        return LimitElem(a.level, _combine(a.poly, b.poly, Poly.__mul__), self.ring, _checked=True)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -73,7 +127,7 @@ class LimitElem(RingElem):
     def _invert(self):
         # `/` divides by nonzero constants only, so exactly those invert,
         # and 1/c must lie in the base
-        return LimitElem(self.level, Poly((Fraction(1),)), self.ring) / self
+        return LimitElem(self.level, Poly((1,)), self.ring) / self
 
     def __truediv__(self, other):
         o = self.ring.coerce(other)
@@ -90,23 +144,34 @@ class LimitElem(RingElem):
 
     def __hash__(self):
         # not canonical per level, so hash only what is level-independent
-        return hash(self.poly.eval(Fraction(0)))
+        return hash(self.poly.constant_term())
 
     def __bool__(self):
         return not self.poly.is_zero()
 
     def to_json(self, enc):
-        return {"type": "limit", "level": self.level, "coeffs": [enc(c) for c in self.poly.coeffs]}
+        return {"type": "limit", "level": self.level,
+                "coeffs": [{"type": "rat", "value": str(c) if type(c) is int else _frac(c)} for c in self.poly.coeffs]}
 
 
 def lr_lift(e: LimitElem, m: int) -> LimitElem:
-    """Rewrite e at level m >= level(e); the value in R is unchanged."""
+    """Rewrite e at level m >= level(e); the value in R is unchanged.  One
+    `compose` by the cached iterate phi^(m - level), memoized while a chain
+    is built or checked."""
     if m < e.level:
         raise LimitError(f"cannot lower level {e.level} to {m}")
-    p = e.poly
-    for _ in range(m - e.level):
-        p = p.compose(_PHI)
-    return LimitElem(m, p, e.ring, _checked=True)
+    if m == e.level:
+        return e
+    if e.poly.degree <= 0:
+        return LimitElem(m, e.poly, e.ring, _checked=True)
+    key = (id(e), m)
+    if _LIFTS is not None and key in _LIFTS:
+        return _LIFTS[key][1]
+    lift = LimitElem(m, e.poly.compose(_iterate(m - e.level)), e.ring, _checked=True)
+    if _LIFTS is not None:
+        # the entry keeps e alive, so its id is not reused while the memo lives
+        _LIFTS[key] = (e, lift)
+    return lift
 
 
 class LimitRing(RingHandle):
@@ -127,11 +192,11 @@ class LimitRing(RingHandle):
 
     @property
     def one(self):
-        return LimitElem(1, Poly((Fraction(1),)), self)
+        return LimitElem(1, Poly((1,)), self, _checked=True)
 
     def gen(self, n: int) -> LimitElem:
         """x_n as a level-n element."""
-        return LimitElem(n, Poly((Fraction(0), Fraction(1))), self)
+        return LimitElem(n, Poly((0, 1)), self, _checked=True)
 
     def coerce(self, v):
         if isinstance(v, LimitElem):
@@ -145,7 +210,8 @@ class LimitRing(RingHandle):
             return self.zero if not a else None
         m = max(a.level, b.level)
         pa, pb = lr_lift(a, m).poly, lr_lift(b, m).poly
-        q, r = poly_divrem(pa, pb)
+        # poly_divrem's integer path wants a Fraction dividend
+        q, r = poly_divrem(pa.map_coeffs(Fraction), pb)
         if not r.is_zero():
             return None
         try:
@@ -188,6 +254,9 @@ class LimitChain:
         self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
 
     def verify(self) -> bool:
+        return _memoized(self._verify)
+
+    def _verify(self) -> bool:
         ring = self.factors[0].ring
         return is_comaximal_product(ring.one, lr_lift(ring.gen(1), self.m), self.factors, self.pairwise)
 
@@ -200,32 +269,34 @@ def lr_chain(m: int, ring: LimitRing) -> LimitChain:
 
     Certificates: 1 == (1+x_i) - x_m * prod_{j=i+1..m} (1+x_j) for the pair
     (x_m, 1+x_i), and 1 == (1+x_i) - w*(1+x_j) with
-    w = x_j * prod_{k=i+1..j-1} (1+x_k) for i < j.
+    w = x_j * prod_{k=i+1..j-1} (1+x_k) for i < j.  Each product is a
+    running one: O(m^2) multiplications in all.
     """
     if m < 2:
         raise LimitError("need m >= 2")
+    return _memoized(_chain, m, ring)
+
+
+def _chain(m: int, ring: LimitRing) -> LimitChain:
     one = ring.one
     xs = {i: ring.gen(i) for i in range(2, m + 1)}
-    factors = [xs[m]] + [one + xs[i] for i in range(2, m + 1)]
-
-    def prod_ones(lo, hi):
-        acc = one
-        for k in range(lo, hi + 1):
-            acc = acc * (one + xs[k])
-        return acc
-
+    ones = {i: one + xs[i] for i in range(2, m + 1)}  # 1 + x_i
+    factors = [xs[m]] + [ones[i] for i in range(2, m + 1)]
+    # tails[i] == prod_{j=i..m} (1+x_j); the empty product is the level-1 one
+    tails = {m + 1: one}
+    for i in range(m, 2, -1):
+        tails[i] = ones[i] * tails[i + 1]
     pairwise = []
     # (x_m, 1+x_i): x_i == x_m * prod_{j>i} (1+x_j)
     for idx in range(1, m):
-        i = idx + 1
-        lam = -prod_ones(i + 1, m)
-        pairwise.append((0, idx, lam, one))
+        pairwise.append((0, idx, -tails[idx + 2], one))
     # (1+x_i, 1+x_j), i < j: x_i == w * (1+x_j) with w = x_j * prod_(i,j)
     for idx_i in range(1, m):
+        acc = one  # prod_{k=i+1..j-1} (1+x_k)
         for idx_j in range(idx_i + 1, m):
-            i, j = idx_i + 1, idx_j + 1
-            w = xs[j] * prod_ones(i + 1, j - 1)
-            pairwise.append((idx_i, idx_j, one, -w))
+            j = idx_j + 1
+            pairwise.append((idx_i, idx_j, one, -(xs[j] * acc)))
+            acc = acc * ones[j]
     chain = LimitChain(m, factors, pairwise)
     if not chain.verify():
         raise CertificateError("chain certificates failed to verify")

@@ -43,7 +43,7 @@ from math import gcd, lcm
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, is_prime,
                    pairwise_json, poly_divrem, poly_extended_gcd)
-from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField
+from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
 
 
 class MonoidError(ValueError):
@@ -99,12 +99,29 @@ _DIVIDES_LEN = 1 << 16
 _ZERO = Fraction(0)
 
 
-class MonoidElem(RingElem):
-    """Finite exponent -> coefficient map, exponents in S, no zero coefficients."""
+def _ratio(n: int, d: int) -> str:
+    """n/d (d > 0) as report text: "p", or "p/q" in lowest terms."""
+    if d == 1:
+        return str(n)
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
-    __slots__ = ("terms", "ring")
+
+class MonoidElem(RingElem):
+    """Finite sum of c X^e with e in S and no zero coefficient, stored as two
+    integer vectors: exponents exps[i]/den in ascending order and
+    coefficients coeffs[i]/cden.  den and cden are the least common
+    denominators (gcd(den, *exps) == gcd(cden, *coeffs) == 1; both are 1 for
+    zero), so equal elements have equal fields.  `terms` gives the
+    (exponent, coefficient) Fraction pairs; `to_json` writes them without
+    building a Fraction."""
+
+    __slots__ = ("den", "exps", "cden", "coeffs", "ring")
 
     def __init__(self, terms, ring: "MonoidRing", _checked=False):
+        # terms: (exponent, coefficient) pairs, checked and merged here
+        # unless _checked says they are sorted Fractions with distinct
+        # exponents in S and nonzero coefficients in D
         if not _checked:
             merged: dict[Fraction, Fraction] = {}
             for e, c in terms:
@@ -114,10 +131,21 @@ class MonoidElem(RingElem):
                     raise MonoidError(f"exponent {e} not in S ({ring.desc.label()})")
                 if not ring.base.contains_rat(c):
                     raise MonoidError(f"coefficient {c} outside {ring.base}")
-                merged[e] = merged.get(e, Fraction(0)) + c
-            terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0))
-        self.terms = terms
+                merged[e] = merged.get(e, _ZERO) + c
+            terms = sorted((e, c) for e, c in merged.items() if c != 0)
+        den = lcm(*(e.denominator for e, _ in terms))
+        cden = lcm(*(c.denominator for _, c in terms))
+        self.den = den
+        self.exps = tuple(e.numerator * (den // e.denominator) for e, _ in terms)
+        self.cden = cden
+        self.coeffs = tuple(c.numerator * (cden // c.denominator) for _, c in terms)
         self.ring = ring
+
+    @property
+    def terms(self):
+        """The (exponent, coefficient) pairs as Fractions, ascending."""
+        den, cden = self.den, self.cden
+        return tuple((Fraction(e, den), Fraction(c, cden)) for e, c in zip(self.exps, self.coeffs))
 
     def _lift(self, other) -> "MonoidElem":
         if isinstance(other, MonoidElem):
@@ -128,45 +156,55 @@ class MonoidElem(RingElem):
 
     def __add__(self, other):
         o = self._lift(other)
-        out = dict(self.terms)
-        for e, c in o.terms:
-            v = out.get(e, Fraction(0)) + c
+        if not o.exps:
+            return self
+        if not self.exps:
+            return o
+        den, cden = lcm(self.den, o.den), lcm(self.cden, o.cden)
+        out = dict(zip(_scaled(self.exps, den // self.den), _scaled(self.coeffs, cden // self.cden)))
+        for e, c in zip(_scaled(o.exps, den // o.den), _scaled(o.coeffs, cden // o.cden)):
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
-        return MonoidElem(tuple(sorted(out.items())), self.ring, _checked=True)
+                del out[e]
+        items = sorted(out.items())
+        return _elem(self.ring, den, [e for e, _ in items], cden, [c for _, c in items])
 
     def __neg__(self):
-        return MonoidElem(tuple((e, -c) for e, c in self.terms), self.ring, _checked=True)
+        return _elem(self.ring, self.den, self.exps, self.cden, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._lift(other)
-        a, b = self.terms, o.terms
-        if len(a) * len(b) <= _LOOP_PAIRS:
+        na, nb = len(self.exps), len(o.exps)
+        if na * nb <= _LOOP_PAIRS:
             return self._sparse_mul(o)
-        den, ea, eb, step = _grid(a, b)
-        if (ea[-1] - ea[0] + eb[-1] - eb[0]) // step + 1 > _DENSE_FILL * len(a) * len(b):
+        den, ea, eb, step = _grid(self, o)
+        if (ea[-1] - ea[0] + eb[-1] - eb[0]) // step + 1 > _DENSE_FILL * na * nb:
             return self._sparse_mul(o)
-        prod = _to_poly(a, ea, step) * _to_poly(b, eb, step)
+        prod = _to_poly(self, ea, step) * _to_poly(o, eb, step)
         shift = ea[0] + eb[0]
-        return MonoidElem(
-            tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(prod.coeffs) if c),
-            self.ring,
-            _checked=True,
-        )
+        exps, coeffs = [], []
+        for i, c in enumerate(prod.coeffs):
+            if c:
+                exps.append(shift + step * i)
+                coeffs.append(c)
+        return _elem(self.ring, den, exps, self.cden * o.cden, coeffs)
 
     def _sparse_mul(self, o):
-        out: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
+        den = lcm(self.den, o.den)
+        out: dict[int, int] = {}
+        eb = list(zip(_scaled(o.exps, den // o.den), o.coeffs))
+        for e1, c1 in zip(_scaled(self.exps, den // self.den), self.coeffs):
+            for e2, c2 in eb:
                 e = e1 + e2
-                v = out.get(e, Fraction(0)) + c1 * c2
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     del out[e]
-        return MonoidElem(tuple(sorted(out.items())), self.ring, _checked=True)
+        items = sorted(out.items())
+        return _elem(self.ring, den, [e for e, _ in items], self.cden * o.cden, [c for _, c in items])
 
     def _one(self):
         return self.ring.one
@@ -178,27 +216,63 @@ class MonoidElem(RingElem):
 
     def __truediv__(self, other):
         o = self._lift(other)
-        if len(o.terms) != 1 or o.terms[0][0] != 0:
+        if len(o.exps) != 1 or o.exps[0] != 0:
             raise MonoidError("division is only available by nonzero constants")
-        c = o.terms[0][1]
-        return MonoidElem(tuple((e, v / c) for e, v in self.terms), self.ring)
+        # (a/A) / (c/C) == a*C / (A*c), with the sign moved to the numerators
+        c, sign = abs(o.coeffs[0]), (1 if o.coeffs[0] > 0 else -1)
+        return _elem(self.ring, self.den, self.exps, self.cden * c, [a * o.cden * sign for a in self.coeffs],
+                     check=True)
 
     def __eq__(self, other):
-        if isinstance(other, MonoidElem):
-            return self.ring == other.ring and self.terms == other.terms
-        try:
-            return self.terms == self._lift(other).terms
-        except (MonoidError, ValueError, TypeError):
-            return NotImplemented
+        if not isinstance(other, MonoidElem):
+            try:
+                other = self._lift(other)
+            except (MonoidError, ValueError, TypeError):
+                return NotImplemented
+        elif self.ring != other.ring:
+            return False
+        return (self.exps == other.exps and self.coeffs == other.coeffs and self.den == other.den
+                and self.cden == other.cden)
 
     def __hash__(self):
-        return hash((self.terms,))
+        return hash((self.den, self.exps, self.cden, self.coeffs))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.exps)
 
     def to_json(self, enc):
-        return {"type": "monoid", "terms": [[_frac(e), enc(c)] for e, c in self.terms]}
+        den, cden = self.den, self.cden
+        return {"type": "monoid", "terms": [[_ratio(e, den), {"type": "rat", "value": _ratio(c, cden)}]
+                                            for e, c in zip(self.exps, self.coeffs)]}
+
+
+def _scaled(v, k: int):
+    return v if k == 1 else [x * k for x in v]
+
+
+def _elem(ring, den: int, exps, cden: int, coeffs, check=False) -> MonoidElem:
+    """The element sum(coeffs[i]/cden X^(exps[i]/den)) for ascending distinct
+    int exps, nonzero int coeffs and den, cden > 0, reduced to least common
+    denominators.  With check, membership in the ring is tested once for
+    the whole vector (exact, since den and cden are then least); the terms
+    are walked only to name the first one outside."""
+    g = gcd(den, *exps)
+    if g != 1:
+        den //= g
+        exps = [e // g for e in exps]
+    g = gcd(cden, *coeffs)
+    if g != 1:
+        cden //= g
+        coeffs = [c // g for c in coeffs]
+    e = object.__new__(MonoidElem)
+    e.den, e.exps, e.cden, e.coeffs, e.ring = den, tuple(exps), cden, tuple(coeffs), ring
+    if check and not (
+        (ring.desc.group or not exps or exps[0] >= 0)
+        and _strip_primes(den, ring.desc.primes) == 1
+        and (cden == 1 or ring.base.contains_rat(Fraction(1, cden)))
+    ):
+        MonoidElem(e.terms, ring)  # raises the MonoidError naming the first term outside
+    return e
 
 
 class MonoidRing(RingHandle):
@@ -219,11 +293,11 @@ class MonoidRing(RingHandle):
 
     @property
     def zero(self):
-        return MonoidElem((), self, _checked=True)
+        return _elem(self, 1, (), 1, ())
 
     @property
     def one(self):
-        return MonoidElem(((Fraction(0), Fraction(1)),), self, _checked=True)
+        return _elem(self, 1, (0,), 1, (1,))
 
     def monomial(self, exp, coeff=1) -> MonoidElem:
         return MonoidElem(((Fraction(exp), Fraction(coeff)),), self)
@@ -240,14 +314,17 @@ class MonoidRing(RingHandle):
             return self.zero if not a else None
         if not a:
             return self.zero
-        den, ea, eb, step = _grid(a.terms, b.terms)
+        den, ea, eb, step = _grid(a, b)
         n = max(ea[-1] - ea[0], eb[-1] - eb[0]) // step + 1
         if n > _DIVIDES_LEN:
             raise MonoidError(
                 f"exact division needs {n} dense terms on the exponent grid {Fraction(step, den)}; "
                 f"the limit is {_DIVIDES_LEN}"
             )
-        q, r = poly_divrem(_to_poly(a.terms, ea, step), _to_poly(b.terms, eb, step))
+        # a/b == (A/B) * (fa/fb) for fa == A*a and fb == B*b on the grid;
+        # poly_divrem's integer path wants a Fraction dividend
+        scale = Fraction(b.cden, a.cden)
+        q, r = poly_divrem(_to_poly(a, ea, step).map_coeffs(scale.__mul__), _to_poly(b, eb, step))
         if not r.is_zero():
             return None
         try:
@@ -263,15 +340,14 @@ class MonoidRing(RingHandle):
         return self._over_q.monomial if name == "X" else None
 
     def from_field(self, v):
-        return MonoidElem(v.terms, self)
+        return _elem(self, v.den, v.exps, v.cden, v.coeffs, check=True)
 
     def is_unit(self, x) -> bool:
-        if not isinstance(x, MonoidElem) or len(x.terms) != 1:
+        if not isinstance(x, MonoidElem) or len(x.exps) != 1:
             return False
-        e, c = x.terms[0]
-        if not self.base.is_unit(c):
+        if not self.base.is_unit(Fraction(x.coeffs[0], x.cden)):
             return False
-        return True if self.desc.group else e == 0
+        return True if self.desc.group else x.exps[0] == 0
 
     def to_json(self):
         return {"family": "monoid", "base": self.base.to_json(), "monoid": self.desc.to_json()}
@@ -281,37 +357,37 @@ class MonoidRing(RingHandle):
         return f"{self.base}[X;{sym}:{self.desc.label()}]"
 
 
-def _grid(ta, tb):
-    """(L, ea, eb, g) for two nonempty term tuples: L the lcm of every
-    exponent's denominator, ea and eb the exponents times L as ints, and g
-    the gcd of every difference within ea and within eb (1 if there is none)."""
-    den = lcm(*(e.denominator for e, _ in ta), *(e.denominator for e, _ in tb))
-    ea = [e.numerator * (den // e.denominator) for e, _ in ta]
-    eb = [e.numerator * (den // e.denominator) for e, _ in tb]
+def _grid(a: MonoidElem, b: MonoidElem):
+    """(L, ea, eb, g) for two nonzero elements: L the lcm of their exponent
+    denominators, ea and eb their exponents times L, and g the gcd of every
+    difference within ea and within eb (1 if there is none)."""
+    den = lcm(a.den, b.den)
+    ea, eb = _scaled(a.exps, den // a.den), _scaled(b.exps, den // b.den)
     return den, ea, eb, gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
 
 
-def _to_poly(terms, ints, step: int) -> Poly:
-    """The dense f with sum(c X^e over terms) == X^(ints[0]/L) * f(X^(step/L)),
-    for ints the exponents times L, each congruent to ints[0] mod step."""
-    coeffs = [_ZERO] * ((ints[-1] - ints[0]) // step + 1)
-    for (_, c), k in zip(terms, ints):
+def _to_poly(a: MonoidElem, ints, step: int) -> Poly:
+    """The dense integer f with cden * a == X^(ints[0]/L) * f(X^(step/L)),
+    for ints the exponents of a times L, each congruent to ints[0] mod step,
+    and cden a's coefficient denominator."""
+    coeffs = [0] * ((ints[-1] - ints[0]) // step + 1)
+    for c, k in zip(a.coeffs, ints):
         coeffs[(k - ints[0]) // step] = c
     return Poly(coeffs)
 
 
 def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> MonoidElem:
-    """X^(shift/den) * p(X^(step/den)) in the ring, step > 0.  Membership is
-    checked once for the vector; per term only when that check fails."""
+    """X^(shift/den) * p(X^(step/den)) in the ring, step > 0, for p with int
+    or Fraction coefficients.  Membership is checked once for the vector
+    (see `_elem`)."""
     cs = p.coeffs
-    whole_vector_in_ring = (
-        ring.desc.contains(Fraction(step, den))
-        and ring.desc.contains(Fraction(shift, den))
-        and all(type(c) is Fraction for c in cs)
-        and ring.base.contains_rat(Fraction(1, lcm(*(c.denominator for c in cs))))
-    )
-    terms = tuple((Fraction(shift + step * i, den), c) for i, c in enumerate(cs) if c)
-    return MonoidElem(terms, ring, _checked=whole_vector_in_ring)
+    cden = lcm(*(c.denominator for c in cs))
+    exps, coeffs = [], []
+    for i, c in enumerate(cs):
+        if c:
+            exps.append(shift + step * i)
+            coeffs.append(c.numerator * (cden // c.denominator))
+    return _elem(ring, den, exps, cden, coeffs, check=True)
 
 
 class SplitResult:
@@ -357,9 +433,9 @@ def _require_unit(ring: MonoidRing, n: int) -> Fraction:
     return inv
 
 
-def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
-    """Split 1 - X^s = (1 - X^t)(1 + X^t + ... + X^(t(n-1))), t = s/n."""
-    s = Fraction(s)
+def _geometric(s: Fraction, n: int, ring: MonoidRing):
+    """(t, 1/n, 1 + X^t + ... + X^(t(n-1))) for t = s/n, after checking that
+    s is a positive element of S, that t lies in S and that n is a unit."""
     if s <= 0 or not ring.desc.contains(s):
         raise MonoidError(f"exponent {s} not a positive element of S")
     if n < 2:
@@ -368,9 +444,15 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
     if not ring.desc.contains(t):
         raise MonoidError(f"exponent {t} = s/n not in S ({ring.desc.label()})")
     inv_n = _require_unit(ring, n)
+    return t, inv_n, _elem(ring, t.denominator, [t.numerator * i for i in range(n)], 1, [1] * n)
+
+
+def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
+    """Split 1 - X^s = (1 - X^t)(1 + X^t + ... + X^(t(n-1))), t = s/n."""
+    s = Fraction(s)
+    t, inv_n, f2 = _geometric(s, n, ring)
     one = ring.one
     f1 = one - ring.monomial(t)
-    f2 = MonoidElem(tuple((t * i, Fraction(1)) for i in range(n)), ring)
     # division identity in D[Z]: f2(Z) = (1 - Z) q(Z) + n
     pz = Poly([Fraction(1)] * n)
     q, rem = poly_divrem(pz, Poly([Fraction(1), Fraction(-1)]))
@@ -414,7 +496,8 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
     cofactors = []
     cur = s
     for _ in range(m - 1):
-        cofactors.append(mr_split(cur, n, ring).f2)
+        # the split's own certificate is not needed: the chain checks its own
+        cofactors.append(_geometric(cur, n, ring)[2])
         cur = cur / n
     if not ring.desc.contains(cur):
         raise MonoidError(f"exponent {cur} not in S")
@@ -425,10 +508,11 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
             # every factor has constant term 1; Euclid runs in D[T] with T
             # the pair's own generator, and its cofactors are the unique
             # ones of minimal degree, so a coarser T gives the same lam, mu
-            fi, fj = factors[i].terms, factors[j].terms
+            # the factors are integral (cden 1), so _to_poly gives them exactly
+            fi, fj = factors[i], factors[j]
             den, ei, ej, step = _grid(fi, fj)
             d, si, tj = poly_extended_gcd(_to_poly(fi, ei, step), _to_poly(fj, ej, step))
-            if d != Poly((Fraction(1),)):
+            if d != Poly((1,)):
                 raise CertificateError("chain factors are not comaximal (bug)")
             pairwise.append((i, j, _from_poly(si, step, 0, den, ring), _from_poly(tj, step, 0, den, ring)))
     chain = ChainResult(s, factors, pairwise)

@@ -60,6 +60,38 @@ def _f(s) -> Fraction:
     return Fraction(s)
 
 
+def _q(s):
+    """A rational leaf as (numerator, denominator > 0): the report's own "p"
+    and "p/q" forms from two ints, anything else through `_f`."""
+    num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
+    if (num[1:] if num[:1] == "-" else num).isdecimal():
+        if not slash:
+            return int(num), 1
+        if den.isdecimal() and int(den):
+            return int(num), int(den)
+    f = _f(s)
+    return f.numerator, f.denominator
+
+
+def _rat_leaf(c):
+    if c["type"] not in ("int", "rat"):
+        raise ValueError(f"a monoid coefficient of type {c['type']!r} is not a rational")
+    return c["value"]
+
+
+def _lim_decode(values):
+    """A limit element's coefficients: ints when every one is an integer,
+    else Fractions.  The report's own "p" forms are read as ints; anything
+    else goes through `_f`."""
+    ints = []
+    for s in values:
+        if type(s) is str and (s[1:] if s[:1] == "-" else s).isdecimal():
+            ints.append(int(s))
+        else:
+            return _lim_vec(*_ints([_f(v) for v in values]))
+    return tuple(ints)
+
+
 def dec(e):
     """JSON element -> tagged value."""
     t = e["type"]
@@ -74,9 +106,12 @@ def dec(e):
     if t == "pullback":
         return ("rf", dec(e["num"]), dec(e["den"]))
     if t == "monoid":
-        return ("mon", tuple((_f(exp), dec(c)) for exp, c in e["terms"]))
+        exps = [_q(x) for x, _ in e["terms"]]
+        coeffs = [_q(_rat_leaf(c)) for _, c in e["terms"]]
+        den, cden = lcm(*(d for _, d in exps)), lcm(*(d for _, d in coeffs))
+        return _mon(den, cden, [(n * (den // d), c * (cden // k)) for (n, d), (c, k) in zip(exps, coeffs)])
     if t == "limit":
-        return ("lim", int(e["level"]), tuple(_f(c["value"]) for c in e["coeffs"]))
+        return ("lim", int(e["level"]), _lim_decode([c["value"] for c in e["coeffs"]]))
     if t == "sphere":
         return (
             "sph",
@@ -105,7 +140,9 @@ def _promote(v, tag, model):
         p = v if v[0] == "poly" else _promote(v, "poly", None)
         return ("rf", p, ("poly", (("rat", Fraction(1)),)))
     if tag == "mon":
-        return ("mon", (((Fraction(0)), v),)) if not v_is_zero(v) else ("mon", ())
+        if v[0] != "rat":
+            raise ValueError(f"cannot promote {v[0]} to mon")
+        return _mon_norm(1, v[1].denominator, [(0, v[1].numerator)] if v[1] else [])
     if tag == "lim":
         return ("lim", 1, (v[1],)) if v[1] else ("lim", 1, ())
     if tag == "sph":
@@ -135,7 +172,7 @@ def v_is_zero(v) -> bool:
     if t == "rf":
         return v_is_zero(v[1])
     if t == "mon":
-        return all(v_is_zero(c) for _, c in v[1])
+        return not v[3]
     if t == "lim":
         return all(c == 0 for c in v[2])
     if t == "sph":
@@ -176,19 +213,13 @@ def v_add(a, b):
             v_mul(a[2], b[2]),
         )
     if t == "mon":
-        out = dict(a[1])
-        for e, c in b[1]:
-            cur = out.get(e)
-            s = v_add(cur, c) if cur is not None else c
-            if v_is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ("mon", tuple(sorted(out.items())))
+        den, cden = lcm(a[1], b[1]), lcm(a[2], b[2])
+        (ka, ca), (kb, cb) = (den // a[1], cden // a[2]), (den // b[1], cden // b[2])
+        return _mon(den, cden, [(e * ka, c * ca) for e, c in a[3]] + [(e * kb, c * cb) for e, c in b[3]])
     if t == "lim":
         la, lb = _lim_common(a, b)
         n = max(len(la[2]), len(lb[2]))
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, c in enumerate(la[2]):
             out[i] += c
         for i, c in enumerate(lb[2]):
@@ -212,7 +243,7 @@ def v_neg(a):
     if t == "rf":
         return ("rf", v_neg(a[1]), a[2])
     if t == "mon":
-        return ("mon", tuple((e, v_neg(c)) for e, c in a[1]))
+        return ("mon", a[1], a[2], tuple((e, -c) for e, c in a[3]))
     if t == "lim":
         return ("lim", a[1], tuple(-c for c in a[2]))
     if t == "sph":
@@ -254,32 +285,22 @@ def v_mul(a, b):
     if t == "rf":
         return ("rf", v_mul(a[1], b[1]), v_mul(a[2], b[2]))
     if t == "mon":
-        if a[1] and b[1] and all(c[0] == "rat" for _, c in a[1] + b[1]):
-            dense = _mon_imul(a[1], b[1])
-            if dense is not None:
-                return dense
-        out = {}
-        for e1, c1 in a[1]:
-            for e2, c2 in b[1]:
-                e = e1 + e2
-                p = v_mul(c1, c2)
-                cur = out.get(e)
-                s = v_add(cur, p) if cur is not None else p
-                if v_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return ("mon", tuple(sorted(out.items())))
+        if not a[3] or not b[3]:
+            return ("mon", 1, 1, ())
+        den = lcm(a[1], b[1])
+        ta = [(e * (den // a[1]), c) for e, c in a[3]]
+        tb = [(e * (den // b[1]), c) for e, c in b[3]]
+        dense = _mon_imul(ta, tb)
+        if dense is not None:
+            return _mon_norm(den, a[2] * b[2], dense)
+        return _mon(den, a[2] * b[2], [(e1 + e2, c1 * c2) for e1, c1 in ta for e2, c2 in tb])
     if t == "lim":
         la, lb = _lim_common(a, b)
         ca, cb = la[2], lb[2]
         if not ca or not cb:
             return ("lim", la[1], ())
         (na, da), (nb, db) = _ints(ca), _ints(cb)
-        out = [Fraction(c, da * db) for c in _imul(na, nb)]
-        while out and out[-1] == 0:
-            out.pop()
-        return ("lim", la[1], tuple(out))
+        return ("lim", la[1], _lim_vec(_imul(na, nb), da * db))
     if t == "sph":
         f1, g1 = a[1], a[2]
         f2, g2 = b[1], b[2]
@@ -302,6 +323,8 @@ def v_eq(a, b) -> bool:
     if a[0] == "lim":
         la, lb = _lim_common(a, b)
         return la[2] == lb[2]
+    if a[0] == "mon":
+        return a == b  # both in the normal form of `_mon_norm`
     return v_is_zero(v_sub(a, b))
 
 
@@ -316,7 +339,7 @@ def v_zero_like(v):
     if t == "rf":
         return ("rf", ("poly", ()), ("poly", (("rat", Fraction(1)),)))
     if t == "mon":
-        return ("mon", ())
+        return ("mon", 1, 1, ())
     if t == "lim":
         return ("lim", 1, ())
     if t == "sph":
@@ -337,9 +360,9 @@ def v_one_like(v):
         one = ("poly", (("rat", Fraction(1)),))
         return ("rf", one, one)
     if t == "mon":
-        return ("mon", ((Fraction(0), ("rat", Fraction(1))),))
+        return ("mon", 1, 1, ((0, 1),))
     if t == "lim":
-        return ("lim", 1, (Fraction(1),))
+        return ("lim", 1, (1,))
     if t == "sph":
         return ("sph", {(0, 0): Fraction(1)}, {})
     raise ValueError(t)
@@ -374,18 +397,56 @@ def _lim_common(a, b):
     return _lim_lift(a, n), _lim_lift(b, n)
 
 
+# _LIM_ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
+_LIM_ITERATES = [[0, 1], [0, 1, 1]]
+# {(id(a), n): (a, lift of a to level n)} while one limit report is checked
+_LIM_LIFTS = None
+
+
+def _lim_iterate(k):
+    while len(_LIM_ITERATES) <= k:
+        _LIM_ITERATES.append(_compose(_LIM_ITERATES[-1], _LIM_ITERATES[1]))
+    return _LIM_ITERATES[k]
+
+
+def _compose(p, q):
+    """p(q) for integer vectors p (nonempty) and q with nonnegative
+    coefficients: p evaluated at q packed at 2^w, whose slots each hold at
+    most sum(|p_i| * q(1)^i) in absolute value."""
+    w = _ieval([abs(c) for c in p], sum(q)).bit_length() + 1
+    return _iunpack(_ieval(p, _ipack(q, w)), w, (len(p) - 1) * (len(q) - 1) + 1)
+
+
 def _lim_lift(a, n):
+    """a at level n >= its own: one packed evaluation at phi^(n - level),
+    memoized while a limit report is checked."""
     if n == a[1] or not a[2]:
         return ("lim", n, a[2])
+    key = (id(a), n)
+    if _LIM_LIFTS is not None and key in _LIM_LIFTS:
+        return _LIM_LIFTS[key][1]
     nums, den = _ints(a[2])
     while nums and not nums[-1]:
         nums.pop()
-    for _ in range(n - a[1] if len(nums) > 1 else 0):
-        # p(x + x^2) packed at 2^w is p evaluated at 2^w + 2^(2w); each of its
-        # coefficients is at most sum(|p_i| * 2^i) in absolute value
-        w = _ieval([abs(c) for c in nums], 2).bit_length() + 1
-        nums = _iunpack(_ieval(nums, (1 << w) + (1 << 2 * w)), w, 2 * len(nums) - 1)
-    return ("lim", n, tuple(Fraction(c, den) for c in nums))
+    if len(nums) > 1:
+        nums = _compose(nums, _lim_iterate(n - a[1]))
+    lift = ("lim", n, _lim_vec(nums, den))
+    if _LIM_LIFTS is not None:
+        # the entry keeps a alive, so its id is not reused while the memo lives
+        _LIM_LIFTS[key] = (a, lift)
+    return lift
+
+
+def _lim_vec(nums, den):
+    """The coefficients nums/den without trailing zeros: ints when every one
+    is an integer, else Fractions."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g == den:
+        return tuple(c // den for c in nums) if den != 1 else tuple(nums)
+    return tuple(Fraction(c, den) for c in nums)
 
 
 # --------------------------------------------- integer polynomial arithmetic
@@ -396,7 +457,10 @@ def _lim_lift(a, n):
 
 
 def _ints(cs):
-    """Integer numerators over one common denominator of the Fractions cs."""
+    """Integer numerators over one common denominator of the rationals cs
+    (ints or Fractions)."""
+    if all(type(c) is int for c in cs):
+        return list(cs), 1
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
 
@@ -436,7 +500,15 @@ def _iunpack(p, w, n):
 
 
 def _imul(a, b):
-    """The product of two nonempty integer coefficient lists."""
+    """The product of two nonempty integer coefficient lists: a short one by
+    the schoolbook loop, where packing would cost more."""
+    if len(a) * len(b) <= 8 * (len(a) + len(b)):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
     w = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
     return _iunpack(_ipack(a, w) * _ipack(b, w), w, len(a) + len(b) - 1)
 
@@ -446,37 +518,53 @@ def _imul(a, b):
 _MON_FILL = 8
 
 
+def _mon(den, cden, items):
+    """The "mon" value sum(c/cden X^(e/den)) of int pairs (e, c) in any
+    order, repeats merged and zero coefficients dropped (`_mon_norm`)."""
+    out = {}
+    for e, c in items:
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return _mon_norm(den, cden, sorted(out.items()))
+
+
+def _mon_norm(den, cden, terms):
+    """("mon", den, cden, terms) for int pairs (e, c) with distinct ascending
+    e and nonzero c, over the least denominators: equal values are equal
+    tuples."""
+    g, h = gcd(den, *(e for e, _ in terms)), gcd(cden, *(c for _, c in terms))
+    if g != 1 or h != 1:
+        terms = [(e // g, c // h) for e, c in terms]
+    return ("mon", den // g, cden // h, tuple(terms))
+
+
+def _mon_of(pairs):
+    """The "mon" value of (exponent, coefficient) rationals."""
+    den, cden = lcm(*(e.denominator for e, _ in pairs)), lcm(*(c.denominator for _, c in pairs))
+    return _mon(den, cden, [(e.numerator * (den // e.denominator), c.numerator * (cden // c.denominator))
+                            for e, c in pairs])
+
+
 def _mon_imul(ta, tb):
-    """The product of two nonempty all-rational "mon" term lists, or None
-    when it is too sparse for a dense vector.  Exponents become integers over
-    one lcm L of their denominators; each operand is X^(min/L) * f(X^(g/L)),
-    g the gcd of all exponent differences.  Terms may come in any order and
-    repeat, as the loop in `v_mul` allows."""
-    den = lcm(*(e.denominator for e, _ in ta), *(e.denominator for e, _ in tb))
-    ea = [e.numerator * (den // e.denominator) for e, _ in ta]
-    eb = [e.numerator * (den // e.denominator) for e, _ in tb]
-    lo_a, lo_b = min(ea), min(eb)
-    g = 0
-    for e in ea:
-        g = gcd(g, e - lo_a)
-    for e in eb:
-        g = gcd(g, e - lo_b)
-    g = g or 1
-    na, nb = (max(ea) - lo_a) // g + 1, (max(eb) - lo_b) // g + 1
+    """The product of two nonempty ascending lists of int pairs (e, c) over
+    one exponent denominator, as ascending pairs with nonzero c, or None when
+    it is too sparse for a dense vector.  Each operand is X^lo * f(X^g), g
+    the gcd of all exponent differences."""
+    lo_a, lo_b = ta[0][0], tb[0][0]
+    g = gcd(*(e - lo_a for e, _ in ta), *(e - lo_b for e, _ in tb)) or 1
+    na, nb = (ta[-1][0] - lo_a) // g + 1, (tb[-1][0] - lo_b) // g + 1
     if na + nb - 1 > _MON_FILL * len(ta) * len(tb):
         return None
-    (ca, da), (cb, db) = _ints([c[1] for _, c in ta]), _ints([c[1] for _, c in tb])
     va, vb = [0] * na, [0] * nb
-    for e, c in zip(ea, ca):
-        va[(e - lo_a) // g] += c
-    for e, c in zip(eb, cb):
-        vb[(e - lo_b) // g] += c
-    if not any(va) or not any(vb):
-        return ("mon", ())
-    lo, dd = lo_a + lo_b, da * db
-    return ("mon", tuple(
-        (Fraction(lo + g * i, den), ("rat", Fraction(c, dd))) for i, c in enumerate(_imul(va, vb)) if c
-    ))
+    for e, c in ta:
+        va[(e - lo_a) // g] = c
+    for e, c in tb:
+        vb[(e - lo_b) // g] = c
+    lo = lo_a + lo_b
+    return [(lo + g * i, c) for i, c in enumerate(_imul(va, vb)) if c]
 
 
 # ----------------------------------------------------- quadratic lattices
@@ -642,7 +730,7 @@ def _split_pair(result):
 
 def _x_minus(t, b):
     """X^t - b as a "mon" value."""
-    return v_sub(("mon", ((Fraction(t), ("rat", Fraction(1))),)), ("mon", ((Fraction(0), ("rat", Fraction(b))),)))
+    return _mon_of([(Fraction(t), Fraction(1)), (Fraction(0), -Fraction(b))])
 
 
 def _mat_mul(p, q):
@@ -1197,30 +1285,30 @@ def _mon_in_ring(v, ring, fails, label):
     primes = [int(p) for p in desc["primes"]]
     group = desc["group"]
     base = ring["base"]
-    # once for the whole vector: every exponent and coefficient passes
-    # exactly when the lcm of their denominators does; the term loop below
-    # runs only to name what fails
-    if not v[1]:
+    _, den, cden, terms = v
+    # once for the whole vector: den and cden are least denominators, so
+    # every exponent and coefficient passes exactly when they do; the term
+    # loop below runs only to name what fails
+    if not terms:
         return
-    exp_den = lcm(*(e.denominator for e, _ in v[1]))
-    coeff_den = lcm(*(c[1].denominator for _, c in v[1]))
     base_primes = [int(p) for p in base["primes"]] if base["family"] == "zloc" else []
     if (
-        (group or all(e >= 0 for e, _ in v[1]))
-        and _strip(exp_den, primes) == 1
-        and (base["family"] != "int" or coeff_den == 1)
-        and (base["family"] != "zloc" or _strip(coeff_den, base_primes) == 1)
+        (group or terms[0][0] >= 0)
+        and _strip(den, primes) == 1
+        and (base["family"] != "int" or cden == 1)
+        and (base["family"] != "zloc" or _strip(cden, base_primes) == 1)
     ):
         return
-    for e, c in v[1]:
+    for e, c in terms:
+        e, c = Fraction(e, den), Fraction(c, cden)
         if not group and e < 0:
             fails.append(f"{label}: negative exponent outside group mode")
         if _strip(e.denominator, primes) != 1:
             fails.append(f"{label}: exponent {e} outside the denominator lattice")
-        if base["family"] == "int" and c[1].denominator != 1:
-            fails.append(f"{label}: coefficient {c[1]} outside Z")
-        if base["family"] == "zloc" and _strip(c[1].denominator, base_primes) != 1:
-            fails.append(f"{label}: coefficient {c[1]} outside the localized base")
+        if base["family"] == "int" and c.denominator != 1:
+            fails.append(f"{label}: coefficient {c} outside Z")
+        if base["family"] == "zloc" and _strip(c.denominator, base_primes) != 1:
+            fails.append(f"{label}: coefficient {c} outside the localized base")
 
 
 def _verify_mring_split(report):
@@ -1261,17 +1349,17 @@ def _verify_mring_juett(report):
                                              "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=unit)
     # t != 0, so f2's p terms X^(i*t/p) / beta^i are distinct: a p other
     # than its term count fails before the p powers of z are formed
-    if t == 0 or type(p) is not int or p < 2 or p != len(f2[1]):
+    if t == 0 or type(p) is not int or p < 2 or p != len(f2[3]):
         return fails + ["t is 0, or p is not the number of terms of f2"]
     w, c, geometric = 1 / beta, Fraction(1), []
     for i in range(p):
-        geometric.append((t / p * i, ("rat", c)))  # z^i = X^(i*t/p) / beta^i
+        geometric.append((t / p * i, c))  # z^i = X^(i*t/p) / beta^i
         c *= w
-    want_z = ("mon", geometric[1:2])
-    for claim, value, want in (("unit != b", unit, ("mon", ((Fraction(0), ("rat", b)),))),
+    want_z = _mon_of(geometric[1:2])
+    for claim, value, want in (("unit != b", unit, _mon_of([(Fraction(0), b)])),
                                ("z != X^(t/p)/beta", z, want_z),
                                ("f1 != z - 1", f1, v_sub(want_z, v_one_like(z))),
-                               ("f2 != 1 + z + ... + z^(p-1)", f2, ("mon", tuple(sorted(geometric)))),
+                               ("f2 != 1 + z + ... + z^(p-1)", f2, _mon_of(geometric)),
                                ("beta^p != b", ("rat", beta ** p), ("rat", b))):
         if not v_eq(value, want):
             fails.append(claim)
@@ -1281,10 +1369,15 @@ def _verify_mring_juett(report):
 
 
 def _verify_limit_chain(report):
+    global _LIM_LIFTS
     fails = []
     result = report["result"]
-    x1 = ("lim", 1, (Fraction(0), Fraction(1)))
-    factors, _ = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
+    x1 = ("lim", 1, (0, 1))
+    _LIM_LIFTS = {}
+    try:
+        factors, _ = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
+    finally:
+        _LIM_LIFTS = None
     if report["ring"]["base"]["family"] == "int":
         for f in factors:
             if any(c.denominator != 1 for c in f[2]):

@@ -6,6 +6,7 @@ import copy
 import json
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -92,7 +93,23 @@ def fraction_mon_mul(a, b):
     for e1, c1 in a:
         for e2, c2 in b:
             out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-    return tuple(sorted((e, ("rat", c)) for e, c in out.items() if c))
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+def mon_terms_of(v):
+    """The (exponent, coefficient) Fractions of a "mon" value."""
+    _, den, cden, terms = v
+    return tuple((Fraction(e, den), Fraction(c, cden)) for e, c in terms)
+
+
+def mon_normal(v):
+    # ints over least denominators, ascending distinct exponents, no zero
+    _, den, cden, terms = v
+    assert all(type(x) is int for x in (den, cden, *(x for t in terms for x in t)))
+    assert den > 0 and cden > 0 and all(c for _, c in terms)
+    assert [e for e, _ in terms] == sorted({e for e, _ in terms})
+    assert gcd(den, *(e for e, _ in terms)) == 1 and gcd(cden, *(c for _, c in terms)) == 1
+    return True
 
 
 # exponents with one far-out choice, so products fall on both sides of the
@@ -107,20 +124,24 @@ mon_terms = st.lists(st.tuples(exponents, rationals), max_size=6).map(tuple)
 @settings(max_examples=300, deadline=None)
 @given(a=mon_terms, b=mon_terms)
 def test_mon_product_matches_a_fraction_loop(a, b):
-    va = ("mon", tuple((e, ("rat", c)) for e, c in a))
-    vb = ("mon", tuple((e, ("rat", c)) for e, c in b))
+    # a "mon" value holds integer exponents over one denominator and integer
+    # coefficients over another; repeated terms merge when it is built
+    va, vb = recheck._mon_of(a), recheck._mon_of(b)
+    assert mon_terms_of(va) == fraction_mon_mul(a, ((Fraction(0), Fraction(1)),))
     prod = recheck.v_mul(va, vb)
-    assert prod == ("mon", fraction_mon_mul(a, b))
-    assert all(type(e) is Fraction and type(c[1]) is Fraction for e, c in prod[1])
+    assert mon_terms_of(prod) == fraction_mon_mul(a, b)
+    assert mon_normal(prod) and prod == recheck._mon_of(fraction_mon_mul(a, b))
 
 
 def test_sparse_mon_product_stays_sparse():
-    sparse = ("mon", ((Fraction(1, 2**20), ("rat", Fraction(1))), (Fraction(10**6), ("rat", Fraction(1)))))
-    dense = ("mon", ((Fraction(0), ("rat", Fraction(1))), (Fraction(1), ("rat", Fraction(1)))))
-    assert recheck._mon_imul(sparse[1], dense[1]) is None
-    assert recheck.v_mul(sparse, dense) == ("mon", fraction_mon_mul(
-        [(e, c[1]) for e, c in sparse[1]], [(e, c[1]) for e, c in dense[1]]))
-    assert recheck._mon_imul(dense[1], dense[1]) == recheck.v_mul(dense, dense)
+    sparse_terms = ((Fraction(1, 2**20), Fraction(1)), (Fraction(10**6), Fraction(1)))
+    dense_terms = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
+    sparse, dense = recheck._mon_of(sparse_terms), recheck._mon_of(dense_terms)
+    # both on the exponent denominator 2^20
+    dense_grid = [(e * 2**20, c) for e, c in dense[3]]
+    assert recheck._mon_imul(list(sparse[3]), dense_grid) is None
+    assert mon_terms_of(recheck.v_mul(sparse, dense)) == fraction_mon_mul(sparse_terms, dense_terms)
+    assert recheck._mon_norm(1, 1, recheck._mon_imul(dense[3], dense[3])) == recheck.v_mul(dense, dense)
 
 
 def parse_outcome(fn, s):
@@ -145,15 +166,15 @@ def per_term_membership(v, ring, label):
     fails = []
     primes = [int(p) for p in ring["monoid"]["primes"]]
     base = ring["base"]
-    for e, c in v[1]:
+    for e, c in mon_terms_of(v):
         if not ring["monoid"]["group"] and e < 0:
             fails.append(f"{label}: negative exponent outside group mode")
         if recheck._strip(e.denominator, primes) != 1:
             fails.append(f"{label}: exponent {e} outside the denominator lattice")
-        if base["family"] == "int" and c[1].denominator != 1:
-            fails.append(f"{label}: coefficient {c[1]} outside Z")
-        if base["family"] == "zloc" and recheck._strip(c[1].denominator, [int(p) for p in base["primes"]]) != 1:
-            fails.append(f"{label}: coefficient {c[1]} outside the localized base")
+        if base["family"] == "int" and c.denominator != 1:
+            fails.append(f"{label}: coefficient {c} outside Z")
+        if base["family"] == "zloc" and recheck._strip(c.denominator, [int(p) for p in base["primes"]]) != 1:
+            fails.append(f"{label}: coefficient {c} outside the localized base")
     return fails
 
 
@@ -173,7 +194,7 @@ member_terms = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(ring=mon_rings, terms=member_terms)
 def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
-    v = ("mon", tuple((e, ("rat", c)) for e, c in terms))
+    v = recheck._mon_of(terms)
     fails = []
     recheck._mon_in_ring(v, ring, fails, "lam")
     assert fails == per_term_membership(v, ring, "lam")
