@@ -34,7 +34,10 @@ class LimitError(ValueError):
 
 # _ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
 _ITERATES = [Poly((0, 1)), Poly((0, 1, 1))]
-# {(id(e), m): (e, lift of e to level m)} while a chain is built or checked
+# {(id(e), m): (e, lift of e to level m)} while a chain is built or checked,
+# else None.  A chain's products reach `lr_lift` through the elements' own
+# `*` and `+` (and `is_comaximal_product`), so the memo cannot be passed in;
+# `_memoized` sets it for one build or check and always restores it.
 _LIFTS = None
 
 
@@ -70,7 +73,8 @@ def _combine(pa: Poly, pb: Poly, op) -> Poly:
 
 
 def _memoized(fn, *args):
-    """fn(*args) with a lift memo, the caller's if it has one."""
+    """fn(*args) with a lift memo: an enclosing build's, or a fresh one
+    dropped when fn returns."""
     global _LIFTS
     outer = _LIFTS
     if outer is None:

@@ -7,24 +7,30 @@ S is described by its denominator primes: exponents are the nonnegative
 elements of Z[1/p : p in T] (all of Z[1/p : p in T] in group mode).  Purity
 is automatic: s/p stays in S for any p in T.
 
+An element is two integer vectors: its exponents as numerators over one
+least denominator, in ascending order, and its coefficients as numerators
+over another.  So sums, products, Euclid's mapped cofactors and the chain's
+self-check build no Fraction per term; `terms` builds the Fraction pairs on
+demand, and `to_json` writes the report's "p/q" text from the integers.
+
 Products, exact division and the chain's Euclid certificates run on the
 integer-vector kernel of `core.Poly`.  Two operands are mapped once per
 operation: one lcm L of their exponent denominators turns every exponent
 into an integer, g is the integer gcd of each operand's exponent
 differences, and each operand becomes X^(shift/L) * f(T) with T = X^(g/L),
-f in D[T] dense and shift its smallest exponent (negative in group mode).
-No Fraction arithmetic is done per term; only the result's exponents and
-coefficients are built as Fractions.  A product whose dense length would
+f dense with the operand's coefficient numerators and shift its smallest
+exponent (negative in group mode).  A product whose dense length would
 exceed `_DENSE_FILL` times its number of term pairs keeps the sparse
 dict loop, so `X^(1/2^20) + X^1000000` never becomes a dense vector; so
 does a product of at most `_LOOP_PAIRS` term pairs.
 
-`_from_poly` maps a kernel result back and checks membership once per
-vector, not per term: every exponent t*i + shift (i >= 0) lies in S exactly
-when t and shift do, and every coefficient lies in D exactly when
-1/lcm(denominators) does.  When either test fails it falls back to the
-per-term check and its error messages.  Euclid's cofactors over Q need not
-lie in D, so the check cannot be dropped.
+`_elem` reduces both vectors to least denominators.  It checks membership
+once per vector, not per term: with least denominators, every exponent
+lies in S exactly when the smallest is nonnegative (outside group mode) and
+the exponent denominator has only primes of S, and every coefficient lies
+in D exactly when 1/(coefficient denominator) does.  The terms are walked
+only to name the first one outside.  Euclid's cofactors over Q need not
+lie in D, so `_from_poly`, which maps a kernel result back, keeps the check.
 
 Exact division has no sparse path: an operand whose dense length on the
 common grid exceeds `_DIVIDES_LEN` is refused with a MonoidError (bad

@@ -10,22 +10,31 @@ else from the package) and that routine.  A passing recheck therefore means the
 certificates stand on their own, not that the producer agrees with itself,
 up to that one shared routine.
 
-Monoid-ring ("mon") products run on the same integer products: one lcm L of
-the exponent denominators makes every exponent an integer, g is the gcd of
-each operand's exponent differences, and each operand becomes a dense vector
-in X^(g/L) after its smallest exponent.  A product whose dense length would
+Limit-ring ("lim") values are (level, coefficients): ints when every
+coefficient is an integer, else Fractions.  A value is lifted from level n
+to m by one packed evaluation at its own cached iterate phi^(m-n) of
+phi = x + x^2, memoized per value and level while one limit report is
+checked.
+
+Monoid-ring ("mon") values are ("mon", den, cden, terms) with int pairs
+(e, c) standing for c/cden X^(e/den): distinct ascending e, nonzero c, and
+den and cden least, so equal values are equal tuples.  Products run on the
+same integer products: one lcm L of the exponent denominators, g the gcd of
+each operand's exponent differences, and each operand a dense vector in
+X^(g/L) after its smallest exponent.  A product whose dense length would
 exceed `_MON_FILL` times its number of term pairs keeps the term-by-term
 loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
-through the lcm of its exponent and of its coefficient denominators; the
-per-term loop runs only to name the terms that fail.  A D[X;S] report whose
-monoid or localized-base primes include one that is not a prime fails
-before any of these loops, which would never end on 1 or divide by zero on
-0; `_not_prime` is its own deterministic Miller-Rabin test.
+through its two least denominators; the per-term loop runs only to name the
+terms that fail.  A D[X;S] report whose monoid or localized-base primes
+include one that is not a prime fails before any of these loops, which
+would never end on 1 or divide by zero on 0; `_not_prime` is its own
+deterministic Miller-Rabin test.
 
 Each identity has one checking routine here.  `_comaximal_fails` checks
-every comaximal factorization (u * f_1 * ... * f_m == b and each pair's
-lam*f_i + mu*f_j == 1) for `comax`, `mring split|chain|juett` and `limitring
-chain`; `_omega_fails` checks omega-stability, `_Blocks` multiplies prime
+every comaximal factorization (u * f_1 * ... * f_m == b, one pairwise entry
+for each pair i < j in order, and each pair's lam*f_i + mu*f_j == 1) for
+`comax`, `mring split|chain|juett` and `limitring chain`, whose `m` must be
+its factor count; `_omega_fails` checks omega-stability, `_Blocks` multiplies prime
 powers, `_mat_mul` is the matrix product and `_strip` removes the primes of
 a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)] element and
 fails one that is not integral, where `int()` would truncate a Fraction to
@@ -38,7 +47,11 @@ binary quadratic form must not reduce to (1, 0, -d), with its own reduction
 Recheck ties each comax factor to its block and decides itself whether
 the block splits into two principal blocks (`_Blocks`), by walking the
 ideal classes its sub-blocks reach.  The factorizations of one report must
-share one support, so each distinct block is checked once per report.
+share one support, so each distinct block is checked once per report.  The
+support lists distinct primes (`_prime_label`): over Z rational primes,
+over Z[sqrt(d)] ideals of prime norm or pO with p inert.  A `comax unique`
+verdict is `unique` exactly when its count is 1; that its list of
+factorizations is complete is not certified.
 """
 
 from __future__ import annotations
@@ -702,11 +715,12 @@ def _reduction_fails(cert, form, fails):
 
 def _comaximal_fails(cert, target, claim, fails, label="", unit=None):
     """The one check of a comaximal factorization certificate: unit * f_1 *
-    ... * f_m == target (unit defaults to 1) over cert["factors"], and
-    lam*f_i + mu*f_j == 1 for each entry of cert["pairwise"].  A failing
-    product appends `claim`, a failing pair names its (i, j).  Returns the
-    decoded factors and the decoded (lam, mu) of each entry, so that no
-    caller decodes them again."""
+    ... * f_m == target (unit defaults to 1) over cert["factors"], the
+    entries of cert["pairwise"] cover each pair i < j once, in order, and
+    lam*f_i + mu*f_j == 1 for each of them.  A failing product appends
+    `claim`, a failing pair names its (i, j); no pair is checked when the
+    cover fails.  Returns the decoded factors and the decoded (lam, mu) of
+    each entry, so that no caller decodes them again."""
     factors = [dec(f) for f in cert["factors"]]
     pairs = [(dec(c["lam"]), dec(c["mu"])) for c in cert["pairwise"]]
     one = v_one_like(target)
@@ -715,6 +729,10 @@ def _comaximal_fails(cert, target, claim, fails, label="", unit=None):
         prod = v_mul(prod, f)
     if not v_eq(prod, target):
         fails.append(f"{label}{claim}")
+    m = len(factors)
+    if [(c["i"], c["j"]) for c in cert["pairwise"]] != [(i, j) for i in range(m) for j in range(i + 1, m)]:
+        fails.append(f"{label}pairwise certificates do not cover each pair of factors once")
+        return factors, pairs
     for c, (lam, mu) in zip(cert["pairwise"], pairs):
         i, j = c["i"], c["j"]
         if not v_eq(v_add(v_mul(lam, factors[i]), v_mul(mu, factors[j])), one):
@@ -974,8 +992,17 @@ class _Blocks:
         self._spans = {}
         self._classes = {}
         self._checked = set()
+        primes = [dec(e["prime"]) for e in support]
         if self.d is not None:
-            _d_fails("ring.d", self.d, [(f"{key}[{i}]", dec(e["prime"])) for i, e in enumerate(support)], fails)
+            _d_fails("ring.d", self.d, [(f"{key}[{i}]", p) for i, p in enumerate(primes)], fails)
+        seen = set()
+        for i, p in enumerate(primes):
+            label = _prime_label(p, self.d)
+            if label is None:
+                fails.append(f"{key}[{i}] is not a prime" + ("" if self.d is None else " ideal"))
+            elif label in seen:
+                fails.append(f"{key}[{i}] repeats an earlier entry")
+            seen.add(label)
 
     def span(self, idxs):
         if idxs not in self._spans:
@@ -1028,15 +1055,30 @@ class _Blocks:
         self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {right}")
 
 
+def _prime_label(p, d):
+    """A decoded support entry as a label equal for equal primes, or None
+    when it is not a prime: over Z (d None) a rational prime; over
+    Z[sqrt(d)] an ideal of prime norm, or pO with p an odd prime inert (d
+    not a square mod p)."""
+    if d is None:
+        x = p[1] if p[0] == "rat" else Fraction(0)
+        return int(x) if x.denominator == 1 and _not_prime(int(x)) is None else None
+    if p[0] != "qid":
+        return None
+    _, _, n, c, m = p
+    if m == 1 and n > 0 and _not_prime(n) is None and (c * c - d) % n == 0:
+        return (n, c % n, 1)
+    if n == m > 2 and c % n == 0 and _not_prime(n) is None and pow(d % n, (n - 1) // 2, n) == n - 1:
+        return (n, 0, n)
+    return None
+
+
 def _verify_factorization(fact, blocks, fails, label=""):
     """Product, pairs and unit of one factorization over `blocks`' support:
     each factor generates its block's ideal, the blocks partition the
     support, and each block is pseudo-irreducible."""
     d = blocks.d
     m = len(fact["factors"])
-    if [(c["i"], c["j"]) for c in fact["pairwise"]] != [(i, j) for i in range(m) for j in range(i + 1, m)]:
-        fails.append(f"{label}pairwise certificates do not cover each pair of factors once")
-        return
     unit = dec(fact["unit"])
     element = dec(fact["element"])
     factors, pairs = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
@@ -1104,6 +1146,8 @@ def _verify_comax_unique(report):
     facts = result["factorizations"]
     if len(facts) != result["count"]:
         fails.append("count differs from the factorization list")
+    if report["verdict"] != ("unique" if result["count"] == 1 else "non_unique"):
+        fails.append(f"verdict {report['verdict']!r} does not match the count {result['count']}")
     _verify_factorization_list(facts, "element", dec(result["element"]), report["ring"], fails)
     return fails
 
@@ -1330,6 +1374,8 @@ def _verify_mring_chain(report):
     result = report["result"]
     factors, pairs = _comaximal_fails(result, v_neg(_x_minus(result["s"], 1)),
                                       "product does not telescope to 1 - X^s", fails)
+    if result["m"] != len(factors):
+        fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
     for k, f in enumerate(factors):
         _mon_in_ring(f, report["ring"], fails, f"factors[{k}]")
     for lam, mu in pairs:
@@ -1378,6 +1424,8 @@ def _verify_limit_chain(report):
         factors, _ = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
     finally:
         _LIM_LIFTS = None
+    if result["m"] != len(factors):
+        fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
     if report["ring"]["base"]["family"] == "int":
         for f in factors:
             if any(c.denominator != 1 for c in f[2]):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from princlab import limitring
 from princlab.core import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
 from princlab.rings import QQ, ZZ
@@ -104,3 +107,52 @@ def test_is_unit():
     assert not RQ.is_unit(RQ.gen(2))
     assert RZ.is_unit(RZ.coerce(-1))
     assert not RZ.is_unit(RZ.coerce(2))
+
+
+ints_or_fractions = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=ints_or_fractions, level=st.integers(1, 3), k=st.integers(0, 6), base=st.sampled_from([RQ, RZ]))
+def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k, base):
+    if base is RZ and any(F(c).denominator != 1 for c in cs):
+        return
+    e = LimitElem(level, Poly(cs), base)
+    p = Poly([F(c) for c in cs])
+    for _ in range(k):
+        p = p.compose(Poly((F(0), F(1), F(1))))
+    lifted = lr_lift(e, level + k)
+    assert lifted.level == level + k and lifted.poly == p
+    # ints exactly when every coefficient is an integer, the same at every level
+    integral = all(F(c).denominator == 1 for c in cs)
+    assert all(type(c) is (int if integral else F) for c in lifted.poly.coeffs)
+    # a memo scope gives the same lift, once per element and level
+    assert limitring._memoized(lambda: (lr_lift(e, level + k), lr_lift(e, level + k))) == (lifted, lifted)
+
+
+def test_the_lift_memo_lives_only_while_a_chain_is_built_or_checked():
+    seen = []
+    original = limitring._chain
+
+    def spy(m, ring):
+        seen.append(limitring._LIFTS)
+        return original(m, ring)
+
+    limitring._chain = spy
+    try:
+        chain = lr_chain(5, RQ)
+    finally:
+        limitring._chain = original
+    assert seen and isinstance(seen[0], dict) and seen[0]
+    assert limitring._LIFTS is None
+    assert chain.verify() and limitring._LIFTS is None
+
+
+def test_chain_elements_are_integer_vectors():
+    for ring in (RQ, RZ):
+        ch = lr_chain(6, ring)
+        elems = ch.factors + [v for _, _, lam, mu in ch.pairwise for v in (lam, mu)]
+        assert all(type(c) is int for e in elems for c in e.poly.coeffs)

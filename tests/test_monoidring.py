@@ -1,13 +1,15 @@
+import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from princlab import monoidring
-from princlab.core import Poly, poly_divrem
+from princlab.core import Poly, _frac, poly_divrem
 from princlab.monoidring import (
     MonoidDesc,
     MonoidElem,
@@ -18,6 +20,7 @@ from princlab.monoidring import (
     mr_comax_chain,
     mr_split,
 )
+from princlab.report import enc
 from princlab.rings import QQ, ZZ, LocalizedIntegers
 
 F = Fraction
@@ -320,3 +323,32 @@ def test_from_poly_still_checks_membership():
     # a shift outside S is fine when no term lands there
     assert _from_poly(Poly([F(0), F(2)]), 2, -1, 2, RZ2) == RZ2.monomial(F(1, 2), 2)
     assert _from_poly(Poly([F(1, 2), F(3, 4)]), 1, 0, 4, RL2).terms == ((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
+
+
+def fraction_form(e):
+    """The report form an element with Fraction terms had: each exponent by
+    `_frac`, each coefficient a "rat" leaf."""
+    return {"type": "monoid", "terms": [[_frac(x), enc(c)] for x, c in e.terms]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+def test_integer_vectors_encode_to_the_fraction_form_bytes(operands):
+    a, b = operands
+    for e in (a, b, a * b, a + b, -a):
+        assert json.dumps(e.to_json(enc)) == json.dumps(fraction_form(e))
+        # least denominators, ascending exponents, no zero coefficient
+        assert all(type(x) is int for x in (e.den, e.cden, *e.exps, *e.coeffs))
+        assert e.den > 0 and e.cden > 0 and all(e.coeffs)
+        assert list(e.exps) == sorted(set(e.exps))
+        assert gcd(e.den, *e.exps) == 1 and gcd(e.cden, *e.coeffs) == 1
+        assert MonoidElem(e.terms, e.ring) == e
+
+
+def test_chain_elements_are_integer_vectors_with_the_old_bytes():
+    ch = mr_comax_chain(F(5, 4), 5, RQ2)
+    elems = ch.factors + [v for _, _, lam, mu in ch.pairwise for v in (lam, mu)]
+    assert all(e.cden == 1 for e in ch.factors)
+    assert any(e.cden > 1 for e in elems)  # Euclid's cofactors over Q
+    for e in elems:
+        assert json.dumps(e.to_json(enc)) == json.dumps(fraction_form(e))

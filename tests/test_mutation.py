@@ -1,6 +1,7 @@
-"""Single-leaf mutation of the golden comax reports: adding 1 to any one
-numeric leaf (an int, or a string that reads as a Fraction) must make
-recheck fail, except on the leaves named in HARMLESS, each with its reason.
+"""Single-leaf mutation of the golden comax and chain reports: adding 1 to
+any one numeric leaf (an int, or a string that reads as a Fraction) must
+make recheck fail, except on the leaves named in HARMLESS, each with its
+reason, and on the level of a constant limit-ring cofactor (`_harmless_level`).
 """
 
 import json
@@ -14,6 +15,7 @@ from princlab import recheck
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 COMAX = [c["name"] for c in CASES if c["argv"][0] == "comax" and c["exit"] != 2]
+CHAINS = ["limitring_chain", "limitring_chain_m6_z", "mring_chain", "mring_chain_m7_q"]
 
 HARMLESS = {
     ("result", "bound"): "a witness's norm is still within a larger bound, and a no_witness verdict "
@@ -61,3 +63,39 @@ def test_every_plus_one_mutant_of_a_comax_golden_fails_recheck(name):
     assert recheck.verify_report(report) == []
     # every survivor is a named harmless leaf, and every named leaf present survives
     assert survivors == harmless
+
+
+def _harmless_level(report, path):
+    """A limit-ring lam or mu that is a constant is the same element at every
+    level, so the level of a constant cofactor claims nothing."""
+    if path[-1] != "level" or path[-2] not in ("lam", "mu"):
+        return False
+    node = report
+    for key in path[:-1]:
+        node = node[key]
+    return len(node["coeffs"]) <= 1
+
+
+def test_the_chain_goldens_are_the_mutated_ones():
+    names = {c["name"] for c in CASES}
+    assert set(CHAINS) <= names
+    assert all(next(c for c in CASES if c["name"] == n)["argv"][1] == "chain" for n in CHAINS)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_every_plus_one_mutant_of_a_chain_golden_fails_recheck(name):
+    report = json.loads((GOLDEN / f"{name}.out").read_text())
+    assert recheck.verify_report(report) == []
+    survivors, harmless = [], []
+    for parent, key, path in list(numeric_leaves(report)):
+        leaf = parent[key]
+        parent[key] = leaf + 1 if type(leaf) is int else str(Fraction(leaf) + 1)
+        if not recheck.verify_report(report):
+            survivors.append(path)
+        parent[key] = leaf
+        if _harmless_level(report, path):
+            harmless.append(path)
+    assert recheck.verify_report(report) == []
+    assert survivors == harmless
+    # result.m is tied to the factor count, so it is not among them
+    assert ("result", "m") not in survivors

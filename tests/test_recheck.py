@@ -2,7 +2,9 @@
 polynomial arithmetic against plain Fraction loops."""
 
 import ast
+import contextlib
 import copy
+import io
 import json
 import time
 from fractions import Fraction
@@ -374,12 +376,15 @@ def test_a_wide_comax_block_fails_without_walking_its_splits(copies):
     fact.update(element=g, factors=[g], pairwise=[], support=fact["support"][:1] * copies,
                 blocks=[list(range(copies))])
     result.update(element=g, count=1, factorizations=[fact])
+    report["verdict"] = "unique"
     start = time.perf_counter()
     fails = recheck.verify_report(report)
     assert time.perf_counter() - start < 1
     block = list(range(copies))
-    assert fails == [f"block {block} splits into principal blocks [0, 1] and {block[2:]}" if copies % 2 == 0
-                     else f"[0] factors[0] does not generate the ideal of its block {block}"]
+    # a support lists each prime once, so every copy after the first fails too
+    assert fails == [f"support[{i}] repeats an earlier entry" for i in block[1:]] + [
+        f"block {block} splits into principal blocks [0, 1] and {block[2:]}" if copies % 2 == 0
+        else f"[0] factors[0] does not generate the ideal of its block {block}"]
 
 
 def test_the_class_walk_decides_every_block_as_its_splits_do():
@@ -452,3 +457,108 @@ def test_every_comax_report_lists_one_support():
 )
 def test_comax_hunt_is_tied_to_its_bound(name, bound, failure):
     assert failure in golden_fails(name, lambda report: report["result"].update(bound=bound))
+
+
+# ------------------------------------- chain certificates and comax claims
+
+
+def chain_report(*argv):
+    from princlab import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    report = json.loads(out.getvalue())
+    assert recheck.verify_report(report) == []
+    return report
+
+
+CHAIN_ARGV = [("limitring", "chain", "--m", "4", "--ring", "limitring:Q"),
+              ("limitring", "chain", "--m", "4", "--ring", "limitring:Z"),
+              ("mring", "chain", "--m", "4", "--ring", "Q[X;S]"),
+              ("mring", "chain", "--m", "4", "--ring", "Z[1/2][X;S]", "--s", "5/4")]
+
+
+@pytest.mark.parametrize("argv", CHAIN_ARGV, ids=lambda a: " ".join(a))
+def test_a_chain_without_a_pair_certificate_fails(argv):
+    for cut in (-1, 0):
+        report = chain_report(*argv)
+        del report["result"]["pairwise"][cut]
+        assert "pairwise certificates do not cover each pair of factors once" in recheck.verify_report(report)
+    report = chain_report(*argv)
+    pairs = report["result"]["pairwise"]
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+    assert "pairwise certificates do not cover each pair of factors once" in recheck.verify_report(report)
+
+
+@pytest.mark.parametrize("argv", CHAIN_ARGV, ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_chain_length_is_tied_to_its_factors(argv, m):
+    report = chain_report(*argv)
+    report["result"]["m"] = m
+    assert recheck.verify_report(report) == [f"m is {m}, but the chain has 4 factors"]
+
+
+def test_a_comax_support_entry_must_be_a_prime_ideal():
+    # 21 in Z[sqrt(-5)] as one factor over the single "prime" (21): every
+    # split of 21 would hide inside that entry
+    def one_fake_prime(report):
+        result = report["result"]
+        fact = result["factorizations"][0]
+        fact.update(factors=[fact["element"]], pairwise=[], blocks=[[0]], support=[
+            {"prime": {"type": "quadideal", "d": "-5", "basis": [["21", "0"], ["0", "21"]]}, "exponent": 1}])
+        result.update(count=1, factorizations=[fact])
+        report["verdict"] = "unique"
+
+    assert golden_fails("comax_non_unique", one_fake_prime) == ["support[0] is not a prime ideal"]
+
+
+@pytest.mark.parametrize("basis,prime", [
+    ((2, 0, 2), False),   # 2 ramifies in Z[sqrt(-5)]
+    ((5, 0, 5), False),   # 5 ramifies
+    ((11, 0, 11), True),  # -5 is not a square mod 11: 11 is inert
+    ((7, 0, 7), False),   # 7 splits
+    ((7, 3, 1), True),    # a prime over 7: 3^2 == -5 mod 7
+    ((7, 1, 1), False),   # not an ideal: 1 != -5 mod 7
+    ((9, 2, 1), False),   # norm 9 is not a prime
+    ((3, 0, 1), False),   # not an ideal
+])
+def test_prime_labels_of_z_sqrt_minus_5(basis, prime):
+    assert (recheck._prime_label(("qid", -5, *basis), -5) is not None) == prime
+
+
+def test_a_comax_support_over_z_lists_distinct_primes():
+    def entry(report, value):
+        report["result"]["factorizations"][0]["support"][1]["prime"]["value"] = value
+
+    assert "support[1] repeats an earlier entry" in golden_fails("comax_unique", lambda r: entry(r, "2"))
+    assert "support[1] is not a prime" in golden_fails("comax_unique", lambda r: entry(r, "9"))
+
+
+def test_the_comax_verdict_is_tied_to_its_count():
+    assert golden_fails("comax_non_unique", lambda r: r.update(verdict="unique")) == [
+        "verdict 'unique' does not match the count 3"]
+    assert golden_fails("comax_unique", lambda r: r.update(verdict="non_unique")) == [
+        "verdict 'non_unique' does not match the count 1"]
+
+
+# ---------------------------------------------------- limit-ring lifting
+
+
+ints_or_fractions = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), max_size=5),
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=ints_or_fractions, level=st.integers(1, 3), k=st.integers(0, 6))
+def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
+    # a decoded value: no trailing zero, ints when every coefficient is one
+    cs = strip(cs)
+    cs = tuple(map(int, cs)) if all(Fraction(c).denominator == 1 for c in cs) else tuple(map(Fraction, cs))
+    lifted = recheck._lim_lift(("lim", level, cs), level + k)
+    assert lifted[:2] == ("lim", level + k)
+    assert lifted[2] == strip(fraction_lift(tuple(map(Fraction, cs)), k))
+    # ints exactly when every coefficient is an integer
+    assert all(type(c) is int for c in lifted[2]) == all(Fraction(c).denominator == 1 for c in lifted[2])
