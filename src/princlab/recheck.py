@@ -64,26 +64,22 @@ from .core import hnf2_with_transform
 # ---------------------------------------------------------------- decoding
 
 
-def _f(s) -> Fraction:
-    # the report's own "p" and "p/q" forms from two ints; anything else, and
-    # every malformed leaf, goes through Fraction's own parser
-    num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
-    if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(s)
-
-
 def _q(s):
-    """A rational leaf as (numerator, denominator > 0): the report's own "p"
-    and "p/q" forms from two ints, anything else through `_f`."""
+    """A rational leaf as (numerator, denominator > 0), not always in lowest
+    terms: the report's own "p" and "p/q" forms from two ints; anything
+    else, and every malformed leaf, through Fraction's own parser."""
     num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
     if (num[1:] if num[:1] == "-" else num).isdecimal():
         if not slash:
             return int(num), 1
         if den.isdecimal() and int(den):
             return int(num), int(den)
-    f = _f(s)
+    f = Fraction(s)
     return f.numerator, f.denominator
+
+
+def _f(s) -> Fraction:
+    return Fraction(*_q(s))
 
 
 def _rat_leaf(c):
@@ -94,15 +90,10 @@ def _rat_leaf(c):
 
 def _lim_decode(values):
     """A limit element's coefficients: ints when every one is an integer,
-    else Fractions.  The report's own "p" forms are read as ints; anything
-    else goes through `_f`."""
-    ints = []
-    for s in values:
-        if type(s) is str and (s[1:] if s[:1] == "-" else s).isdecimal():
-            ints.append(int(s))
-        else:
-            return _lim_vec(*_ints([_f(v) for v in values]))
-    return tuple(ints)
+    else Fractions."""
+    pairs = [_q(v) for v in values]
+    den = lcm(*(d for _, d in pairs))
+    return _lim_vec([n * (den // d) for n, d in pairs], den)
 
 
 def dec(e):
