@@ -42,8 +42,11 @@ _LIFTS = None
 
 
 def _iterate(k: int) -> Poly:
+    # phi^(k+1) == phi(phi^k) == phi^k + (phi^k)^2: one squaring, where
+    # evaluating phi^k at phi would take about log2(deg) full-size products
     while len(_ITERATES) <= k:
-        _ITERATES.append(_ITERATES[-1].compose(_ITERATES[1]))
+        last = _ITERATES[-1]
+        _ITERATES.append(last + last * last)
     return _ITERATES[k]
 
 

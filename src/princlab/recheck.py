@@ -408,8 +408,11 @@ _LIM_LIFTS = None
 
 
 def _lim_iterate(k):
+    # phi^(k+1) == phi^k + (phi^k)^2, one squaring per level
     while len(_LIM_ITERATES) <= k:
-        _LIM_ITERATES.append(_compose(_LIM_ITERATES[-1], _LIM_ITERATES[1]))
+        last = _LIM_ITERATES[-1]
+        square = _imul(last, last)
+        _LIM_ITERATES.append([c + (last[i] if i < len(last) else 0) for i, c in enumerate(square)])
     return _LIM_ITERATES[k]
 
 
