@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, is_prime,
+from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, is_prime,
                    pairwise_json, poly_divrem, poly_extended_gcd)
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
 

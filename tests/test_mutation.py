@@ -47,20 +47,28 @@ def test_the_comax_goldens_are_the_mutated_ones():
                      "comax_non_unique", "comax_hunt", "comax_hunt_no_witness", "comax_non_unique_quad26"]
 
 
-@pytest.mark.parametrize("name", COMAX)
-def test_every_plus_one_mutant_of_a_comax_golden_fails_recheck(name):
+def mutants(name, harmless):
+    """(survivors, harmless leaves) of the golden report `name`: the paths
+    whose +1 mutant passes recheck, and the paths harmless(report, path)
+    names."""
     report = json.loads((GOLDEN / f"{name}.out").read_text())
     assert recheck.verify_report(report) == []
-    survivors, harmless = [], []
+    survivors, named = [], []
     for parent, key, path in list(numeric_leaves(report)):
         leaf = parent[key]
         parent[key] = leaf + 1 if type(leaf) is int else str(Fraction(leaf) + 1)
         if not recheck.verify_report(report):
             survivors.append(path)
         parent[key] = leaf
-        if path in HARMLESS:
-            harmless.append(path)
+        if harmless(report, path):
+            named.append(path)
     assert recheck.verify_report(report) == []
+    return survivors, named
+
+
+@pytest.mark.parametrize("name", COMAX)
+def test_every_plus_one_mutant_of_a_comax_golden_fails_recheck(name):
+    survivors, harmless = mutants(name, lambda report, path: path in HARMLESS)
     # every survivor is a named harmless leaf, and every named leaf present survives
     assert survivors == harmless
 
@@ -77,25 +85,13 @@ def _harmless_level(report, path):
 
 
 def test_the_chain_goldens_are_the_mutated_ones():
-    names = {c["name"] for c in CASES}
-    assert set(CHAINS) <= names
-    assert all(next(c for c in CASES if c["name"] == n)["argv"][1] == "chain" for n in CHAINS)
+    commands = {c["name"]: c["argv"][:2] for c in CASES}
+    assert [commands[n] for n in CHAINS] == [["limitring", "chain"]] * 2 + [["mring", "chain"]] * 2
 
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_every_plus_one_mutant_of_a_chain_golden_fails_recheck(name):
-    report = json.loads((GOLDEN / f"{name}.out").read_text())
-    assert recheck.verify_report(report) == []
-    survivors, harmless = [], []
-    for parent, key, path in list(numeric_leaves(report)):
-        leaf = parent[key]
-        parent[key] = leaf + 1 if type(leaf) is int else str(Fraction(leaf) + 1)
-        if not recheck.verify_report(report):
-            survivors.append(path)
-        parent[key] = leaf
-        if _harmless_level(report, path):
-            harmless.append(path)
-    assert recheck.verify_report(report) == []
+    survivors, harmless = mutants(name, _harmless_level)
     assert survivors == harmless
     # result.m is tied to the factor count, so it is not among them
     assert ("result", "m") not in survivors
