@@ -496,9 +496,19 @@ def _ieval(v, x):
 
 
 def _iunpack(p, w, n):
-    """The n signed w-bit slots of p, each of absolute value < 2^(w-1)."""
-    if n == 1:
-        return [p]
+    """The n signed w-bit slots of p, each of absolute value < 2^(w-1):
+    halves while n is large, so each shift is of a short integer, and slot
+    by slot below 16."""
+    if n < 16:
+        out, mask, half = [], (1 << w) - 1, 1 << (w - 1)
+        for _ in range(n - 1):
+            lo = p & mask
+            if lo >= half:
+                lo -= mask + 1
+            out.append(lo)
+            p = (p - lo) >> w
+        out.append(p)
+        return out
     h = n // 2
     lo = p & ((1 << (w * h)) - 1)
     if lo >> (w * h - 1):
