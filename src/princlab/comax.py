@@ -33,7 +33,9 @@ of the ring handle; see `rings`.
 A `ComaxFactorization` certifies the product (u * f_1 * ... * f_m == b),
 each pair's comaximality (a Bezout pair) and the unit; it lists the support
 and each factor's block, from which `recheck` re-derives every block's
-lattice and examines every split of it itself.  It is a plain class with an
+lattice and examines every split of it itself.  Recheck proves each support
+prime by Miller-Rabin, which is exact only below `core._MR_BOUND`, so an
+element whose support lies over a larger rational prime is refused here.  It is a plain class with an
 explicit `__init__`; see `core` for why not dataclasses.
 """
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import os
 
-from .core import CertificateError, is_comaximal_product, pairwise_json
+from .core import _MR_BOUND, CertificateError, is_comaximal_product, pairwise_json
 from .rings import ZZ
 
 DEFAULT_SUPPORT_CAP = 8
@@ -98,7 +100,13 @@ def _support_of(b, ring):
         raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
     if not b or ring.is_unit(b):
         raise ComaxInputError(f"need a nonzero nonunit of {ring}")
-    return ring.prime_support(b)
+    support = ring.prime_support(b)
+    for P, _ in support:
+        # a prime ideal of Z[sqrt(d)] lies over its lattice's n
+        p = P if isinstance(P, int) else P.n
+        if p >= _MR_BOUND:
+            raise ComaxInputError(f"support prime {p} is too large to prove prime")
+    return support
 
 
 def _indices(mask) -> tuple[int, ...]:

@@ -24,14 +24,15 @@ mixed int scalars are tolerated because exact coefficient types coerce them.
 `Poly` over Z and Q runs on an integer-vector kernel.  A coefficient vector
 that is all `int` or all `Fraction` is cleared to integer numerators over one
 denominator: long products use Kronecker substitution (one big-int
-product) and short ones an integer schoolbook loop, `compose` evaluates at the packed argument, and `poly_divrem` /
-`poly_extended_gcd` run their usual steps on integer vectors.  The result has
-the coefficient types the schoolbook loops give (ints from two all-int
-operands, Fractions once a Fraction takes part), so report bytes do not
-change.  Vectors that mix int and Fraction, and every other coefficient ring
-(Q(sqrt(d)), polynomials), keep those loops.  Euclid's cofactors of coprime f
-and g are the unique ones of minimal degree, so no choice of arithmetic can
-change what `poly_extended_gcd` returns.
+product) and short ones an integer schoolbook loop, `compose` evaluates at
+the packed argument, and `poly_divrem` / `poly_extended_gcd` run their usual
+steps on integer vectors.  The result has the coefficient types the
+schoolbook loops give (ints from two all-int operands, Fractions once a
+Fraction takes part), so report bytes do not change.  Vectors that mix int
+and Fraction, and every other coefficient ring (Q(sqrt(d)), polynomials),
+keep those loops.  Euclid's cofactors of coprime f and g are the unique ones
+of minimal degree, so no choice of arithmetic can change what
+`poly_extended_gcd` returns.
 
 Every CLI call is a fresh process, so import time is part of each call.  No
 module of the package imports `dataclasses`: its import pulls in `inspect`,

@@ -496,19 +496,9 @@ def _ieval(v, x):
 
 
 def _iunpack(p, w, n):
-    """The n signed w-bit slots of p, each of absolute value < 2^(w-1):
-    halves while n is large, so each shift is of a short integer, and slot
-    by slot below 16."""
-    if n < 16:
-        out, mask, half = [], (1 << w) - 1, 1 << (w - 1)
-        for _ in range(n - 1):
-            lo = p & mask
-            if lo >= half:
-                lo -= mask + 1
-            out.append(lo)
-            p = (p - lo) >> w
-        out.append(p)
-        return out
+    """The n signed w-bit slots of p, each of absolute value < 2^(w-1)."""
+    if n == 1:
+        return [p]
     h = n // 2
     lo = p & ((1 << (w * h)) - 1)
     if lo >> (w * h - 1):
@@ -517,15 +507,7 @@ def _iunpack(p, w, n):
 
 
 def _imul(a, b):
-    """The product of two nonempty integer coefficient lists: a short one by
-    the schoolbook loop, where packing would cost more."""
-    if len(a) * len(b) <= 8 * (len(a) + len(b)):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return out
+    """The product of two nonempty integer coefficient lists."""
     w = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 1
     return _iunpack(_ipack(a, w) * _ipack(b, w), w, len(a) + len(b) - 1)
 

@@ -3,10 +3,12 @@ import random
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from princlab import comax, quadring
+from princlab.core import _MR_BOUND
 from princlab.comax import (
     ComaxInputError,
     SupportBoundExceeded,
@@ -187,6 +189,19 @@ def test_support_cap_env(monkeypatch):
         enumerate_complete_factorizations(210, ZZ)
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "4")
     assert len(enumerate_complete_factorizations(210, ZZ)) == 1
+
+
+def test_support_primes_stay_below_the_proven_primality_bound():
+    # recheck proves each support prime by Miller-Rabin, exact only below
+    # _MR_BOUND; the producer refuses what it could not check
+    big = 2 * sympy.nextprime(_MR_BOUND)
+    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+        comax_factor_int(big)
+    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+        enumerate_complete_factorizations(big, ZZ)
+    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+        enumerate_complete_factorizations(E(big, 0), O5)
+    assert len(comax_factor_int(2 * sympy.prevprime(_MR_BOUND)).factors) == 2
 
 
 def test_find_nonunique_witness_quad():

@@ -12,11 +12,12 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import princlab
-from princlab import recheck
+from princlab import core, recheck
 
 RECHECK_SOURCE = Path(recheck.__file__).read_text()
 
@@ -533,6 +534,14 @@ def test_a_comax_support_over_z_lists_distinct_primes():
 
     assert "support[1] repeats an earlier entry" in golden_fails("comax_unique", lambda r: entry(r, "2"))
     assert "support[1] is not a prime" in golden_fails("comax_unique", lambda r: entry(r, "9"))
+
+
+def test_support_primes_are_proven_up_to_the_producers_bound():
+    # comax refuses a support prime at or above core._MR_BOUND, the bound
+    # below which recheck's Miller-Rabin is exact
+    below, above = sympy.prevprime(core._MR_BOUND), sympy.nextprime(core._MR_BOUND)
+    assert recheck._prime_label(("rat", Fraction(below)), None) == below
+    assert recheck._prime_label(("rat", Fraction(above)), None) is None
 
 
 def test_the_comax_verdict_is_tied_to_its_count():
