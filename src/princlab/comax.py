@@ -33,9 +33,12 @@ of the ring handle; see `rings`.
 A `ComaxFactorization` certifies the product (u * f_1 * ... * f_m == b),
 each pair's comaximality (a Bezout pair) and the unit; it lists the support
 and each factor's block, from which `recheck` re-derives every block's
-lattice and examines every split of it itself.  Recheck proves each support
-prime by Miller-Rabin, which is exact only below `core._MR_BOUND`, so an
-element whose support lies over a larger rational prime is refused here.  It is a plain class with an
+lattice.  Recheck decides itself whether a block splits into two principal
+blocks by walking the ideal classes its sub-blocks reach: at most (k-1)*h
+ideal products for a block of k primes and class number h, where the splits
+number 2^(k-1) - 1.  Recheck proves each support prime by Miller-Rabin,
+which is exact only below `core._MR_BOUND`, so an element whose support lies
+over a larger rational prime is refused here.  It is a plain class with an
 explicit `__init__`; see `core` for why not dataclasses.
 """
 

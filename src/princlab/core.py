@@ -451,10 +451,6 @@ class Poly(RingElem):
         self.coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
     def x(cls):
         return cls((0, 1))
 

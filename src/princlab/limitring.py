@@ -10,8 +10,7 @@ Lifting from level n to m substitutes phi^(m-n) for x, phi = x + x^2, in one
 non-integral (top-down induction on the even-degree coefficients), so a lift
 never needs normalizing.  Each level is a genuine polynomial ring and
 lifting is injective, so equality and divisibility are decided by moving
-both operands to a common level.  While a chain is built or checked, each
-lift is memoized per element and level, and the memo is dropped afterwards.
+both operands to a common level.
 
 The comaximal chain of x_1 into m factors comes with explicit Bezout
 certificates that re-evaluate to 1 exactly; its certificate `LimitChain` is
@@ -34,11 +33,6 @@ class LimitError(ValueError):
 
 # _ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
 _ITERATES = [Poly((0, 1)), Poly((0, 1, 1))]
-# {(id(e), m): (e, lift of e to level m)} while a chain is built or checked,
-# else None.  A chain's products reach `lr_lift` through the elements' own
-# `*` and `+` (and `is_comaximal_product`), so the memo cannot be passed in;
-# `_memoized` sets it for one build or check and always restores it.
-_LIFTS = None
 
 
 def _iterate(k: int) -> Poly:
@@ -60,32 +54,6 @@ def _normal(poly: Poly) -> Poly:
     if all(f.denominator == 1 for f in fs):
         return Poly([f.numerator for f in fs])
     return Poly(fs)
-
-
-def _is_int(poly: Poly) -> bool:
-    # a normal vector is all int or all Fraction, so its first entry tells
-    return not poly.coeffs or type(poly.coeffs[0]) is int
-
-
-def _combine(pa: Poly, pb: Poly, op) -> Poly:
-    """op on two normal vectors: on the integer kernel when both are
-    integral, else on Fractions, normalized."""
-    if _is_int(pa) and _is_int(pb):
-        return op(pa, pb)
-    return _normal(op(pa.map_coeffs(Fraction), pb.map_coeffs(Fraction)))
-
-
-def _memoized(fn, *args):
-    """fn(*args) with a lift memo: an enclosing build's, or a fresh one
-    dropped when fn returns."""
-    global _LIFTS
-    outer = _LIFTS
-    if outer is None:
-        _LIFTS = {}
-    try:
-        return fn(*args)
-    finally:
-        _LIFTS = outer
 
 
 class LimitElem(RingElem):
@@ -116,25 +84,23 @@ class LimitElem(RingElem):
 
     def __add__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, _combine(a.poly, b.poly, Poly.__add__), self.ring, _checked=True)
+        return LimitElem(a.level, _normal(a.poly + b.poly), self.ring, _checked=True)
 
     def __neg__(self):
         return LimitElem(self.level, -self.poly, self.ring, _checked=True)
 
     def __mul__(self, other):
         a, b = self._lift_pair(other)
-        return LimitElem(a.level, _combine(a.poly, b.poly, Poly.__mul__), self.ring, _checked=True)
+        return LimitElem(a.level, _normal(a.poly * b.poly), self.ring, _checked=True)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self._invert() ** -n
-        # one level throughout, so the inner polynomial's power is the power
-        return LimitElem(self.level, self.poly**n, self.ring)
+    def _one(self):
+        # at the element's own level, so x_n^0 stays at level n
+        return LimitElem(self.level, Poly((1,)), self.ring, _checked=True)
 
     def _invert(self):
         # `/` divides by nonzero constants only, so exactly those invert,
         # and 1/c must lie in the base
-        return LimitElem(self.level, Poly((1,)), self.ring) / self
+        return self._one() / self
 
     def __truediv__(self, other):
         o = self.ring.coerce(other)
@@ -163,22 +129,13 @@ class LimitElem(RingElem):
 
 def lr_lift(e: LimitElem, m: int) -> LimitElem:
     """Rewrite e at level m >= level(e); the value in R is unchanged.  One
-    `compose` by the cached iterate phi^(m - level), memoized while a chain
-    is built or checked."""
+    `compose` by the cached iterate phi^(m - level)."""
     if m < e.level:
         raise LimitError(f"cannot lower level {e.level} to {m}")
     if m == e.level:
         return e
-    if e.poly.degree <= 0:
-        return LimitElem(m, e.poly, e.ring, _checked=True)
-    key = (id(e), m)
-    if _LIFTS is not None and key in _LIFTS:
-        return _LIFTS[key][1]
-    lift = LimitElem(m, e.poly.compose(_iterate(m - e.level)), e.ring, _checked=True)
-    if _LIFTS is not None:
-        # the entry keeps e alive, so its id is not reused while the memo lives
-        _LIFTS[key] = (e, lift)
-    return lift
+    # compose returns a constant as it is
+    return LimitElem(m, e.poly.compose(_iterate(m - e.level)), e.ring, _checked=True)
 
 
 class LimitRing(RingHandle):
@@ -261,9 +218,6 @@ class LimitChain:
         self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
 
     def verify(self) -> bool:
-        return _memoized(self._verify)
-
-    def _verify(self) -> bool:
         ring = self.factors[0].ring
         return is_comaximal_product(ring.one, lr_lift(ring.gen(1), self.m), self.factors, self.pairwise)
 
@@ -281,10 +235,6 @@ def lr_chain(m: int, ring: LimitRing) -> LimitChain:
     """
     if m < 2:
         raise LimitError("need m >= 2")
-    return _memoized(_chain, m, ring)
-
-
-def _chain(m: int, ring: LimitRing) -> LimitChain:
     one = ring.one
     xs = {i: ring.gen(i) for i in range(2, m + 1)}
     ones = {i: one + xs[i] for i in range(2, m + 1)}  # 1 + x_i
@@ -302,6 +252,7 @@ def _chain(m: int, ring: LimitRing) -> LimitChain:
         acc = one  # prod_{k=i+1..j-1} (1+x_k)
         for idx_j in range(idx_i + 1, m):
             j = idx_j + 1
+            acc = lr_lift(acc, j)  # once for both products below
             pairwise.append((idx_i, idx_j, one, -(xs[j] * acc)))
             acc = acc * ones[j]
     chain = LimitChain(m, factors, pairwise)

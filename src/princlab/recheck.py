@@ -13,8 +13,7 @@ up to that one shared routine.
 Limit-ring ("lim") values are (level, coefficients): ints when every
 coefficient is an integer, else Fractions.  A value is lifted from level n
 to m by one packed evaluation at its own cached iterate phi^(m-n) of
-phi = x + x^2, memoized per value and level while one limit report is
-checked.
+phi = x + x^2.
 
 Monoid-ring ("mon") values are ("mon", den, cden, terms) with int pairs
 (e, c) standing for c/cden X^(e/den): distinct ascending e, nonzero c, and
@@ -34,12 +33,17 @@ Each identity has one checking routine here.  `_comaximal_fails` checks
 every comaximal factorization (u * f_1 * ... * f_m == b, one pairwise entry
 for each pair i < j in order, and each pair's lam*f_i + mu*f_j == 1) for
 `comax`, `mring split|chain|juett` and `limitring chain`, whose `m` must be
-its factor count; `_omega_fails` checks omega-stability, `_Blocks` multiplies prime
-powers, `_mat_mul` is the matrix product and `_strip` removes the primes of
-a denominator.  `_quad_xy` reads the coordinates of a Z[sqrt(d)] element and
-fails one that is not integral, where `int()` would truncate a Fraction to
-another element, and `_d_fails` ties every Z[sqrt(d)] value to the d its
-report's ring names.  Every non-principal claim (`ideal principal`,
+its factor count.  Each lam and mu must lie in the ring, since over the
+fraction field any two nonzero elements are comaximal: integral over Z,
+Z[sqrt(d)] and the limit ring over Z, and `_mon_in_ring` over D[X;S].
+`_idempotent_fails` checks f(1 - f) == s*r for every idempotent pair,
+`_projector_fails` M*M == M for every projector matrix, `_omega_fails`
+omega-stability; `_Blocks` multiplies prime powers, `_mat_mul` is the
+matrix product and `_strip` removes the primes of a denominator.
+`_quad_xy` reads the coordinates of a Z[sqrt(d)] element and fails one that
+is not integral, where `int()` would truncate a Fraction to another element,
+and `_d_fails` ties every Z[sqrt(d)] value to the d its report's ring
+names.  Every non-principal claim (`ideal principal`,
 `pullback reduce` bases) is checked by `_nonprincipal_fails`: the ideal's
 binary quadratic form must not reduce to (1, 0, -d), with its own reduction
 `_reduced`.
@@ -403,8 +407,6 @@ def _lim_common(a, b):
 
 # _LIM_ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
 _LIM_ITERATES = [[0, 1], [0, 1, 1]]
-# {(id(a), n): (a, lift of a to level n)} while one limit report is checked
-_LIM_LIFTS = None
 
 
 def _lim_iterate(k):
@@ -425,23 +427,15 @@ def _compose(p, q):
 
 
 def _lim_lift(a, n):
-    """a at level n >= its own: one packed evaluation at phi^(n - level),
-    memoized while a limit report is checked."""
+    """a at level n >= its own: one packed evaluation at phi^(n - level)."""
     if n == a[1] or not a[2]:
         return ("lim", n, a[2])
-    key = (id(a), n)
-    if _LIM_LIFTS is not None and key in _LIM_LIFTS:
-        return _LIM_LIFTS[key][1]
     nums, den = _ints(a[2])
     while nums and not nums[-1]:
         nums.pop()
     if len(nums) > 1:
         nums = _compose(nums, _lim_iterate(n - a[1]))
-    lift = ("lim", n, _lim_vec(nums, den))
-    if _LIM_LIFTS is not None:
-        # the entry keeps a alive, so its id is not reused while the memo lives
-        _LIM_LIFTS[key] = (a, lift)
-    return lift
+    return ("lim", n, _lim_vec(nums, den))
 
 
 def _lim_vec(nums, den):
@@ -747,14 +741,28 @@ def _mat_mul(p, q):
     return [[entry(row, j) for j in range(len(q[0]))] for row in p]
 
 
+def _idempotent_fails(f, s, r, fails, failure):
+    """The idempotent pair identity f(1 - f) == s*r; a failure appends
+    `failure`."""
+    if not v_eq(v_mul(f, v_sub(v_one_like(f), f)), v_mul(s, r)):
+        fails.append(failure)
+
+
+def _projector_fails(m, fails, name):
+    """The projector identity M*M == M for the square matrix m, each failing
+    entry named as `name`*`name` != `name` at (i,j)."""
+    for i, row in enumerate(_mat_mul(m, m)):
+        for j, v in enumerate(row):
+            if not v_eq(v, m[i][j]):
+                fails.append(f"{name}*{name} != {name} at ({i},{j})")
+
+
 def _pair_identity(result, fails):
     a, b = dec(result["a"]), dec(result["b"])
     pair = result["pair"]
     r = dec(pair["witness"])
     f, s = (a, b) if pair["orientation"] == "ab" else (b, a)
-    one = v_one_like(f)
-    if not v_eq(v_mul(f, v_sub(one, f)), v_mul(s, r)):
-        fails.append("pair witness identity f(1-f) == s*r fails")
+    _idempotent_fails(f, s, r, fails, "pair witness identity f(1-f) == s*r fails")
     return a, b, f, s, r
 
 
@@ -810,11 +818,7 @@ def _verify_idem_matrix(report):
         for j in range(2):
             if not v_eq(m[i][j], want[i][j]):
                 fails.append(f"matrix entry ({i},{j}) differs from the pair data")
-    sq = _mat_mul(m, m)
-    for i in range(2):
-        for j in range(2):
-            if not v_eq(sq[i][j], m[i][j]):
-                fails.append(f"M*M != M at ({i},{j})")
+    _projector_fails(m, fails, "M")
     return fails
 
 
@@ -836,10 +840,8 @@ def _verify_idem_from_ideal(report):
     if not v_eq(wit, v_mul(mu, a)):
         fails.append("derived witness is not mu*a")
     sub = {"a": pair["a"], "b": pair["b"], "pair": pair, "complement": result.get("complement")}
-    f, s = pa, pb
-    if not v_eq(v_mul(f, v_sub(v_one_like(f), f)), v_mul(s, wit)):
-        fails.append("derived pair fails its defining relation")
-    _complement(sub, f, s, fails)
+    _idempotent_fails(pa, pb, wit, fails, "derived pair fails its defining relation")
+    _complement(sub, pa, pb, fails)
     return fails
 
 
@@ -1061,14 +1063,23 @@ def _prime_label(p, d):
 
 def _verify_factorization(fact, blocks, fails, label=""):
     """Product, pairs and unit of one factorization over `blocks`' support:
-    each factor generates its block's ideal, the blocks partition the
-    support, and each block is pseudo-irreducible."""
+    each lam and mu lies in the ring (over the fraction field any two
+    nonzero elements are comaximal), each factor generates its block's
+    ideal, the blocks partition the support, and each block is
+    pseudo-irreducible."""
     d = blocks.d
     m = len(fact["factors"])
     unit = dec(fact["unit"])
     element = dec(fact["element"])
     factors, pairs = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
                                       fails, label, unit)
+    for c, pair in zip(fact["pairwise"], pairs):
+        for name, v in zip(("lam", "mu"), pair):
+            where = f"{label}pairwise {c['i']},{c['j']} {name}"
+            if d is not None:
+                _quad_xy(v, where, fails)
+            elif v[1].denominator != 1:
+                fails.append(f"{where} is not an integer")
     if d is None:
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
@@ -1195,9 +1206,7 @@ def _verify_pullback_reduce(report):
     base = report["ring"]["base"]
     a, b, r = dec(result["a"]), dec(result["b"]), dec(result["witness"])
     f, s = (a, b) if result["orientation"] == "ab" else (b, a)
-    one = v_one_like(f)
-    if not v_eq(v_mul(f, v_sub(one, f)), v_mul(s, r)):
-        fails.append("witness identity fails")
+    _idempotent_fails(f, s, r, fails, "witness identity fails")
     pair, values = result["base_pair"], [_rf_value0(f), _rf_value0(s)]
     if result["case"] != "base_reduction":
         if pair is not None:
@@ -1401,21 +1410,21 @@ def _verify_mring_juett(report):
 
 
 def _verify_limit_chain(report):
-    global _LIM_LIFTS
     fails = []
     result = report["result"]
     x1 = ("lim", 1, (0, 1))
-    _LIM_LIFTS = {}
-    try:
-        factors, _ = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
-    finally:
-        _LIM_LIFTS = None
+    factors, pairs = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
     if result["m"] != len(factors):
         fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
     if report["ring"]["base"]["family"] == "int":
         for f in factors:
             if any(c.denominator != 1 for c in f[2]):
                 fails.append("factor coefficients leave Z")
+        # lam and mu too: over Q any two nonzero elements are comaximal
+        for c, pair in zip(result["pairwise"], pairs):
+            for name, v in zip(("lam", "mu"), pair):
+                if any(x.denominator != 1 for x in v[2]):
+                    fails.append(f"pairwise {c['i']},{c['j']} {name} coefficients leave Z")
     return fails
 
 
@@ -1460,8 +1469,7 @@ def _verify_polyext_counterexample(report):
         fails.append("u differs from 1 - alpha^4 X^4")
     if not v_eq(v, want_v):
         fails.append("v differs from alpha^2 + alpha^3 X")
-    if not v_eq(v_mul(u, v_sub(one, u)), v_mul(v, r)):
-        fails.append("idempotent identity u(1-u) == v*witness fails")
+    _idempotent_fails(u, v, r, fails, "idempotent identity u(1-u) == v*witness fails")
     eq1 = v_add(
         v_mul(
             v_add(one, ("poly", (v_zero_like(alpha), v_zero_like(alpha), a2))),
@@ -1493,11 +1501,7 @@ def _verify_sphere_projector(report):
             want = v_sub(one if i == j else v_zero_like(xs[0]), v_mul(xs[i], xs[j]))
             if not v_eq(m[i][j], want):
                 fails.append(f"matrix entry ({i},{j}) differs from I - x^T x")
-    sq = _mat_mul(m, m)
-    for i in range(3):
-        for j in range(3):
-            if not v_eq(sq[i][j], m[i][j]):
-                fails.append(f"E*E != E at ({i},{j})")
+    _projector_fails(m, fails, "E")
     for i, (v,) in enumerate(_mat_mul(m, col)):
         if not v_is_zero(v):
             fails.append(f"(E x^T)[{i}] != 0")

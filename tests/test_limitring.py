@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from princlab import limitring
 from princlab.core import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
 from princlab.rings import QQ, ZZ
+from test_recheck import fraction_add, fraction_lift, fraction_mul, strip
 
 F = Fraction
 RQ = LimitRing(QQ)
@@ -129,26 +129,35 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k, base):
     # ints exactly when every coefficient is an integer, the same at every level
     integral = all(F(c).denominator == 1 for c in cs)
     assert all(type(c) is (int if integral else F) for c in lifted.poly.coeffs)
-    # a memo scope gives the same lift, once per element and level
-    assert limitring._memoized(lambda: (lr_lift(e, level + k), lr_lift(e, level + k))) == (lifted, lifted)
 
 
-def test_the_lift_memo_lives_only_while_a_chain_is_built_or_checked():
-    seen = []
-    original = limitring._chain
+@settings(max_examples=200, deadline=None)
+@given(a=ints_or_fractions, b=ints_or_fractions, la=st.integers(1, 3), lb=st.integers(1, 3), n=st.integers(0, 4),
+       base=st.sampled_from([RQ, RZ]))
+def test_sums_products_and_powers_match_a_fraction_reference(a, b, la, lb, n, base):
+    if base is RZ and any(F(c).denominator != 1 for c in a + b):
+        return
+    x, y = LimitElem(la, Poly(a), base), LimitElem(lb, Poly(b), base)
+    ca, cb = strip(map(F, a)), strip(map(F, b))
+    top = max(la, lb)
+    fa, fb = fraction_lift(ca, top - la), fraction_lift(cb, top - lb)
 
-    def spy(m, ring):
-        seen.append(limitring._LIFTS)
-        return original(m, ring)
+    def power(cs, k):
+        out = (F(1),)
+        for _ in range(k):
+            out = fraction_mul(out, cs)
+        return out
 
-    limitring._chain = spy
-    try:
-        chain = lr_chain(5, RQ)
-    finally:
-        limitring._chain = original
-    assert seen and isinstance(seen[0], dict) and seen[0]
-    assert limitring._LIFTS is None
-    assert chain.verify() and limitring._LIFTS is None
+    # (result, the level it must sit at, its value by Fraction loops)
+    cases = [(x + y, top, fraction_add(fa, fb)), (x * y, top, fraction_mul(fa, fb)), (x**n, la, power(ca, n))]
+    if len(ca) == 1 and (base is RQ or abs(ca[0]) == 1):
+        # a nonzero constant whose inverse lies in the base
+        cases.append((x**-n, la, power((1 / ca[0],), n)))
+    for got, level, want in cases:
+        assert got.level == level and got.poly.coeffs == want
+        # ints exactly when every coefficient is an integer
+        integral = all(w.denominator == 1 for w in want)
+        assert all(type(v) is (int if integral else F) for v in got.poly.coeffs)
 
 
 def test_chain_elements_are_integer_vectors():

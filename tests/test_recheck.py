@@ -571,3 +571,47 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
     assert lifted[2] == strip(fraction_lift(tuple(map(Fraction, cs)), k))
     # ints exactly when every coefficient is an integer
     assert all(type(c) is int for c in lifted[2]) == all(Fraction(c).denominator == 1 for c in lifted[2])
+
+
+# ------------------------------------------- Bezout certificates in the ring
+
+
+def _leaf(v):
+    """A decoded "rat", "quad" or "lim" value as a report leaf."""
+    if v[0] == "rat":
+        return {"type": "rat", "value": str(v[1])}
+    if v[0] == "quad":
+        return {"type": "quad", "x": str(v[1]), "y": str(v[2]), "d": str(v[3])}
+    return {"type": "limit", "level": v[1], "coeffs": [{"type": "rat", "value": str(c)} for c in v[2]]}
+
+
+def forge_first_pair(cert):
+    """Replace pair (0, 1) by (lam + f_1/2, mu - f_0/2): lam*f_0 + mu*f_1 is
+    still 1, but over the fraction field, where every two nonzero elements
+    are comaximal."""
+    pair = cert["pairwise"][0]
+    f0, f1 = (recheck.dec(f) for f in cert["factors"][:2])
+    half = ("rat", Fraction(1, 2))
+    pair["lam"] = _leaf(recheck.v_add(recheck.dec(pair["lam"]), recheck.v_mul(half, f1)))
+    pair["mu"] = _leaf(recheck.v_sub(recheck.dec(pair["mu"]), recheck.v_mul(half, f0)))
+
+
+@pytest.mark.parametrize("argv,cert,failures", [
+    (("comax", "factor", "360"), lambda r: r["factorization"],
+     ["[0] pairwise 0,1 mu is not an integer"]),  # f_0 == 5, f_1 == 8: lam + 4 stays in Z
+    (("comax", "unique", "--ring", "Z[sqrt(-5)]", "21"), lambda r: r["factorizations"][0],
+     ["[0] pairwise 0,1 lam does not have integer coordinates",
+      "[0] pairwise 0,1 mu does not have integer coordinates"]),
+    (("limitring", "chain", "--m", "3", "--ring", "limitring:Z"), lambda r: r,
+     ["pairwise 0,1 lam coefficients leave Z", "pairwise 0,1 mu coefficients leave Z"]),
+], ids=["comax-Z", "comax-Z[sqrt(-5)]", "limitring-Z"])
+def test_a_bezout_certificate_outside_the_ring_fails(argv, cert, failures):
+    from princlab import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    report = json.loads(out.getvalue())
+    assert recheck.verify_report(report) == []
+    forge_first_pair(cert(report["result"]))
+    assert recheck.verify_report(report) == failures
