@@ -134,7 +134,9 @@ def lr_lift(e: LimitElem, m: int) -> LimitElem:
         raise LimitError(f"cannot lower level {e.level} to {m}")
     if m == e.level:
         return e
-    # compose returns a constant as it is
+    if e.poly.degree <= 0:
+        # a constant is the same at every level: build no iterate for it
+        return LimitElem(m, e.poly, e.ring, _checked=True)
     return LimitElem(m, e.poly.compose(_iterate(m - e.level)), e.ring, _checked=True)
 
 

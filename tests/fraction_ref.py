@@ -1,0 +1,37 @@
+"""Fraction-only reference loops for limit-ring values: coefficient tuples
+are trimmed of trailing zeros, and a lift rewrites x -> x + x^2 once per level."""
+
+from fractions import Fraction
+
+
+def strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_add(a, b):
+    n = max(len(a), len(b))
+    return strip(x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+
+
+def fraction_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return strip(out)
+
+
+def fraction_lift(cs, levels):
+    # Horner with x -> x + x^2, once per level
+    phi = (Fraction(0), Fraction(1), Fraction(1))
+    for _ in range(levels):
+        acc = ()
+        for c in reversed(cs):
+            acc = fraction_add(fraction_mul(acc, phi), (c,))
+        cs = acc
+    return tuple(cs)

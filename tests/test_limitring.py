@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_ref import fraction_add, fraction_lift, fraction_mul, strip
+from princlab import cli, limitring
 from princlab.core import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
 from princlab.rings import QQ, ZZ
-from test_recheck import fraction_add, fraction_lift, fraction_mul, strip
 
 F = Fraction
 RQ = LimitRing(QQ)
@@ -28,6 +30,20 @@ def test_lift_spec_cases():
 
     with pytest.raises(LimitError):
         lr_lift(RQ.gen(3), 2)
+
+
+def test_a_constant_lifts_to_any_level_without_an_iterate(capsys):
+    # phi^k has degree 2^k, so an iterate built for a constant would not end
+    built = len(limitring._ITERATES)
+    assert lr_lift(RQ.coerce(5), 60) == LimitElem(60, Poly((5,)), RQ)
+    assert lr_lift(RZ.zero, 60).poly.is_zero()
+    assert (RQ.gen(60) + 1).level == 60 and (RQ.gen(60) + 1).poly == Poly((1, 1))
+    assert (2 * RQ.gen(30)).poly == Poly((0, 2))
+    assert (RQ.gen(3) ** 0).poly == Poly((1,))
+    assert cli.main(["--recheck", "limitring", "eval", "1", "--level", "60"]) == 0
+    element = json.loads(capsys.readouterr().out)["result"]["element"]
+    assert element["level"] == 60 and element["coeffs"] == [{"type": "rat", "value": "1"}]
+    assert len(limitring._ITERATES) == built
 
 
 def test_lift_coherence_random():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import princlab
+from fraction_ref import fraction_add, fraction_lift, fraction_mul, strip
 from princlab import core, recheck
 
 RECHECK_SOURCE = Path(recheck.__file__).read_text()
@@ -36,39 +37,6 @@ def test_recheck_imports_only_the_shared_lattice_routine():
         elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
             found.append((0, node.id, ()))
     assert found == [(1, "core", ("hnf2_with_transform",))]
-
-
-def strip(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def fraction_add(a, b):
-    n = max(len(a), len(b))
-    return strip(x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
-
-
-def fraction_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return strip(out)
-
-
-def fraction_lift(cs, levels):
-    # Horner with x -> x + x^2, once per level
-    phi = (Fraction(0), Fraction(1), Fraction(1))
-    for _ in range(levels):
-        acc = ()
-        for c in reversed(cs):
-            acc = fraction_add(fraction_mul(acc, phi), (c,))
-        cs = acc
-    return tuple(cs)
 
 
 big = st.sampled_from([2**63, 2**64 - 1, 2**127, 2**300])
