@@ -7,11 +7,31 @@ non-unique, not a pair, no witness found), 2 = input error (any
 stdout; errors and recheck failures go to stderr.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
-and operands; `GROUPS` gives the ring kinds each group accepts.  From
-these `main` builds the parser, checks `--ring` and converts the operands,
-then calls `handler(ring, **operands)`, which returns the verdict, the
-result and the exit code.  Each certificate serializes itself (`report.enc`
-falls through to its `to_json`).
+and operands; `GROUPS` gives the ring families each group accepts.  `main`
+parses argv, checks `--ring` and converts the operands, then calls
+`handler(ring, **operands)`, which returns the verdict, the result and the
+exit code.  Each certificate serializes itself (`report.enc` falls through
+to its `to_json`).
+
+Parsing.  `_parse` reads argv straight from the command table when it has
+one plain shape: the top-level flags, then the group and the command, then
+the command's flags, each spelled in full and given at most once, with a
+value after each flag that takes one, and one unbroken run of positionals.
+A value or positional starting with "-" must be a negative number.  It
+returns the namespace argparse would.  Every other argv (help, an
+abbreviated flag, `--flag=value`, a repeated flag, a top-level flag after
+the group, any error) goes to `build_parser(argv).parse_args(argv)`, so
+argparse stays the one source of help, usage and error text, and
+`argparse` is imported only then.
+
+Imports.  At import this module runs only `core`, `rings`, `exprparse`,
+`report` and `recheck`.  Each family module (`comax`, `idem`, `quadring`,
+...) is put in `sys.modules` by importlib's `LazyLoader` and runs on its
+first attribute access, which is the first handler, ring spec or converter
+that reads it.  A call loads only what its command uses, and a tool that
+rebinds module functions after `import princlab.cli` (perfbench's traced
+child) still finds every family module.  `GROUPS` names ring families by
+their `to_json()` family, so checking `--ring` loads nothing either.
 
 A shell call (`python -m princlab.cli`, or the installed `princlab` script)
 enters through `run`.  Once `main` has returned and stdout and stderr are
@@ -26,38 +46,50 @@ usual, and so does a flush that fails, through `sys.exit`.
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .comax import comax_factor_int, enumerate_complete_factorizations, find_nonunique_witness
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
-from .idem import bezout_in_inverse, complement_identity, idem_matrix, is_idempotent_pair, pair_from_invertible
-from .limitring import LimitRing, lr_chain, lr_lift
-from .monoidring import MonoidDesc, MonoidRing, juett_split, mr_comax_chain, mr_split
-from .polyext import SubringDesc, nonprinc_pair_from_alpha, seminormal_witness
-from .pullback import PullbackRing, pb_nonufd_chain, pb_reduce_idem_pair
-from .quadring import QuadOrder, factor_principal, ideal_from_pair, ideal_is_invertible, ideal_is_principal
 from .recheck import verify_report
 from .report import dump, enc, make_report
-from .rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers
-from .sphere import B2, tangent_projector
+from .rings import QQ, QQ_POLY, ZZ, LocalizedIntegers
+
+
+def _family(name):
+    """The package module `name`: in `sys.modules` from now on, run on its
+    first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+comax, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
+    _family, ("comax", "idem", "limitring", "monoidring", "polyext", "pullback", "quadring", "sphere"))
 
 
 class CliError(ValueError):
     pass
 
 
-def parse_monoid_desc(spec: str, group: bool) -> MonoidDesc:
+def parse_monoid_desc(spec: str, group: bool):
     m = re.fullmatch(r"p-div:(\d+)", spec)
     if m:
-        return MonoidDesc(primes=(int(m.group(1)),), group=group)
+        return monoidring.MonoidDesc(primes=(int(m.group(1)),), group=group)
     m = re.fullmatch(r"mult:\{(\d+(?:,\d+)*)\}", spec)
     if m:
-        return MonoidDesc(primes=tuple(int(p) for p in m.group(1).split(",")), group=group)
+        return monoidring.MonoidDesc(primes=tuple(int(p) for p in m.group(1).split(",")), group=group)
     raise CliError(f"bad --monoid spec {spec!r}: use p-div:P or mult:{{P1,P2}}")
 
 
@@ -68,7 +100,7 @@ def _parse_base(text: str):
         return QQ
     m = re.fullmatch(r"Z\[sqrt\((-?\d+)\)\]", text)
     if m:
-        return QuadOrder(int(m.group(1)))
+        return quadring.QuadOrder(int(m.group(1)))
     m = re.fullmatch(r"Z\[1/(\d+(?:,1/\d+)*)\]", text.replace(" ", ""))
     if m:
         primes = [int(p) for p in re.findall(r"\d+", m.group(1))]
@@ -79,19 +111,19 @@ def _parse_base(text: str):
 def parse_ring_spec(text: str, monoid: str | None = None, group: bool = False):
     text = text.strip()
     if text == "B2":
-        return B2
+        return sphere.B2
     if text == "Q[X]":
         return QQ_POLY
     m = re.fullmatch(r"pullback:(.+)", text)
     if m:
-        return PullbackRing(_parse_base(m.group(1)))
+        return pullback.PullbackRing(_parse_base(m.group(1)))
     m = re.fullmatch(r"limitring:(.+)", text)
     if m:
-        return LimitRing(_parse_base(m.group(1)))
+        return limitring.LimitRing(_parse_base(m.group(1)))
     m = re.fullmatch(r"(.+)\[X;S\]", text)
     if m:
         desc = parse_monoid_desc(monoid or "p-div:2", group)
-        return MonoidRing(_parse_base(m.group(1)), desc)
+        return monoidring.MonoidRing(_parse_base(m.group(1)), desc)
     return _parse_base(text)
 
 
@@ -101,68 +133,68 @@ def parse_ring_spec(text: str, monoid: str | None = None, group: bool = False):
 
 
 def cmd_idem_check(ring, a, b):
-    pair = is_idempotent_pair(a, b, ring)
+    pair = idem.is_idempotent_pair(a, b, ring)
     result = {"a": enc(a), "b": enc(b), "pair": None, "complement": None}
     if pair is None:
         return "not_idempotent_pair", result, 1
-    result.update(pair=enc(pair), complement=enc(complement_identity(pair)))
+    result.update(pair=enc(pair), complement=enc(idem.complement_identity(pair)))
     return "idempotent_pair", result, 0
 
 
 def cmd_idem_matrix(ring, a, b):
-    pair = is_idempotent_pair(a, b, ring)
+    pair = idem.is_idempotent_pair(a, b, ring)
     result = {"a": enc(a), "b": enc(b), "pair": None}
     if pair is None:
         return "not_idempotent_pair", result, 1
-    m = idem_matrix(pair)
+    m = idem.idem_matrix(pair)
     result.update(pair=enc(pair), matrix=enc(m))
     return "idempotent_pair", result, 0
 
 
 def cmd_idem_from_ideal(ring, a, b):
-    cert = bezout_in_inverse(a, b, ring)
+    cert = idem.bezout_in_inverse(a, b, ring)
     result = {"a": enc(a), "b": enc(b)}
     if cert is None:
         return "not_invertible", result, 1
-    pair = pair_from_invertible(a, b, cert, ring)
-    result.update(bezout=enc(cert), pair=enc(pair), complement=enc(complement_identity(pair)))
+    pair = idem.pair_from_invertible(a, b, cert, ring)
+    result.update(bezout=enc(cert), pair=enc(pair), complement=enc(idem.complement_identity(pair)))
     return "pair_derived", result, 0
 
 
 def cmd_ideal_frompair(ring, a, b):
-    ideal = ideal_from_pair(a, b)
+    ideal = quadring.ideal_from_pair(a, b)
     result = {"a": enc(a), "b": enc(b), "ideal": enc(ideal), "norm": str(ideal.norm())}
     return "normal_form", result, 0
 
 
 def cmd_ideal_mul(ring, a, b, c, e):
-    i, j = ideal_from_pair(a, b), ideal_from_pair(c, e)
+    i, j = quadring.ideal_from_pair(a, b), quadring.ideal_from_pair(c, e)
     p = i.mul(j)
     norms = {"i": str(i.norm()), "j": str(j.norm()), "product": str(p.norm())}
     return "product", {"i": enc(i), "j": enc(j), "product": enc(p), "norms": norms}, 0
 
 
 def cmd_ideal_invertible(ring, a, b):
-    ideal = ideal_from_pair(a, b)
-    cert = ideal_is_invertible(ideal)
+    ideal = quadring.ideal_from_pair(a, b)
+    cert = quadring.ideal_is_invertible(ideal)
     result = {"ideal": enc(ideal), **enc(cert)}
     return ("invertible", result, 0) if cert.invertible else ("not_invertible", result, 1)
 
 
 def cmd_ideal_principal(ring, a, b):
-    v = ideal_is_principal(ideal_from_pair(a, b))
+    v = quadring.ideal_is_principal(quadring.ideal_from_pair(a, b))
     return v.status, enc(v), 0 if v.principal else 1
 
 
 def cmd_ideal_factor(ring, b):
-    fp = factor_principal(b)
+    fp = quadring.factor_principal(b)
     return "factored", {"element": enc(b), "factors": [{"prime": enc(p), "exponent": e} for p, e in fp]}, 0
 
 
 def _comax_factor_one(ring, b):
     # the first of a complete list: the whole support is zero-sum, so it
     # always splits into minimal zero-sum blocks
-    fact = comax_factor_int(b) if ring == ZZ else enumerate_complete_factorizations(b, ring)[0]
+    fact = comax.comax_factor_int(b) if ring == ZZ else comax.enumerate_complete_factorizations(b, ring)[0]
     return {"factorization": enc(fact)}
 
 
@@ -180,13 +212,13 @@ def cmd_comax_factor(ring, values, jobs):
 
 
 def cmd_comax_unique(ring, b):
-    facts = enumerate_complete_factorizations(b, ring)
+    facts = comax.enumerate_complete_factorizations(b, ring)
     result = {"element": enc(b), "count": len(facts), "factorizations": enc(facts)}
     return ("unique", result, 0) if len(facts) == 1 else ("non_unique", result, 1)
 
 
 def cmd_comax_hunt(ring, bound):
-    hit = find_nonunique_witness(ring, bound)
+    hit = comax.find_nonunique_witness(ring, bound)
     if hit is None:
         return "no_witness", {"bound": bound, "witness": None, "factorizations": []}, 1
     b, facts = hit
@@ -195,53 +227,53 @@ def cmd_comax_hunt(ring, bound):
 
 def cmd_pullback_reduce(ring, a, b, witness, orientation):
     if witness is None:
-        pair = is_idempotent_pair(a, b, ring)
+        pair = idem.is_idempotent_pair(a, b, ring)
         if pair is None:
             raise CliError("(a, b) is not an idempotent pair and no witness was given")
         witness, orientation = pair.witness, pair.orientation
-    red = pb_reduce_idem_pair(a, b, witness, orientation)
+    red = pullback.pb_reduce_idem_pair(a, b, witness, orientation)
     return red.status, enc(red), 0 if red.status == "principal" else 1
 
 
 def cmd_pullback_nonufd(ring, z, d, n):
-    chain = pb_nonufd_chain(z, d, n)
+    chain = pullback.pb_nonufd_chain(z, d, n)
     return "chain", {"z": enc(z), "d": enc(d), "n": n, "chain": enc(chain)}, 0
 
 
 def cmd_mring_split(ring, s, n):
-    return "split", enc(mr_split(s, n, ring)), 0
+    return "split", enc(monoidring.mr_split(s, n, ring)), 0
 
 
 def cmd_mring_chain(ring, s, m, n):
-    return "chain", enc(mr_comax_chain(s, m, ring, n)), 0
+    return "chain", enc(monoidring.mr_comax_chain(s, m, ring, n)), 0
 
 
 def cmd_mring_juett(ring, t, b, p, beta):
-    return "split", enc(juett_split(t, b, p, beta, ring)), 0
+    return "split", enc(monoidring.juett_split(t, b, p, beta, ring)), 0
 
 
 def cmd_limitring_chain(ring, m):
-    return "chain", enc(lr_chain(m, ring)), 0
+    return "chain", enc(limitring.lr_chain(m, ring)), 0
 
 
 def cmd_limitring_eval(ring, expr, level):
     if level is not None:
-        expr = lr_lift(expr, level)
+        expr = limitring.lr_lift(expr, level)
     return "value", {"element": enc(expr), "level": expr.level}, 0
 
 
 def cmd_polyext_witness(ring, alpha, exclude):
-    ok = seminormal_witness(alpha, exclude)
+    ok = polyext.seminormal_witness(alpha, exclude)
     result = {"alpha": enc(alpha), "excluded": sorted(exclude.excluded), "witness": ok}
     return ("witness", result, 0) if ok else ("not_a_witness", result, 1)
 
 
 def cmd_polyext_counterexample(ring, alpha, exclude):
-    return "non_principal_pair", enc(nonprinc_pair_from_alpha(alpha, exclude)), 0
+    return "non_principal_pair", enc(polyext.nonprinc_pair_from_alpha(alpha, exclude)), 0
 
 
 def cmd_sphere_projector(ring):
-    return "projector", enc(tangent_projector()), 0
+    return "projector", enc(sphere.tangent_projector()), 0
 
 
 def cmd_sphere_reduce(ring, expr):
@@ -275,7 +307,11 @@ def _ypoly(text, ring):
 
 def _excluded(text, ring):
     """The monomial subring without the listed degrees (default: degree 1)."""
-    return SubringDesc({int(t) for t in text.split(",")} if text else {1})
+    return polyext.SubringDesc({int(t) for t in text.split(",")} if text else {1})
+
+
+def _b2():
+    return sphere.B2
 
 
 def _arg(flag, convert=None, **kwargs):
@@ -288,22 +324,23 @@ _AB = (_arg("a", _elem), _arg("b", _elem))
 # the top-level --jobs, which the subcommand parser does not take
 _JOBS = ("jobs", None, None)
 
-# group: (ring kinds it accepts, the error for any other ring, whether
-# --monoid/--group apply)
+# group: (the ring families it accepts, or None for any; the error for any
+# other ring; whether --monoid/--group apply)
 GROUPS = {
-    "idem": (object, None, True),
-    "ideal": (QuadOrder, "this command needs --ring 'Z[sqrt(d)]'", False),
-    "comax": ((QuadOrder, IntegerRing), "comax commands run over Z or Z[sqrt(d)]", False),
-    "pullback": (PullbackRing, "this command needs --ring 'pullback:BASE'", False),
-    "mring": (MonoidRing, "this command needs --ring 'BASE[X;S]'", True),
-    "limitring": (LimitRing, "this command needs --ring 'limitring:BASE'", False),
-    "polyext": (object, None, False),
-    "sphere": (object, None, False),
+    "idem": (None, None, True),
+    "ideal": ({"quad"}, "this command needs --ring 'Z[sqrt(d)]'", False),
+    "comax": ({"quad", "int"}, "comax commands run over Z or Z[sqrt(d)]", False),
+    "pullback": ({"pullback"}, "this command needs --ring 'pullback:BASE'", False),
+    "mring": ({"monoid"}, "this command needs --ring 'BASE[X;S]'", True),
+    "limitring": ({"limit"}, "this command needs --ring 'limitring:BASE'", False),
+    "polyext": (None, None, False),
+    "sphere": (None, None, False),
 }
 
 # (group, name, handler, ring, operands).  The ring is the --ring default,
-# or a fixed ring when it is not a string.  Handlers are named, not held,
-# and looked up when called, so a tracer that rebinds `cmd_*` sees the call.
+# None, or a function that gives a fixed ring when the command runs.
+# Handlers are named, not held, and looked up when called, so a tracer that
+# rebinds `cmd_*` sees the call.
 COMMANDS = (
     ("idem", "check", "cmd_idem_check", "Z", _AB),
     ("idem", "matrix", "cmd_idem_matrix", "Z", _AB),
@@ -344,73 +381,177 @@ COMMANDS = (
     ("polyext", "counterexample", "cmd_polyext_counterexample", None, (
         _arg("--alpha", _ypoly, required=True), _arg("--exclude", _excluded, default=None),
     )),
-    ("sphere", "projector", "cmd_sphere_projector", B2, ()),
-    ("sphere", "reduce", "cmd_sphere_reduce", B2, (_arg("expr", _elem),)),
+    ("sphere", "projector", "cmd_sphere_projector", _b2, ()),
+    ("sphere", "reduce", "cmd_sphere_reduce", _b2, (_arg("expr", _elem),)),
+)
+
+# the top-level flags, as (flag, argparse keywords)
+_TOP = (
+    ("--recheck", {"action": "store_true", "help": "re-verify every certificate with the independent checker"}),
+    ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
 )
 
 
-# -------------------------------------------------------------- dispatch
+def _arguments(row):
+    """The (flag, argparse keywords) of each argument of the row's parser."""
+    group, _, _, ring, operands = row
+    if isinstance(ring, str):
+        yield "--ring", {"default": ring}
+        if GROUPS[group][2]:
+            yield "--monoid", {"default": None, "help": "p-div:P or mult:{P1,P2}"}
+            yield "--group", {"dest": "group_mode", "action": "store_true", "help": "Laurent exponents (group algebra)"}
+    for flag, _, kwargs in operands:
+        if kwargs is not None:
+            yield flag, kwargs
+
+
+# ------------------------------------------------------------------ parsing
+
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _plain(word):
+    """Whether argparse reads word as a value, not a flag: it does not start
+    with "-", or it is a negative number (no parser here has a flag that
+    looks like one)."""
+    return not word.startswith("-") or _NEGATIVE.fullmatch(word) is not None
+
+
+def _convert(kwargs, text):
+    """text through the argument's type and choices; a ValueError where
+    argparse would reject it."""
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(value)
+    return value
+
+
+def _read(words, arguments):
+    """{dest: value} as argparse assigns them for words, or None when words
+    are not in the one shape read here (see the module docstring)."""
+    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
+    positionals = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
+    given, run, closed, i = {}, [], False, 0
+    while i < len(words):
+        word = words[i]
+        if word in flags and word not in given:  # a repeated flag ends the shape below
+            kwargs = flags[word]
+            closed = bool(run)
+            takes = kwargs.get("action") != "store_true"
+            if takes and (i + 1 == len(words) or not _plain(words[i + 1])):
+                return None
+            given[word] = words[i + 1] if takes else True
+            i += 1 + takes
+        elif closed or not _plain(word):
+            return None
+        else:
+            run.append(word)
+            i += 1
+    values = {}
+    try:
+        for flag, kwargs in flags.items():
+            if kwargs.get("required") and flag not in given:
+                return None
+            dest = kwargs.get("dest", flag[2:])
+            if kwargs.get("action") == "store_true":
+                values[dest] = flag in given
+            else:
+                text = given.get(flag, kwargs.get("default"))
+                values[dest] = _convert(kwargs, text) if isinstance(text, str) else text
+        least = [0 if kwargs.get("nargs") == "?" else 1 for _, kwargs in positionals]
+        at = 0
+        for k, (flag, kwargs) in enumerate(positionals):
+            rest = len(run) - at - sum(least[k + 1 :])
+            nargs = kwargs.get("nargs")
+            take = rest if nargs == "+" else min(rest, 1)
+            if not least[k] <= take <= rest:
+                return None
+            texts = [_convert(kwargs, t) for t in run[at : at + take]]
+            at += take
+            values[flag] = texts if nargs == "+" else texts[0] if texts else kwargs.get("default")
+    except (TypeError, ValueError):
+        return None
+    return values if at == len(run) else None
+
+
+def _group_at(argv):
+    """The index of the first word of argv that names a group, or None."""
+    return next((i for i, word in enumerate(argv) if word in GROUPS), None)
+
+
+def _parse(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, read from the
+    command table; None for every argv outside its shape."""
+    at = _group_at(argv)
+    if at is None:
+        return None
+    row = next((row for row in COMMANDS if row[:2] == (argv[at], *argv[at + 1 : at + 2])), None)
+    top = _read(argv[:at], _TOP)
+    values = row and _read(argv[at + 2 :], list(_arguments(row)))
+    if top is None or values is None:
+        return None
+    return SimpleNamespace(**top, group=row[0], cmd=row[1], row=row, **values)
 
 
 def _reachable(argv):
     """The rows argparse can enter for argv: those of the first group argv
     names, narrowed to the command the next token names, if it names one;
     every row when argv names no group."""
-    at = next((i for i, word in enumerate(argv) if word in GROUPS), None)
+    at = _group_at(argv)
     if at is None:
         return COMMANDS
     rows = [row for row in COMMANDS if row[0] == argv[at]]
     return [row for row in rows if row[1] in argv[at + 1 : at + 2]] or rows
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command, or, given argv, of the commands argv can
-    reach; the other groups stay bare.  Usage and help read the same."""
+def build_parser(argv=()):
+    """The argparse parser of every command, or, given argv, of the commands
+    argv can reach; the other groups stay bare.  Usage and help read the
+    same."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="princlab",
         description="Exact idempotent-pair, ideal, and comaximal-factorization lab "
         "with re-checkable JSON certificates.",
     )
-    top.add_argument("--recheck", action="store_true", help="re-verify every certificate with the independent checker")
-    top.add_argument("--jobs", type=int, default=1, help="parallel workers for batch inputs")
+    for flag, kwargs in _TOP:
+        top.add_argument(flag, **kwargs)
     groups = top.add_subparsers(dest="group", required=True)
     rows = _reachable(argv)
     entered = {row[0] for row in rows}
     parsers = {g: groups.add_parser(g, add_help=g in entered) for g in GROUPS}
     subs = {g: parsers[g].add_subparsers(dest="cmd", required=True) for g in entered}
     for row in rows:
-        group, name, _, ring, operands = row
-        p = subs[group].add_parser(name)
+        p = subs[row[0]].add_parser(row[1])
         p.set_defaults(row=row)
-        if isinstance(ring, str):
-            p.add_argument("--ring", default=ring)
-            if GROUPS[group][2]:
-                p.add_argument("--monoid", default=None, help="p-div:P or mult:{P1,P2}")
-                p.add_argument("--group", dest="group_mode", action="store_true", help="Laurent exponents (group algebra)")
-        for flag, _, kwargs in operands:
-            if kwargs is not None:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in _arguments(row):
+            p.add_argument(flag, **kwargs)
     return top
+
+
+# -------------------------------------------------------------- dispatch
 
 
 def _command_ring(args, ring):
     """The row's fixed ring, or its --ring, rejected (exit 2) unless the
     group accepts it."""
     if not isinstance(ring, str):
-        return ring
+        return ring and ring()
     monoid, group_mode = getattr(args, "monoid", None), getattr(args, "group_mode", False)
     ring = parse_ring_spec(args.ring, monoid, group_mode)
-    kinds, need, _ = GROUPS[args.group]
-    if not isinstance(ring, kinds):
+    families, need, _ = GROUPS[args.group]
+    family = ring.to_json()["family"]
+    if families is not None and family not in families:
         raise CliError(need)
-    if (monoid is not None or group_mode) and not isinstance(ring, MonoidRing):
+    if (monoid is not None or group_mode) and family != "monoid":
         raise CliError("--monoid and --group need --ring 'BASE[X;S]'")
     return ring
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv) or build_parser(argv).parse_args(argv)
     _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:

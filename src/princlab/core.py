@@ -43,7 +43,6 @@ identity.  The small primes for trial division come from a sieve.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -97,6 +96,8 @@ class RingElem:
         raise ValueError(f"negative power of a {type(self).__name__}")
 
     def __repr__(self):
+        import json
+
         from .report import enc  # at call time: `report` imports this module
 
         return f"{type(self).__name__}({json.dumps(enc(self))})"
@@ -110,6 +111,8 @@ class RingHandle:
         return self is other or (isinstance(other, RingHandle) and self.to_json() == other.to_json())
 
     def __hash__(self):
+        import json
+
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
 

@@ -36,7 +36,11 @@ for each pair i < j in order, and each pair's lam*f_i + mu*f_j == 1) for
 its factor count.  Each lam and mu must lie in the ring, since over the
 fraction field any two nonzero elements are comaximal: integral over Z,
 Z[sqrt(d)] and the limit ring over Z, and `_mon_in_ring` over D[X;S].
-`_idempotent_fails` checks f(1 - f) == s*r for every idempotent pair,
+`_idempotent_fails` checks f(1 - f) == s*r for every idempotent pair, and
+`_member_fails` that the pair, its witness, a derived pair and the
+complement quotients lie in the ring, since over a field every pair with a
+nonzero member satisfies it for some r (`lam` and `mu` of `idem
+from-ideal` lie in the inverse ideal and are exempt).
 `_projector_fails` M*M == M for every projector matrix, `_omega_fails`
 omega-stability; `_Blocks` multiplies prime powers, `_mat_mul` is the
 matrix product and `_strip` removes the primes of a denominator.
@@ -757,16 +761,55 @@ def _projector_fails(m, fails, name):
                 fails.append(f"{name}*{name} != {name} at ({i},{j})")
 
 
-def _pair_identity(result, fails):
+def _in_ring(v, ring) -> bool:
+    """Whether the decoded value v lies in the ring a report names; the
+    D[X;S] and Z[sqrt(d)] values themselves go to `_member_fails`'s
+    helpers."""
+    family, tag = ring["family"], v[0]
+    if tag == "rat":
+        if family in ("monoid", "limit", "pullback"):
+            return _in_ring(v, ring["base"])
+        if family == "zloc":
+            return _strip(v[1].denominator, [int(p) for p in ring["primes"]]) == 1
+        return family not in ("int", "quad") or v[1].denominator == 1
+    if tag == "lim":
+        return family == "limit" and all(_in_ring(("rat", Fraction(c)), ring["base"]) for c in v[2])
+    if tag == "rf":
+        return family == "pullback" and _in_base(_rf_value0(v), ring["base"])
+    return (family, tag) in (("qpoly", "poly"), ("sphere", "sph"))
+
+
+def _member_fails(named, ring, fails):
+    """Each named decoded value must lie in the ring, not only in its
+    fraction field: over Q, (2, 3) with witness -2/3 satisfies f(1-f) ==
+    s*r.  Integral coordinates over Z[sqrt(d)] (`_quad_xy`), `_mon_in_ring`
+    over D[X;S], after its primes pass `_ring_prime_fails`."""
+    if ring["family"] == "monoid":
+        primes = _ring_prime_fails(ring)
+        if primes:
+            fails.extend(p for p in primes if p not in fails)  # once per report
+            return
+    for name, v in named:
+        if ring["family"] == "monoid" and v[0] == "mon":
+            _mon_in_ring(v, ring, fails, name)
+        elif ring["family"] == "quad" and v[0] == "quad":
+            _quad_xy(v, name, fails)
+        elif not _in_ring(v, ring):
+            fails.append(f"{name} does not lie in the ring")
+
+
+def _pair_identity(report, fails):
+    result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     pair = result["pair"]
     r = dec(pair["witness"])
+    _member_fails((("a", a), ("b", b), ("pair witness", r)), report["ring"], fails)
     f, s = (a, b) if pair["orientation"] == "ab" else (b, a)
     _idempotent_fails(f, s, r, fails, "pair witness identity f(1-f) == s*r fails")
     return a, b, f, s, r
 
 
-def _complement(result, f, s, fails):
+def _complement(result, f, s, ring, fails):
     comp = result.get("complement")
     if comp is None:
         return
@@ -785,6 +828,7 @@ def _complement(result, f, s, fails):
     for i, (p, w) in enumerate(zip(prods, want)):
         if not v_eq(p, w):
             fails.append(f"complement product {i} differs from f,s recomputation")
+    _member_fails([(f"complement quotient {i}", q) for i, q in enumerate(quots)], ring, fails)
     for i, (p, q) in enumerate(zip(prods, quots)):
         if not v_eq(v_mul(s, q), p):
             fails.append(f"complement quotient {i} fails s*q == product")
@@ -800,8 +844,8 @@ def _verify_idem_check(report):
     result = report["result"]
     if report["verdict"] == "not_idempotent_pair":
         return fails  # a negative detection carries no certificate
-    a, b, f, s, r = _pair_identity(result, fails)
-    _complement(result, f, s, fails)
+    a, b, f, s, r = _pair_identity(report, fails)
+    _complement(result, f, s, report["ring"], fails)
     return fails
 
 
@@ -810,7 +854,7 @@ def _verify_idem_matrix(report):
     result = report["result"]
     if "matrix" not in result:
         return fails  # negative detection: nothing to certify
-    _, _, f, s, r = _pair_identity(result, fails)
+    _, _, f, s, r = _pair_identity(report, fails)
     m = [[dec(e) for e in row] for row in result["matrix"]]
     one = v_one_like(f)
     want = [[f, s], [r, v_sub(one, f)]]
@@ -839,9 +883,11 @@ def _verify_idem_from_ideal(report):
     wit = dec(pair["witness"])
     if not v_eq(wit, v_mul(mu, a)):
         fails.append("derived witness is not mu*a")
-    sub = {"a": pair["a"], "b": pair["b"], "pair": pair, "complement": result.get("complement")}
+    # lam and mu lie in the inverse ideal, not the ring; what they derive must
+    named = (("a", a), ("b", b), ("derived pair a", pa), ("derived pair b", pb), ("derived witness", wit))
+    _member_fails(named, report["ring"], fails)
     _idempotent_fails(pa, pb, wit, fails, "derived pair fails its defining relation")
-    _complement(sub, pa, pb, fails)
+    _complement(result, pa, pb, report["ring"], fails)
     return fails
 
 

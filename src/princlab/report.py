@@ -9,17 +9,23 @@ lists and tuples; every element and certificate type serializes itself through
 `to_json(enc)` in its own module, so each type has one encoding and this
 module imports nothing from the package but `core`.
 
-`dump` writes the text of `json.dumps(report, indent=2)` byte for byte.
-`json` never uses its C encoder when `indent` is set, so `dump` walks the
-containers itself and leaves each string to the C routine `json.dumps` uses
-for it, `json.encoder.encode_basestring_ascii`.
+`dump` writes the text of `json.dumps(report, indent=2)` byte for byte,
+without importing `json`.  `json` never uses its C encoder when `indent` is
+set, so `dump` walks the containers itself, hands each string to the C
+routine `json.encoder` uses for it (`_json.encode_basestring_ascii`) and
+writes the int, bool and None leaves itself.  Any other leaf or key type
+goes to `json.dumps`, imported then, so its text and its TypeError stay
+json's own.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import REPORT_SCHEMA, __version__
 from .core import _frac
@@ -89,9 +95,19 @@ def _write(x, put, nl):
             _write(v, put, inner)
             sep = "," + inner
         put(nl + "]")
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif type(x) is int:
+        put(repr(x))
     else:
         # a leaf's text does not depend on the indentation, so json gives
         # it (and raises its own TypeError for anything it cannot encode)
+        import json
+
         put(json.dumps(x))
 
 
@@ -99,5 +115,7 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, (int, float)) or k is None:
+        import json
+
         return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import princlab
-from princlab import cli
+from princlab import cli, quadring
 from princlab.comax import comax_factor_int, enumerate_complete_factorizations
 from princlab.limitring import lr_chain
 from princlab.monoidring import juett_split, mr_comax_chain, mr_split
@@ -42,8 +42,8 @@ def test_comax_unique_rechecks(capsys, d, b, count):
 
 
 def test_recheck_failure_exits_3(capsys, monkeypatch):
-    real = cli.factor_principal
-    monkeypatch.setattr(cli, "factor_principal", lambda b: real(b)[:-1])
+    real = quadring.factor_principal
+    monkeypatch.setattr(quadring, "factor_principal", lambda b: real(b)[:-1])
     argv = ["ideal", "factor", "--ring", "Z[sqrt(-5)]", "6"]
     assert run_cli(capsys, *argv)[0] == 0
     code, out, err = run_cli(capsys, "--recheck", *argv)
@@ -383,10 +383,15 @@ def test_division_past_the_dense_limit_is_an_input_error():
         (["2"], ["3", "1"], "ring.base.primes: 1 is below 2"),
     ],
 )
-def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure):
+@pytest.mark.parametrize(
+    "argv",
+    [["mring", "chain", "--m", "4", "--s", "1/2"], ["idem", "check", "X^(1/2)", "1-X^(1/2)"]],
+    ids=["mring-chain", "idem-check"],
+)
+def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure, argv):
     # stripping the prime 1 never ends and the prime 0 divides by zero, so
     # the check runs in a fresh interpreter with a time limit
-    report = report_of(capsys, "mring", "chain", "--m", "4", "--ring", "Z[1/2][X;S]", "--s", "1/2")
+    report = report_of(capsys, *argv, "--ring", "Z[1/2][X;S]")
     report["ring"]["monoid"]["primes"] = monoid
     report["ring"]["base"]["primes"] = base
     probe = (

@@ -187,6 +187,61 @@ def plus_one(leaf: str) -> str:
     return str(Fraction(leaf) + 1)
 
 
+def _int(v):
+    return {"type": "int", "value": str(v)}
+
+
+def _rat(v):
+    return {"type": "rat", "value": str(v)}
+
+
+def test_an_idem_check_witness_outside_the_ring_fails():
+    # (2, 3) is no idempotent pair of Z, yet r = -2/3 gives 2*(1 - 2) == 3*r
+    def forge(report):
+        result = report["result"]
+        result.update(a=_int(2), b=_int(3), complement=None)
+        result["pair"].update(a=_int(2), b=_int(3), orientation="ab", witness=_rat("-2/3"))
+
+    assert golden_fails("idem_check", forge) == ["pair witness does not lie in the ring"]
+
+
+def test_an_idem_from_ideal_pair_outside_the_ring_fails():
+    # lam = 1/4, mu = 0 solve lam*4 + mu*6 == 1 over Q and derive the pair
+    # (1, 3/2) with witness 0, whose complement is recomputed to match
+    def forge(report):
+        result = report["result"]
+        result["bezout"] = {"lam": _rat("1/4"), "mu": _int(0)}
+        result["pair"].update(a=_int(1), b=_rat("3/2"), orientation="ab", witness=_int(0))
+        result["complement"].update(generator=_rat("3/2"), products=[_int(0), _rat("3/2"), _int(0), _rat("9/4")],
+                                    quotients=[_int(0), _int(1), _int(0), _rat("3/2")])
+
+    assert golden_fails("idem_from_ideal", forge) == [
+        "derived pair b does not lie in the ring", "complement quotient 3 does not lie in the ring"]
+
+
+def _witness_off_the_ring(report):
+    # a witness in the fraction field but not in the ring (the pair identity
+    # fails too): half the sqrt(d) coordinate, half of each D[X;S]
+    # coefficient, 1/2 more at Y = 0 in the pullback
+    w = report["result"]["pair"]["witness"]
+    if w["type"] == "quad":
+        w["y"] = str(Fraction(w["y"]) / 2)
+    elif w["type"] == "monoid":
+        w["terms"] = [[e, _rat(Fraction(c["value"]) / 2)] for e, c in w["terms"]]
+    else:
+        coeffs = w["num"]["coeffs"]
+        coeffs[0] = _rat(Fraction(coeffs[0]["value"]) + Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name,failure", [
+    ("idem_check_quad", "pair witness does not have integer coordinates"),
+    ("idem_check_monoid_z", "pair witness: coefficient 1/2 outside Z"),
+    ("idem_check_pullback", "pair witness does not lie in the ring"),
+])
+def test_an_idem_witness_is_checked_in_its_ring(name, failure):
+    assert failure in golden_fails(name, _witness_off_the_ring)
+
+
 @pytest.mark.parametrize("name", ["pullback_base_non_principal", "pullback_reduce_quad"])
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("key", ["x", "y", "d"])
