@@ -375,7 +375,7 @@ def test_division_past_the_dense_limit_is_an_input_error():
     assert float(elapsed) < 1
 
 
-@pytest.mark.parametrize(
+PRIMES_BELOW_2 = pytest.mark.parametrize(
     "monoid,base,failure",
     [
         (["1"], ["2"], "ring.monoid.primes: 1 is below 2"),
@@ -383,12 +383,9 @@ def test_division_past_the_dense_limit_is_an_input_error():
         (["2"], ["3", "1"], "ring.base.primes: 1 is below 2"),
     ],
 )
-@pytest.mark.parametrize(
-    "argv",
-    [["mring", "chain", "--m", "4", "--s", "1/2"], ["idem", "check", "X^(1/2)", "1-X^(1/2)"]],
-    ids=["mring-chain", "idem-check"],
-)
-def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure, argv):
+
+
+def check_prime_below_2_fails_fast(capsys, argv, monoid, base, failure):
     # stripping the prime 1 never ends and the prime 0 divides by zero, so
     # the check runs in a fresh interpreter with a time limit
     report = report_of(capsys, *argv, "--ring", "Z[1/2][X;S]")
@@ -406,6 +403,16 @@ def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base
     fails, elapsed = json.loads(res.stdout)
     assert fails == [failure]
     assert elapsed < 1
+
+
+@PRIMES_BELOW_2
+def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure):
+    check_prime_below_2_fails_fast(capsys, ["mring", "chain", "--m", "4", "--s", "1/2"], monoid, base, failure)
+
+
+@PRIMES_BELOW_2
+def test_recheck_fails_a_ring_prime_below_2_in_an_idem_check(capsys, monoid, base, failure):
+    check_prime_below_2_fails_fast(capsys, ["idem", "check", "X^(1/2)", "1-X^(1/2)"], monoid, base, failure)
 
 
 # ------------------------------------------------------- the shell exit
