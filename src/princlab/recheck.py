@@ -24,9 +24,10 @@ X^(g/L) after its smallest exponent.  A product whose dense length would
 exceed `_MON_FILL` times its number of term pairs keeps the term-by-term
 loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
 through its two least denominators; the per-term loop runs only to name the
-terms that fail.  A D[X;S] report whose monoid or localized-base primes
-include one that is not a prime fails before any of these loops, which
-would never end on 1 or divide by zero on 0; `_not_prime` is its own
+terms that fail.  A report over Z[1/p] or D[X;S] whose ring names a
+prime (of Z[1/p], of the monoid, or of a localized base) that is not a
+prime fails before any membership loop, which would never end on 1 or
+divide by zero on 0 (`_ring_prime_fails`); `_not_prime` is its own
 deterministic Miller-Rabin test.
 
 Each identity has one checking routine here.  `_comaximal_fails` checks
@@ -34,13 +35,14 @@ every comaximal factorization (u * f_1 * ... * f_m == b, one pairwise entry
 for each pair i < j in order, and each pair's lam*f_i + mu*f_j == 1) for
 `comax`, `mring split|chain|juett` and `limitring chain`, whose `m` must be
 its factor count.  Each lam and mu must lie in the ring, since over the
-fraction field any two nonzero elements are comaximal: integral over Z,
-Z[sqrt(d)] and the limit ring over Z, and `_mon_in_ring` over D[X;S].
+fraction field any two nonzero elements are comaximal.
 `_idempotent_fails` checks f(1 - f) == s*r for every idempotent pair, and
-`_member_fails` that the pair, its witness, a derived pair and the
-complement quotients lie in the ring, since over a field every pair with a
-nonzero member satisfies it for some r (`lam` and `mu` of `idem
-from-ideal` lie in the inverse ideal and are exempt).
+the pair, its witness, a derived pair and the complement quotients must
+lie in the ring, since over a field every pair with a nonzero member
+satisfies it for some r (`lam` and `mu` of `idem from-ideal` lie in the
+inverse ideal and are exempt).  One routine decides membership:
+`_member_fails`, through `_in_ring` (and `_mon_in_ring` over D[X;S]),
+each caller passing its own failure text.
 `_projector_fails` M*M == M for every projector matrix, `_omega_fails`
 omega-stability; `_Blocks` multiplies prime powers, `_mat_mul` is the
 matrix product and `_strip` removes the primes of a denominator.
@@ -762,9 +764,10 @@ def _projector_fails(m, fails, name):
 
 
 def _in_ring(v, ring) -> bool:
-    """Whether the decoded value v lies in the ring a report names; the
-    D[X;S] and Z[sqrt(d)] values themselves go to `_member_fails`'s
-    helpers."""
+    """Whether the decoded value v lies in the ring a report names, not only
+    in its fraction field; the one membership test here, with
+    `_mon_in_ring` for D[X;S] values.  A Z[1/p] ring's primes must have
+    passed `_ring_prime_fails`."""
     family, tag = ring["family"], v[0]
     if tag == "rat":
         if family in ("monoid", "limit", "pullback"):
@@ -772,30 +775,34 @@ def _in_ring(v, ring) -> bool:
         if family == "zloc":
             return _strip(v[1].denominator, [int(p) for p in ring["primes"]]) == 1
         return family not in ("int", "quad") or v[1].denominator == 1
-    if tag == "lim":
-        return family == "limit" and all(_in_ring(("rat", Fraction(c)), ring["base"]) for c in v[2])
+    if tag == "quad":
+        return family == "quad" and v[1].denominator == 1 and v[2].denominator == 1
+    if tag == "lim":  # its coefficients lie in the base when their common denominator does
+        return family == "limit" and _in_ring(("rat", Fraction(1, lcm(1, *(c.denominator for c in v[2])))), ring["base"])
     if tag == "rf":
-        return family == "pullback" and _in_base(_rf_value0(v), ring["base"])
+        # pullback bases are Z or Z[sqrt(d)]; the value at Y = 0 must lie there
+        if family != "pullback" or ring["base"]["family"] not in ("int", "quad"):
+            return False
+        value = _rf_value0(v)
+        return value is not None and _in_ring(value, ring["base"])
     return (family, tag) in (("qpoly", "poly"), ("sphere", "sph"))
 
 
-def _member_fails(named, ring, fails):
+def _member_fails(named, ring, fails, text="does not lie in the ring"):
     """Each named decoded value must lie in the ring, not only in its
-    fraction field: over Q, (2, 3) with witness -2/3 satisfies f(1-f) ==
-    s*r.  Integral coordinates over Z[sqrt(d)] (`_quad_xy`), `_mon_in_ring`
-    over D[X;S], after its primes pass `_ring_prime_fails`."""
-    if ring["family"] == "monoid":
-        primes = _ring_prime_fails(ring)
-        if primes:
-            fails.extend(p for p in primes if p not in fails)  # once per report
-            return
+    fraction field (over Q, (2, 3) with witness -2/3 satisfies f(1-f) ==
+    s*r, and any two nonzero elements are comaximal): `_mon_in_ring` over
+    D[X;S], else `_in_ring`, failing as `name text`.  A ring whose primes
+    fail `_ring_prime_fails` fails once, before any value is read."""
+    primes = _ring_prime_fails(ring)
+    if primes:
+        fails.extend(p for p in primes if p not in fails)  # once per report
+        return
     for name, v in named:
         if ring["family"] == "monoid" and v[0] == "mon":
             _mon_in_ring(v, ring, fails, name)
-        elif ring["family"] == "quad" and v[0] == "quad":
-            _quad_xy(v, name, fails)
         elif not _in_ring(v, ring):
-            fails.append(f"{name} does not lie in the ring")
+            fails.append(f"{name} {text}")
 
 
 def _pair_identity(report, fails):
@@ -1022,6 +1029,7 @@ class _Blocks:
     def __init__(self, support, ring, fails, key="support"):
         self.support = support
         self.fails = fails
+        self.ring = ring
         self.d = None if ring["family"] == "int" else int(ring["d"])
         self._spans = {}
         self._classes = {}
@@ -1119,13 +1127,9 @@ def _verify_factorization(fact, blocks, fails, label=""):
     element = dec(fact["element"])
     factors, pairs = _comaximal_fails(fact, element, "product of factors times unit differs from the element",
                                       fails, label, unit)
-    for c, pair in zip(fact["pairwise"], pairs):
-        for name, v in zip(("lam", "mu"), pair):
-            where = f"{label}pairwise {c['i']},{c['j']} {name}"
-            if d is not None:
-                _quad_xy(v, where, fails)
-            elif v[1].denominator != 1:
-                fails.append(f"{where} is not an integer")
+    lam_mu = [(f"{label}pairwise {c['i']},{c['j']} {name}", v)
+              for c, pair in zip(fact["pairwise"], pairs) for name, v in zip(("lam", "mu"), pair)]
+    _member_fails(lam_mu, blocks.ring, fails, "is not an integer" if d is None else "does not have integer coordinates")
     if d is None:
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
@@ -1237,15 +1241,6 @@ def _rf_value0(v):
     return ("rat", c0[1] / d0[1])
 
 
-def _in_base(value, base) -> bool:
-    if value is None:
-        return False
-    if value[0] == "rat":
-        # Z lies in every base; a quad base's zero decodes as the rational 0
-        return value[1].denominator == 1
-    return base["family"] == "quad" and value[1].denominator == 1 and value[2].denominator == 1
-
-
 def _verify_pullback_reduce(report):
     fails = []
     result = report["result"]
@@ -1288,17 +1283,14 @@ def _verify_pullback_reduce(report):
         fails.append("generator*qb != b")
     if not v_eq(v_add(v_mul(ca, a), v_mul(cb, b)), g):
         fails.append("ca*a + cb*b != generator")
-    for name in ("generator", "qa", "qb", "ca", "cb"):
-        val = _rf_value0(dec(result[name]))
-        if not _in_base(val, base):
-            fails.append(f"{name} is not a member of the pullback (value at 0)")
+    named = [(name, dec(result[name])) for name in ("generator", "qa", "qb", "ca", "cb")]
+    _member_fails(named, report["ring"], fails, "is not a member of the pullback (value at 0)")
     return fails
 
 
 def _verify_pullback_nonufd(report):
     fails = []
     result = report["result"]
-    base = report["ring"]["base"]
     z = dec(result["z"])
     dconst = dec(result["d"])
     chain = [dec(e) for e in result["chain"]]
@@ -1310,7 +1302,7 @@ def _verify_pullback_nonufd(report):
         if not v_eq(v_mul(e, acc), z):
             fails.append(f"chain element {k} times d^{k} differs from z")
         val = _rf_value0(e)
-        if not _in_base(val, base) or not v_is_zero(val):
+        if val is None or not v_is_zero(val):  # zero lies in every base
             fails.append(f"chain element {k} is not in the maximal ideal")
     return fails
 
@@ -1348,14 +1340,17 @@ def _not_prime(p):
     return None
 
 
-def _ring_prime_fails(ring):
-    # D[X;S] is described by primes.  Stripping a prime below 2 never ends
-    # (1) or divides by zero (0), so such a ring fails before any membership
-    # loop runs; a composite describes another monoid than it claims
-    primes = [("ring.monoid.primes", p) for p in ring["monoid"]["primes"]]
-    if ring["base"]["family"] == "zloc":
-        primes += [("ring.base.primes", p) for p in ring["base"]["primes"]]
-    return [f"{where}: {p} {why}" for where, p in primes if (why := _not_prime(int(p)))]
+def _ring_prime_fails(ring, where="ring"):
+    # Z[1/p] and D[X;S] are described by primes, at any depth of bases.
+    # Stripping a prime below 2 never ends (1) or divides by zero (0), so
+    # such a ring fails before any membership loop runs; a composite
+    # describes another ring than it claims
+    family = ring["family"]
+    primes = [(f"{where}.primes", p) for p in ring["primes"]] if family == "zloc" else []
+    if family == "monoid":
+        primes = [(f"{where}.monoid.primes", p) for p in ring["monoid"]["primes"]]
+    fails = [f"{label}: {p} {why}" for label, p in primes if (why := _not_prime(int(p)))]
+    return fails + (_ring_prime_fails(ring["base"], f"{where}.base") if "base" in ring else [])
 
 
 def _strip(n, primes):
@@ -1462,15 +1457,11 @@ def _verify_limit_chain(report):
     factors, pairs = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
     if result["m"] != len(factors):
         fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
-    if report["ring"]["base"]["family"] == "int":
-        for f in factors:
-            if any(c.denominator != 1 for c in f[2]):
-                fails.append("factor coefficients leave Z")
-        # lam and mu too: over Q any two nonzero elements are comaximal
-        for c, pair in zip(result["pairwise"], pairs):
-            for name, v in zip(("lam", "mu"), pair):
-                if any(x.denominator != 1 for x in v[2]):
-                    fails.append(f"pairwise {c['i']},{c['j']} {name} coefficients leave Z")
+    # over Z: the limit ring's only bases are Q and Z
+    named = [("factor", f) for f in factors]
+    named += [(f"pairwise {c['i']},{c['j']} {name}", v)
+              for c, pair in zip(result["pairwise"], pairs) for name, v in zip(("lam", "mu"), pair)]
+    _member_fails(named, report["ring"], fails, "coefficients leave Z")
     return fails
 
 

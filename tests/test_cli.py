@@ -14,7 +14,8 @@ from princlab.limitring import lr_chain
 from princlab.monoidring import juett_split, mr_comax_chain, mr_split
 from princlab.quadring import QuadElem
 from princlab.recheck import verify_report
-from princlab.report import enc
+from princlab.report import enc, make_report
+from princlab.rings import LocalizedIntegers
 
 
 def run_cli(capsys, *argv):
@@ -385,12 +386,9 @@ PRIMES_BELOW_2 = pytest.mark.parametrize(
 )
 
 
-def check_prime_below_2_fails_fast(capsys, argv, monoid, base, failure):
+def recheck_fails_fast(report, failure):
     # stripping the prime 1 never ends and the prime 0 divides by zero, so
     # the check runs in a fresh interpreter with a time limit
-    report = report_of(capsys, *argv, "--ring", "Z[1/2][X;S]")
-    report["ring"]["monoid"]["primes"] = monoid
-    report["ring"]["base"]["primes"] = base
     probe = (
         "import json, sys, time\n"
         "from princlab.recheck import verify_report\n"
@@ -405,6 +403,13 @@ def check_prime_below_2_fails_fast(capsys, argv, monoid, base, failure):
     assert elapsed < 1
 
 
+def check_prime_below_2_fails_fast(capsys, argv, monoid, base, failure):
+    report = report_of(capsys, *argv, "--ring", "Z[1/2][X;S]")
+    report["ring"]["monoid"]["primes"] = monoid
+    report["ring"]["base"]["primes"] = base
+    recheck_fails_fast(report, failure)
+
+
 @PRIMES_BELOW_2
 def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base, failure):
     check_prime_below_2_fails_fast(capsys, ["mring", "chain", "--m", "4", "--s", "1/2"], monoid, base, failure)
@@ -413,6 +418,18 @@ def test_recheck_fails_a_ring_prime_below_2_before_any_loop(capsys, monoid, base
 @PRIMES_BELOW_2
 def test_recheck_fails_a_ring_prime_below_2_in_an_idem_check(capsys, monoid, base, failure):
     check_prime_below_2_fails_fast(capsys, ["idem", "check", "X^(1/2)", "1-X^(1/2)"], monoid, base, failure)
+
+
+@pytest.mark.parametrize("command", ["idem check", "idem matrix"])
+@pytest.mark.parametrize("prime", ["1", "0"])
+def test_recheck_fails_a_z_1_over_p_prime_below_2_in_an_idem_report(command, prime):
+    # the expression grammar has no Z[1/p], so the report is made in process
+    ring = LocalizedIntegers((3,))
+    handler = getattr(cli, "cmd_" + command.replace(" ", "_"))
+    report = make_report(command, ring, *handler(ring, ring.coerce(-2), ring.coerce(-3))[:2])
+    assert report["verdict"] == "idempotent_pair" and verify_report(report) == []
+    report["ring"]["primes"] = [prime]
+    recheck_fails_fast(report, f"ring.primes: {prime} is below 2")
 
 
 # ------------------------------------------------------- the shell exit

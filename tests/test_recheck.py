@@ -234,7 +234,7 @@ def _witness_off_the_ring(report):
 
 
 @pytest.mark.parametrize("name,failure", [
-    ("idem_check_quad", "pair witness does not have integer coordinates"),
+    ("idem_check_quad", "pair witness does not lie in the ring"),
     ("idem_check_monoid_z", "pair witness: coefficient 1/2 outside Z"),
     ("idem_check_pullback", "pair witness does not lie in the ring"),
 ])
