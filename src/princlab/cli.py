@@ -7,22 +7,11 @@ non-unique, not a pair, no witness found), 2 = input error (any
 stdout; errors and recheck failures go to stderr.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
-and operands; `GROUPS` gives the ring families each group accepts.  `main`
-parses argv, checks `--ring` and converts the operands, then calls
-`handler(ring, **operands)`, which returns the verdict, the result and the
-exit code.  Each certificate serializes itself (`report.enc` falls through
-to its `to_json`).
-
-Parsing.  `_parse` reads argv straight from the command table when it has
-one plain shape: the top-level flags, then the group and the command, then
-the command's flags, each spelled in full and given at most once, with a
-value after each flag that takes one, and one unbroken run of positionals.
-A value or positional starting with "-" must be a negative number.  It
-returns the namespace argparse would.  Every other argv (help, an
-abbreviated flag, `--flag=value`, a repeated flag, a top-level flag after
-the group, any error) goes to `build_parser(argv).parse_args(argv)`, so
-argparse stays the one source of help, usage and error text, and
-`argparse` is imported only then.
+and operands; `GROUPS` gives the ring families each group accepts.  From
+these `main` builds the parser, checks `--ring` and converts the operands,
+then calls `handler(ring, **operands)`, which returns the verdict, the
+result and the exit code.  Each certificate serializes itself (`report.enc`
+falls through to its `to_json`).
 
 Imports.  At import this module runs only `core`, `rings`, `exprparse`,
 `report` and `recheck`.  Each family module (`comax`, `idem`, `quadring`,
@@ -46,12 +35,12 @@ usual, and so does a flush that fails, through `sys.exit`.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import os
 import re
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
@@ -385,152 +374,48 @@ COMMANDS = (
     ("sphere", "reduce", "cmd_sphere_reduce", _b2, (_arg("expr", _elem),)),
 )
 
-# the top-level flags, as (flag, argparse keywords)
-_TOP = (
-    ("--recheck", {"action": "store_true", "help": "re-verify every certificate with the independent checker"}),
-    ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
-)
-
-
-def _arguments(row):
-    """The (flag, argparse keywords) of each argument of the row's parser."""
-    group, _, _, ring, operands = row
-    if isinstance(ring, str):
-        yield "--ring", {"default": ring}
-        if GROUPS[group][2]:
-            yield "--monoid", {"default": None, "help": "p-div:P or mult:{P1,P2}"}
-            yield "--group", {"dest": "group_mode", "action": "store_true", "help": "Laurent exponents (group algebra)"}
-    for flag, _, kwargs in operands:
-        if kwargs is not None:
-            yield flag, kwargs
-
-
-# ------------------------------------------------------------------ parsing
-
-_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
-
-
-def _plain(word):
-    """Whether argparse reads word as a value, not a flag: it does not start
-    with "-", or it is a negative number (no parser here has a flag that
-    looks like one)."""
-    return not word.startswith("-") or _NEGATIVE.fullmatch(word) is not None
-
-
-def _convert(kwargs, text):
-    """text through the argument's type and choices; a ValueError where
-    argparse would reject it."""
-    value = kwargs["type"](text) if "type" in kwargs else text
-    if value not in kwargs.get("choices", (value,)):
-        raise ValueError(value)
-    return value
-
-
-def _read(words, arguments):
-    """{dest: value} as argparse assigns them for words, or None when words
-    are not in the one shape read here (see the module docstring)."""
-    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
-    positionals = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
-    given, run, closed, i = {}, [], False, 0
-    while i < len(words):
-        word = words[i]
-        if word in flags and word not in given:  # a repeated flag ends the shape below
-            kwargs = flags[word]
-            closed = bool(run)
-            takes = kwargs.get("action") != "store_true"
-            if takes and (i + 1 == len(words) or not _plain(words[i + 1])):
-                return None
-            given[word] = words[i + 1] if takes else True
-            i += 1 + takes
-        elif closed or not _plain(word):
-            return None
-        else:
-            run.append(word)
-            i += 1
-    values = {}
-    try:
-        for flag, kwargs in flags.items():
-            if kwargs.get("required") and flag not in given:
-                return None
-            dest = kwargs.get("dest", flag[2:])
-            if kwargs.get("action") == "store_true":
-                values[dest] = flag in given
-            else:
-                text = given.get(flag, kwargs.get("default"))
-                values[dest] = _convert(kwargs, text) if isinstance(text, str) else text
-        least = [0 if kwargs.get("nargs") == "?" else 1 for _, kwargs in positionals]
-        at = 0
-        for k, (flag, kwargs) in enumerate(positionals):
-            rest = len(run) - at - sum(least[k + 1 :])
-            nargs = kwargs.get("nargs")
-            take = rest if nargs == "+" else min(rest, 1)
-            if not least[k] <= take <= rest:
-                return None
-            texts = [_convert(kwargs, t) for t in run[at : at + take]]
-            at += take
-            values[flag] = texts if nargs == "+" else texts[0] if texts else kwargs.get("default")
-    except (TypeError, ValueError):
-        return None
-    return values if at == len(run) else None
-
-
-def _group_at(argv):
-    """The index of the first word of argv that names a group, or None."""
-    return next((i for i, word in enumerate(argv) if word in GROUPS), None)
-
-
-def _parse(argv):
-    """The namespace `build_parser().parse_args(argv)` gives, read from the
-    command table; None for every argv outside its shape."""
-    at = _group_at(argv)
-    if at is None:
-        return None
-    row = next((row for row in COMMANDS if row[:2] == (argv[at], *argv[at + 1 : at + 2])), None)
-    top = _read(argv[:at], _TOP)
-    values = row and _read(argv[at + 2 :], list(_arguments(row)))
-    if top is None or values is None:
-        return None
-    return SimpleNamespace(**top, group=row[0], cmd=row[1], row=row, **values)
+# -------------------------------------------------------------- dispatch
 
 
 def _reachable(argv):
     """The rows argparse can enter for argv: those of the first group argv
     names, narrowed to the command the next token names, if it names one;
     every row when argv names no group."""
-    at = _group_at(argv)
+    at = next((i for i, word in enumerate(argv) if word in GROUPS), None)
     if at is None:
         return COMMANDS
     rows = [row for row in COMMANDS if row[0] == argv[at]]
     return [row for row in rows if row[1] in argv[at + 1 : at + 2]] or rows
 
 
-def build_parser(argv=()):
-    """The argparse parser of every command, or, given argv, of the commands
-    argv can reach; the other groups stay bare.  Usage and help read the
-    same."""
-    import argparse
-
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command, or, given argv, of the commands argv can
+    reach; the other groups stay bare.  Usage and help read the same."""
     top = argparse.ArgumentParser(
         prog="princlab",
         description="Exact idempotent-pair, ideal, and comaximal-factorization lab "
         "with re-checkable JSON certificates.",
     )
-    for flag, kwargs in _TOP:
-        top.add_argument(flag, **kwargs)
+    top.add_argument("--recheck", action="store_true", help="re-verify every certificate with the independent checker")
+    top.add_argument("--jobs", type=int, default=1, help="parallel workers for batch inputs")
     groups = top.add_subparsers(dest="group", required=True)
     rows = _reachable(argv)
     entered = {row[0] for row in rows}
     parsers = {g: groups.add_parser(g, add_help=g in entered) for g in GROUPS}
     subs = {g: parsers[g].add_subparsers(dest="cmd", required=True) for g in entered}
     for row in rows:
-        p = subs[row[0]].add_parser(row[1])
+        group, name, _, ring, operands = row
+        p = subs[group].add_parser(name)
         p.set_defaults(row=row)
-        for flag, kwargs in _arguments(row):
-            p.add_argument(flag, **kwargs)
+        if isinstance(ring, str):
+            p.add_argument("--ring", default=ring)
+            if GROUPS[group][2]:
+                p.add_argument("--monoid", default=None, help="p-div:P or mult:{P1,P2}")
+                p.add_argument("--group", dest="group_mode", action="store_true", help="Laurent exponents (group algebra)")
+        for flag, _, kwargs in operands:
+            if kwargs is not None:
+                p.add_argument(flag, **kwargs)
     return top
-
-
-# -------------------------------------------------------------- dispatch
 
 
 def _command_ring(args, ring):
@@ -551,7 +436,7 @@ def _command_ring(args, ring):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv) or build_parser(argv).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:

@@ -1,109 +1,15 @@
-"""A call's start: `cli._parse` against argparse, and the modules a call
-loads."""
+"""The modules a shell call loads: its command's family modules and no
+json."""
 
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import princlab
-from princlab import cli
-
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
-
-
-def full_namespace(argv):
-    return vars(cli.build_parser().parse_args(argv))
-
-
-def outcome(argv):
-    """main's exit code (or SystemExit code), stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def full_parser_outcome(argv):
-    with mock.patch.object(cli, "_parse", lambda argv: None):
-        return outcome(argv)
-
-
-@pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN], ids=[c["name"] for c in GOLDEN])
-def test_every_golden_argv_takes_the_table_path(argv):
-    # a value such as -3/2 that is not a negative number reaches a flag only
-    # as --flag=value, which argparse reads
-    spelled = any(w.startswith("--") and "=" in w for w in argv)
-    for words in (argv, ["--recheck", *argv], ["--jobs", "1", "--recheck", *argv]):
-        fast = cli._parse(words)
-        assert (fast is None) == spelled
-        if fast is not None:
-            assert vars(fast) == full_namespace(words)
-
-
-# words that argparse reads in several ways: negative numbers, words that
-# start with "-" but are not numbers, "--", help, abbreviations of top-level
-# and command flags, and --flag=value
-VALUES = ["-2", "-3", "0", "2", "3", "1/2", "-1.5", "-.5", "x", "-x", "", "-", "Y", "1-Y", "ab", "ba", "zz",
-          "Z", "Q[X;S]", "p-div:3", "2*y", "1+sqrt(-5)", "X0^2"]
-ODD = ["-h", "--help", "--", "--rech", "--jo", "--recheck", "--jobs", "--ring=Z", "--s=1/2", "--m=2", "--or",
-       "--bou", "--lev", "--mon", "--grou", "-2x", "--jobs=1"]
-JOBS = ["1", "0", "-1", "x", str((os.cpu_count() or 1) + 1)]
-
-
-@st.composite
-def argvs(draw):
-    """An argv around one command: its top-level flags, group and name, its
-    flags (each with a value unless it is --group) in some order, and a run
-    of positionals of about the right length, then perhaps a word dropped,
-    a word inserted or two words swapped."""
-    row = draw(st.sampled_from(cli.COMMANDS))
-    value = st.sampled_from(VALUES)
-    top = draw(st.permutations([["--recheck"], ["--jobs", draw(st.sampled_from(JOBS))]]))
-    top = [w for item in top[: draw(st.integers(0, 2))] for w in item]
-    items = []
-    for flag, kwargs in cli._arguments(row):
-        if not flag.startswith("-"):
-            continue
-        if kwargs.get("required") or draw(st.booleans()):
-            items.append([flag] if kwargs.get("action") else [flag, draw(value)])
-    positionals = [kwargs for flag, kwargs in cli._arguments(row) if not flag.startswith("-")]
-    run = draw(st.lists(value, min_size=max(0, len(positionals) - 1), max_size=len(positionals) + 1))
-    items = draw(st.permutations(items))
-    items.insert(draw(st.integers(0, len(items))), run)
-    words = top + list(row[:2]) + [w for item in items for w in item]
-    change = draw(st.sampled_from(["none", "none", "drop", "insert", "swap"]))
-    if change == "drop" and words:
-        del words[draw(st.integers(0, len(words) - 1))]
-    elif change == "insert":
-        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(ODD + VALUES)))
-    elif change == "swap" and len(words) > 1:
-        i = draw(st.integers(0, len(words) - 2))
-        words[i], words[i + 1] = words[i + 1], words[i]
-    return words
-
-
-@settings(max_examples=300, deadline=None)
-@given(argvs())
-def test_the_table_path_reads_what_argparse_reads(argv):
-    fast = cli._parse(argv)
-    if fast is not None:
-        assert vars(fast) == full_namespace(argv)
-    assert outcome(argv) == full_parser_outcome(argv)
-
-
-# ------------------------------------------------------ modules a call loads
 
 BASE = ["cli", "core", "exprparse", "recheck", "report", "rings"]
 
@@ -129,11 +35,11 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
         "from princlab import cli\n"
         "code = cli.main(sys.argv[1:])\n"
         "ran = [n[9:] for n, m in sys.modules.items() if n.startswith('princlab.') and type(m) is types.ModuleType]\n"
-        "sys.stderr.write(repr((code, sorted({'argparse', 'json', 'locale'} & set(sys.modules)), sorted(ran))))\n"
+        "sys.stderr.write(repr((code, 'json' in sys.modules, sorted(ran))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(princlab.__file__).resolve().parents[1]))
     res = subprocess.run([sys.executable, "-c", probe, "--recheck", *argv], env=env, capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
-    assert res.stderr == repr((0, [], sorted(BASE + families)))
+    assert res.stderr == repr((0, False, sorted(BASE + families)))
