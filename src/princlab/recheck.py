@@ -1398,8 +1398,7 @@ def _verify_mring_split(report):
     result = report["result"]
     (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)),
                                              "f1*f2 != 1 - X^s", fails)
-    for name, v in (("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)):
-        _mon_in_ring(v, report["ring"], fails, name)
+    _member_fails((("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)), report["ring"], fails)
     return fails
 
 
@@ -1412,11 +1411,8 @@ def _verify_mring_chain(report):
                                       "product does not telescope to 1 - X^s", fails)
     if result["m"] != len(factors):
         fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
-    for k, f in enumerate(factors):
-        _mon_in_ring(f, report["ring"], fails, f"factors[{k}]")
-    for lam, mu in pairs:
-        _mon_in_ring(lam, report["ring"], fails, "lam")
-        _mon_in_ring(mu, report["ring"], fails, "mu")
+    named = [(f"factors[{k}]", f) for k, f in enumerate(factors)]
+    _member_fails(named + [(name, v) for pair in pairs for name, v in zip(("lam", "mu"), pair)], report["ring"], fails)
     return fails
 
 
@@ -1445,8 +1441,7 @@ def _verify_mring_juett(report):
                                ("beta^p != b", ("rat", beta ** p), ("rat", b))):
         if not v_eq(value, want):
             fails.append(claim)
-    for name, v in (("unit", unit), ("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)):
-        _mon_in_ring(v, report["ring"], fails, name)
+    _member_fails((("unit", unit), ("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)), report["ring"], fails)
     return fails
 
 
