@@ -6,9 +6,8 @@ re-checkable identity.  From a pair one gets a 2x2 idempotent matrix, the
 complement identity (a, b)(1-a, b) = bR, and, going the other way, any
 two-generated invertible ideal yields a pair through its Bezout data.
 
-The inverse-ideal Bezout solver and the ideal-level complement check are
-the ring handle's hooks (`inverse_bezout`, `complement_check`); rings
-without them get no Bezout data and no ideal-level check.
+The inverse-ideal Bezout solver is the ring handle's hook
+(`inverse_bezout`); rings without it get no Bezout data.
 
 `IdemPair`, `BezoutCert` and `ComplementCert` are plain classes with an
 explicit `__init__`; see `core` for why not dataclasses.
@@ -121,32 +120,28 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
 class ComplementCert:
     """Exact verification of (f, s)(1-f, s) == (s) for a normalized pair.
 
-    products are the four generators of the left-hand side, quotients divide
-    each by s, and s itself is recovered as products[1] + products[2]; for
-    rings with ideal arithmetic an independent lattice-level check is run,
-    and `verify()` fails when that check failed.
+    products are the four generators of the left-hand side and quotients
+    divide each by s, so the product ideal lies in (s); s itself is
+    products[1] + products[2], so (s) lies in the product ideal.
     """
 
-    def __init__(self, pair: IdemPair, generator, products: list, quotients: list, ideal_check: bool | None):
+    def __init__(self, pair: IdemPair, generator, products: list, quotients: list):
         self.pair = pair
         self.generator = generator
         self.products = products
         self.quotients = quotients
-        self.ideal_check = ideal_check
 
     def to_json(self, enc):
         return {
             "generator": enc(self.generator),
             "products": enc(self.products),
             "quotients": enc(self.quotients),
-            "ideal_check": self.ideal_check,
         }
 
     def verify(self) -> bool:
         f, s, r = self.pair.normalized()
         one = self.pair.ring.one
-        want = [f * (one - f), f * s, s * (one - f), s * s]
-        if self.products != want or self.ideal_check is False:
+        if self.products != [f * (one - f), f * s, s * (one - f), s * s]:
             return False
         if any(s * q != p for p, q in zip(self.products, self.quotients)):
             return False
@@ -157,13 +152,10 @@ def complement_identity(pair: IdemPair) -> ComplementCert:
     """Certify the product-ideal identity for a verified pair."""
     if not pair.verify():
         raise InvalidWitnessError("witness does not satisfy the defining relation")
-    ring = pair.ring
     f, s, r = pair.normalized()
-    one = ring.one
+    one = pair.ring.one
     products = [f * (one - f), f * s, s * (one - f), s * s]
-    quotients = [r, f, one - f, s]
-    ideal_check = ring.complement_check(f, s) if hasattr(ring, "complement_check") else None
-    cert = ComplementCert(pair, s, products, quotients, ideal_check)
+    cert = ComplementCert(pair, s, products, [r, f, one - f, s])
     if not cert.verify():
         raise CertificateError("complement certificates failed to verify")
     return cert

@@ -133,25 +133,16 @@ class PolyExtRing(RingHandle):
 
 
 class AlphaCounterexample:
-    """The pair u = 1 - alpha^4 X^4, v = alpha^2 + alpha^3 X in D[X], with the
-    verified idempotent identity and the non-principality transcript.
+    """The pair u = 1 - alpha^4 X^4, v = alpha^2 + alpha^3 X in D[X] with the
+    witness of u(1 - u) == v * witness; `nonprinc_pair_from_alpha` says why
+    (u, v) is not principal."""
 
-    The transcript is the computable content of the argument: every identity
-    it relies on is re-checked exactly; the final step records the schema
-    (any generator would force alpha into D, against the witness)."""
-
-    def __init__(self, alpha: Poly, desc: SubringDesc, u: Poly, v: Poly, witness: Poly, pair: IdemPair,
-                 transcript: list):
+    def __init__(self, alpha: Poly, desc: SubringDesc, u: Poly, v: Poly, witness: Poly):
         self.alpha = alpha
         self.desc = desc
         self.u = u
         self.v = v
         self.witness = witness
-        self.pair = pair
-        self.transcript = transcript
-
-    def verified(self) -> bool:
-        return all(step["verified"] for step in self.transcript)
 
     def to_json(self, enc):
         return {
@@ -160,13 +151,22 @@ class AlphaCounterexample:
             "u": enc(self.u),
             "v": enc(self.v),
             "witness": enc(self.witness),
-            "transcript": self.transcript,
         }
 
 
 def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
-    """Build and certify the non-principal idempotent pair attached to a
-    non-seminormality witness alpha."""
+    """The non-principal idempotent pair attached to a non-seminormality
+    witness alpha (alpha^2, alpha^3 in D, alpha not in D).
+
+    Over K[X], K the fraction field of D, u == (1 + aX)(1 - aX)(1 + a^2X^2)
+    and v == (1 + aX) a^2 with comaximal cofactors, so gcd(u, v) == 1 + aX.
+    A generator f of (u, v) in D[X] divides u and v and is a combination of
+    them, so f == c(1 + aX) with c in K, and c, c*a in D.  Since f divides u
+    in D[X] and u has constant term 1, c is a unit of D, and then alpha ==
+    (c*a)/c lies in D, against the witness.  Each identity this uses is
+    checked here exactly; membership of alpha^2 and alpha^3 and non-membership
+    of alpha is the guard below.
+    """
     a = _inner(alpha)
     if not seminormal_witness(a, desc):
         raise SubringError(
@@ -181,48 +181,16 @@ def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
     u = Poly((_inner(1), z, z, z, -a4))  # 1 - alpha^4 X^4
     v = Poly((a2, a3))  # alpha^2 + alpha^3 X
     r = Poly((z, z, z, z, a2, -a3, a4, -a5))  # alpha^2 X^4 (1 - aX + a^2X^2 - a^3X^3)
-
-    transcript = []
-
-    def step(name, statement, ok):
-        transcript.append({"step": name, "statement": statement, "verified": bool(ok)})
-        if not ok:
-            raise CertificateError(f"transcript step failed: {name}")
-
-    step(
-        "seminormal-witness",
-        "alpha^2 and alpha^3 lie in D while alpha does not",
-        seminormal_witness(a, desc),
-    )
-    eq1 = (one + Poly((z, z, a2))) * (one - Poly((z, z, a2))) + Poly((z, z, z, z, a4))
-    step("unit-square-identity", "(1+a^2X^2)(1-a^2X^2) + a^4X^4 == 1", eq1 == one)
-    step("pair-identity", "u(1-u) == v * witness", u * (one - u) == v * r)
-    step(
-        "membership",
-        "u, v and the witness have all coefficients in D",
-        ring.contains(u) and ring.contains(v) and ring.contains(r),
-    )
-    cof_u = (one - ax) * (one + Poly((z, z, a2)))  # (1-aX)(1+a^2X^2)
-    step(
-        "generator-shape",
-        "u == (1+aX)*(1-aX)(1+a^2X^2) and v == (1+aX)*a^2",
-        u == (one + ax) * cof_u and v == (one + ax) * Poly((a2,)),
-    )
-    bez = (one + ax) * cof_u + Poly((z, z, z, z, a2)) * Poly((a2,))
-    step(
-        "cofactor-comaximality",
-        "(1+aX)*cof_u + (a^2 X^4)*a^2 == 1, so gcd(u, v) == (1+aX) over Frac(D)[X]",
-        bez == one,
-    )
-    step(
-        "conclusion-schema",
-        "a generator f of (u, v) would satisfy f == u0*(1+aX) with u0, u0*a in D; "
-        "u0 divides the cofactors' unit combination, forcing u0 in D^x and "
-        "alpha == (u0*a)/u0 in D, against the witness",
-        True,
-    )
-
-    pair = IdemPair(ring, u, v, "ab", r)
-    if not pair.verify():
-        raise CertificateError("pair identity failed (bug)")
-    return AlphaCounterexample(a, desc, u, v, r, pair, transcript)
+    a2x2 = Poly((z, z, a2))  # alpha^2 X^2
+    cof_u = (one - ax) * (one + a2x2)
+    if (one + a2x2) * (one - a2x2) + Poly((z, z, z, z, a4)) != one:
+        raise CertificateError("unit-square identity (1+a^2X^2)(1-a^2X^2) + a^4X^4 == 1 fails")
+    if not (ring.contains(u) and ring.contains(v) and ring.contains(r)):
+        raise CertificateError("membership of u, v and the witness in D[X] fails")
+    if u != (one + ax) * cof_u or v != (one + ax) * Poly((a2,)):
+        raise CertificateError("generator shape u == (1+aX)(1-aX)(1+a^2X^2), v == (1+aX)a^2 fails")
+    if (one + ax) * cof_u + Poly((z, z, z, z, a2)) * Poly((a2,)) != one:
+        raise CertificateError("cofactor comaximality (1+aX)(1-aX)(1+a^2X^2) + a^2X^4 * a^2 == 1 fails")
+    if not IdemPair(ring, u, v, "ab", r).verify():
+        raise CertificateError("pair identity u(1-u) == v * witness fails")
+    return AlphaCounterexample(a, desc, u, v, r)

@@ -257,13 +257,11 @@ def principal_ideal(g: QuadElem) -> QuadIdeal:
 
 class InvertibilityCert:
     def __init__(self, invertible: bool, cofactor: QuadIdeal | None = None,
-                 product_generator: QuadElem | None = None, reason: str = ""):
+                 product_generator: QuadElem | None = None):
         self.invertible = invertible
         # when invertible: I * cofactor == (product_generator), a principal ideal
         self.cofactor = cofactor
         self.product_generator = product_generator
-        # when not: the extra multiplier (1+sqrt(d))/2 that stabilizes the lattice
-        self.reason = reason
 
     def __bool__(self):
         return self.invertible
@@ -273,7 +271,6 @@ class InvertibilityCert:
             "invertible": self.invertible,
             "cofactor": enc(self.cofactor),
             "product_generator": enc(self.product_generator),
-            "reason": self.reason,
         }
 
 
@@ -290,9 +287,7 @@ def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
                 omega_stable = False
                 break
         if omega_stable:
-            return InvertibilityCert(
-                False, reason="(1+sqrt(d))/2 multiplies the ideal into itself"
-            )
+            return InvertibilityCert(False)
     cof = i.conjugate()
     g = QuadElem(i.norm(), 0, d)
     if i.mul(cof) != principal_ideal(g):
@@ -610,11 +605,6 @@ class QuadOrder(RingHandle):
                       Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
                       self.d)
         return lam, mu
-
-    def complement_check(self, f, s):
-        if not s:
-            return not f * (self.one - f)
-        return ideal_from_pair(f, s).mul(ideal_from_pair(self.one - f, s)) == principal_ideal(s)
 
     def prime_support(self, b):
         return sorted(factor_principal(b), key=lambda pe: (pe[0].norm(), pe[0].key()))

@@ -26,9 +26,9 @@ loop.  Membership of a "mon" value in D[X;S] is checked once per vector,
 through its two least denominators; the per-term loop runs only to name the
 terms that fail.  A report over Z[1/p] or D[X;S] whose ring names a
 prime (of Z[1/p], of the monoid, or of a localized base) that is not a
-prime fails before any membership loop, which would never end on 1 or
-divide by zero on 0 (`_ring_prime_fails`); `_not_prime` is its own
-deterministic Miller-Rabin test.
+prime fails in `verify_report`, once and before its command's routine runs
+(`_ring_prime_fails`): a membership loop would never end on 1 or divide by
+zero on 0.  `_not_prime` is its own deterministic Miller-Rabin test.
 
 Each identity has one checking routine here.  `_comaximal_fails` checks
 every comaximal factorization (u * f_1 * ... * f_m == b, one pairwise entry
@@ -62,6 +62,18 @@ support lists distinct primes (`_prime_label`): over Z rational primes,
 over Z[sqrt(d)] ideals of prime norm or pO with p inert.  A `comax unique`
 verdict is `unique` exactly when its count is 1; that its list of
 factorizations is complete is not certified.
+
+Fields that only restate another are tied to it: an idempotent pair's
+members to the report's a and b (and a derived pair's orientation to
+"ab"), each of `ideal mul`'s norms to the basis determinant n*m of its
+lattice, and `mring split`'s n to the term count of f2 and its remainder
+to n.  A `polyext counterexample` report is rechecked from alpha and the
+excluded degrees alone: u and v must be 1 - alpha^4 X^4 and alpha^2 +
+alpha^3 X, with the witness r, u(1 - u) == v*r and u, v, r in D[X], and
+alpha must be a seminormality witness, outside D with alpha^2 and alpha^3
+inside (`_alpha_witness`, shared with `polyext witness`).  The rest of the
+non-principality argument (`polyext.nonprinc_pair_from_alpha`) holds for
+every alpha.
 """
 
 from __future__ import annotations
@@ -792,12 +804,7 @@ def _member_fails(named, ring, fails, text="does not lie in the ring"):
     """Each named decoded value must lie in the ring, not only in its
     fraction field (over Q, (2, 3) with witness -2/3 satisfies f(1-f) ==
     s*r, and any two nonzero elements are comaximal): `_mon_in_ring` over
-    D[X;S], else `_in_ring`, failing as `name text`.  A ring whose primes
-    fail `_ring_prime_fails` fails once, before any value is read."""
-    primes = _ring_prime_fails(ring)
-    if primes:
-        fails.extend(p for p in primes if p not in fails)  # once per report
-        return
+    D[X;S], else `_in_ring`, failing as `name text`."""
     for name, v in named:
         if ring["family"] == "monoid" and v[0] == "mon":
             _mon_in_ring(v, ring, fails, name)
@@ -809,6 +816,8 @@ def _pair_identity(report, fails):
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     pair = result["pair"]
+    if not (v_eq(dec(pair["a"]), a) and v_eq(dec(pair["b"]), b)):
+        fails.append("pair members differ from a and b")
     r = dec(pair["witness"])
     _member_fails((("a", a), ("b", b), ("pair witness", r)), report["ring"], fails)
     f, s = (a, b) if pair["orientation"] == "ab" else (b, a)
@@ -884,6 +893,8 @@ def _verify_idem_from_ideal(report):
     if not v_eq(v_add(v_mul(lam, a), v_mul(mu, b)), one):
         fails.append("Bezout identity lam*a + mu*b == 1 fails")
     pair = result["pair"]
+    if pair["orientation"] != "ab":
+        fails.append("derived pair orientation is not ab")
     pa, pb = dec(pair["a"]), dec(pair["b"])
     if not v_eq(pa, v_mul(lam, a)) or not v_eq(pb, v_mul(lam, b)):
         fails.append("derived pair is not (lam*a, lam*b)")
@@ -942,6 +953,9 @@ def _verify_ideal_mul(report):
     got = _ideal_product_span(_qid_vectors(i), _qid_vectors(j), d)
     if got != (p[2], p[3], p[4]):
         fails.append("product lattice differs from an independent recomputation")
+    for key, q in (("i", i), ("j", j), ("product", p)):
+        if int(result["norms"][key]) != q[2] * q[4]:
+            fails.append(f"norms.{key} is not the basis determinant of {key}")
     return fails
 
 
@@ -1392,20 +1406,19 @@ def _mon_in_ring(v, ring, fails, label):
 
 
 def _verify_mring_split(report):
-    fails = _ring_prime_fails(report["ring"])
-    if fails:
-        return fails
+    fails = []
     result = report["result"]
     (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)),
                                              "f1*f2 != 1 - X^s", fails)
+    # f2 == 1 + X^t + ... + X^(t(n-1)), whose remainder mod 1 - X^t is n
+    if result["n"] != len(f2[3]) or _f(result["remainder"]) != result["n"]:
+        fails.append("n is not the number of terms of f2, or remainder is not n")
     _member_fails((("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)), report["ring"], fails)
     return fails
 
 
 def _verify_mring_chain(report):
-    fails = _ring_prime_fails(report["ring"])
-    if fails:
-        return fails
+    fails = []
     result = report["result"]
     factors, pairs = _comaximal_fails(result, v_neg(_x_minus(result["s"], 1)),
                                       "product does not telescope to 1 - X^s", fails)
@@ -1417,9 +1430,7 @@ def _verify_mring_chain(report):
 
 
 def _verify_mring_juett(report):
-    fails = _ring_prime_fails(report["ring"])
-    if fails:
-        return fails
+    fails = []
     result = report["result"]
     t, b, p, beta = _f(result["t"]), _f(result["b"]), result["p"], _f(result["beta"])
     z, unit = dec(result["z"]), dec(result["unit"])
@@ -1470,26 +1481,30 @@ def _poly_excluded_ok(p, excluded):
     return True
 
 
-def _verify_polyext_witness(report):
-    fails = []
-    result = report["result"]
+def _alpha_witness(result):
+    """(alpha, excluded degrees, whether alpha is a seminormality witness) of
+    a polyext report: alpha must lie outside D, alpha^2 and alpha^3 inside,
+    for D the subring of Q[y] spanned by the monomials of degree outside
+    `excluded`."""
     alpha = dec(result["alpha"])
     excluded = {int(e) for e in result["excluded"]}
     a2 = v_mul(alpha, alpha)
-    a3 = v_mul(a2, alpha)
     inside = lambda p: _poly_excluded_ok(("poly", (p,)), excluded)
-    is_witness = (not inside(alpha)) and inside(a2) and inside(a3)
-    if is_witness != result["witness"]:
-        fails.append("witness verdict differs from recomputation")
-    return fails
+    return alpha, excluded, not inside(alpha) and inside(a2) and inside(v_mul(a2, alpha))
+
+
+def _verify_polyext_witness(report):
+    result = report["result"]
+    return [] if _alpha_witness(result)[2] == result["witness"] else ["witness verdict differs from recomputation"]
 
 
 def _verify_polyext_counterexample(report):
     fails = []
     result = report["result"]
-    alpha = dec(result["alpha"])
+    alpha, excluded, is_witness = _alpha_witness(result)
+    if not is_witness:
+        fails.append("alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D")
     u, v, r = dec(result["u"]), dec(result["v"]), dec(result["witness"])
-    excluded = {int(e) for e in result["excluded"]}
     one = v_one_like(u)
     a2 = v_mul(alpha, alpha)
     a3 = v_mul(a2, alpha)
@@ -1514,8 +1529,6 @@ def _verify_polyext_counterexample(report):
     for name, val in (("u", u), ("v", v), ("witness", r)):
         if not _poly_excluded_ok(val, excluded):
             fails.append(f"{name} has a coefficient outside the subring")
-    if not all(step["verified"] for step in result["transcript"]):
-        fails.append("transcript contains an unverified step")
     return fails
 
 
@@ -1577,11 +1590,13 @@ _VERIFIERS = {
 
 def verify_report(report: dict) -> list[str]:
     """Re-derive every certificate in the report; returns failure messages
-    (empty means everything re-checked)."""
+    (empty means everything re-checked).  A ring whose primes fail
+    `_ring_prime_fails` fails here, before any routine reads a value."""
     fn = _VERIFIERS.get(report.get("command"))
     if fn is None:
         return [f"no recheck routine for command {report.get('command')!r}"]
     try:
-        return fn(report)
+        ring = report["ring"]
+        return (ring is not None and _ring_prime_fails(ring)) or fn(report)
     except Exception as exc:  # a malformed report must fail loudly, not crash
         return [f"recheck aborted: {type(exc).__name__}: {exc}"]

@@ -15,7 +15,6 @@ call these hooks, which the Dedekind bases Z and Z[sqrt(d)] implement:
 
 - `inverse_bezout(a, b)`: lam, mu in (a, b)^-1 with lam*a + mu*b == 1
   (Q[X] has this one too);
-- `complement_check(f, s)`: decide (f, s)(1-f, s) == (s) on ideals;
 - `prime_support(b)`, `principal_generator(I)`: the prime-power support of
   (b) and the generator of an ideal built from it (an ideal of Z is its
   nonnegative generator, so `**` and `*` are the ideal operations);
@@ -54,7 +53,6 @@ four plain ones: Z, Q[X], Q and Z[1/p, ...].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .core import Poly, RatFunc, RingHandle, factorint, is_prime, poly_divrem, poly_extended_gcd, xgcd
 
@@ -96,11 +94,6 @@ class IntegerRing(RingHandle):
             return None
         g, s, t = xgcd(a, b)
         return Fraction(s, g), Fraction(t, g)
-
-    def complement_check(self, f, s):
-        if s == 0:
-            return f * (1 - f) == 0
-        return gcd(f, s) * gcd(1 - f, s) == abs(s)
 
     def prime_support(self, b):
         return list(factorint(abs(b)).items())

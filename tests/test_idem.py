@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from princlab.idem import (
     is_idempotent_pair,
     pair_from_invertible,
 )
-from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal
+from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
 from princlab.rings import QQ_POLY, ZZ
 
 
@@ -105,16 +106,26 @@ def test_pair_from_invertible_rejects_bad_cert():
         pair_from_invertible(4, 6, BezoutCert(Fraction(1, 4), Fraction(-1, 12)), ZZ)
 
 
+def complement_ideals_agree(pair):
+    """(f, s)(1-f, s) == (s) on ideals, decided apart from the element
+    certificate: by gcds over Z, by HNF lattices over Z[sqrt(d)]."""
+    f, s, _ = pair.normalized()
+    if pair.ring is ZZ:
+        return gcd(f, s) * gcd(1 - f, s) == abs(s)
+    return ideal_from_pair(f, s).mul(ideal_from_pair(pair.ring.one - f, s)) == principal_ideal(s)
+
+
 def test_complement_identity_int():
     p = is_idempotent_pair(-2, -3, ZZ)
     cert = complement_identity(p)
     assert cert.generator == -3
-    assert cert.ideal_check is True
+    assert complement_ideals_agree(p)
     assert cert.verify()
 
     p = is_idempotent_pair(0, 9, ZZ)
     cert = complement_identity(p)
     assert cert.generator == 9 and cert.verify()
+    assert complement_ideals_agree(p)
 
 
 def test_complement_identity_quad():
@@ -123,7 +134,7 @@ def test_complement_identity_quad():
     cert_bz = bezout_in_inverse(a, b, order)
     pair = pair_from_invertible(a, b, cert_bz, order)
     cert = complement_identity(pair)
-    assert cert.ideal_check is True
+    assert complement_ideals_agree(pair)
     assert cert.verify()
 
 

@@ -1,7 +1,8 @@
-"""Single-leaf mutation of the golden comax and chain reports: adding 1 to
-any one numeric leaf (an int, or a string that reads as a Fraction) must
-make recheck fail, except on the leaves named in HARMLESS, each with its
-reason, and on the level of a constant limit-ring cofactor (`_harmless_level`).
+"""Single-leaf mutation of golden reports: adding 1 to any one numeric leaf
+(an int, or a string that reads as a Fraction) must make recheck fail.  The
+comax and chain goldens except the leaves named in HARMLESS, each with its
+reason, and the level of a constant limit-ring cofactor (`_harmless_level`);
+the TIED goldens have no exception.
 """
 
 import json
@@ -16,6 +17,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 COMAX = [c["name"] for c in CASES if c["argv"][0] == "comax" and c["exit"] != 2]
 CHAINS = ["limitring_chain", "limitring_chain_m6_z", "mring_chain", "mring_chain_m7_q"]
+TIED = ["ideal_mul", "mring_split", "mring_split_mult23", "idem_check", "idem_check_pullback",
+        "idem_check_pullback_pole", "idem_check_monoid", "idem_check_monoid_z", "idem_from_ideal",
+        "ideal_invertible", "ideal_not_invertible", "polyext_counterexample", "sphere_projector"]
 
 HARMLESS = {
     ("result", "bound"): "a witness's norm is still within a larger bound, and a no_witness verdict "
@@ -95,3 +99,8 @@ def test_every_plus_one_mutant_of_a_chain_golden_fails_recheck(name):
     assert survivors == harmless
     # result.m is tied to the factor count, so it is not among them
     assert ("result", "m") not in survivors
+
+
+@pytest.mark.parametrize("name", TIED)
+def test_every_plus_one_mutant_of_a_tied_golden_fails_recheck(name):
+    assert mutants(name, lambda report, path: False) == ([], [])

@@ -242,6 +242,19 @@ def test_an_idem_witness_is_checked_in_its_ring(name, failure):
     assert failure in golden_fails(name, _witness_off_the_ring)
 
 
+def test_a_counterexample_whose_alpha_lies_in_d_fails(monkeypatch):
+    # alpha = y^2 lies in D = Q[y^2, y^3], so (u, v) is principal; with the
+    # producer's witness guard patched out, every identity of its report holds
+    from princlab import cli, polyext
+
+    monkeypatch.setattr(polyext, "seminormal_witness", lambda alpha, desc: True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["polyext", "counterexample", "--alpha", "y^2"]) == 0
+    assert recheck.verify_report(json.loads(out.getvalue())) == [
+        "alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D"]
+
+
 @pytest.mark.parametrize("name", ["pullback_base_non_principal", "pullback_reduce_quad"])
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("key", ["x", "y", "d"])
