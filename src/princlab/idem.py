@@ -141,7 +141,8 @@ class ComplementCert:
     def verify(self) -> bool:
         f, s, r = self.pair.normalized()
         one = self.pair.ring.one
-        if self.products != [f * (one - f), f * s, s * (one - f), s * s]:
+        want = [f * (one - f), f * s, s * (one - f), s * s]
+        if self.products != want:
             return False
         if any(s * q != p for p, q in zip(self.products, self.quotients)):
             return False
@@ -152,10 +153,12 @@ def complement_identity(pair: IdemPair) -> ComplementCert:
     """Certify the product-ideal identity for a verified pair."""
     if not pair.verify():
         raise InvalidWitnessError("witness does not satisfy the defining relation")
+    ring = pair.ring
     f, s, r = pair.normalized()
-    one = pair.ring.one
+    one = ring.one
     products = [f * (one - f), f * s, s * (one - f), s * s]
-    cert = ComplementCert(pair, s, products, [r, f, one - f, s])
+    quotients = [r, f, one - f, s]
+    cert = ComplementCert(pair, s, products, quotients)
     if not cert.verify():
         raise CertificateError("complement certificates failed to verify")
     return cert

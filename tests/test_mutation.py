@@ -1,8 +1,8 @@
 """Single-leaf mutation of golden reports: adding 1 to any one numeric leaf
-(an int, or a string that reads as a Fraction) must make recheck fail.  The
-comax and chain goldens except the leaves named in HARMLESS, each with its
-reason, and the level of a constant limit-ring cofactor (`_harmless_level`);
-the TIED goldens have no exception.
+(an int, or a string that reads as a Fraction) must make recheck fail.  On
+the comax and chain goldens the leaves named in HARMLESS, each with its
+reason, and the level of a constant limit-ring cofactor (`_harmless_level`)
+are exempt; the TIED goldens have no exempt leaf.
 """
 
 import json
