@@ -3,8 +3,17 @@
 Exit codes: 0 = success, 1 = negative mathematical verdict (non-principal,
 non-unique, not a pair, no witness found), 2 = input error (any
 `ValueError`), 3 = an internal certificate failure: a producer's self-check
-(`core.CertificateError`) or a failed `--recheck` pass.  Reports go to
-stdout; errors and recheck failures go to stderr.
+(`core.CertificateError`) or a failed `--recheck` pass, 141 = stdout's
+reader closed the pipe before the report was written (`... | head -c 1`;
+141 is what a shell shows for a process SIGPIPE ended, and a failed recheck
+still exits 3).  Reports go to stdout; errors and recheck failures go to
+stderr.
+
+Writing a report.  `main` calls `report.dump` once and writes the text to
+stdout `_SLICE` characters at a time: `print` would encode the whole text
+into a second copy.  With `dump`'s batches (see `report`), the transient
+memory of writing a report is about twice its text on top of the report
+tree.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
 and operands; `GROUPS` gives the ring families each group accepts.  From
@@ -30,7 +39,8 @@ every module and object, the `atexit` hooks) writes no byte and would cost
 every call about 16 ms of CPU (CPython 3.11, shared 2-vCPU Linux machine).  `main` still returns its code, so
 in-process callers exit normally.  Anything but a normal return from
 `main` (argparse's `SystemExit`, an uncaught exception) propagates as
-usual, and so does a flush that fails, through `sys.exit`.
+usual, and so does a flush that fails, through `sys.exit`, unless it fails
+on a closed pipe: that call exits 141.
 """
 
 from __future__ import annotations
@@ -66,6 +76,12 @@ def _family(name):
 
 comax, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
     _family, ("comax", "idem", "limitring", "monoidring", "polyext", "pullback", "quadring", "sphere"))
+
+
+# 128 + SIGPIPE: the status a shell shows for a process a closed pipe ended
+EXIT_CLOSED_PIPE = 141
+# the characters of a report `main` writes at a time
+_SLICE = 1 << 16
 
 
 class CliError(ValueError):
@@ -460,13 +476,31 @@ def main(argv=None) -> int:
     if args.recheck:
         failures = verify_report(report)
         if failures:
-            print(dump(report))
+            _print_report(report)
             for f in failures:
                 print(f"princlab: recheck FAILED: {f}", file=sys.stderr)
             return 3
         report["recheck"] = "passed"
-    print(dump(report))
-    return code
+    return code if _print_report(report) else EXIT_CLOSED_PIPE
+
+
+def _print_report(report) -> bool:
+    """Write the report's text and a newline to stdout, `_SLICE` characters
+    at a time, and flush: the bytes of `print(dump(report))`.  False when
+    stdout's reader has closed the pipe; stdout then goes to os.devnull, so
+    no later flush (run's, or the interpreter's at exit) raises again."""
+    text = dump(report)
+    try:
+        for i in range(0, len(text), _SLICE):
+            sys.stdout.write(text[i : i + _SLICE])
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def run() -> None:
@@ -477,8 +511,10 @@ def run() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(EXIT_CLOSED_PIPE)
     except OSError:
-        # a closed pipe: the normal exit reports it like any failed flush
+        # the normal exit reports any other failed flush
         sys.exit(code)
     os._exit(code)
 

@@ -163,9 +163,11 @@ def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
     A generator f of (u, v) in D[X] divides u and v and is a combination of
     them, so f == c(1 + aX) with c in K, and c, c*a in D.  Since f divides u
     in D[X] and u has constant term 1, c is a unit of D, and then alpha ==
-    (c*a)/c lies in D, against the witness.  Each identity this uses is
-    checked here exactly; membership of alpha^2 and alpha^3 and non-membership
-    of alpha is the guard below.
+    (c*a)/c lies in D, against the witness.  The factorizations of u and v,
+    and (1 + aX)(1 - aX)(1 + a^2X^2) + a^2X^4 * a^2 == 1, are identities in
+    a, so they hold for every alpha and are not checked here.  The witness
+    condition is the guard below; what is checked is what the report
+    carries: u, v and the witness lie in D[X], and u(1 - u) == v * witness.
     """
     a = _inner(alpha)
     if not seminormal_witness(a, desc):
@@ -176,21 +178,11 @@ def nonprinc_pair_from_alpha(alpha, desc: SubringDesc) -> AlphaCounterexample:
     a2, a3 = a * a, a * a * a
     a4, a5 = a2 * a2, a2 * a3
     z = Poly()
-    one = ring.one
-    ax = Poly((z, a))  # alpha*X
     u = Poly((_inner(1), z, z, z, -a4))  # 1 - alpha^4 X^4
     v = Poly((a2, a3))  # alpha^2 + alpha^3 X
     r = Poly((z, z, z, z, a2, -a3, a4, -a5))  # alpha^2 X^4 (1 - aX + a^2X^2 - a^3X^3)
-    a2x2 = Poly((z, z, a2))  # alpha^2 X^2
-    cof_u = (one - ax) * (one + a2x2)
-    if (one + a2x2) * (one - a2x2) + Poly((z, z, z, z, a4)) != one:
-        raise CertificateError("unit-square identity (1+a^2X^2)(1-a^2X^2) + a^4X^4 == 1 fails")
     if not (ring.contains(u) and ring.contains(v) and ring.contains(r)):
         raise CertificateError("membership of u, v and the witness in D[X] fails")
-    if u != (one + ax) * cof_u or v != (one + ax) * Poly((a2,)):
-        raise CertificateError("generator shape u == (1+aX)(1-aX)(1+a^2X^2), v == (1+aX)a^2 fails")
-    if (one + ax) * cof_u + Poly((z, z, z, z, a2)) * Poly((a2,)) != one:
-        raise CertificateError("cofactor comaximality (1+aX)(1-aX)(1+a^2X^2) + a^2X^4 * a^2 == 1 fails")
     if not IdemPair(ring, u, v, "ab", r).verify():
         raise CertificateError("pair identity u(1-u) == v * witness fails")
     return AlphaCounterexample(a, desc, u, v, r)

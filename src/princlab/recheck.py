@@ -71,9 +71,10 @@ to n.  A `polyext counterexample` report is rechecked from alpha and the
 excluded degrees alone: u and v must be 1 - alpha^4 X^4 and alpha^2 +
 alpha^3 X, with the witness r, u(1 - u) == v*r and u, v, r in D[X], and
 alpha must be a seminormality witness, outside D with alpha^2 and alpha^3
-inside (`_alpha_witness`, shared with `polyext witness`).  The rest of the
-non-principality argument (`polyext.nonprinc_pair_from_alpha`) holds for
-every alpha.
+inside (`_alpha_witness`, shared with `polyext witness`), and the excluded
+degrees must leave a subring D (`_subring_fails`, bounded before its walk).
+The rest of the non-principality argument (`polyext.nonprinc_pair_from_alpha`)
+holds for every alpha.
 """
 
 from __future__ import annotations
@@ -1493,15 +1494,39 @@ def _alpha_witness(result):
     return alpha, excluded, not inside(alpha) and inside(a2) and inside(v_mul(a2, alpha))
 
 
+def _subring_fails(excluded):
+    """Why the excluded degrees leave no subring of Q[y], as a list of at
+    most one failure.  The degrees left must hold 0 and be closed under +,
+    so they make a numerical semigroup whose gaps are the excluded degrees,
+    and a numerical semigroup's largest gap is below twice its number of
+    gaps.  That bound is checked first, so the closure walk takes under
+    |excluded|^2 steps."""
+    if min(excluded, default=1) < 1:
+        return ["excluded degrees must be positive (1 must lie in D)"]
+    top = max(excluded, default=0)
+    if top >= 2 * len(excluded):
+        return [f"excluded degree {top} is not below twice the number of excluded degrees, "
+                "so D is not closed under products"]
+    for e in sorted(excluded):
+        for i in range(1, e // 2 + 1):
+            if i not in excluded and e - i not in excluded:
+                return [f"D is not closed under products: {i} + {e - i} is excluded"]
+    return []
+
+
 def _verify_polyext_witness(report):
     result = report["result"]
-    return [] if _alpha_witness(result)[2] == result["witness"] else ["witness verdict differs from recomputation"]
+    _, excluded, is_witness = _alpha_witness(result)
+    fails = _subring_fails(excluded)
+    if is_witness != result["witness"]:
+        fails.append("witness verdict differs from recomputation")
+    return fails
 
 
 def _verify_polyext_counterexample(report):
-    fails = []
     result = report["result"]
     alpha, excluded, is_witness = _alpha_witness(result)
+    fails = _subring_fails(excluded)
     if not is_witness:
         fails.append("alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D")
     u, v, r = dec(result["u"]), dec(result["v"]), dec(result["witness"])
@@ -1517,15 +1542,6 @@ def _verify_polyext_counterexample(report):
     if not v_eq(v, want_v):
         fails.append("v differs from alpha^2 + alpha^3 X")
     _idempotent_fails(u, v, r, fails, "idempotent identity u(1-u) == v*witness fails")
-    eq1 = v_add(
-        v_mul(
-            v_add(one, ("poly", (v_zero_like(alpha), v_zero_like(alpha), a2))),
-            v_sub(one, ("poly", (v_zero_like(alpha), v_zero_like(alpha), a2))),
-        ),
-        ("poly", (v_zero_like(alpha),) * 4 + (a4,)),
-    )
-    if not v_eq(eq1, one):
-        fails.append("the unit-square identity fails")
     for name, val in (("u", u), ("v", v), ("witness", r)):
         if not _poly_excluded_ok(val, excluded):
             fails.append(f"{name} has a coefficient outside the subring")

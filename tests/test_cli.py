@@ -491,9 +491,9 @@ def test_an_uncaught_exception_keeps_its_traceback():
     ids=["small", "large"],
 )
 def test_a_closed_pipe_fails_as_it_did(argv, unbuffered):
-    # block-buffered, a report that fits the buffer fails at run's flush,
-    # which falls back to the normal exit; unbuffered or larger, it fails
-    # inside main
+    # a pipe whose reader is gone before the call starts: main's write (or,
+    # block-buffered, its flush) fails, and either exit ends with SIGPIPE's
+    # shell status and no traceback
     outcomes = []
     for probe in (RUN, MAIN):
         read, write = os.pipe()
@@ -502,9 +502,27 @@ def test_a_closed_pipe_fails_as_it_did(argv, unbuffered):
             res = run_probe(probe.format(patch=""), *argv, stdout=write, environ=_stdout_env(unbuffered))
         finally:
             os.close(write)
-        outcomes.append((res.returncode, res.stderr.splitlines()[:1]))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] != 0
+        outcomes.append((res.returncode, res.stderr))
+    assert outcomes == [(cli.EXIT_CLOSED_PIPE, "")] * 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("patch,code", [("", cli.EXIT_CLOSED_PIPE), (FORCED_FAILURE, 3)], ids=["passed", "failed"])
+def test_a_reader_that_closes_early_ends_the_call_with_sigpipe_status(patch, code, unbuffered):
+    # `princlab ... | head -c 1`: the report is larger than a pipe holds, so
+    # the call is still writing when the reader closes.  A failed recheck
+    # still says so on stderr and exits 3
+    argv = ["--recheck", "mring", "chain", "--m", "10", "--ring", "Q[X;S]", "--s", "5/4"]
+    src = str(Path(princlab.__file__).resolve().parents[1])
+    env = dict(_stdout_env(unbuffered), PYTHONPATH=src)
+    for probe in (RUN, MAIN):
+        with subprocess.Popen([sys.executable, "-c", probe.format(patch=patch), *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == code
+        assert err == (b"princlab: recheck FAILED: forced\n" if patch else b"")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -255,6 +255,33 @@ def test_a_counterexample_whose_alpha_lies_in_d_fails(monkeypatch):
         "alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D"]
 
 
+def test_a_counterexample_over_degrees_that_leave_no_subring_fails(monkeypatch):
+    # with 2 and 3 excluded, y * y is excluded, so the span is no ring; with
+    # SubringDesc's closure check patched out, every identity of the report
+    # holds and alpha = y^2 is a witness
+    from princlab import cli, polyext
+
+    def unchecked(self, excluded):
+        self.excluded = frozenset(int(e) for e in excluded)
+
+    monkeypatch.setattr(polyext.SubringDesc, "__init__", unchecked)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["polyext", "counterexample", "--alpha", "y^2", "--exclude", "2,3"]) == 0
+    assert recheck.verify_report(json.loads(out.getvalue())) == ["D is not closed under products: 1 + 1 is excluded"]
+
+
+@pytest.mark.parametrize("name", ["polyext_counterexample", "polyext_witness"])
+def test_a_huge_excluded_degree_fails_before_the_closure_walk(name):
+    report = json.loads((GOLDEN / f"{name}.out").read_text())
+    report["result"]["excluded"] = ["1000000000"]
+    start = time.perf_counter()
+    fails = recheck.verify_report(report)
+    assert time.perf_counter() - start < 1
+    assert fails[0] == ("excluded degree 1000000000 is not below twice the number of excluded degrees, "
+                        "so D is not closed under products")
+
+
 @pytest.mark.parametrize("name", ["pullback_base_non_principal", "pullback_reduce_quad"])
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("key", ["x", "y", "d"])

@@ -1,13 +1,16 @@
 """`report.dump` against `json.dumps(x, indent=2)`, the text it replaces."""
 
 import json
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from princlab.report import dump
+from princlab import cli, report
+from princlab.report import dump, make_report
 
 # quotes, backslashes, control characters, DEL, non-ASCII and astral
 # characters, each of which json escapes in its own way
@@ -35,6 +38,33 @@ values = st.recursive(
 @example({"é\"\x01": ["\U0001f600", 2**300, True, False, None]})
 def test_dump_writes_what_json_dumps_writes(x):
     assert dump(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("spill", [1, 2])
+@settings(max_examples=200, deadline=None)
+@given(x=values)
+@example(x={"a": [[1, {"b": []}], {}], "c": ({"d": None},)})
+def test_dump_writes_what_json_dumps_writes_when_it_spills_at_every_piece(spill, x):
+    # the trees above never reach the real _SPILL pieces
+    with mock.patch.object(report, "_SPILL", spill):
+        assert dump(x) == json.dumps(x, indent=2)
+
+
+def test_dump_holds_about_twice_the_text_of_a_large_report():
+    ring = cli.parse_ring_spec("Q[X;S]")
+    verdict, result, _ = cli.cmd_mring_chain(ring, Fraction(5, 4), 10, None)
+    large = dict(make_report("mring chain", ring, verdict, result), recheck="passed")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = dump(large)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 240_000
+    # one list of every piece, then its join, peaked at about 5.1 times the text
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("bad", [{"a": Fraction(1, 2)}, [object()], {(1, 2): 0}, {"a": [{1j: 0}]}])
