@@ -19,10 +19,11 @@ json's own.
 
 Memory.  The text is built from many small pieces (a key, a separator, a
 leaf), about one per 25 bytes of a chain report, and a small string object
-costs about 50 bytes more than its text.  So `dump` holds at most `_SPILL`
-pieces (plus one per open container) before it joins them into one batch
-string, and returns the join of the batches: its transient memory is the
-batches and the returned text, about twice the text.  Joining one list of
+costs about 50 bytes more than its text.  So `dump` holds about `_SPILL`
+pieces at a time: after each member of a container it joins them into one
+batch string once there are `_SPILL` or more, and it returns the join of
+the batches.  Its transient memory is the batches and the returned text,
+about twice the text.  Joining one list of
 every piece held about five times the text (1.26 MB for the 245 kB
 `mring chain --m 10` report, against 0.50 MB now, by `tracemalloc`).
 """
@@ -77,9 +78,7 @@ def dump(report: dict) -> str:
     put = pieces.append
 
     def write(x, nl):
-        # nl is a newline plus the indentation of the line x starts on.
-        # After each member of a container, _SPILL or more pieces are
-        # joined into one batch
+        # nl is a newline plus the indentation of the line x starts on
         if type(x) is str:
             put(encode_basestring_ascii(x))
         elif isinstance(x, dict):

@@ -271,6 +271,21 @@ def test_a_counterexample_over_degrees_that_leave_no_subring_fails(monkeypatch):
     assert recheck.verify_report(json.loads(out.getvalue())) == ["D is not closed under products: 1 + 1 is excluded"]
 
 
+def test_recheck_and_the_producer_agree_on_which_degrees_leave_a_subring():
+    from itertools import combinations
+
+    from princlab.polyext import SubringDesc, SubringError
+
+    for size in range(10):
+        for excluded in combinations(range(1, 10), size):
+            try:
+                SubringDesc(excluded)
+                closed = True
+            except SubringError:
+                closed = False
+            assert (recheck._subring_fails(set(excluded)) == []) == closed, excluded
+
+
 @pytest.mark.parametrize("name", ["polyext_counterexample", "polyext_witness"])
 def test_a_huge_excluded_degree_fails_before_the_closure_walk(name):
     report = json.loads((GOLDEN / f"{name}.out").read_text())

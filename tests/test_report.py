@@ -63,7 +63,7 @@ def test_dump_holds_about_twice_the_text_of_a_large_report():
     finally:
         tracemalloc.stop()
     assert len(text) > 240_000
-    # one list of every piece, then its join, peaked at about 5.1 times the text
+    # the batches and the returned text; one list of every piece peaks near 5x
     assert peak <= 2.5 * len(text)
 
 
