@@ -23,9 +23,9 @@ costs about 50 bytes more than its text.  So `dump` holds about `_SPILL`
 pieces at a time: after each member of a container it joins them into one
 batch string once there are `_SPILL` or more, and it returns the join of
 the batches.  Its transient memory is the batches and the returned text,
-about twice the text.  Joining one list of
-every piece held about five times the text (1.26 MB for the 245 kB
-`mring chain --m 10` report, against 0.50 MB now, by `tracemalloc`).
+about twice the text (0.50 MB for the 245 kB `mring chain --m 10` report,
+by `tracemalloc`), where one list of every piece would hold about five
+times the text.
 """
 
 from __future__ import annotations
