@@ -17,10 +17,23 @@ tree.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
 and operands; `GROUPS` gives the ring families each group accepts.  From
-these `main` builds the parser, checks `--ring` and converts the operands,
-then calls `handler(ring, **operands)`, which returns the verdict, the
-result and the exit code.  Each certificate serializes itself (`report.enc`
-falls through to its `to_json`).
+these `main` reads argv, checks `--ring` and converts the operands, then
+calls `handler(ring, **operands)`, which returns the verdict, the result and
+the exit code.  Each certificate serializes itself (`report.enc` falls
+through to its `to_json`).
+
+Reading argv.  `_read` gives the namespace argparse would, straight from the
+table: `_TOP` and `_arguments(row)` describe each flag and operand once, in
+argparse's keywords, and `build_parser` hands the same descriptions to
+argparse.  `_read` runs argparse's own algorithm on them, so it takes every
+spelling argparse takes: `--flag value` and `--flag=value`, unique
+prefixes (`--rech`), repeated flags (the last one wins), `--` and
+negative-number operands, nargs `?`/`+`, `type`, `choices`, `required` and
+`default`.  It turns down exactly the argv argparse answers with help
+(`-h`, `--help`, `--he`, ...) or a usage error; only those reach
+`build_parser(argv).parse_args(argv)`, which prints today's help or error
+and exits.  `argparse` (and with it `gettext` and `locale`) is imported only
+inside `build_parser`, so a valid call never loads it.
 
 Imports.  At import this module runs only `core`, `rings`, `exprparse`,
 `report` and `recheck`.  Each family module (`comax`, `idem`, `quadring`,
@@ -36,21 +49,22 @@ enters through `run`.  Once `main` has returned and stdout and stderr are
 flushed, the report is complete, so `run` ends the process with
 `os._exit`: the interpreter's teardown (a full garbage collection, freeing
 every module and object, the `atexit` hooks) writes no byte and would cost
-every call about 16 ms of CPU (CPython 3.11, shared 2-vCPU Linux machine).  `main` still returns its code, so
-in-process callers exit normally.  Anything but a normal return from
-`main` (argparse's `SystemExit`, an uncaught exception) propagates as
-usual, and so does a flush that fails, through `sys.exit`, unless it fails
-on a closed pipe: that call exits 141.
+every call about 16 ms of CPU (CPython 3.11, shared 2-vCPU Linux machine).
+`main` still returns its code, so in-process callers exit normally.
+Anything but a normal return from `main` (argparse's `SystemExit` after help
+or a usage error, an uncaught exception) propagates as usual, and so does a
+flush that fails, through `sys.exit`, unless it fails on a closed pipe: that
+call exits 141.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
@@ -390,6 +404,177 @@ COMMANDS = (
     ("sphere", "reduce", "cmd_sphere_reduce", _b2, (_arg("expr", _elem),)),
 )
 
+# ----------------------------------------------------------- reading argv
+# `_read` runs argparse's own algorithm (`ArgumentParser._parse_known_args`
+# of CPython 3.10 to 3.13) on the descriptions `build_parser` gives argparse.
+# A parser sees its words as flags ("O"), operands ("A") and the first "--"
+# ("-"; every word after it is an operand), and fills its operands by
+# matching their nargs patterns against that string.
+
+# the top-level flags, as (flag, argparse keywords)
+_TOP = (
+    ("--recheck", {"action": "store_true", "help": "re-verify every certificate with the independent checker"}),
+    ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
+)
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# a group's or a command's name and every word after it (argparse's PARSER)
+_REST = "A..."
+_NARGS = {None: "(-*A-*)", "?": "(-*A?-*)", "+": "(-*A[A-]*)", _REST: "(-*A[-AO]*)"}
+
+
+def _arguments(row):
+    """The (flag, argparse keywords) of each argument of the row's parser."""
+    group, _, _, ring, operands = row
+    if isinstance(ring, str):
+        yield "--ring", {"default": ring}
+        if GROUPS[group][2]:
+            yield "--monoid", {"default": None, "help": "p-div:P or mult:{P1,P2}"}
+            yield "--group", {"dest": "group_mode", "action": "store_true", "help": "Laurent exponents (group algebra)"}
+    for flag, _, kwargs in operands:
+        if kwargs is not None:
+            yield flag, kwargs
+
+
+class _Refused(Exception):
+    """argparse answers the argv with help or a usage error."""
+
+
+def _option(word, flags):
+    """How a parser with these flags reads word: None for an operand, else
+    (the flag, or None for an unknown one; the text after "=", or None)."""
+    if not word.startswith("-"):
+        return None
+    if word in flags:
+        return word, None
+    if len(word) == 1:
+        return None
+    flag, eq, text = word.partition("=")
+    if eq and flag in flags:
+        return flag, text
+    if word[1] == "-":  # a prefix of a flag, perhaps with "=text"
+        found = [(f, text if eq else None) for f in flags if f.startswith(flag)]
+    else:  # -h with its text glued on, or a prefix of a flag
+        found = [(f, word[2:] if f == word[:2] else None) for f in flags if f == word[:2] or f.startswith(word)]
+    if len(found) > 1:
+        raise _Refused  # an ambiguous prefix
+    if found:
+        return found[0]
+    return None if _NEGATIVE.match(word) or " " in word else (None, None)
+
+
+def _typed(kwargs, text):
+    try:
+        return kwargs.get("type", str)(text)
+    except (TypeError, ValueError):
+        raise _Refused from None
+
+
+def _default(kwargs):
+    if kwargs.get("action") == "store_true":
+        return False
+    default = kwargs.get("default")
+    return _typed(kwargs, default) if isinstance(default, str) else default
+
+
+def _values(kwargs, texts, of_flag=False):
+    """An argument's value from its words: all of them for a name with the
+    words after it; else without the first "--", through `type` and
+    `choices`, one value (nargs None or "?") or a list ("+").  From 3.13 on,
+    argparse keeps a "--" that a flag's value is (`--ring=--`)."""
+    nargs = kwargs.get("nargs")
+    if nargs == _REST:
+        return texts
+    if "--" in texts and not (of_flag and sys.version_info >= (3, 13)):
+        texts.remove("--")
+    if not texts and nargs == "?":
+        return _default(kwargs)
+    values = [_typed(kwargs, text) for text in texts]
+    if any(value not in kwargs.get("choices", (value,)) for value in values):
+        raise _Refused
+    return values[0] if len(values) == 1 and nargs in (None, "?") else values
+
+
+def _consume(words, arguments):
+    """{dest: value} for one parser's words, as argparse assigns them: flags
+    and their values, runs of operands between them, the last given value of
+    a repeated flag, defaults for the rest.  Raises _Refused where argparse
+    prints help or an error."""
+    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
+    flags.update(dict.fromkeys(_HELP))
+    operands = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
+    found, pattern = {}, ""
+    for i, word in enumerate(words):
+        if word == "--":
+            pattern += "-" + "A" * (len(words) - i - 1)
+            break
+        option = _option(word, flags)
+        if option:
+            found[i] = option
+        pattern += "O" if option else "A"
+    values, seen = {}, set()
+
+    def take(i):
+        # as many operands as the words from i on fill, each its share
+        for k in range(len(operands), 0, -1):
+            match = re.match("".join(_NARGS[kwargs.get("nargs")] for _, kwargs in operands[:k]), pattern[i:])
+            if match:
+                for (dest, kwargs), part in zip(operands, match.groups()):
+                    values[dest] = _values(kwargs, words[i : i + len(part)])
+                    i += len(part)
+                del operands[:k]
+                break
+        return i
+
+    i, last = 0, max(found, default=-1)
+    while i <= last:
+        if i not in found:
+            end = take(i)
+            if end == i:
+                raise _Refused  # a word no operand takes
+            i = end
+            continue
+        flag, text = found[i]
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            raise _Refused  # help, or an unknown flag
+        i += 1
+        if kwargs.get("action") == "store_true":
+            if text is not None:
+                raise _Refused
+            value = True
+        else:
+            if text is None:
+                if pattern[i : i + 1] != "A":
+                    raise _Refused  # no value after the flag
+                text, i = words[i], i + 1
+            value = _values(kwargs, [text], of_flag=True)
+        values[kwargs.get("dest", flag.lstrip("-"))] = value
+        seen.add(flag)
+    if take(i) < len(words) or any(kwargs.get("nargs") != "?" for _, kwargs in operands):
+        raise _Refused  # words left over, or an operand missing
+    for flag, kwargs in [*flags.items(), *operands]:
+        if kwargs is not None and flag not in seen:
+            if kwargs.get("required"):
+                raise _Refused
+            values[kwargs.get("dest", flag.lstrip("-"))] = _default(kwargs)
+    return values
+
+
+def _read(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, read from the
+    command table; None where argparse prints help or a usage error."""
+    try:
+        top = _consume(argv, (*_TOP, ("group", {"nargs": _REST})))
+        group, *words = top.pop("group")
+        name, *words = _consume(words, (("cmd", {"nargs": _REST}),))["cmd"]
+        row = next((row for row in COMMANDS if row[:2] == (group, name)), None)
+        values = row and _consume(words, tuple(_arguments(row)))
+    except _Refused:
+        return None
+    return row and SimpleNamespace(**top, group=group, cmd=name, row=row, **values)
+
+
 # -------------------------------------------------------------- dispatch
 
 
@@ -404,33 +589,29 @@ def _reachable(argv):
     return [row for row in rows if row[1] in argv[at + 1 : at + 2]] or rows
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command, or, given argv, of the commands argv can
-    reach; the other groups stay bare.  Usage and help read the same."""
+def build_parser(argv=()):
+    """The argparse parser of every command, or, given argv, of the commands
+    argv can reach; the other groups stay bare.  Usage and help read the
+    same.  The one place `argparse` is imported."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="princlab",
         description="Exact idempotent-pair, ideal, and comaximal-factorization lab "
         "with re-checkable JSON certificates.",
     )
-    top.add_argument("--recheck", action="store_true", help="re-verify every certificate with the independent checker")
-    top.add_argument("--jobs", type=int, default=1, help="parallel workers for batch inputs")
+    for flag, kwargs in _TOP:
+        top.add_argument(flag, **kwargs)
     groups = top.add_subparsers(dest="group", required=True)
     rows = _reachable(argv)
     entered = {row[0] for row in rows}
     parsers = {g: groups.add_parser(g, add_help=g in entered) for g in GROUPS}
     subs = {g: parsers[g].add_subparsers(dest="cmd", required=True) for g in entered}
     for row in rows:
-        group, name, _, ring, operands = row
-        p = subs[group].add_parser(name)
+        p = subs[row[0]].add_parser(row[1])
         p.set_defaults(row=row)
-        if isinstance(ring, str):
-            p.add_argument("--ring", default=ring)
-            if GROUPS[group][2]:
-                p.add_argument("--monoid", default=None, help="p-div:P or mult:{P1,P2}")
-                p.add_argument("--group", dest="group_mode", action="store_true", help="Laurent exponents (group algebra)")
-        for flag, _, kwargs in operands:
-            if kwargs is not None:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in _arguments(row):
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -452,7 +633,7 @@ def _command_ring(args, ring):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read(argv) or build_parser(argv).parse_args(argv)
     _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:

@@ -31,7 +31,9 @@ class LimitError(ValueError):
     pass
 
 
-# _ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
+# _ITERATES[k] is phi^k, phi = x + x^2, as an integer vector.  `lr_chain`
+# drops the iterates it built when it returns (about 60 kB at m 10, 0.5 MB at
+# m 12), so a caller that builds many chains keeps none of them.
 _ITERATES = [Poly((0, 1)), Poly((0, 1, 1))]
 
 
@@ -233,31 +235,35 @@ def lr_chain(m: int, ring: LimitRing) -> LimitChain:
     Certificates: 1 == (1+x_i) - x_m * prod_{j=i+1..m} (1+x_j) for the pair
     (x_m, 1+x_i), and 1 == (1+x_i) - w*(1+x_j) with
     w = x_j * prod_{k=i+1..j-1} (1+x_k) for i < j.  Each product is a
-    running one: O(m^2) multiplications in all.
+    running one: O(m^2) multiplications in all.  The iterates of x + x^2
+    built on the way are dropped on return.
     """
     if m < 2:
         raise LimitError("need m >= 2")
-    one = ring.one
-    xs = {i: ring.gen(i) for i in range(2, m + 1)}
-    ones = {i: one + xs[i] for i in range(2, m + 1)}  # 1 + x_i
-    factors = [xs[m]] + [ones[i] for i in range(2, m + 1)]
-    # tails[i] == prod_{j=i..m} (1+x_j); the empty product is the level-1 one
-    tails = {m + 1: one}
-    for i in range(m, 2, -1):
-        tails[i] = ones[i] * tails[i + 1]
-    pairwise = []
-    # (x_m, 1+x_i): x_i == x_m * prod_{j>i} (1+x_j)
-    for idx in range(1, m):
-        pairwise.append((0, idx, -tails[idx + 2], one))
-    # (1+x_i, 1+x_j), i < j: x_i == w * (1+x_j) with w = x_j * prod_(i,j)
-    for idx_i in range(1, m):
-        acc = one  # prod_{k=i+1..j-1} (1+x_k)
-        for idx_j in range(idx_i + 1, m):
-            j = idx_j + 1
-            acc = lr_lift(acc, j)  # once for both products below
-            pairwise.append((idx_i, idx_j, one, -(xs[j] * acc)))
-            acc = acc * ones[j]
-    chain = LimitChain(m, factors, pairwise)
-    if not chain.verify():
-        raise CertificateError("chain certificates failed to verify")
-    return chain
+    try:
+        one = ring.one
+        xs = {i: ring.gen(i) for i in range(2, m + 1)}
+        ones = {i: one + xs[i] for i in range(2, m + 1)}  # 1 + x_i
+        factors = [xs[m]] + [ones[i] for i in range(2, m + 1)]
+        # tails[i] == prod_{j=i..m} (1+x_j); the empty product is the level-1 one
+        tails = {m + 1: one}
+        for i in range(m, 2, -1):
+            tails[i] = ones[i] * tails[i + 1]
+        pairwise = []
+        # (x_m, 1+x_i): x_i == x_m * prod_{j>i} (1+x_j)
+        for idx in range(1, m):
+            pairwise.append((0, idx, -tails[idx + 2], one))
+        # (1+x_i, 1+x_j), i < j: x_i == w * (1+x_j) with w = x_j * prod_(i,j)
+        for idx_i in range(1, m):
+            acc = one  # prod_{k=i+1..j-1} (1+x_k)
+            for idx_j in range(idx_i + 1, m):
+                j = idx_j + 1
+                acc = lr_lift(acc, j)  # once for both products below
+                pairwise.append((idx_i, idx_j, one, -(xs[j] * acc)))
+                acc = acc * ones[j]
+        chain = LimitChain(m, factors, pairwise)
+        if not chain.verify():
+            raise CertificateError("chain certificates failed to verify")
+        return chain
+    finally:
+        del _ITERATES[2:]

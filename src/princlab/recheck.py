@@ -12,8 +12,8 @@ up to that one shared routine.
 
 Limit-ring ("lim") values are (level, coefficients): ints when every
 coefficient is an integer, else Fractions.  A value is lifted from level n
-to m by one packed evaluation at its own cached iterate phi^(m-n) of
-phi = x + x^2.
+to m by one packed evaluation at its own iterate phi^(m-n) of
+phi = x + x^2, cached while one `verify_report` call runs.
 
 Monoid-ring ("mon") values are ("mon", den, cden, terms) with int pairs
 (e, c) standing for c/cden X^(e/den): distinct ascending e, nonzero c, and
@@ -424,7 +424,8 @@ def _lim_common(a, b):
     return _lim_lift(a, n), _lim_lift(b, n)
 
 
-# _LIM_ITERATES[k] is phi^k, phi = x + x^2, as an integer vector
+# _LIM_ITERATES[k] is phi^k, phi = x + x^2, as an integer vector;
+# `verify_report` drops the iterates a report needed when it returns
 _LIM_ITERATES = [[0, 1], [0, 1, 1]]
 
 
@@ -1620,3 +1621,5 @@ def verify_report(report: dict) -> list[str]:
         return (ring is not None and _ring_prime_fails(ring)) or fn(report)
     except Exception as exc:  # a malformed report must fail loudly, not crash
         return [f"recheck aborted: {type(exc).__name__}: {exc}"]
+    finally:
+        del _LIM_ITERATES[2:]

@@ -181,3 +181,34 @@ def test_chain_elements_are_integer_vectors():
         ch = lr_chain(6, ring)
         elems = ch.factors + [v for _, _, lam, mu in ch.pairwise for v in (lam, mu)]
         assert all(type(c) is int for e in elems for c in e.poly.coeffs)
+
+
+def test_a_chain_and_its_recheck_keep_no_iterates():
+    # the iterates of x + x^2 an m 10 chain needs are about 60 kB in each of
+    # limitring and recheck; a call that kept them would leave them traced.
+    # A full collection first empties the interpreter's free lists.
+    import gc
+    import tracemalloc
+
+    from princlab.recheck import verify_report
+    from princlab.report import enc, make_report
+
+    def traced():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    def report(m):
+        return make_report("limitring chain", RQ, "chain", enc(lr_chain(m, RQ)))
+
+    assert verify_report(report(3)) == []  # first calls fill lasting caches
+    tracemalloc.start()
+    try:
+        before = traced()
+        lr_chain(10, RQ)
+        assert traced() - before < 4096
+        ten = report(10)
+        before = traced()
+        assert verify_report(ten) == []
+        assert traced() - before < 4096
+    finally:
+        tracemalloc.stop()
