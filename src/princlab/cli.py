@@ -31,8 +31,8 @@ prefixes (`--rech`), repeated flags (the last one wins), `--` and
 negative-number operands, nargs `?`/`+`, `type`, `choices`, `required` and
 `default`.  It turns down exactly the argv argparse answers with help
 (`-h`, `--help`, `--he`, ...) or a usage error; only those reach
-`build_parser(argv).parse_args(argv)`, which prints today's help or error
-and exits.  `argparse` (and with it `gettext` and `locale`) is imported only
+`build_parser(argv).parse_args(argv)`, which prints the help or the usage
+error and exits.  `argparse` (and with it `gettext` and `locale`) is imported only
 inside `build_parser`, so a valid call never loads it.
 
 Imports.  At import this module runs only `core`, `rings`, `exprparse`,
