@@ -9,11 +9,10 @@ reader closed the pipe before the report was written (`... | head -c 1`;
 still exits 3).  Reports go to stdout; errors and recheck failures go to
 stderr.
 
-Writing a report.  `main` calls `report.dump` once and writes the text to
-stdout `_SLICE` characters at a time: `print` would encode the whole text
-into a second copy.  With `dump`'s batches (see `report`), the transient
-memory of writing a report is about twice its text on top of the report
-tree.
+Writing a report.  `main` calls `report.dump` once, with `sys.stdout.write`
+as its writer, so each batch of the text goes to stdout as soon as it is
+joined (see `report`): the text is never held whole, and writing a report
+holds a few kB on top of the report tree.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
 and operands; `GROUPS` gives the ring families each group accepts.  From
@@ -94,8 +93,6 @@ comax, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
 
 # 128 + SIGPIPE: the status a shell shows for a process a closed pipe ended
 EXIT_CLOSED_PIPE = 141
-# the characters of a report `main` writes at a time
-_SLICE = 1 << 16
 
 
 class CliError(ValueError):
@@ -563,7 +560,11 @@ def _consume(words, arguments):
 
 def _read(argv):
     """The namespace `build_parser().parse_args(argv)` gives, read from the
-    command table; None where argparse prints help or a usage error."""
+    command table; None where argparse prints help or a usage error, and on
+    a CPython whose argparse `_read` was not checked against (3.10 to 3.13
+    were)."""
+    if not (3, 10) <= sys.version_info[:2] <= (3, 13):
+        return None
     try:
         top = _consume(argv, (*_TOP, ("group", {"nargs": _REST})))
         group, *words = top.pop("group")
@@ -631,12 +632,22 @@ def _command_ring(args, ring):
     return ring
 
 
+def _no_empty_values(args):
+    """Refuse a flag or operand whose value argparse gave as [] where it
+    takes one value: on CPython 3.10 to 3.12 argparse drops the `--` of
+    `--ring=--` and of an operand spelled `--` after the first `--`."""
+    for flag, kwargs in (*_TOP, *_arguments(args.row)):
+        if kwargs.get("nargs") != "+" and getattr(args, kwargs.get("dest", flag.lstrip("-"))) == []:
+            raise CliError(f"argument {flag}: expected one value, not '--'")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv) or build_parser(argv).parse_args(argv)
     _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:
+        _no_empty_values(args)
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
@@ -666,14 +677,12 @@ def main(argv=None) -> int:
 
 
 def _print_report(report) -> bool:
-    """Write the report's text and a newline to stdout, `_SLICE` characters
-    at a time, and flush: the bytes of `print(dump(report))`.  False when
-    stdout's reader has closed the pipe; stdout then goes to os.devnull, so
-    no later flush (run's, or the interpreter's at exit) raises again."""
-    text = dump(report)
+    """Stream the report's text to stdout, batch by batch, then a newline,
+    and flush: the bytes of `print(dump(report))`.  False when stdout's
+    reader has closed the pipe; stdout then goes to os.devnull, so no later
+    flush (run's, or the interpreter's at exit) raises again."""
     try:
-        for i in range(0, len(text), _SLICE):
-            sys.stdout.write(text[i : i + _SLICE])
+        dump(report, sys.stdout.write)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

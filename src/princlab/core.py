@@ -2,7 +2,7 @@
 and square roots modulo a prime, dense univariate polynomials over a field,
 rational functions, and small integer lattice solves.  It also holds the
 certificate plumbing every engine shares: `CertificateError`, the encoding of
-pairwise Bezout certificates, `is_comaximal_product` (the one check of a
+pairwise Bezout certificates and of shared "rat" leaves (`rat_leaves`), `is_comaximal_product` (the one check of a
 comaximal factorization u * f_1 * ... * f_m == b with lam*f_i + mu*f_j == 1,
 which the D[X;S], limit-ring and Z / Z[sqrt(d)] certificates all call) and
 `mat_mul`, the one matrix product (idempotent matrices, the B2 projector).
@@ -120,6 +120,20 @@ def _frac(x) -> str:
     """A rational as report text: "p", or "p/q" in lowest terms."""
     f = x if type(x) is Fraction else Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def rat_leaves(values, text):
+    """The "rat" leaves of a coefficient list, `text(v)` giving each value's
+    report text, with one leaf dict per distinct value: a chain element's
+    coefficients repeat a few values many times, and a report is read-only
+    once built (see `report`)."""
+    leaves, out = {}, []
+    for v in values:
+        leaf = leaves.get(v)
+        if leaf is None:
+            leaf = leaves[v] = {"type": "rat", "value": text(v)}
+        out.append(leaf)
+    return out
 
 
 def pairwise_json(pairwise, enc):

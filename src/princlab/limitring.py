@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, pairwise_json,
-                   poly_divrem)
+                   poly_divrem, rat_leaves)
 from .rings import QQ, IntegerRing, RationalField
 
 
@@ -125,8 +125,7 @@ class LimitElem(RingElem):
         return not self.poly.is_zero()
 
     def to_json(self, enc):
-        return {"type": "limit", "level": self.level,
-                "coeffs": [{"type": "rat", "value": str(c) if type(c) is int else _frac(c)} for c in self.poly.coeffs]}
+        return {"type": "limit", "level": self.level, "coeffs": rat_leaves(self.poly.coeffs, _frac)}
 
 
 def lr_lift(e: LimitElem, m: int) -> LimitElem:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, is_prime,
-                   pairwise_json, poly_divrem, poly_extended_gcd)
+                   pairwise_json, poly_divrem, poly_extended_gcd, rat_leaves)
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
 
 
@@ -248,8 +248,8 @@ class MonoidElem(RingElem):
 
     def to_json(self, enc):
         den, cden = self.den, self.cden
-        return {"type": "monoid", "terms": [[_ratio(e, den), {"type": "rat", "value": _ratio(c, cden)}]
-                                            for e, c in zip(self.exps, self.coeffs)]}
+        leaves = rat_leaves(self.coeffs, lambda c: _ratio(c, cden))
+        return {"type": "monoid", "terms": [[_ratio(e, den), leaf] for e, leaf in zip(self.exps, leaves)]}
 
 
 def _scaled(v, k: int):

@@ -49,10 +49,11 @@ matrix product and `_strip` removes the primes of a denominator.
 `_quad_xy` reads the coordinates of a Z[sqrt(d)] element and fails one that
 is not integral, where `int()` would truncate a Fraction to another element,
 and `_d_fails` ties every Z[sqrt(d)] value to the d its report's ring
-names.  Every non-principal claim (`ideal principal`,
-`pullback reduce` bases) is checked by `_nonprincipal_fails`: the ideal's
-binary quadratic form must not reduce to (1, 0, -d), with its own reduction
-`_reduced`.
+names (through `_ring_d_fails` for the idem reports, whose ring may be
+Z[sqrt(d)] or a pullback over it).  Every non-principal claim (`ideal
+principal`, `pullback reduce` bases) is checked by `_nonprincipal_fails`:
+the ideal's binary quadratic form must not reduce to (1, 0, -d), with its
+own reduction `_reduced`.
 
 Recheck ties each comax factor to its block and decides itself whether
 the block splits into two principal blocks (`_Blocks`), by walking the
@@ -814,13 +815,22 @@ def _member_fails(named, ring, fails, text="does not lie in the ring"):
             fails.append(f"{name} {text}")
 
 
+def _ring_d_fails(ring, named, fails):
+    """Over Z[sqrt(d)], or a pullback over it, each named decoded value must
+    live over the d the ring names."""
+    for where, r in (("ring.d", ring), ("ring.base.d", ring.get("base"))):
+        if r is not None and r["family"] == "quad":
+            _d_fails(where, int(r["d"]), named, fails)
+
+
 def _pair_identity(report, fails):
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     pair = result["pair"]
-    if not (v_eq(dec(pair["a"]), a) and v_eq(dec(pair["b"]), b)):
+    pa, pb, r = dec(pair["a"]), dec(pair["b"]), dec(pair["witness"])
+    _ring_d_fails(report["ring"], (("a", a), ("b", b), ("pair a", pa), ("pair b", pb), ("pair witness", r)), fails)
+    if not (v_eq(pa, a) and v_eq(pb, b)):
         fails.append("pair members differ from a and b")
-    r = dec(pair["witness"])
     _member_fails((("a", a), ("b", b), ("pair witness", r)), report["ring"], fails)
     f, s = (a, b) if pair["orientation"] == "ab" else (b, a)
     _idempotent_fails(f, s, r, fails, "pair witness identity f(1-f) == s*r fails")
@@ -905,6 +915,7 @@ def _verify_idem_from_ideal(report):
         fails.append("derived witness is not mu*a")
     # lam and mu lie in the inverse ideal, not the ring; what they derive must
     named = (("a", a), ("b", b), ("derived pair a", pa), ("derived pair b", pb), ("derived witness", wit))
+    _ring_d_fails(report["ring"], named, fails)
     _member_fails(named, report["ring"], fails)
     _idempotent_fails(pa, pb, wit, fails, "derived pair fails its defining relation")
     _complement(result, pa, pb, report["ring"], fails)

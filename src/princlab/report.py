@@ -21,11 +21,17 @@ Memory.  The text is built from many small pieces (a key, a separator, a
 leaf), about one per 25 bytes of a chain report, and a small string object
 costs about 50 bytes more than its text.  So `dump` holds about `_SPILL`
 pieces at a time: after each member of a container it joins them into one
-batch string once there are `_SPILL` or more, and it returns the join of
-the batches.  Its transient memory is the batches and the returned text,
-about twice the text (0.50 MB for the 245 kB `mring chain --m 10` report,
-by `tracemalloc`), where one list of every piece would hold about five
-times the text.
+batch string once there are `_SPILL` or more.  Given `write` (`cli` passes
+`sys.stdout.write`), it hands each batch to `write` at once, so a report
+goes out while `dump` holds one batch of a few kB beside it.  Without
+`write` it returns the join of the batches, about twice the text.  A batch
+handed to `write` stays written: a leaf JSON cannot hold raises its
+TypeError after the text before it went out (`enc` builds no such leaf).
+
+A report is read-only once `make_report` has built it, except for its
+top-level "recheck" key, which `cli` sets after a passed recheck: the
+`to_json` of a chain element gives equal coefficients one shared leaf dict
+(`core.rat_leaves`).  Edit a copy, such as `json.loads(dump(report))`.
 """
 
 from __future__ import annotations
@@ -71,13 +77,15 @@ def make_report(command: str, ring, verdict: str, result: dict) -> dict:
 _SPILL = 256
 
 
-def dump(report: dict) -> str:
+def dump(report: dict, write=None) -> str:
     """`json.dumps(report, indent=2)`: the same text, with the same TypeError
-    for a value or key JSON cannot hold."""
+    for a value or key JSON cannot hold.  Given `write`, each batch of the
+    text goes to `write` as soon as it is joined, and `dump` returns ""."""
     batches, pieces = [], []
     put = pieces.append
+    spill = batches.append if write is None else write
 
-    def write(x, nl):
+    def walk(x, nl):
         # nl is a newline plus the indentation of the line x starts on
         if type(x) is str:
             put(encode_basestring_ascii(x))
@@ -93,9 +101,9 @@ def dump(report: dict) -> str:
                     put(head + encode_basestring_ascii(v))
                 else:
                     put(head)
-                    write(v, inner)
+                    walk(v, inner)
                     if len(pieces) >= _SPILL:
-                        batches.append("".join(pieces))
+                        spill("".join(pieces))
                         pieces.clear()
                 sep = "," + inner
             put(nl + "}")
@@ -107,9 +115,9 @@ def dump(report: dict) -> str:
             sep = "[" + inner
             for v in x:
                 put(sep)
-                write(v, inner)
+                walk(v, inner)
                 if len(pieces) >= _SPILL:
-                    batches.append("".join(pieces))
+                    spill("".join(pieces))
                     pieces.clear()
                 sep = "," + inner
             put(nl + "]")
@@ -129,8 +137,8 @@ def dump(report: dict) -> str:
 
             put(json.dumps(x))
 
-    write(report, "\n")
-    batches.append("".join(pieces))
+    walk(report, "\n")
+    spill("".join(pieces))
     return "".join(batches)
 
 

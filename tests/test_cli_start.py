@@ -52,7 +52,7 @@ def outcome(argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        except Exception as exc:  # --ring=-- gives argparse's value [], which main cannot read
+        except Exception as exc:
             code = type(exc).__name__
     return code, out.getvalue(), err.getvalue()
 
@@ -133,6 +133,17 @@ def test_the_table_path_reads_what_argparse_reads(argv):
 def outcome_without_the_table(argv):
     with mock.patch.object(cli, "_read", lambda argv: None):
         return outcome(argv)
+
+
+@pytest.mark.parametrize("version", [(3, 9, 18), (3, 10, 0), (3, 13, 0), (3, 14, 0), (4, 0, 0)])
+def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version):
+    # elsewhere argparse serves every call
+    argv = ["--recheck", "mring", "split", "--s=1/2", "--n", "2"]
+    with mock.patch.object(sys, "version_info", version):
+        checked = cli._read(argv) is not None
+        assert outcome(argv) == outcome_without_the_table(argv)
+    assert checked == ((3, 10) <= version[:2] <= (3, 13))
+    assert outcome(argv)[0] == 0
 
 
 # ------------------------------------------------------ modules a call loads

@@ -1,8 +1,12 @@
-"""`report.dump` against `json.dumps(x, indent=2)`, the text it replaces."""
+"""`report.dump` against `json.dumps(x, indent=2)`, the text it replaces,
+returned or streamed, and the memory of writing a report."""
 
 import json
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from princlab import cli, report
 from princlab.report import dump, make_report
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # quotes, backslashes, control characters, DEL, non-ASCII and astral
 # characters, each of which json escapes in its own way
@@ -40,20 +46,29 @@ def test_dump_writes_what_json_dumps_writes(x):
     assert dump(x) == json.dumps(x, indent=2)
 
 
-@pytest.mark.parametrize("spill", [1, 2])
+@pytest.mark.parametrize("spill", [1, 2, report._SPILL])
 @settings(max_examples=200, deadline=None)
 @given(x=values)
 @example(x={"a": [[1, {"b": []}], {}], "c": ({"d": None},)})
-def test_dump_writes_what_json_dumps_writes_when_it_spills_at_every_piece(spill, x):
-    # the trees above never reach the real _SPILL pieces
+def test_dump_writes_and_streams_what_json_dumps_writes(spill, x):
+    # the trees above never reach the real _SPILL pieces, so 1 and 2 spill
+    # at every piece; streamed, the batches go to the writer and dump
+    # returns ""
     with mock.patch.object(report, "_SPILL", spill):
         assert dump(x) == json.dumps(x, indent=2)
+        pieces = []
+        assert dump(x, pieces.append) == ""
+        assert "".join(pieces) == json.dumps(x, indent=2)
+
+
+def _large_report():
+    ring = cli.parse_ring_spec("Q[X;S]")
+    verdict, result, _ = cli.cmd_mring_chain(ring, Fraction(5, 4), 10, None)
+    return dict(make_report("mring chain", ring, verdict, result), recheck="passed")
 
 
 def test_dump_holds_about_twice_the_text_of_a_large_report():
-    ring = cli.parse_ring_spec("Q[X;S]")
-    verdict, result, _ = cli.cmd_mring_chain(ring, Fraction(5, 4), 10, None)
-    large = dict(make_report("mring chain", ring, verdict, result), recheck="passed")
+    large = _large_report()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -65,6 +80,56 @@ def test_dump_holds_about_twice_the_text_of_a_large_report():
     assert len(text) > 240_000
     # the batches and the returned text; one list of every piece peaks near 5x
     assert peak <= 2.5 * len(text)
+
+
+def test_printing_a_large_report_holds_a_fraction_of_its_text(monkeypatch):
+    # each batch goes to stdout as it is joined, so the text is never held
+    # whole (about twice the text when cli joined it first)
+    large = _large_report()
+    text = dump(large)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert cli._print_report(large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(text) > 240_000
+    assert peak <= 0.25 * len(text)
+
+
+CHAINS = [c for c in json.loads((GOLDEN / "cases.json").read_text()) if c["argv"][1] == "chain" and c["exit"] == 0]
+
+
+def _built(argv):
+    """The report dict `cli.main` builds for argv, as it goes to stdout."""
+    built = []
+    with mock.patch.object(cli, "_print_report", lambda r: built.append(r) or True):
+        cli.main(argv)
+    return built[0]
+
+
+@pytest.mark.parametrize("case", CHAINS, ids=[c["name"] for c in CHAINS])
+def test_a_chain_report_with_shared_leaves_reads_back_as_itself(case):
+    built = _built(["--recheck", *case["argv"]])
+    text = dump(built)
+    assert json.loads(text) == built
+    assert text + "\n" == (GOLDEN / f"{case['name']}.out").read_text()
+    # equal coefficients of one element share one leaf dict
+    leaves = list(_rat_leaves(built))
+    assert len({id(leaf) for leaf in leaves}) < len(leaves)
+
+
+def _rat_leaves(node):
+    if isinstance(node, dict):
+        if node.get("type") == "rat":
+            yield node
+        for v in node.values():
+            yield from _rat_leaves(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _rat_leaves(v)
 
 
 @pytest.mark.parametrize("bad", [{"a": Fraction(1, 2)}, [object()], {(1, 2): 0}, {"a": [{1j: 0}]}])
