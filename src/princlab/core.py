@@ -2,10 +2,11 @@
 and square roots modulo a prime, dense univariate polynomials over a field,
 rational functions, and small integer lattice solves.  It also holds the
 certificate plumbing every engine shares: `CertificateError`, the encoding of
-pairwise Bezout certificates and of shared "rat" leaves (`rat_leaves`), `is_comaximal_product` (the one check of a
-comaximal factorization u * f_1 * ... * f_m == b with lam*f_i + mu*f_j == 1,
-which the D[X;S], limit-ring and Z / Z[sqrt(d)] certificates all call) and
-`mat_mul`, the one matrix product (idempotent matrices, the B2 projector).
+pairwise Bezout certificates, the "rat" leaves of a coefficient list
+(`rat_leaves`), `is_comaximal_product` (the one check of a comaximal
+factorization u * f_1 * ... * f_m == b with lam*f_i + mu*f_j == 1, which the
+D[X;S], limit-ring and Z / Z[sqrt(d)] certificates all call) and `mat_mul`,
+the one matrix product (idempotent matrices, the B2 projector).
 
 Two small bases carry what every ring family shares.  `RingElem` derives
 binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated

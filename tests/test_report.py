@@ -44,21 +44,25 @@ values = st.recursive(
 @example({"é\"\x01": ["\U0001f600", 2**300, True, False, None]})
 def test_dump_writes_what_json_dumps_writes(x):
     assert dump(x) == json.dumps(x, indent=2)
+    assert streamed(x) == json.dumps(x, indent=2)
 
 
-@pytest.mark.parametrize("spill", [1, 2, report._SPILL])
+def streamed(x):
+    """The pieces `dump` hands its writer, joined; it then returns ""."""
+    pieces = []
+    assert dump(x, pieces.append) == ""
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("spill", [1, 2])
 @settings(max_examples=200, deadline=None)
 @given(x=values)
 @example(x={"a": [[1, {"b": []}], {}], "c": ({"d": None},)})
-def test_dump_writes_and_streams_what_json_dumps_writes(spill, x):
-    # the trees above never reach the real _SPILL pieces, so 1 and 2 spill
-    # at every piece; streamed, the batches go to the writer and dump
-    # returns ""
+def test_dump_writes_what_json_dumps_writes_when_it_spills_at_every_piece(spill, x):
+    # the trees above never reach the real _SPILL pieces
     with mock.patch.object(report, "_SPILL", spill):
         assert dump(x) == json.dumps(x, indent=2)
-        pieces = []
-        assert dump(x, pieces.append) == ""
-        assert "".join(pieces) == json.dumps(x, indent=2)
+        assert streamed(x) == json.dumps(x, indent=2)
 
 
 def _large_report():
