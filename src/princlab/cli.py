@@ -678,7 +678,7 @@ def main(argv=None) -> int:
 
 def _print_report(report) -> bool:
     """Stream the report's text to stdout, batch by batch, then a newline,
-    and flush: the bytes of `print(dump(report))`.  False when stdout's
+    and flush: the bytes of `print(json.dumps(report, indent=2))`.  False when stdout's
     reader has closed the pipe; stdout then goes to os.devnull, so no later
     flush (run's, or the interpreter's at exit) raises again."""
     try:

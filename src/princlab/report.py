@@ -21,17 +21,17 @@ Memory.  The text is built from many small pieces (a key, a separator, a
 leaf), about one per 25 bytes of a chain report, and a small string object
 costs about 50 bytes more than its text.  So `dump` holds about `_SPILL`
 pieces at a time: after each member of a container it joins them into one
-batch string once there are `_SPILL` or more.  Given `write` (`cli` passes
-`sys.stdout.write`), it hands each batch to `write` at once, so a report
-goes out while `dump` holds one batch of a few kB beside it.  Without
-`write` it returns the join of the batches, about twice the text.  A batch
-handed to `write` stays written: a leaf JSON cannot hold raises its
-TypeError after the text before it went out (`enc` builds no such leaf).
+batch string once there are `_SPILL` or more, and hands that batch to
+`write` at once (`cli` passes `sys.stdout.write`).  So a report goes out
+while `dump` holds one batch of a few kB beside it, and the text is never
+held whole.  A batch handed to `write` stays written: a leaf JSON cannot
+hold raises its TypeError after the text before it went out (`enc` builds
+no such leaf).
 
 A report is read-only once `make_report` has built it, except for its
 top-level "recheck" key, which `cli` sets after a passed recheck: the
 `to_json` of a chain element gives equal coefficients one shared leaf dict
-(`core.rat_leaves`).  Edit a copy, such as `json.loads(dump(report))`.
+(`core.rat_leaves`).  Edit a copy, such as the `json.loads` of the text.
 """
 
 from __future__ import annotations
@@ -77,13 +77,12 @@ def make_report(command: str, ring, verdict: str, result: dict) -> dict:
 _SPILL = 256
 
 
-def dump(report: dict, write=None) -> str:
-    """`json.dumps(report, indent=2)`: the same text, with the same TypeError
-    for a value or key JSON cannot hold.  Given `write`, each batch of the
-    text goes to `write` as soon as it is joined, and `dump` returns ""."""
-    batches, pieces = [], []
+def dump(report: dict, write) -> str:
+    """Write `json.dumps(report, indent=2)` to `write`: the same text, each
+    batch as soon as it is joined, with the same TypeError for a value or key
+    JSON cannot hold.  Returns "" (the text is not kept)."""
+    pieces = []
     put = pieces.append
-    spill = batches.append if write is None else write
 
     def walk(x, nl):
         # nl is a newline plus the indentation of the line x starts on
@@ -103,7 +102,7 @@ def dump(report: dict, write=None) -> str:
                     put(head)
                     walk(v, inner)
                     if len(pieces) >= _SPILL:
-                        spill("".join(pieces))
+                        write("".join(pieces))
                         pieces.clear()
                 sep = "," + inner
             put(nl + "}")
@@ -117,7 +116,7 @@ def dump(report: dict, write=None) -> str:
                 put(sep)
                 walk(v, inner)
                 if len(pieces) >= _SPILL:
-                    spill("".join(pieces))
+                    write("".join(pieces))
                     pieces.clear()
                 sep = "," + inner
             put(nl + "]")
@@ -138,8 +137,8 @@ def dump(report: dict, write=None) -> str:
             put(json.dumps(x))
 
     walk(report, "\n")
-    spill("".join(pieces))
-    return "".join(batches)
+    write("".join(pieces))
+    return ""
 
 
 def _key(k) -> str:

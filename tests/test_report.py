@@ -1,5 +1,5 @@
 """`report.dump` against `json.dumps(x, indent=2)`, the text it replaces,
-returned or streamed, and the memory of writing a report."""
+as it streams it to a writer, and the memory of writing a report."""
 
 import json
 import os
@@ -43,7 +43,6 @@ values = st.recursive(
 @example({"a": [], "b": {}, "c": ()})
 @example({"é\"\x01": ["\U0001f600", 2**300, True, False, None]})
 def test_dump_writes_what_json_dumps_writes(x):
-    assert dump(x) == json.dumps(x, indent=2)
     assert streamed(x) == json.dumps(x, indent=2)
 
 
@@ -61,7 +60,6 @@ def streamed(x):
 def test_dump_writes_what_json_dumps_writes_when_it_spills_at_every_piece(spill, x):
     # the trees above never reach the real _SPILL pieces
     with mock.patch.object(report, "_SPILL", spill):
-        assert dump(x) == json.dumps(x, indent=2)
         assert streamed(x) == json.dumps(x, indent=2)
 
 
@@ -71,26 +69,11 @@ def _large_report():
     return dict(make_report("mring chain", ring, verdict, result), recheck="passed")
 
 
-def test_dump_holds_about_twice_the_text_of_a_large_report():
-    large = _large_report()
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        text = dump(large)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert len(text) > 240_000
-    # the batches and the returned text; one list of every piece peaks near 5x
-    assert peak <= 2.5 * len(text)
-
-
 def test_printing_a_large_report_holds_a_fraction_of_its_text(monkeypatch):
     # each batch goes to stdout as it is joined, so the text is never held
     # whole (about twice the text when cli joined it first)
     large = _large_report()
-    text = dump(large)
+    text = streamed(large)
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
         tracemalloc.start()
@@ -117,7 +100,7 @@ def _built(argv):
 @pytest.mark.parametrize("case", CHAINS, ids=[c["name"] for c in CHAINS])
 def test_a_chain_report_with_shared_leaves_reads_back_as_itself(case):
     built = _built(["--recheck", *case["argv"]])
-    text = dump(built)
+    text = streamed(built)
     assert json.loads(text) == built
     assert text + "\n" == (GOLDEN / f"{case['name']}.out").read_text()
     # equal coefficients of one element share one leaf dict
@@ -141,4 +124,4 @@ def test_dump_raises_type_error_where_json_does(bad):
     with pytest.raises(TypeError):
         json.dumps(bad, indent=2)
     with pytest.raises(TypeError):
-        dump(bad)
+        streamed(bad)
