@@ -62,11 +62,11 @@ import importlib.util
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .core import CertificateError
 from .exprparse import parse_element, parse_ypoly
+from .rational import Fraction
 from .recheck import verify_report
 from .report import dump, enc, make_report
 from .rings import QQ, QQ_POLY, ZZ, LocalizedIntegers

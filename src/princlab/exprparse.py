@@ -24,8 +24,8 @@ Membership is checked once, by `from_field`, so its errors sit at position 0.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
+from .rational import Fraction
 from .rings import QQ, RationalPolyRing
 
 

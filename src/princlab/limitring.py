@@ -20,10 +20,10 @@ a plain class (see `core` for why not a dataclass).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, _frac, is_comaximal_product, pairwise_json,
-                   poly_divrem, rat_leaves)
+from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, pairwise_json, poly_divrem,
+                   rat_leaves)
+from .rational import Fraction
 from .rings import QQ, IntegerRing, RationalField
 
 
@@ -125,7 +125,7 @@ class LimitElem(RingElem):
         return not self.poly.is_zero()
 
     def to_json(self, enc):
-        return {"type": "limit", "level": self.level, "coeffs": rat_leaves(self.poly.coeffs, _frac)}
+        return {"type": "limit", "level": self.level, "coeffs": rat_leaves(self.poly.coeffs, str)}
 
 
 def lr_lift(e: LimitElem, m: int) -> LimitElem:

@@ -44,11 +44,11 @@ why not dataclasses.  `MonoidDesc` has no `__eq__`: rings compare by
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, is_prime,
                    pairwise_json, poly_divrem, poly_extended_gcd, rat_leaves)
+from .rational import Fraction
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
 
 

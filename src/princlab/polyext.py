@@ -14,10 +14,9 @@ and ring-closure a finite check.  Polynomials in X over D are outer
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import CertificateError, Poly, RatFunc, RingHandle, poly_divrem
 from .idem import IdemPair
+from .rational import Fraction
 
 
 class SubringError(ValueError):

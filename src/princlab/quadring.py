@@ -24,12 +24,12 @@ explicit `__init__`; see `core` for why not dataclasses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .core import (CertificateError, RingElem, RingHandle, _frac, factorint, hnf2_with_transform,
+from .core import (CertificateError, RingElem, RingHandle, factorint, hnf2_with_transform,
                    solve_int_combination, sqrt_mod_prime, xgcd)
+from .rational import Fraction
 
 
 class QuadError(ValueError):
@@ -139,7 +139,7 @@ class QuadElem(RingElem):
     def to_json(self, enc):
         if self.in_order():
             return {"type": "quad", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
-        return {"type": "quadrat", "x": _frac(self.x), "y": _frac(self.y), "d": str(self.d)}
+        return {"type": "quadrat", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
 
 
 def divides(b: QuadElem, a: QuadElem):

@@ -1,14 +1,16 @@
 """Independent certificate verification for emitted reports.
 
-This module shares one routine with the producing modules: the integer
+This module shares two routines with the producing modules: the integer
 lattice reduction `core.hnf2_with_transform`, which it uses to put ideal
-lattices in Hermite normal form.  Everything else is its own: it decodes the
-JSON report into its own tagged values and re-derives every claimed identity
-with `fractions`, its own integer polynomial products (written apart from
-the producer's `Poly` kernel; a test checks that this module imports nothing
-else from the package) and that routine.  A passing recheck therefore means the
+lattices in Hermite normal form, and the rational type `rational.Fraction`
+(the stdlib's `fractions` would load `decimal` on every `--recheck` call).
+Everything else is its own: it decodes the JSON report into its own tagged
+values and re-derives every claimed identity with those rationals, its own
+integer polynomial products (written apart from the producer's `Poly`
+kernel; a test checks that this module imports nothing else from the
+package) and that routine.  A passing recheck therefore means the
 certificates stand on their own, not that the producer agrees with itself,
-up to that one shared routine.
+up to those two shared routines.
 
 Limit-ring ("lim") values are (level, coefficients): ints when every
 coefficient is an integer, else Fractions.  A value is lifted from level n
@@ -40,9 +42,13 @@ fraction field any two nonzero elements are comaximal.
 the pair, its witness, a derived pair and the complement quotients must
 lie in the ring, since over a field every pair with a nonzero member
 satisfies it for some r (`lam` and `mu` of `idem from-ideal` lie in the
-inverse ideal and are exempt).  One routine decides membership:
-`_member_fails`, through `_in_ring` (and `_mon_in_ring` over D[X;S]),
-each caller passing its own failure text.
+inverse ideal and are exempt).  The negative idem verdicts are decided
+again where that is cheap: over Z, Z[sqrt(d)] and Q[X] `not_idempotent_pair`
+holds exactly when neither b | a(1 - a) nor a | b(1 - b) (`_divides`), and
+over Z and Q[X] `not_invertible` exactly when a = b = 0.  Over the other
+rings these verdicts carry no certificate and are not checked.  One routine
+decides membership: `_member_fails`, through `_in_ring` (and `_mon_in_ring`
+over D[X;S]), each caller passing its own failure text.
 `_projector_fails` M*M == M for every projector matrix, `_omega_fails`
 omega-stability; `_Blocks` multiplies prime powers, `_mat_mul` is the
 matrix product and `_strip` removes the primes of a denominator.
@@ -80,10 +86,10 @@ holds for every alpha.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .core import hnf2_with_transform
+from .rational import Fraction
 
 # ---------------------------------------------------------------- decoding
 
@@ -91,7 +97,7 @@ from .core import hnf2_with_transform
 def _q(s):
     """A rational leaf as (numerator, denominator > 0), not always in lowest
     terms: the report's own "p" and "p/q" forms from two ints; anything
-    else, and every malformed leaf, through Fraction's own parser."""
+    else, and every malformed leaf, through `Fraction`."""
     num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
     if (num[1:] if num[:1] == "-" else num).isdecimal():
         if not slash:
@@ -100,10 +106,6 @@ def _q(s):
             return int(num), int(den)
     f = Fraction(s)
     return f.numerator, f.denominator
-
-
-def _f(s) -> Fraction:
-    return Fraction(*_q(s))
 
 
 def _rat_leaf(c):
@@ -124,9 +126,9 @@ def dec(e):
     """JSON element -> tagged value."""
     t = e["type"]
     if t in ("int", "rat"):
-        return ("rat", _f(e["value"]))
+        return ("rat", Fraction(e["value"]))
     if t in ("quad", "quadrat"):
-        return ("quad", _f(e["x"]), _f(e["y"]), int(e["d"]))
+        return ("quad", Fraction(e["x"]), Fraction(e["y"]), int(e["d"]))
     if t == "poly":
         return ("poly", tuple(dec(c) for c in e["coeffs"]))
     if t == "ratfunc":
@@ -143,8 +145,8 @@ def dec(e):
     if t == "sphere":
         return (
             "sph",
-            {(int(i), int(j)): _f(c) for i, j, c in e["f"]},
-            {(int(i), int(j)): _f(c) for i, j, c in e["g"]},
+            {(int(i), int(j)): Fraction(c) for i, j, c in e["f"]},
+            {(int(i), int(j)): Fraction(c) for i, j, c in e["g"]},
         )
     if t == "quadideal":
         (n, zero), (c, m) = e["basis"]
@@ -769,6 +771,48 @@ def _idempotent_fails(f, s, r, fails, failure):
         fails.append(failure)
 
 
+def _divides(s, x, ring) -> bool:
+    """Whether s divides x in the ring, Z, Z[sqrt(d)] or Q[X], of which both
+    are decoded values: x == s*q for some q in the ring."""
+    if v_is_zero(s):
+        return v_is_zero(x)
+    family = ring["family"]
+    if family == "int":
+        return (x[1] / s[1]).denominator == 1
+    if family == "quad":
+        # q = x*conj(s)/N(s) must have integer coordinates
+        model = ("quad", None, None, int(ring["d"]))
+        (_, p, q, d), (_, u, v, _) = _promote(s, "quad", model), _promote(x, "quad", model)
+        n = p * p - d * q * q
+        return ((u * p - d * v * q) / n).denominator == 1 and ((v * p - u * q) / n).denominator == 1
+    # Q[X]: long division leaves no remainder
+    rem = [c[1] for c in _promote(x, "poly", None)[1]]
+    cs = [c[1] for c in _promote(s, "poly", None)[1]]
+    for k in range(len(rem) - len(cs), -1, -1):
+        c = rem[k + len(cs) - 1] / cs[-1]
+        for i, sc in enumerate(cs):
+            rem[k + i] -= c * sc
+    return not any(rem)
+
+
+def _not_a_pair_fails(report, fails):
+    """A not_idempotent_pair verdict over Z, Z[sqrt(d)] or Q[X], decided
+    again from a and b: neither b | a(1-a) nor a | b(1-b).  Over the other
+    rings the verdict carries no certificate and is not checked."""
+    ring, result = report["ring"], report["result"]
+    if result["pair"] is not None:
+        fails.append("a not_idempotent_pair report carries a pair")
+    if ring["family"] not in ("int", "quad", "qpoly"):
+        return fails
+    a, b = dec(result["a"]), dec(result["b"])
+    outside = []
+    _ring_d_fails(ring, (("a", a), ("b", b)), outside)
+    _member_fails((("a", a), ("b", b)), ring, outside)
+    if not outside and any(_divides(s, v_mul(f, v_sub(v_one_like(f), f)), ring) for f, s in ((a, b), (b, a))):
+        fails.append("a and b form an idempotent pair")
+    return fails + outside
+
+
 def _projector_fails(m, fails, name):
     """The projector identity M*M == M for the square matrix m, each failing
     entry named as `name`*`name` != `name` at (i,j)."""
@@ -871,7 +915,7 @@ def _verify_idem_check(report):
     fails = []
     result = report["result"]
     if report["verdict"] == "not_idempotent_pair":
-        return fails  # a negative detection carries no certificate
+        return _not_a_pair_fails(report, fails)
     a, b, f, s, r = _pair_identity(report, fails)
     _complement(result, f, s, report["ring"], fails)
     return fails
@@ -880,8 +924,8 @@ def _verify_idem_check(report):
 def _verify_idem_matrix(report):
     fails = []
     result = report["result"]
-    if "matrix" not in result:
-        return fails  # negative detection: nothing to certify
+    if report["verdict"] == "not_idempotent_pair":
+        return _not_a_pair_fails(report, fails)
     _, _, f, s, r = _pair_identity(report, fails)
     m = [[dec(e) for e in row] for row in result["matrix"]]
     one = v_one_like(f)
@@ -897,9 +941,15 @@ def _verify_idem_matrix(report):
 def _verify_idem_from_ideal(report):
     fails = []
     result = report["result"]
-    if report["verdict"] == "not_invertible":
-        return fails
     a, b = dec(result["a"]), dec(result["b"])
+    if report["verdict"] == "not_invertible":
+        # over Z and Q[X], principal ideal domains, only (0, 0) is not
+        # invertible; over Z[sqrt(d)] the verdict carries no certificate
+        if report["ring"]["family"] in ("int", "qpoly"):
+            _member_fails((("a", a), ("b", b)), report["ring"], fails)
+            if not (v_is_zero(a) and v_is_zero(b)):
+                fails.append("a nonzero ideal of a principal ideal domain is invertible")
+        return fails
     lam, mu = dec(result["bezout"]["lam"]), dec(result["bezout"]["mu"])
     one = v_one_like(lam)
     if not v_eq(v_add(v_mul(lam, a), v_mul(mu, b)), one):
@@ -1424,7 +1474,7 @@ def _verify_mring_split(report):
     (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), v_neg(_x_minus(result["s"], 1)),
                                              "f1*f2 != 1 - X^s", fails)
     # f2 == 1 + X^t + ... + X^(t(n-1)), whose remainder mod 1 - X^t is n
-    if result["n"] != len(f2[3]) or _f(result["remainder"]) != result["n"]:
+    if result["n"] != len(f2[3]) or Fraction(result["remainder"]) != result["n"]:
         fails.append("n is not the number of terms of f2, or remainder is not n")
     _member_fails((("f1", f1), ("f2", f2), ("lam", lam), ("mu", mu)), report["ring"], fails)
     return fails
@@ -1445,7 +1495,7 @@ def _verify_mring_chain(report):
 def _verify_mring_juett(report):
     fails = []
     result = report["result"]
-    t, b, p, beta = _f(result["t"]), _f(result["b"]), result["p"], _f(result["beta"])
+    t, b, p, beta = Fraction(result["t"]), Fraction(result["b"]), result["p"], Fraction(result["beta"])
     z, unit = dec(result["z"]), dec(result["unit"])
     (f1, f2), [(lam, mu)] = _comaximal_fails(_split_pair(result), _x_minus(t, b),
                                              "unit*(Z-1)*(1+...+Z^(p-1)) != X^t - b", fails, unit=unit)

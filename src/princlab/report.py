@@ -7,7 +7,7 @@ Encoding is recursive, so nested coefficient domains (e.g. polynomials over
 Q[y]) come out uniformly.  This module encodes None, bools, ints, Fractions,
 lists and tuples; every element and certificate type serializes itself through
 `to_json(enc)` in its own module, so each type has one encoding and this
-module imports nothing from the package but `core`.
+module imports nothing from the package but `rational`.
 
 `dump` writes the text of `json.dumps(report, indent=2)` byte for byte,
 without importing `json`.  `json` never uses its C encoder when `indent` is
@@ -36,15 +36,13 @@ top-level "recheck" key, which `cli` sets after a passed recheck: the
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 try:
     from _json import encode_basestring_ascii
 except ImportError:  # an interpreter without json's C accelerator
     from json.encoder import encode_basestring_ascii
 
 from . import REPORT_SCHEMA, __version__
-from .core import _frac
+from .rational import Fraction
 
 
 def enc(x):
@@ -54,7 +52,7 @@ def enc(x):
     if isinstance(x, int):
         return {"type": "int", "value": str(x)}
     if isinstance(x, Fraction):
-        return {"type": "rat", "value": _frac(x)}
+        return {"type": "rat", "value": str(x)}
     if isinstance(x, (list, tuple)):
         return [enc(v) for v in x]
     if hasattr(x, "to_json"):

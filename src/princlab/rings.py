@@ -52,9 +52,8 @@ four plain ones: Z, Q[X], Q and Z[1/p, ...].
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import Poly, RatFunc, RingHandle, factorint, is_prime, poly_divrem, poly_extended_gcd, xgcd
+from .rational import Fraction
 
 
 class IntegerRing(RingHandle):

@@ -11,9 +11,8 @@ dataclass.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import CertificateError, RingElem, RingHandle, _frac, mat_mul
+from .core import CertificateError, RingElem, RingHandle, mat_mul
+from .rational import Fraction
 
 
 class SphereError(ValueError):
@@ -142,7 +141,7 @@ class Poly2(RingElem):
 
     def terms_json(self):
         """[[i, j, c]] for the terms c * X1^i * X2^j, as report data."""
-        return [[i, j, _frac(c)] for (i, j), c in self.terms.items()]
+        return [[i, j, str(c)] for (i, j), c in self.terms.items()]
 
     def __repr__(self):  # no report form of its own: a part of a SphereElem
         return f"Poly2({self.terms_json()})"

@@ -1,7 +1,15 @@
 """Fraction-only reference loops for limit-ring values: coefficient tuples
-are trimmed of trailing zeros, and a lift rewrites x -> x + x^2 once per level."""
+are trimmed of trailing zeros, and a lift rewrites x -> x + x^2 once per level.
+The loops run on the stdlib's `fractions.Fraction`, apart from the package's
+own rational type; `std` converts the package's values for them."""
 
 from fractions import Fraction
+
+
+def std(cs):
+    """A tuple of the package's rationals and ints, with each rational as the
+    stdlib's Fraction."""
+    return tuple(c if type(c) is int else Fraction(c.numerator, c.denominator) for c in cs)
 
 
 def strip(cs):

@@ -349,7 +349,7 @@ def test_report_imports_no_engine_module():
     )
     res = run_probe(probe)
     assert res.returncode == 0, res.stderr
-    assert res.stderr == "['princlab', 'princlab.core', 'princlab.report']"
+    assert res.stderr == "['princlab', 'princlab.rational', 'princlab.report']"
 
 
 def _limit_address_space():

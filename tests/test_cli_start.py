@@ -148,7 +148,7 @@ def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version
 
 # ------------------------------------------------------ modules a call loads
 
-BASE = ["cli", "core", "exprparse", "recheck", "report", "rings"]
+BASE = ["cli", "core", "exprparse", "rational", "recheck", "report", "rings"]
 
 
 CALLS = [
@@ -172,7 +172,8 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
         "from princlab import cli\n"
         "code = cli.main(sys.argv[1:])\n"
         "ran = [n[9:] for n, m in sys.modules.items() if n.startswith('princlab.') and type(m) is types.ModuleType]\n"
-        "loaded = sorted({'argparse', 'gettext', 'json', 'locale'} & set(sys.modules))\n"
+        "unwanted = {'argparse', 'decimal', 'fractions', 'gettext', 'json', 'locale', 'numbers'}\n"
+        "loaded = sorted(unwanted & set(sys.modules))\n"
         "sys.stderr.write(repr((code, loaded, sorted(ran))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(princlab.__file__).resolve().parents[1]))
@@ -181,3 +182,22 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
     assert res.stderr == repr((0, [], sorted(BASE + families)))
+
+
+@pytest.mark.parametrize("s,stdlib", [("1/2", False), ("0.5", True), (" 1/2", True)])
+def test_only_a_rational_operand_outside_the_two_fast_forms_loads_the_stdlib_parser(s, stdlib):
+    # "[-]p" and "[-]p/q" are read without `fractions`; any other spelling goes
+    # to its parser, which loads `decimal` too, and gives the same report
+    case = next(c for c in GOLDEN if c["name"] == "mring_chain_m7_zhalf")
+    assert case["argv"][-2:] == ["--s", "1/2"]
+    argv = ["--recheck", *case["argv"][:-1], s]
+    probe = (
+        "import sys\n"
+        "from princlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stderr.write(repr((code, sorted({'decimal', 'fractions', 'numbers'} & set(sys.modules)))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(princlab.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert res.stdout == (ROOT / "tests" / "golden" / "mring_chain_m7_zhalf.out").read_text()
+    assert res.stderr == repr((0, ["decimal", "fractions", "numbers"] if stdlib else []))

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -20,6 +19,7 @@ from princlab.core import (
     xgcd,
 )
 from princlab.quadring import QuadElem
+from princlab.rational import Fraction
 
 
 def P(*coeffs):

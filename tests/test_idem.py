@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,6 +15,7 @@ from princlab.idem import (
     pair_from_invertible,
 )
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
+from princlab.rational import Fraction
 from princlab.rings import QQ_POLY, ZZ
 
 

@@ -1,15 +1,15 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_ref import fraction_add, fraction_lift, fraction_mul, strip
+from fraction_ref import fraction_add, fraction_lift, fraction_mul, std, strip
 from princlab import cli, limitring
 from princlab.core import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
+from princlab.rational import Fraction
 from princlab.rings import QQ, ZZ
 
 F = Fraction
@@ -154,12 +154,13 @@ def test_sums_products_and_powers_match_a_fraction_reference(a, b, la, lb, n, ba
     if base is RZ and any(F(c).denominator != 1 for c in a + b):
         return
     x, y = LimitElem(la, Poly(a), base), LimitElem(lb, Poly(b), base)
-    ca, cb = strip(map(F, a)), strip(map(F, b))
+    # the reference runs on the stdlib's Fractions
+    ca, cb = strip(std(map(F, a))), strip(std(map(F, b)))
     top = max(la, lb)
     fa, fb = fraction_lift(ca, top - la), fraction_lift(cb, top - lb)
 
     def power(cs, k):
-        out = (F(1),)
+        out = (1,)
         for _ in range(k):
             out = fraction_mul(out, cs)
         return out
@@ -170,7 +171,7 @@ def test_sums_products_and_powers_match_a_fraction_reference(a, b, la, lb, n, ba
         # a nonzero constant whose inverse lies in the base
         cases.append((x**-n, la, power((1 / ca[0],), n)))
     for got, level, want in cases:
-        assert got.level == level and got.poly.coeffs == want
+        assert got.level == level and std(got.poly.coeffs) == want
         # ints exactly when every coefficient is an integer
         integral = all(w.denominator == 1 for w in want)
         assert all(type(v) is (int if integral else F) for v in got.poly.coeffs)

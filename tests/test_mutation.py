@@ -6,12 +6,12 @@ are exempt; the TIED goldens have no exempt leaf.
 """
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from princlab import recheck
+from princlab.rational import Fraction
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -24,7 +24,13 @@ TIED = ["ideal_mul", "mring_split", "mring_split_mult23", "idem_check", "idem_ch
         "ideal_non_principal", "ideal_principal_not_invertible", "ideal_principal_power",
         "ideal_principal_quad26", "ideal_non_principal_quad26", "ideal_factor", "pullback_reduce_detected",
         "pullback_reduce_quad", "pullback_base_non_principal", "pullback_nonufd", "mring_juett",
-        "mring_juett_group_p3", "mring_chain_m7_zhalf", "mring_chain_m9_zhalf_s3", "mring_chain_m8_q_s1"]
+        "mring_juett_group_p3", "mring_chain_m7_zhalf", "mring_chain_m9_zhalf_s3", "mring_chain_m8_q_s1",
+        "idem_from_ideal_zero"]
+# recheck decides "not a pair" again from a and b, so the +1 mutant of a
+# survives only as the report of another input with the same verdict: (5, 7)
+# is no idempotent pair over Z either, and a and b are all the report says of
+# its input
+NOT_A_PAIR = {"idem_check_not_pair": [("result", "a", "value")], "idem_matrix_not_pair": [("result", "a", "value")]}
 
 HARMLESS = {
     ("result", "bound"): "a witness's norm is still within a larger bound, and a no_witness verdict "
@@ -109,3 +115,9 @@ def test_every_plus_one_mutant_of_a_chain_golden_fails_recheck(name):
 @pytest.mark.parametrize("name", TIED)
 def test_every_plus_one_mutant_of_a_tied_golden_fails_recheck(name):
     assert mutants(name, lambda report, path: False) == ([], [])
+
+
+@pytest.mark.parametrize("name", NOT_A_PAIR)
+def test_a_not_a_pair_golden_survives_only_as_another_non_pair(name):
+    survivors, _ = mutants(name, lambda report, path: False)
+    assert survivors == NOT_A_PAIR[name]

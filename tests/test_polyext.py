@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from princlab.core import Poly
@@ -12,6 +10,7 @@ from princlab.polyext import (
     nonprinc_pair_from_alpha,
     seminormal_witness,
 )
+from princlab.rational import Fraction
 
 F = Fraction
 

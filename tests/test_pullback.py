@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,6 +15,7 @@ from princlab.pullback import (
     pb_reduce_idem_pair,
 )
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal
+from princlab.rational import Fraction
 from princlab.rings import ZZ
 
 RZ = PullbackRing(ZZ)

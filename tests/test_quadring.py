@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from sympy import Matrix
@@ -22,6 +21,7 @@ from princlab.quadring import (
     reduce_form,
     validate_d,
 )
+from princlab.rational import Fraction
 from princlab.report import enc
 
 

@@ -4,10 +4,10 @@ polynomial arithmetic against plain Fraction loops."""
 import ast
 import contextlib
 import copy
+import fractions
 import io
 import json
 import time
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import princlab
-from fraction_ref import fraction_add, fraction_lift, fraction_mul, strip
+from fraction_ref import fraction_add, fraction_lift, fraction_mul, std, strip
 from princlab import core, recheck
+from princlab.rational import Fraction
 
 RECHECK_SOURCE = Path(recheck.__file__).read_text()
 
 
-def test_recheck_imports_only_the_shared_lattice_routine():
+def test_recheck_imports_only_the_two_shared_routines():
     # read the source, not the loaded module: an import inside a function
     # counts as much as one at the top
     found = []
@@ -36,7 +37,7 @@ def test_recheck_imports_only_the_shared_lattice_routine():
             found += [(0, a.name, ()) for a in node.names if a.name.split(".")[0] == princlab.__name__]
         elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
             found.append((0, node.id, ()))
-    assert found == [(1, "core", ("hnf2_with_transform",))]
+    assert found == [(1, "core", ("hnf2_with_transform",)), (1, "rational", ("Fraction",))]
 
 
 big = st.sampled_from([2**63, 2**64 - 1, 2**127, 2**300])
@@ -51,12 +52,16 @@ vectors = st.lists(rationals, max_size=6).map(tuple)
 @given(a=vectors, b=vectors, la=st.integers(1, 3), lb=st.integers(1, 3))
 def test_lim_and_poly_arithmetic_match_fraction_loops(a, b, la, lb):
     n = max(la, lb)
-    lifted_a, lifted_b = fraction_lift(a, n - la), fraction_lift(b, n - lb)
-    assert recheck._lim_lift(("lim", la, a), n) == ("lim", n, lifted_a)
-    assert recheck.v_mul(("lim", la, a), ("lim", lb, b)) == ("lim", n, fraction_mul(lifted_a, lifted_b))
+    # the reference runs on the stdlib's Fractions
+    lifted_a, lifted_b = fraction_lift(std(a), n - la), fraction_lift(std(b), n - lb)
+    lifted = recheck._lim_lift(("lim", la, a), n)
+    assert lifted[:2] == ("lim", n) and std(lifted[2]) == lifted_a
+    product = recheck.v_mul(("lim", la, a), ("lim", lb, b))
+    assert product[:2] == ("lim", n) and std(product[2]) == fraction_mul(lifted_a, lifted_b)
     pa, pb = ("poly", tuple(("rat", c) for c in a)), ("poly", tuple(("rat", c) for c in b))
-    want = ("poly", tuple(("rat", c) for c in fraction_mul(a, b)))
-    assert recheck.v_mul(pa, pb) == want
+    product = recheck.v_mul(pa, pb)
+    assert product[0] == "poly" and all(tag == "rat" for tag, _ in product[1])
+    assert std(c for _, c in product[1]) == fraction_mul(std(a), std(b))
 
 
 def fraction_mon_mul(a, b):
@@ -129,7 +134,12 @@ def parse_outcome(fn, s):
     st.sampled_from(["3/-4", "--3", "-", "/4", "3/", "1/0", " 3", "+3", "1e3", "1_0"]),
 ))
 def test_rational_leaves_decode_as_fraction_parses_them(s):
-    assert parse_outcome(recheck._f, s) == parse_outcome(Fraction, s)
+    # the reference is the stdlib's parser
+    def pair(f):
+        return f.numerator, f.denominator
+
+    want = parse_outcome(lambda s: pair(fractions.Fraction(s)), s)
+    assert parse_outcome(lambda s: pair(Fraction(*recheck._q(s))), s) == want
 
 
 def per_term_membership(v, ring, label):
@@ -646,7 +656,7 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
     cs = tuple(map(int, cs)) if all(Fraction(c).denominator == 1 for c in cs) else tuple(map(Fraction, cs))
     lifted = recheck._lim_lift(("lim", level, cs), level + k)
     assert lifted[:2] == ("lim", level + k)
-    assert lifted[2] == strip(fraction_lift(tuple(map(Fraction, cs)), k))
+    assert std(lifted[2]) == strip(fraction_lift(std(map(Fraction, cs)), k))
     # ints exactly when every coefficient is an integer
     assert all(type(c) is int for c in lifted[2]) == all(Fraction(c).denominator == 1 for c in lifted[2])
 
@@ -693,3 +703,61 @@ def test_a_bezout_certificate_outside_the_ring_fails(argv, cert, failures):
     assert recheck.verify_report(report) == []
     forge_first_pair(cert(report["result"]))
     assert recheck.verify_report(report) == failures
+
+
+# ------------------------------------------------ negative idem verdicts
+
+
+def _negative_idem_report(command, ring, verdict, a, b):
+    from princlab.report import enc
+
+    result = {"a": enc(a), "b": enc(b)}
+    if command != "idem from-ideal":
+        result["pair"] = None
+    if command == "idem check":
+        result["complement"] = None
+    return {"command": command, "ring": ring.to_json(), "verdict": verdict, "result": result}
+
+
+def _idem_operands():
+    from princlab.core import Poly
+    from princlab.quadring import QuadElem, QuadOrder
+    from princlab.rings import QQ_POLY, ZZ
+
+    small = st.integers(-12, 12)
+    quad = QuadOrder(-5)
+    elems = {
+        ZZ: small,
+        quad: st.builds(lambda x, y: QuadElem(x, y, -5), small, st.integers(-3, 3)),
+        QQ_POLY: st.builds(lambda cs: Poly([Fraction(c, 2) for c in cs]), st.lists(st.integers(-4, 4), max_size=3)),
+    }
+    return st.sampled_from(list(elems)).flatmap(lambda ring: st.tuples(st.just(ring), elems[ring], elems[ring]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["idem check", "idem matrix"]), operands=_idem_operands())
+def test_a_not_a_pair_verdict_passes_exactly_when_the_producer_finds_no_pair(command, operands):
+    # over Z, Z[sqrt(-5)] and Q[X] recheck decides both divisibilities itself
+    from princlab.idem import is_idempotent_pair
+
+    ring, a, b = operands
+    report = _negative_idem_report(command, ring, "not_idempotent_pair", a, b)
+    fails = recheck.verify_report(report)
+    assert fails in ([], ["a and b form an idempotent pair"])
+    assert (fails == []) == (is_idempotent_pair(a, b, ring) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(-5, 5), b=st.integers(-5, 5))
+def test_only_the_zero_ideal_of_z_is_not_invertible(a, b):
+    from princlab.rings import ZZ
+
+    report = _negative_idem_report("idem from-ideal", ZZ, "not_invertible", a, b)
+    assert (recheck.verify_report(report) == []) == (a == b == 0)
+
+
+def test_a_not_a_pair_report_with_a_pair_fails():
+    report = json.loads((GOLDEN / "idem_check.out").read_text())
+    report["verdict"] = "not_idempotent_pair"
+    assert recheck.verify_report(report) == ["a not_idempotent_pair report carries a pair",
+                                             "a and b form an idempotent pair"]

@@ -5,7 +5,6 @@ import json
 import os
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from princlab import cli, report
+from princlab.rational import Fraction
 from princlab.report import dump, make_report
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -2,8 +2,6 @@
 **) and the ring-handle identity `core.RingHandle` gives, checked on every
 element class and handle."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +12,7 @@ from princlab.monoidring import MonoidDesc, MonoidElem, MonoidRing
 from princlab.polyext import PolyExtRing, SubringDesc
 from princlab.pullback import PullbackRing
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair
+from princlab.rational import Fraction
 from princlab.rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers, RationalField, RationalPolyRing
 from princlab.sphere import B2, Poly2, SphereElem, SphereRing
 

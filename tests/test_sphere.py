@@ -1,6 +1,6 @@
 import random
-from fractions import Fraction
 
+from princlab.rational import Fraction
 from princlab.sphere import (
     B2,
     Poly2,
