@@ -11,9 +11,9 @@ It keeps the stdlib's behaviour where the package can see it:
 
 - values: the same lowest-terms pair for every input, so `str` ("p" or
   "p/q"), `repr` ("Fraction(p, q)") and every report byte are unchanged;
-- `==`, `<`, `<=`, `>`, `>=` and `hash` agree with `int` and with the stdlib
-  `Fraction` (the stdlib's hash formula over `sys.hash_info`), so ints and
-  rationals mix as dict keys and set members as before;
+- `==`, `<`, `<=`, `>`, `>=` and `hash` give the stdlib's results against a
+  `Fraction` or an `int` (its hash formula over `sys.hash_info`), so ints
+  and rationals mix as dict keys and set members as before;
 - `+ - * /` take an `int` or a `Fraction` on either side and return a
   `Fraction`, and so does `**` with an int exponent; zero to a negative
   power raises the stdlib's ZeroDivisionError text, "Fraction(1, 0)";
@@ -244,8 +244,9 @@ def _inverse(n: int, d: int) -> Fraction:
 
 
 def _parse(text: str) -> tuple[int, int]:
-    """(n, d) with d != 0, not always in lowest terms, from "[-]p" or
-    "[-]p/q"; every other string through the stdlib's parser."""
+    """(n, d) with d > 0, not always in lowest terms, from "[-]p" or
+    "[-]p/q"; every other string through the stdlib's parser.  `recheck`
+    reads report leaves with it."""
     num, slash, den = text.partition("/")
     # str.isdecimal is the digit class of the stdlib's pattern, and int() reads it
     if (num[1:] if num[:1] == "-" else num).isdecimal() and (not slash or den.isdecimal()):

@@ -3,7 +3,8 @@
 This module shares two routines with the producing modules: the integer
 lattice reduction `core.hnf2_with_transform`, which it uses to put ideal
 lattices in Hermite normal form, and the rational type `rational.Fraction`
-(the stdlib's `fractions` would load `decimal` on every `--recheck` call).
+with its string parser (the stdlib's `fractions` would load `decimal` on
+every `--recheck` call).
 Everything else is its own: it decodes the JSON report into its own tagged
 values and re-derives every claimed identity with those rationals, its own
 integer polynomial products (written apart from the producer's `Poly`
@@ -89,21 +90,18 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .core import hnf2_with_transform
-from .rational import Fraction
+from .rational import Fraction, _parse
 
 # ---------------------------------------------------------------- decoding
 
 
 def _q(s):
     """A rational leaf as (numerator, denominator > 0), not always in lowest
-    terms: the report's own "p" and "p/q" forms from two ints; anything
-    else, and every malformed leaf, through `Fraction`."""
-    num, slash, den = s.partition("/") if type(s) is str else ("", "/", "")
-    if (num[1:] if num[:1] == "-" else num).isdecimal():
-        if not slash:
-            return int(num), 1
-        if den.isdecimal() and int(den):
-            return int(num), int(den)
+    terms: a string through `rational`'s parser (the report's own "p" and
+    "p/q" forms from two ints), anything else through `Fraction`, which
+    fails a malformed leaf."""
+    if type(s) is str:
+        return _parse(s)
     f = Fraction(s)
     return f.numerator, f.denominator
 
@@ -795,13 +793,12 @@ def _divides(s, x, ring) -> bool:
     return not any(rem)
 
 
-def _not_a_pair_fails(report, fails):
+def _not_a_pair_fails(report):
     """A not_idempotent_pair verdict over Z, Z[sqrt(d)] or Q[X], decided
     again from a and b: neither b | a(1-a) nor a | b(1-b).  Over the other
     rings the verdict carries no certificate and is not checked."""
     ring, result = report["ring"], report["result"]
-    if result["pair"] is not None:
-        fails.append("a not_idempotent_pair report carries a pair")
+    fails = [] if result["pair"] is None else ["a not_idempotent_pair report carries a pair"]
     if ring["family"] not in ("int", "quad", "qpoly"):
         return fails
     a, b = dec(result["a"]), dec(result["b"])
@@ -912,20 +909,20 @@ def _complement(result, f, s, ring, fails):
 
 
 def _verify_idem_check(report):
+    if report["verdict"] == "not_idempotent_pair":
+        return _not_a_pair_fails(report)
     fails = []
     result = report["result"]
-    if report["verdict"] == "not_idempotent_pair":
-        return _not_a_pair_fails(report, fails)
     a, b, f, s, r = _pair_identity(report, fails)
     _complement(result, f, s, report["ring"], fails)
     return fails
 
 
 def _verify_idem_matrix(report):
+    if report["verdict"] == "not_idempotent_pair":
+        return _not_a_pair_fails(report)
     fails = []
     result = report["result"]
-    if report["verdict"] == "not_idempotent_pair":
-        return _not_a_pair_fails(report, fails)
     _, _, f, s, r = _pair_identity(report, fails)
     m = [[dec(e) for e in row] for row in result["matrix"]]
     one = v_one_like(f)
