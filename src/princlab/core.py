@@ -18,9 +18,10 @@ gives every ring handle its identity: same ring <=> same `to_json()`, the
 description `recheck` reads back.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
-the package's `rational.Fraction`, or any object implementing field arithmetic through
-the usual operators (``+ - * /``) together with ``==`` against ``0``/``1``;
-mixed int scalars are tolerated because exact coefficient types coerce them.
+the package's `rational.Fraction`, or any object implementing field
+arithmetic through the usual operators (``+ - * /``) together with ``==``
+against ``0``/``1``; mixed int scalars are tolerated because exact
+coefficient types coerce them.
 
 `Poly` over Z and Q runs on an integer-vector kernel.  A coefficient vector
 that is all `int` or all `Fraction` is cleared to integer numerators over one

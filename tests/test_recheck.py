@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import princlab
-from fraction_ref import fraction_add, fraction_lift, fraction_mul, std, strip
+from fraction_ref import fraction_lift, fraction_mul, std, strip
 from princlab import core, recheck
 from princlab.rational import Fraction
 
