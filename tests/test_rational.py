@@ -4,8 +4,10 @@ operands on either side, comparisons and hashes, text, string parsing on
 both paths, and pickling."""
 
 import fractions
+import multiprocessing
 import operator
 import pickle
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -106,8 +108,10 @@ def test_the_two_fast_string_forms_parse_as_the_stdlib_parses_them(text):
     assert outcome(Fraction, text) == outcome(fractions.Fraction, text, rational=fractions.Fraction)
 
 
+# an exponent of six or more digits has both parsers build a power of ten of
+# that many digits ("1e99999999" runs for minutes), so such strings are left out
 @settings(max_examples=300, deadline=None)
-@given(st.text("0123456789-+/._ eE\t٣", max_size=10))
+@given(st.text("0123456789-+/._ eE\t٣", max_size=10).filter(lambda t: not re.search(r"[eE][-+]?[0-9_]{6}", t)))
 @example(" 3")
 @example("+3")
 @example("1.5")
@@ -144,7 +148,7 @@ def test_a_pickle_round_trip_gives_the_same_value(x):
 def test_rationals_cross_a_process_pool():
     # `--jobs N` sends its values to worker processes
     xs = [Fraction(-7, 3), Fraction(5), Fraction(2**70, 3**40)]
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert list(pool.map(abs, xs)) == [abs(x) for x in xs]
 
 
