@@ -2,12 +2,17 @@
 
 Exit codes: 0 = success, 1 = negative mathematical verdict (non-principal,
 non-unique, not a pair, no witness found), 2 = input error (any
-`ValueError`), 3 = an internal certificate failure: a producer's self-check
-(`core.CertificateError`) or a failed `--recheck` pass, 141 = stdout's
-reader closed the pipe before the report was written (`... | head -c 1`;
-141 is what a shell shows for a process SIGPIPE ended, and a failed recheck
-still exits 3).  Reports go to stdout; errors and recheck failures go to
-stderr.
+`ValueError`), 3 = an internal certificate failure on any call: a
+producer's "(bug)" guard (`core.CertificateError`) or a report that fails
+`recheck`, 141 = stdout's reader closed the pipe before the report was
+written (`... | head -c 1`; 141 is what a shell shows for a process SIGPIPE
+ended, and a failed recheck still exits 3).  Reports go to stdout; errors
+and recheck failures go to stderr.
+
+`main` runs `recheck.verify_report` on every report; producers do not check
+their own certificates.  A failing report is printed, its failures go to
+stderr, and the call exits 3.  `--recheck` selects no code path: it only
+writes `"recheck": "passed"` into a report that passed.
 
 Writing a report.  `main` calls `report.dump` once, with `sys.stdout.write`
 as its writer, so each batch of the text goes to stdout as soon as it is
@@ -410,7 +415,7 @@ COMMANDS = (
 
 # the top-level flags, as (flag, argparse keywords)
 _TOP = (
-    ("--recheck", {"action": "store_true", "help": "re-verify every certificate with the independent checker"}),
+    ("--recheck", {"action": "store_true", "help": 'write "recheck": "passed" (every call rechecks its report)'}),
     ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
 )
 _HELP = ("-h", "--help")
@@ -665,13 +670,13 @@ def main(argv=None) -> int:
         print(f"princlab: internal error: certificate failed its self-check: {exc}", file=sys.stderr)
         return 3
     report = make_report(command, ring, verdict, result)
+    failures = verify_report(report)
+    if failures:
+        _print_report(report)
+        for f in failures:
+            print(f"princlab: recheck FAILED: {f}", file=sys.stderr)
+        return 3
     if args.recheck:
-        failures = verify_report(report)
-        if failures:
-            _print_report(report)
-            for f in failures:
-                print(f"princlab: recheck FAILED: {f}", file=sys.stderr)
-            return 3
         report["recheck"] = "passed"
     return code if _print_report(report) else EXIT_CLOSED_PIPE
 

@@ -3,10 +3,9 @@ and square roots modulo a prime, dense univariate polynomials over a field,
 rational functions, and small integer lattice solves.  It also holds the
 certificate plumbing every engine shares: `CertificateError`, the encoding of
 pairwise Bezout certificates, the "rat" leaves of a coefficient list
-(`rat_leaves`), `is_comaximal_product` (the one check of a comaximal
-factorization u * f_1 * ... * f_m == b with lam*f_i + mu*f_j == 1, which the
-D[X;S], limit-ring and Z / Z[sqrt(d)] certificates all call) and `mat_mul`,
-the one matrix product (idempotent matrices, the B2 projector).
+(`rat_leaves`) and `mat_mul`, the one matrix product (the B2 projector).
+Producers do not check their own certificates: `recheck` is the one
+checker, and `cli` runs it on every report.
 
 Two small bases carry what every ring family shares.  `RingElem` derives
 binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated
@@ -54,8 +53,9 @@ from .rational import Fraction
 
 
 class CertificateError(Exception):
-    """A producer's own certificate failed its self-check: a bug, never bad
-    input.  Deliberately not a ValueError, so the CLI exits 3, not 2."""
+    """An internal invariant of a producer failed (the "(bug)" guards): a
+    bug, never bad input.  Deliberately not a ValueError, so the CLI exits
+    3, not 2."""
 
 
 class RingElem:
@@ -139,18 +139,6 @@ def rat_leaves(values, text):
 def pairwise_json(pairwise, enc):
     """[(i, j, lam, mu)] with lam*f_i + mu*f_j == 1, as report data."""
     return [{"i": i, "j": j, "lam": enc(lam), "mu": enc(mu)} for i, j, lam, mu in pairwise]
-
-
-def is_comaximal_product(one, target, factors, pairwise, unit=None) -> bool:
-    """unit * f_1 * ... * f_m == target (unit defaults to one), and
-    lam*f_i + mu*f_j == one for every (i, j, lam, mu) in pairwise.  The
-    product runs left to right from the unit."""
-    prod = one if unit is None else unit
-    for f in factors:
-        prod = prod * f
-    if prod != target:
-        return False
-    return all(lam * factors[i] + mu * factors[j] == one for i, j, lam, mu in pairwise)
 
 
 def mat_mul(p, q):

@@ -15,7 +15,7 @@ explicit `__init__`; see `core` for why not dataclasses.
 
 from __future__ import annotations
 
-from .core import CertificateError, mat_mul
+from .core import CertificateError
 
 
 class IdemPair:
@@ -31,11 +31,6 @@ class IdemPair:
         if self.orientation == "ab":
             return self.a, self.b, self.witness
         return self.b, self.a, self.witness
-
-    def verify(self) -> bool:
-        f, s, r = self.normalized()
-        one = self.ring.one
-        return f * (one - f) == s * r
 
     def to_json(self, enc):
         return {
@@ -62,17 +57,19 @@ class InvalidWitnessError(ValueError):
     pass
 
 
-def idem_matrix(pair: IdemPair):
-    """2x2 idempotent matrix with the pair as first row; M*M == M is checked."""
-    if not pair.verify():
-        raise InvalidWitnessError("witness does not satisfy the defining relation")
+def _require_witness(pair: IdemPair):
+    """(f, s, r) of a pair handed in from outside, refused unless
+    f(1-f) == s*r."""
     f, s, r = pair.normalized()
-    one = pair.ring.one
-    m = [[f, s], [r, one - f]]
-    sq = mat_mul(m, m)
-    if sq != m:
-        raise CertificateError("matrix square differs from the matrix")
-    return m
+    if f * (pair.ring.one - f) != s * r:
+        raise InvalidWitnessError("witness does not satisfy the defining relation")
+    return f, s, r
+
+
+def idem_matrix(pair: IdemPair):
+    """2x2 idempotent matrix with the pair as first row."""
+    f, s, r = _require_witness(pair)
+    return [[f, s], [r, pair.ring.one - f]]
 
 
 class BezoutCert:
@@ -99,8 +96,8 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
     the idempotent pair (lam*a, lam*b) with witness mu*a.
 
     All four products lam*a, lam*b, mu*a, mu*b must land in the ring (that is
-    the content of lam, mu lying in the inverse ideal); the defining relation
-    is re-checked exactly.
+    the content of lam, mu lying in the inverse ideal).  The pair's relation
+    then holds: lam*a*(1 - lam*a) == lam*a*mu*b == (lam*b)*(mu*a).
     """
     fa = ring.field_coerce(a)
     fb = ring.field_coerce(b)
@@ -111,22 +108,18 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
         pa, pb, wit, _ = [ring.from_field(p) for p in (lam * fa, lam * fb, mu * fa, mu * fb)]
     except ValueError:
         raise CertificateError("lam, mu do not lie in the inverse ideal") from None
-    pair = IdemPair(ring, pa, pb, "ab", wit)
-    if not pair.verify():
-        raise CertificateError("derived pair fails the defining relation")
-    return pair
+    return IdemPair(ring, pa, pb, "ab", wit)
 
 
 class ComplementCert:
-    """Exact verification of (f, s)(1-f, s) == (s) for a normalized pair.
+    """The certificate of (f, s)(1-f, s) == (s) for a normalized pair.
 
     products are the four generators of the left-hand side and quotients
     divide each by s, so the product ideal lies in (s); s itself is
     products[1] + products[2], so (s) lies in the product ideal.
     """
 
-    def __init__(self, pair: IdemPair, generator, products: list, quotients: list):
-        self.pair = pair
+    def __init__(self, generator, products: list, quotients: list):
         self.generator = generator
         self.products = products
         self.quotients = quotients
@@ -138,27 +131,11 @@ class ComplementCert:
             "quotients": enc(self.quotients),
         }
 
-    def verify(self) -> bool:
-        f, s, r = self.pair.normalized()
-        one = self.pair.ring.one
-        want = [f * (one - f), f * s, s * (one - f), s * s]
-        if self.products != want:
-            return False
-        if any(s * q != p for p, q in zip(self.products, self.quotients)):
-            return False
-        return self.products[1] + self.products[2] == s
-
 
 def complement_identity(pair: IdemPair) -> ComplementCert:
-    """Certify the product-ideal identity for a verified pair."""
-    if not pair.verify():
-        raise InvalidWitnessError("witness does not satisfy the defining relation")
-    ring = pair.ring
-    f, s, r = pair.normalized()
-    one = ring.one
+    """Certify the product-ideal identity for a pair."""
+    f, s, r = _require_witness(pair)
+    one = pair.ring.one
     products = [f * (one - f), f * s, s * (one - f), s * s]
     quotients = [r, f, one - f, s]
-    cert = ComplementCert(pair, s, products, quotients)
-    if not cert.verify():
-        raise CertificateError("complement certificates failed to verify")
-    return cert
+    return ComplementCert(s, products, quotients)

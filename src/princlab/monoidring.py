@@ -9,9 +9,9 @@ is automatic: s/p stays in S for any p in T.
 
 An element is two integer vectors: its exponents as numerators over one
 least denominator, in ascending order, and its coefficients as numerators
-over another.  So sums, products, Euclid's mapped cofactors and the chain's
-self-check build no Fraction per term; `terms` builds the Fraction pairs on
-demand, and `to_json` writes the report's "p/q" text from the integers.
+over another.  So sums, products and Euclid's mapped cofactors build no
+Fraction per term; `terms` builds the Fraction pairs on demand, and
+`to_json` writes the report's "p/q" text from the integers.
 
 Products, exact division and the chain's Euclid certificates run on the
 integer-vector kernel of `core.Poly`.  Two operands are mapped once per
@@ -38,16 +38,17 @@ input, exit 2), never answered "does not divide".
 
 `MonoidDesc` and the certificates (`SplitResult`, `ChainResult`,
 `JuettSplit`) are plain classes with an explicit `__init__`; see `core` for
-why not dataclasses.  `MonoidDesc` has no `__eq__`: rings compare by
-`to_json()`.
+why not dataclasses.  Their products and Bezout pairs are checked by
+`recheck` alone, which `cli` runs on every report.  `MonoidDesc` has no
+`__eq__`: rings compare by `to_json()`.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, is_comaximal_product, is_prime,
-                   pairwise_json, poly_divrem, poly_extended_gcd, rat_leaves)
+from .core import (CertificateError, Poly, RingElem, RingHandle, is_prime, pairwise_json, poly_divrem,
+                   poly_extended_gcd, rat_leaves)
 from .rational import Fraction
 from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
 
@@ -411,12 +412,6 @@ class SplitResult:
         self.mu = mu
         self.remainder = remainder
 
-    def verify(self) -> bool:
-        ring = self.f1.ring
-        return is_comaximal_product(
-            ring.one, ring.one - ring.monomial(self.s), [self.f1, self.f2], [(0, 1, self.lam, self.mu)]
-        )
-
     def to_json(self, enc):
         return {
             "s": str(self.s),
@@ -466,10 +461,7 @@ def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
         raise CertificateError("division remainder is not n (bug)")
     lam = -_from_poly(q.scale(inv_n), t.numerator, 0, t.denominator, ring)
     mu = ring.coerce(inv_n)
-    res = SplitResult(s, n, f1, f2, lam, mu, Fraction(n))
-    if not res.verify():
-        raise CertificateError("split certificates failed to verify")
-    return res
+    return SplitResult(s, n, f1, f2, lam, mu, Fraction(n))
 
 
 class ChainResult:
@@ -477,10 +469,6 @@ class ChainResult:
         self.s = s
         self.factors = factors
         self.pairwise = pairwise  # (i, j, lam, mu)
-
-    def verify(self) -> bool:
-        ring = self.factors[0].ring
-        return is_comaximal_product(ring.one, ring.one - ring.monomial(self.s), self.factors, self.pairwise)
 
     def to_json(self, enc):
         return {
@@ -502,7 +490,7 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
     cofactors = []
     cur = s
     for _ in range(m - 1):
-        # the split's own certificate is not needed: the chain checks its own
+        # only the cofactor: the split's own certificate is not part of the chain
         cofactors.append(_geometric(cur, n, ring)[2])
         cur = cur / n
     if not ring.desc.contains(cur):
@@ -521,10 +509,7 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
             if d != Poly((1,)):
                 raise CertificateError("chain factors are not comaximal (bug)")
             pairwise.append((i, j, _from_poly(si, step, 0, den, ring), _from_poly(tj, step, 0, den, ring)))
-    chain = ChainResult(s, factors, pairwise)
-    if not chain.verify():
-        raise CertificateError("chain certificates failed to verify")
-    return chain
+    return ChainResult(s, factors, pairwise)
 
 
 class JuettSplit:
@@ -542,11 +527,6 @@ class JuettSplit:
         self.f2 = f2  # 1 + Z + ... + Z^(p-1)
         self.lam = lam
         self.mu = mu
-
-    def verify(self) -> bool:
-        ring = self.unit.ring
-        target = ring.monomial(self.t) - ring.coerce(self.b)
-        return is_comaximal_product(ring.one, target, [self.f1, self.f2], [(0, 1, self.lam, self.mu)], self.unit)
 
     def to_json(self, enc):
         return {
@@ -591,7 +571,4 @@ def juett_split(t, b, p: int, beta, ring: MonoidRing) -> JuettSplit:
     mu = ring.coerce(Fraction(1, p))
     lam = MonoidElem(tuple(sorted((tp * i, Fraction(i + 1 - p, p) / beta**i) for i in range(p - 1))), ring,
                      _checked=True)
-    res = JuettSplit(t, b, p, beta, unit, z, f1, f2, lam, mu)
-    if not res.verify():
-        raise CertificateError("splitter certificates failed to verify")
-    return res
+    return JuettSplit(t, b, p, beta, unit, z, f1, f2, lam, mu)

@@ -29,8 +29,11 @@ Strings.  `Fraction("[-]digits")` and `Fraction("[-]digits/digits")` are
 read here with `int`.  Every other string (a sign `+`, spaces, a decimal
 point, an exponent, a zero denominator, a malformed literal) goes to the
 stdlib's parser, imported at that point only, so the accepted forms and
-the error texts stay the stdlib's.  The operands a call reads (`--s 5/4`)
-and the leaves of a report take the first path.
+the error texts stay the stdlib's.  The one exception is an exponent
+whose magnitude passes `EXPONENT_BOUND` ("1e99999999"): it is refused with
+a ValueError first, where the stdlib would build 10**exponent with no
+bound.  The operands a call reads (`--s 5/4`) and the leaves of a report
+take the first path.
 
 Division by zero raises ZeroDivisionError; its text follows CPython 3.12
 ("Fraction(1, 0)" for every dividend), where 3.10 and 3.11 name the
@@ -42,6 +45,10 @@ from __future__ import annotations
 import sys
 from math import gcd
 
+# the largest exponent magnitude of a rational in exponent form ("1e4300"):
+# CPython's default limit on the digits of an int string, so the value has
+# about as many digits as the longest int a string may spell
+EXPONENT_BOUND = 4300
 _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -245,8 +252,9 @@ def _inverse(n: int, d: int) -> Fraction:
 
 def _parse(text: str) -> tuple[int, int]:
     """(n, d) with d > 0, not always in lowest terms, from "[-]p" or
-    "[-]p/q"; every other string through the stdlib's parser.  `recheck`
-    reads report leaves with it."""
+    "[-]p/q"; every other string through the stdlib's parser, unless its
+    exponent passes `EXPONENT_BOUND` (a ValueError).  `recheck` reads
+    report leaves with it."""
     num, slash, den = text.partition("/")
     # str.isdecimal is the digit class of the stdlib's pattern, and int() reads it
     if (num[1:] if num[:1] == "-" else num).isdecimal() and (not slash or den.isdecimal()):
@@ -257,6 +265,16 @@ def _parse(text: str) -> tuple[int, int]:
         else:
             if d:
                 return n, d
+    # the stdlib builds 10**exponent before anything else bounds it
+    _, e, exp = text.replace("E", "e").rpartition("e")
+    exp = exp.rstrip()
+    if e and (exp[:1].isdecimal() or exp[:1] in ("+", "-") and exp[1:2].isdecimal()):
+        try:
+            too_large = abs(int(exp)) > EXPONENT_BOUND
+        except ValueError:  # not an exponent the stdlib's pattern takes
+            too_large = False
+        if too_large:
+            raise ValueError(f"the exponent of {text[:40]!r} passes {EXPONENT_BOUND} in magnitude")
     from fractions import Fraction as Stdlib
 
     f = Stdlib(text)

@@ -1,5 +1,9 @@
 """Independent certificate verification for emitted reports.
 
+This is the one check of every certificate: producers do not re-check what
+they build, and `cli.main` runs `verify_report` on every report, with or
+without `--recheck` (the flag only writes `"recheck": "passed"`).
+
 This module shares two routines with the producing modules: the integer
 lattice reduction `core.hnf2_with_transform`, which it uses to put ideal
 lattices in Hermite normal form, and the rational type `rational.Fraction`
@@ -16,7 +20,10 @@ up to those two shared routines.
 Limit-ring ("lim") values are (level, coefficients): ints when every
 coefficient is an integer, else Fractions.  A value is lifted from level n
 to m by one packed evaluation at its own iterate phi^(m-n) of
-phi = x + x^2, cached while one `verify_report` call runs.
+phi = x + x^2, cached while one `verify_report` call runs.  A limit chain's
+product runs x_m, 1+x_m, 1+x_(m-1), ..., 1+x_2: as x_k * (1+x_k) ==
+x_(k-1), the partial products are x_(m-1), x_(m-2), ... at level m, each
+half the degree of the next, where the listed order starts at degree 2^(m-2).
 
 Monoid-ring ("mon") values are ("mon", den, cden, terms) with int pairs
 (e, c) standing for c/cden X^(e/den): distinct ascending e, nonzero c, and
@@ -714,20 +721,22 @@ def _reduction_fails(cert, form, fails):
 # ------------------------------------------------------------- verifiers
 
 
-def _comaximal_fails(cert, target, claim, fails, label="", unit=None):
+def _comaximal_fails(cert, target, claim, fails, label="", unit=None, order=None):
     """The one check of a comaximal factorization certificate: unit * f_1 *
     ... * f_m == target (unit defaults to 1) over cert["factors"], the
     entries of cert["pairwise"] cover each pair i < j once, in order, and
-    lam*f_i + mu*f_j == 1 for each of them.  A failing product appends
-    `claim`, a failing pair names its (i, j); no pair is checked when the
-    cover fails.  Returns the decoded factors and the decoded (lam, mu) of
-    each entry, so that no caller decodes them again."""
+    lam*f_i + mu*f_j == 1 for each of them.  The product runs from the unit
+    over the factors in the index sequence `order`, a permutation of
+    0..m-1 (default: as listed).  A failing product appends `claim`, a
+    failing pair names its (i, j); no pair is checked when the cover fails.
+    Returns the decoded factors and the decoded (lam, mu) of each entry, so
+    that no caller decodes them again."""
     factors = [dec(f) for f in cert["factors"]]
     pairs = [(dec(c["lam"]), dec(c["mu"])) for c in cert["pairwise"]]
     one = v_one_like(target)
     prod = one if unit is None else unit
-    for f in factors:
-        prod = v_mul(prod, f)
+    for k in range(len(factors)) if order is None else order:
+        prod = v_mul(prod, factors[k])
     if not v_eq(prod, target):
         fails.append(f"{label}{claim}")
     m = len(factors)
@@ -1520,7 +1529,9 @@ def _verify_limit_chain(report):
     fails = []
     result = report["result"]
     x1 = ("lim", 1, (0, 1))
-    factors, pairs = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails)
+    m = len(result["factors"])  # x_m, then 1+x_m down to 1+x_2 (see the module docstring)
+    factors, pairs = _comaximal_fails(result, x1, "product of chain factors differs from the lift of x_1", fails,
+                                      order=[0, *range(m - 1, 0, -1)][:m])
     if result["m"] != len(factors):
         fails.append(f"m is {result['m']}, but the chain has {len(factors)} factors")
     # over Z: the limit ring's only bases are Q and Z

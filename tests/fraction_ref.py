@@ -1,9 +1,21 @@
 """Fraction-only reference loops for limit-ring values: coefficient tuples
 are trimmed of trailing zeros, and a lift rewrites x -> x + x^2 once per level.
 The loops run on the stdlib's `fractions.Fraction`, apart from the package's
-own rational type; `std` converts the package's values for them."""
+own rational type; `std` converts the package's values for them.
+`exponent_past_the_bound` names the strings the package's parser refuses
+where the stdlib's would first build 10**exponent."""
 
+import re
 from fractions import Fraction
+
+from princlab.rational import EXPONENT_BOUND
+
+
+def exponent_past_the_bound(text):
+    """Whether the string ends in an exponent, [eE] then a signed integer in
+    the stdlib's spelling, whose magnitude passes `EXPONENT_BOUND`."""
+    m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    return m is not None and abs(int(m[1])) > EXPONENT_BOUND
 
 
 def std(cs):

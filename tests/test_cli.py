@@ -46,10 +46,11 @@ def test_recheck_failure_exits_3(capsys, monkeypatch):
     real = quadring.factor_principal
     monkeypatch.setattr(quadring, "factor_principal", lambda b: real(b)[:-1])
     argv = ["ideal", "factor", "--ring", "Z[sqrt(-5)]", "6"]
-    assert run_cli(capsys, *argv)[0] == 0
-    code, out, err = run_cli(capsys, "--recheck", *argv)
-    assert code == 3
-    assert "recheck FAILED" in err and "recheck" not in json.loads(out)
+    # every call rechecks its report; the flag only writes the verdict
+    for flag in ([], ["--recheck"]):
+        code, out, err = run_cli(capsys, *flag, *argv)
+        assert code == 3
+        assert "recheck FAILED" in err and "recheck" not in json.loads(out)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
@@ -210,11 +211,10 @@ SPLIT = (("f1",), ("f2",), ("lam",), ("mu",))
 def test_every_comaximal_certificate_fails_when_one_value_changes(capsys, argv, produce, part, paths):
     report = report_of(capsys, *argv)
     cert = produce()
-    assert cert.verify() and verify_report(report) == []
+    assert verify_report(report) == []
     assert enc(cert) == part(report["result"])  # the report carries this certificate
     for path in paths:
         bad = _bumped(cert, path)
-        assert not bad.verify(), path
         assert _tampered_fails(report, lambda result: part(result).update(enc(bad))), path
 
 
@@ -265,12 +265,22 @@ def test_quadratic_commands_do_not_import_sympy(argv):
 
 
 def test_failed_self_check_exits_3_not_2(capsys, monkeypatch):
-    from princlab.comax import ComaxFactorization
+    # a producer that builds a wrong certificate: one factor off by one
+    from princlab import comax
 
-    monkeypatch.setattr(ComaxFactorization, "verify", lambda self: False)
-    code, out, err = run_cli(capsys, "comax", "factor", "84")
-    assert code == 3 and out == ""
-    assert "failed to verify" in err
+    real = comax.comax_factor_int
+    monkeypatch.setattr(comax, "comax_factor_int", lambda n: _bumped(real(n), FACTOR))
+    for flag in ([], ["--recheck"]):
+        code, out, err = run_cli(capsys, *flag, "comax", "factor", "84")
+        assert code == 3
+        assert "recheck" not in json.loads(out)
+        assert "princlab: recheck FAILED: [0] product of factors times unit differs from the element" in err.splitlines()
+
+
+def test_an_exponent_past_the_bound_is_an_input_error(capsys):
+    # the stdlib's parser would build 10**99999999 before any check
+    assert run_cli(capsys, "mring", "split", "--s", "1e99999999", "--n", "2") == (
+        2, "", "princlab: error: the exponent of '1e99999999' passes 4300 in magnitude\n")
 
 
 def test_wrong_user_witness_still_exits_2(capsys):

@@ -158,7 +158,7 @@ CALLS = [
     (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring"]),
     (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring"]),
     (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring"]),
-    (["polyext", "counterexample", "--alpha", "2*y"], ["idem", "polyext"]),
+    (["polyext", "counterexample", "--alpha", "2*y"], ["polyext"]),
     (["sphere", "projector"], ["sphere"]),
 ]
 

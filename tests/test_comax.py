@@ -19,8 +19,14 @@ from princlab.comax import (
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
 from princlab.report import enc
 from princlab.rings import ZZ
+from rechecked import recheck
 
 O5 = QuadOrder(-5)
+
+
+def rechecks(fact, ring):
+    """The factorization passes recheck as a `comax factor` report."""
+    return recheck("comax factor", ring, {"factorization": enc(fact)}) == []
 
 
 def E(x, y):
@@ -55,7 +61,7 @@ def oracle_is_pseudo_irreducible_int(n):
 def test_comax_factor_int_spec_cases():
     f = comax_factor_int(360)
     assert sorted(f.factors) == [5, 8, 9]
-    assert f.verify()
+    assert rechecks(f, ZZ)
 
     f = comax_factor_int(8)
     assert f.factors == [8] and f.blocks == [(0,)]
@@ -66,14 +72,14 @@ def test_comax_factor_int_spec_cases():
 
     f = comax_factor_int(-12)
     assert sorted(f.factors) == [3, 4] and f.unit == -1
-    assert f.verify()
+    assert rechecks(f, ZZ)
 
 
 def test_comax_factor_int_against_oracle():
     for n in range(2, 2000):
         f = comax_factor_int(n)
         assert sorted(f.factors) == oracle_prime_power_grouping(n)
-        assert f.verify()
+        assert rechecks(f, ZZ)
 
 
 def test_pseudo_irreducible_int_against_oracle():
@@ -101,7 +107,7 @@ def test_enumerate_int_unique():
         facts = enumerate_complete_factorizations(n, ZZ)
         assert len(facts) == 1
         assert sorted(facts[0].factors) == oracle_prime_power_grouping(n)
-        assert facts[0].verify()
+        assert rechecks(facts[0], ZZ)
 
 
 def test_enumerate_quad_six_unique():
@@ -109,7 +115,7 @@ def test_enumerate_quad_six_unique():
     assert len(facts) == 1
     assert sorted(f.norm() for f in facts[0].factors) == [4, 9]
     assert facts[0].factors == [E(2, 0), E(3, 0)]
-    assert facts[0].verify()
+    assert rechecks(facts[0], O5)
 
 
 def test_enumerate_quad_21_three_factorizations():
@@ -122,7 +128,7 @@ def test_enumerate_quad_21_three_factorizations():
         frozenset({(4, 1), (4, -1)}),
     }
     for fact in facts:
-        assert fact.verify()
+        assert rechecks(fact, O5)
         # every pair in every factorization carries a working certificate
         assert len(fact.pairwise) == len(fact.factors) * (len(fact.factors) - 1) // 2
 
@@ -210,7 +216,7 @@ def test_find_nonunique_witness_quad():
     b, facts = hit
     assert b.norm() <= 441
     assert len(facts) >= 2
-    assert all(f.verify() for f in facts)
+    assert all(rechecks(f, O5) for f in facts)
     # the exhaustive scan finds -9+3*sqrt(-5) (norm 126, ideal P*Q*Qbar*Sbar)
     # well before 21 (norm 441); both are non-uniqueness witnesses
     assert b == E(-9, 3)
@@ -236,7 +242,7 @@ def test_random_quad_factorizations_verify():
         if not b or b.is_unit():
             continue
         for fact in enumerate_complete_factorizations(b, O5):
-            assert fact.verify()
+            assert rechecks(fact, O5)
             prod = E(1, 0)
             for f in fact.factors:
                 prod = prod * f

@@ -1,6 +1,8 @@
 """Golden reports: the exact stdout and exit code of `princlab --recheck` for
 one small fixed input per subcommand, plus the negative verdicts and input
-errors the CLI can give.
+errors the CLI can give.  Every call rechecks its report, and the flag only
+writes `"recheck": "passed"`: without it each case prints its `.out` minus
+that last field, with the same exit code and stderr.
 
 `golden/cases.json` lists each case's name, argv (without `--recheck`), exit
 code and, for input errors, the exact stderr.  `golden/<name>.out` holds the
@@ -25,11 +27,19 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_report(capsys, case):
-    code = cli.main(["--recheck", *case["argv"]])
+PASSED = b',\n  "recheck": "passed"\n}\n'
+
+
+# a case keeps its name with the flag and gains "-no-flag" without it
+@pytest.mark.parametrize("case,recheck", [pytest.param(c, flag, id=c["name"] + ("" if flag else "-no-flag"))
+                                          for c in CASES for flag in (True, False)])
+def test_golden_report(capsys, case, recheck):
+    code = cli.main(["--recheck", *case["argv"]] if recheck else case["argv"])
     captured = capsys.readouterr()
-    assert captured.out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+    want = (GOLDEN / f"{case['name']}.out").read_bytes()
+    if not recheck and want:
+        assert want.endswith(PASSED)
+        want = want[: -len(PASSED)] + b"\n}\n"
+    assert captured.out.encode() == want
     assert code == case["exit"]
-    if "stderr" in case:
-        assert captured.err == case["stderr"]
+    assert captured.err == case.get("stderr", "")

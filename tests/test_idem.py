@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from princlab.core import Poly
+from princlab.core import Poly, mat_mul
 from princlab.idem import (
     CertificateError,
     IdemPair,
@@ -16,13 +16,23 @@ from princlab.idem import (
 )
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
 from princlab.rational import Fraction
+from princlab.report import enc
 from princlab.rings import QQ_POLY, ZZ
+from rechecked import pair_rechecks, recheck
+
+
+def derived_rechecks(a, b, cert, pair, ring, complement=None):
+    """The pair derived from (a, b) and its Bezout certificate, and its
+    complement certificate when given, pass recheck as an `idem from-ideal`
+    report."""
+    result = {"a": enc(a), "b": enc(b), "bezout": enc(cert), "pair": enc(pair), "complement": enc(complement)}
+    return recheck("idem from-ideal", ring, result, "pair_derived") == []
 
 
 def test_integer_pair_detection():
     p = is_idempotent_pair(-2, -3, ZZ)
     assert p is not None and p.orientation == "ab" and p.witness == 2
-    assert p.verify()
+    assert pair_rechecks(p, ZZ)
 
     p = is_idempotent_pair(0, 17, ZZ)
     assert p is not None and p.witness == 0
@@ -71,6 +81,7 @@ def test_matrix_idempotent_for_random_pairs():
         m = idem_matrix(p)
         f, snd, r = p.normalized()
         assert m[0] == [f, snd]
+        assert mat_mul(m, m) == m
 
 
 def test_pair_from_invertible_integers():
@@ -78,7 +89,7 @@ def test_pair_from_invertible_integers():
     assert cert.lam == Fraction(-1, 2) and cert.mu == Fraction(1, 2)
     pair = pair_from_invertible(4, 6, cert, ZZ)
     assert (pair.a, pair.b, pair.witness) == (-2, -3, 2)
-    assert pair.verify()
+    assert derived_rechecks(4, 6, cert, pair, ZZ)
 
     cert = bezout_in_inverse(1, 11, ZZ)
     pair = pair_from_invertible(1, 11, cert, ZZ)
@@ -91,7 +102,7 @@ def test_pair_from_invertible_quad_nonprincipal():
     cert = bezout_in_inverse(a, b, order)
     assert cert is not None
     pair = pair_from_invertible(a, b, cert, order)
-    assert pair.verify()
+    assert derived_rechecks(a, b, cert, pair, order)
     verdict = ideal_is_principal(ideal_from_pair(pair.a, pair.b))
     assert verdict.status == "non_principal"
 
@@ -120,11 +131,11 @@ def test_complement_identity_int():
     cert = complement_identity(p)
     assert cert.generator == -3
     assert complement_ideals_agree(p)
-    assert cert.verify()
+    assert pair_rechecks(p, ZZ, cert)
 
     p = is_idempotent_pair(0, 9, ZZ)
     cert = complement_identity(p)
-    assert cert.generator == 9 and cert.verify()
+    assert cert.generator == 9 and pair_rechecks(p, ZZ, cert)
     assert complement_ideals_agree(p)
 
 
@@ -135,7 +146,7 @@ def test_complement_identity_quad():
     pair = pair_from_invertible(a, b, cert_bz, order)
     cert = complement_identity(pair)
     assert complement_ideals_agree(pair)
-    assert cert.verify()
+    assert derived_rechecks(a, b, cert_bz, pair, order, cert)
 
 
 def _random_quad_ideal(rng, order):
@@ -168,7 +179,7 @@ def test_round_trip_invariant():
         pair = pair_from_invertible(a, b, cert, ZZ)
         redetect = is_idempotent_pair(pair.a, pair.b, ZZ)
         assert redetect is not None
-        assert complement_identity(pair).verify()
+        assert derived_rechecks(a, b, cert, pair, ZZ, complement_identity(pair))
 
     order = QuadOrder(-5)
     for _ in range(100):
@@ -178,7 +189,7 @@ def test_round_trip_invariant():
         pair = pair_from_invertible(a, b, cert, order)
         redetect = is_idempotent_pair(pair.a, pair.b, order)
         assert redetect is not None
-        assert complement_identity(pair).verify()
+        assert derived_rechecks(a, b, cert, pair, order, complement_identity(pair))
 
 
 def test_poly_ring_pairs():
@@ -190,6 +201,5 @@ def test_poly_ring_pairs():
             continue
         cert = bezout_in_inverse(f, g, QQ_POLY)
         pair = pair_from_invertible(f, g, cert, QQ_POLY)
-        assert pair.verify()
         assert is_idempotent_pair(pair.a, pair.b, QQ_POLY) is not None
-        assert complement_identity(pair).verify()
+        assert derived_rechecks(f, g, cert, pair, QQ_POLY, complement_identity(pair))

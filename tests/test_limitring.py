@@ -11,6 +11,7 @@ from princlab.core import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
 from princlab.rational import Fraction
 from princlab.rings import QQ, ZZ
+from rechecked import recheck
 
 F = Fraction
 RQ = LimitRing(QQ)
@@ -77,7 +78,7 @@ def test_chain_m2():
     assert len(ch.pairwise) == 1
     i, j, lam, mu = ch.pairwise[0]
     assert lam == -one and mu == one
-    assert ch.verify()
+    assert recheck("limitring chain", RQ, ch) == []
 
 
 def test_chain_m3():
@@ -86,7 +87,7 @@ def test_chain_m3():
     for f in ch.factors:
         prod = prod * f
     assert prod == lr_lift(RQ.gen(1), 3)
-    assert ch.verify()
+    assert recheck("limitring chain", RQ, ch) == []
 
 
 def test_chain_all_sizes_both_bases():
@@ -95,7 +96,7 @@ def test_chain_all_sizes_both_bases():
             ch = lr_chain(m, ring)
             assert len(ch.factors) == m
             assert len(ch.pairwise) == m * (m - 1) // 2
-            assert ch.verify()
+            assert recheck("limitring chain", ring, ch) == []
     with pytest.raises(LimitError):
         lr_chain(1, RQ)
 

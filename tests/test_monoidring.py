@@ -22,6 +22,7 @@ from princlab.monoidring import (
 from princlab.rational import Fraction
 from princlab.report import enc
 from princlab.rings import QQ, ZZ, LocalizedIntegers
+from rechecked import recheck
 
 F = Fraction
 S2 = MonoidDesc(primes=(2,))
@@ -59,12 +60,12 @@ def test_mr_split_spec_cases():
     assert sp.f1 == one - RQ3.monomial(F(1, 3))
     assert sp.f2 == one + RQ3.monomial(F(1, 3)) + RQ3.monomial(F(2, 3))
     assert sp.remainder == 3
-    assert sp.verify()
+    assert recheck("mring split", RQ3, sp) == []
 
     sp = mr_split(1, 2, RQ2)
     assert sp.lam == RQ2.coerce(F(1, 2))
     assert sp.mu == RQ2.coerce(F(1, 2))
-    assert sp.verify()
+    assert recheck("mring split", RQ2, sp) == []
 
     with pytest.raises(MonoidError):
         mr_split(1, 2, RZ2)  # 1/2 not in Z
@@ -74,13 +75,14 @@ def test_mr_split_spec_cases():
 
 def test_mr_split_over_localized_base():
     sp = mr_split(1, 2, RL2)
-    assert sp.verify()
+    assert recheck("mring split", RL2, sp) == []
     # s/n in S but n not invertible in the base: Z[1/3] has no 1/2
     with pytest.raises(MonoidError):
         mr_split(F(1, 2), 2, MonoidRing(LocalizedIntegers((3,)), MonoidDesc((2, 3))))
     # and the mixed case where everything lines up does work
-    sp = mr_split(F(1, 2), 3, MonoidRing(LocalizedIntegers((3,)), MonoidDesc((2, 3))))
-    assert sp.verify()
+    ring = MonoidRing(LocalizedIntegers((3,)), MonoidDesc((2, 3)))
+    sp = mr_split(F(1, 2), 3, ring)
+    assert recheck("mring split", ring, sp) == []
 
 
 def test_mr_comax_chain_spec_cases():
@@ -91,14 +93,14 @@ def test_mr_comax_chain_spec_cases():
         one + RQ2.monomial(F(1, 4)),
         one + RQ2.monomial(F(1, 2)),
     ]
-    assert ch.verify()
+    assert recheck("mring chain", RQ2, ch) == []
 
     ch = mr_comax_chain(1, 1, RQ2)
     assert ch.factors == [one - RQ2.monomial(1)] and not ch.pairwise
 
     ch = mr_comax_chain(1, 6, RQ2)
     assert len(ch.factors) == 6 and len(ch.pairwise) == 15
-    assert ch.verify()
+    assert recheck("mring chain", RQ2, ch) == []
 
 
 def test_mr_comax_chain_certificates_renormalize():
@@ -113,7 +115,7 @@ def test_mr_comax_chain_certificates_renormalize():
 def test_chain_over_z_half_base_stays_inside():
     # all certificate coefficients must live in Z[1/2]
     ch = mr_comax_chain(1, 4, RL2)
-    assert ch.verify()
+    assert recheck("mring chain", RL2, ch) == []
     for _, _, lam, mu in ch.pairwise:
         for _, c in lam.terms + mu.terms:
             assert RL2.base.contains_rat(c)
@@ -124,11 +126,11 @@ def test_juett_split_spec_cases():
     one = RG2.one
     assert js.z == RG2.monomial(F(1, 2))
     assert js.unit * js.f1 * js.f2 == RG2.monomial(1) - one
-    assert js.verify()
+    assert recheck("mring juett", RG2, js) == []
 
     js = juett_split(1, 4, 2, 2, RG2)
     assert js.z == RG2.monomial(F(1, 2), F(1, 2))
-    assert js.verify()
+    assert recheck("mring juett", RG2, js) == []
 
     with pytest.raises(MonoidError):
         juett_split(1, 4, 2, 3, RG2)  # 3^2 != 4

@@ -17,10 +17,15 @@ from princlab.pullback import (
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal
 from princlab.rational import Fraction
 from princlab.rings import ZZ
+from rechecked import pair_rechecks, recheck
 
 RZ = PullbackRing(ZZ)
 Y = RZ.y()
 ONE = RZ.one
+
+
+def reduction_rechecks(red):
+    return recheck("pullback reduce", RZ, red, red.status) == []
 
 
 def rf(num, den=(1,)):
@@ -88,7 +93,7 @@ def test_reduce_case_first_in_maximal_ideal():
     red = pb_reduce_idem_pair(a, b, ONE)
     assert red.status == "principal" and red.case == "first_in_maximal_ideal"
     assert red.generator == b
-    assert red.verify()
+    assert reduction_rechecks(red)
     # two-way membership explicitly
     assert red.generator * red.qa == a and red.generator * red.qb == b
 
@@ -102,7 +107,7 @@ def test_reduce_case_second_in_maximal_ideal():
     red = pb_reduce_idem_pair(a, b, r, orientation="ba")
     assert red.status == "principal" and red.case == "first_in_maximal_ideal"
     assert red.generator == a
-    assert red.verify()
+    assert reduction_rechecks(red)
 
 
 def test_reduce_case_base_reduction():
@@ -114,7 +119,7 @@ def test_reduce_case_base_reduction():
     assert red.status == "principal" and red.case == "base_reduction"
     assert red.base_pair == (3, 2)
     assert red.generator == ONE
-    assert red.verify()
+    assert reduction_rechecks(red)
 
 
 def test_reduce_case_genuine_case1_orientation_ab():
@@ -125,7 +130,7 @@ def test_reduce_case_genuine_case1_orientation_ab():
     red = pb_reduce_idem_pair(a, b, r)
     assert red.case == "second_in_maximal_ideal"
     assert red.generator == a
-    assert red.verify()
+    assert reduction_rechecks(red)
 
 
 def test_reduce_rejects_bad_witness():
@@ -174,7 +179,7 @@ def test_divides_and_idem_detection_in_pullback():
         # (x, 1-x) is always an idempotent pair
         p = is_idempotent_pair(x, ONE - x, RZ)
         assert p is not None
-        assert p.verify()
+        assert pair_rechecks(p, RZ)
 
 
 def test_divides_is_none_when_the_quotient_has_a_pole():
@@ -182,7 +187,7 @@ def test_divides_is_none_when_the_quotient_has_a_pole():
     assert RZ.divides(Y, RZ.coerce(9)) is None
     assert RZ.divides(RZ.coerce(9), Y) == PullbackElem(rf((0, Fraction(1, 9))), RZ)
     p = is_idempotent_pair(RZ.coerce(9), Y, RZ)
-    assert p is not None and p.orientation == "ba" and p.verify()
+    assert p is not None and p.orientation == "ba" and pair_rechecks(p, RZ)
     # user input with a pole is still rejected when it is parsed
     with pytest.raises(PullbackError, match="pole at Y=0"):
         pb_member(rf((1,), (0, 1)), RZ)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import princlab
-from fraction_ref import fraction_lift, fraction_mul, std, strip
+from fraction_ref import exponent_past_the_bound, fraction_lift, fraction_mul, std, strip
 from princlab import core, recheck
 from princlab.rational import Fraction
 
@@ -131,10 +131,16 @@ def parse_outcome(fn, s):
 @given(st.one_of(
     rationals.map(str),
     st.text("0123456789-+/._ e٣", max_size=8),
-    st.sampled_from(["3/-4", "--3", "-", "/4", "3/", "1/0", " 3", "+3", "1e3", "1_0"]),
+    st.sampled_from(["3/-4", "--3", "-", "/4", "3/", "1/0", " 3", "+3", "1e3", "1_0", "0e4301", "1e99999999"]),
 ))
 def test_rational_leaves_decode_as_fraction_parses_them(s):
-    # the reference is the stdlib's parser
+    # the reference is the stdlib's parser, which would first build
+    # 10**exponent for an exponent past the bound
+    if exponent_past_the_bound(s):
+        with pytest.raises(ValueError, match="passes 4300 in magnitude"):
+            recheck._q(s)
+        return
+
     def pair(f):
         return f.numerator, f.denominator
 
@@ -195,6 +201,26 @@ def golden_fails(name, mutate):
 
 def plus_one(leaf: str) -> str:
     return str(Fraction(leaf) + 1)
+
+
+@pytest.mark.parametrize("name", ["limitring_chain", "limitring_chain_m6_z"])
+def test_every_limit_chain_factor_enters_the_product(name):
+    # the product runs x_m, 1+x_m, ..., 1+x_2, not in the listed order
+    m = json.loads((GOLDEN / f"{name}.out").read_text())["result"]["m"]
+    for k in range(m):
+        def bump(report, k=k):
+            leaf = report["result"]["factors"][k]["coeffs"][0]
+            leaf["value"] = plus_one(leaf["value"])
+
+        assert "product of chain factors differs from the lift of x_1" in golden_fails(name, bump), k
+
+
+def test_a_leaf_in_exponent_form_past_the_bound_aborts_recheck_at_once():
+    # the stdlib's parser would build 10**99999999 first
+    start = time.perf_counter()
+    fails = golden_fails("mring_split", lambda report: report["result"].update(s="1e99999999"))
+    assert time.perf_counter() - start < 1
+    assert fails == ["recheck aborted: ValueError: the exponent of '1e99999999' passes 4300 in magnitude"]
 
 
 def _int(v):
@@ -258,11 +284,12 @@ def test_a_counterexample_whose_alpha_lies_in_d_fails(monkeypatch):
     from princlab import cli, polyext
 
     monkeypatch.setattr(polyext, "seminormal_witness", lambda alpha, desc: True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["polyext", "counterexample", "--alpha", "y^2"]) == 0
-    assert recheck.verify_report(json.loads(out.getvalue())) == [
-        "alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["polyext", "counterexample", "--alpha", "y^2"]) == 3
+    failure = "alpha is not a seminormality witness: need alpha^2, alpha^3 in D, alpha not in D"
+    assert recheck.verify_report(json.loads(out.getvalue())) == [failure]
+    assert err.getvalue() == f"princlab: recheck FAILED: {failure}\n"
 
 
 def test_a_counterexample_over_degrees_that_leave_no_subring_fails(monkeypatch):
@@ -275,10 +302,12 @@ def test_a_counterexample_over_degrees_that_leave_no_subring_fails(monkeypatch):
         self.excluded = frozenset(int(e) for e in excluded)
 
     monkeypatch.setattr(polyext.SubringDesc, "__init__", unchecked)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["polyext", "counterexample", "--alpha", "y^2", "--exclude", "2,3"]) == 0
-    assert recheck.verify_report(json.loads(out.getvalue())) == ["D is not closed under products: 1 + 1 is excluded"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["polyext", "counterexample", "--alpha", "y^2", "--exclude", "2,3"]) == 3
+    failure = "D is not closed under products: 1 + 1 is excluded"
+    assert recheck.verify_report(json.loads(out.getvalue())) == [failure]
+    assert err.getvalue() == f"princlab: recheck FAILED: {failure}\n"
 
 
 def test_recheck_and_the_producer_agree_on_which_degrees_leave_a_subring():
