@@ -26,18 +26,18 @@ calls `handler(ring, **operands)`, which returns the verdict, the result and
 the exit code.  Each certificate serializes itself (`report.enc` falls
 through to its `to_json`).
 
-Reading argv.  `_read` gives the namespace argparse would, straight from the
-table: `_TOP` and `_arguments(row)` describe each flag and operand once, in
-argparse's keywords, and `build_parser` hands the same descriptions to
-argparse.  `_read` runs argparse's own algorithm on them, so it takes every
-spelling argparse takes: `--flag value` and `--flag=value`, unique
-prefixes (`--rech`), repeated flags (the last one wins), `--` and
-negative-number operands, nargs `?`/`+`, `type`, `choices`, `required` and
-`default`.  It turns down exactly the argv argparse answers with help
-(`-h`, `--help`, `--he`, ...) or a usage error; only those reach
-`build_parser(argv).parse_args(argv)`, which prints the help or the usage
-error and exits.  `argparse` (and with it `gettext` and `locale`) is imported only
-inside `build_parser`, so a valid call never loads it.
+Reading argv.  `_TOP` and `_arguments(row)` describe each flag and operand
+once, in argparse's keywords.  `build_parser` hands them to argparse, and
+`_read` reads from them the plain grammar: top-level flags, the group and
+command names, then the command's flags around one run of operands.  A flag
+is spelled in full, its value the next word or after "=", and the last of a
+repeated flag wins.  An operand is a word that does not start with "-", or a
+negative number; the run fills the operands by their nargs (None, `?`, `+`).
+`type`, `choices`, `required` and `default` act as in argparse.  Any other
+argv (help, an abbreviated or unknown flag, `--`, a second run of operands,
+a type, choice or count error) goes to `build_parser(argv).parse_args(argv)`.
+`argparse` (and with it `gettext` and `locale`) is imported only inside
+`build_parser`, so a plain call never loads it.
 
 Imports.  At import this module runs only `core`, `rings`, `exprparse`,
 `report` and `recheck`.  Each family module (`comax`, `idem`, `quadring`,
@@ -327,8 +327,8 @@ def _ypoly(text, ring):
 
 
 def _excluded(text, ring):
-    """The monomial subring without the listed degrees (default: degree 1)."""
-    return polyext.SubringDesc({int(t) for t in text.split(",")} if text else {1})
+    """The monomial subring without the listed degrees (absent: degree 1)."""
+    return polyext.SubringDesc({1} if text is None else map(int, text.split(",")) if text else ())
 
 
 def _b2():
@@ -407,22 +407,13 @@ COMMANDS = (
 )
 
 # ----------------------------------------------------------- reading argv
-# `_read` runs argparse's own algorithm (`ArgumentParser._parse_known_args`
-# of CPython 3.10 to 3.13) on the descriptions `build_parser` gives argparse.
-# A parser sees its words as flags ("O"), operands ("A") and the first "--"
-# ("-"; every word after it is an operand), and fills its operands by
-# matching their nargs patterns against that string.
 
 # the top-level flags, as (flag, argparse keywords)
 _TOP = (
     ("--recheck", {"action": "store_true", "help": 'write "recheck": "passed" (every call rechecks its report)'}),
     ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
 )
-_HELP = ("-h", "--help")
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# a group's or a command's name and every word after it (argparse's PARSER)
-_REST = "A..."
-_NARGS = {None: "(-*A-*)", "?": "(-*A?-*)", "+": "(-*A[A-]*)", _REST: "(-*A[-AO]*)"}
 
 
 def _arguments(row):
@@ -438,147 +429,96 @@ def _arguments(row):
             yield flag, kwargs
 
 
-class _Refused(Exception):
-    """argparse answers the argv with help or a usage error."""
+def _operand(word):
+    return not word.startswith("-") or _NEGATIVE.match(word)
 
 
-def _option(word, flags):
-    """How a parser with these flags reads word: None for an operand, else
-    (the flag, or None for an unknown one; the text after "=", or None)."""
-    if not word.startswith("-"):
-        return None
-    if word in flags:
-        return word, None
-    if len(word) == 1:
-        return None
-    flag, eq, text = word.partition("=")
-    if eq and flag in flags:
-        return flag, text
-    if word[1] == "-":  # a prefix of a flag, perhaps with "=text"
-        found = [(f, text if eq else None) for f in flags if f.startswith(flag)]
-    else:  # -h with its text glued on, or a prefix of a flag
-        found = [(f, word[2:] if f == word[:2] else None) for f in flags if f == word[:2] or f.startswith(word)]
-    if len(found) > 1:
-        raise _Refused  # an ambiguous prefix
-    if found:
-        return found[0]
-    return None if _NEGATIVE.match(word) or " " in word else (None, None)
+def _value(kwargs, text):
+    """An argument's value from its text, through `type` and `choices`;
+    ValueError where argparse reads it otherwise or not at all."""
+    value = kwargs.get("type", str)(text)
+    if text == "--" or value not in kwargs.get("choices", (value,)):
+        raise ValueError
+    return value
 
 
-def _typed(kwargs, text):
-    try:
-        return kwargs.get("type", str)(text)
-    except (TypeError, ValueError):
-        raise _Refused from None
-
-
-def _default(kwargs):
-    if kwargs.get("action") == "store_true":
-        return False
-    default = kwargs.get("default")
-    return _typed(kwargs, default) if isinstance(default, str) else default
-
-
-def _values(kwargs, texts, of_flag=False):
-    """An argument's value from its words: all of them for a name with the
-    words after it; else without the first "--", through `type` and
-    `choices`, one value (nargs None or "?") or a list ("+").  From 3.13 on,
-    argparse keeps a "--" that a flag's value is (`--ring=--`)."""
-    nargs = kwargs.get("nargs")
-    if nargs == _REST:
-        return texts
-    if "--" in texts and not (of_flag and sys.version_info >= (3, 13)):
-        texts.remove("--")
-    if not texts and nargs == "?":
-        return _default(kwargs)
-    values = [_typed(kwargs, text) for text in texts]
-    if any(value not in kwargs.get("choices", (value,)) for value in values):
-        raise _Refused
-    return values[0] if len(values) == 1 and nargs in (None, "?") else values
-
-
-def _consume(words, arguments):
-    """{dest: value} for one parser's words, as argparse assigns them: flags
-    and their values, runs of operands between them, the last given value of
-    a repeated flag, defaults for the rest.  Raises _Refused where argparse
-    prints help or an error."""
-    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
-    flags.update(dict.fromkeys(_HELP))
-    operands = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
-    found, pattern = {}, ""
-    for i, word in enumerate(words):
-        if word == "--":
-            pattern += "-" + "A" * (len(words) - i - 1)
-            break
-        option = _option(word, flags)
-        if option:
-            found[i] = option
-        pattern += "O" if option else "A"
-    values, seen = {}, set()
-
-    def take(i):
-        # as many operands as the words from i on fill, each its share
-        for k in range(len(operands), 0, -1):
-            match = re.match("".join(_NARGS[kwargs.get("nargs")] for _, kwargs in operands[:k]), pattern[i:])
-            if match:
-                for (dest, kwargs), part in zip(operands, match.groups()):
-                    values[dest] = _values(kwargs, words[i : i + len(part)])
-                    i += len(part)
-                del operands[:k]
-                break
-        return i
-
-    i, last = 0, max(found, default=-1)
-    while i <= last:
-        if i not in found:
-            end = take(i)
-            if end == i:
-                raise _Refused  # a word no operand takes
-            i = end
-            continue
-        flag, text = found[i]
+def _flags(words, i, flags, values):
+    """Read the flags from words[i] on into values, the last of a repeated
+    flag winning; the index of the first word that is no flag."""
+    while i < len(words):
+        flag, eq, text = words[i].partition("=")
         kwargs = flags.get(flag)
         if kwargs is None:
-            raise _Refused  # help, or an unknown flag
+            return i
         i += 1
         if kwargs.get("action") == "store_true":
-            if text is not None:
-                raise _Refused
+            if eq:
+                raise ValueError
             value = True
         else:
-            if text is None:
-                if pattern[i : i + 1] != "A":
-                    raise _Refused  # no value after the flag
+            if not eq:
+                if i == len(words) or not _operand(words[i]):
+                    raise ValueError
                 text, i = words[i], i + 1
-            value = _values(kwargs, [text], of_flag=True)
+            value = _value(kwargs, text)
         values[kwargs.get("dest", flag.lstrip("-"))] = value
-        seen.add(flag)
-    if take(i) < len(words) or any(kwargs.get("nargs") != "?" for _, kwargs in operands):
-        raise _Refused  # words left over, or an operand missing
-    for flag, kwargs in [*flags.items(), *operands]:
-        if kwargs is not None and flag not in seen:
+    return i
+
+
+def _defaults(arguments, values):
+    """values with the default of each argument not given; ValueError for a
+    required one."""
+    for flag, kwargs in arguments:
+        dest = kwargs.get("dest", flag.lstrip("-"))
+        if dest not in values:
             if kwargs.get("required"):
-                raise _Refused
-            values[kwargs.get("dest", flag.lstrip("-"))] = _default(kwargs)
+                raise ValueError
+            default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+            values[dest] = _value(kwargs, default) if isinstance(default, str) else default
     return values
 
 
+def _command(words, arguments):
+    """{dest: value} for a command's words: flags, one run of operands, flags.
+    The run fills the operands in turn; a "?" takes a word only if one is
+    spare, a "+" takes every spare word."""
+    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
+    values = {}
+    start = _flags(words, 0, flags, values)
+    end = next((i for i in range(start, len(words)) if not _operand(words[i])), len(words))
+    if _flags(words, end, flags, values) < len(words):
+        raise ValueError  # an unknown word, or a second run of operands
+    run = words[start:end]
+    operands = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
+    for k, (dest, kwargs) in enumerate(operands):
+        nargs = kwargs.get("nargs")
+        spare = len(run) - sum(kw.get("nargs") != "?" for _, kw in operands[k:])
+        if spare < 0:
+            raise ValueError
+        n = {None: 1, "?": min(1, spare), "+": 1 + spare}[nargs]
+        texts, run = run[:n], run[n:]
+        if texts:
+            values[dest] = [_value(kwargs, t) for t in texts] if nargs == "+" else _value(kwargs, texts[0])
+    if run:
+        raise ValueError
+    return _defaults(arguments, values)
+
+
 def _read(argv):
-    """The namespace `build_parser().parse_args(argv)` gives, read from the
-    command table; None where argparse prints help or a usage error, and on
-    a CPython whose argparse `_read` was not checked against (3.10 to 3.13
-    were)."""
+    """The namespace `build_parser().parse_args(argv)` gives an argv in the
+    plain grammar; None for any other argv, and on a CPython this reader was
+    not checked against (3.10 to 3.13 were)."""
     if not (3, 10) <= sys.version_info[:2] <= (3, 13):
         return None
+    top = {}
     try:
-        top = _consume(argv, (*_TOP, ("group", {"nargs": _REST})))
-        group, *words = top.pop("group")
-        name, *words = _consume(words, (("cmd", {"nargs": _REST}),))["cmd"]
-        row = next((row for row in COMMANDS if row[:2] == (group, name)), None)
-        values = row and _consume(words, tuple(_arguments(row)))
-    except _Refused:
+        at = _flags(argv, 0, dict(_TOP), top)
+        row = next((row for row in COMMANDS if row[:2] == tuple(argv[at : at + 2])), None)
+        values = row and _command(argv[at + 2 :], tuple(_arguments(row)))
+        top = _defaults(_TOP, top)
+    except ValueError:
         return None
-    return row and SimpleNamespace(**top, group=group, cmd=name, row=row, **values)
+    return row and SimpleNamespace(**top, group=row[0], cmd=row[1], row=row, **values)
 
 
 # -------------------------------------------------------------- dispatch

@@ -37,11 +37,20 @@ class SubringDesc:
             raise SubringError("degree 0 cannot be excluded (1 must be in D)")
         if any(e < 0 for e in self.excluded):
             raise SubringError("excluded degrees must be nonnegative")
-        # product closure: allowed + allowed never lands on an excluded degree
+        # product closure: allowed + allowed never lands on an excluded degree.
+        # The allowed degrees then form a numerical semigroup whose gaps are
+        # the excluded ones, and its largest gap is below twice their number.
         top = max(self.excluded, default=0)
+        if top >= 2 * len(self.excluded) > 0:
+            raise SubringError(
+                f"excluded degree {top} is not below twice the number of excluded degrees, "
+                "so D is not closed under products"
+            )
         allowed = [i for i in range(top + 1) if i not in self.excluded]
         for i in allowed:
             for j in allowed:
+                if i + j > top:
+                    break
                 if i + j in self.excluded:
                     raise SubringError(
                         f"not multiplicatively closed: {i} + {j} is excluded"

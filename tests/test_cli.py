@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,24 @@ def test_an_exponent_past_the_bound_is_an_input_error(capsys):
     # the stdlib's parser would build 10**99999999 before any check
     assert run_cli(capsys, "mring", "split", "--s", "1e99999999", "--n", "2") == (
         2, "", "princlab: error: the exponent of '1e99999999' passes 4300 in magnitude\n")
+
+
+def test_a_huge_excluded_degree_is_an_input_error_at_once(capsys):
+    # the closure walk would list every degree up to 10^8 and walk their pairs
+    start = time.perf_counter()
+    assert run_cli(capsys, "polyext", "witness", "--alpha", "y", "--exclude", "100000000") == (
+        2, "", "princlab: error: excluded degree 100000000 is not below twice the number of excluded degrees, "
+        "so D is not closed under products\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spelling", [["--exclude", ""], ["--exclude="]], ids=["next-word", "equals"])
+def test_an_empty_exclude_list_excludes_no_degree(capsys, spelling):
+    # D = Q[y], which holds y: no witness.  Only an absent flag means D = Q[y^2, y^3]
+    code, out, err = run_cli(capsys, "--recheck", "polyext", "witness", "--alpha", "y", *spelling)
+    report = json.loads(out)
+    assert (code, err, report["verdict"], report["result"]["excluded"]) == (1, "", "not_a_witness", [])
+    assert report["recheck"] == "passed"
 
 
 def test_wrong_user_witness_still_exits_2(capsys):

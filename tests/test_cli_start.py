@@ -120,14 +120,64 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_the_table_path_reads_what_argparse_reads(argv):
-    # argparse accepts exactly the argv _read accepts, with the same
-    # namespace; every other argv gets its help (0) or usage error (2)
-    read, full = cli._read(argv), argparse_reads(argv)
-    if read is None:
-        assert full in (0, 2)
-    else:
-        assert vars(read) == full
+    # whatever _read reads, argparse reads to the same namespace, and main
+    # ends the same way; _read leaves every other argv to argparse
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == argparse_reads(argv)
         assert outcome(argv) == outcome_without_the_table(argv)
+
+
+def plain(word):
+    """An operand of the plain grammar: a word that does not start with "-",
+    or one of the negative numbers VALUES and JOBS hold."""
+    return not word.startswith("-") or word in ("-1", "-2", "-3", "-1.5", "-.5")
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argv in the plain grammar around one command: its top-level
+    flags, group and name, then its flags in some order, some given twice or
+    left out though required, each spelled in full with its value as the
+    next word (an operand) or after "=" (any word but "--"; a switch seldom
+    has one), and one run of operands of about the right length among
+    them."""
+    row = draw(st.sampled_from(cli.COMMANDS))
+
+    def items(arguments, values):
+        # half the values are ones every argument takes: "2", "-3", or a choice
+        out = []
+        for flag, kwargs in arguments:
+            if not flag.startswith("-"):
+                continue
+            value = st.sampled_from(kwargs.get("choices", ("2", "-3"))) | st.sampled_from(values)
+            least = 1 if kwargs.get("required") and draw(st.integers(0, 7)) else 0
+            for _ in range(draw(st.integers(least, 2))):
+                if kwargs.get("action") == "store_true" and draw(st.integers(0, 3)):
+                    out.append([flag])
+                elif kwargs.get("action") == "store_true" or draw(st.booleans()):
+                    out.append([f"{flag}={draw(value.filter(lambda v: v != '--'))}"])
+                else:
+                    out.append([flag, draw(value.filter(plain))])
+        return out
+
+    top = draw(st.permutations(items(cli._TOP, JOBS)))
+    flags = draw(st.permutations(items(cli._arguments(row), VALUES)))
+    operands = [flag for flag, _ in cli._arguments(row) if not flag.startswith("-")]
+    size = max(0, len(operands) + draw(st.sampled_from([0, 0, -1, 1])))
+    run = [draw(st.sampled_from(("2", "-3")) | st.sampled_from(VALUES).filter(plain)) for _ in range(size)]
+    flags.insert(draw(st.integers(0, len(flags))), run)
+    return [w for item in top for w in item] + list(row[:2]) + [w for item in flags for w in item]
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_argvs())
+def test_the_table_reads_exactly_the_plain_argv_argparse_accepts(argv):
+    read, full = cli._read(argv), argparse_reads(argv)
+    if isinstance(full, dict):
+        assert read is not None and vars(read) == full
+    else:
+        assert read is None
 
 
 def outcome_without_the_table(argv):
@@ -151,19 +201,21 @@ def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version
 BASE = ["cli", "core", "exprparse", "rational", "recheck", "report", "rings"]
 
 
-CALLS = [
-    (["idem", "check", "-2", "-3"], ["idem"]),
-    (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring"]),
-    (["comax", "unique", "60"], ["comax"]),
-    (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring"]),
-    (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring"]),
-    (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring"]),
-    (["polyext", "counterexample", "--alpha", "2*y"], ["polyext"]),
-    (["sphere", "projector"], ["sphere"]),
-]
+CALLS = {
+    "idem": (["idem", "check", "-2", "-3"], ["idem"]),
+    "ideal": (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring"]),
+    "comax": (["comax", "unique", "60"], ["comax"]),
+    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring"]),
+    "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring"]),
+    # a flag's value after "=" is plain grammar too
+    "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"], ["monoidring"]),
+    "limitring": (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring"]),
+    "polyext": (["polyext", "counterexample", "--alpha", "2*y"], ["polyext"]),
+    "sphere": (["sphere", "projector"], ["sphere"]),
+}
 
 
-@pytest.mark.parametrize("argv,families", CALLS, ids=[argv[0] for argv, _ in CALLS])
+@pytest.mark.parametrize("argv,families", CALLS.values(), ids=CALLS)
 def test_a_call_loads_only_what_its_command_uses(argv, families):
     # a family module in sys.modules that never ran is still importlib's lazy
     # module type, not types.ModuleType
