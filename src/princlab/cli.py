@@ -39,14 +39,18 @@ a type, choice or count error) goes to `build_parser(argv).parse_args(argv)`.
 `argparse` (and with it `gettext` and `locale`) is imported only inside
 `build_parser`, so a plain call never loads it.
 
-Imports.  At import this module runs only `core`, `rings`, `exprparse`,
-`report` and `recheck`.  Each family module (`comax`, `idem`, `quadring`,
-...) is put in `sys.modules` by importlib's `LazyLoader` and runs on its
-first attribute access, which is the first handler, ring spec or converter
-that reads it.  A call loads only what its command uses, and a tool that
-rebinds module functions after `import princlab.cli` (perfbench's traced
-child) still finds every family module.  `GROUPS` names ring families by
-their `to_json()` family, so checking `--ring` loads nothing either.
+Imports.  At import this module runs only `core`, `rings`, `report` and
+the `recheck` package's `__init__`.  Each family module (`comax`, `idem`,
+`quadring`, ...) and the operand parser `exprparse` is put in
+`sys.modules` by importlib's `LazyLoader` and runs on its first attribute
+access, which is the first handler, ring spec or converter that reads it:
+only the element and y-polynomial converters read `exprparse`.  A call
+loads only what its command uses, and a tool that rebinds module functions
+after `import princlab.cli` (perfbench's traced child) still finds every
+family module.  `GROUPS` names ring families by their `to_json()` family,
+so checking `--ring` loads nothing either.  `verify_report` imports the
+checker's `values` part and the one verifier part its command needs
+(`recheck.orders` or `recheck.examples`) when it first runs.
 
 A shell call (`python -m princlab.cli`, or the installed `princlab` script)
 enters through `run`.  Once `main` has returned and stdout and stderr are
@@ -70,7 +74,6 @@ import sys
 from types import SimpleNamespace
 
 from .core import CertificateError
-from .exprparse import parse_element, parse_ypoly
 from .rational import Fraction
 from .recheck import verify_report
 from .report import dump, enc, make_report
@@ -92,8 +95,8 @@ def _family(name):
     return module
 
 
-comax, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
-    _family, ("comax", "idem", "limitring", "monoidring", "polyext", "pullback", "quadring", "sphere"))
+comax, exprparse, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
+    _family, ("comax", "exprparse", "idem", "limitring", "monoidring", "polyext", "pullback", "quadring", "sphere"))
 
 
 # 128 + SIGPIPE: the status a shell shows for a process a closed pipe ended
@@ -303,12 +306,12 @@ def cmd_sphere_reduce(ring, expr):
 
 # ---------------------------------------------------------- command table
 # Operand converters run inside main's error handling, so bad input exits 2.
-# They reach the parsers through the module globals, which a tracer may
-# rebind after import.
+# They reach the parsers through the `exprparse` module, whose functions a
+# tracer may rebind after import.
 
 
 def _elem(text, ring):
-    return text if text is None else parse_element(text, ring)
+    return text if text is None else exprparse.parse_element(text, ring)
 
 
 def _elems(texts, ring):
@@ -323,7 +326,7 @@ def _frac(text, ring):
 
 
 def _ypoly(text, ring):
-    return parse_ypoly(text)
+    return exprparse.parse_ypoly(text)
 
 
 def _excluded(text, ring):

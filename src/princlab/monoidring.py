@@ -46,6 +46,7 @@ why not dataclasses.  Their products and Bezout pairs are checked by
 from __future__ import annotations
 
 from math import gcd, lcm
+from sys import intern
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, is_prime, pairwise_json, poly_divrem,
                    poly_extended_gcd, rat_leaves)
@@ -248,9 +249,11 @@ class MonoidElem(RingElem):
         return bool(self.exps)
 
     def to_json(self, enc):
+        # a chain's elements share few exponents: each text is interned, so
+        # the report holds one str per distinct exponent
         den, cden = self.den, self.cden
         leaves = rat_leaves(self.coeffs, lambda c: _ratio(c, cden))
-        return {"type": "monoid", "terms": [[_ratio(e, den), leaf] for e, leaf in zip(self.exps, leaves)]}
+        return {"type": "monoid", "terms": [[intern(_ratio(e, den)), leaf] for e, leaf in zip(self.exps, leaves)]}
 
 
 def _scaled(v, k: int):

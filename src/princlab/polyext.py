@@ -28,6 +28,38 @@ def _inner(c) -> Poly:
     return Poly((Fraction(c),))
 
 
+def _unclosed_pair(excluded, top):
+    """Two allowed degrees whose sum is excluded, or None; top is the
+    largest excluded degree.  With m the least allowed degree (the
+    multiplicity), the allowed degrees are closed under + exactly when (a)
+    a + m is allowed for every allowed a, and (b) for the least allowed
+    degrees w_r, w_s of any two classes mod m, w_r + w_s is allowed: by (a)
+    each class's allowed degrees are all of w_r, w_r + m, ..., so every sum
+    of two is w_r + w_s plus a multiple of m.  Degrees above top are
+    allowed, so both checks stop at top: O(top + m^2) steps, not a walk
+    over every pair of allowed degrees."""
+    allowed = [a for a in range(1, top) if a not in excluded]
+    if not allowed:
+        return None
+    m = allowed[0]
+    for a in allowed:
+        if a + m > top:
+            break
+        if a + m in excluded:
+            return a, m
+    least = {}  # class mod m -> its least allowed degree, in ascending order
+    for a in allowed:
+        least.setdefault(a % m, a)
+    firsts = list(least.values())
+    for k, w in enumerate(firsts):
+        for v in firsts[k:]:
+            if w + v > top:
+                break
+            if w + v in excluded:
+                return w, v
+    return None
+
+
 class SubringDesc:
     """Subring of Q[y] spanned by the monomials outside `excluded`."""
 
@@ -46,15 +78,9 @@ class SubringDesc:
                 f"excluded degree {top} is not below twice the number of excluded degrees, "
                 "so D is not closed under products"
             )
-        allowed = [i for i in range(top + 1) if i not in self.excluded]
-        for i in allowed:
-            for j in allowed:
-                if i + j > top:
-                    break
-                if i + j in self.excluded:
-                    raise SubringError(
-                        f"not multiplicatively closed: {i} + {j} is excluded"
-                    )
+        pair = _unclosed_pair(self.excluded, top)
+        if pair is not None:
+            raise SubringError(f"not multiplicatively closed: {pair[0]} + {pair[1]} is excluded")
 
     def contains(self, p) -> bool:
         p = _inner(p)

@@ -1,0 +1,735 @@
+"""The verifiers of the orders and their ideals: `idem`, `ideal`, `comax`
+and `pullback` reports, over Z, Z[sqrt(d)], Q[X], Z[1/p], D[X;S] and D+M
+pullbacks.
+
+Ideal lattices are put in Hermite normal form by `_span`, this part's own
+2x2 reduction.  The negative idem verdicts are decided again where that is
+cheap: over Z, Z[sqrt(d)] and Q[X] `not_idempotent_pair` holds exactly when
+neither b | a(1 - a) nor a | b(1 - b) (`_divides`), and over Z and Q[X]
+`not_invertible` exactly when a = b = 0.  Over the other rings these
+verdicts carry no certificate and are not checked.  `_omega_fails` checks
+omega-stability and `_Blocks` multiplies prime powers.  `_quad_xy` reads
+the coordinates of a Z[sqrt(d)] element and fails one that is not
+integral, where `int()` would truncate a Fraction to another element, and
+`_d_fails` ties every Z[sqrt(d)] value to the d its report's ring names
+(through `_ring_d_fails` for the idem reports, whose ring may be
+Z[sqrt(d)] or a pullback over it).  Every non-principal claim (`ideal
+principal`, `pullback reduce` bases) is checked by `_nonprincipal_fails`:
+the ideal's binary quadratic form must not reduce to (1, 0, -d), with its
+own reduction `_reduced`.
+
+Recheck ties each comax factor to its block and decides itself whether
+the block splits into two principal blocks (`_Blocks`), by walking the
+ideal classes its sub-blocks reach.  The factorizations of one report must
+share one support, so each distinct block is checked once per report.  The
+support lists distinct primes (`_prime_label`): over Z rational primes,
+over Z[sqrt(d)] ideals of prime norm or pO with p inert.  A `comax unique`
+verdict is `unique` exactly when its count is 1; that its list of
+factorizations is complete is not certified.
+
+Fields that only restate another are tied to it: an idempotent pair's
+members to the report's a and b (and a derived pair's orientation to
+"ab"), and each of `ideal mul`'s norms to the basis determinant n*m of its
+lattice.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from ..rational import Fraction
+from .values import (_comaximal_fails, _idempotent_fails, _member_fails, _not_prime, _projector_fails, _promote,
+                     _rf_value0, dec, v_add, v_eq, v_is_zero, v_mul, v_one_like, v_sub)
+
+# ----------------------------------------------------- quadratic lattices
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _span(vectors):
+    """The Hermite normal form (n, c, m) of the Z-span of integer 2-vectors:
+    the basis (n, 0), (c, m) with n, m >= 0 and 0 <= c < n when n > 0 (a
+    rank below 2 leaves n or m zero).  Each vector (x, y) is merged into
+    the pivot (c, m) by one unimodular step on (m, y), whose other row
+    lies on the x-axis and joins n."""
+    n, c, m = 0, 0, 0
+    for x, y in vectors:
+        if y:
+            g, s, t = _xgcd(m, y)
+            c, x, m = s * c + t * x, (y * c - m * x) // g, g
+        n = gcd(n, x)
+        if n:
+            c %= n
+    return (n, c, m)
+
+
+def _elem_vectors(x, y, d):
+    return [(x, y), (d * y, x)]
+
+
+def _qid_vectors(q):
+    return [(q[2], 0), (q[3], q[4])]
+
+
+def _ideal_product_span(vecs_i, vecs_j, d):
+    prods = []
+    for (x1, y1) in vecs_i:
+        for (x2, y2) in vecs_j:
+            prods.append((x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2))
+    return _span(prods)
+
+
+def _contains(q, x, y):
+    n, c, m = q[2], q[3], q[4]
+    if y % m:
+        return False
+    k = y // m
+    return (x - k * c) % n == 0
+
+
+def _quad_xy(v, name, fails):
+    """The integer coordinates (x, y) of a decoded Z[sqrt(d)] element; None,
+    after a failure naming it, when it is not one with integer coordinates
+    (`int()` would truncate a Fraction to some other element)."""
+    if v[0] == "quad" and v[1].denominator == 1 and v[2].denominator == 1:
+        return int(v[1]), int(v[2])
+    fails.append(f"{name} does not have integer coordinates")
+    return None
+
+
+def _omega_fails(q, d, fails):
+    # 2*omega*(x + y*sqrt d) == (x + d*y) + (x + y)*sqrt d, omega = (1 + sqrt d)/2
+    for (x, y) in _qid_vectors(q):
+        wx, wy = x + d * y, x + y
+        if wx % 2 or wy % 2 or not _contains(q, wx // 2, wy // 2):
+            fails.append("claimed omega-stability fails on a basis vector")
+
+
+def _quad_ds(v):
+    """The d of every Z[sqrt(d)] element and ideal inside a decoded value."""
+    tag = v[0]
+    if tag == "quad":
+        return {v[3]}
+    if tag == "qid":
+        return {v[1]}
+    if tag == "rf":
+        return _quad_ds(v[1]) | _quad_ds(v[2])
+    if tag == "poly":
+        return set().union(*map(_quad_ds, v[1]))
+    return set()
+
+
+def _d_fails(where, d, values, fails):
+    """Each named decoded value must live over the d the ring claims."""
+    for name, v in values:
+        for other in sorted(_quad_ds(v) - {d}):
+            fails.append(f"{where} is {d}, but {name} has d = {other}")
+
+
+# ------------------------------------------ binary quadratic forms (d < 0)
+
+
+def _form(span, d, fails, name):
+    """The form (n', 2c', (c'^2 - d)/n') of the ideal lattice span == (n, c,
+    m) == m*[n', c' + sqrt(d)]: its value at (x, y) is N(x*n' + y*(c' +
+    sqrt(d)))/n'.  None, after a failure naming it, when the lattice is not
+    an ideal or d is not negative (the form would not be positive definite
+    and the reduction below would not end)."""
+    n, c, m = span
+    if d >= 0 or n <= 0 or m <= 0 or n % m or c % m or ((c // m) ** 2 - d) % (n // m):
+        fails.append(f"{name} is not an ideal lattice of an imaginary quadratic order")
+        return None
+    n, c = n // m, c // m
+    return (n, 2 * c, (c * c - d) // n)
+
+
+def _reduced(a, b, c):
+    """The one reduced form (|b| <= a <= c, and b >= 0 when |b| == a or a ==
+    c) properly equivalent to the positive definite form (a, b, c)."""
+    while True:
+        t = (a - b) // (2 * a)
+        b, c = b + 2 * a * t, (a * t + b) * t + c
+        if a < c or (a == c and b >= 0):
+            return (a, b, c)
+        a, b, c = c, -b, a
+
+
+def _nonprincipal_fails(span, d, fails, name):
+    """A non-principal claim for an ideal lattice: an ideal is principal
+    exactly when its form reduces to (1, 0, -d), since a generator is an
+    element of the ideal's norm and each class has one reduced form."""
+    form = _form(span, d, fails, name)
+    if form is not None and _reduced(*form) == (1, 0, -d):
+        fails.append(f"{name}: claimed non-principal, but its form reduces to (1, 0, {-d})")
+    return form
+
+
+def _reduction_fails(cert, form, fails):
+    """The reduction certificate of `ideal principal`: the ideal's form, a
+    transform [[p, q], [r, s]] of determinant 1 with f(p*x + q*y, r*x + s*y)
+    the claimed form, and the claimed form the reduced form of f."""
+    (p, q), (r, s) = [[int(v) for v in row] for row in cert["transform"]]
+    claimed = tuple(int(v) for v in cert["reduced"])
+    if tuple(int(v) for v in cert["form"]) != form:
+        fails.append("search.form is not the form of the ideal")
+    if p * s - q * r != 1:
+        fails.append("search.transform does not have determinant 1")
+    a, b, c = form
+    image = (a * p * p + b * p * r + c * r * r, 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+             a * q * q + b * q * s + c * s * s)
+    if image != claimed:
+        fails.append("search.transform does not take the form to search.reduced")
+    if claimed != _reduced(*form):
+        fails.append("search.reduced is not the reduced form of the ideal")
+
+
+def _divides(s, x, ring) -> bool:
+    """Whether s divides x in the ring, Z, Z[sqrt(d)] or Q[X], of which both
+    are decoded values: x == s*q for some q in the ring."""
+    if v_is_zero(s):
+        return v_is_zero(x)
+    family = ring["family"]
+    if family == "int":
+        return (x[1] / s[1]).denominator == 1
+    if family == "quad":
+        # q = x*conj(s)/N(s) must have integer coordinates
+        model = ("quad", None, None, int(ring["d"]))
+        (_, p, q, d), (_, u, v, _) = _promote(s, "quad", model), _promote(x, "quad", model)
+        n = p * p - d * q * q
+        return ((u * p - d * v * q) / n).denominator == 1 and ((v * p - u * q) / n).denominator == 1
+    # Q[X]: long division leaves no remainder
+    rem = [c[1] for c in _promote(x, "poly", None)[1]]
+    cs = [c[1] for c in _promote(s, "poly", None)[1]]
+    for k in range(len(rem) - len(cs), -1, -1):
+        c = rem[k + len(cs) - 1] / cs[-1]
+        for i, sc in enumerate(cs):
+            rem[k + i] -= c * sc
+    return not any(rem)
+
+
+def _not_a_pair_fails(report):
+    """A not_idempotent_pair verdict over Z, Z[sqrt(d)] or Q[X], decided
+    again from a and b: neither b | a(1-a) nor a | b(1-b).  Over the other
+    rings the verdict carries no certificate and is not checked."""
+    ring, result = report["ring"], report["result"]
+    fails = [] if result["pair"] is None else ["a not_idempotent_pair report carries a pair"]
+    if ring["family"] not in ("int", "quad", "qpoly"):
+        return fails
+    a, b = dec(result["a"]), dec(result["b"])
+    outside = []
+    _ring_d_fails(ring, (("a", a), ("b", b)), outside)
+    _member_fails((("a", a), ("b", b)), ring, outside)
+    if not outside and any(_divides(s, v_mul(f, v_sub(v_one_like(f), f)), ring) for f, s in ((a, b), (b, a))):
+        fails.append("a and b form an idempotent pair")
+    return fails + outside
+
+
+def _ring_d_fails(ring, named, fails):
+    """Over Z[sqrt(d)], or a pullback over it, each named decoded value must
+    live over the d the ring names."""
+    for where, r in (("ring.d", ring), ("ring.base.d", ring.get("base"))):
+        if r is not None and r["family"] == "quad":
+            _d_fails(where, int(r["d"]), named, fails)
+
+
+def _pair_identity(report, fails):
+    result = report["result"]
+    a, b = dec(result["a"]), dec(result["b"])
+    pair = result["pair"]
+    pa, pb, r = dec(pair["a"]), dec(pair["b"]), dec(pair["witness"])
+    _ring_d_fails(report["ring"], (("a", a), ("b", b), ("pair a", pa), ("pair b", pb), ("pair witness", r)), fails)
+    if not (v_eq(pa, a) and v_eq(pb, b)):
+        fails.append("pair members differ from a and b")
+    _member_fails((("a", a), ("b", b), ("pair witness", r)), report["ring"], fails)
+    f, s = (a, b) if pair["orientation"] == "ab" else (b, a)
+    _idempotent_fails(f, s, r, fails, "pair witness identity f(1-f) == s*r fails")
+    return a, b, f, s, r
+
+
+def _complement(result, f, s, ring, fails):
+    comp = result.get("complement")
+    if comp is None:
+        return
+    one = v_one_like(f)
+    want = [
+        v_mul(f, v_sub(one, f)),
+        v_mul(f, s),
+        v_mul(s, v_sub(one, f)),
+        v_mul(s, s),
+    ]
+    prods = [dec(p) for p in comp["products"]]
+    quots = [dec(q) for q in comp["quotients"]]
+    if len(prods) != 4 or len(quots) != 4:
+        fails.append("complement certificate is not four products/quotients")
+        return
+    for i, (p, w) in enumerate(zip(prods, want)):
+        if not v_eq(p, w):
+            fails.append(f"complement product {i} differs from f,s recomputation")
+    _member_fails([(f"complement quotient {i}", q) for i, q in enumerate(quots)], ring, fails)
+    for i, (p, q) in enumerate(zip(prods, quots)):
+        if not v_eq(v_mul(s, q), p):
+            fails.append(f"complement quotient {i} fails s*q == product")
+    if not v_eq(v_add(prods[1], prods[2]), s):
+        fails.append("generator combination products[1]+products[2] == s fails")
+    gen = dec(comp["generator"])
+    if not v_eq(gen, s):
+        fails.append("complement generator is not the second pair member")
+
+
+def _verify_idem_check(report):
+    if report["verdict"] == "not_idempotent_pair":
+        return _not_a_pair_fails(report)
+    fails = []
+    result = report["result"]
+    a, b, f, s, r = _pair_identity(report, fails)
+    _complement(result, f, s, report["ring"], fails)
+    return fails
+
+
+def _verify_idem_matrix(report):
+    if report["verdict"] == "not_idempotent_pair":
+        return _not_a_pair_fails(report)
+    fails = []
+    result = report["result"]
+    _, _, f, s, r = _pair_identity(report, fails)
+    m = [[dec(e) for e in row] for row in result["matrix"]]
+    one = v_one_like(f)
+    want = [[f, s], [r, v_sub(one, f)]]
+    for i in range(2):
+        for j in range(2):
+            if not v_eq(m[i][j], want[i][j]):
+                fails.append(f"matrix entry ({i},{j}) differs from the pair data")
+    _projector_fails(m, fails, "M")
+    return fails
+
+
+def _verify_idem_from_ideal(report):
+    fails = []
+    result = report["result"]
+    a, b = dec(result["a"]), dec(result["b"])
+    if report["verdict"] == "not_invertible":
+        # over Z and Q[X], principal ideal domains, only (0, 0) is not
+        # invertible; over Z[sqrt(d)] the verdict carries no certificate
+        if report["ring"]["family"] in ("int", "qpoly"):
+            _member_fails((("a", a), ("b", b)), report["ring"], fails)
+            if not (v_is_zero(a) and v_is_zero(b)):
+                fails.append("a nonzero ideal of a principal ideal domain is invertible")
+        return fails
+    lam, mu = dec(result["bezout"]["lam"]), dec(result["bezout"]["mu"])
+    one = v_one_like(lam)
+    if not v_eq(v_add(v_mul(lam, a), v_mul(mu, b)), one):
+        fails.append("Bezout identity lam*a + mu*b == 1 fails")
+    pair = result["pair"]
+    if pair["orientation"] != "ab":
+        fails.append("derived pair orientation is not ab")
+    pa, pb = dec(pair["a"]), dec(pair["b"])
+    if not v_eq(pa, v_mul(lam, a)) or not v_eq(pb, v_mul(lam, b)):
+        fails.append("derived pair is not (lam*a, lam*b)")
+    wit = dec(pair["witness"])
+    if not v_eq(wit, v_mul(mu, a)):
+        fails.append("derived witness is not mu*a")
+    # lam and mu lie in the inverse ideal, not the ring; what they derive must
+    named = (("a", a), ("b", b), ("derived pair a", pa), ("derived pair b", pb), ("derived witness", wit))
+    _ring_d_fails(report["ring"], named, fails)
+    _member_fails(named, report["ring"], fails)
+    _idempotent_fails(pa, pb, wit, fails, "derived pair fails its defining relation")
+    _complement(result, pa, pb, report["ring"], fails)
+    return fails
+
+
+def _ring_d(report, *keys):
+    """The d of an `ideal` report's ring, after checking that the values
+    under `keys` in its result (elements, ideals, lists of them, or the
+    prime ideals of a factor list) all live over it."""
+    d = int(report["ring"]["d"])
+    result = report["result"]
+    values = []
+    for key in keys:
+        v = result[key]
+        if isinstance(v, list):
+            values += [(f"{key}[{k}]", dec(e["prime"] if "prime" in e else e)) for k, e in enumerate(v)]
+        elif v is not None:
+            values.append((key, dec(v)))
+    fails = []
+    _d_fails("ring.d", d, values, fails)
+    return d, fails
+
+
+def _verify_ideal_frompair(report):
+    d, fails = _ring_d(report, "a", "b", "ideal")
+    result = report["result"]
+    a, b = dec(result["a"]), dec(result["b"])
+    q = dec(result["ideal"])
+    vecs = []
+    for name, e in (("a", a), ("b", b)):
+        xy = _quad_xy(e, name, fails)
+        if xy is None:
+            return fails
+        if any(xy):
+            vecs += _elem_vectors(*xy, d)
+    if _span(vecs) != (q[2], q[3], q[4]):
+        fails.append("normal form differs from an independent lattice recomputation")
+    if int(result["norm"]) != q[2] * q[4]:
+        fails.append("reported norm is not the basis determinant")
+    return fails
+
+
+def _verify_ideal_mul(report):
+    d, fails = _ring_d(report, "i", "j", "product")
+    result = report["result"]
+    i, j, p = dec(result["i"]), dec(result["j"]), dec(result["product"])
+    got = _ideal_product_span(_qid_vectors(i), _qid_vectors(j), d)
+    if got != (p[2], p[3], p[4]):
+        fails.append("product lattice differs from an independent recomputation")
+    for key, q in (("i", i), ("j", j), ("product", p)):
+        if int(result["norms"][key]) != q[2] * q[4]:
+            fails.append(f"norms.{key} is not the basis determinant of {key}")
+    return fails
+
+
+def _verify_ideal_invertible(report):
+    d, fails = _ring_d(report, "ideal", "cofactor", "product_generator")
+    result = report["result"]
+    q = dec(result["ideal"])
+    if result["invertible"]:
+        cof = dec(result["cofactor"])
+        gen = dec(result["product_generator"])
+        got = _ideal_product_span(_qid_vectors(q), _qid_vectors(cof), d)
+        xy = _quad_xy(gen, "product generator", fails)
+        if xy is None:
+            return fails
+        if got != _span(_elem_vectors(*xy, d)):
+            fails.append("I*cofactor is not the claimed principal ideal")
+    elif d % 4 != 1:
+        fails.append("non-invertibility claimed in a maximal order")
+    else:
+        _omega_fails(q, d, fails)
+    return fails
+
+
+def _verify_ideal_principal(report):
+    d, fails = _ring_d(report, "ideal", "generator")
+    result = report["result"]
+    q = dec(result["ideal"])
+    span = (q[2], q[3], q[4])
+    status = result["status"]
+    if status == "not_invertible":
+        if result["search"] is not None:
+            fails.append("a non-invertible ideal carries a reduction certificate")
+        _omega_fails(q, d, fails)
+        return fails
+    form = _form(span, d, fails, "ideal")
+    if form is None:
+        return fails
+    _reduction_fails(result["search"], form, fails)
+    if status == "principal":
+        xy = _quad_xy(dec(result["generator"]), "generator", fails)
+        if xy is None:
+            return fails
+        x, y = xy
+        if _span(_elem_vectors(x, y, d)) != span:
+            fails.append("claimed generator does not span the ideal")
+        if x * x - d * y * y != q[2] * q[4]:
+            fails.append("generator norm differs from the ideal norm")
+    elif status == "non_principal":
+        _nonprincipal_fails(span, d, fails, "ideal")
+    else:
+        fails.append(f"unknown status {status!r}")
+    return fails
+
+
+def _verify_ideal_factor(report):
+    d, fails = _ring_d(report, "element")
+    result = report["result"]
+    xy = _quad_xy(dec(result["element"]), "element", fails)
+    if xy is None:
+        return fails
+    factors = result["factors"]
+    product = _Blocks(factors, report["ring"], fails, "factors").span(tuple(range(len(factors))))
+    if product != _span(_elem_vectors(*xy, d)):
+        fails.append("prime powers do not re-multiply to (b)")
+    return fails
+
+
+class _Blocks:
+    """The prime powers of one support (a comax report's factorizations
+    share one) and its blocks, ascending index tuples, each checked once.  A
+    block's product is that of the block without its last index times that
+    prime power: over Z an integer, over Z[sqrt(d)] a lattice, one ideal
+    product per sub-block.
+
+    A block is pseudo-irreducible when no split of it into two nonempty
+    parts has two principal sides.  Over Z every side is principal, so
+    every block of two or more primes splits.  Over Z[sqrt(d)] the ideal
+    classes form a group, so a split with two principal sides exists
+    exactly when the block is principal and some nonempty part of it
+    without its last index is.  `check` finds one by walking the classes
+    that sub-blocks of block[:-1] reach, keeping one sub-block per class
+    (its reduced form): at most (k - 1) * h ideal products for k primes and
+    h classes, where every split would be 2^(k-1) - 1."""
+
+    def __init__(self, support, ring, fails, key="support"):
+        self.support = support
+        self.fails = fails
+        self.ring = ring
+        self.d = None if ring["family"] == "int" else int(ring["d"])
+        self._spans = {}
+        self._classes = {}
+        self._checked = set()
+        primes = [dec(e["prime"]) for e in support]
+        if self.d is not None:
+            _d_fails("ring.d", self.d, [(f"{key}[{i}]", p) for i, p in enumerate(primes)], fails)
+        seen = set()
+        for i, p in enumerate(primes):
+            label = _prime_label(p, self.d)
+            if label is None:
+                fails.append(f"{key}[{i}] is not a prime" + ("" if self.d is None else " ideal"))
+            elif label in seen:
+                fails.append(f"{key}[{i}] repeats an earlier entry")
+            seen.add(label)
+
+    def span(self, idxs):
+        if idxs not in self._spans:
+            d = self.d
+            if not idxs:
+                acc = Fraction(1) if d is None else _span(_elem_vectors(1, 0, d))
+            else:
+                acc, entry = self.span(idxs[:-1]), self.support[idxs[-1]]
+                p = dec(entry["prime"])
+                for _ in range(int(entry["exponent"])):
+                    acc = acc * p[1] if d is None else _ideal_product_span(
+                        [(acc[0], 0), (acc[1], acc[2])], _qid_vectors(p), d)
+            self._spans[idxs] = acc
+        return self._spans[idxs]
+
+    def _class(self, idxs):
+        """The reduced form of a sub-block's ideal (one per class); None,
+        after a failure naming it, when its lattice is not an ideal."""
+        if idxs not in self._classes:
+            form = _form(self.span(idxs), self.d, self.fails, f"block {list(idxs)}")
+            self._classes[idxs] = form and _reduced(*form)
+        return self._classes[idxs]
+
+    def check(self, block):
+        if block in self._checked:
+            return
+        self._checked.add(block)
+        if len(block) < 2:
+            return
+        if self.d is None:
+            self._split_fails(block, block[:1])
+            return
+        principal = (1, 0, -self.d)
+        if self._class(block) != principal:
+            return  # a split of a non-principal block has a non-principal side
+        reached = {}
+        for i in block[:-1]:
+            for part in [(), *reached.values()]:
+                side = part + (i,)
+                cls = self._class(side)
+                if cls is None:
+                    return
+                if cls == principal:
+                    self._split_fails(block, side)
+                    return
+                reached.setdefault(cls, side)
+
+    def _split_fails(self, block, left):
+        right = [i for i in block if i not in left]
+        self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {right}")
+
+
+def _prime_label(p, d):
+    """A decoded support entry as a label equal for equal primes, or None
+    when it is not a prime: over Z (d None) a rational prime; over
+    Z[sqrt(d)] an ideal of prime norm, or pO with p an odd prime inert (d
+    not a square mod p)."""
+    if d is None:
+        x = p[1] if p[0] == "rat" else Fraction(0)
+        return int(x) if x.denominator == 1 and _not_prime(int(x)) is None else None
+    if p[0] != "qid":
+        return None
+    _, _, n, c, m = p
+    if m == 1 and n > 0 and _not_prime(n) is None and (c * c - d) % n == 0:
+        return (n, c % n, 1)
+    if n == m > 2 and c % n == 0 and _not_prime(n) is None and pow(d % n, (n - 1) // 2, n) == n - 1:
+        return (n, 0, n)
+    return None
+
+
+def _verify_factorization(fact, blocks, fails, label=""):
+    """Product, pairs and unit of one factorization over `blocks`' support:
+    each lam and mu lies in the ring (over the fraction field any two
+    nonzero elements are comaximal), each factor generates its block's
+    ideal, the blocks partition the support, and each block is
+    pseudo-irreducible."""
+    d = blocks.d
+    m = len(fact["factors"])
+    unit = dec(fact["unit"])
+    element = dec(fact["element"])
+    pairs = []
+    factors = _comaximal_fails(fact, element, "product of factors times unit differs from the element", fails, label,
+                               unit, each=lambda c, *pair: pairs.append((c, pair)))
+    lam_mu = [(f"{label}pairwise {c['i']},{c['j']} {name}", v)
+              for c, pair in pairs for name, v in zip(("lam", "mu"), pair)]
+    _member_fails(lam_mu, blocks.ring, fails, "is not an integer" if d is None else "does not have integer coordinates")
+    if d is None:
+        if unit[1] not in (1, -1):
+            fails.append(f"{label}unit is not +-1")
+    else:
+        named = [("element", element), ("unit", unit), *((f"factors[{k}]", f) for k, f in enumerate(factors)),
+                 *((f"pairwise {c['i']},{c['j']}", v) for c, pair in pairs for v in pair)]
+        _d_fails(f"{label}ring.d", d, named, fails)
+        if unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
+            fails.append(f"{label}unit does not have norm 1")
+    if fact["support"] != blocks.support:
+        fails.append(f"{label}support differs from the first factorization's")
+        return
+    idxs = [tuple(sorted(b)) for b in fact["blocks"]]
+    if len(idxs) != m or not all(idxs) or sorted(i for b in idxs for i in b) != list(range(len(blocks.support))):
+        fails.append(f"{label}blocks do not partition the support, one per factor")
+        return
+    for k, (f, block) in enumerate(zip(factors, idxs)):
+        if d is None:
+            ok = abs(f[1]) == blocks.span(block)
+        else:
+            xy = _quad_xy(f, f"{label}factors[{k}]", fails)
+            ok = xy is None or _span(_elem_vectors(*xy, d)) == blocks.span(block)
+        if not ok:
+            fails.append(f"{label}factors[{k}] does not generate the ideal of its block {list(block)}")
+        blocks.check(block)
+
+
+def _verify_comax_factor(report):
+    fails = []
+    result = report["result"]
+    entries = result["batch"] if "batch" in result else [result]
+    for n, entry in enumerate(entries):
+        fact = entry["factorization"]
+        _verify_factorization(fact, _Blocks(fact["support"], report["ring"], fails), fails, label=f"[{n}] ")
+    return fails
+
+
+def _verify_factorization_list(facts, name, element, ring, fails):
+    """Each factorization must factor `element` over one shared support, and
+    no two may pick the same blocks."""
+    if ring["family"] != "int":
+        _d_fails("ring.d", int(ring["d"]), [(name, element)], fails)
+    if not facts:
+        fails.append("no factorization is listed")
+        return
+    blocks = _Blocks(facts[0]["support"], ring, fails)
+    seen = set()
+    for n, fact in enumerate(facts):
+        if not v_eq(dec(fact["element"]), element):
+            fails.append(f"[{n}] factorization is of another element")
+        picked = frozenset(tuple(sorted(b)) for b in fact["blocks"])
+        if picked in seen:
+            fails.append(f"[{n}] factorization repeats the blocks of an earlier one")
+        seen.add(picked)
+        _verify_factorization(fact, blocks, fails, label=f"[{n}] ")
+
+
+def _verify_comax_unique(report):
+    fails = []
+    result = report["result"]
+    facts = result["factorizations"]
+    if len(facts) != result["count"]:
+        fails.append("count differs from the factorization list")
+    if report["verdict"] != ("unique" if result["count"] == 1 else "non_unique"):
+        fails.append(f"verdict {report['verdict']!r} does not match the count {result['count']}")
+    _verify_factorization_list(facts, "element", dec(result["element"]), report["ring"], fails)
+    return fails
+
+
+def _verify_comax_hunt(report):
+    fails = []
+    result = report["result"]
+    bound = result["bound"]
+    if bound < 2:
+        fails.append(f"bound {bound} is below 2, so no norm was scanned")
+    if result["witness"] is None:
+        return fails
+    witness = dec(result["witness"])
+    norm = abs(witness[1]) if witness[0] == "rat" else witness[1] ** 2 - int(report["ring"]["d"]) * witness[2] ** 2
+    if norm > bound:
+        fails.append(f"witness norm {norm} exceeds the bound {bound}")
+    facts = result["factorizations"]
+    if len(facts) < 2:
+        fails.append("witness carries fewer than two factorizations")
+    _verify_factorization_list(facts, "witness", witness, report["ring"], fails)
+    return fails
+
+
+def _verify_pullback_reduce(report):
+    fails = []
+    result = report["result"]
+    base = report["ring"]["base"]
+    a, b, r = dec(result["a"]), dec(result["b"]), dec(result["witness"])
+    f, s = (a, b) if result["orientation"] == "ab" else (b, a)
+    _idempotent_fails(f, s, r, fails, "witness identity fails")
+    pair, values = result["base_pair"], [_rf_value0(f), _rf_value0(s)]
+    if result["case"] != "base_reduction":
+        if pair is not None:
+            fails.append("base_pair is set outside a base reduction")
+    elif pair is None or len(pair) != 2 or None in values or not all(map(v_eq, map(dec, pair), values)):
+        fails.append("base_pair is not the values at Y=0 of the oriented pair")
+    if base["family"] == "quad":
+        d = int(base["d"])
+        named = [(k, dec(result[k])) for k in ("a", "b", "witness", "generator", "qa", "qb", "ca", "cb")
+                 if result.get(k) is not None]
+        named += [(f"base_pair[{k}]", dec(e)) for k, e in enumerate(pair or ())]
+        _d_fails("ring.base.d", d, named, fails)
+    if result["status"] == "base_non_principal":
+        if base["family"] != "quad":
+            fails.append(f"base_non_principal claimed over the principal ideal domain {base['family']}")
+            return fails
+        av, bv = dec(pair[0]), dec(pair[1])
+        vecs = []
+        for k, e in enumerate((av, bv)):
+            xy = _quad_xy(e, f"base_pair[{k}]", fails)
+            if xy is None:
+                return fails
+            if any(xy):
+                vecs += _elem_vectors(*xy, d)
+        _nonprincipal_fails(_span(vecs), d, fails, "the ideal of base_pair")
+        return fails
+    g = dec(result["generator"])
+    qa, qb = dec(result["qa"]), dec(result["qb"])
+    ca, cb = dec(result["ca"]), dec(result["cb"])
+    if not v_eq(v_mul(g, qa), a):
+        fails.append("generator*qa != a")
+    if not v_eq(v_mul(g, qb), b):
+        fails.append("generator*qb != b")
+    if not v_eq(v_add(v_mul(ca, a), v_mul(cb, b)), g):
+        fails.append("ca*a + cb*b != generator")
+    named = [(name, dec(result[name])) for name in ("generator", "qa", "qb", "ca", "cb")]
+    _member_fails(named, report["ring"], fails, "is not a member of the pullback (value at 0)")
+    return fails
+
+
+def _verify_pullback_nonufd(report):
+    fails = []
+    result = report["result"]
+    z = dec(result["z"])
+    dconst = dec(result["d"])
+    chain = [dec(e) for e in result["chain"]]
+    if not len(chain) == result["n"] >= 1:
+        fails.append(f"chain length {len(chain)} is not n = {result['n']} >= 1")
+    acc = v_one_like(z)
+    for k, e in enumerate(chain, start=1):
+        acc = v_mul(acc, dconst)
+        if not v_eq(v_mul(e, acc), z):
+            fails.append(f"chain element {k} times d^{k} differs from z")
+        val = _rf_value0(e)
+        if val is None or not v_is_zero(val):  # zero lies in every base
+            fails.append(f"chain element {k} is not in the maximal ideal")
+    return fails
+

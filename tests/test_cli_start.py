@@ -1,6 +1,7 @@
 """A call's start: `cli._read` against argparse, and the modules a call
 loads."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -198,20 +199,26 @@ def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version
 
 # ------------------------------------------------------ modules a call loads
 
-BASE = ["cli", "core", "exprparse", "rational", "recheck", "report", "rings"]
+BASE = ["cli", "core", "rational", "recheck", "recheck.values", "report", "rings"]
 
+# the one verifier part each group's report needs
+PART = {"idem": "recheck.orders", "ideal": "recheck.orders", "comax": "recheck.orders", "pullback": "recheck.orders",
+        "mring": "recheck.examples", "limitring": "recheck.examples", "polyext": "recheck.examples",
+        "sphere": "recheck.examples"}
 
+# argv, and the modules past BASE that its call runs: its family modules,
+# its verifier part, and exprparse for an element or y-polynomial operand
 CALLS = {
-    "idem": (["idem", "check", "-2", "-3"], ["idem"]),
-    "ideal": (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring"]),
-    "comax": (["comax", "unique", "60"], ["comax"]),
-    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring"]),
-    "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring"]),
+    "idem": (["idem", "check", "-2", "-3"], ["idem", "exprparse", "recheck.orders"]),
+    "ideal": (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring", "exprparse", "recheck.orders"]),
+    "comax": (["comax", "unique", "60"], ["comax", "exprparse", "recheck.orders"]),
+    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring", "exprparse", "recheck.orders"]),
+    "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring", "recheck.examples"]),
     # a flag's value after "=" is plain grammar too
-    "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"], ["monoidring"]),
-    "limitring": (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring"]),
-    "polyext": (["polyext", "counterexample", "--alpha", "2*y"], ["polyext"]),
-    "sphere": (["sphere", "projector"], ["sphere"]),
+    "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"], ["monoidring", "recheck.examples"]),
+    "limitring": (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring", "recheck.examples"]),
+    "polyext": (["polyext", "counterexample", "--alpha", "2*y"], ["polyext", "exprparse", "recheck.examples"]),
+    "sphere": (["sphere", "projector"], ["sphere", "recheck.examples"]),
 }
 
 
@@ -233,7 +240,10 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
-    assert res.stderr == repr((0, [], sorted(BASE + families)))
+    code, loaded, ran = ast.literal_eval(res.stderr)
+    assert (code, loaded, ran) == (0, [], sorted(BASE + families))
+    # of the two verifier parts, only the one its group needs ran
+    assert {"recheck.orders", "recheck.examples"} & set(ran) == {PART[argv[0]]}
 
 
 @pytest.mark.parametrize("s,stdlib", [("1/2", False), ("0.5", True), (" 1/2", True)])

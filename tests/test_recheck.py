@@ -7,6 +7,7 @@ import copy
 import fractions
 import io
 import json
+import re
 import time
 from math import gcd
 from pathlib import Path
@@ -19,25 +20,42 @@ from hypothesis import strategies as st
 import princlab
 from fraction_ref import exponent_past_the_bound, fraction_lift, fraction_mul, std, strip
 from princlab import core, recheck
+from princlab.recheck import examples, orders, values
 from princlab.rational import Fraction
 
-RECHECK_SOURCE = Path(recheck.__file__).read_text()
+RECHECK_SOURCES = {path.stem: path.read_text() for path in Path(recheck.__file__).parent.glob("*.py")}
+RECHECK_PARTS = {"values", "orders", "examples"}
 
 
-def test_recheck_imports_only_the_two_shared_routines():
-    # read the source, not the loaded module: an import inside a function
-    # counts as much as one at the top
+def test_recheck_imports_only_the_shared_rational_type():
+    # read every module's source, not the loaded modules: an import inside a
+    # function counts as much as one at the top.  From princlab a module may
+    # import only rational's Fraction and parser, and the package's own parts
+    assert set(RECHECK_SOURCES) == RECHECK_PARTS | {"__init__"}
     found = []
-    for node in ast.walk(ast.parse(RECHECK_SOURCE)):
-        if isinstance(node, ast.ImportFrom):
-            package = node.level > 0 or (node.module or "").split(".")[0] == princlab.__name__
-            if package:
-                found.append((node.level, node.module, tuple(a.name for a in node.names)))
-        elif isinstance(node, ast.Import):
-            found += [(0, a.name, ()) for a in node.names if a.name.split(".")[0] == princlab.__name__]
-        elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
-            found.append((0, node.id, ()))
-    assert found == [(1, "core", ("hnf2_with_transform",)), (1, "rational", ("Fraction", "_parse"))]
+    for name, source in sorted(RECHECK_SOURCES.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                package = node.level > 0 or (node.module or "").split(".")[0] == princlab.__name__
+                own = node.level == 1 and (node.module in RECHECK_PARTS or node.module is None
+                                           and {a.name for a in node.names} <= RECHECK_PARTS)
+                if package and not own:
+                    found.append((name, node.level, node.module, tuple(a.name for a in node.names)))
+            elif isinstance(node, ast.Import):
+                found += [(name, 0, a.name, ()) for a in node.names if a.name.split(".")[0] == princlab.__name__]
+            elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
+                found.append((name, 0, node.id, ()))
+    assert found == [("examples", 2, "rational", ("Fraction",)), ("orders", 2, "rational", ("Fraction",)),
+                     ("values", 2, "rational", ("Fraction", "_parse"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=6))
+def test_recheck_span_matches_the_producer_hermite_form(vectors):
+    # a lattice has one such basis, so recheck's reduction and the
+    # producer's core.hnf2_with_transform agree on every span, rank below 2 too
+    (n, _), (c, m), _, _ = core.hnf2_with_transform(vectors)
+    assert orders._span(vectors) == (n, c, m)
 
 
 big = st.sampled_from([2**63, 2**64 - 1, 2**127, 2**300])
@@ -54,12 +72,12 @@ def test_lim_and_poly_arithmetic_match_fraction_loops(a, b, la, lb):
     n = max(la, lb)
     # the reference runs on the stdlib's Fractions
     lifted_a, lifted_b = fraction_lift(std(a), n - la), fraction_lift(std(b), n - lb)
-    lifted = recheck._lim_lift(("lim", la, a), n)
+    lifted = values._lim_lift(("lim", la, a), n)
     assert lifted[:2] == ("lim", n) and std(lifted[2]) == lifted_a
-    product = recheck.v_mul(("lim", la, a), ("lim", lb, b))
+    product = values.v_mul(("lim", la, a), ("lim", lb, b))
     assert product[:2] == ("lim", n) and std(product[2]) == fraction_mul(lifted_a, lifted_b)
     pa, pb = ("poly", tuple(("rat", c) for c in a)), ("poly", tuple(("rat", c) for c in b))
-    product = recheck.v_mul(pa, pb)
+    product = values.v_mul(pa, pb)
     assert product[0] == "poly" and all(tag == "rat" for tag, _ in product[1])
     assert std(c for _, c in product[1]) == fraction_mul(std(a), std(b))
 
@@ -102,22 +120,22 @@ mon_terms = st.lists(st.tuples(exponents, rationals), max_size=6).map(tuple)
 def test_mon_product_matches_a_fraction_loop(a, b):
     # a "mon" value holds integer exponents over one denominator and integer
     # coefficients over another; repeated terms merge when it is built
-    va, vb = recheck._mon_of(a), recheck._mon_of(b)
+    va, vb = values._mon_of(a), values._mon_of(b)
     assert mon_terms_of(va) == fraction_mon_mul(a, ((Fraction(0), Fraction(1)),))
-    prod = recheck.v_mul(va, vb)
+    prod = values.v_mul(va, vb)
     assert mon_terms_of(prod) == fraction_mon_mul(a, b)
-    assert mon_normal(prod) and prod == recheck._mon_of(fraction_mon_mul(a, b))
+    assert mon_normal(prod) and prod == values._mon_of(fraction_mon_mul(a, b))
 
 
 def test_sparse_mon_product_stays_sparse():
     sparse_terms = ((Fraction(1, 2**20), Fraction(1)), (Fraction(10**6), Fraction(1)))
     dense_terms = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
-    sparse, dense = recheck._mon_of(sparse_terms), recheck._mon_of(dense_terms)
+    sparse, dense = values._mon_of(sparse_terms), values._mon_of(dense_terms)
     # both on the exponent denominator 2^20
     dense_grid = [(e * 2**20, c) for e, c in dense[3]]
-    assert recheck._mon_imul(list(sparse[3]), dense_grid) is None
-    assert mon_terms_of(recheck.v_mul(sparse, dense)) == fraction_mon_mul(sparse_terms, dense_terms)
-    assert recheck._mon_norm(1, 1, recheck._mon_imul(dense[3], dense[3])) == recheck.v_mul(dense, dense)
+    assert values._mon_imul(list(sparse[3]), dense_grid) is None
+    assert mon_terms_of(values.v_mul(sparse, dense)) == fraction_mon_mul(sparse_terms, dense_terms)
+    assert values._mon_norm(1, 1, values._mon_imul(dense[3], dense[3])) == values.v_mul(dense, dense)
 
 
 def parse_outcome(fn, s):
@@ -138,14 +156,14 @@ def test_rational_leaves_decode_as_fraction_parses_them(s):
     # 10**exponent for an exponent past the bound
     if exponent_past_the_bound(s):
         with pytest.raises(ValueError, match="passes 4300 in magnitude"):
-            recheck._q(s)
+            values._q(s)
         return
 
     def pair(f):
         return f.numerator, f.denominator
 
     want = parse_outcome(lambda s: pair(fractions.Fraction(s)), s)
-    assert parse_outcome(lambda s: pair(Fraction(*recheck._q(s))), s) == want
+    assert parse_outcome(lambda s: pair(Fraction(*values._q(s))), s) == want
 
 
 def per_term_membership(v, ring, label):
@@ -156,11 +174,11 @@ def per_term_membership(v, ring, label):
     for e, c in mon_terms_of(v):
         if not ring["monoid"]["group"] and e < 0:
             fails.append(f"{label}: negative exponent outside group mode")
-        if recheck._strip(e.denominator, primes) != 1:
+        if values._strip(e.denominator, primes) != 1:
             fails.append(f"{label}: exponent {e} outside the denominator lattice")
         if base["family"] == "int" and c.denominator != 1:
             fails.append(f"{label}: coefficient {c} outside Z")
-        if base["family"] == "zloc" and recheck._strip(c.denominator, [int(p) for p in base["primes"]]) != 1:
+        if base["family"] == "zloc" and values._strip(c.denominator, [int(p) for p in base["primes"]]) != 1:
             fails.append(f"{label}: coefficient {c} outside the localized base")
     return fails
 
@@ -181,9 +199,9 @@ member_terms = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(ring=mon_rings, terms=member_terms)
 def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
-    v = recheck._mon_of(terms)
+    v = values._mon_of(terms)
     fails = []
-    recheck._mon_in_ring(v, ring, fails, "lam")
+    values._mon_in_ring(v, ring, fails, "lam")
     assert fails == per_term_membership(v, ring, "lam")
 
 
@@ -322,7 +340,73 @@ def test_recheck_and_the_producer_agree_on_which_degrees_leave_a_subring():
                 closed = True
             except SubringError:
                 closed = False
-            assert (recheck._subring_fails(set(excluded)) == []) == closed, excluded
+            assert (examples._subring_fails(set(excluded)) == []) == closed, excluded
+
+
+def semigroup_gaps(gens):
+    """The gaps of the numerical semigroup the generators (gcd 1) span."""
+    bound = min(gens) * max(gens)  # past the Frobenius number
+    spanned = bytearray(bound)
+    spanned[0] = 1
+    for n in range(1, bound):
+        spanned[n] = any(n >= g and spanned[n - g] for g in gens)
+    return {n for n in range(bound) if not spanned[n]}
+
+
+def pair_walk(excluded):
+    """Whether the degrees outside `excluded` are closed under +, by the walk
+    over every pair of them below the largest excluded degree."""
+    top = max(excluded, default=0)
+    left = [i for i in range(1, top) if i not in excluded]
+    return not any(i + j in excluded for i in left for j in left if i <= j)
+
+
+closed_sets = st.lists(st.integers(2, 12), min_size=1, max_size=3).map(lambda g: semigroup_gaps(g + [g[0] + 1]))
+excluded_sets = st.one_of(
+    st.sets(st.integers(1, 40), max_size=25),
+    closed_sets,
+    # a closed set with one degree added or taken out
+    st.tuples(closed_sets, st.integers(1, 60)).map(lambda t: t[0] ^ {t[1]}),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(excluded=excluded_sets)
+def test_the_multiplicity_closure_checks_decide_as_the_pair_walk_does(excluded):
+    # the producer and recheck check closure through the least degree left
+    # and the least degree left of each class mod it; a pair either names
+    # must be two degrees left whose sum is excluded
+    from princlab.polyext import SubringDesc, SubringError
+
+    closed = pair_walk(excluded)
+    if closed and excluded:
+        # a numerical semigroup's largest gap is below twice its number of gaps
+        assert max(excluded) < 2 * len(excluded)
+    try:
+        SubringDesc(excluded)
+        failures = []
+    except SubringError as exc:
+        failures = [str(exc)]
+    failures += examples._subring_fails(set(excluded))
+    assert len(failures) == (0 if closed else 2)
+    for failure in failures:
+        named = re.search(r"(\d+) \+ (\d+) is excluded$", failure)
+        if named:
+            i, j = map(int, named.groups())
+            assert i not in excluded and j not in excluded and i + j in excluded
+
+
+def test_the_closure_checks_of_a_semigroup_with_many_gaps_take_under_a_second():
+    # <200, 201> has 19,900 gaps up to 39,799: the pair walk took seconds
+    from princlab.polyext import SubringDesc
+
+    excluded = semigroup_gaps([200, 201])
+    assert (len(excluded), max(excluded)) == (19900, 39799)
+    start = time.perf_counter()
+    SubringDesc(excluded)
+    produced = time.perf_counter()
+    assert examples._subring_fails(excluded) == []
+    assert produced - start < 1 and time.perf_counter() - produced < 1
 
 
 @pytest.mark.parametrize("name", ["polyext_counterexample", "polyext_witness"])
@@ -431,14 +515,14 @@ def test_not_prime_is_exact():
     for p in range(2, 142):
         if sieve[p]:
             sieve[p * p::p] = [False] * len(range(p * p, 20000, p))
-    assert [n for n in range(20000) if recheck._not_prime(n) is None] == [n for n in range(20000) if sieve[n]]
+    assert [n for n in range(20000) if values._not_prime(n) is None] == [n for n in range(20000) if sieve[n]]
     # strong pseudoprimes to the bases 2..7 and 2..23, a Carmichael number,
     # two Mersenne primes, and one past the proven range
-    assert recheck._not_prime(3215031751).startswith("is composite")
-    assert recheck._not_prime(3825123056546413051).startswith("is composite")
-    assert recheck._not_prime(561 * 1000003).startswith("is composite")
-    assert recheck._not_prime(2**61 - 1) is None and recheck._not_prime(2**31 - 1) is None
-    assert recheck._not_prime(2**89 - 1) == "is too large to prove prime"
+    assert values._not_prime(3215031751).startswith("is composite")
+    assert values._not_prime(3825123056546413051).startswith("is composite")
+    assert values._not_prime(561 * 1000003).startswith("is composite")
+    assert values._not_prime(2**61 - 1) is None and values._not_prime(2**31 - 1) is None
+    assert values._not_prime(2**89 - 1) == "is too large to prove prime"
 
 
 @pytest.mark.parametrize("name", ["ideal_principal_quad26", "ideal_non_principal_quad26"])
@@ -457,10 +541,10 @@ def test_every_leaf_of_the_reduction_certificate_is_checked(name, path):
 @pytest.mark.parametrize("d,x,y", [(-5, 2, 1), (-26, 1, 1), (-26, 20, 5), (-1, 3, 4)])
 def test_a_principal_ideal_fails_a_non_principal_claim(d, x, y):
     fails = []
-    recheck._nonprincipal_fails(recheck._span(recheck._elem_vectors(x, y, d)), d, fails, "I")
+    orders._nonprincipal_fails(orders._span(orders._elem_vectors(x, y, d)), d, fails, "I")
     assert fails == [f"I: claimed non-principal, but its form reduces to (1, 0, {-d})"]
     fails = []
-    recheck._nonprincipal_fails(recheck._span(recheck._elem_vectors(3, 0, -26) + recheck._elem_vectors(1, 1, -26)),
+    orders._nonprincipal_fails(orders._span(orders._elem_vectors(3, 0, -26) + orders._elem_vectors(1, 1, -26)),
                                 -26, fails, "I")
     assert fails == []
 
@@ -512,7 +596,7 @@ def test_the_class_walk_decides_every_block_as_its_splits_do():
     report = json.loads((GOLDEN / "comax_non_unique_quad26.out").read_text())
     support = report["result"]["factorizations"][0]["support"]
     support = support + support[:3]
-    blocks = recheck._Blocks(support, report["ring"], [])
+    blocks = orders._Blocks(support, report["ring"], [])
     principal = (1, 0, 26)
     for mask in range(1, 1 << len(support)):
         block = tuple(i for i in range(len(support)) if mask >> i & 1)
@@ -642,7 +726,7 @@ def test_a_comax_support_entry_must_be_a_prime_ideal():
     ((3, 0, 1), False),   # not an ideal
 ])
 def test_prime_labels_of_z_sqrt_minus_5(basis, prime):
-    assert (recheck._prime_label(("qid", -5, *basis), -5) is not None) == prime
+    assert (orders._prime_label(("qid", -5, *basis), -5) is not None) == prime
 
 
 def test_a_comax_support_over_z_lists_distinct_primes():
@@ -657,8 +741,8 @@ def test_support_primes_are_proven_up_to_the_producers_bound():
     # comax refuses a support prime at or above core._MR_BOUND, the bound
     # below which recheck's Miller-Rabin is exact
     below, above = sympy.prevprime(core._MR_BOUND), sympy.nextprime(core._MR_BOUND)
-    assert recheck._prime_label(("rat", Fraction(below)), None) == below
-    assert recheck._prime_label(("rat", Fraction(above)), None) is None
+    assert orders._prime_label(("rat", Fraction(below)), None) == below
+    assert orders._prime_label(("rat", Fraction(above)), None) is None
 
 
 def test_the_comax_verdict_is_tied_to_its_count():
@@ -683,7 +767,7 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
     # a decoded value: no trailing zero, ints when every coefficient is one
     cs = strip(cs)
     cs = tuple(map(int, cs)) if all(Fraction(c).denominator == 1 for c in cs) else tuple(map(Fraction, cs))
-    lifted = recheck._lim_lift(("lim", level, cs), level + k)
+    lifted = values._lim_lift(("lim", level, cs), level + k)
     assert lifted[:2] == ("lim", level + k)
     assert std(lifted[2]) == strip(fraction_lift(std(map(Fraction, cs)), k))
     # ints exactly when every coefficient is an integer
@@ -694,23 +778,26 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
 
 
 def _leaf(v):
-    """A decoded "rat", "quad" or "lim" value as a report leaf."""
+    """A decoded "rat", "quad", "lim" or "mon" value as a report leaf."""
     if v[0] == "rat":
         return {"type": "rat", "value": str(v[1])}
     if v[0] == "quad":
         return {"type": "quad", "x": str(v[1]), "y": str(v[2]), "d": str(v[3])}
+    if v[0] == "mon":
+        _, den, cden, terms = v
+        return {"type": "monoid", "terms": [[str(Fraction(e, den)), _leaf(("rat", Fraction(c, cden)))] for e, c in terms]}
     return {"type": "limit", "level": v[1], "coeffs": [{"type": "rat", "value": str(c)} for c in v[2]]}
 
 
-def forge_first_pair(cert):
-    """Replace pair (0, 1) by (lam + f_1/2, mu - f_0/2): lam*f_0 + mu*f_1 is
-    still 1, but over the fraction field, where every two nonzero elements
-    are comaximal."""
-    pair = cert["pairwise"][0]
-    f0, f1 = (recheck.dec(f) for f in cert["factors"][:2])
-    half = ("rat", Fraction(1, 2))
-    pair["lam"] = _leaf(recheck.v_add(recheck.dec(pair["lam"]), recheck.v_mul(half, f1)))
-    pair["mu"] = _leaf(recheck.v_sub(recheck.dec(pair["mu"]), recheck.v_mul(half, f0)))
+def forge_pair(cert, k=0, by=Fraction(1, 2)):
+    """Replace pairwise entry k, for the pair (i, j), by (lam + by*f_j, mu -
+    by*f_i): lam*f_i + mu*f_j is still 1, but over the fraction field, where
+    every two nonzero elements are comaximal."""
+    pair = cert["pairwise"][k]
+    fi, fj = (values.dec(cert["factors"][pair[key]]) for key in ("i", "j"))
+    by = ("rat", by)
+    pair["lam"] = _leaf(values.v_add(values.dec(pair["lam"]), values.v_mul(by, fj)))
+    pair["mu"] = _leaf(values.v_sub(values.dec(pair["mu"]), values.v_mul(by, fi)))
 
 
 @pytest.mark.parametrize("argv,cert,failures", [
@@ -730,8 +817,35 @@ def test_a_bezout_certificate_outside_the_ring_fails(argv, cert, failures):
         cli.main(list(argv))
     report = json.loads(out.getvalue())
     assert recheck.verify_report(report) == []
-    forge_first_pair(cert(report["result"]))
+    forge_pair(cert(report["result"]))
     assert recheck.verify_report(report) == failures
+
+
+@pytest.mark.parametrize("name,failures", [
+    ("mring_chain_m7_zhalf", ["Bezout certificate for pair 0,5 fails", "m is 8, but the chain has 7 factors",
+                              "lam: coefficient 5/6 outside the localized base",
+                              "lam: coefficient 1/3 outside the localized base",
+                              "mu: coefficient 1/6 outside the localized base",
+                              "mu: coefficient 1/3 outside the localized base"]),
+    ("limitring_chain_m6_z", ["Bezout certificate for pair 0,5 fails", "m is 7, but the chain has 6 factors",
+                              "pairwise 0,2 lam coefficients leave Z", "pairwise 0,2 mu coefficients leave Z"]),
+])
+def test_pair_by_pair_checks_keep_the_failure_list(name, failures):
+    # pair 0,2 leaves the ring (over Z[1/2] and Z, a third does not lie in
+    # the base), pair 0,5, later in the list, breaks its Bezout identity, and
+    # m is off by one: the pair walk checks membership as it decodes each
+    # pair, yet the failures come in the order they came when every pair was
+    # decoded before any was checked
+    def mutate(report):
+        report["result"]["m"] += 1
+        pairs = report["result"]["pairwise"]
+        assert [(pairs[k]["i"], pairs[k]["j"]) for k in (1, 4)] == [(0, 2), (0, 5)]
+        forge_pair(report["result"], 1, Fraction(1, 3))
+        lam = pairs[4]["lam"]
+        leaf = lam["terms"][0][1] if lam["type"] == "monoid" else lam["coeffs"][0]
+        leaf["value"] = plus_one(leaf["value"])
+
+    assert golden_fails(name, mutate) == failures
 
 
 # ------------------------------------------------ negative idem verdicts
