@@ -455,10 +455,6 @@ class Poly(RingElem):
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -530,12 +526,6 @@ class Poly(RingElem):
     def __truediv__(self, c):
         # division by a nonzero coefficient-field scalar
         return Poly(tuple(_coeff_div(a, c) for a in self.coeffs))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return Poly((0,) * k + self.coeffs)
 
     def eval(self, x):
         acc = 0

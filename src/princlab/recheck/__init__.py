@@ -27,45 +27,53 @@ loads the lattice and class-group code.
 
 from __future__ import annotations
 
-# command -> the part that holds its verifier, `_verify_<group>_<name>` with
-# "-" read as "_"; None for a command that echoes a value and claims nothing
+def _pair(result):
+    return "not_idempotent_pair" if result["pair"] is None else "idempotent_pair"
+
+
+# command -> (the part that holds its verifier, `_verify_<group>_<name>` with
+# "-" read as "_", or None for a command that echoes a value and claims
+# nothing; the verdict its result gives, fixed or a function of the result)
 _VERIFIERS = {
-    "idem check": "orders",
-    "idem matrix": "orders",
-    "idem from-ideal": "orders",
-    "ideal frompair": "orders",
-    "ideal mul": "orders",
-    "ideal invertible": "orders",
-    "ideal principal": "orders",
-    "ideal factor": "orders",
-    "comax factor": "orders",
-    "comax unique": "orders",
-    "comax hunt": "orders",
-    "pullback reduce": "orders",
-    "pullback nonufd": "orders",
-    "mring split": "examples",
-    "mring chain": "examples",
-    "mring juett": "examples",
-    "limitring chain": "examples",
-    "limitring eval": None,
-    "polyext witness": "examples",
-    "polyext counterexample": "examples",
-    "sphere projector": "examples",
-    "sphere reduce": None,
+    "idem check": ("orders", _pair),
+    "idem matrix": ("orders", _pair),
+    "idem from-ideal": ("orders", lambda r: "not_invertible" if r.get("pair") is None else "pair_derived"),
+    "ideal frompair": ("orders", "normal_form"),
+    "ideal mul": ("orders", "product"),
+    "ideal invertible": ("orders", lambda r: "invertible" if r["invertible"] else "not_invertible"),
+    "ideal principal": ("orders", lambda r: r["status"]),
+    "ideal factor": ("orders", "factored"),
+    "comax factor": ("orders", "factored"),
+    "comax unique": ("orders", lambda r: "unique" if r["count"] == 1 else "non_unique"),
+    "comax hunt": ("orders", lambda r: "no_witness" if r["witness"] is None else "witness_found"),
+    "pullback reduce": ("orders", lambda r: r["status"]),
+    "pullback nonufd": ("orders", "chain"),
+    "mring split": ("examples", "split"),
+    "mring chain": ("examples", "chain"),
+    "mring juett": ("examples", "split"),
+    "limitring chain": ("examples", "chain"),
+    "limitring eval": (None, "value"),
+    "polyext witness": ("examples", lambda r: "witness" if r["witness"] else "not_a_witness"),
+    "polyext counterexample": ("examples", "non_principal_pair"),
+    "sphere projector": ("examples", "projector"),
+    "sphere reduce": (None, "reduced"),
 }
 
 
 def verify_report(report: dict) -> list[str]:
     """Re-derive every certificate in the report; returns failure messages
-    (empty means everything re-checked).  A ring whose primes fail
-    `values._ring_prime_fails` fails here, before any routine reads a
-    value."""
+    (empty means everything re-checked).  Three checks run before the
+    command's verifier.  The ring's primes (`values._ring_prime_fails`) and
+    the d of every Z[sqrt(d)] value (`values._ring_d_fails`) end the check
+    when they fail, before any routine reads a value.  The verdict must be
+    the one `_VERIFIERS` gives for the result; a mismatch is named, and the
+    verifier still runs."""
     command = report.get("command")
     if command not in _VERIFIERS:
         return [f"no recheck routine for command {command!r}"]
     from . import values
 
-    part = _VERIFIERS[command]
+    part, rule = _VERIFIERS[command]
     if part == "orders":
         from . import orders as part
     elif part == "examples":
@@ -73,9 +81,11 @@ def verify_report(report: dict) -> list[str]:
     verify = part and getattr(part, "_verify_" + command.replace(" ", "_").replace("-", "_"))
     try:
         ring = report["ring"]
-        if ring is not None and (fails := values._ring_prime_fails(ring)):
+        if ring is not None and (fails := values._ring_prime_fails(ring) or values._ring_d_fails(report)):
             return fails
-        return verify(report) if verify else []
+        verdict, want = report["verdict"], rule if type(rule) is str else rule(report["result"])
+        fails = [] if verdict == want else [f"verdict {verdict!r} is not the {want!r} its result gives"]
+        return fails + (verify(report) if verify else [])
     except Exception as exc:  # a malformed report must fail loudly, not crash
         return [f"recheck aborted: {type(exc).__name__}: {exc}"]
     finally:

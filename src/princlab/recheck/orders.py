@@ -10,22 +10,18 @@ neither b | a(1 - a) nor a | b(1 - b) (`_divides`), and over Z and Q[X]
 verdicts carry no certificate and are not checked.  `_omega_fails` checks
 omega-stability and `_Blocks` multiplies prime powers.  `_quad_xy` reads
 the coordinates of a Z[sqrt(d)] element and fails one that is not
-integral, where `int()` would truncate a Fraction to another element, and
-`_d_fails` ties every Z[sqrt(d)] value to the d its report's ring names
-(through `_ring_d_fails` for the idem reports, whose ring may be
-Z[sqrt(d)] or a pullback over it).  Every non-principal claim (`ideal
-principal`, `pullback reduce` bases) is checked by `_nonprincipal_fails`:
-the ideal's binary quadratic form must not reduce to (1, 0, -d), with its
-own reduction `_reduced`.
+integral, where `int()` would truncate a Fraction to another element.
+Every non-principal claim (`ideal principal`, `pullback reduce` bases) is
+checked by `_nonprincipal_fails`: the ideal's binary quadratic form must
+not reduce to (1, 0, -d), with its own reduction `_reduced`.
 
 Recheck ties each comax factor to its block and decides itself whether
 the block splits into two principal blocks (`_Blocks`), by walking the
 ideal classes its sub-blocks reach.  The factorizations of one report must
 share one support, so each distinct block is checked once per report.  The
 support lists distinct primes (`_prime_label`): over Z rational primes,
-over Z[sqrt(d)] ideals of prime norm or pO with p inert.  A `comax unique`
-verdict is `unique` exactly when its count is 1; that its list of
-factorizations is complete is not certified.
+over Z[sqrt(d)] ideals of prime norm or pO with p inert.  That the list of
+factorizations of `comax unique` is complete is not certified.
 
 Fields that only restate another are tied to it: an idempotent pair's
 members to the report's a and b (and a derived pair's orientation to
@@ -110,27 +106,6 @@ def _omega_fails(q, d, fails):
         wx, wy = x + d * y, x + y
         if wx % 2 or wy % 2 or not _contains(q, wx // 2, wy // 2):
             fails.append("claimed omega-stability fails on a basis vector")
-
-
-def _quad_ds(v):
-    """The d of every Z[sqrt(d)] element and ideal inside a decoded value."""
-    tag = v[0]
-    if tag == "quad":
-        return {v[3]}
-    if tag == "qid":
-        return {v[1]}
-    if tag == "rf":
-        return _quad_ds(v[1]) | _quad_ds(v[2])
-    if tag == "poly":
-        return set().union(*map(_quad_ds, v[1]))
-    return set()
-
-
-def _d_fails(where, d, values, fails):
-    """Each named decoded value must live over the d the ring claims."""
-    for name, v in values:
-        for other in sorted(_quad_ds(v) - {d}):
-            fails.append(f"{where} is {d}, but {name} has d = {other}")
 
 
 # ------------------------------------------ binary quadratic forms (d < 0)
@@ -219,24 +194,13 @@ def _not_a_pair_fails(report):
     again from a and b: neither b | a(1-a) nor a | b(1-b).  Over the other
     rings the verdict carries no certificate and is not checked."""
     ring, result = report["ring"], report["result"]
-    fails = [] if result["pair"] is None else ["a not_idempotent_pair report carries a pair"]
     if ring["family"] not in ("int", "quad", "qpoly"):
-        return fails
-    a, b = dec(result["a"]), dec(result["b"])
-    outside = []
-    _ring_d_fails(ring, (("a", a), ("b", b)), outside)
-    _member_fails((("a", a), ("b", b)), ring, outside)
-    if not outside and any(_divides(s, v_mul(f, v_sub(v_one_like(f), f)), ring) for f, s in ((a, b), (b, a))):
+        return []
+    a, b, fails = dec(result["a"]), dec(result["b"]), []
+    _member_fails((("a", a), ("b", b)), ring, fails)
+    if not fails and any(_divides(s, v_mul(f, v_sub(v_one_like(f), f)), ring) for f, s in ((a, b), (b, a))):
         fails.append("a and b form an idempotent pair")
-    return fails + outside
-
-
-def _ring_d_fails(ring, named, fails):
-    """Over Z[sqrt(d)], or a pullback over it, each named decoded value must
-    live over the d the ring names."""
-    for where, r in (("ring.d", ring), ("ring.base.d", ring.get("base"))):
-        if r is not None and r["family"] == "quad":
-            _d_fails(where, int(r["d"]), named, fails)
+    return fails
 
 
 def _pair_identity(report, fails):
@@ -244,7 +208,6 @@ def _pair_identity(report, fails):
     a, b = dec(result["a"]), dec(result["b"])
     pair = result["pair"]
     pa, pb, r = dec(pair["a"]), dec(pair["b"]), dec(pair["witness"])
-    _ring_d_fails(report["ring"], (("a", a), ("b", b), ("pair a", pa), ("pair b", pb), ("pair witness", r)), fails)
     if not (v_eq(pa, a) and v_eq(pb, b)):
         fails.append("pair members differ from a and b")
     _member_fails((("a", a), ("b", b), ("pair witness", r)), report["ring"], fails)
@@ -284,20 +247,18 @@ def _complement(result, f, s, ring, fails):
 
 
 def _verify_idem_check(report):
-    if report["verdict"] == "not_idempotent_pair":
+    result, fails = report["result"], []
+    if result["pair"] is None:
         return _not_a_pair_fails(report)
-    fails = []
-    result = report["result"]
     a, b, f, s, r = _pair_identity(report, fails)
     _complement(result, f, s, report["ring"], fails)
     return fails
 
 
 def _verify_idem_matrix(report):
-    if report["verdict"] == "not_idempotent_pair":
+    result, fails = report["result"], []
+    if result["pair"] is None:
         return _not_a_pair_fails(report)
-    fails = []
-    result = report["result"]
     _, _, f, s, r = _pair_identity(report, fails)
     m = [[dec(e) for e in row] for row in result["matrix"]]
     one = v_one_like(f)
@@ -314,7 +275,7 @@ def _verify_idem_from_ideal(report):
     fails = []
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
-    if report["verdict"] == "not_invertible":
+    if result.get("pair") is None:
         # over Z and Q[X], principal ideal domains, only (0, 0) is not
         # invertible; over Z[sqrt(d)] the verdict carries no certificate
         if report["ring"]["family"] in ("int", "qpoly"):
@@ -337,33 +298,14 @@ def _verify_idem_from_ideal(report):
         fails.append("derived witness is not mu*a")
     # lam and mu lie in the inverse ideal, not the ring; what they derive must
     named = (("a", a), ("b", b), ("derived pair a", pa), ("derived pair b", pb), ("derived witness", wit))
-    _ring_d_fails(report["ring"], named, fails)
     _member_fails(named, report["ring"], fails)
     _idempotent_fails(pa, pb, wit, fails, "derived pair fails its defining relation")
     _complement(result, pa, pb, report["ring"], fails)
     return fails
 
 
-def _ring_d(report, *keys):
-    """The d of an `ideal` report's ring, after checking that the values
-    under `keys` in its result (elements, ideals, lists of them, or the
-    prime ideals of a factor list) all live over it."""
-    d = int(report["ring"]["d"])
-    result = report["result"]
-    values = []
-    for key in keys:
-        v = result[key]
-        if isinstance(v, list):
-            values += [(f"{key}[{k}]", dec(e["prime"] if "prime" in e else e)) for k, e in enumerate(v)]
-        elif v is not None:
-            values.append((key, dec(v)))
-    fails = []
-    _d_fails("ring.d", d, values, fails)
-    return d, fails
-
-
 def _verify_ideal_frompair(report):
-    d, fails = _ring_d(report, "a", "b", "ideal")
+    d, fails = int(report["ring"]["d"]), []
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     q = dec(result["ideal"])
@@ -382,7 +324,7 @@ def _verify_ideal_frompair(report):
 
 
 def _verify_ideal_mul(report):
-    d, fails = _ring_d(report, "i", "j", "product")
+    d, fails = int(report["ring"]["d"]), []
     result = report["result"]
     i, j, p = dec(result["i"]), dec(result["j"]), dec(result["product"])
     got = _ideal_product_span(_qid_vectors(i), _qid_vectors(j), d)
@@ -395,7 +337,7 @@ def _verify_ideal_mul(report):
 
 
 def _verify_ideal_invertible(report):
-    d, fails = _ring_d(report, "ideal", "cofactor", "product_generator")
+    d, fails = int(report["ring"]["d"]), []
     result = report["result"]
     q = dec(result["ideal"])
     if result["invertible"]:
@@ -415,7 +357,7 @@ def _verify_ideal_invertible(report):
 
 
 def _verify_ideal_principal(report):
-    d, fails = _ring_d(report, "ideal", "generator")
+    d, fails = int(report["ring"]["d"]), []
     result = report["result"]
     q = dec(result["ideal"])
     span = (q[2], q[3], q[4])
@@ -446,7 +388,7 @@ def _verify_ideal_principal(report):
 
 
 def _verify_ideal_factor(report):
-    d, fails = _ring_d(report, "element")
+    d, fails = int(report["ring"]["d"]), []
     result = report["result"]
     xy = _quad_xy(dec(result["element"]), "element", fails)
     if xy is None:
@@ -483,11 +425,8 @@ class _Blocks:
         self._spans = {}
         self._classes = {}
         self._checked = set()
-        primes = [dec(e["prime"]) for e in support]
-        if self.d is not None:
-            _d_fails("ring.d", self.d, [(f"{key}[{i}]", p) for i, p in enumerate(primes)], fails)
         seen = set()
-        for i, p in enumerate(primes):
+        for i, p in enumerate(dec(e["prime"]) for e in support):
             label = _prime_label(p, self.d)
             if label is None:
                 fails.append(f"{key}[{i}] is not a prime" + ("" if self.d is None else " ideal"))
@@ -583,12 +522,8 @@ def _verify_factorization(fact, blocks, fails, label=""):
     if d is None:
         if unit[1] not in (1, -1):
             fails.append(f"{label}unit is not +-1")
-    else:
-        named = [("element", element), ("unit", unit), *((f"factors[{k}]", f) for k, f in enumerate(factors)),
-                 *((f"pairwise {c['i']},{c['j']}", v) for c, pair in pairs for v in pair)]
-        _d_fails(f"{label}ring.d", d, named, fails)
-        if unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
-            fails.append(f"{label}unit does not have norm 1")
+    elif unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
+        fails.append(f"{label}unit does not have norm 1")
     if fact["support"] != blocks.support:
         fails.append(f"{label}support differs from the first factorization's")
         return
@@ -617,11 +552,9 @@ def _verify_comax_factor(report):
     return fails
 
 
-def _verify_factorization_list(facts, name, element, ring, fails):
+def _verify_factorization_list(facts, element, ring, fails):
     """Each factorization must factor `element` over one shared support, and
     no two may pick the same blocks."""
-    if ring["family"] != "int":
-        _d_fails("ring.d", int(ring["d"]), [(name, element)], fails)
     if not facts:
         fails.append("no factorization is listed")
         return
@@ -643,9 +576,7 @@ def _verify_comax_unique(report):
     facts = result["factorizations"]
     if len(facts) != result["count"]:
         fails.append("count differs from the factorization list")
-    if report["verdict"] != ("unique" if result["count"] == 1 else "non_unique"):
-        fails.append(f"verdict {report['verdict']!r} does not match the count {result['count']}")
-    _verify_factorization_list(facts, "element", dec(result["element"]), report["ring"], fails)
+    _verify_factorization_list(facts, dec(result["element"]), report["ring"], fails)
     return fails
 
 
@@ -664,7 +595,7 @@ def _verify_comax_hunt(report):
     facts = result["factorizations"]
     if len(facts) < 2:
         fails.append("witness carries fewer than two factorizations")
-    _verify_factorization_list(facts, "witness", witness, report["ring"], fails)
+    _verify_factorization_list(facts, witness, report["ring"], fails)
     return fails
 
 
@@ -681,17 +612,12 @@ def _verify_pullback_reduce(report):
             fails.append("base_pair is set outside a base reduction")
     elif pair is None or len(pair) != 2 or None in values or not all(map(v_eq, map(dec, pair), values)):
         fails.append("base_pair is not the values at Y=0 of the oriented pair")
-    if base["family"] == "quad":
-        d = int(base["d"])
-        named = [(k, dec(result[k])) for k in ("a", "b", "witness", "generator", "qa", "qb", "ca", "cb")
-                 if result.get(k) is not None]
-        named += [(f"base_pair[{k}]", dec(e)) for k, e in enumerate(pair or ())]
-        _d_fails("ring.base.d", d, named, fails)
-    if result["status"] == "base_non_principal":
+    status = result["status"]
+    if status == "base_non_principal":
         if base["family"] != "quad":
             fails.append(f"base_non_principal claimed over the principal ideal domain {base['family']}")
             return fails
-        av, bv = dec(pair[0]), dec(pair[1])
+        d, av, bv = int(base["d"]), dec(pair[0]), dec(pair[1])
         vecs = []
         for k, e in enumerate((av, bv)):
             xy = _quad_xy(e, f"base_pair[{k}]", fails)
@@ -700,6 +626,9 @@ def _verify_pullback_reduce(report):
             if any(xy):
                 vecs += _elem_vectors(*xy, d)
         _nonprincipal_fails(_span(vecs), d, fails, "the ideal of base_pair")
+        return fails
+    if status != "principal":
+        fails.append(f"unknown status {status!r}")
         return fails
     g = dec(result["generator"])
     qa, qb = dec(result["qa"]), dec(result["qb"])

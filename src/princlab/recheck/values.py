@@ -4,7 +4,9 @@ identities every part checks.  Every report loads this part.
 `dec` turns a JSON element into a tagged value ("rat", "quad", "poly", "rf",
 "mon", "lim", "sph", "qid"), and `v_add`, `v_mul`, `v_eq`, ... compute on
 them with `rational.Fraction` and the integer polynomial products below
-(written apart from the producer's `Poly` kernel).
+(written apart from the producer's `Poly` kernel).  `_promote` embeds a
+rational in each tag, and `v_zero_like` and `v_one_like` are 0 and 1
+promoted to a value's tag.
 
 Limit-ring ("lim") values are (level, coefficients): ints when every
 coefficient is an integer, else Fractions.  A value is lifted from level n
@@ -24,7 +26,11 @@ terms that fail.  A report over Z[1/p] or D[X;S] whose ring names a
 prime (of Z[1/p], of the monoid, or of a localized base) that is not a
 prime fails in `verify_report`, once and before its command's routine runs
 (`_ring_prime_fails`): a membership loop would never end on 1 or divide by
-zero on 0.  `_not_prime` is its own deterministic Miller-Rabin test.
+zero on 0.  `_not_prime` is its own deterministic Miller-Rabin test.  Right
+after it, `_ring_d_fails` ties every Z[sqrt(d)] element and ideal of a
+report over Z[sqrt(d)], or a pullback over it, to the ring's d in one walk
+of the result, naming the path of each leaf that differs, so no routine
+computes over two d.
 
 `_comaximal_fails` checks every comaximal factorization (u * f_1 * ... *
 f_m == b, one pairwise entry for each pair i < j in order, and each pair's
@@ -130,7 +136,7 @@ def _promote(v, tag, model):
             raise ValueError(f"cannot promote {v[0]} to mon")
         return _mon_norm(1, v[1].denominator, [(0, v[1].numerator)] if v[1] else [])
     if tag == "lim":
-        return ("lim", 1, (v[1],)) if v[1] else ("lim", 1, ())
+        return ("lim", 1, _lim_vec([v[1].numerator], v[1].denominator))
     if tag == "sph":
         return ("sph", {(0, 0): v[1]} if v[1] else {}, {})
     raise ValueError(f"cannot promote {v[0]} to {tag}")
@@ -315,43 +321,11 @@ def v_eq(a, b) -> bool:
 
 
 def v_zero_like(v):
-    t = v[0]
-    if t == "rat":
-        return ("rat", Fraction(0))
-    if t == "quad":
-        return ("quad", Fraction(0), Fraction(0), v[3])
-    if t == "poly":
-        return ("poly", ())
-    if t == "rf":
-        return ("rf", ("poly", ()), ("poly", (("rat", Fraction(1)),)))
-    if t == "mon":
-        return ("mon", 1, 1, ())
-    if t == "lim":
-        return ("lim", 1, ())
-    if t == "sph":
-        return ("sph", {}, {})
-    raise ValueError(t)
+    return _promote(("rat", Fraction(0)), v[0], v)
 
 
 def v_one_like(v):
-    t = v[0]
-    if t == "rat":
-        return ("rat", Fraction(1))
-    if t == "quad":
-        return ("quad", Fraction(1), Fraction(0), v[3])
-    if t == "poly":
-        inner = v_one_like(v[1][0]) if v[1] else ("rat", Fraction(1))
-        return ("poly", (inner,))
-    if t == "rf":
-        one = ("poly", (("rat", Fraction(1)),))
-        return ("rf", one, one)
-    if t == "mon":
-        return ("mon", 1, 1, ((0, 1),))
-    if t == "lim":
-        return ("lim", 1, (1,))
-    if t == "sph":
-        return ("sph", {(0, 0): Fraction(1)}, {})
-    raise ValueError(t)
+    return _promote(("rat", Fraction(1)), v[0], v)
 
 
 def _d_add(a, b):
@@ -706,6 +680,37 @@ def _ring_prime_fails(ring, where="ring"):
         primes = [(f"{where}.monoid.primes", p) for p in ring["monoid"]["primes"]]
     fails = [f"{label}: {p} {why}" for label, p in primes if (why := _not_prime(int(p)))]
     return fails + (_ring_prime_fails(ring["base"], f"{where}.base") if "base" in ring else [])
+
+
+def _ring_d_fails(report):
+    # over Z[sqrt(d)], or a pullback over it, every Z[sqrt(d)] element and
+    # ideal in the result carries the ring's d; the walk enters only the
+    # elements that hold others, and names a leaf's path when it fails
+    ring = report["ring"]
+    where, r = ("ring.base.d", ring["base"]) if ring["family"] == "pullback" else ("ring.d", ring)
+    if r["family"] != "quad":
+        return []
+    d, keys, fails = int(r["d"]), [], []
+
+    def walk(node):
+        for key, v in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(v, dict):
+                t = v.get("type")
+                if t in ("quad", "quadrat", "quadideal"):
+                    if (e := int(v["d"])) != d:
+                        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*keys, key))
+                        fails.append(f"{where} is {d}, but result{path} has d = {e}")
+                    continue
+                if t not in (None, "poly", "ratfunc", "pullback"):
+                    continue
+            elif not isinstance(v, (list, tuple)):
+                continue
+            keys.append(key)
+            walk(v)
+            keys.pop()
+
+    walk(report["result"])
+    return fails
 
 
 def _strip(n, primes):

@@ -40,7 +40,7 @@ def rand_elem(rng, max_deg=3):
         [Fraction(rng.choice([1, 2, 3, -1]))]
         + [Fraction(rng.randrange(-3, 4)) for _ in range(rng.randrange(0, max_deg))]
     )
-    return RZ.coerce(c) + PullbackElem(RatFunc(g.shift(1), h), RZ)
+    return RZ.coerce(c) + PullbackElem(RatFunc(Poly((0, *g.coeffs)), h), RZ)
 
 
 def test_membership_spec_cases():

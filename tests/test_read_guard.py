@@ -67,7 +67,7 @@ def test_recheck_reads_every_result_field_of_every_command():
         present.setdefault(command, set()).update(fields(report["result"]))
         read.setdefault(command, set()).update(p[1:] for p in reads if p[0] == "result")
     # no verifier part is named for them
-    assert all(recheck._VERIFIERS[c] is None for c in ECHOED)
+    assert all(recheck._VERIFIERS[c][0] is None for c in ECHOED)
     unread = {(c, p) for c, paths in present.items() if c not in ECHOED for p in paths - read[c]}
     assert unread == set(UNREAD)
     # every command of the CLI has a golden report

@@ -206,11 +206,16 @@ def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+REPORTS = [c["name"] for c in json.loads((GOLDEN / "cases.json").read_text()) if c["exit"] != 2]
+
+
+def golden(name):
+    return json.loads((GOLDEN / f"{name}.out").read_text())
 
 
 def golden_fails(name, mutate):
     """recheck's failures on the golden report `name` after mutate(report)."""
-    report = json.loads((GOLDEN / f"{name}.out").read_text())
+    report = golden(name)
     assert recheck.verify_report(report) == []
     report = copy.deepcopy(report)
     mutate(report)
@@ -475,20 +480,94 @@ def _bump_at(*path):
     return bump
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["ideal_frompair", "ideal_mul", "ideal_invertible", "ideal_not_invertible", "ideal_principal",
-     "ideal_non_principal", "ideal_principal_not_invertible", "ideal_factor"],
-)
-def test_ring_d_of_an_ideal_report_is_tied_to_its_values(name):
-    fails = golden_fails(name, _bump_at("ring", "d"))
-    assert any(f.startswith("ring.d is ") for f in fails)
+def d_leaves(node, path="result"):
+    """(dict, path) of every Z[sqrt(d)] element and ideal anywhere under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, v in items:
+        at = f"{path}[{key}]" if type(key) is int else f"{path}.{key}"
+        if isinstance(v, dict) and v.get("type") in ("quad", "quadrat", "quadideal"):
+            yield v, at
+        else:
+            yield from d_leaves(v, at)
 
 
-@pytest.mark.parametrize("name", ["pullback_reduce_quad", "pullback_base_non_principal"])
-def test_ring_base_d_of_pullback_reduce_is_tied_to_its_values(name):
-    fails = golden_fails(name, _bump_at("ring", "base", "d"))
-    assert any(f.startswith("ring.base.d is ") for f in fails)
+def _d_ring(report):
+    """The ring.d or ring.base.d that names a report's Z[sqrt(d)], or None."""
+    ring = report["ring"] or {}
+    for where, r in (("ring.d", ring), ("ring.base.d", ring.get("base") or {})):
+        if r.get("family") == "quad":
+            return where, r
+    return None
+
+
+QUAD_REPORTS = [name for name in REPORTS if _d_ring(golden(name))]
+
+
+def test_the_quad_goldens_have_their_d_leaves():
+    assert len(QUAD_REPORTS) == 21
+    assert sum(len(list(d_leaves(golden(name)["result"]))) for name in QUAD_REPORTS) == 200
+
+
+@pytest.mark.parametrize("name", QUAD_REPORTS)
+def test_the_d_of_every_leaf_and_of_the_ring_is_tied(name):
+    # one failure naming the leaf whose d changed, or the ring's d against
+    # its values, and never an abort on arithmetic over two d
+    report = golden(name)
+    where, ring = _d_ring(report)
+    d = int(ring["d"])
+    for k, (_, path) in enumerate(d_leaves(report["result"])):
+        def change(r, k=k):
+            leaf, _ = list(d_leaves(r["result"]))[k]
+            leaf["d"] = str(d - 1)
+
+        assert golden_fails(name, change) == [f"{where} is {d}, but {path} has d = {d - 1}"]
+    fails = golden_fails(name, lambda r: _d_ring(r)[1].update(d=str(d - 1)))
+    assert fails and all(f.startswith(f"{where} is {d - 1}, but result") for f in fails)
+
+
+def test_every_verdict_flip_of_a_golden_fails():
+    verdicts = {}
+    for name in REPORTS:
+        report = golden(name)
+        verdicts.setdefault(report["command"], set()).add(report["verdict"])
+    for name in REPORTS:
+        report = golden(name)
+        verdict = report["verdict"]
+        for flip in sorted(verdicts[report["command"]] - {verdict}) + ["bogus"]:
+            assert golden_fails(name, lambda r: r.update(verdict=flip)) == [
+                f"verdict {flip!r} is not the {verdict!r} its result gives"], (name, flip)
+
+
+@pytest.mark.parametrize("name", ["ideal_principal", "pullback_reduce_quad", "pullback_reduce"])
+def test_a_status_its_command_never_gives_fails_under_the_same_verdict(name):
+    # these commands' verdict is their status, so the status is checked itself
+    def bogus(report):
+        report.update(verdict="bogus")
+        report["result"].update(status="bogus")
+
+    assert golden_fails(name, bogus) == ["unknown status 'bogus'"]
+
+
+def decoded_leaves(node):
+    """Every element under node, nested ones too, decoded; ideals are left out."""
+    items = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    if isinstance(node, dict) and node.get("type") not in (None, "quadideal"):
+        yield values.dec(node)
+    for v in items:
+        yield from decoded_leaves(v)
+
+
+def test_identity_values_are_the_identities_of_every_golden_leaf():
+    tags = set()
+    for name in REPORTS:
+        for v in decoded_leaves(golden(name)["result"]):
+            one, zero = values.v_one_like(v), values.v_zero_like(v)
+            assert values.v_eq(values.v_mul(one, v), v), (name, v)
+            assert values.v_eq(values.v_add(zero, v), v), (name, v)
+            assert values.v_is_zero(zero), (name, v)
+            tags.add(v[0] if v[0] != "poly" or not v[1] else ("poly", v[1][-1][0]))
+    assert tags == {"rat", "quad", "poly", ("poly", "rat"), ("poly", "quad"), ("poly", "poly"), "rf", "mon", "lim",
+                    "sph"}
 
 
 @pytest.mark.parametrize(
@@ -747,9 +826,9 @@ def test_support_primes_are_proven_up_to_the_producers_bound():
 
 def test_the_comax_verdict_is_tied_to_its_count():
     assert golden_fails("comax_non_unique", lambda r: r.update(verdict="unique")) == [
-        "verdict 'unique' does not match the count 3"]
+        "verdict 'unique' is not the 'non_unique' its result gives"]
     assert golden_fails("comax_unique", lambda r: r.update(verdict="non_unique")) == [
-        "verdict 'non_unique' does not match the count 1"]
+        "verdict 'non_unique' is not the 'unique' its result gives"]
 
 
 # ---------------------------------------------------- limit-ring lifting
@@ -902,5 +981,5 @@ def test_only_the_zero_ideal_of_z_is_not_invertible(a, b):
 def test_a_not_a_pair_report_with_a_pair_fails():
     report = json.loads((GOLDEN / "idem_check.out").read_text())
     report["verdict"] = "not_idempotent_pair"
-    assert recheck.verify_report(report) == ["a not_idempotent_pair report carries a pair",
-                                             "a and b form an idempotent pair"]
+    assert recheck.verify_report(report) == [
+        "verdict 'not_idempotent_pair' is not the 'idempotent_pair' its result gives"]
