@@ -14,17 +14,22 @@ their own certificates.  A failing report is printed, its failures go to
 stderr, and the call exits 3.  `--recheck` selects no code path: it only
 writes `"recheck": "passed"` into a report that passed.
 
-Writing a report.  `main` calls `report.dump` once, with `sys.stdout.write`
-as its writer, so each batch of the text goes to stdout as soon as it is
-joined (see `report`): the text is never held whole, and writing a report
-holds a few kB on top of the report tree.
+Writing a report.  Handlers encode their results with `enc`, which is
+`report.tree`: certificates become dicts and lists, and every ring element
+and ideal stays the producer's immutable object.  So the report that
+`verify_report` checks and `report.dump` writes holds no JSON of a value;
+each of them builds a value's JSON when it reaches it and drops it after.
+`main` calls `report.dump` once, with `sys.stdout.write` as its writer, so
+each batch of the text goes to stdout as soon as it is joined (see
+`report`): the text is never held whole, and writing a report holds a few
+kB, and one value's JSON, on top of the report tree.
 
 One row of `COMMANDS` per subcommand gives its group, name, handler, ring
 and operands; `GROUPS` gives the ring families each group accepts.  From
 these `main` reads argv, checks `--ring` and converts the operands, then
 calls `handler(ring, **operands)`, which returns the verdict, the result and
-the exit code.  Each certificate serializes itself (`report.enc` falls
-through to its `to_json`).
+the exit code.  Each certificate serializes itself (`enc` falls through to
+its `to_json`).
 
 Reading argv.  `_TOP` and `_arguments(row)` describe each flag and operand
 once, in argparse's keywords.  `build_parser` hands them to argparse, and
@@ -76,7 +81,8 @@ from types import SimpleNamespace
 from .core import CertificateError
 from .rational import Fraction
 from .recheck import verify_report
-from .report import dump, enc, make_report
+from .report import dump, make_report
+from .report import tree as enc
 from .rings import QQ, QQ_POLY, ZZ, LocalizedIntegers
 
 

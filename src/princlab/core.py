@@ -11,10 +11,12 @@ Two small bases carry what every ring family shares.  `RingElem` derives
 binary ``-``, the reflected ``+``, ``-``, ``*`` and ``**`` (repeated
 squaring) from an element class's own ``+``, unary ``-``, ``*`` and
 `_one()`; a negative power is a power of `_invert()`, which raises unless
-the class defines it.  An element class owns its report form,
-`to_json(enc)`, and `RingElem.__repr__` prints that form.  `RingHandle`
-gives every ring handle its identity: same ring <=> same `to_json()`, the
-description `recheck` reads back.
+the class defines it.  An element class owns its report form, `json()`,
+and `RingElem.__repr__` prints that form.  Elements are immutable, so a
+report holds the element itself and builds this form only when it is
+written or rechecked (see `report`).  `RingHandle` gives every ring handle
+its identity: same ring <=> same `to_json()`, the description `recheck`
+reads back.
 
 Everything here is immutable and exact.  Coefficients may be Python ints,
 the package's `rational.Fraction`, or any object implementing field
@@ -104,9 +106,7 @@ class RingElem:
     def __repr__(self):
         import json
 
-        from .report import enc  # at call time: `report` imports this module
-
-        return f"{type(self).__name__}({json.dumps(enc(self))})"
+        return f"{type(self).__name__}({json.dumps(self.json())})"
 
 
 class RingHandle:
@@ -580,7 +580,9 @@ class Poly(RingElem):
                 parts.append(f"{c}*{var}" if i == 1 else f"{c}*{var}^{i}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_json(self, enc):
+    def json(self):
+        from .report import enc  # at call time: importing this module does not load `report`
+
         return {"type": "poly", "coeffs": [enc(c) for c in self.coeffs]}
 
 
@@ -764,8 +766,8 @@ class RatFunc(RingElem):
     def eval(self, x):
         return _coeff_div(self.num.eval(x), self.den.eval(x))
 
-    def to_json(self, enc):
-        return {"type": "ratfunc", "num": enc(self.num), "den": enc(self.den)}
+    def json(self):
+        return {"type": "ratfunc", "num": self.num.json(), "den": self.den.json()}
 
 
 def hnf2_with_transform(rows):

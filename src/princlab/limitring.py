@@ -123,7 +123,7 @@ class LimitElem(RingElem):
     def __bool__(self):
         return not self.poly.is_zero()
 
-    def to_json(self, enc):
+    def json(self):
         return {"type": "limit", "level": self.level, "coeffs": rat_leaves(self.poly.coeffs, str)}
 
 

@@ -11,7 +11,7 @@ An element is two integer vectors: its exponents as numerators over one
 least denominator, in ascending order, and its coefficients as numerators
 over another.  So sums, products and Euclid's mapped cofactors build no
 Fraction per term; `terms` builds the Fraction pairs on demand, and
-`to_json` writes the report's "p/q" text from the integers.
+`json` writes the report's "p/q" text from the integers.
 
 Products, exact division and the chain's Euclid certificates run on the
 integer-vector kernel of `core.Poly`.  Two operands are mapped once per
@@ -46,7 +46,6 @@ why not dataclasses.  Their products and Bezout pairs are checked by
 from __future__ import annotations
 
 from math import gcd, lcm
-from sys import intern
 
 from .core import (CertificateError, Poly, RingElem, RingHandle, is_prime, pairwise_json, poly_divrem,
                    poly_extended_gcd, rat_leaves)
@@ -121,7 +120,7 @@ class MonoidElem(RingElem):
     coefficients coeffs[i]/cden.  den and cden are the least common
     denominators (gcd(den, *exps) == gcd(cden, *coeffs) == 1; both are 1 for
     zero), so equal elements have equal fields.  `terms` gives the
-    (exponent, coefficient) Fraction pairs; `to_json` writes them without
+    (exponent, coefficient) Fraction pairs; `json` writes them without
     building a Fraction."""
 
     __slots__ = ("den", "exps", "cden", "coeffs", "ring")
@@ -248,12 +247,10 @@ class MonoidElem(RingElem):
     def __bool__(self):
         return bool(self.exps)
 
-    def to_json(self, enc):
-        # a chain's elements share few exponents: each text is interned, so
-        # the report holds one str per distinct exponent
+    def json(self):
         den, cden = self.den, self.cden
         leaves = rat_leaves(self.coeffs, lambda c: _ratio(c, cden))
-        return {"type": "monoid", "terms": [[intern(_ratio(e, den)), leaf] for e, leaf in zip(self.exps, leaves)]}
+        return {"type": "monoid", "terms": [[_ratio(e, den), leaf] for e, leaf in zip(self.exps, leaves)]}
 
 
 def _scaled(v, k: int):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 
 from .core import CertificateError, Poly, RatFunc, RingElem, RingHandle
-from .quadring import QuadOrder
-from .rings import IntegerRing, ZZ
+from .rings import ZZ
 
 
 class PullbackError(ValueError):
@@ -81,10 +80,10 @@ class PullbackElem(RingElem):
     def __bool__(self):
         return not self.rf.is_zero()
 
-    def to_json(self, enc):
+    def json(self):
         # reported with the denominator's constant term scaled to 1
         den0 = self.rf.den.constant_term()
-        return {"type": "pullback", "num": enc(self.rf.num / den0), "den": enc(self.rf.den / den0)}
+        return {"type": "pullback", "num": (self.rf.num / den0).json(), "den": (self.rf.den / den0).json()}
 
 
 class PullbackRing(RingHandle):
@@ -93,7 +92,8 @@ class PullbackRing(RingHandle):
     family = "pullback"
 
     def __init__(self, base=ZZ):
-        if not isinstance(base, (IntegerRing, QuadOrder)):
+        # read by the base's family, so a pullback over Z never loads quadring
+        if base.to_json()["family"] not in ("int", "quad"):
             raise PullbackError(
                 "pullback bases need an implemented fraction field (Z or Z[sqrt(d)])"
             )
@@ -140,7 +140,7 @@ class PullbackRing(RingHandle):
         return self.y().rf if name == "Y" else None
 
     def field_sqrt(self, d):
-        if not isinstance(self.base, QuadOrder) or self.base.d != d:
+        if self.base.to_json() != {"family": "quad", "d": str(d)}:
             raise PullbackError(f"sqrt({d}) does not live in the base {self.base}")
         return self.field_coerce(self.base.field_sqrt(d))
 

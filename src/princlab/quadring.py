@@ -137,7 +137,7 @@ class QuadElem(RingElem):
     def is_unit(self) -> bool:
         return self.in_order() and self.norm() == 1
 
-    def to_json(self, enc):
+    def json(self):
         if self.in_order():
             return {"type": "quad", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
         return {"type": "quadrat", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
@@ -216,7 +216,7 @@ class QuadIdeal:
     __mul__ = mul
     __pow__ = pow
 
-    def to_json(self, enc):
+    def json(self):
         return {"type": "quadideal", "d": str(self.d), "basis": [[str(self.n), "0"], [str(self.c), str(self.m)]]}
 
     def __repr__(self):

@@ -15,6 +15,15 @@ that the package imports nothing else from `princlab`.  A passing recheck
 therefore means the certificates stand on their own, not that the producer
 agrees with itself, up to that shared routine.
 
+The report `cli.main` checks is the one it prints, before it is written: its
+certificates are dicts and lists, but each ring element and ideal in it is
+still the producer's immutable object (see `report`).  The checker gets such
+a leaf's JSON through one argument-free call, `leaf.json()`
+(`values.leaf`).  That call is the producer's encoding, the same text
+`report.dump` writes for the leaf, and it decides nothing: the checker
+decodes the JSON it returns and re-derives every claim from it, exactly as
+for a report read back with `json.loads`.
+
 The checker is split in three parts, and a call runs only the ones its
 report needs.  `values` (decoding, arithmetic, membership, primes and the
 identities every part checks) runs for every report.  `orders` holds the

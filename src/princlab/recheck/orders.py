@@ -35,7 +35,7 @@ from math import gcd
 
 from ..rational import Fraction
 from .values import (_comaximal_fails, _idempotent_fails, _member_fails, _not_prime, _projector_fails, _promote,
-                     _rf_value0, dec, v_add, v_eq, v_is_zero, v_mul, v_one_like, v_sub)
+                     _rf_value0, dec, leaf, v_add, v_eq, v_is_zero, v_mul, v_one_like, v_sub)
 
 # ----------------------------------------------------- quadratic lattices
 
@@ -190,17 +190,23 @@ def _divides(s, x, ring) -> bool:
 
 
 def _not_a_pair_fails(report):
-    """A not_idempotent_pair verdict over Z, Z[sqrt(d)] or Q[X], decided
-    again from a and b: neither b | a(1-a) nor a | b(1-b).  Over the other
-    rings the verdict carries no certificate and is not checked."""
+    """A not_idempotent_pair verdict carries no certificate: the complement
+    of an `idem check` report is null, and an `idem matrix` report has no
+    matrix.  Over Z, Z[sqrt(d)] or Q[X] it is decided again from a and b:
+    neither b | a(1-a) nor a | b(1-b).  Over the other rings it is not
+    checked."""
     ring, result = report["ring"], report["result"]
+    if report["command"] == "idem check":
+        carried = [] if result["complement"] is None else ["a not_idempotent_pair verdict carries a complement"]
+    else:
+        carried = ["a not_idempotent_pair verdict carries a matrix"] if "matrix" in result else []
     if ring["family"] not in ("int", "quad", "qpoly"):
-        return []
+        return carried
     a, b, fails = dec(result["a"]), dec(result["b"]), []
     _member_fails((("a", a), ("b", b)), ring, fails)
     if not fails and any(_divides(s, v_mul(f, v_sub(v_one_like(f), f)), ring) for f, s in ((a, b), (b, a))):
         fails.append("a and b form an idempotent pair")
-    return fails
+    return carried + fails
 
 
 def _pair_identity(report, fails):
@@ -276,8 +282,10 @@ def _verify_idem_from_ideal(report):
     result = report["result"]
     a, b = dec(result["a"]), dec(result["b"])
     if result.get("pair") is None:
-        # over Z and Q[X], principal ideal domains, only (0, 0) is not
-        # invertible; over Z[sqrt(d)] the verdict carries no certificate
+        # the verdict carries no certificate.  Over Z and Q[X], principal
+        # ideal domains, only (0, 0) is not invertible; over Z[sqrt(d)] it is
+        # not checked
+        fails += [f"a not_invertible verdict carries {k}" for k in ("bezout", "pair", "complement") if k in result]
         if report["ring"]["family"] in ("int", "qpoly"):
             _member_fails((("a", a), ("b", b)), report["ring"], fails)
             if not (v_is_zero(a) and v_is_zero(b)):
@@ -419,6 +427,7 @@ class _Blocks:
 
     def __init__(self, support, ring, fails, key="support"):
         self.support = support
+        self.text = _support_json(support)
         self.fails = fails
         self.ring = ring
         self.d = None if ring["family"] == "int" else int(ring["d"])
@@ -485,6 +494,12 @@ class _Blocks:
         self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {right}")
 
 
+def _support_json(support):
+    """A support list as its JSON, so that two supports compare as their
+    text reads."""
+    return [{**e, "prime": leaf(e["prime"])} for e in support]
+
+
 def _prime_label(p, d):
     """A decoded support entry as a label equal for equal primes, or None
     when it is not a prime: over Z (d None) a rational prime; over
@@ -524,7 +539,7 @@ def _verify_factorization(fact, blocks, fails, label=""):
             fails.append(f"{label}unit is not +-1")
     elif unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
         fails.append(f"{label}unit does not have norm 1")
-    if fact["support"] != blocks.support:
+    if _support_json(fact["support"]) != blocks.text:
         fails.append(f"{label}support differs from the first factorization's")
         return
     idxs = [tuple(sorted(b)) for b in fact["blocks"]]
@@ -587,6 +602,9 @@ def _verify_comax_hunt(report):
     if bound < 2:
         fails.append(f"bound {bound} is below 2, so no norm was scanned")
     if result["witness"] is None:
+        # a verdict that carries no certificate
+        if result["factorizations"] != []:
+            fails.append("a no_witness verdict carries factorizations")
         return fails
     witness = dec(result["witness"])
     norm = abs(witness[1]) if witness[0] == "rat" else witness[1] ** 2 - int(report["ring"]["d"]) * witness[2] ** 2

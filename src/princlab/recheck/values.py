@@ -2,9 +2,11 @@
 identities every part checks.  Every report loads this part.
 
 `dec` turns a JSON element into a tagged value ("rat", "quad", "poly", "rf",
-"mon", "lim", "sph", "qid"), and `v_add`, `v_mul`, `v_eq`, ... compute on
-them with `rational.Fraction` and the integer polynomial products below
-(written apart from the producer's `Poly` kernel).  `_promote` embeds a
+"mon", "lim", "sph", "qid"), reading a value the producer left in the
+report tree through its `json()` first (`leaf`).  `v_add`, `v_mul`,
+`v_eq`, ... compute on them with `rational.Fraction` and the integer
+polynomial products below (written apart from the producer's `Poly`
+kernel).  `_promote` embeds a
 rational in each tag, and `v_zero_like` and `v_one_like` are 0 and 1
 promoted to a value's tag.
 
@@ -84,8 +86,16 @@ def _lim_decode(values):
     return _lim_vec([n * (den // d) for n, d in pairs], den)
 
 
+def leaf(e):
+    """A report element as JSON: a dict as it stands, and a value the
+    producer left in the report tree through its `json()`."""
+    return e.json() if hasattr(e, "json") else e
+
+
 def dec(e):
-    """JSON element -> tagged value."""
+    """JSON element, or a value the producer left in the report tree ->
+    tagged value."""
+    e = leaf(e)
     t = e["type"]
     if t in ("int", "rat"):
         return ("rat", Fraction(e["value"]))
@@ -98,10 +108,10 @@ def dec(e):
     if t == "pullback":
         return ("rf", dec(e["num"]), dec(e["den"]))
     if t == "monoid":
-        exps = [_q(x) for x, _ in e["terms"]]
-        coeffs = [_q(_rat_leaf(c)) for _, c in e["terms"]]
-        den, cden = lcm(*(d for _, d in exps)), lcm(*(d for _, d in coeffs))
-        return _mon(den, cden, [(n * (den // d), c * (cden // k)) for (n, d), (c, k) in zip(exps, coeffs)])
+        terms = [(_q(x), _q(_rat_leaf(c))) for x, c in e["terms"]]
+        del e  # a chain's largest JSON: dropped once read, before the value is built
+        den, cden = lcm(*(d for (_, d), _ in terms)), lcm(*(k for _, (_, k) in terms))
+        return _mon(den, cden, ((n * (den // d), c * (cden // k)) for (n, d), (c, k) in terms))
     if t == "limit":
         return ("lim", int(e["level"]), _lim_decode([c["value"] for c in e["coeffs"]]))
     if t == "sphere":
@@ -694,6 +704,7 @@ def _ring_d_fails(report):
 
     def walk(node):
         for key, v in node.items() if isinstance(node, dict) else enumerate(node):
+            v = leaf(v)
             if isinstance(v, dict):
                 t = v.get("type")
                 if t in ("quad", "quadrat", "quadideal"):

@@ -7,7 +7,7 @@ ring exactly when their `to_json()` descriptions are equal (the description
 reports carry and `recheck` reads).  Every element class derives from
 `core.RingElem`, which supplies binary ``-``, the reflected operators and
 ``**`` from the class's own ``+``, unary ``-``, ``*`` and `_one()`, and
-serializes itself through `to_json(enc)`.
+serializes itself through `json()`.
 
 A handle is also the one place where its family's ideal theory lives.  The
 engines (`idem`, `comax`, `pullback`) never switch on the ring's type; they

@@ -227,7 +227,7 @@ class SphereElem(RingElem):
     def norm(self) -> Poly2:
         return self.f * self.f - self.g * self.g * X0_SQUARED
 
-    def to_json(self, enc):
+    def json(self):
         return {"type": "sphere", "f": self.f.terms_json(), "g": self.g.terms_json()}
 
 

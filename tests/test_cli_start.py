@@ -212,7 +212,9 @@ CALLS = {
     "idem": (["idem", "check", "-2", "-3"], ["idem", "exprparse", "recheck.orders"]),
     "ideal": (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring", "exprparse", "recheck.orders"]),
     "comax": (["comax", "unique", "60"], ["comax", "exprparse", "recheck.orders"]),
-    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "quadring", "exprparse", "recheck.orders"]),
+    # over the default base Z, a pullback call never runs quadring
+    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "exprparse", "recheck.orders"]),
+    "pullback-reduce": (["pullback", "reduce", "3+Y", "2"], ["pullback", "idem", "exprparse", "recheck.orders"]),
     "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring", "recheck.examples"]),
     # a flag's value after "=" is plain grammar too
     "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"], ["monoidring", "recheck.examples"]),

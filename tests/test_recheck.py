@@ -983,3 +983,66 @@ def test_a_not_a_pair_report_with_a_pair_fails():
     report["verdict"] = "not_idempotent_pair"
     assert recheck.verify_report(report) == [
         "verdict 'not_idempotent_pair' is not the 'idempotent_pair' its result gives"]
+
+
+# ------------------------------------------ negative verdicts carry nothing
+
+
+def _carry(source, *keys):
+    """Give a report the `keys` of the result of golden `source`."""
+    return lambda report: report["result"].update({k: golden(source)["result"][k] for k in keys})
+
+
+@pytest.mark.parametrize("name,mutate,failures", [
+    ("comax_hunt_no_witness", _carry("comax_hunt", "factorizations"),
+     ["a no_witness verdict carries factorizations"]),
+    ("idem_check_not_pair", lambda report: report["result"].update(complement={"bogus": 1}),
+     ["a not_idempotent_pair verdict carries a complement"]),
+    ("idem_matrix_not_pair", _carry("idem_matrix", "matrix"), ["a not_idempotent_pair verdict carries a matrix"]),
+    ("idem_from_ideal_zero", _carry("idem_from_ideal", "bezout", "complement"),
+     ["a not_invertible verdict carries bezout", "a not_invertible verdict carries complement"]),
+    ("idem_from_ideal_zero", lambda report: report["result"].update(pair=None),
+     ["a not_invertible verdict carries pair"]),
+], ids=["hunt-factorizations", "check-complement", "matrix-matrix", "from-ideal-bezout", "from-ideal-pair"])
+def test_a_negative_verdict_that_carries_a_certificate_fails(name, mutate, failures):
+    assert golden_fails(name, mutate) == failures
+
+
+# ----------------------------------------- what is printed is what was checked
+
+
+def _main(argv):
+    """The report `cli.main` builds for argv (its values still the producer's
+    objects), and the stdout it writes."""
+    from unittest import mock
+
+    from princlab import cli
+
+    built, out = [], io.StringIO()
+    print_report = cli._print_report
+    with mock.patch.object(cli, "_print_report", lambda report: built.append(report) or print_report(report)), \
+            contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return built[0], out.getvalue()
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_the_tree_main_checks_and_the_text_it_prints_recheck_alike(name):
+    case = next(c for c in json.loads((GOLDEN / "cases.json").read_text()) if c["name"] == name)
+    built, text = _main(["--recheck", *case["argv"]])
+    assert text == (GOLDEN / f"{name}.out").read_text()
+    assert recheck.verify_report(built) == recheck.verify_report(json.loads(text)) == []
+
+
+def test_recheck_reads_the_values_the_tree_holds(monkeypatch):
+    # the first factor's JSON forged to the second's: recheck decodes what the
+    # value gives, so the product fails
+    from princlab.monoidring import MonoidElem
+
+    built, _ = _main(["mring", "chain", "--m", "4", "--ring", "Q[X;S]"])
+    first, second = built["result"]["factors"][:2]
+    assert recheck.verify_report(built) == []
+    json_of = MonoidElem.json
+    monkeypatch.setattr(MonoidElem, "json", lambda self: json_of(second if self is first else self))
+    assert recheck.verify_report(built) == ["product does not telescope to 1 - X^s",
+                                            *(f"Bezout certificate for pair 0,{j} fails" for j in (1, 2, 3))]

@@ -1,5 +1,6 @@
 """`report.dump` against `json.dumps(x, indent=2)`, the text it replaces,
-as it streams it to a writer, and the memory of writing a report."""
+as it streams it to a writer, and the memory of a report tree and of
+writing it."""
 
 import json
 import os
@@ -101,11 +102,25 @@ def _built(argv):
 def test_a_chain_report_with_shared_leaves_reads_back_as_itself(case):
     built = _built(["--recheck", *case["argv"]])
     text = streamed(built)
-    assert json.loads(text) == built
+    assert json.loads(text) == whole(built)
     assert text + "\n" == (GOLDEN / f"{case['name']}.out").read_text()
-    # equal coefficients of one element share one leaf dict
-    leaves = list(_rat_leaves(built))
-    assert len({id(leaf) for leaf in leaves}) < len(leaves)
+    # the tree holds the chain's elements, and the JSON of one of them gives
+    # its equal coefficients one leaf dict
+    elements = [*built["result"]["factors"], *(p[k] for p in built["result"]["pairwise"] for k in ("lam", "mu"))]
+    assert not list(_rat_leaves(built)) and all(hasattr(e, "json") for e in elements)
+    leaves = [list(_rat_leaves(e.json())) for e in elements]
+    assert any(len({id(leaf) for leaf in ls}) < len(ls) for ls in leaves)
+
+
+def whole(node):
+    """A report tree with each value in it replaced by its JSON."""
+    if hasattr(node, "json"):
+        return node.json()
+    if isinstance(node, dict):
+        return {k: whole(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [whole(v) for v in node]
+    return node
 
 
 def _rat_leaves(node):
@@ -117,6 +132,29 @@ def _rat_leaves(node):
     elif isinstance(node, list):
         for v in node:
             yield from _rat_leaves(v)
+
+
+def test_the_report_tree_holds_values_not_their_json(monkeypatch):
+    # the live memory of the report main builds, taken right after
+    # make_report: the chain's elements (about 58 kB), not the JSON of them
+    # (about 190 kB more when handlers encoded every value)
+    argv = ["mring", "chain", "--m", "10", "--ring", "Q[X;S]", "--s", "5/4"]
+    monkeypatch.setattr(cli, "_print_report", lambda report: True)
+    assert cli.main(argv) == 0  # loads the modules and fills the caches first
+    sizes = []
+
+    def measured(*args):
+        built = make_report(*args)
+        sizes.append(tracemalloc.get_traced_memory()[0])
+        return built
+
+    monkeypatch.setattr(cli, "make_report", measured)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert sizes[0] < 90_000
 
 
 @pytest.mark.parametrize("bad", [{"a": Fraction(1, 2)}, [object()], {(1, 2): 0}, {"a": [{1j: 0}]}])
