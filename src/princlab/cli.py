@@ -46,16 +46,19 @@ a type, choice or count error) goes to `build_parser(argv).parse_args(argv)`.
 
 Imports.  At import this module runs only `core`, `rings`, `report` and
 the `recheck` package's `__init__`.  Each family module (`comax`, `idem`,
-`quadring`, ...) and the operand parser `exprparse` is put in
-`sys.modules` by importlib's `LazyLoader` and runs on its first attribute
-access, which is the first handler, ring spec or converter that reads it:
-only the element and y-polynomial converters read `exprparse`.  A call
-loads only what its command uses, and a tool that rebinds module functions
-after `import princlab.cli` (perfbench's traced child) still finds every
-family module.  `GROUPS` names ring families by their `to_json()` family,
-so checking `--ring` loads nothing either.  `verify_report` imports the
-checker's `values` part and the one verifier part its command needs
-(`recheck.orders` or `recheck.examples`) when it first runs.
+`quadring`, ...), the polynomial code `poly`, Z[1/p]'s `zloc` and the
+operand parser `exprparse` is put in `sys.modules` by importlib's
+`LazyLoader` and runs on its first attribute access: the first handler,
+ring spec or converter that reads it, or a family module that imports
+from it.  So a call over Z or Z[sqrt(d)] runs neither `poly` nor `zloc`,
+only element and y-polynomial operands run `exprparse`, and a tool that
+rebinds module functions after `import princlab.cli` (perfbench's traced
+child) still finds every module.  `GROUPS` names ring families by their
+`to_json()` family, so checking `--ring` loads nothing either.
+`verify_report` imports the checker's `values` part and the one verifier
+part its command needs (`recheck.orders`, `recheck.pairs` or
+`recheck.examples`) when it first runs, and `values` imports `polys` only
+for a value outside Z and Z[sqrt(d)].
 
 A shell call (`python -m princlab.cli`, or the installed `princlab` script)
 enters through `run`.  Once `main` has returned and stdout and stderr are
@@ -83,7 +86,7 @@ from .rational import Fraction
 from .recheck import verify_report
 from .report import dump, make_report
 from .report import tree as enc
-from .rings import QQ, QQ_POLY, ZZ, LocalizedIntegers
+from .rings import QQ, ZZ
 
 
 def _family(name):
@@ -101,8 +104,8 @@ def _family(name):
     return module
 
 
-comax, exprparse, idem, limitring, monoidring, polyext, pullback, quadring, sphere = map(
-    _family, ("comax", "exprparse", "idem", "limitring", "monoidring", "polyext", "pullback", "quadring", "sphere"))
+comax, exprparse, idem, limitring, monoidring, poly, polyext, pullback, quadring, sphere, zloc = map(
+    _family, "comax exprparse idem limitring monoidring poly polyext pullback quadring sphere zloc".split())
 
 
 # 128 + SIGPIPE: the status a shell shows for a process a closed pipe ended
@@ -134,7 +137,7 @@ def _parse_base(text: str):
     m = re.fullmatch(r"Z\[1/(\d+(?:,1/\d+)*)\]", text.replace(" ", ""))
     if m:
         primes = [int(p) for p in re.findall(r"\d+", m.group(1))]
-        return LocalizedIntegers(primes)
+        return zloc.LocalizedIntegers(primes)
     raise CliError(f"unknown base ring {text!r}")
 
 
@@ -143,7 +146,7 @@ def parse_ring_spec(text: str, monoid: str | None = None, group: bool = False):
     if text == "B2":
         return sphere.B2
     if text == "Q[X]":
-        return QQ_POLY
+        return poly.QQ_POLY
     m = re.fullmatch(r"pullback:(.+)", text)
     if m:
         return pullback.PullbackRing(_parse_base(m.group(1)))

@@ -72,21 +72,27 @@ def support_cap_from_env() -> int:
 
 
 class ComaxFactorization:
-    def __init__(self, element, factors: list, unit, pairwise: list, blocks: list, support: list):
+    def __init__(self, element, factors: list, unit, pairwise: list, blocks: list, support: list, encoded=None):
         self.element = element
         self.factors = factors
         self.unit = unit
         self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
         self.blocks = blocks  # index blocks into the support, parallel to factors
         self.support = support
+        # the support's encoding by each encoder, one dict for every
+        # factorization of one element, so a report holds that list once
+        self.encoded = {} if encoded is None else encoded
 
     def to_json(self, enc):
+        support = self.encoded.get(enc)
+        if support is None:
+            support = self.encoded[enc] = [{"prime": enc(p), "exponent": e} for p, e in self.support]
         return {
             "element": enc(self.element),
             "factors": enc(self.factors),
             "unit": enc(self.unit),
             "pairwise": pairwise_json(self.pairwise, enc),
-            "support": [{"prime": enc(p), "exponent": e} for p, e in self.support],
+            "support": support,
             "blocks": [list(b) for b in self.blocks],
         }
 
@@ -189,7 +195,7 @@ class _BlockMemo:
         return self._ideals[mask]
 
 
-def _build_factorization(b, ring, support, blocks, generators) -> ComaxFactorization:
+def _build_factorization(b, ring, support, blocks, generators, encoded=None) -> ComaxFactorization:
     order = sorted(range(len(blocks)), key=lambda i: ring.sort_key(generators[i]))
     blocks = [tuple(blocks[i]) for i in order]
     factors = [generators[i] for i in order]
@@ -206,7 +212,7 @@ def _build_factorization(b, ring, support, blocks, generators) -> ComaxFactoriza
             if cert is None:
                 raise CertificateError("factors are not comaximal")
             pairwise.append((i, j, *cert))
-    return ComaxFactorization(b, factors, unit, pairwise, blocks, support)
+    return ComaxFactorization(b, factors, unit, pairwise, blocks, support, encoded)
 
 
 def _minimal_zero_sum_partitions(memo: _BlockMemo, rest: int):
@@ -240,10 +246,11 @@ def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
             f"support size {len(support)} exceeds the cap {cap}"
         )
     memo = _BlockMemo(support, ring)
-    out = []
+    out, encoded = [], {}
     for partition in _minimal_zero_sum_partitions(memo, (1 << len(support)) - 1):
         blocks = [_indices(mask) for mask in partition]
-        out.append(_build_factorization(b, ring, support, blocks, [memo.generator(mask) for mask in partition]))
+        generators = [memo.generator(mask) for mask in partition]
+        out.append(_build_factorization(b, ring, support, blocks, generators, encoded))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return out
 

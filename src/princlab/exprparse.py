@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .rational import Fraction
-from .rings import QQ, RationalPolyRing
+from .rings import QQ
 
 
 class ParseError(ValueError):
@@ -221,8 +221,8 @@ def parse_element(text: str, ring):
 
 
 def parse_ypoly(text: str):
-    """Polynomial in y over Q (subring-witness input)."""
-    return _evaluate(text, _Y_POLY)
+    """Polynomial in y over Q (subring-witness input).  Q[y] is built here,
+    so an element operand never loads the polynomial code."""
+    from .poly import RationalPolyRing
 
-
-_Y_POLY = RationalPolyRing("y")
+    return _evaluate(text, RationalPolyRing("y"))

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .core import Poly, RingElem, RingHandle, pairwise_json, poly_divrem, rat_leaves
+from .core import RingElem, RingHandle, pairwise_json
+from .poly import Poly, poly_divrem, rat_leaves
 from .rational import Fraction
 from .rings import QQ, IntegerRing, RationalField
 

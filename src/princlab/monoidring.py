@@ -14,7 +14,7 @@ Fraction per term; `terms` builds the Fraction pairs on demand, and
 `json` writes the report's "p/q" text from the integers.
 
 Products, exact division and the chain's Euclid certificates run on the
-integer-vector kernel of `core.Poly`.  Two operands are mapped once per
+integer-vector kernel of `poly.Poly`.  Two operands are mapped once per
 operation: one lcm L of their exponent denominators turns every exponent
 into an integer, g is the integer gcd of each operand's exponent
 differences, and each operand becomes X^(shift/L) * f(T) with T = X^(g/L),
@@ -47,10 +47,10 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .core import (CertificateError, Poly, RingElem, RingHandle, is_prime, pairwise_json, poly_divrem,
-                   poly_extended_gcd, rat_leaves)
+from .core import CertificateError, RingElem, RingHandle, is_prime, pairwise_json
+from .poly import Poly, poly_divrem, poly_extended_gcd, rat_leaves
 from .rational import Fraction
-from .rings import QQ, IntegerRing, LocalizedIntegers, RationalField, _strip_primes
+from .rings import QQ, RationalField, _strip_primes
 
 
 class MonoidError(ValueError):
@@ -288,7 +288,7 @@ class MonoidRing(RingHandle):
     family = "monoid"
 
     def __init__(self, base, desc: MonoidDesc):
-        if not isinstance(base, (RationalField, IntegerRing, LocalizedIntegers)):
+        if base.family not in ("rat", "int", "zloc"):
             raise MonoidError(f"unsupported base {base!r}")
         if desc.group and not isinstance(base, RationalField):
             # group-ring splitting needs p-th roots from the field

@@ -5,7 +5,7 @@ idempotent pair in D[X] whose ideal is certifiably non-principal.
 D is described by a finite set of excluded monomial degrees (so
 D = Q[y^2, y^3] is "exclude degree 1"), which keeps membership decidable
 and ring-closure a finite check.  Polynomials in X over D are outer
-`core.Poly` objects whose coefficients are inner polynomials in y.
+`poly.Poly` objects whose coefficients are inner polynomials in y.
 
 `SubringDesc` and `AlphaCounterexample` are plain classes with an explicit
 `__init__`; see `core` for why not dataclasses.  `SubringDesc` has no
@@ -14,7 +14,8 @@ and ring-closure a finite check.  Polynomials in X over D are outer
 
 from __future__ import annotations
 
-from .core import Poly, RatFunc, RingHandle, poly_divrem
+from .core import RingHandle
+from .poly import Poly, RatFunc, poly_divrem
 from .rational import Fraction
 
 

@@ -15,7 +15,8 @@ Its identities are checked by `recheck`, which `cli` runs on every report.
 from __future__ import annotations
 
 
-from .core import CertificateError, Poly, RatFunc, RingElem, RingHandle
+from .core import CertificateError, RingElem, RingHandle
+from .poly import Poly, RatFunc
 from .rings import ZZ
 
 

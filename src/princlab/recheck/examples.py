@@ -23,8 +23,9 @@ holds for every alpha.
 from __future__ import annotations
 
 from ..rational import Fraction
-from .values import (_comaximal_fails, _idempotent_fails, _mat_mul, _member_fails, _mon_of, _projector_fails, dec,
-                     v_add, v_eq, v_is_zero, v_mul, v_neg, v_one_like, v_sub, v_zero_like)
+from .polys import _mat_mul, _mon_of, _projector_fails
+from .values import (_comaximal_fails, _idempotent_fails, _member_fails, dec, v_add, v_eq, v_is_zero, v_mul, v_neg,
+                     v_one_like, v_sub, v_zero_like)
 
 
 def _split_pair(result):

@@ -51,7 +51,7 @@ such leaf).
 A report is read-only once `make_report` has built it, except for its
 top-level "recheck" key, which `cli` sets after a passed recheck.  The
 `json()` of a chain element gives equal coefficients one shared leaf dict
-(`core.rat_leaves`), so edit a copy of a value's JSON, such as the
+(`poly.rat_leaves`), so edit a copy of a value's JSON, such as the
 `json.loads` of the text.
 """
 

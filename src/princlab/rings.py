@@ -46,13 +46,14 @@ evaluates there and reaches the family only through these hooks:
 - `field_sqrt(d)`: sqrt(d), on Z[sqrt(d)] and the pullback only.
 
 Handles for the structured families live next to their machinery
-(`quadring.QuadOrder`, `pullback.PullbackRing`, ...); this module holds the
-four plain ones: Z, Q[X], Q and Z[1/p, ...].
+(`quadring.QuadOrder`, `pullback.PullbackRing`, ...), Q[X] in `poly` and
+Z[1/p, ...] in `zloc`, so a call over Z or Z[sqrt(d)] loads neither; this
+module holds Z and Q.
 """
 
 from __future__ import annotations
 
-from .core import Poly, RatFunc, RingHandle, factorint, is_prime, poly_divrem, poly_extended_gcd, xgcd
+from .core import RingHandle, factorint, xgcd
 from .rational import Fraction
 
 
@@ -129,65 +130,6 @@ class IntegerRing(RingHandle):
         return "Z"
 
 
-class RationalPolyRing(RingHandle):
-    """Q[X]: dense polynomials with Fraction coefficients.  `var` names the
-    variable for the expression grammar only."""
-
-    family = "qpoly"
-
-    def __init__(self, var: str = "X"):
-        self.var = var
-
-    @property
-    def zero(self):
-        return Poly()
-
-    @property
-    def one(self):
-        return Poly((Fraction(1),))
-
-    def coerce(self, v):
-        if isinstance(v, Poly):
-            return v.map_coeffs(Fraction)
-        if isinstance(v, (int, Fraction)):
-            return Poly((Fraction(v),))
-        raise ValueError(f"cannot coerce {v!r} into Q[X]")
-
-    def divides(self, b, a):
-        if b.is_zero():
-            return Poly() if a.is_zero() else None
-        q, r = poly_divrem(a, b)
-        return q if r.is_zero() else None
-
-    def is_unit(self, x) -> bool:
-        return isinstance(x, Poly) and x.degree == 0
-
-    def field_coerce(self, v):
-        if isinstance(v, RatFunc):
-            return v
-        return RatFunc(self.coerce(v))
-
-    def from_field(self, q):
-        if not q.is_poly():
-            raise ValueError("element is a proper rational function, not a polynomial")
-        return q.num
-
-    def symbol(self, name):
-        return RatFunc(Poly((Fraction(0), Fraction(1)))) if name == self.var else None
-
-    def inverse_bezout(self, a, b):
-        d, s, t = poly_extended_gcd(a, b)
-        if d.is_zero():
-            return None
-        return RatFunc(s, d), RatFunc(t, d)
-
-    def to_json(self):
-        return {"family": "qpoly"}
-
-    def __str__(self):
-        return f"Q[{self.var}]"
-
-
 class RationalField(RingHandle):
     """Q as a coefficient domain."""
 
@@ -226,53 +168,5 @@ def _strip_primes(n: int, primes) -> int:
     return n
 
 
-class LocalizedIntegers(RingHandle):
-    """Z[1/p : p in primes] as a coefficient domain."""
-
-    family = "zloc"
-
-    def __init__(self, primes):
-        ps = sorted(set(int(p) for p in primes))
-        if not ps or any(p < 2 for p in ps):
-            raise ValueError("need at least one prime >= 2")
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not a prime")
-        self.primes = tuple(ps)
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def coerce(self, v):
-        q = Fraction(v)
-        if not self.contains_rat(q):
-            raise ValueError(f"{q} lies outside {self}")
-        return q
-
-    def contains_rat(self, q: Fraction) -> bool:
-        return _strip_primes(q.denominator, self.primes) == 1
-
-    def divides(self, b, a):
-        if b == 0:
-            return Fraction(0) if a == 0 else None
-        q = Fraction(a) / Fraction(b)
-        return q if self.contains_rat(q) else None
-
-    def is_unit(self, x) -> bool:
-        if x == 0:
-            return False
-        x = Fraction(x)
-        return (
-            _strip_primes(x.numerator, self.primes) == 1
-            and _strip_primes(x.denominator, self.primes) == 1
-        )
-
-    def to_json(self):
-        return {"family": "zloc", "primes": [str(p) for p in self.primes]}
-
-    def __str__(self):
-        return "Z[" + ",".join(f"1/{p}" for p in self.primes) + "]"
-
-
 ZZ = IntegerRing()
 QQ = RationalField()
-QQ_POLY = RationalPolyRing()

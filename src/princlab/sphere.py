@@ -11,12 +11,21 @@ dataclass.
 
 from __future__ import annotations
 
-from .core import CertificateError, RingElem, RingHandle, mat_mul
+from .core import CertificateError, RingElem, RingHandle
 from .rational import Fraction
 
 
 class SphereError(ValueError):
     pass
+
+
+def mat_mul(p, q):
+    """The matrix product p*q of nested lists (p is r x n, q is n x c)."""
+    n = len(q)
+    return [
+        [sum((p[i][k] * q[k][j] for k in range(1, n)), p[i][0] * q[0][j]) for j in range(len(q[0]))]
+        for i in range(len(p))
+    ]
 
 
 def _key(mono):

@@ -16,7 +16,7 @@ from princlab.monoidring import juett_split, mr_comax_chain, mr_split
 from princlab.quadring import QuadElem
 from princlab.recheck import verify_report
 from princlab.report import enc, make_report
-from princlab.rings import LocalizedIntegers
+from princlab.zloc import LocalizedIntegers
 
 
 def run_cli(capsys, *argv):

@@ -202,25 +202,38 @@ def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version
 BASE = ["cli", "core", "rational", "recheck", "recheck.values", "report", "rings"]
 
 # the one verifier part each group's report needs
-PART = {"idem": "recheck.orders", "ideal": "recheck.orders", "comax": "recheck.orders", "pullback": "recheck.orders",
+VERIFIERS = {"recheck.orders", "recheck.pairs", "recheck.examples"}
+PART = {"idem": "recheck.pairs", "ideal": "recheck.orders", "comax": "recheck.orders", "pullback": "recheck.pairs",
         "mring": "recheck.examples", "limitring": "recheck.examples", "polyext": "recheck.examples",
         "sphere": "recheck.examples"}
 
 # argv, and the modules past BASE that its call runs: its family modules,
-# its verifier part, and exprparse for an element or y-polynomial operand
+# `poly` for a polynomial family, `zloc` for a Z[1/p] base, its verifier
+# part, the checker's `polys` part for values that are not in Z or
+# Z[sqrt(d)], and exprparse for an element or y-polynomial operand
 CALLS = {
-    "idem": (["idem", "check", "-2", "-3"], ["idem", "exprparse", "recheck.orders"]),
+    "idem": (["idem", "check", "-2", "-3"], ["idem", "exprparse", "recheck.pairs"]),
+    "idem-qpoly": (["idem", "check", "--ring", "Q[X]", "X", "1-X"],
+                   ["idem", "poly", "exprparse", "recheck.pairs", "recheck.polys"]),
     "ideal": (["ideal", "frompair", "2", "1+sqrt(-5)"], ["quadring", "exprparse", "recheck.orders"]),
     "comax": (["comax", "unique", "60"], ["comax", "exprparse", "recheck.orders"]),
+    "comax-quad": (["comax", "unique", "--ring", "Z[sqrt(-5)]", "21"],
+                   ["comax", "quadring", "exprparse", "recheck.orders"]),
     # over the default base Z, a pullback call never runs quadring
-    "pullback": (["pullback", "nonufd", "Y", "2", "3"], ["pullback", "exprparse", "recheck.orders"]),
-    "pullback-reduce": (["pullback", "reduce", "3+Y", "2"], ["pullback", "idem", "exprparse", "recheck.orders"]),
-    "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"], ["monoidring", "recheck.examples"]),
+    "pullback": (["pullback", "nonufd", "Y", "2", "3"],
+                 ["pullback", "poly", "exprparse", "recheck.pairs", "recheck.polys"]),
+    "pullback-reduce": (["pullback", "reduce", "3+Y", "2"],
+                        ["pullback", "poly", "idem", "exprparse", "recheck.pairs", "recheck.polys"]),
+    "mring": (["mring", "chain", "--m", "3", "--ring", "Z[1/2][X;S]"],
+              ["monoidring", "poly", "zloc", "recheck.examples", "recheck.polys"]),
     # a flag's value after "=" is plain grammar too
-    "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"], ["monoidring", "recheck.examples"]),
-    "limitring": (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"], ["limitring", "recheck.examples"]),
-    "polyext": (["polyext", "counterexample", "--alpha", "2*y"], ["polyext", "exprparse", "recheck.examples"]),
-    "sphere": (["sphere", "projector"], ["sphere", "recheck.examples"]),
+    "mring-equals": (["mring", "split", "--s=1/2", "--n", "2"],
+                     ["monoidring", "poly", "recheck.examples", "recheck.polys"]),
+    "limitring": (["limitring", "chain", "--m", "3", "--ring", "limitring:Z"],
+                  ["limitring", "poly", "recheck.examples", "recheck.polys"]),
+    "polyext": (["polyext", "counterexample", "--alpha", "2*y"],
+                ["polyext", "poly", "exprparse", "recheck.examples", "recheck.polys"]),
+    "sphere": (["sphere", "projector"], ["sphere", "recheck.examples", "recheck.polys"]),
 }
 
 
@@ -243,9 +256,13 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
     code, loaded, ran = ast.literal_eval(res.stderr)
-    assert (code, loaded, ran) == (0, [], sorted(BASE + families))
-    # of the two verifier parts, only the one its group needs ran
-    assert {"recheck.orders", "recheck.examples"} & set(ran) == {PART[argv[0]]}
+    # Z[sqrt(-5)]'s 21 has two factorizations: the one negative verdict here
+    assert (code, loaded, ran) == (1 if argv[-1] == "21" else 0, [], sorted(BASE + families))
+    # of the three verifier parts, only the one its group needs ran
+    assert VERIFIERS & set(ran) == {PART[argv[0]]}
+    # a call over Z or Z[sqrt(d)] runs no polynomial code, the producer's or the checker's
+    if argv[0] in ("ideal", "comax"):
+        assert not {"poly", "recheck.polys", "recheck.pairs"} & set(ran)
 
 
 @pytest.mark.parametrize("s,stdlib", [("1/2", False), ("0.5", True), (" 1/2", True)])

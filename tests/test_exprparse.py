@@ -236,7 +236,7 @@ def test_parse(ring, text, expected):
     assert outcome(ring, text) == expected
 
 
-def test_exprparse_imports_only_core_and_rings():
+def test_exprparse_imports_only_core_rings_and_poly():
     # read the source, not the loaded module: an import inside a function
     # counts as much as one at the top
     found = set()
@@ -251,5 +251,6 @@ def test_exprparse_imports_only_core_and_rings():
             found.update(a.name for a in node.names if a.name.split(".")[0] == princlab.__name__)
         elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
             found.add(node.id)
-    # rational is the package's number type, a leaf like core
-    assert found <= {"core", "rational", "rings"}
+    # rational is the package's number type, a leaf like core; poly gives
+    # Q[y] for a y-polynomial operand
+    assert found <= {"core", "poly", "rational", "rings"}

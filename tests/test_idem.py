@@ -3,7 +3,6 @@ from math import gcd
 
 import pytest
 
-from princlab.core import Poly, mat_mul
 from princlab.idem import (
     CertificateError,
     IdemPair,
@@ -14,10 +13,12 @@ from princlab.idem import (
     is_idempotent_pair,
     pair_from_invertible,
 )
+from princlab.poly import QQ_POLY, Poly
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair, ideal_is_principal, principal_ideal
 from princlab.rational import Fraction
 from princlab.report import enc
-from princlab.rings import QQ_POLY, ZZ
+from princlab.rings import ZZ
+from princlab.sphere import mat_mul
 from rechecked import pair_rechecks, recheck
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fraction_ref import fraction_add, fraction_lift, fraction_mul, std, strip
 from princlab import cli, limitring
-from princlab.core import Poly
+from princlab.poly import Poly
 from princlab.limitring import LimitElem, LimitError, LimitRing, lr_chain, lr_lift
 from princlab.rational import Fraction
 from princlab.rings import QQ, ZZ

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from princlab import monoidring
-from princlab.core import Poly, poly_divrem
+from princlab.poly import Poly, poly_divrem
 from princlab.monoidring import (
     MonoidDesc,
     MonoidElem,
@@ -21,7 +21,8 @@ from princlab.monoidring import (
 )
 from princlab.rational import Fraction
 from princlab.report import enc
-from princlab.rings import QQ, ZZ, LocalizedIntegers
+from princlab.rings import QQ, ZZ
+from princlab.zloc import LocalizedIntegers
 from rechecked import recheck
 
 F = Fraction

@@ -1,6 +1,6 @@
 import pytest
 
-from princlab.core import Poly
+from princlab.poly import Poly
 from princlab.idem import is_idempotent_pair
 from princlab.polyext import (
     Y2Y3,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from princlab.core import Poly, RatFunc
+from princlab.poly import Poly, RatFunc
 from princlab.idem import bezout_in_inverse, is_idempotent_pair, pair_from_invertible
 from princlab.pullback import (
     PullbackElem,

@@ -2,6 +2,7 @@
 polynomial arithmetic against plain Fraction loops."""
 
 import ast
+import collections
 import contextlib
 import copy
 import fractions
@@ -20,11 +21,11 @@ from hypothesis import strategies as st
 import princlab
 from fraction_ref import exponent_past_the_bound, fraction_lift, fraction_mul, std, strip
 from princlab import core, recheck
-from princlab.recheck import examples, orders, values
+from princlab.recheck import examples, orders, polys, values
 from princlab.rational import Fraction
 
 RECHECK_SOURCES = {path.stem: path.read_text() for path in Path(recheck.__file__).parent.glob("*.py")}
-RECHECK_PARTS = {"values", "orders", "examples"}
+RECHECK_PARTS = {"values", "polys", "orders", "pairs", "examples"}
 
 
 def test_recheck_imports_only_the_shared_rational_type():
@@ -46,6 +47,7 @@ def test_recheck_imports_only_the_shared_rational_type():
             elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
                 found.append((name, 0, node.id, ()))
     assert found == [("examples", 2, "rational", ("Fraction",)), ("orders", 2, "rational", ("Fraction",)),
+                     ("pairs", 2, "rational", ("Fraction",)), ("polys", 2, "rational", ("Fraction",)),
                      ("values", 2, "rational", ("Fraction", "_parse"))]
 
 
@@ -72,7 +74,7 @@ def test_lim_and_poly_arithmetic_match_fraction_loops(a, b, la, lb):
     n = max(la, lb)
     # the reference runs on the stdlib's Fractions
     lifted_a, lifted_b = fraction_lift(std(a), n - la), fraction_lift(std(b), n - lb)
-    lifted = values._lim_lift(("lim", la, a), n)
+    lifted = polys._lim_lift(("lim", la, a), n)
     assert lifted[:2] == ("lim", n) and std(lifted[2]) == lifted_a
     product = values.v_mul(("lim", la, a), ("lim", lb, b))
     assert product[:2] == ("lim", n) and std(product[2]) == fraction_mul(lifted_a, lifted_b)
@@ -120,22 +122,22 @@ mon_terms = st.lists(st.tuples(exponents, rationals), max_size=6).map(tuple)
 def test_mon_product_matches_a_fraction_loop(a, b):
     # a "mon" value holds integer exponents over one denominator and integer
     # coefficients over another; repeated terms merge when it is built
-    va, vb = values._mon_of(a), values._mon_of(b)
+    va, vb = polys._mon_of(a), polys._mon_of(b)
     assert mon_terms_of(va) == fraction_mon_mul(a, ((Fraction(0), Fraction(1)),))
     prod = values.v_mul(va, vb)
     assert mon_terms_of(prod) == fraction_mon_mul(a, b)
-    assert mon_normal(prod) and prod == values._mon_of(fraction_mon_mul(a, b))
+    assert mon_normal(prod) and prod == polys._mon_of(fraction_mon_mul(a, b))
 
 
 def test_sparse_mon_product_stays_sparse():
     sparse_terms = ((Fraction(1, 2**20), Fraction(1)), (Fraction(10**6), Fraction(1)))
     dense_terms = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
-    sparse, dense = values._mon_of(sparse_terms), values._mon_of(dense_terms)
+    sparse, dense = polys._mon_of(sparse_terms), polys._mon_of(dense_terms)
     # both on the exponent denominator 2^20
     dense_grid = [(e * 2**20, c) for e, c in dense[3]]
-    assert values._mon_imul(list(sparse[3]), dense_grid) is None
+    assert polys._mon_imul(list(sparse[3]), dense_grid) is None
     assert mon_terms_of(values.v_mul(sparse, dense)) == fraction_mon_mul(sparse_terms, dense_terms)
-    assert values._mon_norm(1, 1, values._mon_imul(dense[3], dense[3])) == values.v_mul(dense, dense)
+    assert polys._mon_norm(1, 1, polys._mon_imul(dense[3], dense[3])) == values.v_mul(dense, dense)
 
 
 def parse_outcome(fn, s):
@@ -199,9 +201,9 @@ member_terms = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(ring=mon_rings, terms=member_terms)
 def test_mon_membership_names_the_terms_a_per_term_check_names(ring, terms):
-    v = values._mon_of(terms)
+    v = polys._mon_of(terms)
     fails = []
-    values._mon_in_ring(v, ring, fails, "lam")
+    polys._mon_in_ring(v, ring, fails, "lam")
     assert fails == per_term_membership(v, ring, "lam")
 
 
@@ -731,6 +733,20 @@ def test_every_comax_report_lists_one_support():
     assert "[2] support differs from the first factorization's" in golden_fails("comax_non_unique", drop_last_prime)
 
 
+def test_a_forged_support_read_back_from_text_is_compared_in_full():
+    # the tree gives every factorization of one element one support list,
+    # which recheck reads once; the text holds a copy per factorization
+    built, text = _main(["--recheck", *next(c for c in json.loads((GOLDEN / "cases.json").read_text())
+                                            if c["name"] == "comax_non_unique")["argv"]])
+    facts = built["result"]["factorizations"]
+    assert len(facts) == 3 and all(fact["support"] is facts[0]["support"] for fact in facts)
+
+    def forge(report):
+        report["result"]["factorizations"][1]["support"][0]["exponent"] += 1
+
+    assert golden_fails("comax_non_unique", forge) == ["[1] support differs from the first factorization's"]
+
+
 @pytest.mark.parametrize(
     "name,bound,failure",
     [("comax_hunt", 125, "witness norm 126 exceeds the bound 125"),
@@ -846,7 +862,7 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
     # a decoded value: no trailing zero, ints when every coefficient is one
     cs = strip(cs)
     cs = tuple(map(int, cs)) if all(Fraction(c).denominator == 1 for c in cs) else tuple(map(Fraction, cs))
-    lifted = values._lim_lift(("lim", level, cs), level + k)
+    lifted = polys._lim_lift(("lim", level, cs), level + k)
     assert lifted[:2] == ("lim", level + k)
     assert std(lifted[2]) == strip(fraction_lift(std(map(Fraction, cs)), k))
     # ints exactly when every coefficient is an integer
@@ -942,9 +958,9 @@ def _negative_idem_report(command, ring, verdict, a, b):
 
 
 def _idem_operands():
-    from princlab.core import Poly
+    from princlab.poly import QQ_POLY, Poly
     from princlab.quadring import QuadElem, QuadOrder
-    from princlab.rings import QQ_POLY, ZZ
+    from princlab.rings import ZZ
 
     small = st.integers(-12, 12)
     quad = QuadOrder(-5)
@@ -1032,6 +1048,45 @@ def test_the_tree_main_checks_and_the_text_it_prints_recheck_alike(name):
     built, text = _main(["--recheck", *case["argv"]])
     assert text == (GOLDEN / f"{name}.out").read_text()
     assert recheck.verify_report(built) == recheck.verify_report(json.loads(text)) == []
+
+
+QUAD_REPORTS = [name for name in REPORTS if values._ring_d(golden(name)["ring"] or {"family": None}) is not None]
+
+
+def _tree_values(node):
+    """The values the producer left in a report tree, by id."""
+    if hasattr(node, "json"):
+        return {id(node): node}
+    found = {}
+    for v in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+        found.update(_tree_values(v))
+    return found
+
+
+@pytest.mark.parametrize("name", QUAD_REPORTS)
+def test_recheck_builds_the_json_of_each_value_the_tree_holds_once(name, monkeypatch):
+    # `dec` decodes each value once per call, and checks its d as it does: the
+    # walk that ties d to the ring opens no value the producer left in the tree
+    case = next(c for c in json.loads((GOLDEN / "cases.json").read_text()) if c["name"] == name)
+    built, _ = _main(case["argv"])
+    held, builds = _tree_values(built["result"]), collections.Counter()
+    for cls in {type(v) for v in held.values()}:
+        monkeypatch.setattr(cls, "json", lambda self, json_of=cls.json: builds.update([id(self)]) or json_of(self))
+    assert recheck.verify_report(built) == []
+    assert {key: builds[key] for key in held} == dict.fromkeys(held, 1)
+
+
+def test_a_value_over_another_d_in_the_tree_is_named_by_its_path(monkeypatch):
+    # the walk leaves the values in the tree to `dec`, which finds the d;
+    # verify_report then walks again, opening every value, to name it
+    from princlab.quadring import QuadElem
+
+    built, _ = _main(["comax", "unique", "--ring", "Z[sqrt(-5)]", "21"])
+    last = built["result"]["factorizations"][-1]["pairwise"][-1]["mu"]
+    json_of = QuadElem.json
+    monkeypatch.setattr(QuadElem, "json", lambda self: {**json_of(self), "d": "-6"} if self is last else json_of(self))
+    k, j = len(built["result"]["factorizations"]) - 1, len(built["result"]["factorizations"][-1]["pairwise"]) - 1
+    assert recheck.verify_report(built) == [f"ring.d is -5, but result.factorizations[{k}].pairwise[{j}].mu has d = -6"]
 
 
 def test_recheck_reads_the_values_the_tree_holds(monkeypatch):

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from princlab.core import Poly, RatFunc, RingElem, RingHandle
+from princlab.core import RingElem, RingHandle
 from princlab.limitring import LimitElem, LimitRing
 from princlab.monoidring import MonoidDesc, MonoidElem, MonoidRing
 from princlab.polyext import PolyExtRing, SubringDesc
+from princlab.poly import QQ_POLY, Poly, RatFunc, RationalPolyRing
 from princlab.pullback import PullbackRing
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair
 from princlab.rational import Fraction
-from princlab.rings import QQ, QQ_POLY, ZZ, IntegerRing, LocalizedIntegers, RationalField, RationalPolyRing
+from princlab.rings import QQ, ZZ, IntegerRing, RationalField
 from princlab.sphere import B2, Poly2, SphereElem, SphereRing
+from princlab.zloc import LocalizedIntegers
 
 small = st.integers(-4, 4)
 rats = st.builds(Fraction, small, st.integers(1, 3))
