@@ -80,19 +80,21 @@ class ComaxFactorization:
         self.blocks = blocks  # index blocks into the support, parallel to factors
         self.support = support
         # the support's encoding by each encoder, one dict for every
-        # factorization of one element, so a report holds that list once
+        # factorization of one element, so a report holds that list once;
+        # each entry is (the support it encodes, its list), and a
+        # factorization of another support builds its own
         self.encoded = {} if encoded is None else encoded
 
     def to_json(self, enc):
-        support = self.encoded.get(enc)
-        if support is None:
-            support = self.encoded[enc] = [{"prime": enc(p), "exponent": e} for p, e in self.support]
+        cached = self.encoded.get(enc)
+        if cached is None or cached[0] is not self.support:
+            cached = self.encoded[enc] = (self.support, [{"prime": enc(p), "exponent": e} for p, e in self.support])
         return {
             "element": enc(self.element),
             "factors": enc(self.factors),
             "unit": enc(self.unit),
             "pairwise": pairwise_json(self.pairwise, enc),
-            "support": support,
+            "support": cached[1],
             "blocks": [list(b) for b in self.blocks],
         }
 

@@ -71,7 +71,8 @@ def verify_report(report: dict) -> list[str]:
     check when they fail, before any routine computes with a value:
     `values._ring_d_fails` walks the result first, and `dec` checks each
     value the producer left in the tree as it decodes it, on whose
-    `OtherD` the walk runs again, opening every value, to name the path.
+    `OtherD` the walk runs again, opening every value, to name the path
+    (or, for a value in a node the walk does not enter, its d alone).
     The verdict must be the one `_VERIFIERS` gives for the result; a
     mismatch is named, and the verifier still runs."""
     command = report.get("command")
@@ -96,9 +97,11 @@ def verify_report(report: dict) -> list[str]:
         fails = [] if verdict == want else [f"verdict {verdict!r} is not the {want!r} its result gives"]
         try:
             return fails + (verify(report) if verify else [])
-        except values.OtherD:
-            # a value the walk above did not open: walk again, opening each
-            return values._ring_d_fails(report, leaves=True)
+        except values.OtherD as exc:
+            # a value the walk above did not open: walk again, opening each,
+            # to name its path; a value the walk never enters is named by
+            # its d alone, so a stray d always fails
+            return values._ring_d_fails(report, leaves=True) or [str(exc)]
     except Exception as exc:  # a malformed report must fail loudly, not crash
         return [f"recheck aborted: {type(exc).__name__}: {exc}"]
     finally:

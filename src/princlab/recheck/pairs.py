@@ -15,7 +15,6 @@ A pullback's non-principal base pair is checked with the lattice code of
 
 from __future__ import annotations
 
-from ..rational import Fraction
 from .values import (_idempotent_fails, _member_fails, _part, _promote, dec, v_add, v_eq, v_is_zero, v_mul,
                      v_one_like, v_sub)
 
@@ -167,30 +166,6 @@ def _verify_idem_from_ideal(report):
     return fails
 
 
-def _rf_value0(v):
-    # value at Y=0 of a decoded rf whose coefficients are rat or quad: a
-    # pullback element's value in the base
-    num, den = v[1], v[2]
-
-    def const(p):
-        if not p[1]:
-            return ("rat", Fraction(0))
-        return p[1][0]
-
-    c0, d0 = const(num), const(den)
-    if v_is_zero(d0):
-        return None
-    if c0[0] == "quad" or d0[0] == "quad":
-        model = c0 if c0[0] == "quad" else d0
-        c0 = _promote(c0, "quad", model) if c0[0] != "quad" else c0
-        d0 = _promote(d0, "quad", model) if d0[0] != "quad" else d0
-        n = d0[1] * d0[1] - d0[3] * d0[2] * d0[2]
-        x = (c0[1] * d0[1] - d0[3] * c0[2] * d0[2]) / n
-        y = (c0[2] * d0[1] - c0[1] * d0[2]) / n
-        return ("quad", x, y, d0[3])
-    return ("rat", c0[1] / d0[1])
-
-
 def _verify_pullback_reduce(report):
     fails = []
     result = report["result"]
@@ -198,7 +173,7 @@ def _verify_pullback_reduce(report):
     a, b, r = dec(result["a"]), dec(result["b"]), dec(result["witness"])
     f, s = (a, b) if result["orientation"] == "ab" else (b, a)
     _idempotent_fails(f, s, r, fails, "witness identity fails")
-    pair, values = result["base_pair"], [_rf_value0(f), _rf_value0(s)]
+    pair, values = result["base_pair"], [_part()._rf_value0(f), _part()._rf_value0(s)]
     if result["case"] != "base_reduction":
         if pair is not None:
             fails.append("base_pair is set outside a base reduction")
@@ -251,7 +226,7 @@ def _verify_pullback_nonufd(report):
         acc = v_mul(acc, dconst)
         if not v_eq(v_mul(e, acc), z):
             fails.append(f"chain element {k} times d^{k} differs from z")
-        val = _rf_value0(e)
+        val = _part()._rf_value0(e)
         if val is None or not v_is_zero(val):  # zero lies in every base
             fails.append(f"chain element {k} is not in the maximal ideal")
     return fails

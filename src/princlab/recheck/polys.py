@@ -390,6 +390,20 @@ def _projector_fails(m, fails, name):
                 fails.append(f"{name}*{name} != {name} at ({i},{j})")
 
 
+def _rf_value0(v):
+    # value at Y=0 of a decoded rf whose coefficients are rat or quad: a
+    # pullback element's value in the base, c/d = c * conj(d) / N(d) for the
+    # constant terms c and d; None when d is 0
+    c, d = (p[1][0] if p[1] else ("rat", Fraction(0)) for p in v[1:])
+    if v_is_zero(d):
+        return None
+    if d[0] == "rat":
+        return v_mul(c, ("rat", 1 / d[1]))
+    _, x, y, e = d
+    n = x * x - e * y * y
+    return v_mul(c, ("quad", x / n, -y / n, e))
+
+
 def _mon_in_ring(v, ring, fails, label):
     desc = ring["monoid"]
     primes = [int(p) for p in desc["primes"]]

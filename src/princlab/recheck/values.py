@@ -114,7 +114,7 @@ def dec(e):
 def _d(e):
     d = int(e["d"])
     if _D is not None and d != _D:
-        raise OtherD
+        raise OtherD(f"the ring's d is {_D}, but a Z[sqrt(d)] value in the result has d = {d}")
     return d
 
 
@@ -306,9 +306,7 @@ def _in_ring(v, ring) -> bool:
         # pullback bases are Z or Z[sqrt(d)]; the value at Y = 0 must lie there
         if family != "pullback" or ring["base"]["family"] not in ("int", "quad"):
             return False
-        from .pairs import _rf_value0
-
-        value = _rf_value0(v)
+        value = _part()._rf_value0(v)
         return value is not None and _in_ring(value, ring["base"])
     return (family, tag) in (("qpoly", "poly"), ("sphere", "sph"))
 

@@ -133,6 +133,18 @@ def test_enumerate_quad_21_three_factorizations():
         assert len(fact.pairwise) == len(fact.factors) * (len(fact.factors) - 1) // 2
 
 
+def test_the_factorizations_of_one_element_share_one_support_list():
+    facts = enumerate_complete_factorizations(E(21, 0), O5)
+    first = facts[0].to_json(enc)["support"]
+    assert all(fact.to_json(enc)["support"] is first for fact in facts)
+    # a factorization of another support handed the same cache encodes its own
+    other = enumerate_complete_factorizations(E(6, 0), O5)[0]
+    other.encoded = facts[0].encoded
+    own = [{"prime": enc(P), "exponent": e} for P, e in other.support]
+    assert other.to_json(enc)["support"] == own != first
+    assert facts[1].to_json(enc)["support"] == first
+
+
 def test_enumerate_quad_9_and_related():
     # 9 = (2 - sqrt(-5))(2 + sqrt(-5)) is the only complete factorization:
     # the split 3*3 is not comaximal

@@ -47,7 +47,7 @@ def test_recheck_imports_only_the_shared_rational_type():
             elif isinstance(node, ast.Name) and node.id in ("__import__", "importlib"):
                 found.append((name, 0, node.id, ()))
     assert found == [("examples", 2, "rational", ("Fraction",)), ("orders", 2, "rational", ("Fraction",)),
-                     ("pairs", 2, "rational", ("Fraction",)), ("polys", 2, "rational", ("Fraction",)),
+                     ("polys", 2, "rational", ("Fraction",)),
                      ("values", 2, "rational", ("Fraction", "_parse"))]
 
 
@@ -1087,6 +1087,20 @@ def test_a_value_over_another_d_in_the_tree_is_named_by_its_path(monkeypatch):
     monkeypatch.setattr(QuadElem, "json", lambda self: {**json_of(self), "d": "-6"} if self is last else json_of(self))
     k, j = len(built["result"]["factorizations"]) - 1, len(built["result"]["factorizations"][-1]["pairwise"]) - 1
     assert recheck.verify_report(built) == [f"ring.d is -5, but result.factorizations[{k}].pairwise[{j}].mu has d = -6"]
+
+
+def test_a_value_over_another_d_in_a_node_the_walk_skips_still_fails():
+    # a factorization given a "type" of no value is a node the d walk does not
+    # enter; `dec` still finds its factor's d, and the check fails with it
+    # rather than passing the rest of the report unchecked
+    def forge(report):
+        fact = report["result"]["factorizations"][1]
+        fact["type"] = "x"
+        fact["factors"][0]["d"] = "-6"
+
+    assert golden("comax_non_unique")["ring"]["d"] == "-5"
+    assert golden_fails("comax_non_unique", forge) == [
+        "the ring's d is -5, but a Z[sqrt(d)] value in the result has d = -6"]
 
 
 def test_recheck_reads_the_values_the_tree_holds(monkeypatch):
