@@ -3,4 +3,4 @@ arithmetic, and comaximal factorization, with re-checkable certificates."""
 
 __version__ = "0.1.0"
 
-REPORT_SCHEMA = "princlab/1"
+REPORT_SCHEMA = "princlab/2"

@@ -227,8 +227,10 @@ def cmd_ideal_factor(ring, b):
 def _comax_factor_one(ring, b):
     # the first of a complete list: the whole support is zero-sum, so it
     # always splits into minimal zero-sum blocks
-    fact = comax.comax_factor_int(b) if ring == ZZ else comax.enumerate_complete_factorizations(b, ring)[0]
-    return {"factorization": enc(fact)}
+    found = comax.comax_factor_int(b) if ring == ZZ else comax.enumerate_complete_factorizations(b, ring)
+    result = found.to_json(enc)
+    result["factorization"] = result.pop("factorizations")[0]
+    return result
 
 
 def cmd_comax_factor(ring, values, jobs):
@@ -245,17 +247,16 @@ def cmd_comax_factor(ring, values, jobs):
 
 
 def cmd_comax_unique(ring, b):
-    facts = comax.enumerate_complete_factorizations(b, ring)
-    result = {"element": enc(b), "count": len(facts), "factorizations": enc(facts)}
-    return ("unique", result, 0) if len(facts) == 1 else ("non_unique", result, 1)
+    found = comax.enumerate_complete_factorizations(b, ring)
+    result = {"count": len(found.factorizations), **enc(found)}
+    return ("unique", result, 0) if result["count"] == 1 else ("non_unique", result, 1)
 
 
 def cmd_comax_hunt(ring, bound):
-    hit = comax.find_nonunique_witness(ring, bound)
-    if hit is None:
+    found = comax.find_nonunique_witness(ring, bound)
+    if found is None:
         return "no_witness", {"bound": bound, "witness": None, "factorizations": []}, 1
-    b, facts = hit
-    return "witness_found", {"bound": bound, "witness": enc(b), "factorizations": enc(facts)}, 0
+    return "witness_found", {"bound": bound, **found.to_json(enc, "witness")}, 0
 
 
 def cmd_pullback_reduce(ring, a, b, witness, orientation):

@@ -30,17 +30,19 @@ Everything that depends on the ring family (the prime support, classes, block
 generators, Bezout certificates, factor order, the witness scan) is a hook
 of the ring handle; see `rings`.
 
-A `ComaxFactorization` certifies the product (u * f_1 * ... * f_m == b),
-each pair's comaximality (a Bezout pair) and the unit; it lists the support
-and each factor's block, from which `recheck` re-derives every block's
-lattice.  Recheck is the one check of these identities; the producer does
-not re-multiply its own certificate.  Recheck decides itself whether a
-block splits into two principal blocks by walking the ideal classes its
+A `ComaxResult` holds b, its support and its factorizations.  A
+`ComaxFactorization` certifies the product (u * f_1 * ... * f_m == b),
+each pair's comaximality (a Bezout pair) and the unit, and lists each
+factor's block, from which `recheck` re-derives every block's lattice.
+Recheck is the one check of these identities; the producer does not
+re-multiply its own certificate.  Recheck decides itself whether a block
+splits into two principal blocks by walking the ideal classes its
 sub-blocks reach: at most (k-1)*h ideal products for a block of k primes
-and class number h, where the splits number 2^(k-1) - 1.  Recheck proves each support prime by Miller-Rabin,
-which is exact only below `core._MR_BOUND`, so an element whose support lies
-over a larger rational prime is refused here.  It is a plain class with an
-explicit `__init__`; see `core` for why not dataclasses.
+and class number h, where the splits number 2^(k-1) - 1.  Recheck proves
+each support prime by Miller-Rabin, which is exact only below
+`core._MR_BOUND`, so an element whose support lies over a larger rational
+prime is refused here.  Both are plain classes with an explicit
+`__init__`; see `core` for why not dataclasses.
 """
 
 from __future__ import annotations
@@ -72,31 +74,29 @@ def support_cap_from_env() -> int:
 
 
 class ComaxFactorization:
-    def __init__(self, element, factors: list, unit, pairwise: list, blocks: list, support: list, encoded=None):
-        self.element = element
+    def __init__(self, factors: list, unit, pairwise: list, blocks: list):
         self.factors = factors
         self.unit = unit
         self.pairwise = pairwise  # (i, j, lam, mu) with lam*f_i + mu*f_j == 1
         self.blocks = blocks  # index blocks into the support, parallel to factors
-        self.support = support
-        # the support's encoding by each encoder, one dict for every
-        # factorization of one element, so a report holds that list once;
-        # each entry is (the support it encodes, its list), and a
-        # factorization of another support builds its own
-        self.encoded = {} if encoded is None else encoded
 
     def to_json(self, enc):
-        cached = self.encoded.get(enc)
-        if cached is None or cached[0] is not self.support:
-            cached = self.encoded[enc] = (self.support, [{"prime": enc(p), "exponent": e} for p, e in self.support])
-        return {
-            "element": enc(self.element),
-            "factors": enc(self.factors),
-            "unit": enc(self.unit),
-            "pairwise": pairwise_json(self.pairwise, enc),
-            "support": cached[1],
-            "blocks": [list(b) for b in self.blocks],
-        }
+        return {"factors": enc(self.factors), "unit": enc(self.unit), "pairwise": pairwise_json(self.pairwise, enc),
+                "blocks": [list(b) for b in self.blocks]}
+
+
+class ComaxResult:
+    """The result of `comax factor`, `unique` and `hunt`: its JSON writes
+    the element (under `key`) and the support once, then the factorizations."""
+
+    def __init__(self, element, support: list, factorizations: list[ComaxFactorization]):
+        self.element = element
+        self.support = support
+        self.factorizations = factorizations
+
+    def to_json(self, enc, key="element"):
+        return {key: enc(self.element), "support": [{"prime": enc(p), "exponent": e} for p, e in self.support],
+                "factorizations": [f.to_json(enc) for f in self.factorizations]}
 
 
 def _support_of(b, ring):
@@ -197,7 +197,7 @@ class _BlockMemo:
         return self._ideals[mask]
 
 
-def _build_factorization(b, ring, support, blocks, generators, encoded=None) -> ComaxFactorization:
+def _build_factorization(b, ring, blocks, generators) -> ComaxFactorization:
     order = sorted(range(len(blocks)), key=lambda i: ring.sort_key(generators[i]))
     blocks = [tuple(blocks[i]) for i in order]
     factors = [generators[i] for i in order]
@@ -214,7 +214,7 @@ def _build_factorization(b, ring, support, blocks, generators, encoded=None) -> 
             if cert is None:
                 raise CertificateError("factors are not comaximal")
             pairwise.append((i, j, *cert))
-    return ComaxFactorization(b, factors, unit, pairwise, blocks, support, encoded)
+    return ComaxFactorization(factors, unit, pairwise, blocks)
 
 
 def _minimal_zero_sum_partitions(memo: _BlockMemo, rest: int):
@@ -237,10 +237,10 @@ def _minimal_zero_sum_partitions(memo: _BlockMemo, rest: int):
         sub = (sub - 1) & others
 
 
-def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
+def enumerate_complete_factorizations(b, ring) -> ComaxResult:
     """Every complete comaximal factorization of b, one per partition of
-    the prime support into minimal zero-sum blocks; length 1 means the
-    factorization is unique.  At most `support_cap_from_env()` primes."""
+    the prime support into minimal zero-sum blocks; one factorization means
+    it is unique.  At most `support_cap_from_env()` primes."""
     cap = support_cap_from_env()
     support = _support_of(b, ring)
     if len(support) > cap:
@@ -248,36 +248,36 @@ def enumerate_complete_factorizations(b, ring) -> list[ComaxFactorization]:
             f"support size {len(support)} exceeds the cap {cap}"
         )
     memo = _BlockMemo(support, ring)
-    out, encoded = [], {}
+    out = []
     for partition in _minimal_zero_sum_partitions(memo, (1 << len(support)) - 1):
         blocks = [_indices(mask) for mask in partition]
         generators = [memo.generator(mask) for mask in partition]
-        out.append(_build_factorization(b, ring, support, blocks, generators, encoded))
+        out.append(_build_factorization(b, ring, blocks, generators))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
-    return out
+    return ComaxResult(b, support, out)
 
 
-def comax_factor_int(n: int) -> ComaxFactorization:
+def comax_factor_int(n: int) -> ComaxResult:
     """The complete comaximal factorization of an integer |n| >= 2: its
     prime-power parts, with extended-Euclid comaximality certificates."""
     support = _support_of(n, ZZ)
     blocks = [(i,) for i in range(len(support))]
     generators = [p**e for p, e in support]
-    return _build_factorization(n, ZZ, support, blocks, generators)
+    return ComaxResult(n, support, [_build_factorization(n, ZZ, blocks, generators)])
 
 
-def find_nonunique_witness(ring, norm_bound: int):
-    """Smallest-norm element (scan order: norm, then the ring's order on one
-    associate per element) with at least two complete comaximal
-    factorizations, or None within the bound.  A bound below 2 scans no
-    norm, so it is refused rather than answered with None."""
+def find_nonunique_witness(ring, norm_bound: int) -> ComaxResult | None:
+    """The complete comaximal factorizations of the smallest-norm element
+    (scan order: norm, then the ring's order on one associate per element)
+    that has at least two, or None within the bound.  A bound below 2 scans
+    no norm, so it is refused rather than answered with None."""
     if not hasattr(ring, "associates_of_norm"):
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
     if norm_bound < 2:
         raise ComaxInputError("need --bound >= 2")
     for n in range(2, norm_bound + 1):
         for b in ring.associates_of_norm(n):
-            facts = enumerate_complete_factorizations(b, ring)
-            if len(facts) > 1:
-                return b, facts
+            found = enumerate_complete_factorizations(b, ring)
+            if len(found.factorizations) > 1:
+                return found
     return None

@@ -12,7 +12,7 @@ recheck means the certificates stand on their own.
 The report `cli.main` checks is the one it prints: certificates are dicts
 and lists, but each ring element and ideal is still the producer's
 immutable object (see `report`).  The checker reads such a value through
-one argument-free call, `json()` (`values.leaf`), the text `report.dump`
+one argument-free call, `json()` (`values._decode`), the text `report.dump`
 writes for it, and decodes that as it would the `json.loads` of the text.
 
 The checker is split in parts, and a call runs only those its report needs:
@@ -30,6 +30,8 @@ never loads the lattice code.
 """
 
 from __future__ import annotations
+
+SCHEMA = "princlab/2"  # the one schema read: `princlab.REPORT_SCHEMA`, which is not imported
 
 def _pair(result):
     return "not_idempotent_pair" if result["pair"] is None else "idempotent_pair"
@@ -66,7 +68,7 @@ _VERIFIERS = {
 
 def verify_report(report: dict) -> list[str]:
     """Re-derive every certificate in the report; returns failure messages
-    (empty means everything re-checked).  The ring's primes
+    (empty means everything re-checked).  The schema, the ring's primes
     (`values._ring_prime_fails`) and the d of every Z[sqrt(d)] value end the
     check when they fail, before any routine computes with a value:
     `values._ring_d_fails` walks the result first, and `dec` checks each
@@ -75,6 +77,8 @@ def verify_report(report: dict) -> list[str]:
     (or, for a value in a node the walk does not enter, its d alone).
     The verdict must be the one `_VERIFIERS` gives for the result; a
     mismatch is named, and the verifier still runs."""
+    if report.get("schema") != SCHEMA:
+        return [f"report schema {report.get('schema')!r} is not {SCHEMA!r}"]
     command = report.get("command")
     if command not in _VERIFIERS:
         return [f"no recheck routine for command {command!r}"]

@@ -7,7 +7,8 @@ A limit chain's product runs x_m, 1+x_m, 1+x_(m-1), ..., 1+x_2: as x_k *
 m, each half the degree of the next, where the listed order starts at
 degree 2^(m-2).  A chain's lam and mu are checked for membership in the
 ring as `_comaximal_fails` decodes them, pair by pair; their failures still
-follow those of the factors.
+follow those of the factors.  A factor, lam or mu above level m fails
+before any product or Bezout identity, which would lift it there first.
 
 `mring split`'s n is tied to the term count of f2 and its remainder to n.
 A `polyext counterexample` report is rechecked from alpha and the excluded
@@ -92,13 +93,23 @@ def _verify_mring_juett(report):
 def _verify_limitring_chain(report):
     fails, outside = [], []
     result, ring = report["result"], report["ring"]
+    m = len(result["factors"])  # x_m, then 1+x_m down to 1+x_2 (see the module docstring)
+
+    def too_deep(named, into):
+        # lifting a value above level m, before a check fails, costs about 8-fold per level
+        deep = [f"{name} has level {v[1]}, above the chain's m = {m}" for name, v in named if v[0] == "lim" and v[1] > m]
+        into += deep
+        return deep
 
     def member(c, lam, mu):
         # over Z: the limit ring's only bases are Q and Z
         named = ((f"pairwise {c['i']},{c['j']} lam", lam), (f"pairwise {c['i']},{c['j']} mu", mu))
+        if too_deep(named, outside):
+            return True
         _member_fails(named, ring, outside, "coefficients leave Z")
 
-    m = len(result["factors"])  # x_m, then 1+x_m down to 1+x_2 (see the module docstring)
+    if too_deep([(f"factors[{k}]", dec(f)) for k, f in enumerate(result["factors"])], fails):
+        return fails
     factors = _comaximal_fails(result, ("lim", 1, (0, 1)), "product of chain factors differs from the lift of x_1",
                                fails, order=[0, *range(m - 1, 0, -1)][:m], each=member)
     if result["m"] != len(factors):

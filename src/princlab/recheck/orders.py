@@ -13,14 +13,12 @@ quadratic form must not reduce to (1, 0, -d), with its own reduction
 
 Recheck ties each comax factor to its block and decides itself whether
 the block splits into two principal blocks (`_Blocks`), by walking the
-ideal classes its sub-blocks reach.  The factorizations of one report must
-share one support, so each distinct block is checked once per report.  In
-the report tree `main` checks, the factorizations of one element hold one
-support list, which is read once; a support read back from text is
-compared with the first in full (`_support_json`).  The support lists
-distinct primes (`_prime_label`): over Z rational primes, over Z[sqrt(d)]
-ideals of prime norm or pO with p inert.  That the list of factorizations
-of `comax unique` is complete is not certified.
+ideal classes its sub-blocks reach.  A comax result writes its element and
+support once, beside its factorizations, and `_comax_fails` reads each
+once, so each distinct block is checked once per element.  The support
+lists distinct primes (`_prime_label`): over Z rational primes, over
+Z[sqrt(d)] ideals of prime norm or pO with p inert.  That the list of
+factorizations of `comax unique` is complete is not certified.
 
 Each of `ideal mul`'s norms is tied to the basis determinant n*m of its
 lattice.
@@ -31,7 +29,7 @@ from __future__ import annotations
 from math import gcd
 
 from ..rational import Fraction
-from .values import _comaximal_fails, _member_fails, _not_prime, dec, leaf, v_eq
+from .values import _comaximal_fails, _member_fails, _not_prime, dec
 
 # ----------------------------------------------------- quadratic lattices
 
@@ -258,11 +256,10 @@ def _verify_ideal_factor(report):
 
 
 class _Blocks:
-    """The prime powers of one support (a comax report's factorizations
-    share one) and its blocks, ascending index tuples, each checked once.  A
-    block's product is that of the block without its last index times that
-    prime power: over Z an integer, over Z[sqrt(d)] a lattice, one ideal
-    product per sub-block.
+    """The prime powers of one support and its blocks, ascending index
+    tuples, each checked once.  A block's product is that of the block
+    without its last index times that prime power: over Z an integer, over
+    Z[sqrt(d)] a lattice, one ideal product per sub-block.
 
     A block is pseudo-irreducible when no split of it into two nonempty
     parts has two principal sides.  Over Z every side is principal, so
@@ -276,14 +273,13 @@ class _Blocks:
 
     def __init__(self, support, ring, fails, key="support"):
         self.support = support
-        self.text = _support_json(support)
         self.fails = fails
         self.ring = ring
         self.d = None if ring["family"] == "int" else int(ring["d"])
         self._spans = {}
         self._classes = {}
         self._checked = set()
-        self.primes = [dec(e["prime"]) for e in self.text]
+        self.primes = [dec(e["prime"]) for e in support]
         seen = set()
         for i, p in enumerate(self.primes):
             label = _prime_label(p, self.d)
@@ -343,12 +339,6 @@ class _Blocks:
         self.fails.append(f"block {list(block)} splits into principal blocks {list(left)} and {right}")
 
 
-def _support_json(support):
-    """A support list as its JSON, so that two supports compare as their
-    text reads."""
-    return [{**e, "prime": leaf(e["prime"])} for e in support]
-
-
 def _prime_label(p, d):
     """A decoded support entry as a label equal for equal primes, or None
     when it is not a prime: over Z (d None) a rational prime; over
@@ -367,16 +357,15 @@ def _prime_label(p, d):
     return None
 
 
-def _verify_factorization(fact, blocks, fails, label=""):
-    """Product, pairs and unit of one factorization over `blocks`' support:
-    each lam and mu lies in the ring (over the fraction field any two
-    nonzero elements are comaximal), each factor generates its block's
-    ideal, the blocks partition the support, and each block is
+def _verify_factorization(fact, element, blocks, fails, label):
+    """Product, pairs and unit of one factorization of `element` over
+    `blocks`' support: each lam and mu lies in the ring (over the fraction
+    field any two nonzero elements are comaximal), each factor generates its
+    block's ideal, the blocks partition the support, and each block is
     pseudo-irreducible."""
     d = blocks.d
     m = len(fact["factors"])
     unit = dec(fact["unit"])
-    element = dec(fact["element"])
     pairs = []
     factors = _comaximal_fails(fact, element, "product of factors times unit differs from the element", fails, label,
                                unit, each=lambda c, *pair: pairs.append((c, pair)))
@@ -388,10 +377,6 @@ def _verify_factorization(fact, blocks, fails, label=""):
             fails.append(f"{label}unit is not +-1")
     elif unit[1] * unit[1] - d * unit[2] * unit[2] != 1:
         fails.append(f"{label}unit does not have norm 1")
-    # in the tree `main` checks, every factorization holds the first one's list
-    if fact["support"] is not blocks.support and _support_json(fact["support"]) != blocks.text:
-        fails.append(f"{label}support differs from the first factorization's")
-        return
     idxs = [tuple(sorted(b)) for b in fact["blocks"]]
     if len(idxs) != m or not all(idxs) or sorted(i for b in idxs for i in b) != list(range(len(blocks.support))):
         fails.append(f"{label}blocks do not partition the support, one per factor")
@@ -407,47 +392,42 @@ def _verify_factorization(fact, blocks, fails, label=""):
         blocks.check(block)
 
 
-def _verify_comax_factor(report):
-    fails = []
-    result = report["result"]
-    entries = result["batch"] if "batch" in result else [result]
-    for n, entry in enumerate(entries):
-        fact = entry["factorization"]
-        _verify_factorization(fact, _Blocks(fact["support"], report["ring"], fails), fails, label=f"[{n}] ")
-    return fails
-
-
-def _verify_factorization_list(facts, element, ring, fails):
-    """Each factorization must factor `element` over one shared support, and
-    no two may pick the same blocks."""
+def _comax_fails(result, key, facts, ring, fails, first=0):
+    """The one check of a comax result: its element (under `key`) and its
+    support, each read once, and over them each factorization of `facts`,
+    labelled by its index from `first`, no two of which may pick the same
+    blocks."""
     if not facts:
         fails.append("no factorization is listed")
         return
-    blocks = _Blocks(facts[0]["support"], ring, fails)
+    element = dec(result[key])
+    blocks = _Blocks(result["support"], ring, fails)
     seen = set()
-    for n, fact in enumerate(facts):
-        if not v_eq(dec(fact["element"]), element):
-            fails.append(f"[{n}] factorization is of another element")
+    for n, fact in enumerate(facts, first):
         picked = frozenset(tuple(sorted(b)) for b in fact["blocks"])
         if picked in seen:
             fails.append(f"[{n}] factorization repeats the blocks of an earlier one")
         seen.add(picked)
-        _verify_factorization(fact, blocks, fails, label=f"[{n}] ")
+        _verify_factorization(fact, element, blocks, fails, f"[{n}] ")
+
+
+def _verify_comax_factor(report):
+    result, fails = report["result"], []
+    for n, entry in enumerate(result["batch"] if "batch" in result else [result]):
+        _comax_fails(entry, "element", [entry["factorization"]], report["ring"], fails, n)
+    return fails
 
 
 def _verify_comax_unique(report):
-    fails = []
-    result = report["result"]
-    facts = result["factorizations"]
-    if len(facts) != result["count"]:
+    result, fails = report["result"], []
+    if len(result["factorizations"]) != result["count"]:
         fails.append("count differs from the factorization list")
-    _verify_factorization_list(facts, dec(result["element"]), report["ring"], fails)
+    _comax_fails(result, "element", result["factorizations"], report["ring"], fails)
     return fails
 
 
 def _verify_comax_hunt(report):
-    fails = []
-    result = report["result"]
+    result, fails = report["result"], []
     bound = result["bound"]
     if bound < 2:
         fails.append(f"bound {bound} is below 2, so no norm was scanned")
@@ -455,13 +435,14 @@ def _verify_comax_hunt(report):
         # a verdict that carries no certificate
         if result["factorizations"] != []:
             fails.append("a no_witness verdict carries factorizations")
+        if "support" in result:
+            fails.append("a no_witness verdict carries a support")
         return fails
     witness = dec(result["witness"])
     norm = abs(witness[1]) if witness[0] == "rat" else witness[1] ** 2 - int(report["ring"]["d"]) * witness[2] ** 2
     if norm > bound:
         fails.append(f"witness norm {norm} exceeds the bound {bound}")
-    facts = result["factorizations"]
-    if len(facts) < 2:
+    if len(result["factorizations"]) < 2:
         fails.append("witness carries fewer than two factorizations")
-    _verify_factorization_list(facts, witness, report["ring"], fails)
+    _comax_fails(result, "witness", result["factorizations"], report["ring"], fails)
     return fails

@@ -4,9 +4,8 @@ loads this part.
 
 `dec` turns a JSON element into a tagged value ("rat", "quad", "poly", "rf",
 "mon", "lim", "sph", "qid"), reading a value the producer left in the
-report tree through its `json()` (`leaf`), once per `verify_report` call:
-a comax report holds its element and each block's generator in many
-factorizations.  The pairwise lam and mu of `_comaximal_fails`, each used
+report tree through its `json()`, once per `verify_report` call: a comax
+report holds each block's generator in many factorizations.  The pairwise lam and mu of `_comaximal_fails`, each used
 once, are decoded apart (`_decode`), one pair at a time, so a chain's
 cofactors are never held decoded all at once.  `v_add`, `v_mul`, `v_eq`,
 ... compute on "rat" and "quad" values here and on every other tag in the
@@ -94,12 +93,6 @@ def _rat_leaf(c):
     return c["value"]
 
 
-def leaf(e):
-    """A report element as JSON: a dict as it stands, and a value the
-    producer left in the report tree through its `json()`."""
-    return e.json() if hasattr(e, "json") else e
-
-
 def dec(e):
     """JSON element, or a value the producer left in the report tree ->
     tagged value; such a value is decoded once per `verify_report` call."""
@@ -121,7 +114,7 @@ def _d(e):
 def _decode(e):
     """JSON element, or a value the producer left in the report tree ->
     tagged value, decoded anew."""
-    e = leaf(e)
+    e = e.json() if hasattr(e, "json") else e
     t = e["type"]
     if t in ("int", "rat"):
         return ("rat", Fraction(e["value"]))
@@ -255,7 +248,8 @@ def _comaximal_fails(cert, target, claim, fails, label="", unit=None, order=None
     failing pair names its (i, j); no pair is checked when the cover fails.
     The entries are decoded one at a time, and `each(entry, lam, mu)` is
     called with every decoded pair (also when the cover fails), so no caller
-    decodes them again.  Returns the decoded factors."""
+    decodes them again; a pair it returns true for is skipped.  Returns the
+    decoded factors."""
     factors = [dec(f) for f in cert["factors"]]
     one = v_one_like(target)
     prod = one if unit is None else unit
@@ -269,8 +263,8 @@ def _comaximal_fails(cert, target, claim, fails, label="", unit=None, order=None
         fails.append(f"{label}pairwise certificates do not cover each pair of factors once")
     for c in cert["pairwise"]:
         lam, mu = _decode(c["lam"]), _decode(c["mu"])
-        if each is not None:
-            each(c, lam, mu)
+        if each is not None and each(c, lam, mu):
+            continue
         if covered and not v_eq(v_add(v_mul(lam, factors[c["i"]]), v_mul(mu, factors[c["j"]])), one):
             fails.append(f"{label}Bezout certificate for pair {c['i']},{c['j']} fails")
     return factors

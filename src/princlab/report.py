@@ -48,6 +48,11 @@ JSON.  A batch handed to `write` stays written: a leaf JSON cannot hold
 raises its TypeError after the text before it went out (`tree` builds no
 such leaf).
 
+Schema.  A report's keys are "schema", "version", "command", "ring",
+"verdict", "result" and, once recheck passed, "recheck"; `recheck` fails
+any other schema than its own.  `princlab/2` writes each fact once: a
+comax result holds its element and support beside its factorizations.
+
 A report is read-only once `make_report` has built it, except for its
 top-level "recheck" key, which `cli` sets after a passed recheck.  The
 `json()` of a chain element gives equal coefficients one shared leaf dict

@@ -140,7 +140,9 @@ def test_recheck_ties_comax_unique_to_its_element(capsys):
     def copied_twice(result):
         result["factorizations"][1] = copy.deepcopy(result["factorizations"][0])
 
-    assert any("another element" in f for f in _tampered_fails(report, other_element))
+    # the one element the result writes is the one each factorization multiplies to
+    fails = _tampered_fails(report, other_element)
+    assert [f"[{n}] product of factors times unit differs from the element" for n in range(3)] == fails
     assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
 
 
@@ -154,7 +156,8 @@ def test_recheck_ties_comax_hunt_to_its_witness(capsys):
     def copied_twice(result):
         result["factorizations"] = [result["factorizations"][0]] * 2
 
-    assert any("another element" in f for f in _tampered_fails(report, other_witness))
+    fails = _tampered_fails(report, other_witness)
+    assert "[0] product of factors times unit differs from the element" in fails
     assert any("repeats the blocks" in f for f in _tampered_fails(report, copied_twice))
 
 
@@ -201,9 +204,10 @@ SPLIT = (("f1",), ("f2",), ("lam",), ("mu",))
            lambda ring=ring: lr_chain(3, cli.parse_ring_spec(ring)), lambda r: r, (("factors", 0), LAM, MU))
           for ring in ("limitring:Q", "limitring:Z")],
         (["comax", "unique", "--ring", "Z[sqrt(-5)]", "21"],
-         lambda: enumerate_complete_factorizations(QuadElem(21, 0, -5), cli.parse_ring_spec("Z[sqrt(-5)]"))[0],
+         lambda: enumerate_complete_factorizations(QuadElem(21, 0, -5),
+                                                   cli.parse_ring_spec("Z[sqrt(-5)]")).factorizations[0],
          lambda r: r["factorizations"][0], (FACTOR, LAM, MU, UNIT)),
-        (["comax", "factor", "360"], lambda: comax_factor_int(360), lambda r: r["factorization"],
+        (["comax", "factor", "360"], lambda: comax_factor_int(360).factorizations[0], lambda r: r["factorization"],
          (FACTOR, LAM, MU, UNIT)),
     ],
     ids=["mr_split", "mr_comax_chain-Q", "mr_comax_chain-Z[1/2]", "juett_split", "lr_chain-Q", "lr_chain-Z",
@@ -270,7 +274,13 @@ def test_failed_self_check_exits_3_not_2(capsys, monkeypatch):
     from princlab import comax
 
     real = comax.comax_factor_int
-    monkeypatch.setattr(comax, "comax_factor_int", lambda n: _bumped(real(n), FACTOR))
+
+    def wrong(n):
+        found = real(n)
+        found.factorizations[0] = _bumped(found.factorizations[0], FACTOR)
+        return found
+
+    monkeypatch.setattr(comax, "comax_factor_int", wrong)
     for flag in ([], ["--recheck"]):
         code, out, err = run_cli(capsys, *flag, "comax", "factor", "84")
         assert code == 3

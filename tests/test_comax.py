@@ -24,9 +24,11 @@ from rechecked import recheck
 O5 = QuadOrder(-5)
 
 
-def rechecks(fact, ring):
-    """The factorization passes recheck as a `comax factor` report."""
-    return recheck("comax factor", ring, {"factorization": enc(fact)}) == []
+def rechecks(found, ring):
+    """The factorizations pass recheck as a `comax unique` report."""
+    count = len(found.factorizations)
+    verdict = "unique" if count == 1 else "non_unique"
+    return recheck("comax unique", ring, {"count": count, **enc(found)}, verdict) == []
 
 
 def E(x, y):
@@ -59,67 +61,70 @@ def oracle_is_pseudo_irreducible_int(n):
 
 
 def test_comax_factor_int_spec_cases():
-    f = comax_factor_int(360)
-    assert sorted(f.factors) == [5, 8, 9]
-    assert rechecks(f, ZZ)
+    found = comax_factor_int(360)
+    assert sorted(found.factorizations[0].factors) == [5, 8, 9]
+    assert rechecks(found, ZZ)
 
-    f = comax_factor_int(8)
+    (f,) = comax_factor_int(8).factorizations
     assert f.factors == [8] and f.blocks == [(0,)]
 
     for bad in (1, -1, 0):
         with pytest.raises(ComaxInputError):
             comax_factor_int(bad)
 
-    f = comax_factor_int(-12)
+    found = comax_factor_int(-12)
+    (f,) = found.factorizations
     assert sorted(f.factors) == [3, 4] and f.unit == -1
-    assert rechecks(f, ZZ)
+    assert rechecks(found, ZZ)
 
 
 def test_comax_factor_int_against_oracle():
     for n in range(2, 2000):
-        f = comax_factor_int(n)
-        assert sorted(f.factors) == oracle_prime_power_grouping(n)
-        assert rechecks(f, ZZ)
+        found = comax_factor_int(n)
+        assert sorted(found.factorizations[0].factors) == oracle_prime_power_grouping(n)
+        assert rechecks(found, ZZ)
 
 
 def test_pseudo_irreducible_int_against_oracle():
     # b is pseudo-irreducible exactly when its complete factorization has one factor
     for n in range(2, 400):
-        (fact,) = enumerate_complete_factorizations(n, ZZ)
+        (fact,) = enumerate_complete_factorizations(n, ZZ).factorizations
         assert (len(fact.factors) == 1) == oracle_is_pseudo_irreducible_int(n), n
 
 
 def test_pseudo_irreducible_spec_cases():
-    (fact,) = enumerate_complete_factorizations(E(2, 0), O5)
-    assert fact.factors == [E(2, 0)] and len(fact.support) == 1
+    found = enumerate_complete_factorizations(E(2, 0), O5)
+    (fact,) = found.factorizations
+    assert fact.factors == [E(2, 0)] and len(found.support) == 1
 
     # (3) == P*Q with P, Q non-principal: the one split has no principal
     # side, so 3 is its own complete factorization over two primes
-    (fact,) = enumerate_complete_factorizations(E(3, 0), O5)
+    (fact,) = enumerate_complete_factorizations(E(3, 0), O5).factorizations
     assert fact.factors == [E(3, 0)] and fact.blocks == [(0, 1)]
 
-    (fact,) = enumerate_complete_factorizations(6, ZZ)
+    (fact,) = enumerate_complete_factorizations(6, ZZ).factorizations
     assert fact.factors == [2, 3]
 
 
 def test_enumerate_int_unique():
     for n in list(range(2, 200)) + [360, 1024, 9999]:
-        facts = enumerate_complete_factorizations(n, ZZ)
-        assert len(facts) == 1
-        assert sorted(facts[0].factors) == oracle_prime_power_grouping(n)
-        assert rechecks(facts[0], ZZ)
+        found = enumerate_complete_factorizations(n, ZZ)
+        (fact,) = found.factorizations
+        assert sorted(fact.factors) == oracle_prime_power_grouping(n)
+        assert rechecks(found, ZZ)
 
 
 def test_enumerate_quad_six_unique():
-    facts = enumerate_complete_factorizations(E(6, 0), O5)
-    assert len(facts) == 1
-    assert sorted(f.norm() for f in facts[0].factors) == [4, 9]
-    assert facts[0].factors == [E(2, 0), E(3, 0)]
-    assert rechecks(facts[0], O5)
+    found = enumerate_complete_factorizations(E(6, 0), O5)
+    (fact,) = found.factorizations
+    assert sorted(f.norm() for f in fact.factors) == [4, 9]
+    assert fact.factors == [E(2, 0), E(3, 0)]
+    assert rechecks(found, O5)
 
 
 def test_enumerate_quad_21_three_factorizations():
-    facts = enumerate_complete_factorizations(E(21, 0), O5)
+    found = enumerate_complete_factorizations(E(21, 0), O5)
+    facts = found.factorizations
     assert len(facts) == 3
     families = {frozenset((f.x, f.y) for f in fact.factors) for fact in facts}
     assert families == {
@@ -127,34 +132,32 @@ def test_enumerate_quad_21_three_factorizations():
         frozenset({(1, 2), (1, -2)}),
         frozenset({(4, 1), (4, -1)}),
     }
+    # every pair in every factorization carries a working certificate
+    assert rechecks(found, O5)
     for fact in facts:
-        assert rechecks(fact, O5)
-        # every pair in every factorization carries a working certificate
         assert len(fact.pairwise) == len(fact.factors) * (len(fact.factors) - 1) // 2
 
 
-def test_the_factorizations_of_one_element_share_one_support_list():
-    facts = enumerate_complete_factorizations(E(21, 0), O5)
-    first = facts[0].to_json(enc)["support"]
-    assert all(fact.to_json(enc)["support"] is first for fact in facts)
-    # a factorization of another support handed the same cache encodes its own
-    other = enumerate_complete_factorizations(E(6, 0), O5)[0]
-    other.encoded = facts[0].encoded
-    own = [{"prime": enc(P), "exponent": e} for P, e in other.support]
-    assert other.to_json(enc)["support"] == own != first
-    assert facts[1].to_json(enc)["support"] == first
+def test_a_result_writes_its_element_and_support_once():
+    found = enumerate_complete_factorizations(E(21, 0), O5)
+    result = enc(found)
+    assert list(result) == ["element", "support", "factorizations"]
+    assert result["element"] == enc(E(21, 0))
+    assert result["support"] == [{"prime": enc(P), "exponent": e} for P, e in found.support]
+    assert [list(fact) for fact in result["factorizations"]] == [["factors", "unit", "pairwise", "blocks"]] * 3
+    # the hunt writes the element as its witness
+    assert list(found.to_json(enc, "witness")) == ["witness", "support", "factorizations"]
 
 
 def test_enumerate_quad_9_and_related():
     # 9 = (2 - sqrt(-5))(2 + sqrt(-5)) is the only complete factorization:
     # the split 3*3 is not comaximal
-    facts = enumerate_complete_factorizations(E(9, 0), O5)
-    assert len(facts) == 1
-    assert sorted((f.x, f.y) for f in facts[0].factors) == [(2, -1), (2, 1)]
+    (fact,) = enumerate_complete_factorizations(E(9, 0), O5).factorizations
+    assert sorted((f.x, f.y) for f in fact.factors) == [(2, -1), (2, 1)]
 
     # 2 is pseudo-irreducible: single factorization {2}
-    facts = enumerate_complete_factorizations(E(2, 0), O5)
-    assert len(facts) == 1 and facts[0].factors == [E(2, 0)]
+    (fact,) = enumerate_complete_factorizations(E(2, 0), O5).factorizations
+    assert fact.factors == [E(2, 0)]
 
 
 @pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
@@ -162,8 +165,7 @@ def test_one_principality_test_per_prime_subset(monkeypatch, d, b):
     tested = []
     real = quadring.ideal_is_principal
     monkeypatch.setattr(quadring, "ideal_is_principal", lambda i: tested.append(i.key()) or real(i))
-    facts = enumerate_complete_factorizations(b, QuadOrder(d))
-    k = len(facts[0].support)
+    k = len(enumerate_complete_factorizations(b, QuadOrder(d)).support)
     assert k >= 5
     assert len(tested) == len(set(tested)) <= 2**k - 1
 
@@ -180,14 +182,14 @@ def test_principality_is_tested_only_on_blocks_of_identity_class(monkeypatch, d,
 
 @pytest.mark.parametrize("d,b", [(-5, E(41055, 0)), (-6, QuadElem(10010, 0, -6)), (-14, QuadElem(30, 0, -14))])
 def test_each_factor_generates_its_block(d, b):
-    facts = enumerate_complete_factorizations(b, QuadOrder(d))
-    assert len(facts[0].support) >= 5
-    for fact in facts:
-        assert sorted(i for block in fact.blocks for i in block) == list(range(len(fact.support)))
+    found = enumerate_complete_factorizations(b, QuadOrder(d))
+    assert len(found.support) >= 5
+    for fact in found.factorizations:
+        assert sorted(i for block in fact.blocks for i in block) == list(range(len(found.support)))
         for factor, block in zip(fact.factors, fact.blocks):
             ideal = principal_ideal(QuadElem(1, 0, d))
             for i in block:
-                P, e = fact.support[i]
+                P, e = found.support[i]
                 ideal = ideal * P**e
             assert principal_ideal(factor) == ideal
 
@@ -197,8 +199,7 @@ def test_support_cap(monkeypatch):
     with pytest.raises(SupportBoundExceeded):
         enumerate_complete_factorizations(n, ZZ)
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "9")
-    facts = enumerate_complete_factorizations(n, ZZ)
-    assert len(facts) == 1
+    assert len(enumerate_complete_factorizations(n, ZZ).factorizations) == 1
 
 
 def test_support_cap_env(monkeypatch):
@@ -206,7 +207,7 @@ def test_support_cap_env(monkeypatch):
     with pytest.raises(SupportBoundExceeded):
         enumerate_complete_factorizations(210, ZZ)
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "4")
-    assert len(enumerate_complete_factorizations(210, ZZ)) == 1
+    assert len(enumerate_complete_factorizations(210, ZZ).factorizations) == 1
 
 
 def test_support_primes_stay_below_the_proven_primality_bound():
@@ -219,16 +220,16 @@ def test_support_primes_stay_below_the_proven_primality_bound():
         enumerate_complete_factorizations(big, ZZ)
     with pytest.raises(ComaxInputError, match="too large to prove prime"):
         enumerate_complete_factorizations(E(big, 0), O5)
-    assert len(comax_factor_int(2 * sympy.prevprime(_MR_BOUND)).factors) == 2
+    assert len(comax_factor_int(2 * sympy.prevprime(_MR_BOUND)).factorizations[0].factors) == 2
 
 
 def test_find_nonunique_witness_quad():
     hit = find_nonunique_witness(O5, 500)
     assert hit is not None
-    b, facts = hit
+    b, facts = hit.element, hit.factorizations
     assert b.norm() <= 441
     assert len(facts) >= 2
-    assert all(rechecks(f, O5) for f in facts)
+    assert rechecks(hit, O5)
     # the exhaustive scan finds -9+3*sqrt(-5) (norm 126, ideal P*Q*Qbar*Sbar)
     # well before 21 (norm 441); both are non-uniqueness witnesses
     assert b == E(-9, 3)
@@ -253,8 +254,9 @@ def test_random_quad_factorizations_verify():
         b = E(rng.randrange(-9, 10), rng.randrange(-9, 10))
         if not b or b.is_unit():
             continue
-        for fact in enumerate_complete_factorizations(b, O5):
-            assert rechecks(fact, O5)
+        found = enumerate_complete_factorizations(b, O5)
+        assert rechecks(found, O5)
+        for fact in found.factorizations:
             prod = E(1, 0)
             for f in fact.factors:
                 prod = prod * f
@@ -337,9 +339,9 @@ def bell_walk_factorizations(b, ring):
         generators = [memo.generator(block) for block in partition]
         if None in generators or not all(memo.pseudo_irreducible(block) for block in partition):
             continue
-        out.append(comax._build_factorization(b, ring, memo.support, partition, generators))
+        out.append(comax._build_factorization(b, ring, partition, generators))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
-    return out
+    return comax.ComaxResult(b, memo.support, out)
 
 
 # Z[sqrt(-5)] and Z[sqrt(-6)] have class group C2, Z[sqrt(-14)] C4,

@@ -7,8 +7,10 @@ that last field, with the same exit code and stderr.
 `golden/cases.json` lists each case's name, argv (without `--recheck`), exit
 code and, for input errors, the exact stderr.  `golden/<name>.out` holds the
 stdout bytes.  A refactor must leave every file as it is; only a change that
-means to alter a report regenerates them, and says so.  To regenerate one
-case, from the repository root:
+means to alter a report regenerates them, and says so.  A change of
+`princlab.REPORT_SCHEMA` changes the schema line of every report, so it
+re-pins every case, in one commit of its own.  To regenerate one case,
+from the repository root:
 
     PYTHONPATH=src python -m princlab.cli --recheck ARGV... > tests/golden/NAME.out
 

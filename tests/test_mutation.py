@@ -1,8 +1,11 @@
-"""Single-leaf mutation of golden reports: adding 1 to any one numeric leaf
-(an int, or a string that reads as a Fraction) must make recheck fail.  On
-the comax and chain goldens the leaves named in HARMLESS, each with its
+"""Single-leaf mutation of every golden report: adding 1 to any one numeric
+leaf (an int, or a string that reads as a Fraction) must make recheck fail.
+On the comax and chain goldens the leaves named in HARMLESS, each with its
 reason, and the level of a constant limit-ring cofactor (`_harmless_level`)
-are exempt; the TIED goldens have no exempt leaf.
+are exempt; the TIED goldens have no exempt leaf.  The NOT_A_PAIR and
+UNTIED goldens have known survivors, pinned leaf by leaf: a change may tie
+them and shrink these maps, never grow them.  Every report golden is in
+exactly one of these lists, so a new golden fails until it is classified.
 """
 
 import json
@@ -31,6 +34,32 @@ TIED = ["ideal_mul", "mring_split", "mring_split_mult23", "idem_check", "idem_ch
 # is no idempotent pair over Z either, and a and b are all the report says of
 # its input
 NOT_A_PAIR = {"idem_check_not_pair": [("result", "a", "value")], "idem_matrix_not_pair": [("result", "a", "value")]}
+
+# goldens whose report does not tie some leaves to its input or claim: the
+# reason, and the leaves whose +1 mutant passes recheck
+UNTIED = {
+    "limitring_eval": ("an echo command: recheck has no verifier for it, so no leaf is checked",
+                       [("result", "element", "level"), *[("result", "element", "coeffs", k, "value") for k in range(7)],
+                        ("result", "level")]),
+    "sphere_reduce": ("an echo command: recheck has no verifier for it, so no leaf is checked",
+                      [("result", "element", "g", i, j) for i in range(3) for j in range(3)]),
+    "idem_from_ideal_qpoly": ("lam is 0 and the complement's generator and products are 0, so lam's den and the "
+                              "quotients claim nothing",
+                              [("result", "bezout", "lam", "den", "coeffs", 0, "value"),
+                               *[("result", "complement", "quotients", i, "coeffs", k, "value")
+                                 for i, k in ((0, 0), (0, 1), (2, 0))]]),
+    "polyext_witness": ("alpha is all the report says of its input, and 2y is a witness as y is",
+                        [("result", "alpha", "coeffs", 1, "value")]),
+    "polyext_not_a_witness": ("alpha is all the report says of its input, and 1 + y^2 and 2y^2 are no witness "
+                              "as y^2 is not",
+                              [("result", "alpha", "coeffs", 0, "value"), ("result", "alpha", "coeffs", 2, "value")]),
+    "pullback_reduce": ("ca is 0, so the den under its zero numerator claims nothing",
+                        [("result", "ca", "den", "coeffs", 0, "value")]),
+    "pullback_reduce_pole": ("cb is 0, so the den under its zero numerator claims nothing",
+                             [("result", "cb", "den", "coeffs", 0, "value")]),
+    "pullback_reduce_quad_zero": ("ca is 0, so the den under its zero numerator claims nothing",
+                                  [("result", "ca", "den", "coeffs", 0, "value")]),
+}
 
 HARMLESS = {
     ("result", "bound"): "a witness's norm is still within a larger bound, and a no_witness verdict "
@@ -121,3 +150,14 @@ def test_every_plus_one_mutant_of_a_tied_golden_fails_recheck(name):
 def test_a_not_a_pair_golden_survives_only_as_another_non_pair(name):
     survivors, _ = mutants(name, lambda report, path: False)
     assert survivors == NOT_A_PAIR[name]
+
+
+@pytest.mark.parametrize("name", UNTIED)
+def test_an_untied_golden_has_only_its_pinned_survivors(name):
+    survivors, _ = mutants(name, lambda report, path: False)
+    assert survivors == UNTIED[name][1]
+
+
+def test_every_report_golden_is_in_exactly_one_list():
+    listed = COMAX + CHAINS + TIED + list(NOT_A_PAIR) + list(UNTIED)
+    assert sorted(listed) == sorted(c["name"] for c in CASES if c["exit"] != 2)

@@ -215,6 +215,19 @@ def golden(name):
     return json.loads((GOLDEN / f"{name}.out").read_text())
 
 
+@pytest.mark.parametrize("schema", ["princlab/1", None, "princlab/3", ""], ids=["v1", "none", "other", "empty"])
+def test_a_report_of_another_schema_fails_by_its_schema_alone(schema):
+    # the checker holds its own copy of the producer's schema name
+    assert recheck.SCHEMA == princlab.REPORT_SCHEMA == "princlab/2"
+    for name in REPORTS:
+        report = golden(name)
+        if schema is None:
+            del report["schema"]
+        else:
+            report["schema"] = schema
+        assert recheck.verify_report(report) == [f"report schema {schema!r} is not 'princlab/2'"], name
+
+
 def golden_fails(name, mutate):
     """recheck's failures on the golden report `name` after mutate(report)."""
     report = golden(name)
@@ -507,7 +520,9 @@ QUAD_REPORTS = [name for name in REPORTS if _d_ring(golden(name))]
 
 def test_the_quad_goldens_have_their_d_leaves():
     assert len(QUAD_REPORTS) == 21
-    assert sum(len(list(d_leaves(golden(name)["result"]))) for name in QUAD_REPORTS) == 200
+    # a comax result writes its element and support once (200 leaves with a
+    # copy in each factorization)
+    assert sum(len(list(d_leaves(golden(name)["result"]))) for name in QUAD_REPORTS) == 170
 
 
 @pytest.mark.parametrize("name", QUAD_REPORTS)
@@ -635,9 +650,10 @@ def test_a_reducible_factor_fails_even_when_its_report_says_so():
     # [2, 3]; as one factor 21 its block splits into two principal blocks.
     # A `transcripts` key that admits as much is not read, so it excuses nothing
     def merge(report):
-        fact = report["result"]["factorizations"][0]
-        fact.update(factors=[fact["element"]], pairwise=[], blocks=[[0, 1, 2, 3]],
-                    transcripts=[{"element": fact["element"], "pseudo_irreducible": False, "splits": []}])
+        element = report["result"]["element"]
+        report["result"]["factorizations"][0].update(
+            factors=[element], pairwise=[], blocks=[[0, 1, 2, 3]],
+            transcripts=[{"element": element, "pseudo_irreducible": False, "splits": []}])
 
     fails = golden_fails("comax_non_unique", merge)
     assert "block [0, 1, 2, 3] splits into principal blocks [0, 1] and [2, 3]" in fails
@@ -656,9 +672,8 @@ def test_a_wide_comax_block_fails_without_walking_its_splits(copies):
     report = json.loads((GOLDEN / "comax_non_unique.out").read_text())
     result = report["result"]
     fact = result["factorizations"][0]
-    fact.update(element=g, factors=[g], pairwise=[], support=fact["support"][:1] * copies,
-                blocks=[list(range(copies))])
-    result.update(element=g, count=1, factorizations=[fact])
+    fact.update(factors=[g], pairwise=[], blocks=[list(range(copies))])
+    result.update(element=g, support=result["support"][:1] * copies, count=1, factorizations=[fact])
     report["verdict"] = "unique"
     start = time.perf_counter()
     fails = recheck.verify_report(report)
@@ -675,7 +690,7 @@ def test_the_class_walk_decides_every_block_as_its_splits_do():
     # with three primes repeated: the walk fails a block exactly when one
     # of its splits has two principal sides
     report = json.loads((GOLDEN / "comax_non_unique_quad26.out").read_text())
-    support = report["result"]["factorizations"][0]["support"]
+    support = report["result"]["support"]
     support = support + support[:3]
     blocks = orders._Blocks(support, report["ring"], [])
     principal = (1, 0, 26)
@@ -725,26 +740,17 @@ def test_a_comax_report_without_a_certificate_fails(mutate, failure):
     assert failure in golden_fails("comax_non_unique", lambda report: mutate(report["result"]))
 
 
-def test_every_comax_report_lists_one_support():
-    def drop_last_prime(report):
-        fact = report["result"]["factorizations"][2]
-        fact["support"] = fact["support"][:-1]
+@pytest.mark.parametrize("name", ["comax_non_unique", "comax_hunt"])
+def test_a_raised_exponent_in_the_one_support_fails(name):
+    # 21 in Z[sqrt(-5)] is P3 * P3' * P7 * P7', each to the first power; each
+    # factorization's factor over P3 then generates another ideal than its block
+    def raise_first(report):
+        report["result"]["support"][0]["exponent"] += 1
 
-    assert "[2] support differs from the first factorization's" in golden_fails("comax_non_unique", drop_last_prime)
-
-
-def test_a_forged_support_read_back_from_text_is_compared_in_full():
-    # the tree gives every factorization of one element one support list,
-    # which recheck reads once; the text holds a copy per factorization
-    built, text = _main(["--recheck", *next(c for c in json.loads((GOLDEN / "cases.json").read_text())
-                                            if c["name"] == "comax_non_unique")["argv"]])
-    facts = built["result"]["factorizations"]
-    assert len(facts) == 3 and all(fact["support"] is facts[0]["support"] for fact in facts)
-
-    def forge(report):
-        report["result"]["factorizations"][1]["support"][0]["exponent"] += 1
-
-    assert golden_fails("comax_non_unique", forge) == ["[1] support differs from the first factorization's"]
+    fails = golden_fails(name, raise_first)
+    assert fails and all(re.fullmatch(r"\[\d\] factors\[\d\] does not generate the ideal of its block \[0, \d\]", f)
+                         for f in fails), fails
+    assert len(fails) == len(golden(name)["result"]["factorizations"])
 
 
 @pytest.mark.parametrize(
@@ -802,9 +808,9 @@ def test_a_comax_support_entry_must_be_a_prime_ideal():
     def one_fake_prime(report):
         result = report["result"]
         fact = result["factorizations"][0]
-        fact.update(factors=[fact["element"]], pairwise=[], blocks=[[0]], support=[
+        fact.update(factors=[result["element"]], pairwise=[], blocks=[[0]])
+        result.update(count=1, factorizations=[fact], support=[
             {"prime": {"type": "quadideal", "d": "-5", "basis": [["21", "0"], ["0", "21"]]}, "exponent": 1}])
-        result.update(count=1, factorizations=[fact])
         report["verdict"] = "unique"
 
     assert golden_fails("comax_non_unique", one_fake_prime) == ["support[0] is not a prime ideal"]
@@ -826,7 +832,7 @@ def test_prime_labels_of_z_sqrt_minus_5(basis, prime):
 
 def test_a_comax_support_over_z_lists_distinct_primes():
     def entry(report, value):
-        report["result"]["factorizations"][0]["support"][1]["prime"]["value"] = value
+        report["result"]["support"][1]["prime"]["value"] = value
 
     assert "support[1] repeats an earlier entry" in golden_fails("comax_unique", lambda r: entry(r, "2"))
     assert "support[1] is not a prime" in golden_fails("comax_unique", lambda r: entry(r, "9"))
@@ -867,6 +873,18 @@ def test_the_iterate_lift_is_the_level_by_level_lift(cs, level, k):
     assert std(lifted[2]) == strip(fraction_lift(std(map(Fraction, cs)), k))
     # ints exactly when every coefficient is an integer
     assert all(type(c) is int for c in lifted[2]) == all(Fraction(c).denominator == 1 for c in lifted[2])
+
+
+@pytest.mark.parametrize("value,name", [(lambda r: r["factors"][0], "factors[0]"),
+                                        (lambda r: r["pairwise"][0]["lam"], "pairwise 0,1 lam")],
+                         ids=["factor", "lam"])
+def test_a_limit_value_above_the_chain_level_fails_before_it_is_lifted(value, name):
+    # each level past m costs about 8 times more to lift to, so a forged one
+    # must fail before any product or Bezout identity
+    start = time.perf_counter()
+    fails = golden_fails("limitring_chain", lambda report: value(report["result"]).update(level=20))
+    assert time.perf_counter() - start < 1
+    assert fails == [f"{name} has level 20, above the chain's m = 3"]
 
 
 # ------------------------------------------- Bezout certificates in the ring
@@ -947,14 +965,14 @@ def test_pair_by_pair_checks_keep_the_failure_list(name, failures):
 
 
 def _negative_idem_report(command, ring, verdict, a, b):
-    from princlab.report import enc
+    from princlab.report import enc, make_report
 
     result = {"a": enc(a), "b": enc(b)}
     if command != "idem from-ideal":
         result["pair"] = None
     if command == "idem check":
         result["complement"] = None
-    return {"command": command, "ring": ring.to_json(), "verdict": verdict, "result": result}
+    return make_report(command, ring, verdict, result)
 
 
 def _idem_operands():
@@ -1012,6 +1030,7 @@ def _carry(source, *keys):
 @pytest.mark.parametrize("name,mutate,failures", [
     ("comax_hunt_no_witness", _carry("comax_hunt", "factorizations"),
      ["a no_witness verdict carries factorizations"]),
+    ("comax_hunt_no_witness", _carry("comax_hunt", "support"), ["a no_witness verdict carries a support"]),
     ("idem_check_not_pair", lambda report: report["result"].update(complement={"bogus": 1}),
      ["a not_idempotent_pair verdict carries a complement"]),
     ("idem_matrix_not_pair", _carry("idem_matrix", "matrix"), ["a not_idempotent_pair verdict carries a matrix"]),
@@ -1019,7 +1038,7 @@ def _carry(source, *keys):
      ["a not_invertible verdict carries bezout", "a not_invertible verdict carries complement"]),
     ("idem_from_ideal_zero", lambda report: report["result"].update(pair=None),
      ["a not_invertible verdict carries pair"]),
-], ids=["hunt-factorizations", "check-complement", "matrix-matrix", "from-ideal-bezout", "from-ideal-pair"])
+], ids=["hunt-factorizations", "hunt-support", "check-complement", "matrix-matrix", "from-ideal-bezout", "from-ideal-pair"])
 def test_a_negative_verdict_that_carries_a_certificate_fails(name, mutate, failures):
     assert golden_fails(name, mutate) == failures
 
