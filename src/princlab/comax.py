@@ -40,16 +40,17 @@ splits into two principal blocks by walking the ideal classes its
 sub-blocks reach: at most (k-1)*h ideal products for a block of k primes
 and class number h, where the splits number 2^(k-1) - 1.  Recheck proves
 each support prime by Miller-Rabin, which is exact only below
-`core._MR_BOUND`, so an element whose support lies over a larger rational
-prime is refused here.  Both are plain classes with an explicit
-`__init__`; see `core` for why not dataclasses.
+`core._MR_BOUND`; every support comes from `core.factorint`, which refuses a
+cofactor at or above that bound, so no support lies over a larger rational
+prime.  Both are plain classes with an explicit `__init__`; see `core` for
+why not dataclasses.
 """
 
 from __future__ import annotations
 
 import os
 
-from .core import _MR_BOUND, CertificateError, pairwise_json
+from .core import CertificateError, pairwise_json
 from .rings import ZZ
 
 DEFAULT_SUPPORT_CAP = 8
@@ -104,13 +105,7 @@ def _support_of(b, ring):
         raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
     if not b or ring.is_unit(b):
         raise ComaxInputError(f"need a nonzero nonunit of {ring}")
-    support = ring.prime_support(b)
-    for P, _ in support:
-        # a prime ideal of Z[sqrt(d)] lies over its lattice's n
-        p = P if isinstance(P, int) else P.n
-        if p >= _MR_BOUND:
-            raise ComaxInputError(f"support prime {p} is too large to prove prime")
-    return support
+    return ring.prime_support(b)
 
 
 def _indices(mask) -> tuple[int, ...]:

@@ -21,6 +21,18 @@ loads.  `core.Poly` and `core.poly_extended_gcd` still resolve to the
 objects in `poly`, through this module's `__getattr__`, because
 perfbench's traced child wraps them by those paths.
 
+Integer factorization (Cohen, GTM 138, sections 8.2 and 8.5) uses the
+standard library alone: trial division by the primes below 1000,
+Miller-Rabin to the first 13 prime bases, and Pollard-Brent rho (Brent,
+BIT 20, 1980) on every cofactor that Miller-Rabin shows composite, of any
+size, until it has run `_RHO_STEPS` iterations (checked after each
+doubling round).  Miller-Rabin to those bases is proven exact below
+`_MR_BOUND` (Sorenson and Webster, 2015).  `factorint` raises a ValueError
+(exit 2) naming any cofactor it cannot finish: one at or above `_MR_BOUND`
+that Miller-Rabin does not show composite, or one that rho does not split
+within its budget.  So every prime it returns is proven, and `recheck`
+proves it again.
+
 Every CLI call is a fresh process, so the code it imports is part of each
 call.  No module of the package imports `dataclasses`, which pulls in
 `inspect`, `ast` and `dis` and `exec`s generated code per decorated class:
@@ -132,11 +144,6 @@ def _primes_below(n: int) -> list[int]:
     return [p for p in range(n) if sieve[p]]
 
 
-# Integer factorization (Cohen, GTM 138, sections 8.2 and 8.5): trial
-# division, deterministic Miller-Rabin, Pollard-Brent rho.  Miller-Rabin with
-# the first 13 prime bases is proven exact below _MR_BOUND (Sorenson and
-# Webster, 2015).  Cofactors at or above that bound, and those that outlast
-# _RHO_STEPS rho iterations, go to sympy, which is imported only then.
 _SMALL_PRIMES = _primes_below(1000)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
@@ -144,7 +151,8 @@ _RHO_STEPS = 1 << 18
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality for 1 < n < _MR_BOUND with no factor below 1000."""
+    """Miller-Rabin to the bases _MR_BASES for odd n > 1: True for every
+    prime, and exact for n < _MR_BOUND with no factor below 1000."""
     q, s = n - 1, 0
     while not q & 1:
         q >>= 1
@@ -171,12 +179,26 @@ def is_prime(n: int) -> bool:
     return all(n % p for p in _SMALL_PRIMES) and _is_prime(n)
 
 
+def _root(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _pollard_brent(n: int) -> int | None:
-    """A proper factor of the odd composite n, or None once _RHO_STEPS
-    iterations of x -> x^2 + c (c = 1, 2, ...) have found none."""
-    root = isqrt(n)
-    if root * root == n:
-        return root
+    """A proper factor of the odd composite n with no factor below 1000, or
+    None once _RHO_STEPS iterations of x -> x^2 + c (c = 1, 2, ...) have
+    found none.  A perfect power, on which rho takes as long as on its root,
+    gives its root first; a root of degree k is above 1000 > 2^9, so k is at
+    most a ninth of n's bit length."""
+    for k in range(2, n.bit_length() // 9 + 1):
+        root = _root(n, k)
+        if root**k == n:
+            return root
     steps, batch = 0, 128
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
@@ -210,7 +232,7 @@ def _pollard_brent(n: int) -> int | None:
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of the integer n >= 1, primes ascending
-    ({} for n == 1)."""
+    ({} for n == 1); a ValueError naming a cofactor it cannot finish."""
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -223,17 +245,15 @@ def factorint(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < 1_000_000 or (m < _MR_BOUND and _is_prime(m)):
-            # trial division leaves no composite below 1000^2
+        # trial division leaves no composite below 1000^2
+        if m < 1_000_000 or _is_prime(m):
+            if m >= _MR_BOUND:
+                raise ValueError(f"{m} is too large to prove prime")
             out[m] = out.get(m, 0) + 1
             continue
-        f = _pollard_brent(m) if m < _MR_BOUND else None
+        f = _pollard_brent(m)
         if f is None:
-            from sympy import factorint as sympy_factorint
-
-            for p, e in sympy_factorint(m).items():
-                out[p] = out.get(p, 0) + e
-            continue
+            raise ValueError(f"no factor of the composite {m} found within {_RHO_STEPS} rho steps")
         pending += [f, m // f]
     return dict(sorted(out.items()))
 

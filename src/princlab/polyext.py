@@ -8,14 +8,13 @@ and ring-closure a finite check.  Polynomials in X over D are outer
 `poly.Poly` objects whose coefficients are inner polynomials in y.
 
 `SubringDesc` and `AlphaCounterexample` are plain classes with an explicit
-`__init__`; see `core` for why not dataclasses.  `SubringDesc` has no
-`__eq__`: rings compare by `to_json()`.
+`__init__`; see `core` for why not dataclasses.  D[X] has no ring handle:
+no command computes in it beyond the pair its counterexample writes.
 """
 
 from __future__ import annotations
 
-from .core import RingHandle
-from .poly import Poly, RatFunc, poly_divrem
+from .poly import Poly
 from .rational import Fraction
 
 
@@ -89,15 +88,6 @@ class SubringDesc:
             c == 0 for i, c in enumerate(p.coeffs) if i in self.excluded
         )
 
-    def label(self) -> str:
-        if not self.excluded:
-            return "Q[y]"
-        mons = [f"y^{i}" for i in sorted(self.excluded)]
-        return "Q[y] minus {" + ",".join(mons) + "}"
-
-    def to_json(self):
-        return {"excluded_degrees": sorted(map(str, self.excluded))}
-
 
 # the worked example K[y^2, y^3]
 Y2Y3 = SubringDesc({1})
@@ -112,58 +102,6 @@ def seminormal_witness(alpha, desc: SubringDesc) -> bool:
         and desc.contains(a * a)
         and desc.contains(a * a * a)
     )
-
-
-class PolyExtRing(RingHandle):
-    """Ring handle for D[X], D a monomial subring of Q[y]."""
-
-    family = "polyext"
-
-    def __init__(self, desc: SubringDesc):
-        self.desc = desc
-
-    @property
-    def zero(self):
-        return Poly()
-
-    @property
-    def one(self):
-        return Poly((_inner(1),))
-
-    def contains(self, f: Poly) -> bool:
-        return all(self.desc.contains(_inner(c)) for c in f.coeffs)
-
-    def coerce(self, v):
-        if isinstance(v, Poly):
-            return v
-        return Poly((_inner(v),))
-
-    def divides(self, b: Poly, a: Poly):
-        if b.is_zero():
-            return Poly() if a.is_zero() else None
-        fa = a.map_coeffs(lambda c: RatFunc(_inner(c)))
-        fb = b.map_coeffs(lambda c: RatFunc(_inner(c)))
-        q, r = poly_divrem(fa, fb)
-        if not r.is_zero():
-            return None
-        out = []
-        for c in q.coeffs:
-            if not c.is_poly() or not self.desc.contains(c.num):
-                return None
-            out.append(c.num)
-        return Poly(out)
-
-    def is_unit(self, x) -> bool:
-        if not isinstance(x, Poly) or x.degree != 0:
-            return False
-        c = _inner(x.coeffs[0])
-        return c.degree == 0
-
-    def to_json(self):
-        return {"family": "polyext", "subring": self.desc.to_json()}
-
-    def __str__(self):
-        return f"({self.desc.label()})[X]"
 
 
 class AlphaCounterexample:

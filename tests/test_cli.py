@@ -269,6 +269,31 @@ def test_quadratic_commands_do_not_import_sympy(argv):
     assert res.stderr.endswith("sympy loaded: False")
 
 
+def test_no_golden_call_imports_sympy():
+    # sympy is a test oracle only: every golden argv, input errors included,
+    # runs in one process without loading it
+    probe = (
+        "import json, sys\n"
+        "from princlab import cli\n"
+        "codes = [cli.main(['--recheck', *case['argv']]) for case in json.load(open(sys.argv[1]))]\n"
+        "sys.stderr.write('codes %s, sympy loaded: %s' % (codes, 'sympy' in sys.modules))\n"
+    )
+    cases = Path(__file__).parent / "golden" / "cases.json"
+    res = run_probe(probe, str(cases), stdout=subprocess.DEVNULL)
+    codes = [case["exit"] for case in json.loads(cases.read_text())]
+    assert res.returncode == 0
+    assert res.stderr.endswith(f"codes {codes}, sympy loaded: False"), res.stderr[-2000:]
+
+
+def test_a_prime_past_the_proven_primality_bound_is_an_input_error(capsys):
+    # a prime = 1 mod 4 above core._MR_BOUND: factorint refuses it rather
+    # than hand recheck a prime ideal of Z[i] it cannot prove (exit 3)
+    p = "3400000000000000000000049"
+    code, out, err = run_cli(capsys, "ideal", "factor", "--ring", "Z[sqrt(-1)]", p)
+    assert (code, out) == (2, "")
+    assert err == f"princlab: error: {p} is too large to prove prime\n"
+
+
 def test_failed_self_check_exits_3_not_2(capsys, monkeypatch):
     # a producer that builds a wrong certificate: one factor off by one
     from princlab import comax

@@ -210,16 +210,23 @@ def test_support_cap_env(monkeypatch):
     assert len(enumerate_complete_factorizations(210, ZZ).factorizations) == 1
 
 
-def test_support_primes_stay_below_the_proven_primality_bound():
+def test_support_primes_stay_below_the_proven_primality_bound(capsys):
     # recheck proves each support prime by Miller-Rabin, exact only below
-    # _MR_BOUND; the producer refuses what it could not check
-    big = 2 * sympy.nextprime(_MR_BOUND)
-    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+    # _MR_BOUND; factorint refuses a cofactor it could not prove, and the
+    # CLI reads that refusal as bad input
+    from princlab import cli
+
+    p = sympy.nextprime(_MR_BOUND)
+    big, refusal = 2 * p, f"{p} is too large to prove prime"
+    with pytest.raises(ValueError, match=refusal):
         comax_factor_int(big)
-    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+    with pytest.raises(ValueError, match=refusal):
         enumerate_complete_factorizations(big, ZZ)
-    with pytest.raises(ComaxInputError, match="too large to prove prime"):
+    with pytest.raises(ValueError, match=refusal):
         enumerate_complete_factorizations(E(big, 0), O5)
+    for argv in (["comax", "factor", str(big)], ["comax", "unique", "--ring", "Z[sqrt(-5)]", str(big)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"princlab: error: {refusal}\n"
     assert len(comax_factor_int(2 * sympy.prevprime(_MR_BOUND)).factorizations[0].factors) == 2
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -49,22 +50,53 @@ def test_small_primes_are_the_trial_division_list():
     assert core._MR_BASES == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
-def test_factorint_matches_sympy(monkeypatch):
-    fallbacks = []
-    sympy_factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda m: fallbacks.append(m) or sympy_factorint(m))
+def factorint_or_refusal(n):
+    """factorint(n), or the cofactor its ValueError names, checked to be one
+    it may refuse: a divisor of n at or above _MR_BOUND that Miller-Rabin
+    does not show composite, or a composite that rho does not split within
+    its budget."""
+    try:
+        return factorint(n)
+    except ValueError as exc:
+        why = str(exc)
+    m = int(re.search(r"\d+", why).group())
+    assert n % m == 0, (n, why)
+    if "too large to prove prime" in why:
+        assert m >= core._MR_BOUND and core._is_prime(m), (n, why)
+    else:
+        assert f"within {core._RHO_STEPS} rho steps" in why, (n, why)
+        assert not sympy.isprime(m) and core._pollard_brent(m) is None, (n, why)
+    return m
+
+
+def test_factorint_matches_sympy():
     p12, q12 = sympy.nextprime(10**12), sympy.nextprime(2 * 10**12)
     p14, q14 = sympy.nextprime(10**13), sympy.nextprime(10**14)
-    # a cofactor rho gives up on, and one at or above the Miller-Rabin bound
-    assert factorint(p12 * q12) == {p12: 1, q12: 1}
-    assert factorint(6 * p14 * q14) == {2: 1, 3: 1, p14: 1, q14: 1}
-    assert fallbacks == [p12 * q12, p14 * q14]
+    big = sympy.nextprime(core._MR_BOUND)
+    # composites rho does not split within its budget, and cofactors at or
+    # above the Miller-Rabin bound, whether prime or a strong pseudoprime to
+    # every base (_MR_BOUND itself) ...
+    assert factorint_or_refusal(p12 * q12) == p12 * q12
+    assert factorint_or_refusal(6 * p14 * q14) == p14 * q14
+    assert factorint_or_refusal(5 * big) == big
+    assert factorint_or_refusal(big**2) == big
+    assert factorint_or_refusal(core._MR_BOUND) == core._MR_BOUND
+    # ... while rho splits a composite of any size into proven primes, and a
+    # perfect power gives its root before rho runs
+    p8, p20 = sympy.nextprime(10**8), sympy.nextprime(10**20)
+    assert factorint(p8 * p20) == {p8: 1, p20: 1}
+    assert factorint(p12**3) == {p12: 3}
+    assert factorint(7 * p14**5) == {7: 1, p14: 5}
+    assert factorint(p8**2 * 3 * p20 * 10**40) == sympy.factorint(p8**2 * 3 * p20 * 10**40)
     special = [1, 2, 997, 1009**2, 997 * 1009, 561, 3215031751, 2**61 - 1, (2**31 - 1) ** 2 * 3**5,
-               sympy.nextprime(10**9) * sympy.nextprime(3 * 10**9), core._MR_BOUND - 1, core._MR_BOUND]
+               sympy.nextprime(10**9) * sympy.nextprime(3 * 10**9), core._MR_BOUND - 1]
     rng = random.Random(1901)
     randoms = [rng.randrange(2, 10 ** rng.randrange(2, 31)) for _ in range(60)]
-    for n in special + randoms:
-        assert factorint(n) == sympy_factorint(n), n
+    for n in special:
+        assert factorint(n) == sympy.factorint(n), n
+    for n in randoms:
+        got = factorint_or_refusal(n)
+        assert isinstance(got, int) or got == sympy.factorint(n), n
     with pytest.raises(ValueError):
         factorint(0)
 

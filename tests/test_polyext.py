@@ -1,10 +1,8 @@
 import pytest
 
 from princlab.poly import Poly
-from princlab.idem import is_idempotent_pair
 from princlab.polyext import (
     Y2Y3,
-    PolyExtRing,
     SubringDesc,
     SubringError,
     nonprinc_pair_from_alpha,
@@ -55,8 +53,7 @@ def test_counterexample_alpha_y():
     assert ce.v == Poly((y2, y3))
     assert ce.witness == Poly((z, z, z, z, y2, -y3, y4, -y5))
     # u(1-u) == y^4 X^4 - y^8 X^8
-    ring = PolyExtRing(Y2Y3)
-    lhs = ce.u * (ring.one - ce.u)
+    lhs = ce.u * (Poly((ypoly(1),)) - ce.u)
     assert lhs == Poly((z, z, z, z, y4, z, z, z, -y8))
 
 
@@ -70,21 +67,3 @@ def test_counterexample_alpha_2y():
 def test_counterexample_rejects_non_witness():
     with pytest.raises(SubringError):
         nonprinc_pair_from_alpha(ypoly(0, 0, 1), Y2Y3)
-
-
-def test_pair_detected_by_idem_engine():
-    ce = nonprinc_pair_from_alpha(Y, Y2Y3)
-    ring = PolyExtRing(Y2Y3)
-    pair = is_idempotent_pair(ce.u, ce.v, ring)
-    assert pair is not None
-    assert pair.orientation == "ab"
-    assert pair.witness == ce.witness
-
-
-def test_polyext_divides():
-    ring = PolyExtRing(Y2Y3)
-    ce = nonprinc_pair_from_alpha(Y, Y2Y3)
-    # v does not divide u (gcd is 1 + yX, and u/v has denominators in y)
-    assert ring.divides(ce.v, ce.u) is None
-    q = ring.divides(ce.v, ce.v * ce.u)
-    assert q == ce.u

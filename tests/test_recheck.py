@@ -839,7 +839,7 @@ def test_a_comax_support_over_z_lists_distinct_primes():
 
 
 def test_support_primes_are_proven_up_to_the_producers_bound():
-    # comax refuses a support prime at or above core._MR_BOUND, the bound
+    # factorint refuses a support prime at or above core._MR_BOUND, the bound
     # below which recheck's Miller-Rabin is exact
     below, above = sympy.prevprime(core._MR_BOUND), sympy.nextprime(core._MR_BOUND)
     assert orders._prime_label(("rat", Fraction(below)), None) == below

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from princlab.core import RingElem, RingHandle
 from princlab.limitring import LimitElem, LimitRing
 from princlab.monoidring import MonoidDesc, MonoidElem, MonoidRing
-from princlab.polyext import PolyExtRing, SubringDesc
 from princlab.poly import QQ_POLY, Poly, RatFunc, RationalPolyRing
 from princlab.pullback import PullbackRing
 from princlab.quadring import QuadElem, QuadOrder, ideal_from_pair
@@ -134,7 +133,7 @@ HANDLES = [
     ZZ, IntegerRing(), QQ, RationalField(), QQ_POLY, RationalPolyRing(),
     LocalizedIntegers([2]), LocalizedIntegers([3]), LocalizedIntegers([2, 3]),
     QuadOrder(-1), QuadOrder(-5), MR, MonoidRing(QQ, MonoidDesc((3,))), MonoidRing(ZZ, MonoidDesc((2,))),
-    LR, LimitRing(ZZ), PB, PullbackRing(QuadOrder(-5)), PolyExtRing(SubringDesc({1})), PolyExtRing(SubringDesc({1, 2, 3})),
+    LR, LimitRing(ZZ), PB, PullbackRing(QuadOrder(-5)),
     B2, SphereRing(),
 ]
 
