@@ -33,14 +33,15 @@ its `to_json`).
 
 Reading argv.  `_TOP` and `_arguments(row)` describe each flag and operand
 once, in argparse's keywords.  `build_parser` hands them to argparse, and
-`_read` reads from them the plain grammar: top-level flags, the group and
-command names, then the command's flags around one run of operands.  A flag
-is spelled in full, its value the next word or after "=", and the last of a
-repeated flag wins.  An operand is a word that does not start with "-", or a
-negative number; the run fills the operands by their nargs (None, `?`, `+`).
-`type`, `choices`, `required` and `default` act as in argparse.  Any other
-argv (help, an abbreviated or unknown flag, `--`, a second run of operands,
-a type, choice or count error) goes to `build_parser(argv).parse_args(argv)`.
+`_read` reads from them the plain grammar: the one top-level flag
+`--recheck`, the group and command names, then the command's flags around
+one run of operands.  A flag is spelled in full, its value the next word or
+after "=", and the last of a repeated flag wins.  An operand is a word that
+does not start with "-", or a negative number; the run fills the operands by
+their nargs (None, `?`, `+`).  `type`, `choices`, `required` and `default`
+act as in argparse.  Any other argv (help, an abbreviated or unknown flag,
+`--`, a second run of operands, a type, choice or count error) goes to
+`build_parser(argv).parse_args(argv)`.
 `argparse` (and with it `gettext` and `locale`) is imported only inside
 `build_parser`, so a plain call never loads it.
 
@@ -224,26 +225,15 @@ def cmd_ideal_factor(ring, b):
     return "factored", {"element": enc(b), "factors": [{"prime": enc(p), "exponent": e} for p, e in fp]}, 0
 
 
-def _comax_factor_one(ring, b):
-    # the first of a complete list: the whole support is zero-sum, so it
-    # always splits into minimal zero-sum blocks
-    found = comax.comax_factor_int(b) if ring == ZZ else comax.enumerate_complete_factorizations(b, ring)
-    result = found.to_json(enc)
-    result["factorization"] = result.pop("factorizations")[0]
-    return result
-
-
-def cmd_comax_factor(ring, values, jobs):
-    if len(values) == 1:
-        return "factored", _comax_factor_one(ring, values[0]), 0
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_comax_factor_one, [ring] * len(values), values))
-    else:
-        results = [_comax_factor_one(ring, b) for b in values]
-    return "factored", {"batch": results}, 0
+def cmd_comax_factor(ring, values):
+    results = []
+    for b in values:
+        # only the first partition is certified: the whole support is
+        # zero-sum, so it always splits into minimal zero-sum blocks
+        support, partitions = comax.walk(b, ring)
+        results.append(comax.certify(b, ring, support, partitions[:1]).to_json(enc))
+        results[-1]["factorization"] = results[-1].pop("factorizations")[0]
+    return "factored", results[0] if len(results) == 1 else {"batch": results}, 0
 
 
 def cmd_comax_unique(ring, b):
@@ -355,8 +345,6 @@ def _arg(flag, convert=None, **kwargs):
 
 
 _AB = (_arg("a", _elem), _arg("b", _elem))
-# the top-level --jobs, which the subcommand parser does not take
-_JOBS = ("jobs", None, None)
 
 # group: (the ring families it accepts, or None for any; the error for any
 # other ring; whether --monoid/--group apply)
@@ -384,7 +372,7 @@ COMMANDS = (
     ("ideal", "invertible", "cmd_ideal_invertible", "Z[sqrt(-5)]", _AB),
     ("ideal", "principal", "cmd_ideal_principal", "Z[sqrt(-5)]", _AB),
     ("ideal", "factor", "cmd_ideal_factor", "Z[sqrt(-5)]", (_arg("b", _elem),)),
-    ("comax", "factor", "cmd_comax_factor", "Z", (_arg("values", _elems, nargs="+"), _JOBS)),
+    ("comax", "factor", "cmd_comax_factor", "Z", (_arg("values", _elems, nargs="+"),)),
     ("comax", "unique", "cmd_comax_unique", "Z", (_arg("b", _elem),)),
     ("comax", "hunt", "cmd_comax_hunt", "Z[sqrt(-5)]", (_arg("--bound", type=int, required=True),)),
     ("pullback", "reduce", "cmd_pullback_reduce", "pullback:Z", (
@@ -421,10 +409,9 @@ COMMANDS = (
 
 # ----------------------------------------------------------- reading argv
 
-# the top-level flags, as (flag, argparse keywords)
+# the top-level flag, as (flag, argparse keywords)
 _TOP = (
     ("--recheck", {"action": "store_true", "help": 'write "recheck": "passed" (every call rechecks its report)'}),
-    ("--jobs", {"type": int, "default": 1, "help": "parallel workers for batch inputs"}),
 )
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -606,9 +593,6 @@ def main(argv=None) -> int:
     command = f"{args.group} {args.cmd}"
     try:
         _no_empty_values(args)
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.jobs <= cpus:
-            raise CliError(f"--jobs must be between 1 and {cpus} (the CPU count), got {args.jobs}")
         ring = _command_ring(args, ring)
         values = {}
         for flag, convert, _ in operands:
@@ -653,8 +637,7 @@ def _print_report(report) -> bool:
 
 def run() -> None:
     """The entry point of a shell call: `main`, both flushes, then a hard
-    exit with main's code (see the module docstring).  The `--jobs` pool is
-    shut down before `main` returns, so no worker or join is skipped."""
+    exit with main's code (see the module docstring)."""
     code = main()
     try:
         sys.stdout.flush()

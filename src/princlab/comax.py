@@ -19,6 +19,14 @@ factorizations are the partitions of the support into minimal zero-sum
 blocks (Geroldinger and Halter-Koch, Non-Unique Factorizations, 2006), and
 the walk builds only those.
 
+`walk` serves every comax command over Z and Z[sqrt(d)]: it returns the
+support and the partitions as blocks and generators, with no certificate,
+and `certify` builds the unit and Bezout pairs of those a report prints
+(`comax factor` the first, `hunt` its witness's, `unique` all).  A prime
+power of identity class is a minimal zero-sum block by itself and lies in
+no larger one, so the walk sets each apart and combines only the others,
+at most `PRINC_LAB_SUPPORT_CAP` (default 8) of them: over Z, none.
+
 One `_BlockMemo` per element (never shared between elements) keys every
 block by its bitmask.  It composes each block's class once, from the block
 without its lowest prime and that prime, and memoizes compositions by pair
@@ -51,7 +59,6 @@ from __future__ import annotations
 import os
 
 from .core import CertificateError, pairwise_json
-from .rings import ZZ
 
 DEFAULT_SUPPORT_CAP = 8
 
@@ -87,8 +94,9 @@ class ComaxFactorization:
 
 
 class ComaxResult:
-    """The result of `comax factor`, `unique` and `hunt`: its JSON writes
-    the element (under `key`) and the support once, then the factorizations."""
+    """The result of `comax factor`, `unique` and `hunt`: its JSON writes the
+    element (under `key`) and the support once, then the factorizations the
+    report prints, each certified (see `certify`)."""
 
     def __init__(self, element, support: list, factorizations: list[ComaxFactorization]):
         self.element = element
@@ -192,10 +200,7 @@ class _BlockMemo:
         return self._ideals[mask]
 
 
-def _build_factorization(b, ring, blocks, generators) -> ComaxFactorization:
-    order = sorted(range(len(blocks)), key=lambda i: ring.sort_key(generators[i]))
-    blocks = [tuple(blocks[i]) for i in order]
-    factors = [generators[i] for i in order]
+def _build_factorization(b, ring, blocks, factors) -> ComaxFactorization:
     prod = ring.one
     for f in factors:
         prod = prod * f
@@ -232,47 +237,49 @@ def _minimal_zero_sum_partitions(memo: _BlockMemo, rest: int):
         sub = (sub - 1) & others
 
 
-def enumerate_complete_factorizations(b, ring) -> ComaxResult:
-    """Every complete comaximal factorization of b, one per partition of
-    the prime support into minimal zero-sum blocks; one factorization means
-    it is unique.  At most `support_cap_from_env()` primes."""
+def walk(b, ring):
+    """The support of b and its partitions into minimal zero-sum blocks, as
+    (blocks, generators) in the order reports list them; no certificate."""
     cap = support_cap_from_env()
     support = _support_of(b, ring)
-    if len(support) > cap:
-        raise SupportBoundExceeded(
-            f"support size {len(support)} exceeds the cap {cap}"
-        )
     memo = _BlockMemo(support, ring)
-    out = []
-    for partition in _minimal_zero_sum_partitions(memo, (1 << len(support)) - 1):
-        blocks = [_indices(mask) for mask in partition]
-        generators = [memo.generator(mask) for mask in partition]
-        out.append(_build_factorization(b, ring, blocks, generators))
-    out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
-    return ComaxResult(b, support, out)
+    bits = [1 << i for i in range(len(support))]
+    alone = [bit for bit in bits if memo.zero_sum(bit)]
+    combined = len(bits) - len(alone)
+    if combined > cap:
+        raise SupportBoundExceeded(f"{combined} support primes of non-identity class exceed the cap {cap}")
+    partitions = []
+    for partition in _minimal_zero_sum_partitions(memo, sum(bits) - sum(alone)):
+        masks = sorted(alone + partition, key=lambda mask: ring.sort_key(memo.generator(mask)))
+        partitions.append(([_indices(mask) for mask in masks], [memo.generator(mask) for mask in masks]))
+    partitions.sort(key=lambda p: (len(p[1]), [ring.sort_key(g) for g in p[1]]))
+    return support, partitions
 
 
-def comax_factor_int(n: int) -> ComaxResult:
-    """The complete comaximal factorization of an integer |n| >= 2: its
-    prime-power parts, with extended-Euclid comaximality certificates."""
-    support = _support_of(n, ZZ)
-    blocks = [(i,) for i in range(len(support))]
-    generators = [p**e for p, e in support]
-    return ComaxResult(n, support, [_build_factorization(n, ZZ, blocks, generators)])
+def certify(b, ring, support, partitions) -> ComaxResult:
+    """b, its support and each of the given partitions from `walk` built
+    into a factorization: its unit and the Bezout pair of each two factors."""
+    return ComaxResult(b, support, [_build_factorization(b, ring, *p) for p in partitions])
+
+
+def enumerate_complete_factorizations(b, ring) -> ComaxResult:
+    """Every complete comaximal factorization of b, certified; one
+    factorization means it is unique."""
+    return certify(b, ring, *walk(b, ring))
 
 
 def find_nonunique_witness(ring, norm_bound: int) -> ComaxResult | None:
     """The complete comaximal factorizations of the smallest-norm element
     (scan order: norm, then the ring's order on one associate per element)
-    that has at least two, or None within the bound.  A bound below 2 scans
-    no norm, so it is refused rather than answered with None."""
+    that has at least two, certified, or None within the bound.  A bound
+    below 2 scans no norm, so it is refused rather than answered with None."""
     if not hasattr(ring, "associates_of_norm"):
         raise ComaxInputError(f"witness hunt is not supported over {ring}")
     if norm_bound < 2:
         raise ComaxInputError("need --bound >= 2")
     for n in range(2, norm_bound + 1):
         for b in ring.associates_of_norm(n):
-            found = enumerate_complete_factorizations(b, ring)
-            if len(found.factorizations) > 1:
-                return found
+            support, partitions = walk(b, ring)
+            if len(partitions) > 1:
+                return certify(b, ring, support, partitions)
     return None

@@ -25,8 +25,9 @@ Integer factorization (Cohen, GTM 138, sections 8.2 and 8.5) uses the
 standard library alone: trial division by the primes below 1000,
 Miller-Rabin to the first 13 prime bases, and Pollard-Brent rho (Brent,
 BIT 20, 1980) on every cofactor that Miller-Rabin shows composite, of any
-size, until it has run `_RHO_STEPS` iterations (checked after each
-doubling round).  Miller-Rabin to those bases is proven exact below
+size, within `_RHO_STEPS` iterations: the budget is checked before each
+doubling round, so a refused cofactor has run no more iterations than its
+message names.  Miller-Rabin to those bases is proven exact below
 `_MR_BOUND` (Sorenson and Webster, 2015).  `factorint` raises a ValueError
 (exit 2) naming any cofactor it cannot finish: one at or above `_MR_BOUND`
 that Miller-Rabin does not show composite, or one that rho does not split
@@ -147,7 +148,7 @@ def _primes_below(n: int) -> list[int]:
 _SMALL_PRIMES = _primes_below(1000)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
-_RHO_STEPS = 1 << 18
+_RHO_STEPS = 1 << 19
 
 
 def _is_prime(n: int) -> bool:
@@ -191,10 +192,10 @@ def _root(n: int, k: int) -> int:
 
 def _pollard_brent(n: int) -> int | None:
     """A proper factor of the odd composite n with no factor below 1000, or
-    None once _RHO_STEPS iterations of x -> x^2 + c (c = 1, 2, ...) have
-    found none.  A perfect power, on which rho takes as long as on its root,
-    gives its root first; a root of degree k is above 1000 > 2^9, so k is at
-    most a ninth of n's bit length."""
+    None when the next doubling round of x -> x^2 + c (c = 1, 2, ...) would
+    take the iterations past _RHO_STEPS.  A perfect power, on which rho
+    takes as long as on its root, gives its root first; a root of degree k
+    is above 1000 > 2^9, so k is at most a ninth of n's bit length."""
     for k in range(2, n.bit_length() // 9 + 1):
         root = _root(n, k)
         if root**k == n:
@@ -204,6 +205,8 @@ def _pollard_brent(n: int) -> int | None:
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            if steps + 2 * r > _RHO_STEPS:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -217,8 +220,6 @@ def _pollard_brent(n: int) -> int | None:
                 k += batch
             steps += 2 * r
             r <<= 1
-            if g == 1 and steps > _RHO_STEPS:
-                return None
         if g == n:
             # the batch overshot: step back one iteration at a time
             g = 1

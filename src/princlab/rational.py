@@ -228,7 +228,7 @@ class Fraction:
         return f"Fraction({self.numerator}, {self.denominator})"
 
     def __reduce__(self):
-        # `comax factor --jobs N` sends values to its worker processes
+        # without it, pickle protocols 0 and 1 refuse a class with __slots__
         return Fraction, (self.numerator, self.denominator)
 
 

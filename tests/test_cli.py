@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import princlab
-from princlab import cli, quadring
-from princlab.comax import comax_factor_int, enumerate_complete_factorizations
+from princlab import cli, comax, quadring
+from princlab.comax import enumerate_complete_factorizations
 from princlab.limitring import lr_chain
 from princlab.monoidring import juett_split, mr_comax_chain, mr_split
 from princlab.quadring import QuadElem
@@ -54,18 +55,11 @@ def test_recheck_failure_exits_3(capsys, monkeypatch):
         assert "recheck FAILED" in err and "recheck" not in json.loads(out)
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_jobs_out_of_range_is_rejected_before_any_pool(capsys, monkeypatch, jobs):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for argv in (["comax", "factor", "360", "1001"], ["idem", "check", "-2", "-3"]):
-        code, out, err = run_cli(capsys, "--jobs", str(jobs), *argv)
-        assert code == 2 and out == ""
-        assert "--jobs" in err
+def test_jobs_is_a_usage_error(capsys):
+    # a batch runs in one process, in sequence: the top level has no --jobs
+    code, out, err = _usage_outcome(capsys, "--jobs", "2", "comax", "factor", "360", "1001")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: princlab [-h] [--recheck]\n")
 
 
 @pytest.mark.parametrize("options", [["--monoid", "p-div:3"], ["--group"], ["--monoid", "p-div:3", "--group"]])
@@ -116,12 +110,58 @@ def test_usage_and_help_match_the_full_parser(capsys, argv):
     assert _outcome(capsys, cli.main, argv) == full
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool of two workers needs two CPUs")
-def test_jobs_pool_prints_what_one_process_prints(capsys):
-    golden = (Path(__file__).parent / "golden" / "comax_factor_batch.out").read_text()
-    assert run_cli(capsys, "--recheck", "--jobs", "2", "comax", "factor", "360", "1001") == (0, golden, "")
-    argv = ["--recheck", "comax", "factor", "--ring", "Z[sqrt(-5)]", "6", "21"]
-    assert run_cli(capsys, "--jobs", "2", *argv) == run_cli(capsys, "--jobs", "1", *argv)
+def _build_counts(monkeypatch):
+    """The sizes of the factorizations comax certifies, one per call of its
+    builder."""
+    built = []
+    real = comax._build_factorization
+
+    def counted(b, ring, blocks, factors):
+        built.append(len(factors))
+        return real(b, ring, blocks, factors)
+
+    monkeypatch.setattr(comax, "_build_factorization", counted)
+    return built
+
+
+def test_comax_factor_certifies_the_one_factorization_it_prints(capsys, monkeypatch):
+    # 21 has three complete factorizations in Z[sqrt(-5)]; the report prints the first
+    built = _build_counts(monkeypatch)
+    report = report_of(capsys, "--recheck", "comax", "factor", "--ring", "Z[sqrt(-5)]", "21")
+    assert report["recheck"] == "passed"
+    assert built == [len(report["result"]["factorization"]["factors"])]
+
+
+def test_comax_hunt_certifies_only_its_witness(capsys, monkeypatch):
+    built = _build_counts(monkeypatch)
+    report = report_of(capsys, "--recheck", "comax", "hunt", "--ring", "Z[sqrt(-5)]", "--bound", "500")
+    assert report["recheck"] == "passed"
+    assert built == [len(f["factors"]) for f in report["result"]["factorizations"]] and len(built) > 1
+
+
+def test_comax_over_z_combines_no_prime(capsys):
+    # every prime power of an integer is of identity class, so no support
+    # size meets the cap: the product of the first 30 primes
+    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+    n = str(math.prod(primes))
+    for command in ("unique", "factor"):
+        code, out, err = run_cli(capsys, "--recheck", "comax", command, n)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["recheck"] == "passed" and len(report["result"]["support"]) == 30
+
+
+@pytest.mark.parametrize("command", ["factor", "unique"])
+def test_a_support_past_the_cap_is_an_input_error_naming_what_it_counts(capsys, monkeypatch, command):
+    # all twelve primes of 2047395 in Z[sqrt(-26)] are of non-identity class;
+    # of 210's six in Z[sqrt(-5)], the four over 3 and 7 are
+    assert run_cli(capsys, "comax", command, "--ring", "Z[sqrt(-26)]", "2047395") == (
+        2, "", "princlab: error: 12 support primes of non-identity class exceed the cap 8\n")
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "3")
+    assert run_cli(capsys, "comax", command, "--ring", "Z[sqrt(-5)]", "210") == (
+        2, "", "princlab: error: 4 support primes of non-identity class exceed the cap 3\n")
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "4")
+    assert report_of(capsys, "--recheck", "comax", command, "--ring", "Z[sqrt(-5)]", "210")["recheck"] == "passed"
 
 
 def _tampered_fails(report, mutate):
@@ -207,11 +247,11 @@ SPLIT = (("f1",), ("f2",), ("lam",), ("mu",))
          lambda: enumerate_complete_factorizations(QuadElem(21, 0, -5),
                                                    cli.parse_ring_spec("Z[sqrt(-5)]")).factorizations[0],
          lambda r: r["factorizations"][0], (FACTOR, LAM, MU, UNIT)),
-        (["comax", "factor", "360"], lambda: comax_factor_int(360).factorizations[0], lambda r: r["factorization"],
-         (FACTOR, LAM, MU, UNIT)),
+        (["comax", "factor", "360"], lambda: enumerate_complete_factorizations(360, cli.ZZ).factorizations[0],
+         lambda r: r["factorization"], (FACTOR, LAM, MU, UNIT)),
     ],
     ids=["mr_split", "mr_comax_chain-Q", "mr_comax_chain-Z[1/2]", "juett_split", "lr_chain-Q", "lr_chain-Z",
-         "comax_unique", "comax_factor_int"],
+         "comax_unique", "comax_factor"],
 )
 def test_every_comaximal_certificate_fails_when_one_value_changes(capsys, argv, produce, part, paths):
     report = report_of(capsys, *argv)
@@ -296,16 +336,8 @@ def test_a_prime_past_the_proven_primality_bound_is_an_input_error(capsys):
 
 def test_failed_self_check_exits_3_not_2(capsys, monkeypatch):
     # a producer that builds a wrong certificate: one factor off by one
-    from princlab import comax
-
-    real = comax.comax_factor_int
-
-    def wrong(n):
-        found = real(n)
-        found.factorizations[0] = _bumped(found.factorizations[0], FACTOR)
-        return found
-
-    monkeypatch.setattr(comax, "comax_factor_int", wrong)
+    real = comax._build_factorization
+    monkeypatch.setattr(comax, "_build_factorization", lambda *args: _bumped(real(*args), FACTOR))
     for flag in ([], ["--recheck"]):
         code, out, err = run_cli(capsys, *flag, "comax", "factor", "84")
         assert code == 3
@@ -556,9 +588,8 @@ def test_a_flag_whose_value_is_double_dash_is_an_input_error(capsys, monkeypatch
         (["--recheck", "idem", "check", "-2", "-3"], FORCED_FAILURE, 3),
         (["idem", "check", "1"], "", 2),
         (["--help"], "", 0),
-        (["--recheck", "--jobs", "2", "comax", "factor", "360", "1001"], "", 0 if (os.cpu_count() or 1) >= 2 else 2),
     ],
-    ids=["exit-0", "exit-1", "exit-2", "exit-3", "usage-error", "help", "jobs-2"],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3", "usage-error", "help"],
 )
 def test_a_shell_call_ends_as_main_returns(argv, patch, code):
     # block-buffered stdout: a hard exit before the flush would lose the report

@@ -63,7 +63,7 @@ def outcome(argv):
 def test_every_golden_and_pool_argv_is_read_from_the_table(argv):
     # mring_juett_group_p3's --t=-3/2 included: a value that is not a
     # negative number reaches its flag only after "="
-    for words in (argv, ["--recheck", *argv], ["--jobs", "1", "--recheck", *argv]):
+    for words in (argv, ["--recheck", *argv]):
         read = cli._read(words)
         assert read is not None
         assert vars(read) == argparse_reads(words)
@@ -76,7 +76,6 @@ VALUES = ["-2", "-3", "0", "2", "3", "1/2", "-1.5", "-.5", "x", "-x", "", "-", "
           "Z", "Q[X;S]", "p-div:3", "2*y", "1+sqrt(-5)", "X0^2", "-3/2", "--", "a b", "-2 x"]
 ODD = ["-h", "--help", "--", "--rech", "--jo", "--recheck", "--jobs", "--ring=Z", "--s=1/2", "--m=2", "--or",
        "--bou", "--lev", "--mon", "--grou", "-2x", "--jobs=1", "--r", "--g", "--=1", "--recheck=1", "-hx", "--he"]
-JOBS = ["1", "0", "-1", "x", str((os.cpu_count() or 1) + 1)]
 
 
 def spelled(draw, flag, kwargs, value):
@@ -96,7 +95,7 @@ def argvs(draw):
     word dropped, a word inserted or two words swapped."""
     row = draw(st.sampled_from(cli.COMMANDS))
     value = st.sampled_from(VALUES)
-    top = [spelled(draw, flag, kwargs, st.sampled_from(JOBS)) for flag, kwargs in cli._TOP if draw(st.booleans())]
+    top = [spelled(draw, flag, kwargs, value) for flag, kwargs in cli._TOP if draw(st.booleans())]
     items = []
     for flag, kwargs in cli._arguments(row):
         if flag.startswith("-") and (kwargs.get("required") or draw(st.booleans())):
@@ -131,8 +130,8 @@ def test_the_table_path_reads_what_argparse_reads(argv):
 
 def plain(word):
     """An operand of the plain grammar: a word that does not start with "-",
-    or one of the negative numbers VALUES and JOBS hold."""
-    return not word.startswith("-") or word in ("-1", "-2", "-3", "-1.5", "-.5")
+    or one of the negative numbers VALUES holds."""
+    return not word.startswith("-") or word in ("-2", "-3", "-1.5", "-.5")
 
 
 @st.composite
@@ -162,7 +161,7 @@ def plain_argvs(draw):
                     out.append([flag, draw(value.filter(plain))])
         return out
 
-    top = draw(st.permutations(items(cli._TOP, JOBS)))
+    top = draw(st.permutations(items(cli._TOP, VALUES)))
     flags = draw(st.permutations(items(cli._arguments(row), VALUES)))
     operands = [flag for flag, _ in cli._arguments(row) if not flag.startswith("-")]
     size = max(0, len(operands) + draw(st.sampled_from([0, 0, -1, 1])))

@@ -12,7 +12,6 @@ from princlab.core import _MR_BOUND
 from princlab.comax import (
     ComaxInputError,
     SupportBoundExceeded,
-    comax_factor_int,
     enumerate_complete_factorizations,
     find_nonunique_witness,
 )
@@ -60,28 +59,28 @@ def oracle_is_pseudo_irreducible_int(n):
     )
 
 
-def test_comax_factor_int_spec_cases():
-    found = comax_factor_int(360)
-    assert sorted(found.factorizations[0].factors) == [5, 8, 9]
+def test_int_factorization_spec_cases():
+    found = enumerate_complete_factorizations(360, ZZ)
+    assert found.factorizations[0].factors == [5, 8, 9]
     assert rechecks(found, ZZ)
 
-    (f,) = comax_factor_int(8).factorizations
+    (f,) = enumerate_complete_factorizations(8, ZZ).factorizations
     assert f.factors == [8] and f.blocks == [(0,)]
 
     for bad in (1, -1, 0):
         with pytest.raises(ComaxInputError):
-            comax_factor_int(bad)
+            enumerate_complete_factorizations(bad, ZZ)
 
-    found = comax_factor_int(-12)
+    found = enumerate_complete_factorizations(-12, ZZ)
     (f,) = found.factorizations
-    assert sorted(f.factors) == [3, 4] and f.unit == -1
+    assert f.factors == [3, 4] and f.unit == -1
     assert rechecks(found, ZZ)
 
 
-def test_comax_factor_int_against_oracle():
+def test_int_factorization_against_oracle():
     for n in range(2, 2000):
-        found = comax_factor_int(n)
-        assert sorted(found.factorizations[0].factors) == oracle_prime_power_grouping(n)
+        found = enumerate_complete_factorizations(n, ZZ)
+        assert found.factorizations[0].factors == oracle_prime_power_grouping(n)
         assert rechecks(found, ZZ)
 
 
@@ -195,18 +194,29 @@ def test_each_factor_generates_its_block(d, b):
 
 
 def test_support_cap(monkeypatch):
-    n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-    with pytest.raises(SupportBoundExceeded):
-        enumerate_complete_factorizations(n, ZZ)
-    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "9")
-    assert len(enumerate_complete_factorizations(n, ZZ).factorizations) == 1
+    # the cap counts the primes the walk combines, those of non-identity
+    # class: over Z none.  All twelve primes of 2047395 in Z[sqrt(-26)] are
+    # of non-identity class; four of the twelve of 24694341 in Z[sqrt(-5)]
+    # are of identity class, so it has eight to combine
+    assert len(enumerate_complete_factorizations(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, ZZ).factorizations) == 1
+    assert rechecks(enumerate_complete_factorizations(E(24694341, 0), O5), O5)
+    b26 = QuadElem(2047395, 0, -26)
+    with pytest.raises(SupportBoundExceeded, match="^12 support primes of non-identity class exceed the cap 8$"):
+        enumerate_complete_factorizations(b26, QuadOrder(-26))
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "12")
+    support, partitions = comax.walk(b26, QuadOrder(-26))
+    assert (len(support), len(partitions)) == (12, 589)
 
 
 def test_support_cap_env(monkeypatch):
+    # 210 in Z[sqrt(-5)]: P2^2 = (2) and P5^2 = (5) are of identity class,
+    # and the two primes over each of 3 and 7 are not
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "3")
-    with pytest.raises(SupportBoundExceeded):
-        enumerate_complete_factorizations(210, ZZ)
+    with pytest.raises(SupportBoundExceeded, match="^4 support primes of non-identity class exceed the cap 3$"):
+        enumerate_complete_factorizations(E(210, 0), O5)
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "4")
+    assert rechecks(enumerate_complete_factorizations(E(210, 0), O5), O5)
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "0")
     assert len(enumerate_complete_factorizations(210, ZZ).factorizations) == 1
 
 
@@ -219,15 +229,13 @@ def test_support_primes_stay_below_the_proven_primality_bound(capsys):
     p = sympy.nextprime(_MR_BOUND)
     big, refusal = 2 * p, f"{p} is too large to prove prime"
     with pytest.raises(ValueError, match=refusal):
-        comax_factor_int(big)
-    with pytest.raises(ValueError, match=refusal):
         enumerate_complete_factorizations(big, ZZ)
     with pytest.raises(ValueError, match=refusal):
         enumerate_complete_factorizations(E(big, 0), O5)
     for argv in (["comax", "factor", str(big)], ["comax", "unique", "--ring", "Z[sqrt(-5)]", str(big)]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"princlab: error: {refusal}\n"
-    assert len(comax_factor_int(2 * sympy.prevprime(_MR_BOUND)).factorizations[0].factors) == 2
+    assert len(enumerate_complete_factorizations(2 * sympy.prevprime(_MR_BOUND), ZZ).factorizations[0].factors) == 2
 
 
 def test_find_nonunique_witness_quad():
@@ -346,7 +354,9 @@ def bell_walk_factorizations(b, ring):
         generators = [memo.generator(block) for block in partition]
         if None in generators or not all(memo.pseudo_irreducible(block) for block in partition):
             continue
-        out.append(comax._build_factorization(b, ring, partition, generators))
+        order = sorted(range(len(partition)), key=lambda i: ring.sort_key(generators[i]))
+        out.append(comax._build_factorization(b, ring, [tuple(partition[i]) for i in order],
+                                              [generators[i] for i in order]))
     out.sort(key=lambda f: (len(f.factors), [ring.sort_key(x) for x in f.factors]))
     return comax.ComaxResult(b, memo.support, out)
 

@@ -1,5 +1,7 @@
+import inspect
 import random
 import re
+import sys
 
 import pytest
 import sympy
@@ -99,6 +101,31 @@ def test_factorint_matches_sympy():
         assert isinstance(got, int) or got == sympy.factorint(n), n
     with pytest.raises(ValueError):
         factorint(0)
+
+
+def test_a_refused_cofactor_runs_no_more_squarings_than_its_message_names(monkeypatch):
+    # the budget is checked before each doubling round, not after it, so
+    # rho never runs past the steps its refusal names
+    monkeypatch.setattr(core, "_RHO_STEPS", 1000)
+    source, first = inspect.getsourcelines(core._pollard_brent)
+    squaring = {first + i for i, text in enumerate(source) if re.search(r"= \((\w+) \* \1 \+ c\) % n", text)}
+    assert len(squaring) == 3
+    code, squarings = core._pollard_brent.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal squarings
+        squarings += event == "line" and frame.f_lineno in squaring
+        return count
+
+    composite = sympy.nextprime(10**12) * sympy.nextprime(2 * 10**12)
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        with pytest.raises(ValueError, match=f"^no factor of the composite {composite} found within 1000 rho steps$"):
+            factorint(composite)
+    finally:
+        sys.settrace(outer)
+    assert 0 < squarings <= 1000
 
 
 def test_is_prime_matches_sympy():

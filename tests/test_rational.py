@@ -4,13 +4,11 @@ operands on either side, comparisons and hashes, text, string parsing on
 both paths, and pickling."""
 
 import fractions
-import multiprocessing
 import operator
 import pickle
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -160,13 +158,6 @@ def test_a_pickle_round_trip_gives_the_same_value(x):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(x[0], protocol))
         assert type(back) is Fraction and (back.numerator, back.denominator) == (x[0].numerator, x[0].denominator)
-
-
-def test_rationals_cross_a_process_pool():
-    # `--jobs N` sends its values to worker processes
-    xs = [Fraction(-7, 3), Fraction(5), Fraction(2**70, 3**40)]
-    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert list(pool.map(abs, xs)) == [abs(x) for x in xs]
 
 
 def test_only_strings_outside_the_fast_forms_load_the_stdlib_parser():
