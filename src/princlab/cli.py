@@ -1,13 +1,13 @@
 """Command-line front end: ring grammar, subcommand dispatch, JSON reports.
 
-Exit codes: 0 = success, 1 = negative mathematical verdict (non-principal,
-non-unique, not a pair, no witness found), 2 = input error (any
-`ValueError`), 3 = an internal certificate failure on any call: a
-producer's "(bug)" guard (`core.CertificateError`) or a report that fails
-`recheck`, 141 = stdout's reader closed the pipe before the report was
-written (`... | head -c 1`; 141 is what a shell shows for a process SIGPIPE
-ended, and a failed recheck still exits 3).  Reports go to stdout; errors
-and recheck failures go to stderr.
+Exit codes: 0 = success or help, 1 = negative mathematical verdict
+(non-principal, non-unique, not a pair, no witness found), 2 = input error
+(a usage error, or any `ValueError`), 3 = an internal certificate failure
+on any call: a producer's "(bug)" guard (`core.CertificateError`) or a
+report that fails `recheck`, 141 = stdout's reader closed the pipe before
+the report was written (`... | head -c 1`; 141 is what a shell shows for a
+process SIGPIPE ended, and a failed recheck still exits 3).  Reports and
+help go to stdout; errors and recheck failures go to stderr.
 
 `main` runs `recheck.verify_report` on every report; producers do not check
 their own certificates.  A failing report is printed, its failures go to
@@ -32,18 +32,13 @@ the exit code.  Each certificate serializes itself (`enc` falls through to
 its `to_json`).
 
 Reading argv.  `_TOP` and `_arguments(row)` describe each flag and operand
-once, in argparse's keywords.  `build_parser` hands them to argparse, and
-`_read` reads from them the plain grammar: the one top-level flag
-`--recheck`, the group and command names, then the command's flags around
-one run of operands.  A flag is spelled in full, its value the next word or
-after "=", and the last of a repeated flag wins.  An operand is a word that
-does not start with "-", or a negative number; the run fills the operands by
-their nargs (None, `?`, `+`).  `type`, `choices`, `required` and `default`
-act as in argparse.  Any other argv (help, an abbreviated or unknown flag,
-`--`, a second run of operands, a type, choice or count error) goes to
-`build_parser(argv).parse_args(argv)`.
-`argparse` (and with it `gettext` and `locale`) is imported only inside
-`build_parser`, so a plain call never loads it.
+once, by the keywords `type`, `choices`, `nargs`, `required`, `default`,
+`dest`, `action` and `help`, and `_read` is the one reader of argv (see its
+docstring for the grammar).  `-h` or `--help` before any `--` writes the
+usage and help of the level named so far (the top, a group or a command) to
+stdout, and `main` returns 0; any other argv it cannot read writes that
+level's usage line and one "princlab: error: ..." line to stderr, and `main`
+returns 2.  Neither raises `SystemExit`, and reading argv imports nothing.
 
 Imports.  At import this module runs only `core`, `rings`, `report` and
 the `recheck` package's `__init__`.  Each family module (`comax`, `idem`,
@@ -68,10 +63,9 @@ flushed, the report is complete, so `run` ends the process with
 every module and object, the `atexit` hooks) writes no byte and would cost
 every call about 16 ms of CPU (CPython 3.11, shared 2-vCPU Linux machine).
 `main` still returns its code, so in-process callers exit normally.
-Anything but a normal return from `main` (argparse's `SystemExit` after help
-or a usage error, an uncaught exception) propagates as usual, and so does a
-flush that fails, through `sys.exit`, unless it fails on a closed pipe: that
-call exits 141.
+Anything but a normal return from `main` (an uncaught exception) propagates
+as usual, and so does a flush that fails, through `sys.exit`, unless it
+fails on a closed pipe: that call exits 141.
 """
 
 from __future__ import annotations
@@ -339,8 +333,9 @@ def _b2():
 
 
 def _arg(flag, convert=None, **kwargs):
-    """An operand: its argparse flag and keywords, and the converter from
-    the parsed text to the handler's value (None keeps argparse's value)."""
+    """An argument: its flag (an operand's name), its keywords for the
+    reader, and the converter from the value read to the handler's (None
+    keeps the value read)."""
     return flag, convert, kwargs
 
 
@@ -406,18 +401,20 @@ COMMANDS = (
     ("sphere", "projector", "cmd_sphere_projector", _b2, ()),
     ("sphere", "reduce", "cmd_sphere_reduce", _b2, (_arg("expr", _elem),)),
 )
+_ROWS = {row[:2]: row for row in COMMANDS}
 
 # ----------------------------------------------------------- reading argv
 
-# the top-level flag, as (flag, argparse keywords)
+# the top-level flag, as (flag, keywords)
 _TOP = (
     ("--recheck", {"action": "store_true", "help": 'write "recheck": "passed" (every call rechecks its report)'}),
 )
+_HELP = {"action": "help", "help": "show this help and exit"}
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _arguments(row):
-    """The (flag, argparse keywords) of each argument of the row's parser."""
+    """The (flag, keywords) of each argument of the row's command."""
     group, _, _, ring, operands = row
     if isinstance(ring, str):
         yield "--ring", {"default": ring}
@@ -425,140 +422,141 @@ def _arguments(row):
             yield "--monoid", {"default": None, "help": "p-div:P or mult:{P1,P2}"}
             yield "--group", {"dest": "group_mode", "action": "store_true", "help": "Laurent exponents (group algebra)"}
     for flag, _, kwargs in operands:
-        if kwargs is not None:
-            yield flag, kwargs
+        yield flag, kwargs
+
+
+def _level(names):
+    """The arguments of the level `names` names (the top, a group or a
+    command), help aside.  The top and a group end in the operand that names
+    the next level."""
+    if not names:
+        return (*_TOP, ("group", {"choices": tuple(GROUPS)}))
+    if len(names) == 1:
+        return (("command", {"choices": tuple(cmd for group, cmd in _ROWS if group == names[0])}),)
+    return tuple(_arguments(_ROWS[names]))
+
+
+def _flags(arguments):
+    """{flag: keywords} of a level's flags, help among them."""
+    return {"-h": _HELP, "--help": _HELP, **{flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}}
+
+
+class _Stop(Exception):
+    """Help (args: names) or a usage error (args: names, message) at the
+    level `names` names."""
 
 
 def _operand(word):
-    return not word.startswith("-") or _NEGATIVE.match(word)
+    """Whether a word is an operand, not a flag: it does not start with "-",
+    or it is "-", a negative number or holds a space."""
+    return not word.startswith("-") or word == "-" or " " in word or _NEGATIVE.match(word)
 
 
-def _value(kwargs, text):
-    """An argument's value from its text, through `type` and `choices`;
-    ValueError where argparse reads it otherwise or not at all."""
-    value = kwargs.get("type", str)(text)
-    if text == "--" or value not in kwargs.get("choices", (value,)):
-        raise ValueError
+def _value(names, flag, kwargs, text):
+    """An argument's value from its text, through `type` and `choices`."""
+    try:
+        value = kwargs.get("type", str)(text)
+    except ValueError:
+        raise _Stop(names, f"argument {flag}: invalid {kwargs['type'].__name__} value: {text!r}") from None
+    if value not in kwargs.get("choices", (value,)):
+        raise _Stop(names, f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(kwargs['choices'])})")
     return value
 
 
-def _flags(words, i, flags, values):
-    """Read the flags from words[i] on into values, the last of a repeated
-    flag winning; the index of the first word that is no flag."""
-    while i < len(words):
-        flag, eq, text = words[i].partition("=")
-        kwargs = flags.get(flag)
-        if kwargs is None:
-            return i
-        i += 1
-        if kwargs.get("action") == "store_true":
-            if eq:
-                raise ValueError
-            value = True
+def _read(argv):
+    """The namespace of argv: `recheck`, the `group` and `cmd` names, the
+    command's `row` and each of its arguments by dest; _Stop for help or a
+    usage error.  A flag is spelled in full or by a prefix no other flag of its
+    level has, its value the next word or after "=", and the last of a
+    repeated flag wins.  Flags and operands come in any order, and every word
+    after the first "--" is an operand.  A command's operands fill its
+    arguments by their nargs: a "?" takes a word only if one is spare, a "+"
+    takes every spare word."""
+    names, values, run, dashed = (), {}, [], False
+    arguments = _level(names)
+    flags = _flags(arguments)
+    words = iter(argv)
+    for word in words:
+        if not dashed and word.startswith("-"):
+            if word == "--":
+                dashed = True
+                continue
+            name, eq, text = word.partition("=")
+            found = [name] if name in flags else [f for f in flags if name[2:] and f.startswith(name)]
+            if len(found) > 1:
+                raise _Stop(names, f"ambiguous option: {name} could match {', '.join(found)}")
+            if found:
+                flag, kwargs = found[0], flags[found[0]]
+                action = kwargs.get("action")
+                if eq and action:
+                    raise _Stop(names, f"argument {flag}: ignored explicit argument {text!r}")
+                if action == "help":
+                    raise _Stop(names)
+                if not action and not eq:
+                    text = next(words, "--")
+                    if not _operand(text):
+                        raise _Stop(names, f"argument {flag}: expected one argument")
+                values[kwargs.get("dest", flag.lstrip("-"))] = True if action else _value(names, flag, kwargs, text)
+                continue
+            if not _operand(word):
+                raise _Stop(names, f"unrecognized arguments: {word}")
+        if len(names) == 2:
+            run.append(word)
         else:
-            if not eq:
-                if i == len(words) or not _operand(words[i]):
-                    raise ValueError
-                text, i = words[i], i + 1
-            value = _value(kwargs, text)
-        values[kwargs.get("dest", flag.lstrip("-"))] = value
-    return i
-
-
-def _defaults(arguments, values):
-    """values with the default of each argument not given; ValueError for a
-    required one."""
-    for flag, kwargs in arguments:
+            names = (*names, _value(names, *arguments[-1], word))
+            arguments = _level(names)
+            flags = _flags(arguments)
+    if len(names) < 2:
+        raise _Stop(names, f"the following arguments are required: {arguments[-1][0]}")
+    operands = [(dest, kwargs) for dest, kwargs in arguments if dest not in flags]
+    for k, (dest, kwargs) in enumerate(operands):
+        nargs = kwargs.get("nargs")
+        spare = max(0, len(run) - sum(kw.get("nargs") != "?" for _, kw in operands[k:]))
+        n = {None: 1, "?": min(1, spare), "+": 1 + spare}[nargs]
+        texts, run = run[:n], run[n:]
+        if not texts and nargs != "?":
+            raise _Stop(names, f"the following arguments are required: {dest}")
+        if texts:
+            value = [_value(names, dest, kwargs, t) for t in texts]
+            values[dest] = value if nargs == "+" else value[0]
+    if run:
+        raise _Stop(names, f"unrecognized arguments: {' '.join(run)}")
+    for flag, kwargs in (*_TOP, *arguments):
         dest = kwargs.get("dest", flag.lstrip("-"))
         if dest not in values:
             if kwargs.get("required"):
-                raise ValueError
+                raise _Stop(names, f"the following arguments are required: {flag}")
             default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
-            values[dest] = _value(kwargs, default) if isinstance(default, str) else default
-    return values
+            values[dest] = _value(names, flag, kwargs, default) if isinstance(default, str) else default
+    return SimpleNamespace(**values, group=names[0], cmd=names[1], row=_ROWS[names])
 
 
-def _command(words, arguments):
-    """{dest: value} for a command's words: flags, one run of operands, flags.
-    The run fills the operands in turn; a "?" takes a word only if one is
-    spare, a "+" takes every spare word."""
-    flags = {flag: kwargs for flag, kwargs in arguments if flag.startswith("-")}
-    values = {}
-    start = _flags(words, 0, flags, values)
-    end = next((i for i in range(start, len(words)) if not _operand(words[i])), len(words))
-    if _flags(words, end, flags, values) < len(words):
-        raise ValueError  # an unknown word, or a second run of operands
-    run = words[start:end]
-    operands = [(flag, kwargs) for flag, kwargs in arguments if flag not in flags]
-    for k, (dest, kwargs) in enumerate(operands):
-        nargs = kwargs.get("nargs")
-        spare = len(run) - sum(kw.get("nargs") != "?" for _, kw in operands[k:])
-        if spare < 0:
-            raise ValueError
-        n = {None: 1, "?": min(1, spare), "+": 1 + spare}[nargs]
-        texts, run = run[:n], run[n:]
-        if texts:
-            values[dest] = [_value(kwargs, t) for t in texts] if nargs == "+" else _value(kwargs, texts[0])
-    if run:
-        raise ValueError
-    return _defaults(arguments, values)
+def _spelling(flag, kwargs):
+    """How usage and help write an argument, and whether usage brackets it."""
+    choices = kwargs.get("choices")
+    metavar = "{" + ",".join(choices) + "}" if choices else flag.lstrip("-").upper()
+    if flag.startswith("-"):
+        return flag if kwargs.get("action") else f"{flag} {metavar}", not kwargs.get("required")
+    name = metavar if choices else flag
+    return f"{name} [{name} ...]" if kwargs.get("nargs") == "+" else name, kwargs.get("nargs") == "?"
 
 
-def _read(argv):
-    """The namespace `build_parser().parse_args(argv)` gives an argv in the
-    plain grammar; None for any other argv, and on a CPython this reader was
-    not checked against (3.10 to 3.13 were)."""
-    if not (3, 10) <= sys.version_info[:2] <= (3, 13):
-        return None
-    top = {}
-    try:
-        at = _flags(argv, 0, dict(_TOP), top)
-        row = next((row for row in COMMANDS if row[:2] == tuple(argv[at : at + 2])), None)
-        values = row and _command(argv[at + 2 :], tuple(_arguments(row)))
-        top = _defaults(_TOP, top)
-    except ValueError:
-        return None
-    return row and SimpleNamespace(**top, group=row[0], cmd=row[1], row=row, **values)
+def _usage(names):
+    """The usage line of the level `names` names."""
+    words = (f"[{w}]" if optional else w for w, optional in (_spelling(*a) for a in _level(names)))
+    return " ".join(["usage: princlab", *names, "[-h]", *words] + ["..."] * (len(names) < 2))
+
+
+def _help(names):
+    """The help of the level `names` names: its usage line, and a line for
+    each argument with its help."""
+    rows = [("-h, --help", _HELP["help"])] + [(_spelling(*a)[0], a[1].get("help", "")) for a in _level(names)]
+    width = max(len(spelling) for spelling, text in rows if text)
+    about = "" if names else "\nIdempotent pairs, ideals and comaximal factorizations, with rechecked JSON reports.\n"
+    return "\n".join([_usage(names), about, *(f"  {s:<{width}}  {h}".rstrip() for s, h in rows)]) + "\n"
 
 
 # -------------------------------------------------------------- dispatch
-
-
-def _reachable(argv):
-    """The rows argparse can enter for argv: those of the first group argv
-    names, narrowed to the command the next token names, if it names one;
-    every row when argv names no group."""
-    at = next((i for i, word in enumerate(argv) if word in GROUPS), None)
-    if at is None:
-        return COMMANDS
-    rows = [row for row in COMMANDS if row[0] == argv[at]]
-    return [row for row in rows if row[1] in argv[at + 1 : at + 2]] or rows
-
-
-def build_parser(argv=()):
-    """The argparse parser of every command, or, given argv, of the commands
-    argv can reach; the other groups stay bare.  Usage and help read the
-    same.  The one place `argparse` is imported."""
-    import argparse
-
-    top = argparse.ArgumentParser(
-        prog="princlab",
-        description="Exact idempotent-pair, ideal, and comaximal-factorization lab "
-        "with re-checkable JSON certificates.",
-    )
-    for flag, kwargs in _TOP:
-        top.add_argument(flag, **kwargs)
-    groups = top.add_subparsers(dest="group", required=True)
-    rows = _reachable(argv)
-    entered = {row[0] for row in rows}
-    parsers = {g: groups.add_parser(g, add_help=g in entered) for g in GROUPS}
-    subs = {g: parsers[g].add_subparsers(dest="cmd", required=True) for g in entered}
-    for row in rows:
-        p = subs[row[0]].add_parser(row[1])
-        p.set_defaults(row=row)
-        for flag, kwargs in _arguments(row):
-            p.add_argument(flag, **kwargs)
-    return top
 
 
 def _command_ring(args, ring):
@@ -577,22 +575,20 @@ def _command_ring(args, ring):
     return ring
 
 
-def _no_empty_values(args):
-    """Refuse a flag or operand whose value argparse gave as [] where it
-    takes one value: on CPython 3.10 to 3.12 argparse drops the `--` of
-    `--ring=--` and of an operand spelled `--` after the first `--`."""
-    for flag, kwargs in (*_TOP, *_arguments(args.row)):
-        if kwargs.get("nargs") != "+" and getattr(args, kwargs.get("dest", flag.lstrip("-"))) == []:
-            raise CliError(f"argument {flag}: expected one value, not '--'")
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read(argv) or build_parser(argv).parse_args(argv)
+    try:
+        args = _read(argv)
+    except _Stop as stop:
+        names, *message = stop.args
+        if not message:
+            sys.stdout.write(_help(names))
+            return 0
+        print(_usage(names), f"princlab: error: {message[0]}", sep="\n", file=sys.stderr)
+        return 2
     _, _, handler, ring, operands = args.row
     command = f"{args.group} {args.cmd}"
     try:
-        _no_empty_values(args)
         ring = _command_ring(args, ring)
         values = {}
         for flag, convert, _ in operands:

@@ -78,9 +78,7 @@ class LimitElem(RingElem):
         self.ring = ring
 
     def _lift_pair(self, other):
-        o = other if isinstance(other, LimitElem) else self.ring.coerce(other)
-        if o.ring != self.ring:
-            raise LimitError("mixed limit rings")
+        o = self.ring.coerce(other)
         m = max(self.level, o.level)
         return lr_lift(self, m), lr_lift(o, m)
 
@@ -148,7 +146,7 @@ class LimitRing(RingHandle):
 
     def __init__(self, base):
         if not isinstance(base, (RationalField, IntegerRing)):
-            raise LimitError(f"unsupported base {base!r}")
+            raise LimitError(f"unsupported base {base}")
         self.base = base
         # the expression grammar's working domain: the same ring over Q
         self._over_q = self if isinstance(base, RationalField) else LimitRing(QQ)

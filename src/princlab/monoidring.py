@@ -154,15 +154,8 @@ class MonoidElem(RingElem):
         den, cden = self.den, self.cden
         return tuple((Fraction(e, den), Fraction(c, cden)) for e, c in zip(self.exps, self.coeffs))
 
-    def _lift(self, other) -> "MonoidElem":
-        if isinstance(other, MonoidElem):
-            if other.ring != self.ring:
-                raise MonoidError("mixed monoid rings")
-            return other
-        return self.ring.coerce(other)
-
     def __add__(self, other):
-        o = self._lift(other)
+        o = self.ring.coerce(other)
         if not o.exps:
             return self
         if not self.exps:
@@ -182,7 +175,7 @@ class MonoidElem(RingElem):
         return _elem(self.ring, self.den, self.exps, self.cden, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self.ring.coerce(other)
         na, nb = len(self.exps), len(o.exps)
         if na * nb <= _LOOP_PAIRS:
             return self._sparse_mul(o)
@@ -222,7 +215,7 @@ class MonoidElem(RingElem):
         return self.ring.one / self
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self.ring.coerce(other)
         if len(o.exps) != 1 or o.exps[0] != 0:
             raise MonoidError("division is only available by nonzero constants")
         # (a/A) / (c/C) == a*C / (A*c), with the sign moved to the numerators
@@ -233,7 +226,7 @@ class MonoidElem(RingElem):
     def __eq__(self, other):
         if not isinstance(other, MonoidElem):
             try:
-                other = self._lift(other)
+                other = self.ring.coerce(other)
             except (MonoidError, ValueError, TypeError):
                 return NotImplemented
         elif self.ring != other.ring:
@@ -289,7 +282,7 @@ class MonoidRing(RingHandle):
 
     def __init__(self, base, desc: MonoidDesc):
         if base.family not in ("rat", "int", "zloc"):
-            raise MonoidError(f"unsupported base {base!r}")
+            raise MonoidError(f"unsupported base {base}")
         if desc.group and not isinstance(base, RationalField):
             # group-ring splitting needs p-th roots from the field
             raise MonoidError("group mode needs the field base Q")

@@ -45,21 +45,14 @@ class PullbackElem(RingElem):
     def in_maximal_ideal(self) -> bool:
         return self.value0 == self.ring.base.zero
 
-    def _lift(self, other):
-        if isinstance(other, PullbackElem):
-            if other.ring != self.ring:
-                raise PullbackError("mixed pullback rings")
-            return other
-        return self.ring.coerce(other)
-
     def __add__(self, other):
-        return PullbackElem(self.rf + self._lift(other).rf, self.ring)
+        return PullbackElem(self.rf + self.ring.coerce(other).rf, self.ring)
 
     def __neg__(self):
         return PullbackElem(-self.rf, self.ring)
 
     def __mul__(self, other):
-        return PullbackElem(self.rf * self._lift(other).rf, self.ring)
+        return PullbackElem(self.rf * self.ring.coerce(other).rf, self.ring)
 
     def __pow__(self, n: int):
         # RatFunc would invert a negative power, which leaves R unless a is a unit
@@ -71,7 +64,7 @@ class PullbackElem(RingElem):
         if isinstance(other, PullbackElem):
             return self.ring == other.ring and self.rf == other.rf
         try:
-            return self.rf == self._lift(other).rf
+            return self.rf == self.ring.coerce(other).rf
         except (PullbackError, ValueError):
             return NotImplemented
 

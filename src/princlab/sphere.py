@@ -188,20 +188,15 @@ class SphereElem(RingElem):
                 f = f + part
         return cls(f, g)
 
-    def _lift(self, other):
-        if isinstance(other, SphereElem):
-            return other
-        return SphereElem.const(other)
-
     def __add__(self, other):
-        o = self._lift(other)
+        o = B2.coerce(other)
         return SphereElem(self.f + o.f, self.g + o.g)
 
     def __neg__(self):
         return SphereElem(-self.f, -self.g)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = B2.coerce(other)
         return SphereElem(
             self.f * o.f + self.g * o.g * X0_SQUARED,
             self.f * o.g + self.g * o.f,
@@ -215,13 +210,13 @@ class SphereElem(RingElem):
         return self._one() / self
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = B2.coerce(other)
         if not B2.is_unit(o):
             raise SphereError("division is only available by nonzero constants")
         return self * SphereElem.const(1 / o.f.terms[(0, 0)])
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = B2.coerce(other)
         return self.f == o.f and self.g == o.g
 
     def __hash__(self):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -57,9 +58,9 @@ def test_recheck_failure_exits_3(capsys, monkeypatch):
 
 def test_jobs_is_a_usage_error(capsys):
     # a batch runs in one process, in sequence: the top level has no --jobs
-    code, out, err = _usage_outcome(capsys, "--jobs", "2", "comax", "factor", "360", "1001")
+    code, out, err = run_cli(capsys, "--jobs", "2", "comax", "factor", "360", "1001")
     assert (code, out) == (2, "")
-    assert err.startswith("usage: princlab [-h] [--recheck]\n")
+    assert err.startswith("usage: princlab [-h] [--recheck] {")
 
 
 @pytest.mark.parametrize("options", [["--monoid", "p-div:3"], ["--group"], ["--monoid", "p-div:3", "--group"]])
@@ -78,36 +79,78 @@ def test_command_table_recheck_and_golden_cases_name_the_same_commands():
     assert table == set(_VERIFIERS) == {" ".join(case["argv"][:2]) for case in golden}
 
 
-def _outcome(capsys, parse, argv):
-    try:
-        code = parse(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+LEVELS = [(), *((group,) for group in cli.GROUPS), *(row[:2] for row in cli.COMMANDS)]
+
+
+def _level_arguments(names):
+    """The (flag or operand, help) the table gives the level `names` names:
+    the top, a group or a command."""
+    if not names:
+        return [(flag, kwargs.get("help")) for flag, kwargs in cli._TOP] + [(group, None) for group in cli.GROUPS]
+    if len(names) == 1:
+        return [(row[1], None) for row in cli.COMMANDS if row[0] == names[0]]
+    row = next(row for row in cli.COMMANDS if row[:2] == names)
+    return [(flag, kwargs.get("help")) for flag, kwargs in cli._arguments(row)]
+
+
+@pytest.mark.parametrize("spelling", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("names", LEVELS, ids=lambda names: " ".join(names) or "top")
+def test_each_level_s_help_names_every_flag_and_operand(capsys, names, spelling):
+    code, out, err = run_cli(capsys, *names, spelling)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: princlab", *names, "[-h]"]))
+    assert {word for word, _ in _level_arguments(names)} <= set(re.findall(r"[\w-]+", out))
+    assert all(text in out for _, text in _level_arguments(names) if text)
+
+
+# argv, and the level (the top, a group or a command) whose usage its error shows
+USAGE_ERRORS = [
+    ("", ""), ("frob", ""), ("--recheck frob idem", ""), ("--jobs x idem check -2 -3", ""),
+    ("--jobs idem check -2 -3", ""), ("--recheck=1 idem check -2 -3", ""), ("--=1 idem check -2 -3", ""), ("-hx", ""),
+    ("idem", "idem"), ("idem chek 1 2", "idem"), ("idem --recheck check 1 2", "idem"), ("ideal idem check", "ideal"),
+    ("idem check 1", "idem check"), ("idem check ideal", "idem check"), ("idem check --rng Z 1 2", "idem check"),
+    ("idem check 1 2 3", "idem check"), ("idem check --group=1 1 2", "idem check"),
+    ("comax hunt --bound x", "comax hunt"), ("comax hunt", "comax hunt"), ("comax factor --ring Z", "comax factor"),
+    ("pullback reduce --orientation zz Y 1-Y", "pullback reduce"), ("pullback nonufd Y 2 n", "pullback nonufd"),
+    ("mring chain --m", "mring chain"), ("mring chain --m --n 2", "mring chain"), ("mring juett --b 1", "mring juett"),
+    ("sphere projector extra", "sphere projector"), ("sphere projector -- -h", "sphere projector"),
+]
+
+
+@pytest.mark.parametrize("argv,level", USAGE_ERRORS, ids=[argv or "no-argv" for argv, _ in USAGE_ERRORS])
+def test_a_usage_error_shows_its_level_s_usage_line_and_one_error(capsys, argv, level):
+    usage = run_cli(capsys, *level.split(), "-h")[1].splitlines()[0]
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == usage
+    assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("princlab: error: ")
+
+
+def test_a_flag_is_spelled_by_a_prefix_no_other_flag_of_its_level_has(capsys, monkeypatch):
+    want = run_cli(capsys, "--recheck", "idem", "check", "-2", "-3")
+    assert run_cli(capsys, "--rech", "idem", "check", "-2", "-3") == want
+    monkeypatch.setattr(cli, "_TOP", (*cli._TOP, ("--record", {"action": "store_true"})))
+    assert run_cli(capsys, "--rec", "idem", "check", "-2", "-3") == (
+        2, "", "usage: princlab [-h] [--recheck] [--record] {idem,ideal,comax,pullback,mring,limitring,polyext,sphere}"
+        " ...\nprinclab: error: ambiguous option: --rec could match --recheck, --record\n")
+    assert run_cli(capsys, "--reche", "idem", "check", "-2", "-3") == want
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,same",
     [
-        [], ["--help"], ["-h"], ["frob"], ["--recheck", "frob", "idem"], ["idem"], ["idem", "--help"],
-        ["idem", "chek", "1", "2"], ["idem", "check", "1"], ["idem", "check", "-h"], ["idem", "-h", "check"],
-        ["idem", "--recheck", "check", "1", "2"], ["ideal", "idem", "check"], ["idem", "check", "ideal"],
-        ["comax", "hunt", "--bound", "x"], ["comax", "hunt"],
-        ["pullback", "reduce", "--orientation", "zz", "Y", "1-Y"], ["pullback", "nonufd", "Y", "2", "n"],
-        ["--jobs", "x", "idem", "check", "-2", "-3"], ["--jobs", "idem", "check", "-2", "-3"],
-        ["mring", "chain", "--help"], ["mring", "juett", "--b", "1"], ["polyext", "witness", "-h"],
-        ["sphere", "projector", "extra"], ["idem", "check", "--rng", "Z", "1", "2"],
-        *[[group, "-h"] for group in cli.GROUPS],
+        ("idem check --ring Z[sqrt(-5)] 3 1+sqrt(-5)", "idem check 3 --ring Z[sqrt(-5)] 1+sqrt(-5)"),
+        ("idem check -2 -3", "idem check -- -2 -3"),
+        ("idem check -2 -3", "-- idem check -2 -3"),
+        ("comax factor 360 1001", "comax factor 360 --ring Z 1001"),
+        ("pullback reduce Y 1-Y --orientation ba", "pullback reduce Y --orientation=ba 1-Y"),
+        ("mring chain --m 3", "mring chain --m 2 --m=3"),
     ],
-    ids=lambda argv: " ".join(argv) or "no-argv",
+    ids=["interleaved", "dashes", "dashes-first", "plus-interleaved", "question-interleaved", "last-wins"],
 )
-def test_usage_and_help_match_the_full_parser(capsys, argv):
-    # main builds only the commands argv can reach; every usage, help and
-    # argparse error must read as the full tree's does
-    full = _outcome(capsys, cli.build_parser().parse_args, argv)
-    assert full[0] in (0, 2)
-    assert _outcome(capsys, cli.main, argv) == full
+def test_flags_and_operands_come_in_any_order(capsys, argv, same):
+    assert run_cli(capsys, *same.split()) == run_cli(capsys, *argv.split())
+    assert run_cli(capsys, *argv.split())[0] in (0, 1)
 
 
 def _build_counts(monkeypatch):
@@ -549,34 +592,15 @@ def _both_exits(argv, patch="", **kwargs):
     return tuple(run_probe(probe.format(patch=patch), *argv, **kwargs) for probe in (RUN, MAIN))
 
 
-def _usage_outcome(capsys, *argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse's usage error
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("table", [True, False], ids=["table", "argparse"])
 @pytest.mark.parametrize(
-    "argv,flag",
-    [
-        (["idem", "check", "--ring=--", "1", "2"], "--ring"),
-        (["mring", "split", "--s=--", "--n", "1"], "--s"),
-        (["mring", "chain", "--m=--"], "--m"),
-    ],
+    "argv",
+    [["idem", "check", "--ring=--", "1", "2"], ["mring", "split", "--s=--", "--n", "1"], ["mring", "chain", "--m=--"]],
     ids=["ring", "fraction", "int"],
 )
-def test_a_flag_whose_value_is_double_dash_is_an_input_error(capsys, monkeypatch, argv, flag, table):
-    # before 3.13 argparse drops the "--" and gives the flag the value [];
-    # from 3.13 on the flag gets "--", which no converter reads
-    if not table:
-        monkeypatch.setattr(cli, "_read", lambda argv: None)
-    code, out, err = _usage_outcome(capsys, *argv)
+def test_a_flag_whose_value_is_double_dash_is_an_input_error(capsys, argv):
+    # a value after "=" is the word's rest, "--" too, and no converter reads it
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    if sys.version_info < (3, 13):
-        assert err == f"princlab: error: argument {flag}: expected one value, not '--'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""A call's start: `cli._read` against argparse, and the modules a call
-loads."""
+"""A call's start: `cli._read` against an argparse oracle of the same
+table, and the modules a call loads."""
 
+import argparse
 import ast
 import contextlib
 import importlib.util
@@ -34,26 +35,53 @@ WORKLOADS = _workloads()
 POOL = [op for workload in WORKLOADS.WORKLOADS for op in WORKLOADS.pool(workload)] + [WORKLOADS.SETUP_OP]
 
 
-def argparse_reads(argv):
-    """The namespace of the full argparse tree for argv, or the code it
-    exits with (help or a usage error)."""
+def oracle():
+    """argparse's parser of the command table, built from the same `_TOP`
+    and `_arguments(row)` the reader reads: the reference `cli._read` is
+    compared against, not a path of the program."""
+    top = argparse.ArgumentParser(prog="princlab")
+    for flag, kwargs in cli._TOP:
+        top.add_argument(flag, **kwargs)
+    groups = top.add_subparsers(dest="group", required=True)
+    subs = {g: groups.add_parser(g).add_subparsers(dest="cmd", required=True) for g in cli.GROUPS}
+    for row in cli.COMMANDS:
+        parser = subs[row[0]].add_parser(row[1])
+        parser.set_defaults(row=row)
+        for flag, kwargs in cli._arguments(row):
+            parser.add_argument(flag, **kwargs)
+    return top
+
+
+ORACLE = oracle()
+
+
+def oracle_reads(argv):
+    """The oracle's namespace for argv, or the code it exits with (help or a
+    usage error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv))
+            return vars(ORACLE.parse_args(argv))
         except SystemExit as exc:
             return exc.code
 
 
+def reads(argv):
+    """cli._read's namespace for argv, or 0 for help and 2 for a usage
+    error."""
+    try:
+        return vars(cli._read(argv))
+    except cli._Stop as stop:
+        return 2 if stop.args[1:] else 0
+
+
 def outcome(argv):
-    """main's exit code (or SystemExit code, or the name of the exception it
-    raised), stdout and stderr."""
+    """main's exit code (or the name of the exception it raised), stdout and
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:
+        except BaseException as exc:
             code = type(exc).__name__
     return code, out.getvalue(), err.getvalue()
 
@@ -64,14 +92,12 @@ def test_every_golden_and_pool_argv_is_read_from_the_table(argv):
     # mring_juett_group_p3's --t=-3/2 included: a value that is not a
     # negative number reaches its flag only after "="
     for words in (argv, ["--recheck", *argv]):
-        read = cli._read(words)
-        assert read is not None
-        assert vars(read) == argparse_reads(words)
+        assert reads(words) == oracle_reads(words)
 
 
-# words that argparse reads in several ways: negative numbers, words that
-# start with "-" but are not numbers, "--", help, abbreviations of top-level
-# and command flags, and --flag=value
+# words read in several ways: negative numbers, words that start with "-" but
+# are not numbers, "--", help, abbreviations of top-level and command flags,
+# and --flag=value
 VALUES = ["-2", "-3", "0", "2", "3", "1/2", "-1.5", "-.5", "x", "-x", "", "-", "Y", "1-Y", "ab", "ba", "zz",
           "Z", "Q[X;S]", "p-div:3", "2*y", "1+sqrt(-5)", "X0^2", "-3/2", "--", "a b", "-2 x"]
 ODD = ["-h", "--help", "--", "--rech", "--jo", "--recheck", "--jobs", "--ring=Z", "--s=1/2", "--m=2", "--or",
@@ -79,8 +105,9 @@ ODD = ["-h", "--help", "--", "--rech", "--jo", "--recheck", "--jobs", "--ring=Z"
 
 
 def spelled(draw, flag, kwargs, value):
-    """flag and its value as one of argparse's spellings: in full or a
-    prefix of at least one letter, the value as the next word or after "="."""
+    """flag and its value in one of the spellings the reader takes: in full
+    or a prefix of at least one letter, the value as the next word or after
+    "="."""
     name = flag[: draw(st.integers(3, len(flag)))] if draw(st.booleans()) else flag
     if kwargs.get("action") == "store_true":
         return [name]
@@ -117,15 +144,30 @@ def argvs(draw):
     return words
 
 
+def help_words(argv):
+    """The words of argv before any "--" that spell help."""
+    words = argv[: argv.index("--")] if "--" in argv else argv
+    return [w for w in words if w == "-h" or len(w) > 2 and "--help".startswith(w)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(argvs())
-def test_the_table_path_reads_what_argparse_reads(argv):
-    # whatever _read reads, argparse reads to the same namespace, and main
-    # ends the same way; _read leaves every other argv to argparse
-    read = cli._read(argv)
-    if read is not None:
-        assert vars(read) == argparse_reads(argv)
-        assert outcome(argv) == outcome_without_the_table(argv)
+def test_the_reader_reads_what_the_oracle_reads(argv):
+    # an argv the oracle reads, the reader reads to the same namespace (but
+    # where argparse gives a single-valued argument [], dropping the "--" of
+    # "--ring=--"); main ends any argv with a code, not SystemExit: a
+    # report, help on stdout, or a usage line and one error line on stderr
+    full, read = oracle_reads(argv), reads(argv)
+    if isinstance(full, dict) and [] not in full.values():
+        assert read == full
+    code, out, err = outcome(argv)
+    if read == 0:
+        assert code == 0 and out.startswith("usage: princlab ") and err == "" and help_words(argv)
+    elif read == 2:
+        assert code == 2 and out == "" and err.startswith("usage: princlab ")
+        assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("princlab: error: ")
+    else:
+        assert code in (0, 1, 2)
 
 
 def plain(word):
@@ -172,28 +214,22 @@ def plain_argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(plain_argvs())
-def test_the_table_reads_exactly_the_plain_argv_argparse_accepts(argv):
-    read, full = cli._read(argv), argparse_reads(argv)
-    if isinstance(full, dict):
-        assert read is not None and vars(read) == full
-    else:
-        assert read is None
+def test_the_reader_reads_exactly_the_plain_argv_the_oracle_accepts(argv):
+    # with and without --recheck: plain_argvs draws the top-level flag too
+    full = oracle_reads(argv)
+    assert reads(argv) == (full if isinstance(full, dict) else 2)
 
 
-def outcome_without_the_table(argv):
-    with mock.patch.object(cli, "_read", lambda argv: None):
-        return outcome(argv)
-
-
-@pytest.mark.parametrize("version", [(3, 9, 18), (3, 10, 0), (3, 13, 0), (3, 14, 0), (4, 0, 0)])
-def test_the_table_path_runs_only_on_the_versions_it_was_checked_against(version):
-    # elsewhere argparse serves every call
-    argv = ["--recheck", "mring", "split", "--s=1/2", "--n", "2"]
-    with mock.patch.object(sys, "version_info", version):
-        checked = cli._read(argv) is not None
-        assert outcome(argv) == outcome_without_the_table(argv)
-    assert checked == ((3, 10) <= version[:2] <= (3, 13))
-    assert outcome(argv)[0] == 0
+@pytest.mark.parametrize("version", [(3, 14, 0), (4, 0, 0)])
+@pytest.mark.parametrize("argv", [["--recheck", "mring", "split", "--s=1/2", "--n", "2"], ["--help"],
+                                  ["idem", "check", "1"]], ids=["plain", "help", "usage-error"])
+def test_every_cpython_reads_argv_from_the_table(argv, version):
+    # no version gate: a later CPython reads every argv as this one does,
+    # and argparse (here made unimportable) is never needed
+    want = outcome(argv)
+    with mock.patch.object(sys, "version_info", version), mock.patch.dict(sys.modules, {"argparse": None}):
+        assert outcome(argv) == want
+    assert want[0] == (2 if argv[0] == "idem" else 0)
 
 
 # ------------------------------------------------------ modules a call loads
@@ -236,10 +272,11 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("argv,families", CALLS.values(), ids=CALLS)
-def test_a_call_loads_only_what_its_command_uses(argv, families):
-    # a family module in sys.modules that never ran is still importlib's lazy
-    # module type, not types.ModuleType
+def probe(argv):
+    """A fresh interpreter's call of main(argv): its run, and main's code, the
+    parser and stdlib modules it loaded, and the package modules that ran.  A
+    family module in sys.modules that never ran is still importlib's lazy
+    module type, not types.ModuleType."""
     probe = (
         "import sys, types\n"
         "from princlab import cli\n"
@@ -250,11 +287,15 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
         "sys.stderr.write(repr((code, loaded, sorted(ran))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(princlab.__file__).resolve().parents[1]))
-    res = subprocess.run([sys.executable, "-c", probe, "--recheck", *argv], env=env, capture_output=True, text=True,
-                         timeout=60)
+    res = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
+    return res, ast.literal_eval(res.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv,families", CALLS.values(), ids=CALLS)
+def test_a_call_loads_only_what_its_command_uses(argv, families):
+    res, (code, loaded, ran) = probe(["--recheck", *argv])
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["recheck"] == "passed"
-    code, loaded, ran = ast.literal_eval(res.stderr)
     # Z[sqrt(-5)]'s 21 has two factorizations: the one negative verdict here
     assert (code, loaded, ran) == (1 if argv[-1] == "21" else 0, [], sorted(BASE + families))
     # of the three verifier parts, only the one its group needs ran
@@ -262,6 +303,16 @@ def test_a_call_loads_only_what_its_command_uses(argv, families):
     # a call over Z or Z[sqrt(d)] runs no polynomial code, the producer's or the checker's
     if argv[0] in ("ideal", "comax"):
         assert not {"poly", "recheck.polys", "recheck.pairs"} & set(ran)
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["idem", "-h"], 0), (["idem", "check", "1"], 2)],
+                         ids=["top-help", "group-help", "usage-error"])
+def test_help_and_a_usage_error_load_no_parser_module(argv, code):
+    # the table's reader writes both: no argparse, gettext or locale, and no
+    # report, so not even the checker's values part runs
+    res, (got, loaded, ran) = probe(argv)
+    assert (got, loaded, ran) == (code, [], sorted(set(BASE) - {"recheck.values"}))
+    assert (res.stdout if code == 0 else res.stderr).startswith("usage: princlab ")
 
 
 @pytest.mark.parametrize("s,stdlib", [("1/2", False), ("0.5", True), (" 1/2", True)])
