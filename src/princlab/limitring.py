@@ -196,13 +196,6 @@ class LimitRing(RingHandle):
     def from_field(self, v):
         return LimitElem(v.level, v.poly, self)
 
-    def is_unit(self, x) -> bool:
-        return (
-            isinstance(x, LimitElem)
-            and x.poly.degree == 0
-            and self.base.is_unit(x.poly.coeffs[0])
-        )
-
     def to_json(self):
         return {"family": "limit", "base": self.base.to_json()}
 

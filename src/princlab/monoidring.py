@@ -342,13 +342,6 @@ class MonoidRing(RingHandle):
     def from_field(self, v):
         return _elem(self, v.den, v.exps, v.cden, v.coeffs, check=True)
 
-    def is_unit(self, x) -> bool:
-        if not isinstance(x, MonoidElem) or len(x.exps) != 1:
-            return False
-        if not self.base.is_unit(Fraction(x.coeffs[0], x.cden)):
-            return False
-        return True if self.desc.group else x.exps[0] == 0
-
     def to_json(self):
         return {"family": "monoid", "base": self.base.to_json(), "monoid": self.desc.to_json()}
 

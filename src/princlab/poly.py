@@ -456,10 +456,6 @@ class RatFunc(RingElem):
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, c):
-        return cls(Poly((c,)), Poly((1,)), _reduced=True)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -523,10 +519,6 @@ class RationalPolyRing(RingHandle):
         self.var = var
 
     @property
-    def zero(self):
-        return Poly()
-
-    @property
     def one(self):
         return Poly((Fraction(1),))
 
@@ -542,9 +534,6 @@ class RationalPolyRing(RingHandle):
             return Poly() if a.is_zero() else None
         q, r = poly_divrem(a, b)
         return q if r.is_zero() else None
-
-    def is_unit(self, x) -> bool:
-        return isinstance(x, Poly) and x.degree == 0
 
     def field_coerce(self, v):
         if isinstance(v, RatFunc):

@@ -54,11 +54,8 @@ class PullbackElem(RingElem):
     def __mul__(self, other):
         return PullbackElem(self.rf * self.ring.coerce(other).rf, self.ring)
 
-    def __pow__(self, n: int):
-        # RatFunc would invert a negative power, which leaves R unless a is a unit
-        if n < 0:
-            raise PullbackError("negative power; use pb_inverse() on a unit")
-        return PullbackElem(self.rf**n, self.ring)
+    def _one(self):
+        return self.ring.one
 
     def __eq__(self, other):
         if isinstance(other, PullbackElem):
@@ -143,9 +140,6 @@ class PullbackRing(RingHandle):
         if elem is None:
             raise PullbackError(f"value at Y=0 lies outside the base {self.base}")
         return elem
-
-    def is_unit(self, x) -> bool:
-        return isinstance(x, PullbackElem) and pb_is_unit(x)
 
     def to_json(self):
         return {"family": "pullback", "base": self.base.to_json()}

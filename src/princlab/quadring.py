@@ -4,7 +4,8 @@ and prime factorization of principal ideals in the maximal-order case.
 
 One class, `QuadElem`, holds x + y*sqrt(d) in the order (int coordinates)
 and in Q(sqrt(d)) (Fraction coordinates); `QuadOrder.coerce`, `is_unit` and
-`divides` accept only the int form.
+`divides` accept only the int form.  A negative power of a nonzero element
+is taken in Q(sqrt(d)).
 
 Ideals are stored as Z-lattices over the basis {1, sqrt(d)} in Hermite
 normal form [(n, 0), (c, m)] with 0 <= c < n; the ideal norm is the index
@@ -14,11 +15,13 @@ are decided on forms (Cohen, GTM 138, sections 5.2-5.4): `reduce_form`
 finds the one reduced form of a class with its SL2(Z) transform, and
 `compose_forms` is the group law.  Principality is a reduction, not a
 search over the elements of the ideal's norm: its cost grows with the
-number of digits of the norm.  All decisions return re-checkable
-certificates, and each certificate type serializes itself (`to_json(enc)`);
-`recheck` checks them, and nothing here re-multiplies its own.
+number of digits of the norm.  Invertibility is decided by
+I * conj(I) == (N(I)).  All decisions return re-checkable certificates, and
+each certificate type serializes itself (`to_json(enc)`); `recheck` checks
+them, and nothing here re-multiplies its own.
 The ring handle `QuadOrder` carries the ideal-theoretic hooks the engines
-call (see `rings`), the class-group ones among them.
+call (see `rings`), the class-group ones among them.  One lattice solve,
+`combination`, serves its three Bezout hooks.
 `InvertibilityCert` and `PrincipalityVerdict` are plain classes with an
 explicit `__init__`; see `core` for why not dataclasses.
 """
@@ -96,6 +99,10 @@ class QuadElem(RingElem):
 
     def _one(self):
         return QuadElem(1, 0, self.d)
+
+    def _invert(self):
+        # the inverse in Q(sqrt(d)); a ZeroDivisionError for 0
+        return self._one() / self
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -276,20 +283,12 @@ class InvertibilityCert:
 
 
 def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
-    """Decide (I : I) == Z[sqrt(d)]; conjugate-cofactor certificate when true."""
-    d = i.d
-    if d % 4 == 1:
-        # the only strictly larger order is Z[(1+sqrt(d))/2]; check whether
-        # that extra element stabilizes the lattice
-        omega_stable = True
-        for u in i.basis:
-            w = u + u * QuadElem(0, 1, d)  # 2*omega*u
-            if w.x % 2 or w.y % 2 or not i.contains(QuadElem(w.x // 2, w.y // 2, d)):
-                omega_stable = False
-                break
-        if omega_stable:
-            return InvertibilityCert(False)
-    return InvertibilityCert(True, cofactor=i.conjugate(), product_generator=QuadElem(i.norm(), 0, d))
+    """Decide (I : I) == Z[sqrt(d)]: exactly when I * conj(I) == (N(I)) (Cox,
+    Primes of the Form x^2 + ny^2, section 7), with conj(I) the cofactor."""
+    cofactor, norm = i.conjugate(), QuadElem(i.norm(), 0, i.d)
+    if i.mul(cofactor) != principal_ideal(norm):
+        return InvertibilityCert(False)
+    return InvertibilityCert(True, cofactor=cofactor, product_generator=norm)
 
 
 def norm_solutions(N: int, d: int) -> list[tuple[int, int]]:
@@ -504,18 +503,18 @@ def factor_principal(b: QuadElem) -> list[tuple[QuadIdeal, int]]:
     return out
 
 
-def combination(a: QuadElem, b: QuadElem, target: QuadElem) -> tuple[QuadElem, QuadElem] | None:
-    """lam, mu in the order with lam*a + mu*b == target, when target lies in (a, b)."""
-    d = a.d
+def combination(a: QuadElem, b: QuadElem, target: QuadElem, basis=None) -> tuple[QuadElem, QuadElem] | None:
+    """lam, mu in the Z-span of `basis` ({1, sqrt(d)}, the order, by
+    default) with lam*a + mu*b == target, when there are any."""
+    u, v = basis or (QuadElem(1, 0, a.d), QuadElem(0, 1, a.d))
     rows = []
     for g in (a, b):
-        for mult in (QuadElem(1, 0, d), QuadElem(0, 1, d)):
-            ge = g * mult
-            rows.append((ge.x, ge.y))
+        gu, gv = g * u, g * v
+        rows += [(gu.x, gu.y), (gv.x, gv.y)]
     sol = solve_int_combination(rows, (target.x, target.y))
     if sol is None:
         return None
-    return QuadElem(sol[0], sol[1], d), QuadElem(sol[2], sol[3], d)
+    return u * sol[0] + v * sol[1], u * sol[2] + v * sol[3]
 
 
 class QuadOrder(RingHandle):
@@ -574,25 +573,11 @@ class QuadOrder(RingHandle):
 
     # ideal-theoretic hooks for the engines (see `rings`)
     def inverse_bezout(self, a, b):
+        # conj(I) is N(I) * I^-1 when I is invertible; otherwise nothing reaches N(I)
         ideal = ideal_from_pair(a, b)
         n = ideal.norm()
-        conj = ideal.conjugate()
-        inv_basis = conj.basis  # scaled by 1/n these span I^{-1}
-        rows = []
-        for g in (a, b):
-            for u in inv_basis:
-                gu = g * u
-                rows.append((gu.x, gu.y))
-        sol = solve_int_combination(rows, (n, 0))
-        if sol is None:
-            return None
-        lam = QuadElem(Fraction(sol[0] * inv_basis[0].x + sol[1] * inv_basis[1].x, n),
-                       Fraction(sol[0] * inv_basis[0].y + sol[1] * inv_basis[1].y, n),
-                       self.d)
-        mu = QuadElem(Fraction(sol[2] * inv_basis[0].x + sol[3] * inv_basis[1].x, n),
-                      Fraction(sol[2] * inv_basis[0].y + sol[3] * inv_basis[1].y, n),
-                      self.d)
-        return lam, mu
+        sol = combination(a, b, QuadElem(n, 0, self.d), ideal.conjugate().basis)
+        return None if sol is None else (sol[0] / n, sol[1] / n)
 
     def prime_support(self, b):
         return sorted(factor_principal(b), key=lambda pe: (pe[0].norm(), pe[0].key()))

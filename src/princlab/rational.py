@@ -227,10 +227,6 @@ class Fraction:
     def __repr__(self):
         return f"Fraction({self.numerator}, {self.denominator})"
 
-    def __reduce__(self):
-        # without it, pickle protocols 0 and 1 refuse a class with __slots__
-        return Fraction, (self.numerator, self.denominator)
-
 
 _new = object.__new__
 

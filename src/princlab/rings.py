@@ -1,6 +1,18 @@
-"""Ring handles: small descriptor objects giving each supported ring family
-a uniform surface (coerce / divides / is_unit, and working-domain hooks for
-ideal certificates and the expression grammar).
+"""Ring handles: the descriptor objects through which the engines reach
+each ring family.  A handle defines only the hooks some engine calls; after
+each hook, its callers, then the families that define it:
+
+- `one`, `divides(b, a)` (a/b in the ring, or None): `idem` on every
+  `--ring` family, `comax` on Z and Z[sqrt(d)]; all but Z[1/p, ...];
+- `zero`: the pullback of its base, and `divides` for 0/0; all but Q,
+  Q[X] and Z[1/p, ...];
+- `is_unit(x)`: `comax`, the pullback of its base, and B2's division by a
+  constant; Z, Z[sqrt(d)] and B2;
+- `coerce(v)`: the element arithmetic of the pullback, D[X;S], the limit
+  ring and B2, Z[sqrt(d)]'s `divides` and Q[X]'s `field_coerce`, to lift an
+  operand; those six and Q;
+- `contains_rat(q)`: D[X;S] and the limit ring, of their base; Z, Q and
+  Z[1/p, ...].
 
 Every handle derives from `core.RingHandle`, so two handles are the same
 ring exactly when their `to_json()` descriptions are equal (the description
@@ -65,13 +77,6 @@ class IntegerRing(RingHandle):
     def contains_rat(self, q) -> bool:
         return Fraction(q).denominator == 1
 
-    def coerce(self, v):
-        if isinstance(v, int):
-            return v
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return int(v)
-        raise ValueError(f"cannot coerce {v!r} into Z")
-
     def divides(self, b, a):
         if b == 0:
             return 0 if a == 0 else None
@@ -134,7 +139,6 @@ class RationalField(RingHandle):
     """Q as a coefficient domain."""
 
     family = "rat"
-    zero = Fraction(0)
     one = Fraction(1)
 
     def coerce(self, v):
@@ -149,9 +153,6 @@ class RationalField(RingHandle):
         if b == 0:
             return Fraction(0) if a == 0 else None
         return Fraction(a) / Fraction(b)
-
-    def is_unit(self, x) -> bool:
-        return x != 0
 
     def to_json(self):
         return {"family": "rat"}

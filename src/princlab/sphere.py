@@ -173,21 +173,6 @@ class SphereElem(RingElem):
     def const(cls, c):
         return cls(Poly2.const(c))
 
-    @classmethod
-    def from_trivariate(cls, terms) -> "SphereElem":
-        """Reduce a polynomial in X0, X1, X2 (terms {(e0,e1,e2): c}) modulo
-        X0^2 -> 1 - X1^2 - X2^2."""
-        f, g = Poly2(), Poly2()
-        if isinstance(terms, dict):
-            terms = terms.items()
-        for (e0, e1, e2), c in terms:
-            part = Poly2({(e1, e2): c}) * X0_SQUARED ** (e0 // 2)
-            if e0 % 2:
-                g = g + part
-            else:
-                f = f + part
-        return cls(f, g)
-
     def __add__(self, other):
         o = B2.coerce(other)
         return SphereElem(self.f + o.f, self.g + o.g)

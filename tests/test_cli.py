@@ -16,8 +16,10 @@ from princlab.comax import enumerate_complete_factorizations
 from princlab.limitring import lr_chain
 from princlab.monoidring import juett_split, mr_comax_chain, mr_split
 from princlab.quadring import QuadElem
+from princlab.rational import Fraction
 from princlab.recheck import verify_report
 from princlab.report import enc, make_report
+from princlab.rings import QQ
 from princlab.zloc import LocalizedIntegers
 
 
@@ -419,9 +421,10 @@ def test_wrong_user_witness_still_exits_2(capsys):
 
 
 def test_negative_power_in_an_order_is_an_input_error(capsys):
+    # the inverse lies in Q(sqrt(-5)), outside the order
     code, out, err = run_cli(capsys, "ideal", "principal", "sqrt(-5)^-1", "3")
     assert code == 2 and out == ""
-    assert "negative power is not invertible here" in err
+    assert "element has non-integer coordinates (0, -1/5)" in err
 
 
 def test_recheck_accepts_integer_values_in_a_quadratic_base(capsys):
@@ -562,10 +565,10 @@ def test_recheck_fails_a_ring_prime_below_2_in_an_idem_check(capsys, monoid, bas
 @pytest.mark.parametrize("command", ["idem check", "idem matrix"])
 @pytest.mark.parametrize("prime", ["1", "0"])
 def test_recheck_fails_a_z_1_over_p_prime_below_2_in_an_idem_report(command, prime):
-    # the expression grammar has no Z[1/p], so the report is made in process
-    ring = LocalizedIntegers((3,))
+    # the expression grammar has no Z[1/p], so the report is made in process:
+    # over Q, (-2, -3) has the witness 2, which lies in Z[1/3] too
     handler = getattr(cli, "cmd_" + command.replace(" ", "_"))
-    report = make_report(command, ring, *handler(ring, ring.coerce(-2), ring.coerce(-3))[:2])
+    report = make_report(command, LocalizedIntegers((3,)), *handler(QQ, Fraction(-2), Fraction(-3))[:2])
     assert report["verdict"] == "idempotent_pair" and verify_report(report) == []
     report["ring"]["primes"] = [prime]
     recheck_fails_fast(report, f"ring.primes: {prime} is below 2")

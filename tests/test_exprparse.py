@@ -103,7 +103,9 @@ CASES = [
     ('Z[sqrt(-5)]', '-sqrt(-5)', quad('0', '-1', '-5')),
     ('Z[sqrt(-5)]', 'sqrt(-5)^2', quad('-5', '0', '-5')),
     ('Z[sqrt(-5)]', 'sqrt(-3)', 'sqrt(-3) does not live in Z[sqrt(-5)] (at position 0)'),
-    ('Z[sqrt(-5)]', 'sqrt(-5)^-1', 'negative power is not invertible here (at position 8)'),
+    ('Z[sqrt(-5)]', 'sqrt(-5)^-1', 'element has non-integer coordinates (0, -1/5) (at position 0)'),
+    ('Z[sqrt(-5)]', '(1+sqrt(-5))^-1*6', quad('1', '-1', '-5')),
+    ('Z[sqrt(-5)]', '0^-1', 'negative power is not invertible here (at position 1)'),
     ('Z[sqrt(-5)]', 'sqrt(1/2)', 'sqrt argument must be an integer (at position 0)'),
     ('Z[sqrt(-5)]', 'sqrt(-10/2)', quad('0', '1', '-5')),
     ('Z[sqrt(-5)]', 'sqrt(1/0)', 'division by zero (at position 6)'),

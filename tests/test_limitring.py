@@ -119,13 +119,6 @@ def test_divides():
     assert RZ.divides(RZ.coerce(2), RZ.coerce(6)) == RZ.coerce(3)
 
 
-def test_is_unit():
-    assert RQ.is_unit(RQ.coerce(F(2, 3)))
-    assert not RQ.is_unit(RQ.gen(2))
-    assert RZ.is_unit(RZ.coerce(-1))
-    assert not RZ.is_unit(RZ.coerce(2))
-
-
 ints_or_fractions = st.one_of(
     st.lists(st.integers(-9, 9), max_size=5),
     st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=5),

@@ -178,11 +178,7 @@ def test_group_monomials_are_units():
     for _ in range(50):
         s = F(rng.randrange(-40, 41), 2 ** rng.randrange(0, 5))
         xs = RG2.monomial(s)
-        assert RG2.is_unit(xs)
         assert xs * RG2.monomial(-s) == one
-    assert not RQ2.is_unit(RQ2.monomial(F(1, 2)))
-    assert RQ2.is_unit(RQ2.coerce(7))
-    assert not RZ2.is_unit(RZ2.coerce(7))
 
 
 def rand_elem(rng, ring, nterms=3):

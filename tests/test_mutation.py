@@ -28,7 +28,8 @@ TIED = ["ideal_mul", "mring_split", "mring_split_mult23", "idem_check", "idem_ch
         "ideal_principal_quad26", "ideal_non_principal_quad26", "ideal_factor", "pullback_reduce_detected",
         "pullback_reduce_quad", "pullback_base_non_principal", "pullback_nonufd", "mring_juett",
         "mring_juett_group_p3", "mring_chain_m7_zhalf", "mring_chain_m9_zhalf_s3", "mring_chain_m8_q_s1",
-        "idem_from_ideal_zero"]
+        "idem_from_ideal_zero", "idem_check_rat", "idem_check_qpoly", "idem_check_limit_q", "idem_check_monoid_zero",
+        "idem_check_sphere"]
 # recheck decides "not a pair" again from a and b, so the +1 mutant of a
 # survives only as the report of another input with the same verdict: (5, 7)
 # is no idempotent pair over Z either, and a and b are all the report says of

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
@@ -155,6 +157,42 @@ def test_invertibility_spec_cases():
 
     assert ideal_is_invertible(principal_ideal(E(7, 0))).invertible
     assert ideal_is_invertible(principal_ideal(E(7, 0, -3))).invertible
+
+
+def omega_stable(i: QuadIdeal) -> bool:
+    """Whether omega = (1 + sqrt(d))/2 maps I into itself (d == 1 mod 4):
+    the test `ideal_is_invertible` once made, kept here as the reference.
+    Z[omega] is the only order strictly above Z[sqrt(d)], so I fails to be
+    invertible exactly when it is omega-stable."""
+    for u in i.basis:
+        w = u + u * QuadElem(0, 1, i.d)  # 2*omega*u
+        if w.x % 2 or w.y % 2 or not i.contains(QuadElem(w.x // 2, w.y // 2, i.d)):
+            return False
+    return True
+
+
+def in_order(q: QuadElem) -> bool:
+    return Fraction(q.x).denominator == Fraction(q.y).denominator == 1
+
+
+small_coords = st.integers(-6, 6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([-1, -2, -3, -5, -7, -15]), small_coords, small_coords, small_coords, small_coords)
+def test_inverse_bezout_and_the_product_rule_decide_alike(d, ax, ay, bx, by):
+    a, b = QuadElem(ax, ay, d), QuadElem(bx, by, d)
+    assume(a or b)
+    ideal = ideal_from_pair(a, b)
+    invertible = ideal_is_invertible(ideal).invertible
+    sol = QuadOrder(d).inverse_bezout(a, b)
+    assert (sol is not None) == invertible
+    if sol is not None:
+        lam, mu = sol
+        assert lam * a + mu * b == 1
+        assert all(in_order(p) for p in (lam * a, lam * b, mu * a, mu * b))
+    if d % 4 == 1:
+        assert invertible == (not omega_stable(ideal))
 
 
 def test_principality_spec_cases():

@@ -5,7 +5,6 @@ both paths, and pickling."""
 
 import fractions
 import operator
-import pickle
 import subprocess
 import sys
 import time
@@ -151,13 +150,6 @@ def test_only_ints_and_rationals_are_operands():
             Fraction(other)
     with pytest.raises(TypeError):
         x ** 0.5
-
-
-@given(x=rationals)
-def test_a_pickle_round_trip_gives_the_same_value(x):
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(x[0], protocol))
-        assert type(back) is Fraction and (back.numerator, back.denominator) == (x[0].numerator, x[0].denominator)
 
 
 def test_only_strings_outside_the_fast_forms_load_the_stdlib_parser():

@@ -31,7 +31,7 @@ PB = PullbackRing(ZZ)
 # (strategy for elements, the ring's one)
 ELEMENTS = {
     "Poly": (polys, Poly((1,))),
-    "RatFunc": (st.builds(RatFunc, polys, nonzero_polys), RatFunc.const(1)),
+    "RatFunc": (st.builds(RatFunc, polys, nonzero_polys), RatFunc(Poly((1,)))),
     "QuadElem": (st.builds(QuadElem, small, small, st.just(D)), QuadElem(1, 0, D)),
     # Q(sqrt(d)): QuadElem with Fraction coordinates
     "QuadRat": (st.builds(QuadElem, rats, rats, st.just(D)), QuadElem(Fraction(1), Fraction(0), D)),
@@ -50,6 +50,10 @@ ELEMENTS = {
     "Poly2": (poly2s, Poly2.const(1)),
     "SphereElem": (st.builds(SphereElem, poly2s, poly2s), B2.one),
 }
+
+# classes whose nonzero elements all have negative powers: the fields Q(X)
+# and Q(sqrt(d)), and Z[sqrt(d)], whose inverses lie in Q(sqrt(d))
+INVERTS_NONZERO = {"RatFunc", "QuadElem", "QuadRat"}
 
 # classes over Q whose nonzero constants, and only those, have negative powers
 IS_NONZERO_CONSTANT = {
@@ -73,9 +77,12 @@ def test_derived_operators(kind):
         assert n * a == a * n
         assert a ** 3 == a * a * a
         assert a ** 0 == one
-        if kind == "RatFunc":
+        if kind in INVERTS_NONZERO:
             if a:
                 assert a ** -2 * a * a == one
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a ** -1
         elif kind in IS_NONZERO_CONSTANT and IS_NONZERO_CONSTANT[kind](a):
             assert a ** -2 * a * a == one
         else:

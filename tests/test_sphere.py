@@ -12,6 +12,20 @@ from princlab.sphere import (
 F = Fraction
 
 
+def from_trivariate(terms) -> SphereElem:
+    """Reduce a polynomial in X0, X1, X2 (terms {(e0,e1,e2): c}) modulo
+    X0^2 -> 1 - X1^2 - X2^2 with Poly2 arithmetic alone, so the tests
+    below check SphereElem's product against a second reduction."""
+    f, g = Poly2(), Poly2()
+    for (e0, e1, e2), c in terms.items():
+        part = Poly2({(e1, e2): c}) * X0_SQUARED ** (e0 // 2)
+        if e0 % 2:
+            g = g + part
+        else:
+            f = f + part
+    return SphereElem(f, g)
+
+
 def test_defining_relation():
     x0 = B2.x(0)
     assert x0 * x0 == SphereElem(X0_SQUARED)
@@ -24,7 +38,7 @@ def test_defining_relation():
 
 def test_from_trivariate_reduction():
     # X0^3 reduces to X0*(1 - X1^2 - X2^2)
-    e = SphereElem.from_trivariate({(3, 0, 0): F(1)})
+    e = from_trivariate({(3, 0, 0): F(1)})
     assert e == B2.x(0) * SphereElem(X0_SQUARED)
 
 
@@ -52,15 +66,15 @@ def test_canonical_form_uniqueness():
         shifted = dict(u)
         for k, c in prod.items():
             shifted[k] = shifted.get(k, F(0)) + c
-        assert SphereElem.from_trivariate(u) == SphereElem.from_trivariate(shifted)
+        assert from_trivariate(u) == from_trivariate(shifted)
 
 
 def test_ring_axioms_random():
     rng = random.Random(17)
     for _ in range(50):
-        a = SphereElem.from_trivariate(rand_trivariate(rng))
-        b = SphereElem.from_trivariate(rand_trivariate(rng))
-        c = SphereElem.from_trivariate(rand_trivariate(rng))
+        a = from_trivariate(rand_trivariate(rng))
+        b = from_trivariate(rand_trivariate(rng))
+        c = from_trivariate(rand_trivariate(rng))
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
@@ -69,8 +83,8 @@ def test_ring_axioms_random():
 def test_norm_multiplicative():
     rng = random.Random(19)
     for _ in range(40):
-        a = SphereElem.from_trivariate(rand_trivariate(rng))
-        b = SphereElem.from_trivariate(rand_trivariate(rng))
+        a = from_trivariate(rand_trivariate(rng))
+        b = from_trivariate(rand_trivariate(rng))
         assert (a * b).norm() == a.norm() * b.norm()
 
 
@@ -84,8 +98,8 @@ def test_divides():
 
     rng = random.Random(23)
     for _ in range(30):
-        b = SphereElem.from_trivariate(rand_trivariate(rng))
-        w = SphereElem.from_trivariate(rand_trivariate(rng))
+        b = from_trivariate(rand_trivariate(rng))
+        w = from_trivariate(rand_trivariate(rng))
         if not b:
             continue
         assert B2.divides(b, b * w) == w
