@@ -3,8 +3,8 @@
 Exit codes: 0 = success or help, 1 = negative mathematical verdict
 (non-principal, non-unique, not a pair, no witness found), 2 = input error
 (a usage error, or any `ValueError`), 3 = an internal certificate failure
-on any call: a producer's "(bug)" guard (`core.CertificateError`) or a
-report that fails `recheck`, 141 = stdout's reader closed the pipe before
+on any call: a report that fails `recheck`, or a producer's "(bug)" guard
+(`core.CertificateError`) where a certificate could not be built, 141 = stdout's reader closed the pipe before
 the report was written (`... | head -c 1`; 141 is what a shell shows for a
 process SIGPIPE ended, and a failed recheck still exits 3).  Reports and
 help go to stdout; errors and recheck failures go to stderr.

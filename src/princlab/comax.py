@@ -76,9 +76,12 @@ def support_cap_from_env() -> int:
     if raw is None:
         return DEFAULT_SUPPORT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ComaxInputError(f"PRINC_LAB_SUPPORT_CAP={raw!r} is not an integer") from exc
+    if cap < 0:
+        raise ComaxInputError(f"PRINC_LAB_SUPPORT_CAP={raw!r} is not a nonnegative integer")
+    return cap
 
 
 class ComaxFactorization:
@@ -109,8 +112,6 @@ class ComaxResult:
 
 
 def _support_of(b, ring):
-    if not hasattr(ring, "prime_support"):
-        raise ComaxInputError(f"comaximal factorization is not supported over {ring}")
     if not b or ring.is_unit(b):
         raise ComaxInputError(f"need a nonzero nonunit of {ring}")
     return ring.prime_support(b)
@@ -273,8 +274,6 @@ def find_nonunique_witness(ring, norm_bound: int) -> ComaxResult | None:
     (scan order: norm, then the ring's order on one associate per element)
     that has at least two, certified, or None within the bound.  A bound
     below 2 scans no norm, so it is refused rather than answered with None."""
-    if not hasattr(ring, "associates_of_norm"):
-        raise ComaxInputError(f"witness hunt is not supported over {ring}")
     if norm_bound < 2:
         raise ComaxInputError("need --bound >= 2")
     for n in range(2, norm_bound + 1):

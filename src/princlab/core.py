@@ -4,7 +4,9 @@ code every call over Z or Z[sqrt(d)] can use.
 - `CertificateError`, a producer's failed "(bug)" guard, and
   `pairwise_json`, the encoding of pairwise Bezout certificates.
   Producers do not check their own certificates: `recheck` is the one
-  checker, and `cli` runs it on every report.
+  checker, and `cli` runs it on every report.  A guard that remains fires
+  only where a certificate cannot be built: a value it needs is None or
+  not a unit, lies outside the ring, or is an odd inert norm valuation.
 - `RingElem` derives binary ``-``, the reflected ``+``, ``-``, ``*`` and
   ``**`` (repeated squaring) from an element class's own ``+``, unary
   ``-``, ``*`` and `_one()`; a negative power is a power of `_invert()`.

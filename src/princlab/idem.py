@@ -7,7 +7,9 @@ complement identity (a, b)(1-a, b) = bR, and, going the other way, any
 two-generated invertible ideal yields a pair through its Bezout data.
 
 The inverse-ideal Bezout solver is the ring handle's hook
-(`inverse_bezout`); rings without it get no Bezout data.
+(`inverse_bezout`); rings without it get no Bezout data.  `idem_matrix`
+and `complement_identity` trust the witness of a pair this module built,
+and `recheck` alone checks every identity.
 
 `IdemPair`, `BezoutCert` and `ComplementCert` are plain classes with an
 explicit `__init__`; see `core` for why not dataclasses.
@@ -53,22 +55,9 @@ def is_idempotent_pair(a, b, ring) -> IdemPair | None:
     return None
 
 
-class InvalidWitnessError(ValueError):
-    pass
-
-
-def _require_witness(pair: IdemPair):
-    """(f, s, r) of a pair handed in from outside, refused unless
-    f(1-f) == s*r."""
-    f, s, r = pair.normalized()
-    if f * (pair.ring.one - f) != s * r:
-        raise InvalidWitnessError("witness does not satisfy the defining relation")
-    return f, s, r
-
-
 def idem_matrix(pair: IdemPair):
     """2x2 idempotent matrix with the pair as first row."""
-    f, s, r = _require_witness(pair)
+    f, s, r = pair.normalized()
     return [[f, s], [r, pair.ring.one - f]]
 
 
@@ -102,8 +91,6 @@ def pair_from_invertible(a, b, cert: BezoutCert, ring) -> IdemPair:
     fa = ring.field_coerce(a)
     fb = ring.field_coerce(b)
     lam, mu = cert.lam, cert.mu
-    if lam * fa + mu * fb != ring.field_coerce(ring.one):
-        raise CertificateError("Bezout certificate does not evaluate to 1")
     try:
         pa, pb, wit, _ = [ring.from_field(p) for p in (lam * fa, lam * fb, mu * fa, mu * fb)]
     except ValueError:
@@ -134,7 +121,7 @@ class ComplementCert:
 
 def complement_identity(pair: IdemPair) -> ComplementCert:
     """Certify the product-ideal identity for a pair."""
-    f, s, r = _require_witness(pair)
+    f, s, r = pair.normalized()
     one = pair.ring.one
     products = [f * (one - f), f * s, s * (one - f), s * s]
     quotients = [r, f, one - f, s]

@@ -38,8 +38,9 @@ input, exit 2), never answered "does not divide".
 
 `MonoidDesc` and the certificates (`SplitResult`, `ChainResult`,
 `JuettSplit`) are plain classes with an explicit `__init__`; see `core` for
-why not dataclasses.  Their products and Bezout pairs are checked by
-`recheck` alone, which `cli` runs on every report.  `MonoidDesc` has no
+why not dataclasses.  The splits write their Bezout pairs in closed form;
+products and Bezout pairs are checked by `recheck` alone, which `cli` runs
+on every report.  `MonoidDesc` has no
 `__eq__`: rings compare by `to_json()`.
 """
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .core import CertificateError, RingElem, RingHandle, is_prime, pairwise_json
+from .core import RingElem, RingHandle, is_prime, pairwise_json
 from .poly import Poly, poly_divrem, poly_extended_gcd, rat_leaves
 from .rational import Fraction
 from .rings import QQ, RationalField, _strip_primes
@@ -72,13 +73,7 @@ class MonoidDesc:
 
     def contains(self, s: Fraction) -> bool:
         s = Fraction(s)
-        if not self.group and s < 0:
-            return False
-        den = s.denominator
-        for p in self.primes:
-            while den % p == 0:
-                den //= p
-        return den == 1
+        return (self.group or s >= 0) and _strip_primes(s.denominator, self.primes) == 1
 
     def label(self) -> str:
         kind = "group" if self.group else "monoid"
@@ -385,8 +380,8 @@ def _from_poly(p: Poly, step: int, shift: int, den: int, ring: MonoidRing) -> Mo
 
 class SplitResult:
     """1 - X^s == f1 * f2 with f1 = 1 - X^t, f2 = 1 + sum_i X^(t*i), plus the
-    comaximality certificate lam*f1 + mu*f2 == 1 built from the division
-    remainder n (a unit of D)."""
+    comaximality certificate lam*f1 + mu*f2 == 1 built from the remainder n
+    (a unit of D) of f2 by f1."""
 
     def __init__(self, s: Fraction, n: int, f1: MonoidElem, f2: MonoidElem,
                  lam: MonoidElem, mu: MonoidElem, remainder: Fraction):
@@ -435,19 +430,15 @@ def _geometric(s: Fraction, n: int, ring: MonoidRing):
 
 
 def mr_split(s, n: int, ring: MonoidRing) -> SplitResult:
-    """Split 1 - X^s = (1 - X^t)(1 + X^t + ... + X^(t(n-1))), t = s/n."""
+    """Split 1 - X^s = (1 - X^t)(1 + X^t + ... + X^(t(n-1))), t = s/n.  As in
+    `juett_split`, f2(Z) == (1 - Z) q(Z) + n with q_i == i + 1 - n, so
+    lam = -q(X^t)/n and mu = 1/n give lam*f1 + mu*f2 == 1."""
     s = Fraction(s)
     t, inv_n, f2 = _geometric(s, n, ring)
-    one = ring.one
-    f1 = one - ring.monomial(t)
-    # division identity in D[Z]: f2(Z) = (1 - Z) q(Z) + n
-    pz = Poly([Fraction(1)] * n)
-    q, rem = poly_divrem(pz, Poly([Fraction(1), Fraction(-1)]))
-    if rem != Poly((Fraction(n),)):
-        raise CertificateError("division remainder is not n (bug)")
-    lam = -_from_poly(q.scale(inv_n), t.numerator, 0, t.denominator, ring)
-    mu = ring.coerce(inv_n)
-    return SplitResult(s, n, f1, f2, lam, mu, Fraction(n))
+    f1 = ring.one - ring.monomial(t)
+    # t lies in S and 1/n in D, so lam's terms need no membership check
+    lam = _elem(ring, t.denominator, [t.numerator * i for i in range(n - 1)], n, range(n - 1, 0, -1))
+    return SplitResult(s, n, f1, f2, lam, ring.coerce(inv_n), Fraction(n))
 
 
 class ChainResult:
@@ -491,9 +482,7 @@ def mr_comax_chain(s, m: int, ring: MonoidRing, n: int | None = None) -> ChainRe
             # the factors are integral (cden 1), so _to_poly gives them exactly
             fi, fj = factors[i], factors[j]
             den, ei, ej, step = _grid(fi, fj)
-            d, si, tj = poly_extended_gcd(_to_poly(fi, ei, step), _to_poly(fj, ej, step))
-            if d != Poly((1,)):
-                raise CertificateError("chain factors are not comaximal (bug)")
+            _, si, tj = poly_extended_gcd(_to_poly(fi, ei, step), _to_poly(fj, ej, step))
             pairwise.append((i, j, _from_poly(si, step, 0, den, ring), _from_poly(tj, step, 0, den, ring)))
     return ChainResult(s, factors, pairwise)
 

@@ -15,13 +15,15 @@ are decided on forms (Cohen, GTM 138, sections 5.2-5.4): `reduce_form`
 finds the one reduced form of a class with its SL2(Z) transform, and
 `compose_forms` is the group law.  Principality is a reduction, not a
 search over the elements of the ideal's norm: its cost grows with the
-number of digits of the norm.  Invertibility is decided by
-I * conj(I) == (N(I)).  All decisions return re-checkable certificates, and
-each certificate type serializes itself (`to_json(enc)`); `recheck` checks
-them, and nothing here re-multiplies its own.
+number of digits of the norm.  Invertibility is decided by N(I) lying in
+I * conj(I).  In the maximal order p ramifies exactly when p | 2d, and is
+otherwise split or inert as d is a square mod p or not.  All decisions
+return re-checkable certificates, and each certificate type serializes
+itself (`to_json(enc)`); `recheck` checks them, and nothing here
+re-multiplies its own or re-tests that a lattice it built is an ideal.
 The ring handle `QuadOrder` carries the ideal-theoretic hooks the engines
 call (see `rings`), the class-group ones among them.  One lattice solve,
-`combination`, serves its three Bezout hooks.
+`combination`, serves its three Bezout hooks and the invertibility test.
 `InvertibilityCert` and `PrincipalityVerdict` are plain classes with an
 explicit `__init__`; see `core` for why not dataclasses.
 """
@@ -150,17 +152,6 @@ class QuadElem(RingElem):
         return {"type": "quadrat", "x": str(self.x), "y": str(self.y), "d": str(self.d)}
 
 
-def divides(b: QuadElem, a: QuadElem):
-    """Quotient q with a == b*q when it exists in Z[sqrt(d)], else None."""
-    if not b:
-        raise ZeroDivisionError("division by zero element")
-    n = b.norm()
-    num = a * b.conj()
-    if num.x % n or num.y % n:
-        return None
-    return QuadElem(num.x // n, num.y // n, a.d)
-
-
 class QuadIdeal:
     """Nonzero ideal of Z[sqrt(d)] in lattice normal form."""
 
@@ -234,12 +225,7 @@ def _from_vectors(d: int, vecs) -> QuadIdeal:
     (n, _), (c, m), _, _ = hnf2_with_transform(vecs)
     if n <= 0 or m <= 0:
         raise QuadError("zero ideal")
-    ideal = QuadIdeal(d, n, c % n, m)
-    # sanity: the span must be closed under multiplication by sqrt(d)
-    for v in ideal.basis:
-        if not ideal.contains(v * QuadElem(0, 1, d)):
-            raise CertificateError("lattice is not an ideal (not sqrt(d)-stable)")
-    return ideal
+    return QuadIdeal(d, n, c % n, m)
 
 
 def ideal_from_pair(a: QuadElem, b: QuadElem) -> QuadIdeal:
@@ -284,9 +270,10 @@ class InvertibilityCert:
 
 def ideal_is_invertible(i: QuadIdeal) -> InvertibilityCert:
     """Decide (I : I) == Z[sqrt(d)]: exactly when I * conj(I) == (N(I)) (Cox,
-    Primes of the Form x^2 + ny^2, section 7), with conj(I) the cofactor."""
+    Primes of the Form x^2 + ny^2, section 7), with conj(I) the cofactor.
+    I * conj(I) always lies in (N(I)), so `combination` decides by N(I)."""
     cofactor, norm = i.conjugate(), QuadElem(i.norm(), 0, i.d)
-    if i.mul(cofactor) != principal_ideal(norm):
+    if combination(*i.basis, norm, cofactor.basis) is None:
         return InvertibilityCert(False)
     return InvertibilityCert(True, cofactor=cofactor, product_generator=norm)
 
@@ -443,22 +430,18 @@ def _prime_above(d: int, p: int):
     """Prime ideals of Z[sqrt(d)] above p, with the splitting type.
 
     Returns ("ramified", P) | ("inert", (p)) | ("split", P, Pbar).
-    Maximal-order case only.
+    Maximal-order case only.  P = (p, u + sqrt(d)) and Pbar = (p, p - u +
+    sqrt(d)) for u = `sqrt_mod_prime(d, p)`, which is d mod 2 at p = 2.
     """
-    sqrtd = QuadElem(0, 1, d)
     pelt = QuadElem(p, 0, d)
-    if p == 2:
-        if d % 2 == 0:
-            return "ramified", ideal_from_pair(pelt, sqrtd)
-        return "ramified", ideal_from_pair(pelt, QuadElem(1, 1, d))
-    if d % p == 0:
-        return "ramified", ideal_from_pair(pelt, sqrtd)
-    if pow(d % p, (p - 1) // 2, p) == p - 1:
-        return ("inert", principal_ideal(pelt))
+    ramified = (2 * d) % p == 0
+    if not ramified and pow(d, (p - 1) // 2, p) != 1:
+        return "inert", principal_ideal(pelt)
     u = sqrt_mod_prime(d, p)
     P = ideal_from_pair(pelt, QuadElem(u, 1, d))
-    Pbar = ideal_from_pair(pelt, QuadElem(p - u, 1, d))
-    return "split", P, Pbar
+    if ramified:
+        return "ramified", P
+    return "split", P, ideal_from_pair(pelt, QuadElem(p - u, 1, d))
 
 
 def factor_principal(b: QuadElem) -> list[tuple[QuadIdeal, int]]:
@@ -550,7 +533,11 @@ class QuadOrder(RingHandle):
         b, a = self.coerce(b), self.coerce(a)
         if not b:
             return self.zero if not a else None
-        return divides(b, a)
+        n = b.norm()
+        num = a * b.conj()
+        if num.x % n or num.y % n:
+            return None
+        return QuadElem(num.x // n, num.y // n, self.d)
 
     def is_unit(self, x) -> bool:
         return isinstance(x, QuadElem) and x.is_unit()

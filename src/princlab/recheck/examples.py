@@ -229,5 +229,7 @@ def _verify_sphere_projector(report):
         fails.append("trace(E) != 2")
     if not v_eq(_mat_mul([xs], col)[0][0], one):
         fails.append("x x^T != 1")
+    if result["checks"] != [[n, True] for n in ("E*E == E", "E*x^T == 0", "x*E == 0", "trace(E) == 2", "x*x^T == 1")]:
+        fails.append("checks are not the five identities, each true")
     return fails
 

@@ -11,7 +11,7 @@ dataclass.
 
 from __future__ import annotations
 
-from .core import CertificateError, RingElem, RingHandle
+from .core import RingElem, RingHandle
 from .rational import Fraction
 
 
@@ -281,14 +281,11 @@ B2 = SphereRing()
 
 
 class ProjectorReport:
-    """E = I3 - x^T x with every defining identity checked exactly."""
+    """E = I3 - x^T x with each defining identity evaluated exactly."""
 
     def __init__(self, matrix: list, checks: list):
         self.matrix = matrix
         self.checks = checks  # [(name, ok)]
-
-    def verified(self) -> bool:
-        return all(ok for _, ok in self.checks)
 
     def to_json(self, enc):
         return {"matrix": enc(self.matrix), "checks": [[name, ok] for name, ok in self.checks]}
@@ -297,7 +294,8 @@ class ProjectorReport:
 def tangent_projector() -> ProjectorReport:
     """The idempotent 3x3 matrix presenting the tangent module as a direct
     summand of B2^3: E^2 == E, E*x^T == 0, x*E == 0, trace(E) == 2, and the
-    section identity x*x^T == 1."""
+    section identity x*x^T == 1.  E is I3 - x^T x in closed form; the report
+    lists each identity with its value, and `recheck` alone decides them."""
     xs = [B2.x(i) for i in range(3)]
     one = B2.one
     e = [[(one if i == j else B2.zero) - xs[i] * xs[j] for j in range(3)] for i in range(3)]
@@ -310,8 +308,4 @@ def tangent_projector() -> ProjectorReport:
         ("trace(E) == 2", e[0][0] + e[1][1] + e[2][2] == SphereElem.const(2)),
         ("x*x^T == 1", mat_mul(row, col) == [[one]]),
     ]
-
-    report = ProjectorReport(e, checks)
-    if not report.verified():
-        raise CertificateError("projector identities failed (bug)")
-    return report
+    return ProjectorReport(e, checks)

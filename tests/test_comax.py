@@ -218,6 +218,11 @@ def test_support_cap_env(monkeypatch):
     assert rechecks(enumerate_complete_factorizations(E(210, 0), O5), O5)
     monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "0")
     assert len(enumerate_complete_factorizations(210, ZZ).factorizations) == 1
+    # a negative cap is refused as it is read, before anything is factored
+    monkeypatch.setenv("PRINC_LAB_SUPPORT_CAP", "-1")
+    for b, ring in ((210, ZZ), (E(210, 0), O5)):
+        with pytest.raises(ComaxInputError, match=r"^PRINC_LAB_SUPPORT_CAP='-1' is not a nonnegative integer$"):
+            enumerate_complete_factorizations(b, ring)
 
 
 def test_support_primes_stay_below_the_proven_primality_bound(capsys):

@@ -157,6 +157,23 @@ def test_juett_lam_is_the_division_quotient(t, b, p, beta):
     assert js.mu == ring.coerce(F(1, p))
 
 
+@pytest.mark.parametrize("base", [QQ, LocalizedIntegers((2, 3, 5, 7))])
+def test_mr_split_lam_is_the_division_quotient(base):
+    # lam == -q(X^t)/n for the quotient q of 1 + Z + ... + Z^(n-1) by 1 - Z,
+    # built term by term as the splitter did before its closed form
+    ring = MonoidRing(base, MonoidDesc(primes=(2, 3, 5, 7)))
+    for n in range(2, 9):
+        q, rem = poly_divrem(Poly([F(1)] * n), Poly([F(1), F(-1)]))
+        assert rem == Poly((F(n),))
+        for s in (1, 3, F(5, 4)):
+            sp, t = mr_split(s, n, ring), F(s) / n
+            want = ring.zero
+            for i, c in enumerate(q.coeffs):
+                want = want + ring.monomial(t * i, -c / n)
+            assert sp.lam == want
+            assert sp.mu == ring.coerce(F(1, n))
+
+
 def test_juett_split_is_linear_in_p():
     ring = MonoidRing(QQ, MonoidDesc(primes=(4001,), group=True))
     start = time.perf_counter()

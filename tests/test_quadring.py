@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
+from princlab.core import sqrt_mod_prime
 from princlab.quadring import (
     NonMaximalOrderError,
     QuadElem,
     QuadError,
     QuadIdeal,
     QuadOrder,
+    _prime_above,
     combination,
-    divides,
     factor_principal,
     ideal_from_pair,
     ideal_is_invertible,
@@ -25,6 +26,9 @@ from princlab.quadring import (
 )
 from princlab.rational import Fraction
 from princlab.report import enc
+
+
+O5 = QuadOrder(-5)
 
 
 def E(x, y, d=-5):
@@ -191,6 +195,8 @@ def test_inverse_bezout_and_the_product_rule_decide_alike(d, ax, ay, bx, by):
         lam, mu = sol
         assert lam * a + mu * b == 1
         assert all(in_order(p) for p in (lam * a, lam * b, mu * a, mu * b))
+    # the test `ideal_is_invertible` once made: I * conj(I) == (N(I))
+    assert invertible == (ideal.mul(ideal.conjugate()) == principal_ideal(QuadElem(ideal.norm(), 0, d)))
     if d % 4 == 1:
         assert invertible == (not omega_stable(ideal))
 
@@ -238,8 +244,8 @@ def test_principality_against_enumeration_oracle():
             g = v.generator
             assert g.norm() == n
             # (g) == I both ways: g divides each basis element, and g lies in I
-            assert divides(g, i.basis[0]) is not None
-            assert divides(g, i.basis[1]) is not None
+            assert O5.divides(g, i.basis[0]) is not None
+            assert O5.divides(g, i.basis[1]) is not None
             assert i.contains(g)
 
 
@@ -350,11 +356,12 @@ def test_generator_tie_break_is_deterministic():
 
 
 def test_divides_spec_cases():
-    assert divides(E(-3, 0), E(-6, 0)) == E(2, 0)
-    assert divides(E(1, 1), E(6, 0)) == E(1, -1)
-    assert divides(E(1, 1), E(2, 0)) is None
-    with pytest.raises(ZeroDivisionError):
-        divides(E(0, 0), E(1, 0))
+    assert O5.divides(E(-3, 0), E(-6, 0)) == E(2, 0)
+    assert O5.divides(E(1, 1), E(6, 0)) == E(1, -1)
+    assert O5.divides(E(1, 1), E(2, 0)) is None
+    # zero divides only zero
+    assert O5.divides(E(0, 0), E(1, 0)) is None
+    assert O5.divides(E(0, 0), E(0, 0)) == E(0, 0)
 
 
 def test_report_tag_follows_the_coordinate_types():
@@ -393,7 +400,7 @@ def test_divides_random_round_trip():
         if not b:
             continue
         a = b * q
-        assert divides(b, a) == q
+        assert O5.divides(b, a) == q
 
 
 def test_norm_solutions_complete():
@@ -407,6 +414,39 @@ def test_norm_solutions_complete():
             if x * x + 5 * y * y == n
         }
         assert got == want
+
+
+def prime_above_reference(d: int, p: int):
+    """The four-branch splitting `_prime_above` once used, kept here as the
+    reference: p == 2 first, then p | d, then Euler's criterion."""
+    sqrtd = QuadElem(0, 1, d)
+    pelt = QuadElem(p, 0, d)
+    if p == 2:
+        if d % 2 == 0:
+            return "ramified", ideal_from_pair(pelt, sqrtd)
+        return "ramified", ideal_from_pair(pelt, QuadElem(1, 1, d))
+    if d % p == 0:
+        return "ramified", ideal_from_pair(pelt, sqrtd)
+    if pow(d % p, (p - 1) // 2, p) == p - 1:
+        return ("inert", principal_ideal(pelt))
+    u = sqrt_mod_prime(d, p)
+    P = ideal_from_pair(pelt, QuadElem(u, 1, d))
+    Pbar = ideal_from_pair(pelt, QuadElem(p - u, 1, d))
+    return "split", P, Pbar
+
+
+def test_prime_above_follows_the_reference():
+    # every maximal order with d in -1..-399 and every prime p < 400
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    ds = [d for d in range(-1, -400, -1) if d % 4 in (2, 3) and all(d % (q * q) for q in range(2, 20))]
+    assert len(ds) * len(primes) == 12558
+    kinds = set()
+    for d in ds:
+        for p in primes:
+            got = _prime_above(d, p)
+            assert got == prime_above_reference(d, p), (d, p)
+            kinds.add(got[0])
+    assert kinds == {"ramified", "inert", "split"}
 
 
 def test_factor_principal_spec_cases():

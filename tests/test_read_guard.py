@@ -16,9 +16,7 @@ CASES = [c for c in json.loads((GOLDEN / "cases.json").read_text()) if c["exit"]
 
 # these commands echo a value and claim nothing that could be checked
 ECHOED = ["limitring eval", "sphere reduce"]
-UNREAD = {
-    ("sphere projector", ("checks",)): "the benchmark pins it, and recheck re-derives each identity it names",
-}
+UNREAD = {}
 
 
 class Recorded(dict):

@@ -261,6 +261,15 @@ def test_a_leaf_in_exponent_form_past_the_bound_aborts_recheck_at_once():
     assert fails == ["recheck aborted: ValueError: the exponent of '1e99999999' passes 4300 in magnitude"]
 
 
+@pytest.mark.parametrize("mutate", [lambda checks: checks[0].__setitem__(1, False), lambda checks: checks.pop(),
+                                    lambda checks: checks[2].__setitem__(0, "x*E == 1")],
+                         ids=["false", "missing", "renamed"])
+def test_a_projector_report_listing_other_than_its_five_true_identities_fails(mutate):
+    # the producer lists the identities without raising on them
+    fails = golden_fails("sphere_projector", lambda report: mutate(report["result"]["checks"]))
+    assert fails == ["checks are not the five identities, each true"]
+
+
 def _int(v):
     return {"type": "int", "value": str(v)}
 
